@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateWeights, ValidationError, ZeroWeightSum
-from .estimators import MomentSummary, _require_scalar
+from .estimators import MomentSummary, _require_scalar, row_mean
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,20 @@ def variance_gap(moments: MomentSummary, value: float) -> VarianceGapReport:
     )
 
 
+def remainder_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple[np.ndarray, ...]:
+    """Remainder decomposition of each row around ``value``.
+
+    Returns ``(l_n, w_bar, r_n, zero)``, reducing along the last axis;
+    ``zero`` marks rows whose weight mean is zero, where ``r_n`` is
+    undefined.
+    """
+    w_bar = row_mean(w)
+    l_n = row_mean(wr) - value * w_bar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_n = l_n * (1.0 - w_bar) / w_bar
+    return l_n, w_bar, r_n, w_bar == 0.0
+
+
 def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostics:
     """Evaluate the exact remainder decomposition on a dataset.
 
@@ -128,11 +142,11 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
     if not np.isfinite(v):
         raise ValidationError(f"value must be finite, got {value}")
     w = dataset.weights
-    mean_w = float(np.mean(w))
-    if mean_w == 0.0:
+    wr = w * dataset.rewards
+    l_n, w_bar, r_n, zero = remainder_rows(w[None, :], wr[None, :], v)
+    if zero[0]:
         raise ZeroWeightSum()
-    mean_wr = float(np.mean(w * dataset.rewards))
-    l_n = mean_wr - v * mean_w
+    l_n, mean_w, mean_wr = float(l_n[0]), float(w_bar[0]), float(np.mean(wr))
     u_series = w * (dataset.rewards - v)
     t_series = w - 1.0
     u_series.setflags(write=False)
@@ -141,12 +155,14 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
     # scalars came from, so their means can only differ by accumulated
     # rounding in the rearranged sums.
     scale = max(1.0, abs(mean_wr), abs(v) * abs(mean_w))
-    assert abs(float(np.mean(u_series)) - l_n) <= 1e-12 * scale
-    assert abs(float(np.mean(t_series)) - (mean_w - 1.0)) <= 1e-12 * max(1.0, abs(mean_w))
+    if abs(float(np.mean(u_series)) - l_n) > 1e-12 * scale:
+        raise ValidationError(f"mean of the u series disagrees with L_n = {l_n}")
+    if abs(float(np.mean(t_series)) - (mean_w - 1.0)) > 1e-12 * max(1.0, abs(mean_w)):
+        raise ValidationError(f"mean of the t series disagrees with W_bar - 1 = {mean_w - 1.0}")
     return RemainderDiagnostics(
         l_n=l_n,
         w_bar=mean_w,
-        r_n=l_n * (1.0 - mean_w) / mean_w,
+        r_n=float(r_n[0]),
         r_n_linearised=l_n * (1.0 - mean_w),
         event_holds=bool(mean_w >= 0.5),
         u_series=u_series,

@@ -149,6 +149,29 @@ def _check_columns(
     return weights
 
 
+def _check_block(
+    p_log: np.ndarray,
+    p_tgt: np.ndarray,
+    rewards: np.ndarray,
+    reward_bound: float,
+    weight_bound: float,
+) -> np.ndarray:
+    """:func:`_check_columns` on a block of replicates stacked along the first axis.
+
+    The arrays are ``(replicates, n)`` for scalar logs or ``(replicates,
+    positions, n)`` for ranked logs. The whole block is checked at once; on
+    a violation the replicates are rechecked one by one, so the error names
+    the entry exactly as checking the first failing replicate alone would.
+    """
+    flat = [arr.reshape(arr.shape[0], -1) for arr in (p_log, p_tgt, rewards)]
+    try:
+        return _check_columns(*flat, reward_bound, weight_bound).reshape(p_log.shape)
+    except ValidationError:
+        for row in range(p_log.shape[0]):
+            _check_columns(p_log[row].T, p_tgt[row].T, rewards[row].T, reward_bound, weight_bound)
+        raise
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

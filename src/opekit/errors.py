@@ -3,7 +3,8 @@
 The hierarchy mirrors how the command line maps failures onto exit codes:
 validation problems (bad data, bad files, bad configuration) exit with 2,
 estimator preconditions and study-level failures exit with 3, and plain
-I/O errors exit with 4.
+I/O errors and failures of the worker processes behind ``--jobs`` exit
+with 4.
 """
 
 from __future__ import annotations
@@ -201,3 +202,7 @@ class ExcessiveFailureRate(StudyError):
             f"{metric} failed on {failed}/{total} replicates at n={n} "
             f"(more than 1% invalidates the study)"
         )
+
+
+class WorkerFailure(OpeKitError):
+    """The worker processes of a parallel study failed or could not receive the work."""

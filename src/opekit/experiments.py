@@ -7,6 +7,13 @@ sample size ``n`` draws its generator from
 ``SeedSequence((master_seed, n, r))``, which depends on nothing else;
 results are identical for any estimator list, chunking, or worker count.
 
+A cell is evaluated in blocks of replicates: each block is sampled into
+one ``(replicates, n)`` array (``(replicates, positions, n)`` for ranked
+scenarios), one row per replicate, and every metric is one row kernel
+reducing along the last axis. A block holds about ``_BLOCK_ENTRIES``
+entries whatever the replicate count, and row reductions sum exactly as
+a one-row reduction does, so the block size never changes a bit.
+
 A replicate on which an estimator's precondition fails is recorded and
 its cell statistics use the surviving replicates. More than 1% failures
 for any estimator at any sample size aborts the study, because then the
@@ -15,41 +22,52 @@ survivors no longer represent the sampling distribution.
 
 from __future__ import annotations
 
+import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import remainder_diagnostics, variance_gap
+from .analysis import remainder_rows, variance_gap
 from .errors import (
+    DegenerateWeights,
     DegenerateX,
-    EstimationError,
     ExcessiveFailureRate,
+    FoldTooSmall,
     NonPositiveMean,
     PreconditionNotMet,
     TooFewReplicates,
     UnknownEstimator,
     ValidationError,
+    WorkerFailure,
+    ZeroWeightSum,
 )
 from .estimators import (
     CrossFitConfig,
     MomentSummary,
-    beta_ips,
-    beta_star_ips,
-    cross_fitted_beta_ips,
-    ips,
-    snips,
+    _finite_baseline,
+    beta_ips_rows,
+    beta_star_rows,
+    cross_fit_rows,
+    ips_rows,
+    snips_rows,
 )
-from .ranking import beta_ipm, beta_perp_star_ipm, ipm, snipm
+from .ranking import _fixed_baselines, position_rows
 from .simulator import (
     BanditScenario,
     RankingEnv,
+    compile_scenario,
     population_moments,
-    sample_logs,
-    sample_ranked_logs,
+    sample_block,
     true_value,
     weight_bound,
 )
+
+#: Entries per block of replicates. Larger blocks save little time and
+#: cost resident memory.
+_BLOCK_ENTRIES = 8192
 
 _SCALAR_PLAIN = ("ips", "snips", "beta-star-ips", "cf-beta-star-ips", "remainder-sq")
 _RANKED_PLAIN = ("ipm", "snipm", "beta-perp-star-ipm")
@@ -112,66 +130,111 @@ def _metric_labels(spec: MetricSpec, scenario) -> list[str]:
     return [f"{spec.label}[pos{j + 1}]" for j in range(k)] + [f"{spec.label}[total]"]
 
 
-def _compile_metric(spec: MetricSpec, scenario, folds: int, master_seed: int, oracle_value):
+def _scalar_metric(spec: MetricSpec, folds: int, master_seed: int, oracle_value):
+    """Row kernel of a scalar metric: ``(w, wr) -> (values, failed, error)``."""
     name = spec.name
     if name == "ips":
-        return lambda d: (ips(d).value,)
+        return lambda w, wr: (ips_rows(w, wr), None, None)
     if name == "snips":
-        return lambda d: (snips(d).value,)
+        return lambda w, wr: snips_rows(w, wr) + (ZeroWeightSum,)
     if name == "beta-ips":
-        baseline = spec.params[0]
-        return lambda d: (beta_ips(d, baseline).value,)
+        baseline = _finite_baseline(spec.params[0])
+        return lambda w, wr: (beta_ips_rows(w, wr, baseline), None, None)
     if name == "beta-star-ips":
-        return lambda d: (beta_star_ips(d).value,)
+
+        def beta_star(w, wr):
+            value, _, degenerate = beta_star_rows(w, wr)
+            return value, degenerate, DegenerateWeights
+
+        return beta_star
     if name == "cf-beta-star-ips":
         config = CrossFitConfig(folds_k=folds, seed=master_seed)
-        return lambda d: (cross_fitted_beta_ips(d, config).value,)
+
+        def cross_fitted(w, wr):
+            try:
+                value, _, failed_fold = cross_fit_rows(w, wr, config)
+            except FoldTooSmall:
+                return np.full(w.shape[:-1], np.nan), np.ones(w.shape[:-1], dtype=bool), FoldTooSmall
+            return value, failed_fold >= 0, DegenerateWeights
+
+        return cross_fitted
     if name == "remainder-sq":
         value = float(oracle_value)
-        return lambda d: (remainder_diagnostics(d, value).r_n ** 2,)
+        if not np.isfinite(value):
+            raise ValidationError(f"value must be finite, got {oracle_value}")
 
-    def positionwise(report):
-        return tuple(p.estimate for p in report.per_position) + (report.total,)
+        def remainder_sq(w, wr):
+            _, _, r_n, zero = remainder_rows(w, wr, value)
+            # Square as Python floats (libm pow), as the scalar diagnostics do.
+            return np.array([r**2 for r in r_n.tolist()]), zero, ZeroWeightSum
 
-    if name == "ipm":
-        return lambda d: positionwise(ipm(d))
-    if name == "snipm":
-        return lambda d: positionwise(snipm(d))
-    if name == "beta-ipm":
-        baselines = np.asarray(spec.params)
-        return lambda d: positionwise(beta_ipm(d, baselines))
-    if name == "beta-perp-star-ipm":
-        return lambda d: positionwise(beta_perp_star_ipm(d))
+        return remainder_sq
     raise UnknownEstimator(f"unknown estimator {spec.label!r}")
 
 
-def _sample_dataset(scenario, n: int, master_seed: int, replicate: int):
-    seed = np.random.SeedSequence((master_seed, n, replicate))
-    if isinstance(scenario, BanditScenario):
-        return sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, n, seed)
-    return sample_ranked_logs(scenario, n, seed)
+def _ranked_metric(spec: MetricSpec, scenario: RankingEnv):
+    """Row kernel of a ranked metric: per-position values, then their total."""
+    name = spec.name
+    if name not in _RANKED_PLAIN and name != "beta-ipm":
+        raise UnknownEstimator(f"unknown estimator {spec.label!r}")
+    betas = _fixed_baselines(scenario, spec.params) if name == "beta-ipm" else None
+    error = {"snipm": ZeroWeightSum, "beta-perp-star-ipm": DegenerateWeights}.get(name)
+
+    def positionwise(w, wr):
+        values, _, failed, _ = position_rows(name, w, wr, betas)
+        total = np.sum(values, axis=-1)
+        return np.concatenate([values, total[:, None]], axis=1), failed.any(axis=-1), error
+
+    return positionwise
 
 
-def _replicate_chunk(scenario, n, master_seed, start, stop, specs, folds, oracle_value):
-    """Evaluate all metrics on replicates [start, stop); NaN marks failures."""
-    compiled = [
-        (_metric_labels(spec, scenario), _compile_metric(spec, scenario, folds, master_seed, oracle_value))
-        for spec in specs
-    ]
-    n_cols = sum(len(labels) for labels, _ in compiled)
-    values = np.full((stop - start, n_cols), np.nan)
+def _compile_metrics(scenario, specs, folds: int, master_seed: int, oracle_value) -> list:
+    """``(label, width, kernel)`` for every metric, in column order."""
+    metrics = []
+    for spec in specs:
+        labels = _metric_labels(spec, scenario)
+        if isinstance(scenario, BanditScenario):
+            kernel = _scalar_metric(spec, folds, master_seed, oracle_value)
+        else:
+            kernel = _ranked_metric(spec, scenario)
+        metrics.append((spec.label, len(labels), kernel))
+    return metrics
+
+
+def _block_rows(n: int, k: int) -> int:
+    """Replicates per block: about ``_BLOCK_ENTRIES`` entries, at least one replicate."""
+    return max(1, _BLOCK_ENTRIES // (n * k))
+
+
+def _replicate_range(scenario, n, master_seed, start, stop, specs, folds, oracle_value):
+    """Evaluate all metrics on replicates [start, stop), block by block; NaN marks failures."""
+    compiled = compile_scenario(scenario)
+    metrics = _compile_metrics(scenario, specs, folds, master_seed, oracle_value)
+    values = np.full((stop - start, sum(width for _, width, _ in metrics)), np.nan)
     failures: list[tuple[str, int, str]] = []
-    for row, replicate in enumerate(range(start, stop)):
-        dataset = _sample_dataset(scenario, n, master_seed, replicate)
+    step = _block_rows(n, compiled.k)
+    for low in range(start, stop, step):
+        high = min(low + step, stop)
+        generators = [
+            np.random.default_rng(np.random.SeedSequence((master_seed, n, r)))
+            for r in range(low, high)
+        ]
+        block = sample_block(compiled, n, generators)
+        w = block.weights
+        wr = w * block.rewards
+        rows = values[low - start : high - start]
+        found = []
         offset = 0
-        for spec, (labels, fn) in zip(specs, compiled):
-            width = len(labels)
-            try:
-                values[row, offset : offset + width] = fn(dataset)
-            except EstimationError as exc:
-                values[row, offset : offset + width] = np.nan
-                failures.append((spec.label, replicate, type(exc).__name__))
+        for index, (label, width, kernel) in enumerate(metrics):
+            out, failed, error = kernel(w, wr)
+            columns = rows[:, offset : offset + width]
+            columns[...] = out.reshape(columns.shape)
+            if failed is not None and failed.any():
+                columns[failed] = np.nan
+                found.extend((low + int(row), index, label, error.__name__) for row in np.flatnonzero(failed))
             offset += width
+        found.sort()
+        failures.extend((label, replicate, error) for replicate, _, label, error in found)
     return start, values, failures
 
 
@@ -197,6 +260,66 @@ class ReplicateMatrix:
         if label not in self.labels:
             raise ValidationError(f"no metric {label!r} in this matrix")
         return self.values[:, self.labels.index(label)]
+
+
+@contextmanager
+def _worker_pool(n_jobs: int):
+    """One process pool for every cell of a study, or ``None`` for a single worker."""
+    if n_jobs < 1:
+        raise ValidationError(f"worker count must be at least 1, got {n_jobs}")
+    if n_jobs == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        yield pool
+
+
+def _run_task(payload: bytes):
+    fn, args = pickle.loads(payload)
+    return fn(*args)
+
+
+def _run_in_pool(pool, tasks: list) -> list:
+    """Run ``(fn, args)`` tasks on the pool; a pool failure becomes :class:`WorkerFailure`."""
+    try:
+        payloads = [pickle.dumps(task) for task in tasks]
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise WorkerFailure(f"cannot send the work to worker processes: {exc}") from exc
+    try:
+        futures = [pool.submit(_run_task, payload) for payload in payloads]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise WorkerFailure(f"a worker process terminated abruptly: {exc}") from exc
+
+
+def _replicate_matrix(scenario, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs):
+    """The paired replicate matrix of one cell, on the study's pool if it has one."""
+    if pool is None:
+        chunks = [_replicate_range(scenario, n, master_seed, 0, replicates, specs, folds, oracle_value)]
+    else:
+        size = max(1, -(-replicates // (n_jobs * 4)))
+        chunks = _run_in_pool(
+            pool,
+            [
+                (
+                    _replicate_range,
+                    (scenario, n, master_seed, start, min(start + size, replicates), specs, folds, oracle_value),
+                )
+                for start in range(0, replicates, size)
+            ],
+        )
+    chunks.sort(key=lambda item: item[0])
+    values = np.vstack([chunk[1] for chunk in chunks])
+    values.setflags(write=False)
+    failures = tuple(
+        FailureRecord(metric, replicate, error)
+        for _, _, chunk_failures in chunks
+        for metric, replicate, error in chunk_failures
+    )
+    labels = tuple(
+        label for spec in specs for label in _metric_labels(spec, scenario)
+    )
+    return ReplicateMatrix(n=n, labels=labels, values=values, failures=failures)
 
 
 def replicate_estimates(
@@ -226,44 +349,10 @@ def replicate_estimates(
         raise ValidationError(f"sample size must be at least 1, got {n}")
     if master_seed < 0:
         raise ValidationError(f"master seed must be non-negative, got {master_seed}")
-    if n_jobs < 1:
-        raise ValidationError(f"worker count must be at least 1, got {n_jobs}")
     if oracle_value is None and any(s.name == "remainder-sq" for s in specs):
         oracle_value = true_value(scenario.env, scenario.target_policy)
-
-    if n_jobs == 1:
-        chunks = [_replicate_chunk(scenario, n, master_seed, 0, replicates, specs, folds, oracle_value)]
-    else:
-        size = max(1, -(-replicates // (n_jobs * 4)))
-        starts = list(range(0, replicates, size))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(
-                    _replicate_chunk,
-                    scenario,
-                    n,
-                    master_seed,
-                    start,
-                    min(start + size, replicates),
-                    specs,
-                    folds,
-                    oracle_value,
-                )
-                for start in starts
-            ]
-            chunks = [future.result() for future in futures]
-    chunks.sort(key=lambda item: item[0])
-    values = np.vstack([chunk[1] for chunk in chunks])
-    values.setflags(write=False)
-    failures = tuple(
-        FailureRecord(metric, replicate, error)
-        for _, _, chunk_failures in chunks
-        for metric, replicate, error in chunk_failures
-    )
-    labels = tuple(
-        label for spec in specs for label in _metric_labels(spec, scenario)
-    )
-    return ReplicateMatrix(n=n, labels=labels, values=values, failures=failures)
+    with _worker_pool(n_jobs) as pool:
+        return _replicate_matrix(scenario, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
 
 
 def mse_decompose(estimates, true_value: float) -> tuple[float, float, float]:
@@ -566,6 +655,23 @@ def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float], replica
     return rows
 
 
+def _grid_matrices(config: StudyConfig, specs, oracle_value, n_jobs: int):
+    """The replicate matrix of every grid cell, in grid order, on one worker pool."""
+    with _worker_pool(n_jobs) as pool:
+        for n in config.n_grid:
+            yield _replicate_matrix(
+                config.scenario,
+                n,
+                config.replicates,
+                config.master_seed,
+                specs,
+                config.folds,
+                oracle_value,
+                pool,
+                n_jobs,
+            )
+
+
 def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
     """Bias, variance, and MSE for each estimator over the sample size grid."""
     specs = tuple(parse_estimator_spec(e) for e in config.estimators)
@@ -578,17 +684,7 @@ def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
     oracle_value = oracle.value if isinstance(config.scenario, BanditScenario) else None
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
-    for n in config.n_grid:
-        matrix = replicate_estimates(
-            config.scenario,
-            n,
-            config.replicates,
-            config.master_seed,
-            specs,
-            folds=config.folds,
-            oracle_value=oracle_value,
-            n_jobs=n_jobs,
-        )
+    for matrix in _grid_matrices(config, specs, oracle_value, n_jobs):
         rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
         failures.extend(matrix.failures)
     return StudyReport(
@@ -661,16 +757,8 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
     cells: list[DominanceCell] = []
-    for n in config.n_grid:
-        matrix = replicate_estimates(
-            config.scenario,
-            n,
-            config.replicates,
-            config.master_seed,
-            specs,
-            folds=config.folds,
-            n_jobs=n_jobs,
-        )
+    for matrix in _grid_matrices(config, specs, None, n_jobs):
+        n = matrix.n
         rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
         failures.extend(matrix.failures)
         for label in compare_labels:
@@ -759,16 +847,7 @@ def decay_rate_study(config: StudyConfig, n_jobs: int = 1) -> DecayReport:
     targets = _metric_targets(specs, config.scenario, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
-    for n in config.n_grid:
-        matrix = replicate_estimates(
-            config.scenario,
-            n,
-            config.replicates,
-            config.master_seed,
-            specs,
-            oracle_value=value,
-            n_jobs=n_jobs,
-        )
+    for matrix in _grid_matrices(config, specs, value, n_jobs):
         rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
         failures.extend(matrix.failures)
     points = [(row.n, row.mean_estimate) for row in rows if row.mean_estimate > 0.0]
@@ -823,17 +902,7 @@ def bias_rate_study(config: StudyConfig, n_jobs: int = 1) -> BiasRateReport:
     targets = _metric_targets((spec,), config.scenario, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
-    for n in config.n_grid:
-        matrix = replicate_estimates(
-            config.scenario,
-            n,
-            config.replicates,
-            config.master_seed,
-            (spec,),
-            folds=config.folds,
-            oracle_value=oracle.value,
-            n_jobs=n_jobs,
-        )
+    for matrix in _grid_matrices(config, (spec,), oracle.value, n_jobs):
         rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
         failures.extend(matrix.failures)
     points = [(row.n, abs(row.bias)) for row in rows if row.bias != 0.0]

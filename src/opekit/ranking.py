@@ -2,8 +2,8 @@
 
 A ranked dataset factorises into scalar marginals, one per position, and
 the total value is the sum of per-position values. Every estimator here
-applies its scalar counterpart to each marginal, so a one-position ranked
-dataset reproduces the scalar result bit for bit.
+applies its scalar row kernel to each marginal, one row per position, so
+a one-position ranked dataset reproduces the scalar result bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import RankedDataset
 from .errors import DegenerateWeights, LengthMismatch, ValidationError, ZeroWeightSum
-from .estimators import MomentSummary, beta_ips, empirical_moments, ips, snips
+from .estimators import MomentSummary, beta_ips_value, beta_star_value, moment_rows, snips_value
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,55 @@ def _require_ranked(dataset) -> RankedDataset:
     return dataset
 
 
-def _positionwise(dataset: RankedDataset, name: str, one_position) -> PositionwiseReport:
-    estimates = []
-    for j in range(dataset.k):
-        marginal = dataset.position(j)
-        try:
-            estimates.append(one_position(j, marginal))
-        except ZeroWeightSum as exc:
-            raise ZeroWeightSum(position=j) from exc
-    total = float(np.sum(np.array([p.estimate for p in estimates])))
+def position_rows(name: str, w: np.ndarray, wr: np.ndarray, betas=None) -> tuple:
+    """Per-position values of ranked rows shaped ``(..., positions, n)``.
+
+    ``name`` is ``ipm``, ``snipm``, ``beta-ipm`` (fixed ``betas``, one per
+    position) or ``beta-perp-star-ipm``. Returns ``(values, baselines,
+    failed, moments)``: values and baselines per position (baselines is
+    ``None`` outside the baseline-corrected family), ``failed`` marking
+    positions where the estimator's precondition fails, and the checked
+    moments from :func:`~opekit.estimators.moment_rows`.
+    """
+    moments = moment_rows(w, wr)
+    mean_w, mean_wr, var_w, _, cov = moments
+    none_failed = np.zeros(mean_w.shape, dtype=bool)
+    if name == "ipm":
+        return mean_wr, None, none_failed, moments
+    if name == "snipm":
+        values, zero = snips_value(mean_w, mean_wr)
+        return values, None, zero, moments
+    if name == "beta-ipm":
+        return beta_ips_value(mean_w, mean_wr, betas), np.broadcast_to(betas, mean_w.shape), none_failed, moments
+    if name == "beta-perp-star-ipm":
+        values, baselines, degenerate = beta_star_value(mean_w, mean_wr, var_w, cov)
+        used = ~degenerate.any(axis=-1, keepdims=True)
+        if (used & ~np.isfinite(baselines)).any():
+            raise ValidationError("baselines must be finite")
+        return values, baselines, degenerate, moments
+    raise ValidationError(f"unknown position-wise estimator {name!r}")
+
+
+def _rows(dataset) -> tuple[np.ndarray, np.ndarray]:
+    """A ranked dataset as one row of positions by entries, C-contiguous."""
+    _require_ranked(dataset)
+    w = np.ascontiguousarray(dataset.weights.T)[None]
+    return w, w * np.ascontiguousarray(dataset.rewards.T)[None]
+
+
+def _report(dataset: RankedDataset, name: str, rows: tuple) -> PositionwiseReport:
+    values, baselines, _, moments = rows
+    per_position = tuple(
+        PositionEstimate(
+            float(values[0, j]),
+            None if baselines is None else float(baselines[0, j]),
+            MomentSummary(*(float(m[0, j]) for m in moments), n=dataset.n),
+        )
+        for j in range(dataset.k)
+    )
     return PositionwiseReport(
-        per_position=tuple(estimates),
-        total=total,
+        per_position=per_position,
+        total=float(np.sum(values[0])),
         estimator_name=name,
         n_used=dataset.n,
     )
@@ -77,27 +114,19 @@ def _positionwise(dataset: RankedDataset, name: str, one_position) -> Positionwi
 
 def ipm(dataset: RankedDataset) -> PositionwiseReport:
     """Sum of per-position importance-weighted reward means."""
-    _require_ranked(dataset)
-
-    def one(j, marginal):
-        return PositionEstimate(ips(marginal).value, None, empirical_moments(marginal))
-
-    return _positionwise(dataset, "ipm", one)
+    return _report(dataset, "ipm", position_rows("ipm", *_rows(dataset)))
 
 
 def snipm(dataset: RankedDataset) -> PositionwiseReport:
     """Sum of per-position self-normalised estimates."""
-    _require_ranked(dataset)
+    rows = position_rows("snipm", *_rows(dataset))
+    zero = rows[2][0]
+    if zero.any():
+        raise ZeroWeightSum(position=int(np.argmax(zero)))
+    return _report(dataset, "snipm", rows)
 
-    def one(j, marginal):
-        return PositionEstimate(snips(marginal).value, None, empirical_moments(marginal))
 
-    return _positionwise(dataset, "snipm", one)
-
-
-def beta_ipm(dataset: RankedDataset, betas) -> PositionwiseReport:
-    """Sum of per-position baseline-corrected estimates at fixed baselines."""
-    _require_ranked(dataset)
+def _fixed_baselines(dataset: RankedDataset, betas) -> np.ndarray:
     b = np.asarray(betas, dtype=np.float64)
     if b.shape != (dataset.k,):
         raise LengthMismatch(
@@ -105,12 +134,19 @@ def beta_ipm(dataset: RankedDataset, betas) -> PositionwiseReport:
         )
     if not np.isfinite(b).all():
         raise ValidationError("baselines must be finite")
+    return b
 
-    def one(j, marginal):
-        estimate = beta_ips(marginal, float(b[j]))
-        return PositionEstimate(estimate.value, estimate.baseline_used, empirical_moments(marginal))
 
-    return _positionwise(dataset, "beta-ipm", one)
+def beta_ipm(dataset: RankedDataset, betas) -> PositionwiseReport:
+    """Sum of per-position baseline-corrected estimates at fixed baselines."""
+    _require_ranked(dataset)
+    b = _fixed_baselines(dataset, betas)
+    return _report(dataset, "beta-ipm", position_rows("beta-ipm", *_rows(dataset), b))
+
+
+def _degenerate(failed: np.ndarray) -> None:
+    if failed.any():
+        raise DegenerateWeights(positions=tuple(np.flatnonzero(failed).tolist()))
 
 
 def beta_perp_star_hat(dataset: RankedDataset) -> np.ndarray:
@@ -119,29 +155,15 @@ def beta_perp_star_hat(dataset: RankedDataset) -> np.ndarray:
     Raises :class:`DegenerateWeights` listing every position whose weights
     have zero variance.
     """
-    _require_ranked(dataset)
-    baselines = np.empty(dataset.k)
-    degenerate = []
-    for j in range(dataset.k):
-        moments = empirical_moments(dataset.position(j))
-        if moments.var_w == 0.0:
-            degenerate.append(j)
-        else:
-            baselines[j] = moments.cov_w_wr / moments.var_w
-    if degenerate:
-        raise DegenerateWeights(positions=tuple(degenerate))
+    _, _, var_w, _, cov = moment_rows(*_rows(dataset))
+    _degenerate(var_w[0] == 0.0)
+    baselines = cov[0] / var_w[0]
     baselines.setflags(write=False)
     return baselines
 
 
 def beta_perp_star_ipm(dataset: RankedDataset) -> PositionwiseReport:
     """Sum of per-position baseline-corrected estimates at plug-in baselines."""
-    _require_ranked(dataset)
-    baselines = beta_perp_star_hat(dataset)
-    report = beta_ipm(dataset, baselines)
-    return PositionwiseReport(
-        per_position=report.per_position,
-        total=report.total,
-        estimator_name="beta-perp-star-ipm",
-        n_used=report.n_used,
-    )
+    rows = position_rows("beta-perp-star-ipm", *_rows(dataset))
+    _degenerate(rows[2][0])
+    return _report(dataset, "beta-perp-star-ipm", rows)

@@ -10,6 +10,11 @@ Sampling uses numpy's PCG64 generator. Draws are consumed in a fixed
 order (contexts, then per position actions and rewards), so a
 one-position ranking environment consumes the stream exactly like the
 scalar sampler and reproduces its datasets bit for bit.
+
+One sampler serves every caller. A scenario is compiled once into its
+sampling tables, and :func:`sample_block` draws a block of replicates
+from those tables, one row per generator, stage by stage. The public
+samplers are that block with one row.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, RankedDataset
+from .data import Dataset, RankedDataset, _check_block, _freeze
 from .errors import (
     DimensionMismatch,
     SupportViolation,
@@ -237,8 +242,9 @@ def population_moments(
     sums, cancelling the logging propensities symbolically, so policies
     whose rows sum to one in floats give a weight mean of exactly one.
     """
-    bound = weight_bound(logging_policy, target_policy, env.context_probs)
-    assert bound > 0
+    # Overlap check only: it raises SupportViolation where the target leaves
+    # the logging support.
+    weight_bound(logging_policy, target_policy, env.context_probs)
     p_ctx = env.context_probs
     log_probs = logging_policy.probs
     tgt_probs = target_policy.probs
@@ -276,9 +282,140 @@ def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cdf.shape[0] - 1)
 
 
-def _pick_rows(row_cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.sum(u[:, None] >= row_cdf, axis=1)
-    return np.minimum(idx, row_cdf.shape[1] - 1)
+def _pick_rows(row_cdf: np.ndarray, contexts: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw from the CDF row of each entry's context, written into ``out``."""
+    n_actions = row_cdf.shape[1]
+    out[...] = 0
+    for a in range(n_actions):
+        out += u >= row_cdf[:, a].take(contexts)
+    return np.minimum(out, n_actions - 1, out=out)
+
+
+def _draw(uniforms: np.ndarray, generators) -> np.ndarray:
+    """Refill each row of ``uniforms`` from its own generator."""
+    for row, rng in zip(uniforms, generators):
+        rng.random(out=row)
+    return uniforms
+
+
+@dataclass(frozen=True, eq=False)
+class _PositionTables:
+    """Sampling tables of one position.
+
+    ``action_cdf`` holds the logging CDF of each context, one row per
+    context; the other tables are flattened by ``(context, action)`` cell.
+    """
+
+    action_cdf: np.ndarray
+    reward_means: np.ndarray
+    p_log: np.ndarray
+    p_tgt: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledScenario:
+    """Sampling tables of a scenario, built once and shared by every replicate.
+
+    ``ranked`` scenarios sample ``(replicates, positions, n)`` blocks;
+    scalar ones sample ``(replicates, n)``.
+    """
+
+    context_cdf: np.ndarray
+    positions: tuple[_PositionTables, ...]
+    weight_bound: float
+    ranked: bool
+
+    @property
+    def k(self) -> int:
+        return len(self.positions)
+
+
+def _position_tables(logging_policy: PolicyTable, target_policy: PolicyTable, reward_means) -> _PositionTables:
+    return _PositionTables(
+        action_cdf=np.cumsum(logging_policy.probs, axis=1),
+        reward_means=np.ravel(reward_means),
+        p_log=np.ravel(logging_policy.probs),
+        p_tgt=np.ravel(target_policy.probs),
+    )
+
+
+def _compile_bandit(env: BanditEnv, logging_policy: PolicyTable, target_policy: PolicyTable) -> CompiledScenario:
+    bound = weight_bound(logging_policy, target_policy, env.context_probs)
+    if logging_policy.probs.shape != env.reward_means.shape:
+        raise DimensionMismatch("logging policy does not match the environment")
+    return CompiledScenario(
+        context_cdf=np.cumsum(env.context_probs),
+        positions=(_position_tables(logging_policy, target_policy, env.reward_means),),
+        weight_bound=bound,
+        ranked=False,
+    )
+
+
+def _compile_ranking(env: RankingEnv) -> CompiledScenario:
+    bounds = [
+        weight_bound(pos.logging_policy, pos.target_policy, env.context_probs)
+        for pos in env.positions
+    ]
+    return CompiledScenario(
+        context_cdf=np.cumsum(env.context_probs),
+        positions=tuple(
+            _position_tables(pos.logging_policy, pos.target_policy, pos.reward_means)
+            for pos in env.positions
+        ),
+        weight_bound=max(bounds),
+        ranked=True,
+    )
+
+
+def compile_scenario(scenario) -> CompiledScenario:
+    """Sampling tables and weight bound of a :class:`BanditScenario` or :class:`RankingEnv`."""
+    if isinstance(scenario, BanditScenario):
+        return _compile_bandit(scenario.env, scenario.logging_policy, scenario.target_policy)
+    if isinstance(scenario, RankingEnv):
+        return _compile_ranking(scenario)
+    raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
+
+
+@dataclass(frozen=True, eq=False)
+class SampleBlock:
+    """Validated columns of a block of replicates, one row per replicate."""
+
+    propensity_logging: np.ndarray
+    propensity_target: np.ndarray
+    rewards: np.ndarray
+    weights: np.ndarray
+    context_ids: np.ndarray
+    action_ids: np.ndarray
+
+
+def sample_block(compiled: CompiledScenario, n: int, generators) -> SampleBlock:
+    """Draw ``n`` entries per generator, each row consuming its own stream.
+
+    Every generator is consumed exactly as a one-row sample would consume
+    it: contexts, then per position actions and rewards. The draws go
+    stage by stage, so one ``(rows, n)`` block of uniforms is alive at a
+    time. The block is validated like any dataset before it is returned.
+    """
+    rows = len(generators)
+    uniforms = np.empty((rows, n))
+    contexts = _pick(compiled.context_cdf, _draw(uniforms, generators))
+    shape = (rows, compiled.k, n)
+    p_log = np.empty(shape)
+    p_tgt = np.empty(shape)
+    rewards = np.empty(shape)
+    actions = np.empty(shape, dtype=np.int64)
+    for j, pos in enumerate(compiled.positions):
+        acts = _pick_rows(pos.action_cdf, contexts, _draw(uniforms, generators), actions[:, j])
+        cells = contexts * pos.action_cdf.shape[1] + acts
+        np.less(_draw(uniforms, generators), pos.reward_means.take(cells), out=rewards[:, j], casting="unsafe")
+        pos.p_log.take(cells, out=p_log[:, j])
+        pos.p_tgt.take(cells, out=p_tgt[:, j])
+        del cells
+    del uniforms
+    if not compiled.ranked:
+        p_log, p_tgt, rewards, actions = (a.reshape(rows, n) for a in (p_log, p_tgt, rewards, actions))
+    weights = _check_block(p_log, p_tgt, rewards, 1.0, compiled.weight_bound)
+    return SampleBlock(p_log, p_tgt, rewards, weights, contexts, actions)
 
 
 def sample_logs(
@@ -297,21 +434,17 @@ def sample_logs(
     """
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
-    bound = weight_bound(logging_policy, target_policy, env.context_probs)
-    if logging_policy.probs.shape != env.reward_means.shape:
-        raise DimensionMismatch("logging policy does not match the environment")
-    rng = _as_generator(seed)
-    contexts = _pick(np.cumsum(env.context_probs), rng.random(n))
-    actions = _pick_rows(np.cumsum(logging_policy.probs, axis=1)[contexts], rng.random(n))
-    rewards = (rng.random(n) < env.reward_means[contexts, actions]).astype(np.float64)
-    return Dataset.from_arrays(
-        logging_policy.probs[contexts, actions],
-        target_policy.probs[contexts, actions],
-        rewards,
+    compiled = _compile_bandit(env, logging_policy, target_policy)
+    block = sample_block(compiled, n, [_as_generator(seed)])
+    return Dataset(
+        propensity_logging=_freeze(block.propensity_logging[0]),
+        propensity_target=_freeze(block.propensity_target[0]),
+        rewards=_freeze(block.rewards[0]),
+        weights=_freeze(block.weights[0]),
         reward_bound=1.0,
-        weight_bound=bound,
-        context_ids=contexts,
-        action_ids=actions,
+        weight_bound=compiled.weight_bound,
+        context_ids=_freeze(block.context_ids[0]),
+        action_ids=_freeze(block.action_ids[0]),
     )
 
 
@@ -332,34 +465,21 @@ def sample_ranked_logs(env: RankingEnv, n: int, seed) -> RankedDataset:
 
     Contexts are drawn first, then an action and reward per position, so
     the stream consumption for one position matches :func:`sample_logs`.
+    Columns are entries by positions, as views of the sampled block.
     """
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
-    bounds = [
-        weight_bound(pos.logging_policy, pos.target_policy, env.context_probs)
-        for pos in env.positions
-    ]
-    rng = _as_generator(seed)
-    contexts = _pick(np.cumsum(env.context_probs), rng.random(n))
-    k = env.k
-    p_log = np.empty((n, k))
-    p_tgt = np.empty((n, k))
-    rewards = np.empty((n, k))
-    actions = np.empty((n, k), dtype=np.int64)
-    for j, pos in enumerate(env.positions):
-        acts = _pick_rows(np.cumsum(pos.logging_policy.probs, axis=1)[contexts], rng.random(n))
-        rewards[:, j] = (rng.random(n) < pos.reward_means[contexts, acts]).astype(np.float64)
-        p_log[:, j] = pos.logging_policy.probs[contexts, acts]
-        p_tgt[:, j] = pos.target_policy.probs[contexts, acts]
-        actions[:, j] = acts
-    return RankedDataset.from_arrays(
-        p_log,
-        p_tgt,
-        rewards,
+    compiled = _compile_ranking(env)
+    block = sample_block(compiled, n, [_as_generator(seed)])
+    return RankedDataset(
+        propensity_logging=_freeze(block.propensity_logging[0].T),
+        propensity_target=_freeze(block.propensity_target[0].T),
+        rewards=_freeze(block.rewards[0].T),
+        weights=_freeze(block.weights[0].T),
         reward_bound=1.0,
-        weight_bound=max(bounds),
-        context_ids=contexts,
-        action_ids=actions,
+        weight_bound=compiled.weight_bound,
+        context_ids=_freeze(block.context_ids[0]),
+        action_ids=_freeze(block.action_ids[0].T),
     )
 
 

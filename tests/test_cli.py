@@ -1,12 +1,13 @@
 """Command line interface: exit codes, outputs, and reproducibility."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 import yaml
 
-from opekit import get_scenario, read_logs, sample_logs
+from opekit import experiments, get_scenario, read_logs, sample_logs
 from opekit.cli import OUT_DIR_ENV, main
 
 
@@ -265,3 +266,35 @@ class TestStudy:
     def test_missing_config_file(self, capsys, tmp_path):
         assert run(capsys, "study", "--config", str(tmp_path / "no.yaml"),
                    "--out-dir", str(tmp_path))[0] == 4
+
+
+def exit_worker(*args):
+    """Stand-in for the replicate engine that kills the worker process running it."""
+    os._exit(1)
+
+
+class TestWorkerFailures:
+    """Failures of the --jobs worker pool exit with code 4, not a traceback."""
+
+    def test_dead_worker(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_replicate_range", exit_worker)
+        config = write_config(tmp_path, n_grid=[50])
+        code, _, err = run(capsys, "study", "--config", str(config),
+                           "--out-dir", str(tmp_path), "--jobs", "2")
+        assert code == 4
+        assert err.startswith("worker error: a worker process terminated abruptly")
+        assert not (tmp_path / "study.csv").exists()
+
+    def test_work_that_cannot_be_pickled(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_replicate_range", lambda *args: None)
+        config = write_config(tmp_path, n_grid=[50])
+        code, _, err = run(capsys, "study", "--config", str(config),
+                           "--out-dir", str(tmp_path), "--jobs", "2")
+        assert code == 4
+        assert err.startswith("worker error: cannot send the work to worker processes")
+
+    def test_one_worker_needs_no_pool(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)
+        config = write_config(tmp_path, n_grid=[50])
+        assert run(capsys, "study", "--config", str(config),
+                   "--out-dir", str(tmp_path), "--jobs", "1")[0] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opekit import Dataset, Estimate, LogEntry, RankedDataset, validate_dataset
-from opekit.data import BOUND_SLACK, PositionRecord, RankedLogEntry
+from opekit.data import BOUND_SLACK, PositionRecord, RankedLogEntry, _check_block, _check_columns
 from opekit.errors import (
     BoundViolation,
     EmptyDataset,
@@ -186,6 +186,42 @@ class TestRankedConstruction:
         entry = d.entries[0]
         assert entry.context_id == 3
         assert entry.positions[1] == PositionRecord(1, 0.5, 0.25, 0.0)
+
+
+class TestBlockValidation:
+    """A block of replicates reports a violation as its first failing replicate alone would."""
+
+    @staticmethod
+    def error(check, *args):
+        with pytest.raises(ValidationError) as info:
+            check(*args)
+        return type(info.value), str(info.value)
+
+    def test_weights_match_row_by_row(self):
+        p_log = np.full((3, 2, 4), 0.5)
+        p_tgt = np.linspace(0.1, 1.0, 24).reshape(3, 2, 4)
+        rewards = np.ones((3, 2, 4))
+        weights = _check_block(p_log, p_tgt, rewards, 1.0, 2.0)
+        assert np.array_equal(weights, p_tgt / p_log)
+
+    def test_scalar_rows(self):
+        p_log = np.full((3, 5), 0.5)
+        p_tgt = np.full((3, 5), 0.5)
+        rewards = np.ones((3, 5))
+        p_tgt[2, 1] = 1.0  # weight 2 > 1.5 in replicate 2
+        p_log[1, 3] = 0.0  # non-positive propensity in replicate 1
+        expected = self.error(_check_columns, p_log[1], p_tgt[1], rewards[1], 1.0, 1.5)
+        assert expected[0] is NonPositiveLoggingPropensity
+        assert self.error(_check_block, p_log, p_tgt, rewards, 1.0, 1.5) == expected
+
+    def test_ranked_rows(self):
+        p_log = np.full((2, 3, 4), 0.5)
+        p_tgt = np.full((2, 3, 4), 0.5)
+        rewards = np.ones((2, 3, 4))
+        rewards[1, 2, 1] = np.nan  # replicate 1, position 3, entry 1
+        expected = self.error(_check_columns, p_log[1].T, p_tgt[1].T, rewards[1].T, 1.0, 1.5)
+        assert expected == (NonFiniteValue, "reward is not finite at entry 1, position 3")
+        assert self.error(_check_block, p_log, p_tgt, rewards, 1.0, 1.5) == expected
 
 
 class TestValidateDataset:
