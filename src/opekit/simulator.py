@@ -406,10 +406,13 @@ def sample_block(compiled: CompiledScenario, n: int, generators) -> SampleBlock:
     actions = np.empty(shape, dtype=np.int64)
     for j, pos in enumerate(compiled.positions):
         acts = _pick_rows(pos.action_cdf, contexts, _draw(uniforms, generators), actions[:, j])
-        cells = contexts * pos.action_cdf.shape[1] + acts
+        cells = contexts * pos.action_cdf.shape[1]
+        cells += acts
         np.less(_draw(uniforms, generators), pos.reward_means.take(cells), out=rewards[:, j], casting="unsafe")
-        pos.p_log.take(cells, out=p_log[:, j])
-        pos.p_tgt.take(cells, out=p_tgt[:, j])
+        # Cells are always in range. Unlike the default mode="raise", which
+        # copies ``out`` through a temporary, mode="clip" writes straight into it.
+        pos.p_log.take(cells, out=p_log[:, j], mode="clip")
+        pos.p_tgt.take(cells, out=p_tgt[:, j], mode="clip")
         del cells
     del uniforms
     if not compiled.ranked:

@@ -140,6 +140,20 @@ class TestScalarEquivalence:
     def test_both_sides_of_the_entry_budget(self, n):
         assert_engine_matches_replay(get_scenario("flip2"), n, 4 if n > 8192 else 83, SCALAR)
 
+    def test_remainder_is_squared_as_a_python_float(self):
+        scenario = get_scenario("flip2")
+        matrix = assert_engine_matches_replay(scenario, 200, 800, ("remainder-sq",))
+        r_n = [
+            remainder_diagnostics(
+                sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, 200,
+                            np.random.SeedSequence((SEED, 200, r))),
+                0.26,
+            ).r_n
+            for r in range(800)
+        ]
+        # The cell includes replicates where np.square rounds differently.
+        assert not np.array_equal(matrix.column("remainder-sq"), np.square(r_n))
+
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_three_contexts_with_zero_probability_cells(self, n_jobs):
         assert_engine_matches_replay(three_by_three(), 300, 31, SCALAR, n_jobs)
