@@ -120,15 +120,16 @@ def variance_gap(moments: MomentSummary, value: float) -> VarianceGapReport:
 def remainder_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple[np.ndarray, ...]:
     """Remainder decomposition of each row around ``value``.
 
-    Returns ``(l_n, w_bar, r_n, zero)``, reducing along the last axis;
-    ``zero`` marks rows whose weight mean is zero, where ``r_n`` is
+    Returns ``(w_bar, mean_wr, l_n, r_n, zero)``, reducing along the last
+    axis; ``zero`` marks rows whose weight mean is zero, where ``r_n`` is
     undefined.
     """
     w_bar = row_mean(w)
-    l_n = row_mean(wr) - value * w_bar
+    mean_wr = row_mean(wr)
+    l_n = mean_wr - value * w_bar
     with np.errstate(divide="ignore", invalid="ignore"):
         r_n = l_n * (1.0 - w_bar) / w_bar
-    return l_n, w_bar, r_n, w_bar == 0.0
+    return w_bar, mean_wr, l_n, r_n, w_bar == 0.0
 
 
 def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostics:
@@ -143,10 +144,10 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
         raise ValidationError(f"value must be finite, got {value}")
     w = dataset.weights
     wr = w * dataset.rewards
-    l_n, w_bar, r_n, zero = remainder_rows(w[None, :], wr[None, :], v)
+    w_bar, mean_wr, l_n, r_n, zero = remainder_rows(w[None, :], wr[None, :], v)
     if zero[0]:
         raise ZeroWeightSum()
-    l_n, mean_w, mean_wr = float(l_n[0]), float(w_bar[0]), float(np.mean(wr))
+    mean_w, mean_wr, l_n = float(w_bar[0]), float(mean_wr[0]), float(l_n[0])
     u_series = w * (dataset.rewards - v)
     t_series = w - 1.0
     u_series.setflags(write=False)

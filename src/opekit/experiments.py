@@ -164,7 +164,7 @@ def _scalar_metric(spec: MetricSpec, folds: int, master_seed: int, oracle_value)
             raise ValidationError(f"value must be finite, got {oracle_value}")
 
         def remainder_sq(w, wr):
-            _, _, r_n, zero = remainder_rows(w, wr, value)
+            _, _, _, r_n, zero = remainder_rows(w, wr, value)
             # Square as Python floats (libm pow), as the scalar diagnostics do.
             return np.array([r**2 for r in r_n.tolist()]), zero, ZeroWeightSum
 
