@@ -15,9 +15,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
-import yaml
-
 from .errors import ValidationError
 from .experiments import StudyConfig
 from .simulator import (
@@ -145,6 +142,10 @@ class LoadedStudy:
 
 def load_study_config(path) -> LoadedStudy:
     """Read, schema-validate, and resolve a study configuration file."""
+    # Imported here so that commands which never read a configuration skip their cost.
+    import jsonschema
+    import yaml
+
     source = Path(path)
     text = source.read_text(encoding="utf-8")
     try:

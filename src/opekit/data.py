@@ -32,6 +32,11 @@ from .errors import (
 #: rounding in the ratio p_tgt / p_log from flagging in-bounds data.
 BOUND_SLACK = 1e-12
 
+#: Entries per block wherever a whole dataset or study cell is processed a
+#: block at a time (replicate blocks in the study engine, rendered blocks of
+#: a log file). Larger blocks save little time and cost resident memory.
+BLOCK_ENTRIES = 8192
+
 
 @dataclass(frozen=True)
 class LogEntry:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import remainder_rows, variance_gap
+from .data import BLOCK_ENTRIES as _BLOCK_ENTRIES  # a module global, so tests can shrink it
 from .errors import (
     DegenerateWeights,
     DegenerateX,
@@ -64,10 +65,6 @@ from .simulator import (
     true_value,
     weight_bound,
 )
-
-#: Entries per block of replicates. Larger blocks save little time and
-#: cost resident memory.
-_BLOCK_ENTRIES = 8192
 
 _SCALAR_PLAIN = ("ips", "snips", "beta-star-ips", "cf-beta-star-ips", "remainder-sq")
 _RANKED_PLAIN = ("ipm", "snipm", "beta-perp-star-ipm")

@@ -8,6 +8,12 @@ record per line. Scalar records hold ``context``, ``action``, ``p_log``,
 ``p_tgt``, and ``reward``. Floats are serialised with ``repr``, which
 round-trips exactly, so write-then-read reproduces a dataset bit for bit.
 
+Logs are rendered and written one block of ``BLOCK_ENTRIES`` (8192)
+entries at a time: each column of a block becomes one list of strings and
+one format string assembles the records. The bytes equal one
+``json.dumps`` per record with compact separators, and the working memory
+of a write is bounded by the block, not by the number of records.
+
 Result tables are CSV with columns
 ``estimator,n,mean,bias,variance,mse,se``, floats formatted with %.17g
 and lines terminated with a bare newline. Reruns of the same study
@@ -35,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import hoeffding_tail_bound
-from .data import Dataset, RankedDataset
+from .data import BLOCK_ENTRIES, Dataset, RankedDataset
 from .errors import (
     BoundViolation,
     EmptyDataset,
@@ -89,14 +95,26 @@ def build_manifest(config_hash: str, master_seed: int, environment: str) -> RunM
     )
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write to a temporary sibling and rename, so readers never see partial files."""
+def atomic_write(path, chunks) -> None:
+    """Write text chunks to a temporary sibling and rename it over ``path``.
+
+    Readers never see a partial file. If writing fails, the temporary file
+    is removed, the error propagates and ``path`` keeps its old content.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(f"{target.name}.tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, target)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write(path, (text,))
 
 
 def _jsonable_id(value):
@@ -111,53 +129,71 @@ def _jsonable_id(value):
     return str(value)
 
 
-def _scalar_record(dataset: Dataset, i: int) -> dict:
-    return {
-        "context": _jsonable_id(None if dataset.context_ids is None else dataset.context_ids[i]),
-        "action": _jsonable_id(None if dataset.action_ids is None else dataset.action_ids[i]),
-        "p_log": float(dataset.propensity_logging[i]),
-        "p_tgt": float(dataset.propensity_target[i]),
-        "reward": float(dataset.rewards[i]),
-    }
+def _id_strings(ids, m: int):
+    """JSON texts of a block of ids, exactly as ``json.dumps`` writes each one."""
+    if ids is None:
+        return ["null"] * m
+    if ids.dtype.kind in "iu":
+        return map(str, ids.tolist())
+    return [json.dumps(_jsonable_id(value)) for value in ids]
 
 
-def _ranked_record(dataset: RankedDataset, i: int) -> dict:
-    positions = []
-    for j in range(dataset.k):
-        positions.append(
-            {
-                "action": _jsonable_id(
-                    None if dataset.action_ids is None else dataset.action_ids[i, j]
-                ),
-                "p_log": float(dataset.propensity_logging[i, j]),
-                "p_tgt": float(dataset.propensity_target[i, j]),
-                "reward": float(dataset.rewards[i, j]),
-            }
-        )
-    return {
-        "context": _jsonable_id(None if dataset.context_ids is None else dataset.context_ids[i]),
-        "positions": positions,
-    }
+def _float_strings(column):
+    # json.dumps writes a finite float as float.__repr__; validated columns are finite.
+    return map(float.__repr__, column.tolist())
 
 
-def logs_text(dataset) -> str:
-    """Serialise a dataset to JSON Lines with a bounds header."""
+_POSITION = '"action":%s,"p_log":%s,"p_tgt":%s,"reward":%s'
+
+
+def _log_chunks(dataset):
+    """Yield a dataset's JSON Lines text: the bounds header, then one block of entries at a time.
+
+    A block holds ``BLOCK_ENTRIES // k`` records of k positions (k = 1 for
+    scalar logs). Each column of a block is rendered as one list of strings
+    and the records are assembled with one format string, so the text equals
+    one ``json.dumps`` per record with compact separators.
+    """
     meta = {
         "_meta": {
             "reward_bound": float(dataset.reward_bound),
             "weight_bound": float(dataset.weight_bound),
         }
     }
-    lines = [json.dumps(meta, separators=(",", ":"))]
-    ranked = isinstance(dataset, RankedDataset)
-    for i in range(dataset.n):
-        record = _ranked_record(dataset, i) if ranked else _scalar_record(dataset, i)
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    yield json.dumps(meta, separators=(",", ":")) + "\n"
+    n = dataset.n
+    if isinstance(dataset, RankedDataset):
+        k = dataset.k
+        fmt = '{"context":%s,"positions":[' + ",".join(["{" + _POSITION + "}"] * k) + "]}\n"
+    else:
+        k = 1
+        fmt = '{"context":%s,' + _POSITION + "}\n"
+    # Scalar columns are viewed as one position, so both kinds render alike.
+    contexts = dataset.context_ids
+    actions = None if dataset.action_ids is None else dataset.action_ids.reshape(n, k)
+    floats = [
+        column.reshape(n, k)
+        for column in (dataset.propensity_logging, dataset.propensity_target, dataset.rewards)
+    ]
+    step = max(1, BLOCK_ENTRIES // k)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        m = min(step, n - start)
+        columns = [_id_strings(None if contexts is None else contexts[rows], m)]
+        for j in range(k):
+            columns.append(_id_strings(None if actions is None else actions[rows, j], m))
+            columns.extend(_float_strings(column[rows, j]) for column in floats)
+        yield "".join(map(fmt.__mod__, zip(*columns)))
+
+
+def logs_text(dataset) -> str:
+    """Serialise a dataset to JSON Lines with a bounds header."""
+    return "".join(_log_chunks(dataset))
 
 
 def write_logs(dataset, path) -> None:
-    atomic_write_text(path, logs_text(dataset))
+    """Write a dataset's JSON Lines file atomically, rendering one block at a time."""
+    atomic_write(path, _log_chunks(dataset))
 
 
 def _number(obj: dict, key: str, lineno: int) -> float:
@@ -327,11 +363,11 @@ def csv_text(rows) -> str:
 
 
 def write_csv(rows, path) -> None:
-    atomic_write_text(path, csv_text(rows))
+    atomic_write(path, (csv_text(rows),))
 
 
 def write_json(payload: dict, path) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
 
 
 def moments_dict(moments) -> dict:

@@ -1,10 +1,15 @@
 """Study configuration loading, defaults, and canonical hashing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import opekit
 from opekit import BanditScenario, RankingEnv, load_study_config
 from opekit.config import STUDY_KINDS, canonical_hash, environment_from_spec
 from opekit.errors import UnknownPreset, ValidationError
@@ -176,3 +181,15 @@ class TestHashing:
         altered = dict(INLINE_BANDIT, reward_means=[[0.3, 0.8]])
         _, label_b = environment_from_spec(altered)
         assert label_a != label_b
+
+
+class TestLazyImports:
+    def test_cli_import_skips_config_parsers(self):
+        # A fresh interpreter, because this test process has loaded both already.
+        src = str(Path(opekit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, opekit.cli; print(sorted({'jsonschema', 'yaml'} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"

@@ -29,6 +29,7 @@ from opekit.errors import (
 )
 from opekit.experiments import StudyRow
 from opekit.io import (
+    atomic_write,
     atomic_write_text,
     csv_text,
     format_float,
@@ -79,6 +80,170 @@ class TestLogRoundTrip:
         write_logs(flip2_sample(), path)
         first = json.loads(path.read_text().splitlines()[0])
         assert set(first["_meta"]) == {"reward_bound", "weight_bound"}
+
+
+def _reference_id(value):
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, (int, float)):
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    return str(value)
+
+
+def reference_logs_text(dataset) -> str:
+    """The per-record encoder the block writer replaced: one dict and one json.dumps per record."""
+
+    def dumps(obj):
+        return json.dumps(obj, separators=(",", ":"))
+
+    def ident(ids, index):
+        return _reference_id(None if ids is None else ids[index])
+
+    lines = [
+        dumps(
+            {
+                "_meta": {
+                    "reward_bound": float(dataset.reward_bound),
+                    "weight_bound": float(dataset.weight_bound),
+                }
+            }
+        )
+    ]
+    for i in range(dataset.n):
+        if isinstance(dataset, RankedDataset):
+            record = {
+                "context": ident(dataset.context_ids, i),
+                "positions": [
+                    {
+                        "action": ident(dataset.action_ids, (i, j)),
+                        "p_log": float(dataset.propensity_logging[i, j]),
+                        "p_tgt": float(dataset.propensity_target[i, j]),
+                        "reward": float(dataset.rewards[i, j]),
+                    }
+                    for j in range(dataset.k)
+                ],
+            }
+        else:
+            record = {
+                "context": ident(dataset.context_ids, i),
+                "action": ident(dataset.action_ids, i),
+                "p_log": float(dataset.propensity_logging[i]),
+                "p_tgt": float(dataset.propensity_target[i]),
+                "reward": float(dataset.rewards[i]),
+            }
+        lines.append(dumps(record))
+    return "\n".join(lines) + "\n"
+
+
+def crafted_columns(shape, seed=0):
+    """Random in-bounds columns whose first entry holds -0.0, 5e-324 and 0.1 + 0.2."""
+    rng = np.random.default_rng(seed)
+    p_log = rng.uniform(0.05, 1.0, shape)
+    p_tgt = rng.uniform(0.0, 1.0, shape)
+    rewards = rng.uniform(-1.0, 1.0, shape)
+    first = (0,) * len(shape)
+    p_log[first] = 0.1 + 0.2
+    p_tgt[first] = 5e-324
+    rewards[first] = -0.0
+    return p_log, p_tgt, rewards
+
+
+def id_column(kind, shape):
+    count = int(np.prod(shape))
+    values = {
+        "none": None,
+        "int64": np.arange(count, dtype=np.int64) - 3,
+        "uint8": (np.arange(count) % 256).astype(np.uint8),
+        "str": np.array([f'id"{i}%s\u00e9' for i in range(count)]),
+        "float": np.arange(count) * 0.5 - 1.0,
+        "bool": np.arange(count) % 3 == 0,
+        "object": np.array([2**70 + i for i in range(count)], dtype=object),
+    }[kind]
+    return None if values is None else values.reshape(shape)
+
+
+ID_KINDS = ("none", "int64", "uint8", "str", "float", "bool", "object")
+
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """Equal texts; on a difference, name the first differing line instead of diffing megabytes."""
+    if actual == expected:
+        return
+    got, want = actual.split("\n"), expected.split("\n")
+    line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    pytest.fail(
+        f"texts differ first at line {line + 1} of {len(want)}: "
+        f"{got[line] if line < len(got) else '<end>'!r} != {want[line] if line < len(want) else '<end>'!r}"
+    )
+
+
+class TestBlockWriter:
+    def check(self, dataset, tmp_path):
+        expected = reference_logs_text(dataset)
+        assert_same_text(logs_text(dataset), expected)
+        path = tmp_path / "logs.jsonl"
+        write_logs(dataset, path)
+        assert_same_text(path.read_bytes().decode("utf-8"), expected)
+        loaded = read_logs(path)
+        assert type(loaded) is type(dataset)
+        for column in ("propensity_logging", "propensity_target", "rewards", "weights"):
+            assert getattr(loaded, column).tobytes() == getattr(dataset, column).tobytes()
+        assert_same_text(logs_text(loaded), expected)
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 20000])
+    def test_sampled_sizes(self, n, tmp_path):
+        self.check(flip2_sample(n=n), tmp_path)
+
+    @pytest.mark.parametrize(
+        "context_kind, action_kind",
+        [(kind, kind) for kind in ID_KINDS] + [("none", "int64"), ("str", "none")],
+    )
+    def test_scalar_ids_and_floats(self, context_kind, action_kind, tmp_path):
+        n = 8193
+        p_log, p_tgt, rewards = crafted_columns((n,))
+        dataset = Dataset.from_arrays(
+            p_log,
+            p_tgt,
+            rewards,
+            reward_bound=1.0,
+            weight_bound=20.0,
+            context_ids=id_column(context_kind, (n,)),
+            action_ids=id_column(action_kind, (n,)),
+        )
+        assert np.signbit(dataset.rewards[0]) and dataset.propensity_target[0] == 5e-324
+        self.check(dataset, tmp_path)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("id_kind", ["none", "int64", "str", "bool"])
+    def test_ranked(self, k, id_kind, tmp_path):
+        n = 8193 // k + 7  # more than one block of 8192 // k records
+        p_log, p_tgt, rewards = crafted_columns((n, k), seed=k)
+        dataset = RankedDataset.from_arrays(
+            p_log,
+            p_tgt,
+            rewards,
+            reward_bound=1.0,
+            weight_bound=20.0,
+            context_ids=id_column(id_kind, (n,)),
+            action_ids=id_column(id_kind, (n, k)),
+        )
+        self.check(dataset, tmp_path)
+
+    def test_mixed_object_ids(self):
+        # Written like json.dumps writes them; read_logs drops ids when any is null.
+        ids = np.array([None, 7, "x", 2.5, True, np.int32(4)], dtype=object)
+        p_log, p_tgt, rewards = crafted_columns((6,))
+        dataset = Dataset.from_arrays(
+            p_log, p_tgt, rewards, reward_bound=1.0, weight_bound=20.0, context_ids=ids
+        )
+        assert_same_text(logs_text(dataset), reference_logs_text(dataset))
+
+    def test_sampled_ranked(self, tmp_path):
+        self.check(sample_ranked_logs(get_scenario("rankflip2x2"), 5000, 9), tmp_path)
 
 
 class TestReadValidation:
@@ -296,6 +461,19 @@ class TestAtomicWrites:
         atomic_write_text(path, "two\n")
         assert path.read_text() == "two\n"
         assert list(path.parent.iterdir()) == [path]
+
+    def test_failed_write_removes_temp_and_keeps_target(self, tmp_path):
+        path = tmp_path / "file.txt"
+        atomic_write_text(path, "old\n")
+
+        def chunks():
+            yield "new\n"
+            raise RuntimeError("renderer failed")
+
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            atomic_write(path, chunks())
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "old\n"
 
     def test_write_json_deterministic(self, tmp_path):
         path = tmp_path / "out.json"
