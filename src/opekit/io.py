@@ -32,6 +32,7 @@ import csv
 import datetime
 import hashlib
 import io as _stringio
+import itertools
 import json
 import os
 import platform
@@ -114,6 +115,7 @@ def atomic_write(path, chunks) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write one string atomically, as :func:`atomic_write` does."""
     atomic_write(path, (text,))
 
 
@@ -129,10 +131,10 @@ def _jsonable_id(value):
     return str(value)
 
 
-def _id_strings(ids, m: int):
+def _id_strings(ids):
     """JSON texts of a block of ids, exactly as ``json.dumps`` writes each one."""
     if ids is None:
-        return ["null"] * m
+        return itertools.repeat("null")  # zip stops at the end of the float columns
     if ids.dtype.kind in "iu":
         return map(str, ids.tolist())
     return [json.dumps(_jsonable_id(value)) for value in ids]
@@ -178,10 +180,9 @@ def _log_chunks(dataset):
     step = max(1, BLOCK_ENTRIES // k)
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        m = min(step, n - start)
-        columns = [_id_strings(None if contexts is None else contexts[rows], m)]
+        columns = [_id_strings(None if contexts is None else contexts[rows])]
         for j in range(k):
-            columns.append(_id_strings(None if actions is None else actions[rows, j], m))
+            columns.append(_id_strings(None if actions is None else actions[rows, j]))
             columns.extend(_float_strings(column[rows, j]) for column in floats)
         yield "".join(map(fmt.__mod__, zip(*columns)))
 

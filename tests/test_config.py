@@ -187,7 +187,8 @@ class TestLazyImports:
     def test_cli_import_skips_config_parsers(self):
         # A fresh interpreter, because this test process has loaded both already.
         src = str(Path(opekit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         probe = "import sys, opekit.cli; print(sorted({'jsonschema', 'yaml'} & set(sys.modules)))"
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

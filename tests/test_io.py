@@ -203,7 +203,7 @@ class TestBlockWriter:
         [(kind, kind) for kind in ID_KINDS] + [("none", "int64"), ("str", "none")],
     )
     def test_scalar_ids_and_floats(self, context_kind, action_kind, tmp_path):
-        n = 8193
+        n = 300
         p_log, p_tgt, rewards = crafted_columns((n,))
         dataset = Dataset.from_arrays(
             p_log,
