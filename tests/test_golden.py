@@ -2,11 +2,15 @@
 
 Reruns of a study are compared with each other elsewhere (acceptance
 criterion 9); that cannot see a change that shifts the same bits on every
-run. This test pins the SHA-256 digests of a short scalar ``mc`` study
-and a short ranked ``dominance`` study, run through the CLI, to values
-recorded before the block replicate engine replaced the per-replicate
-loop. The JSON digest covers the report without its ``manifest`` block,
-which records a creation time.
+run. This test pins the SHA-256 digests of short studies of every kind
+(scalar and ranked ``mc``, ranked ``dominance``, ``decay`` and
+``bias-rate``) and of three ``opekit evaluate`` reports, all run through
+the CLI. The ``mc``/``dominance`` digests were recorded before the block
+replicate engine replaced the per-replicate loop, the others before the
+estimator registry and the single grid driver replaced the per-kind code.
+A study's JSON digest covers the report without its ``manifest`` block,
+which records a creation time; an evaluate digest covers the report
+without its ``source`` path.
 
 Floating-point bits depend on numpy's kernels, so the digests are keyed
 by numpy version and the test skips on a version with no recorded
@@ -48,9 +52,50 @@ STUDIES = {
         "replicates": 100,
         "seed": SEED,
     },
+    "mc-ranked": {
+        "study": "mc",
+        "environment": "rankflip2x2",
+        "n_grid": [400, 1600],
+        "replicates": 100,
+        "seed": SEED,
+        "estimators": ["ipm", "snipm", "beta-ipm:0.1,0.2", "beta-perp-star-ipm"],
+    },
+    "decay": {
+        "study": "decay",
+        "environment": "flip2",
+        "n_grid": [100, 400, 1600, 6400],
+        "replicates": 100,
+        "seed": SEED,
+    },
+    "bias-rate": {
+        "study": "bias-rate",
+        "environment": "flip2",
+        "n_grid": [100, 400, 1600, 6400],
+        "replicates": 100,
+        "seed": SEED,
+    },
 }
 
-# numpy version -> study -> {"csv": sha256, "json_data": sha256}
+# name -> (preset, entries, evaluate arguments after --in). Comma-separated
+# estimator lists cannot carry two baselines, so beta-ipm is not evaluated
+# on the two-position log.
+EVALUATIONS = {
+    "flip2": (
+        "flip2",
+        2000,
+        ["--estimators", "ips,snips,beta-ips:0.1925,beta-star-ips,cf-beta-star-ips",
+         "--true-value", "0.26", "--gap"],
+    ),
+    "rankflip2x2": ("rankflip2x2", 2000, ["--estimators", "ipm,snipm,beta-perp-star-ipm"]),
+    "identity2": (
+        "identity2",
+        500,
+        ["--estimators", "ips,snips,beta-star-ips,cf-beta-star-ips", "--true-value", "0.74"],
+    ),
+}
+
+# numpy version -> study -> {"csv": sha256, "json_data": sha256};
+# numpy version -> "evaluate" -> evaluation -> sha256 of the report.
 GOLDEN = {
     "2.4.6": {
         "mc": {
@@ -60,6 +105,23 @@ GOLDEN = {
         "dominance": {
             "csv": "0f74c9bbd107cb0cb46c2536627b5d6a085b3e61acefe36649a5f92a03db5819",
             "json_data": "f4f84dbb266a120722d3a41ee87796b30a10141f7f08096b75a67a1844158914",
+        },
+        "mc-ranked": {
+            "csv": "c3183c415c3385ba422f41d542327011f925644f1336d404f6454107e9fe3d0c",
+            "json_data": "4247a069d8cd2f8690aeac88bb75d8b4c9296d15e0804db0e3b26affb67e89ca",
+        },
+        "decay": {
+            "csv": "7f7e34004c0af52f52620c3e87c1db91ce0e6ac27caf8a411b28b664ff881399",
+            "json_data": "5f668f47bbf7a9df44fef2379f04ac1ec6ece160b1755ac18d3562f4e0318099",
+        },
+        "bias-rate": {
+            "csv": "34e68b96051c4fff8cfeaeb325c1ddab55bab7db40701a050097015295e179ff",
+            "json_data": "b70b64fdc9636f985b02782fa8f7120d207a635710f3e21a0a7a727d30eaab15",
+        },
+        "evaluate": {
+            "flip2": "3dec5df6167573e521aae94722e3bb6b6fe633175e8f937b1f8c9d31cb0f81b6",
+            "rankflip2x2": "dad64d54ec6acbace6654103bba7157c0359bc8d32e2e593082c675220683579",
+            "identity2": "47965445a2f3cab7901bce7bb9271b2c0dde454f29f371c455863286e6a33a53",
         },
     },
 }
@@ -88,3 +150,24 @@ def test_study_bytes_match_golden_digests(tmp_path, capsys, name):
     digests = study_digests(tmp_path, name)
     capsys.readouterr()
     assert digests == recorded[name]
+
+
+def evaluate_digest(tmp_path, name: str) -> str:
+    preset, n, arguments = EVALUATIONS[name]
+    logs = tmp_path / f"{name}.jsonl"
+    report = tmp_path / f"{name}.json"
+    assert main(["simulate", "--preset", preset, "--n", str(n), "--seed", str(SEED), "--out", str(logs)]) == 0
+    assert main(["evaluate", "--in", str(logs), *arguments, "--out", str(report)]) == 0
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    payload.pop("source")
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_evaluate_reports_match_golden_digests(tmp_path, capsys, name):
+    recorded = GOLDEN.get(np.__version__)
+    if recorded is None:
+        pytest.skip(f"no golden digests recorded for numpy {np.__version__}")
+    digest = evaluate_digest(tmp_path, name)
+    capsys.readouterr()
+    assert digest == recorded["evaluate"][name]
