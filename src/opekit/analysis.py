@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateWeights, ValidationError, ZeroWeightSum
-from .estimators import MomentSummary, _require_scalar, row_mean
+from .estimators import MomentSummary, _require_scalar, remainder_rows
 
 
 @dataclass(frozen=True)
@@ -115,21 +115,6 @@ def variance_gap(moments: MomentSummary, value: float) -> VarianceGapReport:
         gap_delta=gap,
         n=moments.n,
     )
-
-
-def remainder_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple[np.ndarray, ...]:
-    """Remainder decomposition of each row around ``value``.
-
-    Returns ``(w_bar, mean_wr, l_n, r_n, zero)``, reducing along the last
-    axis; ``zero`` marks rows whose weight mean is zero, where ``r_n`` is
-    undefined.
-    """
-    w_bar = row_mean(w)
-    mean_wr = row_mean(wr)
-    l_n = mean_wr - value * w_bar
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_n = l_n * (1.0 - w_bar) / w_bar
-    return w_bar, mean_wr, l_n, r_n, w_bar == 0.0
 
 
 def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostics:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -28,23 +29,9 @@ from .errors import (
     VRequiredForGap,
     WorkerFailure,
 )
-from .estimators import (
-    CrossFitConfig,
-    beta_ips,
-    beta_star_ips,
-    cross_fitted_beta_ips,
-    empirical_moments,
-    ips,
-    snips,
-)
-from .experiments import (
-    bias_rate_study,
-    decay_rate_study,
-    dominance_check,
-    parse_estimator_spec,
-    run_mc_study,
-)
-from .ranking import beta_ipm, beta_perp_star_ipm, ipm, snipm
+from .estimators import ESTIMATORS, estimate, empirical_moments
+from .experiments import STUDIES, StudyReport, kernel_arg, parse_estimator_spec
+from .ranking import positionwise
 from .config import canonical_hash, load_study_config
 from .io import (
     TOOL_VERSION,
@@ -147,33 +134,6 @@ def _positionwise_dict(report) -> dict:
     }
 
 
-def _apply_scalar(spec, dataset, folds: int, cf_seed: int):
-    if spec.name == "ips":
-        return _estimate_dict(ips(dataset))
-    if spec.name == "snips":
-        return _estimate_dict(snips(dataset))
-    if spec.name == "beta-ips":
-        return _estimate_dict(beta_ips(dataset, spec.params[0]))
-    if spec.name == "beta-star-ips":
-        return _estimate_dict(beta_star_ips(dataset))
-    if spec.name == "cf-beta-star-ips":
-        config = CrossFitConfig(folds_k=folds, seed=cf_seed)
-        return _estimate_dict(cross_fitted_beta_ips(dataset, config))
-    raise UnknownEstimator(f"{spec.label} does not apply to scalar log files")
-
-
-def _apply_ranked(spec, dataset):
-    if spec.name == "ipm":
-        return _positionwise_dict(ipm(dataset))
-    if spec.name == "snipm":
-        return _positionwise_dict(snipm(dataset))
-    if spec.name == "beta-ipm":
-        return _positionwise_dict(beta_ipm(dataset, spec.params))
-    if spec.name == "beta-perp-star-ipm":
-        return _positionwise_dict(beta_perp_star_ipm(dataset))
-    raise UnknownEstimator(f"{spec.label} does not apply to ranked log files")
-
-
 def _remainder_dict(dataset, value: float) -> dict:
     diagnostics = remainder_diagnostics(dataset, value)
     w = dataset.weight_bound
@@ -257,13 +217,18 @@ def evaluate_command(
             "gap and remainder diagnostics are scalar-only; ranked files take "
             "per-position values that --true-value cannot express"
         )
+    kind = "ranked" if ranked else "scalar"
+    k = dataset.k if ranked else 1
     results = []
     for spec in specs:
+        if ESTIMATORS[spec.name].kind != kind:
+            raise UnknownEstimator(f"{spec.label} does not apply to {kind} log files")
         try:
+            arg = kernel_arg(spec, k, folds, cf_seed, None)
             if ranked:
-                entry = _apply_ranked(spec, dataset)
+                entry = _positionwise_dict(positionwise(spec.name, dataset, arg))
             else:
-                entry = _apply_scalar(spec, dataset, folds, cf_seed)
+                entry = _estimate_dict(estimate(spec.name, dataset, arg))
             # Report the requested label; it disambiguates parameterised
             # estimators the family name alone cannot.
             entry["estimator"] = spec.label
@@ -272,7 +237,7 @@ def evaluate_command(
             results.append({"estimator": spec.label, "value": None, "error": str(exc)})
     report: dict = {
         "source": str(logs_path),
-        "kind": "ranked" if ranked else "scalar",
+        "kind": kind,
         "n": dataset.n,
         "reward_bound": dataset.reward_bound,
         "weight_bound": dataset.weight_bound,
@@ -339,46 +304,12 @@ def study_command(config_path: Path, out_dir: Path | None, jobs: int) -> None:
     loaded = load_study_config(config_path)
     if out_dir is None:
         out_dir = _default_dir()
-    if loaded.kind == "mc":
-        study = run_mc_study(loaded.config, n_jobs=jobs)
-        extra: dict = {}
-    elif loaded.kind == "decay":
-        decay = decay_rate_study(loaded.config, n_jobs=jobs)
-        study = decay.study
-        extra = {
-            "true_value": decay.true_value,
-            "slope": decay.slope,
-            "intercept": decay.intercept,
-            "dropped_cells": list(decay.dropped_cells),
-        }
-    elif loaded.kind == "dominance":
-        dominance = dominance_check(loaded.config, n_jobs=jobs)
-        study = dominance.study
-        extra = {
-            "cells": [
-                {
-                    "n": c.n,
-                    "target": c.target,
-                    "mse_optimal": c.mse_optimal,
-                    "mse_self_normalised": c.mse_self_normalised,
-                    "mse_difference": c.mse_difference,
-                    "se_difference": c.se_difference,
-                    "dominant": c.dominant,
-                    "n_pairs": c.n_pairs,
-                }
-                for c in dominance.cells
-            ],
-            "smallest_dominant_n": dominance.smallest_dominant_n,
-        }
+    report = STUDIES[loaded.kind](loaded.config, n_jobs=jobs)
+    if isinstance(report, StudyReport):
+        study, extra = report, {}
     else:
-        bias = bias_rate_study(loaded.config, n_jobs=jobs)
-        study = bias.study
-        extra = {
-            "estimator": bias.estimator,
-            "slope": bias.slope,
-            "intercept": bias.intercept,
-            "dropped_cells": list(bias.dropped_cells),
-        }
+        study, extra = report.study, asdict(report)
+        del extra["study"]
     manifest = build_manifest(
         config_hash=loaded.config_hash,
         master_seed=loaded.config.master_seed,

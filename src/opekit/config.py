@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
-from .experiments import StudyConfig
+from .experiments import STUDIES, StudyConfig, default_estimators
 from .simulator import (
     BanditEnv,
     BanditScenario,
@@ -26,7 +26,7 @@ from .simulator import (
     get_scenario,
 )
 
-STUDY_KINDS = ("mc", "decay", "dominance", "bias-rate")
+STUDY_KINDS = tuple(STUDIES)
 
 _MATRIX = {"type": "array", "minItems": 1, "items": {"type": "array", "items": {"type": "number"}}}
 _VECTOR = {"type": "array", "minItems": 1, "items": {"type": "number"}}
@@ -119,16 +119,6 @@ def environment_from_spec(spec):
     return scenario, f"ranking:{canonical_hash(spec)[:12]}"
 
 
-def _default_estimators(kind: str, scenario) -> list[str]:
-    if kind == "bias-rate":
-        return ["snips"]
-    if kind in ("decay", "dominance"):
-        return []
-    if isinstance(scenario, BanditScenario):
-        return ["ips", "snips", "beta-star-ips"]
-    return ["ipm", "snipm", "beta-perp-star-ipm"]
-
-
 @dataclass(frozen=True, eq=False)
 class LoadedStudy:
     """A validated study configuration, its provenance hash, and its kind."""
@@ -163,7 +153,7 @@ def load_study_config(path) -> LoadedStudy:
     kind = raw["study"]
     estimators = raw.get("estimators")
     if estimators is None:
-        estimators = _default_estimators(kind, scenario)
+        estimators = default_estimators(kind, scenario)
     resolved = {
         "study": kind,
         "environment": raw["environment"],

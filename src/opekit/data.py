@@ -241,33 +241,6 @@ class Dataset:
     def n(self) -> int:
         return int(self.rewards.shape[0])
 
-    @property
-    def entries(self) -> tuple[LogEntry, ...]:
-        ctx = self.context_ids if self.context_ids is not None else [None] * self.n
-        act = self.action_ids if self.action_ids is not None else [None] * self.n
-        return tuple(
-            LogEntry(c, a, float(pl), float(pt), float(r))
-            for c, a, pl, pt, r in zip(
-                ctx, act, self.propensity_logging, self.propensity_target, self.rewards
-            )
-        )
-
-    def subset(self, indices) -> "Dataset":
-        """Rows at ``indices``, in the given order, sharing the declared bounds."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
-            raise EmptyDataset("subset must select at least one entry")
-        return Dataset(
-            propensity_logging=_freeze(self.propensity_logging[idx]),
-            propensity_target=_freeze(self.propensity_target[idx]),
-            rewards=_freeze(self.rewards[idx]),
-            weights=_freeze(self.weights[idx]),
-            reward_bound=self.reward_bound,
-            weight_bound=self.weight_bound,
-            context_ids=None if self.context_ids is None else _freeze(self.context_ids[idx]),
-            action_ids=None if self.action_ids is None else _freeze(self.action_ids[idx]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class RankedDataset:
@@ -339,23 +312,6 @@ class RankedDataset:
     def k(self) -> int:
         return int(self.rewards.shape[1])
 
-    @property
-    def entries(self) -> tuple[RankedLogEntry, ...]:
-        ctx = self.context_ids if self.context_ids is not None else [None] * self.n
-        out = []
-        for i in range(self.n):
-            records = tuple(
-                PositionRecord(
-                    None if self.action_ids is None else self.action_ids[i, j],
-                    float(self.propensity_logging[i, j]),
-                    float(self.propensity_target[i, j]),
-                    float(self.rewards[i, j]),
-                )
-                for j in range(self.k)
-            )
-            out.append(RankedLogEntry(ctx[i], records))
-        return tuple(out)
-
     def position(self, j: int) -> Dataset:
         """The scalar marginal dataset at position ``j`` (0-based)."""
         if not 0 <= j < self.k:
@@ -369,21 +325,6 @@ class RankedDataset:
             weight_bound=self.weight_bound,
             context_ids=self.context_ids,
             action_ids=None if self.action_ids is None else self.action_ids[:, j],
-        )
-
-    def subset(self, indices) -> "RankedDataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size == 0:
-            raise EmptyDataset("subset must select at least one entry")
-        return RankedDataset(
-            propensity_logging=_freeze(self.propensity_logging[idx]),
-            propensity_target=_freeze(self.propensity_target[idx]),
-            rewards=_freeze(self.rewards[idx]),
-            weights=_freeze(self.weights[idx]),
-            reward_bound=self.reward_bound,
-            weight_bound=self.weight_bound,
-            context_ids=None if self.context_ids is None else _freeze(self.context_ids[idx]),
-            action_ids=None if self.action_ids is None else _freeze(self.action_ids[idx]),
         )
 
 

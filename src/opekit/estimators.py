@@ -13,23 +13,27 @@ dataset therefore agree to the last bit.
 
 Every estimator is defined once, as a row kernel: a function of a weight
 array ``w`` and the weighted rewards ``wr = w * r`` that reduces along the
-last axis and returns one value per row. The public functions apply the
-kernel to a dataset as a single row; the Monte Carlo engine applies the
-same kernel to a block of replicates, one row each. Row reductions over
-C-contiguous rows sum in the same order as a reduction over one row
-alone, so both callers get the same bits.
+last axis and returns one value per row. :data:`ESTIMATORS` maps each
+estimator name to its kernel, and every caller reads that one table: the
+public functions here apply the kernel to a dataset as a single row, the
+ranked functions to one row per position, ``opekit evaluate`` to a log
+file, and the Monte Carlo engine to a block of replicates, one row each.
+Row reductions over C-contiguous rows sum in the same order as a
+reduction over one row alone, so all callers get the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .data import Dataset, Estimate
 from .errors import (
     DegenerateWeights,
+    EstimationError,
     FoldTooSmall,
     ValidationError,
     ZeroWeightSum,
@@ -127,50 +131,36 @@ def moment_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
     return moments
 
 
-def ips_rows(w: np.ndarray, wr: np.ndarray) -> np.ndarray:
+def ips_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
     """Importance-weighted reward mean of each row."""
-    return row_mean(wr)
+    return row_mean(wr), None, None
 
 
-def snips_value(mean_w: np.ndarray, mean_wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Self-normalised value from row means, and the rows whose weights sum to zero."""
+def snips_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
+    """Weighted reward mean over weight mean of each row; fails where the weights sum to zero."""
+    mean_w = row_mean(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return mean_wr / mean_w, mean_w == 0.0
+        return row_mean(wr) / mean_w, None, mean_w == 0.0
 
 
-def snips_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`snips_value` of each row."""
-    return snips_value(row_mean(w), row_mean(wr))
+def beta_ips_rows(w: np.ndarray, wr: np.ndarray, beta) -> tuple:
+    """Baseline-corrected value ``beta * (1 - mean(w)) + mean(wr)`` of each row at fixed baselines."""
+    values = beta * (1.0 - row_mean(w)) + row_mean(wr)
+    return values, np.broadcast_to(beta, values.shape), None
 
 
-def beta_ips_value(mean_w: np.ndarray, mean_wr: np.ndarray, beta) -> np.ndarray:
-    """Baseline-corrected value ``beta * (1 - mean_w) + mean_wr`` from row means."""
-    return beta * (1.0 - mean_w) + mean_wr
+def beta_star_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
+    """Baseline-corrected value of each row at its plug-in baseline ``cov(w, wr) / var(w)``.
 
-
-def beta_ips_rows(w: np.ndarray, wr: np.ndarray, beta) -> np.ndarray:
-    """:func:`beta_ips_value` of each row at a fixed baseline."""
-    return beta_ips_value(row_mean(w), row_mean(wr), beta)
-
-
-def beta_star_value(mean_w, mean_wr, var_w, cov_w_wr) -> tuple[np.ndarray, ...]:
-    """Plug-in optimal baseline ``cov(w, wr) / var(w)`` and its corrected value.
-
-    Returns ``(value, baseline, degenerate)``; ``degenerate`` marks rows
-    whose weights have zero variance, where both are undefined.
+    Fails on rows whose weights have zero variance, where the baseline is
+    undefined; any other non-finite baseline is a validation error.
     """
+    mean_w, mean_wr, var_w, _, cov = moment_rows(w, wr)
     degenerate = var_w == 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        baseline = cov_w_wr / var_w
-    return beta_ips_value(mean_w, mean_wr, baseline), baseline, degenerate
-
-
-def beta_star_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`beta_star_value` of each row; a non-finite baseline is a validation error."""
-    mean_w, mean_wr, var_w, _, cov = moment_rows(w, wr)
-    value, baseline, degenerate = beta_star_value(mean_w, mean_wr, var_w, cov)
+        baseline = cov / var_w
     _require_finite_baselines(baseline, ~degenerate)
-    return value, baseline, degenerate
+    return baseline * (1.0 - mean_w) + mean_wr, baseline, degenerate
 
 
 def _require_finite_baselines(baseline: np.ndarray, used: np.ndarray) -> None:
@@ -180,24 +170,56 @@ def _require_finite_baselines(baseline: np.ndarray, used: np.ndarray) -> None:
         _finite_baseline(baseline[np.unravel_index(int(np.argmax(bad)), bad.shape)])
 
 
+def remainder_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple[np.ndarray, ...]:
+    """Remainder decomposition of each row around ``value``.
+
+    Returns ``(w_bar, mean_wr, l_n, r_n, zero)``, reducing along the last
+    axis; ``zero`` marks rows whose weight mean is zero, where ``r_n`` is
+    undefined.
+    """
+    w_bar = row_mean(w)
+    mean_wr = row_mean(wr)
+    l_n = mean_wr - value * w_bar
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_n = l_n * (1.0 - w_bar) / w_bar
+    return w_bar, mean_wr, l_n, r_n, w_bar == 0.0
+
+
+def remainder_sq_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple:
+    """Squared self-normalisation remainder ``r_n**2`` of each row around ``value``."""
+    r_n, zero = remainder_rows(w, wr, value)[3:]
+    # Square as Python floats (libm pow), as the scalar diagnostics do.
+    return np.array([r**2 for r in r_n.tolist()]), None, zero
+
+
 def empirical_moments(dataset: Dataset) -> MomentSummary:
     """Two-pass centred moments of the weights and weighted rewards."""
     moments = moment_rows(*_one_row(dataset))
     return MomentSummary(*(float(m[0]) for m in moments), n=dataset.n)
 
 
+def estimate(name: str, dataset: Dataset, arg=None) -> Estimate:
+    """The registered estimator ``name`` on a scalar dataset, evaluated as one row."""
+    entry = ESTIMATORS[name]
+    values, baselines, failed = entry.kernel(*_one_row(dataset), arg)
+    if failed is not None and failed[0]:
+        raise entry.error()
+    return Estimate(
+        value=float(values[0]),
+        estimator_name=name,
+        n_used=dataset.n,
+        baseline_used=None if baselines is None else float(baselines[0]),
+    )
+
+
 def ips(dataset: Dataset) -> Estimate:
     """Importance-weighted mean of the rewards."""
-    value = float(ips_rows(*_one_row(dataset))[0])
-    return Estimate(value=value, estimator_name="ips", n_used=dataset.n)
+    return estimate("ips", dataset)
 
 
 def snips(dataset: Dataset) -> Estimate:
     """Self-normalised variant: weighted reward mean over the weight mean."""
-    value, zero = snips_rows(*_one_row(dataset))
-    if zero[0]:
-        raise ZeroWeightSum()
-    return Estimate(value=float(value[0]), estimator_name="snips", n_used=dataset.n)
+    return estimate("snips", dataset)
 
 
 def _finite_baseline(beta) -> float:
@@ -209,10 +231,7 @@ def _finite_baseline(beta) -> float:
 
 def beta_ips(dataset: Dataset, beta: float) -> Estimate:
     """Baseline-corrected estimator with a fixed additive baseline."""
-    w, wr = _one_row(dataset)
-    b = _finite_baseline(beta)
-    value = float(beta_ips_rows(w, wr, b)[0])
-    return Estimate(value=value, estimator_name="beta-ips", n_used=dataset.n, baseline_used=b)
+    return estimate("beta-ips", dataset, _finite_baseline(beta))
 
 
 def beta_star_hat(dataset: Dataset, *, centered: bool = True) -> float:
@@ -241,19 +260,9 @@ def beta_star_hat(dataset: Dataset, *, centered: bool = True) -> float:
 def beta_star_ips(dataset: Dataset, *, centered: bool = True) -> Estimate:
     """Baseline-corrected estimator at the plug-in baseline."""
     if centered:
-        value, baseline, degenerate = beta_star_rows(*_one_row(dataset))
-        if degenerate[0]:
-            raise DegenerateWeights()
-        value, baseline = float(value[0]), float(baseline[0])
-    else:
-        baseline = beta_star_hat(dataset, centered=False)
-        value = beta_ips(dataset, baseline).value
-    return Estimate(
-        value=value,
-        estimator_name="beta-star-ips",
-        n_used=dataset.n,
-        baseline_used=baseline,
-    )
+        return estimate("beta-star-ips", dataset)
+    baseline = beta_star_hat(dataset, centered=False)
+    return replace(beta_ips(dataset, baseline), estimator_name="beta-star-ips")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -292,30 +301,30 @@ def fold_indices(n: int, config: CrossFitConfig) -> list[np.ndarray]:
     return list(_fold_layout(n, config.folds_k, config.seed)[0])
 
 
-def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tuple[np.ndarray, ...]:
+def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tuple:
     """Cross-fitted value and mean baseline of each row.
 
-    Returns ``(value, baseline, failed_fold)``; ``failed_fold`` is -1 for
-    rows that succeed and otherwise the first fold whose constant weights
-    leave the baseline undefined while it still matters. Only ``w`` and
-    ``wr`` are gathered per fold, from the cached fold layout.
+    Fails on rows where some fold has constant weights, which leaves its
+    baseline undefined, while its evaluation entries do not average to
+    weight one, so the baseline still matters. Only ``w`` and ``wr`` are
+    gathered per fold, from the cached fold layout.
     """
     folds, complements = _fold_layout(w.shape[-1], config.folds_k, config.seed)
     shape = w.shape[:-1]
     values = np.empty(shape + (len(folds),))
     baselines = np.empty(shape + (len(folds),))
-    failed_fold = np.full(shape, -1)
+    failed = np.zeros(shape, dtype=bool)
     for f, (fold, complement) in enumerate(zip(folds, complements)):
         _, _, var_w, _, cov = moment_rows(w.take(fold, axis=-1), wr.take(fold, axis=-1))
         offset = 1.0 - row_mean(w.take(complement, axis=-1))
         degenerate = var_w == 0.0
-        failed_fold[degenerate & (offset != 0.0) & (failed_fold < 0)] = f
+        failed |= degenerate & (offset != 0.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             baseline = np.where(degenerate, 0.0, cov / var_w)
-        _require_finite_baselines(baseline, failed_fold < 0)
+        _require_finite_baselines(baseline, ~failed)
         baselines[..., f] = baseline
         values[..., f] = baseline * offset + row_mean(wr.take(complement, axis=-1))
-    return row_mean(values), row_mean(baselines), failed_fold
+    return row_mean(values), row_mean(baselines), failed
 
 
 def cross_fitted_beta_ips(dataset: Dataset, config: CrossFitConfig = CrossFitConfig()) -> Estimate:
@@ -333,17 +342,51 @@ def cross_fitted_beta_ips(dataset: Dataset, config: CrossFitConfig = CrossFitCon
     weight mean of exactly one, every baseline gives the same value and
     zero is used; otherwise :class:`DegenerateWeights` is raised.
     """
-    value, baseline, failed_fold = cross_fit_rows(*_one_row(dataset), config)
-    if failed_fold[0] >= 0:
-        raise DegenerateWeights(
-            detail=(
-                f"baseline fold {failed_fold[0]} has constant weights and the evaluation "
-                "entries do not average to weight one"
-            )
-        )
-    return Estimate(
-        value=float(value[0]),
-        estimator_name="cf-beta-star-ips",
-        n_used=dataset.n,
-        baseline_used=float(baseline[0]),
-    )
+    return estimate("cf-beta-star-ips", dataset, config)
+
+
+@dataclass(frozen=True)
+class RegisteredEstimator:
+    """How an estimator name is evaluated.
+
+    ``kind`` is ``"scalar"``, ``"ranked"`` (a scalar kernel applied to
+    each position of ranked rows shaped ``(..., positions, n)``) or
+    ``"study"`` (a diagnostic that only studies report). ``param`` is what
+    the kernel's third argument holds: nothing (``None``), the one
+    baseline a spec such as ``beta-ips:0.5`` gives (``"baseline"``), one
+    baseline per position (``"baselines"``), or what the run supplies
+    rather than the spec: the cross-fitting layout (``"folds"``) or the
+    reference value (``"value"``). ``defaults`` holds the study kinds
+    whose default estimator list includes this one.
+
+    ``kernel(w, wr, arg)`` reduces along the last axis and returns
+    ``(values, baselines, failed)``: ``baselines`` is ``None`` outside
+    the baseline-corrected family, and ``failed`` is ``None`` for kernels
+    that cannot fail, otherwise it marks the rows whose precondition
+    fails, which ``error`` names.
+    """
+
+    kind: str
+    param: str | None
+    defaults: frozenset[str]
+    kernel: Callable
+    error: type[EstimationError] | None = None
+
+
+_MC = frozenset({"mc"})
+_NONE = frozenset()
+
+#: Every estimator and diagnostic by name, in the order the README lists them.
+#: The ranked estimators are the scalar kernels applied along the positions axis.
+ESTIMATORS: dict[str, RegisteredEstimator] = {
+    "ips": RegisteredEstimator("scalar", None, _MC, ips_rows),
+    "snips": RegisteredEstimator("scalar", None, frozenset({"mc", "bias-rate"}), snips_rows, ZeroWeightSum),
+    "beta-ips": RegisteredEstimator("scalar", "baseline", _NONE, beta_ips_rows),
+    "beta-star-ips": RegisteredEstimator("scalar", None, _MC, beta_star_rows, DegenerateWeights),
+    "cf-beta-star-ips": RegisteredEstimator("scalar", "folds", _NONE, cross_fit_rows, DegenerateWeights),
+    "remainder-sq": RegisteredEstimator("study", "value", _NONE, remainder_sq_rows, ZeroWeightSum),
+    "ipm": RegisteredEstimator("ranked", None, _MC, ips_rows),
+    "snipm": RegisteredEstimator("ranked", None, _MC, snips_rows, ZeroWeightSum),
+    "beta-ipm": RegisteredEstimator("ranked", "baselines", _NONE, beta_ips_rows),
+    "beta-perp-star-ipm": RegisteredEstimator("ranked", None, _MC, beta_star_rows, DegenerateWeights),
+}

@@ -18,6 +18,10 @@ A replicate on which an estimator's precondition fails is recorded and
 its cell statistics use the surviving replicates. More than 1% failures
 for any estimator at any sample size aborts the study, because then the
 survivors no longer represent the sampling distribution.
+
+Every study kind runs its grid through one driver, which builds the
+study's report; a kind adds only its preconditions, its metrics, and a
+verdict that it builds one grid cell at a time.
 """
 
 from __future__ import annotations
@@ -30,32 +34,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import remainder_rows, variance_gap
+from .analysis import variance_gap
 from .data import BLOCK_ENTRIES as _BLOCK_ENTRIES  # a module global, so tests can shrink it
 from .errors import (
-    DegenerateWeights,
     DegenerateX,
+    EstimationError,
     ExcessiveFailureRate,
-    FoldTooSmall,
     NonPositiveMean,
     PreconditionNotMet,
     TooFewReplicates,
     UnknownEstimator,
     ValidationError,
     WorkerFailure,
-    ZeroWeightSum,
 )
-from .estimators import (
-    CrossFitConfig,
-    MomentSummary,
-    _finite_baseline,
-    beta_ips_rows,
-    beta_star_rows,
-    cross_fit_rows,
-    ips_rows,
-    snips_rows,
-)
-from .ranking import _fixed_baselines, position_rows
+from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _finite_baseline
+from .ranking import _fixed_baselines
 from .simulator import (
     BanditScenario,
     RankingEnv,
@@ -65,9 +58,6 @@ from .simulator import (
     true_value,
     weight_bound,
 )
-
-_SCALAR_PLAIN = ("ips", "snips", "beta-star-ips", "cf-beta-star-ips", "remainder-sq")
-_RANKED_PLAIN = ("ipm", "snipm", "beta-perp-star-ipm")
 
 
 @dataclass(frozen=True)
@@ -91,33 +81,65 @@ def parse_estimator_spec(spec) -> MetricSpec:
     text = str(spec).strip()
     name, sep, arg = text.partition(":")
     name = name.strip()
-    if name in _SCALAR_PLAIN or name in _RANKED_PLAIN:
+    entry = ESTIMATORS.get(name)
+    if entry is None:
+        raise UnknownEstimator(f"unknown estimator {text!r}")
+    if entry.param not in ("baseline", "baselines"):
         if sep:
             raise UnknownEstimator(f"{name} takes no parameter, got {text!r}")
         return MetricSpec(name)
-    if name in ("beta-ips", "beta-ipm"):
-        if not sep or not arg.strip():
-            raise UnknownEstimator(f"{name} needs a baseline, e.g. {name}:0.5")
-        try:
-            params = tuple(float(p) for p in arg.split(","))
-        except ValueError as exc:
-            raise UnknownEstimator(f"cannot parse baselines in {text!r}") from exc
-        if name == "beta-ips" and len(params) != 1:
-            raise UnknownEstimator(f"beta-ips takes exactly one baseline, got {text!r}")
-        return MetricSpec(name, params)
-    raise UnknownEstimator(f"unknown estimator {text!r}")
+    if not sep or not arg.strip():
+        raise UnknownEstimator(f"{name} needs a baseline, e.g. {name}:0.5")
+    try:
+        params = tuple(float(p) for p in arg.split(","))
+    except ValueError as exc:
+        raise UnknownEstimator(f"cannot parse baselines in {text!r}") from exc
+    if entry.param == "baseline" and len(params) != 1:
+        raise UnknownEstimator(f"{name} takes exactly one baseline, got {text!r}")
+    return MetricSpec(name, params)
 
 
-def _is_scalar_metric(spec: MetricSpec) -> bool:
-    return spec.name in _SCALAR_PLAIN or spec.name == "beta-ips"
+def default_estimators(kind: str, scenario) -> tuple[str, ...]:
+    """The registered estimators a study of ``kind`` runs when its configuration names none."""
+    family = "scalar" if isinstance(scenario, BanditScenario) else "ranked"
+    return tuple(name for name, entry in ESTIMATORS.items() if entry.kind == family and kind in entry.defaults)
 
 
 def _check_spec_kind(spec: MetricSpec, scenario) -> None:
-    scalar_scenario = isinstance(scenario, BanditScenario)
-    if _is_scalar_metric(spec) and not scalar_scenario:
+    ranked = ESTIMATORS[spec.name].kind == "ranked"
+    if not ranked and not isinstance(scenario, BanditScenario):
         raise UnknownEstimator(f"{spec.label} applies to scalar scenarios only")
-    if not _is_scalar_metric(spec) and scalar_scenario:
+    if ranked and isinstance(scenario, BanditScenario):
         raise UnknownEstimator(f"{spec.label} applies to ranking scenarios only")
+
+
+def kernel_arg(spec: MetricSpec, k: int, folds: int, seed: int, value: float | None):
+    """The third argument of the spec's registered kernel.
+
+    ``k`` is the number of positions, ``folds`` and ``seed`` set the
+    cross-fitting layout, and ``value`` is the reference value of the
+    squared remainder; each is read only by the kernels that need it.
+    """
+    param = ESTIMATORS[spec.name].param
+    if param == "baseline":
+        return _finite_baseline(spec.params[0])
+    if param == "baselines":
+        return _fixed_baselines(k, spec.params)
+    if param == "folds":
+        return CrossFitConfig(folds_k=folds, seed=seed)
+    if param == "value":
+        if value is None or not np.isfinite(float(value)):
+            raise ValidationError(f"value must be finite, got {value}")
+        return float(value)
+    return None
+
+
+def _study_specs(estimators, scenario) -> tuple[MetricSpec, ...]:
+    """Parsed specs, each checked to apply to the scenario's kind."""
+    specs = tuple(parse_estimator_spec(e) for e in estimators)
+    for spec in specs:
+        _check_spec_kind(spec, scenario)
+    return specs
 
 
 def _metric_labels(spec: MetricSpec, scenario) -> list[str]:
@@ -127,87 +149,38 @@ def _metric_labels(spec: MetricSpec, scenario) -> list[str]:
     return [f"{spec.label}[pos{j + 1}]" for j in range(k)] + [f"{spec.label}[total]"]
 
 
-def _scalar_metric(spec: MetricSpec, folds: int, master_seed: int, oracle_value):
-    """Row kernel of a scalar metric: ``(w, wr) -> (values, failed, error)``."""
-    name = spec.name
-    if name == "ips":
-        return lambda w, wr: (ips_rows(w, wr), None, None)
-    if name == "snips":
-        return lambda w, wr: snips_rows(w, wr) + (ZeroWeightSum,)
-    if name == "beta-ips":
-        baseline = _finite_baseline(spec.params[0])
-        return lambda w, wr: (beta_ips_rows(w, wr, baseline), None, None)
-    if name == "beta-star-ips":
-
-        def beta_star(w, wr):
-            value, _, degenerate = beta_star_rows(w, wr)
-            return value, degenerate, DegenerateWeights
-
-        return beta_star
-    if name == "cf-beta-star-ips":
-        config = CrossFitConfig(folds_k=folds, seed=master_seed)
-
-        def cross_fitted(w, wr):
-            try:
-                value, _, failed_fold = cross_fit_rows(w, wr, config)
-            except FoldTooSmall:
-                return np.full(w.shape[:-1], np.nan), np.ones(w.shape[:-1], dtype=bool), FoldTooSmall
-            return value, failed_fold >= 0, DegenerateWeights
-
-        return cross_fitted
-    if name == "remainder-sq":
-        value = float(oracle_value)
-        if not np.isfinite(value):
-            raise ValidationError(f"value must be finite, got {oracle_value}")
-
-        def remainder_sq(w, wr):
-            _, _, _, r_n, zero = remainder_rows(w, wr, value)
-            # Square as Python floats (libm pow), as the scalar diagnostics do.
-            return np.array([r**2 for r in r_n.tolist()]), zero, ZeroWeightSum
-
-        return remainder_sq
-    raise UnknownEstimator(f"unknown estimator {spec.label!r}")
-
-
-def _ranked_metric(spec: MetricSpec, scenario: RankingEnv):
-    """Row kernel of a ranked metric: per-position values, then their total."""
-    name = spec.name
-    if name not in _RANKED_PLAIN and name != "beta-ipm":
-        raise UnknownEstimator(f"unknown estimator {spec.label!r}")
-    betas = _fixed_baselines(scenario, spec.params) if name == "beta-ipm" else None
-    error = {"snipm": ZeroWeightSum, "beta-perp-star-ipm": DegenerateWeights}.get(name)
-
-    def positionwise(w, wr):
-        values, _, failed, _ = position_rows(name, w, wr, betas)
-        total = np.sum(values, axis=-1)
-        return np.concatenate([values, total[:, None]], axis=1), failed.any(axis=-1), error
-
-    return positionwise
-
-
-def _compile_metrics(scenario, specs, folds: int, master_seed: int, oracle_value) -> list:
-    """``(label, width, kernel)`` for every metric, in column order."""
-    metrics = []
-    for spec in specs:
-        labels = _metric_labels(spec, scenario)
-        if isinstance(scenario, BanditScenario):
-            kernel = _scalar_metric(spec, folds, master_seed, oracle_value)
-        else:
-            kernel = _ranked_metric(spec, scenario)
-        metrics.append((spec.label, len(labels), kernel))
-    return metrics
-
-
 def _block_rows(n: int, k: int) -> int:
     """Replicates per block: about ``_BLOCK_ENTRIES`` entries, at least one replicate."""
     return max(1, _BLOCK_ENTRIES // (n * k))
 
 
+def _evaluate(entry, arg, w: np.ndarray, wr: np.ndarray) -> tuple:
+    """A kernel's values and failed rows on a block, with the error that names the failures.
+
+    A kernel that raises an estimation error (cross-fitting at fewer than
+    two entries per fold) fails every row of the block. Ranked values gain
+    a last column, the total over positions, and a row fails if any of its
+    positions does.
+    """
+    try:
+        values, _, failed = entry.kernel(w, wr, arg)
+    except EstimationError as exc:
+        return np.full(w.shape[:1], np.nan), np.ones(w.shape[:1], dtype=bool), type(exc)
+    if entry.kind == "ranked":
+        values = np.concatenate([values, np.sum(values, axis=-1)[:, None]], axis=1)
+        failed = None if failed is None else failed.any(axis=-1)
+    return values, failed, entry.error
+
+
 def _replicate_range(scenario, n, master_seed, start, stop, specs, folds, oracle_value):
     """Evaluate all metrics on replicates [start, stop), block by block; NaN marks failures."""
     compiled = compile_scenario(scenario)
-    metrics = _compile_metrics(scenario, specs, folds, master_seed, oracle_value)
-    values = np.full((stop - start, sum(width for _, width, _ in metrics)), np.nan)
+    metrics = [
+        (spec.label, ESTIMATORS[spec.name], kernel_arg(spec, compiled.k, folds, master_seed, oracle_value))
+        for spec in specs
+    ]
+    widths = [len(_metric_labels(spec, scenario)) for spec in specs]
+    values = np.full((stop - start, sum(widths)), np.nan)
     failures: list[tuple[str, int, str]] = []
     step = _block_rows(n, compiled.k)
     for low in range(start, stop, step):
@@ -222,10 +195,10 @@ def _replicate_range(scenario, n, master_seed, start, stop, specs, folds, oracle
         rows = values[low - start : high - start]
         found = []
         offset = 0
-        for index, (label, width, kernel) in enumerate(metrics):
-            out, failed, error = kernel(w, wr)
+        for index, ((label, entry, arg), width) in enumerate(zip(metrics, widths)):
+            out, failed, error = _evaluate(entry, arg, w, wr)
             columns = rows[:, offset : offset + width]
-            columns[...] = out.reshape(columns.shape)
+            columns[...] = out.reshape(len(columns), -1)
             if failed is not None and failed.any():
                 columns[failed] = np.nan
                 found.extend((low + int(row), index, label, error.__name__) for row in np.flatnonzero(failed))
@@ -335,18 +308,16 @@ def replicate_estimates(
     ``oracle_value`` is only consulted by the squared-remainder metric; it
     defaults to the exact enumerated value of the target policy.
     """
-    specs = tuple(parse_estimator_spec(e) for e in estimators)
+    specs = _study_specs(estimators, scenario)
     if not specs:
         raise ValidationError("at least one estimator is required")
-    for spec in specs:
-        _check_spec_kind(spec, scenario)
     if replicates < 2:
         raise TooFewReplicates(replicates)
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
     if master_seed < 0:
         raise ValidationError(f"master seed must be non-negative, got {master_seed}")
-    if oracle_value is None and any(s.name == "remainder-sq" for s in specs):
+    if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
         oracle_value = true_value(scenario.env, scenario.target_policy)
     with _worker_pool(n_jobs) as pool:
         return _replicate_matrix(scenario, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
@@ -608,8 +579,8 @@ class StudyReport:
     master_seed: int
     estimators: tuple[str, ...]
     folds: int
-    failures: tuple[FailureRecord, ...] = ()
-    weight_bound: float = float("nan")
+    failures: tuple[FailureRecord, ...]
+    weight_bound: float
 
 
 def scenario_weight_bound(scenario) -> float:
@@ -652,11 +623,20 @@ def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float], replica
     return rows
 
 
-def _grid_matrices(config: StudyConfig, specs, oracle_value, n_jobs: int):
-    """The replicate matrix of every grid cell, in grid order, on one worker pool."""
+def _run_grid(config: StudyConfig, specs, oracle: OracleReport, n_jobs: int, cell=None) -> StudyReport:
+    """Run the study's cells in grid order on one worker pool and aggregate them.
+
+    ``cell``, a study kind's verdict, sees each cell's replicate matrix
+    before the next cell is sampled, so it builds its state one cell at a
+    time and no two matrices are held at once.
+    """
+    oracle_value = oracle.value if isinstance(config.scenario, BanditScenario) else None
+    targets = _metric_targets(specs, config.scenario, oracle)
+    rows: list[StudyRow] = []
+    failures: list[FailureRecord] = []
     with _worker_pool(n_jobs) as pool:
         for n in config.n_grid:
-            yield _replicate_matrix(
+            matrix = _replicate_matrix(
                 config.scenario,
                 n,
                 config.replicates,
@@ -667,23 +647,10 @@ def _grid_matrices(config: StudyConfig, specs, oracle_value, n_jobs: int):
                 pool,
                 n_jobs,
             )
-
-
-def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
-    """Bias, variance, and MSE for each estimator over the sample size grid."""
-    specs = tuple(parse_estimator_spec(e) for e in config.estimators)
-    if not specs:
-        raise ValidationError("the study needs at least one estimator")
-    for spec in specs:
-        _check_spec_kind(spec, config.scenario)
-    oracle = oracle_report(config.scenario)
-    targets = _metric_targets(specs, config.scenario, oracle)
-    oracle_value = oracle.value if isinstance(config.scenario, BanditScenario) else None
-    rows: list[StudyRow] = []
-    failures: list[FailureRecord] = []
-    for matrix in _grid_matrices(config, specs, oracle_value, n_jobs):
-        rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
-        failures.extend(matrix.failures)
+            rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
+            failures.extend(matrix.failures)
+            if cell is not None:
+                cell(matrix)
     return StudyReport(
         rows=tuple(rows),
         oracle=oracle,
@@ -696,6 +663,14 @@ def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
         failures=tuple(failures),
         weight_bound=scenario_weight_bound(config.scenario),
     )
+
+
+def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
+    """Bias, variance, and MSE for each estimator over the sample size grid."""
+    specs = _study_specs(config.estimators, config.scenario)
+    if not specs:
+        raise ValidationError("the study needs at least one estimator")
+    return _run_grid(config, specs, oracle_report(config.scenario), n_jobs)
 
 
 @dataclass(frozen=True)
@@ -726,6 +701,35 @@ class DominanceReport:
     smallest_dominant_n: dict[str, int | None]
 
 
+def _dominance_cells(matrix: ReplicateMatrix, pair, oracle: OracleReport, targets) -> list[DominanceCell]:
+    """The paired comparison of one grid cell at every target."""
+    cells = []
+    for label in targets:
+        suffix = "" if label == "value" else f"[{label}]"
+        optimal = matrix.column(pair[0] + suffix)
+        selfnorm = matrix.column(pair[1] + suffix)
+        value = oracle.target(label).value
+        paired = np.isfinite(optimal) & np.isfinite(selfnorm)
+        if int(paired.sum()) < 2:
+            raise TooFewReplicates(int(paired.sum()))
+        diff, se = paired_mse_difference(optimal[paired], selfnorm[paired], value)
+        _, _, mse_optimal = mse_decompose(optimal[paired], value)
+        _, _, mse_selfnorm = mse_decompose(selfnorm[paired], value)
+        cells.append(
+            DominanceCell(
+                n=matrix.n,
+                target=label,
+                mse_optimal=mse_optimal,
+                mse_self_normalised=mse_selfnorm,
+                mse_difference=diff,
+                se_difference=se,
+                dominant=bool(diff > 2.0 * se),
+                n_pairs=int(paired.sum()),
+            )
+        )
+    return cells
+
+
 def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     """Paired comparison of the plug-in baseline against self-normalisation.
 
@@ -736,8 +740,8 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     scalar = isinstance(config.scenario, BanditScenario)
     pair = ("beta-star-ips", "snips") if scalar else ("beta-perp-star-ipm", "snipm")
     oracle = oracle_report(config.scenario)
-    compare_labels = ["value"] if scalar else [f"pos{j + 1}" for j in range(config.scenario.k)]
-    for label in compare_labels:
+    targets = ["value"] if scalar else [f"pos{j + 1}" for j in range(config.scenario.k)]
+    for label in targets:
         target = oracle.target(label)
         if target.beta_star is None:
             raise PreconditionNotMet(
@@ -749,58 +753,15 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
                 f"{label}: the optimal baseline equals the true value, so "
                 "self-normalisation is already asymptotically optimal"
             )
-    specs = tuple(parse_estimator_spec(e) for e in pair)
-    targets = _metric_targets(specs, config.scenario, oracle)
-    rows: list[StudyRow] = []
-    failures: list[FailureRecord] = []
     cells: list[DominanceCell] = []
-    for matrix in _grid_matrices(config, specs, None, n_jobs):
-        n = matrix.n
-        rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
-        failures.extend(matrix.failures)
-        for label in compare_labels:
-            if scalar:
-                optimal = matrix.column(pair[0])
-                selfnorm = matrix.column(pair[1])
-                value = oracle.target("value").value
-            else:
-                optimal = matrix.column(f"{pair[0]}[{label}]")
-                selfnorm = matrix.column(f"{pair[1]}[{label}]")
-                value = oracle.target(label).value
-            paired = np.isfinite(optimal) & np.isfinite(selfnorm)
-            if int(paired.sum()) < 2:
-                raise TooFewReplicates(int(paired.sum()))
-            diff, se = paired_mse_difference(optimal[paired], selfnorm[paired], value)
-            _, _, mse_optimal = mse_decompose(optimal[paired], value)
-            _, _, mse_selfnorm = mse_decompose(selfnorm[paired], value)
-            cells.append(
-                DominanceCell(
-                    n=n,
-                    target=label,
-                    mse_optimal=mse_optimal,
-                    mse_self_normalised=mse_selfnorm,
-                    mse_difference=diff,
-                    se_difference=se,
-                    dominant=bool(diff > 2.0 * se),
-                    n_pairs=int(paired.sum()),
-                )
-            )
+    specs = tuple(MetricSpec(name) for name in pair)
+    study = _run_grid(
+        config, specs, oracle, n_jobs, lambda matrix: cells.extend(_dominance_cells(matrix, pair, oracle, targets))
+    )
     smallest: dict[str, int | None] = {}
-    for label in compare_labels:
+    for label in targets:
         dominant_ns = [c.n for c in cells if c.target == label and c.dominant]
         smallest[label] = min(dominant_ns) if dominant_ns else None
-    study = StudyReport(
-        rows=tuple(rows),
-        oracle=oracle,
-        scenario_label=config.scenario_label,
-        n_grid=config.n_grid,
-        replicates=config.replicates,
-        master_seed=config.master_seed,
-        estimators=pair,
-        folds=config.folds,
-        failures=tuple(failures),
-        weight_bound=scenario_weight_bound(config.scenario),
-    )
     return DominanceReport(study=study, cells=tuple(cells), smallest_dominant_n=smallest)
 
 
@@ -820,8 +781,11 @@ class DecayReport:
     dropped_cells: tuple[int, ...]
 
 
-def _check_rate_grid(n_grid: tuple[int, ...]) -> None:
-    """Rate fits need enough leverage: 4 grid points spanning 1.5 decades."""
+def _check_rate_study(config: StudyConfig, name: str) -> None:
+    """Rate studies are scalar and need leverage: 4 grid points spanning 1.5 decades."""
+    if not isinstance(config.scenario, BanditScenario):
+        raise ValidationError(f"the {name} study applies to scalar scenarios only")
+    n_grid = config.n_grid
     if len(n_grid) < 4:
         raise ValidationError(
             f"rate studies need at least 4 grid points, got {len(n_grid)}"
@@ -833,39 +797,23 @@ def _check_rate_grid(n_grid: tuple[int, ...]) -> None:
         )
 
 
+def _rate_fit(points) -> tuple[float, float, tuple[int, ...]]:
+    """Log-log slope and intercept of ``(n, y)`` cells; cells with ``y <= 0`` are dropped and listed."""
+    kept = [(n, y) for n, y in points if y > 0.0]
+    if len(kept) < 2:
+        raise NonPositiveMean(len(kept))
+    slope, intercept = fit_loglog_slope(kept)
+    return slope, intercept, tuple(n for n, y in points if y <= 0.0)
+
+
 def decay_rate_study(config: StudyConfig, n_jobs: int = 1) -> DecayReport:
     """Measure how fast the self-normalisation remainder vanishes."""
-    if not isinstance(config.scenario, BanditScenario):
-        raise ValidationError("the remainder decay study applies to scalar scenarios only")
-    _check_rate_grid(config.n_grid)
+    _check_rate_study(config, "remainder decay")
     oracle = oracle_report(config.scenario)
-    value = oracle.target("value").value
-    specs = (MetricSpec("remainder-sq"),)
-    targets = _metric_targets(specs, config.scenario, oracle)
-    rows: list[StudyRow] = []
-    failures: list[FailureRecord] = []
-    for matrix in _grid_matrices(config, specs, value, n_jobs):
-        rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
-        failures.extend(matrix.failures)
-    points = [(row.n, row.mean_estimate) for row in rows if row.mean_estimate > 0.0]
-    dropped = tuple(row.n for row in rows if row.mean_estimate <= 0.0)
-    if len(points) < 2:
-        raise NonPositiveMean(len(points))
-    slope, intercept = fit_loglog_slope(points)
-    study = StudyReport(
-        rows=tuple(rows),
-        oracle=oracle,
-        scenario_label=config.scenario_label,
-        n_grid=config.n_grid,
-        replicates=config.replicates,
-        master_seed=config.master_seed,
-        estimators=tuple(spec.label for spec in specs),
-        folds=config.folds,
-        failures=tuple(failures),
-        weight_bound=scenario_weight_bound(config.scenario),
-    )
+    study = _run_grid(config, (MetricSpec("remainder-sq"),), oracle, n_jobs)
+    slope, intercept, dropped = _rate_fit([(row.n, row.mean_estimate) for row in study.rows])
     return DecayReport(
-        study=study, true_value=value, slope=slope, intercept=intercept, dropped_cells=dropped
+        study=study, true_value=oracle.value, slope=slope, intercept=intercept, dropped_cells=dropped
     )
 
 
@@ -887,38 +835,23 @@ class BiasRateReport:
 
 def bias_rate_study(config: StudyConfig, n_jobs: int = 1) -> BiasRateReport:
     """Measure how fast an estimator's bias vanishes with the sample size."""
-    if not isinstance(config.scenario, BanditScenario):
-        raise ValidationError("the bias rate study applies to scalar scenarios only")
-    _check_rate_grid(config.n_grid)
-    estimators = config.estimators or ("snips",)
+    _check_rate_study(config, "bias rate")
+    estimators = config.estimators or default_estimators("bias-rate", config.scenario)
     if len(estimators) != 1:
         raise ValidationError("the bias rate study takes exactly one estimator")
-    spec = parse_estimator_spec(estimators[0])
-    _check_spec_kind(spec, config.scenario)
-    oracle = oracle_report(config.scenario)
-    targets = _metric_targets((spec,), config.scenario, oracle)
-    rows: list[StudyRow] = []
-    failures: list[FailureRecord] = []
-    for matrix in _grid_matrices(config, (spec,), oracle.value, n_jobs):
-        rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
-        failures.extend(matrix.failures)
-    points = [(row.n, abs(row.bias)) for row in rows if row.bias != 0.0]
-    dropped = tuple(row.n for row in rows if row.bias == 0.0)
-    if len(points) < 2:
-        raise NonPositiveMean(len(points))
-    slope, intercept = fit_loglog_slope(points)
-    study = StudyReport(
-        rows=tuple(rows),
-        oracle=oracle,
-        scenario_label=config.scenario_label,
-        n_grid=config.n_grid,
-        replicates=config.replicates,
-        master_seed=config.master_seed,
-        estimators=(spec.label,),
-        folds=config.folds,
-        failures=tuple(failures),
-        weight_bound=scenario_weight_bound(config.scenario),
-    )
+    specs = _study_specs(estimators, config.scenario)
+    study = _run_grid(config, specs, oracle_report(config.scenario), n_jobs)
+    slope, intercept, dropped = _rate_fit([(row.n, abs(row.bias)) for row in study.rows])
     return BiasRateReport(
-        study=study, estimator=spec.label, slope=slope, intercept=intercept, dropped_cells=dropped
+        study=study, estimator=specs[0].label, slope=slope, intercept=intercept, dropped_cells=dropped
     )
+
+
+#: Study kind -> the function that runs it. Every kind but ``mc`` returns a
+#: report that holds its StudyReport as ``study`` next to the kind's verdict.
+STUDIES = {
+    "mc": run_mc_study,
+    "decay": decay_rate_study,
+    "dominance": dominance_check,
+    "bias-rate": bias_rate_study,
+}

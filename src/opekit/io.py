@@ -436,16 +436,10 @@ def study_payload(kind: str, study, manifest: RunManifest, extra: dict) -> dict:
         "oracle": oracle_dict(study.oracle),
         "rows": rows_list(study.rows),
         "failures": failures_list(study.failures),
-        "half_mass_tail_bound": _tail_bounds(study),
+        # P(mean weight < 1/2) ceiling per sample size.
+        "half_mass_tail_bound": {str(n): hoeffding_tail_bound(n, study.weight_bound) for n in study.n_grid},
         "manifest": manifest.to_dict(),
     }
     payload.update(extra)
     return payload
 
-
-def _tail_bounds(study) -> dict | None:
-    # P(mean weight < 1/2) ceiling per sample size, when the weight bound is known.
-    bound = getattr(study, "weight_bound", float("nan"))
-    if not np.isfinite(bound) or bound <= 0.0:
-        return None
-    return {str(n): hoeffding_tail_bound(n, bound) for n in study.n_grid}

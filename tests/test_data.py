@@ -107,21 +107,6 @@ class TestScalarConstruction:
         with pytest.raises(LengthMismatch):
             make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=[7])
 
-    def test_subset_preserves_order_and_bounds(self):
-        d = make([0.5, 0.5, 0.25], [0.5, 0.25, 0.5], [1.0, 0.0, -1.0], context_ids=[5, 6, 7])
-        s = d.subset([2, 0])
-        assert np.array_equal(s.weights, [2.0, 1.0])
-        assert np.array_equal(s.rewards, [-1.0, 1.0])
-        assert list(s.context_ids) == [7, 5]
-        assert s.weight_bound == d.weight_bound
-        with pytest.raises(EmptyDataset):
-            d.subset([])
-
-    def test_entries_round_trip(self):
-        d = make([0.5, 0.25], [0.5, 0.5], [1.0, 0.0], context_ids=[1, 2], action_ids=[0, 1])
-        entries = d.entries
-        assert entries[1] == LogEntry(2, 1, 0.25, 0.5, 0.0)
-
 
 class TestRankedConstruction:
     def test_shapes_and_views(self):
@@ -161,31 +146,6 @@ class TestRankedConstruction:
             )
         assert info.value.index == 1
         assert info.value.position == 1
-
-    def test_subset(self):
-        d = RankedDataset.from_arrays(
-            [[0.5], [0.5], [0.5]],
-            [[0.5], [0.25], [0.125]],
-            [[1.0], [0.0], [1.0]],
-            reward_bound=1.0,
-            weight_bound=1.0,
-        )
-        s = d.subset([2, 1])
-        assert np.array_equal(s.weights, [[0.25], [0.5]])
-
-    def test_entries(self):
-        d = RankedDataset.from_arrays(
-            [[0.5, 0.5]],
-            [[0.5, 0.25]],
-            [[1.0, 0.0]],
-            reward_bound=1.0,
-            weight_bound=1.0,
-            context_ids=[3],
-            action_ids=[[0, 1]],
-        )
-        entry = d.entries[0]
-        assert entry.context_id == 3
-        assert entry.positions[1] == PositionRecord(1, 0.5, 0.25, 0.0)
 
 
 class TestBlockValidation:

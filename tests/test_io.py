@@ -446,12 +446,6 @@ class TestPayload:
         assert payload["rows"][0]["estimator"] == "ips"
         assert payload["manifest"]["fingerprint"] == manifest.fingerprint()
 
-    def test_tail_bounds_absent_without_weight_bound(self):
-        study = dataclasses.replace(self.study(), weight_bound=float("nan"))
-        manifest = build_manifest(config_hash="h", master_seed=1, environment="flip2")
-        payload = study_payload("mc", study, manifest, {})
-        assert payload["half_mass_tail_bound"] is None
-
 
 class TestAtomicWrites:
     def test_write_and_overwrite(self, tmp_path):
