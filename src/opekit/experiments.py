@@ -628,7 +628,7 @@ def _run_grid(config: StudyConfig, specs, oracle: OracleReport, n_jobs: int, cel
 
     ``cell``, a study kind's verdict, sees each cell's replicate matrix
     before the next cell is sampled, so it builds its state one cell at a
-    time and no two matrices are held at once.
+    time and the driver keeps no earlier cell's matrix.
     """
     oracle_value = oracle.value if isinstance(config.scenario, BanditScenario) else None
     targets = _metric_targets(specs, config.scenario, oracle)
