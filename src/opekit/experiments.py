@@ -19,9 +19,9 @@ its cell statistics use the surviving replicates. More than 1% failures
 for any estimator at any sample size aborts the study, because then the
 survivors no longer represent the sampling distribution.
 
-Every study kind runs its grid through one driver, which builds the
-study's report; a kind adds only its preconditions, its metrics, and a
-verdict that it builds one grid cell at a time.
+Every study kind runs its grid through one loop, ``_run_grid``, which
+builds the study's report; a kind adds only its preconditions, its
+metrics, and a verdict that it builds one grid cell at a time.
 """
 
 from __future__ import annotations
@@ -628,7 +628,7 @@ def _run_grid(config: StudyConfig, specs, oracle: OracleReport, n_jobs: int, cel
 
     ``cell``, a study kind's verdict, sees each cell's replicate matrix
     before the next cell is sampled, so it builds its state one cell at a
-    time and the driver keeps no earlier cell's matrix.
+    time and the loop keeps no earlier cell's matrix.
     """
     oracle_value = oracle.value if isinstance(config.scenario, BanditScenario) else None
     targets = _metric_targets(specs, config.scenario, oracle)

@@ -7,7 +7,7 @@ run. This test pins the SHA-256 digests of short studies of every kind
 ``bias-rate``) and of three ``opekit evaluate`` reports, all run through
 the CLI. The ``mc``/``dominance`` digests were recorded before the block
 replicate engine replaced the per-replicate loop, the others before the
-estimator registry and the single grid driver replaced the per-kind code.
+estimator registry and the single study grid loop replaced the per-kind code.
 A study's JSON digest covers the report without its ``manifest`` block,
 which records a creation time; an evaluate digest covers the report
 without its ``source`` path.
