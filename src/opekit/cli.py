@@ -43,14 +43,7 @@ from .io import (
     write_json,
     write_logs,
 )
-from .simulator import (
-    BanditScenario,
-    get_scenario,
-    preset_description,
-    preset_names,
-    sample_logs,
-    sample_ranked_logs,
-)
+from .simulator import _sample, get_scenario, preset_description, preset_names
 
 OUT_DIR_ENV = "OPEKIT_OUT_DIR"
 
@@ -88,14 +81,7 @@ def simulate_command(preset: str, n: int, seed: int, out: Path | None) -> None:
     The dataset equals replicate 0 of a study on the same preset with the
     same seed and sample size, and a manifest sidecar records provenance.
     """
-    scenario = get_scenario(preset)
-    stream = np.random.SeedSequence((seed, n, 0))
-    if isinstance(scenario, BanditScenario):
-        dataset = sample_logs(
-            scenario.env, scenario.logging_policy, scenario.target_policy, n, stream
-        )
-    else:
-        dataset = sample_ranked_logs(scenario, n, stream)
+    dataset = _sample(get_scenario(preset), n, np.random.SeedSequence((seed, n, 0)))
     if out is None:
         out = _default_dir() / f"{preset}-n{n}-seed{seed}.jsonl"
     write_logs(dataset, out)

@@ -6,9 +6,14 @@ ratio of target to logging propensities; everything downstream consumes
 the stored column so that repeated runs reduce the same floats in the
 same order.
 
-Construct datasets through :func:`validate_dataset` or the ``from_arrays``
-classmethods. Both run the full set of checks, so no partially validated
-dataset is observable.
+A scalar log is the one-position case of a ranked log. Ranked columns are
+``(entries, positions)`` and scalar columns are the same data with the
+single position dropped, so both kinds share one validated constructor:
+:func:`validate_dataset`, the ``from_arrays`` classmethods and
+:func:`opekit.io.read_logs` all end in it, and a value error names the
+entry, the position (ranked logs) and the file line (logs read from a
+file) whichever way the data came in. No partially validated dataset is
+observable.
 """
 
 from __future__ import annotations
@@ -86,20 +91,19 @@ class Estimate:
             raise ValidationError(f"n_used must be at least 1, got {self.n_used}")
 
 
-def _as_float_column(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
+_COLUMN_NAMES = ("propensity_logging", "propensity_target", "reward")
 
 
-def _first_bad(mask: np.ndarray) -> tuple[int, int | None]:
-    """Return (entry index, position or None) of the first True in ``mask``."""
-    flat = int(np.argmax(mask))
-    if mask.ndim == 1:
-        return flat, None
-    i, j = np.unravel_index(flat, mask.shape)
-    return int(i), int(j)
+def _first_bad(arr: np.ndarray, bad: np.ndarray, lines) -> tuple[float, dict]:
+    """The first flagged value of ``arr`` and where it sits.
+
+    Where is the entry index, the position (``None`` for 1-d scalar
+    columns) and the 1-based file line of the entry (``None`` without
+    ``lines``), as keyword arguments of an :class:`EntryError`.
+    """
+    flat = int(np.argmax(bad))
+    i, j = divmod(flat, bad.shape[1]) if bad.ndim == 2 else (flat, None)
+    return float(arr.flat[flat]), {"index": i, "position": j, "line": None if lines is None else lines[i]}
 
 
 def _check_columns(
@@ -108,49 +112,43 @@ def _check_columns(
     rewards: np.ndarray,
     reward_bound: float,
     weight_bound: float,
+    lines=None,
 ) -> np.ndarray:
     """Run every value-level check and return the derived weight column.
 
     Accepts 1-d (scalar logs) or 2-d (ranked logs, entries by positions)
     arrays of identical shape. Raises the first violation found, scanning
     quantities in a fixed order so error reports are deterministic.
+    ``lines``, when given, maps each entry to its line in a log file, and
+    the error carries the line of the failing entry.
     """
     for bound, label in ((reward_bound, "reward bound"), (weight_bound, "weight bound")):
         if not np.isfinite(bound) or bound <= 0:
             raise ValidationError(f"declared {label} must be a positive finite number, got {bound}")
 
-    for arr, name in ((p_log, "propensity_logging"), (p_tgt, "propensity_target"), (rewards, "reward")):
+    for arr, name in zip((p_log, p_tgt, rewards), _COLUMN_NAMES):
         bad = ~np.isfinite(arr)
         if bad.any():
-            i, j = _first_bad(bad)
-            raise NonFiniteValue(name, i, position=j)
+            raise NonFiniteValue(name, **_first_bad(arr, bad, lines)[1])
 
     bad = p_log <= 0.0
     if bad.any():
-        i, j = _first_bad(bad)
-        exc = NonPositiveLoggingPropensity(i, float(p_log[i] if j is None else p_log[i, j]))
-        exc.position = j
-        raise exc
+        value, where = _first_bad(p_log, bad, lines)
+        raise NonPositiveLoggingPropensity(value=value, **where)
 
     slack = 1.0 + BOUND_SLACK
-    checks = (
-        ("propensity_logging", p_log, 0.0, 1.0 * slack, 1.0),
-        ("propensity_target", p_tgt, 0.0, 1.0 * slack, 1.0),
-        ("reward", rewards, -reward_bound * slack, reward_bound * slack, reward_bound),
-    )
-    for name, arr, lo, hi, bound in checks:
-        bad = (arr < lo) | (arr > hi)
-        if bad.any():
-            i, j = _first_bad(bad)
-            value = float(arr[i] if j is None else arr[i, j])
-            raise BoundViolation(name, i, value, bound, position=j)
-
     weights = p_tgt / p_log
-    bad = weights > weight_bound * slack
-    if bad.any():
-        i, j = _first_bad(bad)
-        value = float(weights[i] if j is None else weights[i, j])
-        raise BoundViolation("weight", i, value, weight_bound, position=j)
+    checks = (
+        ("propensity_logging", p_log, 0.0, 1.0),
+        ("propensity_target", p_tgt, 0.0, 1.0),
+        ("reward", rewards, -reward_bound, reward_bound),
+        ("weight", weights, -np.inf, weight_bound),
+    )
+    for name, arr, lo, bound in checks:
+        bad = (arr < lo * slack) | (arr > bound * slack)
+        if bad.any():
+            value, where = _first_bad(arr, bad, lines)
+            raise BoundViolation(name, value=value, bound=bound, **where)
     return weights
 
 
@@ -182,9 +180,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _id_column(raw, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
+    """A read-only id column of ``shape``; ids that mix scalars and lists are a length mismatch."""
+    if raw is None:
+        return None
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # numpy refuses ragged nesting
+        raise LengthMismatch(f"{name} mix values of different shapes, expected shape {shape}") from None
+    if arr.shape != shape:
+        raise LengthMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+    return _freeze(arr)
+
+
 @dataclass(frozen=True, eq=False)
-class Dataset:
-    """Validated scalar logged feedback with derived importance weights."""
+class _Logged:
+    """Columns, bounds and the one validated constructor of both dataset kinds.
+
+    Columns are ``(entries, positions)`` for ranked logs; a scalar log is
+    the one-position case, stored with 1-d columns. ``_ndim`` is the
+    column rank of the kind.
+    """
 
     propensity_logging: np.ndarray
     propensity_target: np.ndarray
@@ -194,6 +210,8 @@ class Dataset:
     weight_bound: float
     context_ids: np.ndarray | None = None
     action_ids: np.ndarray | None = None
+
+    _ndim = 1
 
     @classmethod
     def from_arrays(
@@ -206,93 +224,41 @@ class Dataset:
         weight_bound: float,
         context_ids=None,
         action_ids=None,
-    ) -> "Dataset":
-        p_log = _as_float_column(propensity_logging, "propensity_logging")
-        p_tgt = _as_float_column(propensity_target, "propensity_target")
-        rew = _as_float_column(rewards, "reward")
-        if p_log.shape[0] == 0:
-            raise EmptyDataset()
-        if not (p_log.shape == p_tgt.shape == rew.shape):
-            raise LengthMismatch(
-                f"columns disagree in length: {p_log.shape[0]}, {p_tgt.shape[0]}, {rew.shape[0]}"
-            )
-        ids = []
-        for raw, name in ((context_ids, "context_ids"), (action_ids, "action_ids")):
-            if raw is None:
-                ids.append(None)
-                continue
-            arr = np.asarray(raw)
-            if arr.shape != p_log.shape:
-                raise LengthMismatch(f"{name} has shape {arr.shape}, expected {p_log.shape}")
-            ids.append(_freeze(arr))
-        weights = _check_columns(p_log, p_tgt, rew, reward_bound, weight_bound)
-        return cls(
-            propensity_logging=_freeze(p_log),
-            propensity_target=_freeze(p_tgt),
-            rewards=_freeze(rew),
-            weights=_freeze(weights),
-            reward_bound=float(reward_bound),
-            weight_bound=float(weight_bound),
-            context_ids=ids[0],
-            action_ids=ids[1],
+    ):
+        """Validate columns and ids and derive the weights.
+
+        Scalar columns are 1-d; ranked columns are ``(entries, positions)``,
+        with ``context_ids`` one per entry and ``action_ids`` one per position.
+        """
+        return cls._build(
+            (propensity_logging, propensity_target, rewards),
+            reward_bound,
+            weight_bound,
+            context_ids,
+            action_ids,
         )
 
-    @property
-    def n(self) -> int:
-        return int(self.rewards.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class RankedDataset:
-    """Validated ranked logged feedback, entries by positions."""
-
-    propensity_logging: np.ndarray
-    propensity_target: np.ndarray
-    rewards: np.ndarray
-    weights: np.ndarray
-    reward_bound: float
-    weight_bound: float
-    context_ids: np.ndarray | None = None
-    action_ids: np.ndarray | None = None
-
     @classmethod
-    def from_arrays(
-        cls,
-        propensity_logging,
-        propensity_target,
-        rewards,
-        *,
-        reward_bound: float,
-        weight_bound: float,
-        context_ids=None,
-        action_ids=None,
-    ) -> "RankedDataset":
-        p_log = np.asarray(propensity_logging, dtype=np.float64)
-        p_tgt = np.asarray(propensity_target, dtype=np.float64)
-        rew = np.asarray(rewards, dtype=np.float64)
-        if p_log.ndim != 2:
-            raise ValidationError(f"ranked columns must be two-dimensional, got shape {p_log.shape}")
-        if p_log.shape[0] == 0 or p_log.shape[1] == 0:
+    def _build(cls, columns, reward_bound, weight_bound, context_ids, action_ids, lines=None):
+        """Check shapes, ids and values, derive the weights and freeze every column.
+
+        ``lines``, when given, maps each entry to its 1-based line in a log
+        file, and an entry error carries the line of the failing entry.
+        """
+        p_log, p_tgt, rew = (np.asarray(column, dtype=np.float64) for column in columns)
+        for arr, name in zip((p_log, p_tgt, rew), _COLUMN_NAMES):
+            if arr.ndim != cls._ndim:
+                rank = "one" if cls._ndim == 1 else "two"
+                raise ValidationError(f"{name} must be {rank}-dimensional, got shape {arr.shape}")
+        if p_log.size == 0:
+            if cls._ndim == 1:
+                raise EmptyDataset()
             raise EmptyDataset("ranked dataset needs at least one entry and one position")
         if not (p_log.shape == p_tgt.shape == rew.shape):
-            raise LengthMismatch(
-                f"ranked columns disagree in shape: {p_log.shape}, {p_tgt.shape}, {rew.shape}"
-            )
-        ctx = None
-        if context_ids is not None:
-            ctx = np.asarray(context_ids)
-            if ctx.shape != (p_log.shape[0],):
-                raise LengthMismatch(
-                    f"context_ids has shape {ctx.shape}, expected ({p_log.shape[0]},)"
-                )
-            ctx = _freeze(ctx)
-        act = None
-        if action_ids is not None:
-            act = np.asarray(action_ids)
-            if act.shape != p_log.shape:
-                raise LengthMismatch(f"action_ids has shape {act.shape}, expected {p_log.shape}")
-            act = _freeze(act)
-        weights = _check_columns(p_log, p_tgt, rew, reward_bound, weight_bound)
+            raise LengthMismatch(f"columns disagree in shape: {p_log.shape}, {p_tgt.shape}, {rew.shape}")
+        context_ids = _id_column(context_ids, "context_ids", p_log.shape[:1])
+        action_ids = _id_column(action_ids, "action_ids", p_log.shape)
+        weights = _check_columns(p_log, p_tgt, rew, reward_bound, weight_bound, lines)
         return cls(
             propensity_logging=_freeze(p_log),
             propensity_target=_freeze(p_tgt),
@@ -300,13 +266,25 @@ class RankedDataset:
             weights=_freeze(weights),
             reward_bound=float(reward_bound),
             weight_bound=float(weight_bound),
-            context_ids=ctx,
-            action_ids=act,
+            context_ids=context_ids,
+            action_ids=action_ids,
         )
 
     @property
     def n(self) -> int:
         return int(self.rewards.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset(_Logged):
+    """Validated scalar logged feedback with derived importance weights."""
+
+
+@dataclass(frozen=True, eq=False)
+class RankedDataset(_Logged):
+    """Validated ranked logged feedback, entries by positions."""
+
+    _ndim = 2
 
     @property
     def k(self) -> int:
@@ -328,8 +306,48 @@ class RankedDataset:
         )
 
 
+def _from_positions(
+    ranked: bool, n: int, k: int, columns, reward_bound, weight_bound, context_ids, action_ids, lines=None
+):
+    """A dataset from flat ``(p_log, p_tgt, reward)`` lists holding ``k`` positions per entry.
+
+    A scalar log is the one-position case, reshaped to 1-d columns. Ranked
+    action ids are regrouped per entry, so an id that is itself a list
+    stays one id and its shape is checked.
+    """
+    cls, shape = (RankedDataset, (n, k)) if ranked else (Dataset, (n,))
+    if ranked and action_ids is not None:
+        action_ids = [action_ids[i * k : (i + 1) * k] for i in range(n)]
+    columns = [np.array(column, dtype=np.float64).reshape(shape) for column in columns]
+    return cls._build(columns, reward_bound, weight_bound, context_ids, action_ids, lines)
+
+
+def _is_sequence(obj) -> bool:
+    return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes))
+
+
 def _is_triple(obj) -> bool:
-    return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes)) and len(obj) == 3
+    return _is_sequence(obj) and len(obj) == 3
+
+
+def _entry_positions(entry, i: int, ranked: bool) -> tuple:
+    """``(context, records, named)`` of one entry; a scalar entry is its own single position.
+
+    ``named`` entries (:class:`LogEntry`, :class:`RankedLogEntry`) carry ids
+    and records with attributes; the others are ``(p_log, p_tgt, reward)``
+    triples, one per position.
+    """
+    if ranked:
+        if isinstance(entry, RankedLogEntry):
+            return entry.context_id, entry.positions, True
+        if _is_sequence(entry):
+            return None, entry, False
+        raise ValidationError(f"entry {i} is not a ranked log entry")
+    if isinstance(entry, LogEntry):
+        return entry.context_id, (entry,), True
+    if _is_triple(entry):
+        return None, (entry,), False
+    raise ValidationError(f"entry {i} is neither a LogEntry nor a (p_log, p_tgt, reward) triple")
 
 
 def validate_dataset(raw_entries: Iterable, reward_bound: float, weight_bound: float):
@@ -338,99 +356,49 @@ def validate_dataset(raw_entries: Iterable, reward_bound: float, weight_bound: f
     Scalar entries may be :class:`LogEntry` instances or plain
     ``(p_log, p_tgt, reward)`` triples. Ranked entries may be
     :class:`RankedLogEntry` instances or sequences of such triples, one per
-    position. The first entry fixes the kind; mixing kinds is an error.
+    position. The first entry fixes the kind; mixing kinds is an error. Ids
+    are kept when every entry is a named record and some context is set.
     """
     entries = list(raw_entries)
     if not entries:
         raise EmptyDataset()
     first = entries[0]
     ranked = isinstance(first, RankedLogEntry) or (
-        isinstance(first, Sequence) and not isinstance(first, (str, bytes)) and len(first) > 0 and _is_triple(first[0])
+        _is_sequence(first) and len(first) > 0 and _is_triple(first[0])
     )
-    if ranked:
-        return _validate_ranked(entries, reward_bound, weight_bound)
-    return _validate_scalar(entries, reward_bound, weight_bound)
-
-
-def _validate_scalar(entries: list, reward_bound: float, weight_bound: float) -> Dataset:
-    p_log = np.empty(len(entries))
-    p_tgt = np.empty(len(entries))
-    rew = np.empty(len(entries))
-    ctx: list | None = []
-    act: list | None = []
+    columns = ([], [], [])
+    contexts: list = []
+    actions: list = []
+    all_named = True
+    k = None
     for i, entry in enumerate(entries):
-        if isinstance(entry, LogEntry):
-            p_log[i], p_tgt[i], rew[i] = (
-                entry.propensity_logging,
-                entry.propensity_target,
-                entry.reward,
-            )
-            if ctx is not None:
-                ctx.append(entry.context_id)
-                act.append(entry.action_id)
-        elif _is_triple(entry):
-            p_log[i], p_tgt[i], rew[i] = (float(v) for v in entry)
-            ctx = act = None
-        else:
-            raise ValidationError(
-                f"entry {i} is neither a LogEntry nor a (p_log, p_tgt, reward) triple"
-            )
-    has_ids = ctx is not None and any(c is not None for c in ctx)
-    return Dataset.from_arrays(
-        p_log,
-        p_tgt,
-        rew,
-        reward_bound=reward_bound,
-        weight_bound=weight_bound,
-        context_ids=ctx if has_ids else None,
-        action_ids=act if has_ids else None,
-    )
-
-
-def _validate_ranked(entries: list, reward_bound: float, weight_bound: float) -> RankedDataset:
-    def records(entry, i):
-        if isinstance(entry, RankedLogEntry):
-            return entry.positions
-        if isinstance(entry, Sequence) and not isinstance(entry, (str, bytes)):
-            return entry
-        raise ValidationError(f"entry {i} is not a ranked log entry")
-
-    k = len(records(entries[0], 0))
-    if k == 0:
-        raise EmptyDataset("ranked entries need at least one position")
-    n = len(entries)
-    p_log = np.empty((n, k))
-    p_tgt = np.empty((n, k))
-    rew = np.empty((n, k))
-    ctx: list | None = []
-    act: list | None = []
-    for i, entry in enumerate(entries):
-        recs = records(entry, i)
-        if len(recs) != k:
-            raise LengthMismatch(f"entry {i} has {len(recs)} positions, expected {k}")
-        if isinstance(entry, RankedLogEntry):
-            if ctx is not None:
-                ctx.append(entry.context_id)
-                act.append([rec.action_id for rec in recs])
-            for j, rec in enumerate(recs):
-                p_log[i, j] = rec.propensity_logging
-                p_tgt[i, j] = rec.propensity_target
-                rew[i, j] = rec.reward
-        else:
-            ctx = act = None
-            for j, rec in enumerate(recs):
-                if not _is_triple(rec):
-                    raise ValidationError(
-                        f"entry {i}, position {j + 1} is not a (p_log, p_tgt, reward) triple"
-                    )
-                p_log[i, j], p_tgt[i, j], rew[i, j] = (float(v) for v in rec)
-    has_ids = ctx is not None and any(c is not None for c in ctx)
-    return RankedDataset.from_arrays(
-        p_log,
-        p_tgt,
-        rew,
-        reward_bound=reward_bound,
-        weight_bound=weight_bound,
-        context_ids=ctx if has_ids else None,
-        action_ids=act if has_ids else None,
+        context, records, named = _entry_positions(entry, i, ranked)
+        all_named = all_named and named
+        if k is None:
+            k = len(records)
+        elif len(records) != k:
+            raise LengthMismatch(f"entry {i} has {len(records)} positions, expected {k}")
+        for j, rec in enumerate(records):
+            if named:
+                values = (rec.propensity_logging, rec.propensity_target, rec.reward)
+                actions.append(rec.action_id)
+            elif _is_triple(rec):
+                values = [float(v) for v in rec]
+            else:
+                raise ValidationError(
+                    f"entry {i}, position {j + 1} is not a (p_log, p_tgt, reward) triple"
+                )
+            for column, value in zip(columns, values):
+                column.append(value)
+        contexts.append(context)
+    keep_ids = all_named and any(c is not None for c in contexts)
+    return _from_positions(
+        ranked,
+        len(entries),
+        k,
+        columns,
+        reward_bound,
+        weight_bound,
+        contexts if keep_ids else None,
+        actions if keep_ids else None,
     )

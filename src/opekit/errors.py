@@ -23,18 +23,36 @@ class EmptyDataset(ValidationError):
         super().__init__(message)
 
 
-class NonPositiveLoggingPropensity(ValidationError):
-    """A logging propensity of zero or less breaks the overlap requirement."""
+class EntryError(ValidationError):
+    """A value of one log entry fails validation.
 
-    def __init__(self, index: int, value: float, line: int | None = None) -> None:
+    ``index`` is the 0-based entry, ``position`` the 0-based ranking
+    position (``None`` for scalar logs) and ``line`` the 1-based line of
+    the log file the entry came from (``None`` for in-memory data). The
+    message names the line when known, else the entry, then the position.
+    """
+
+    def __init__(self, message: str, index: int, position: int | None, line: int | None) -> None:
         self.index = index
-        self.value = value
+        self.position = position
         self.line = line
         where = f"line {line}" if line is not None else f"entry {index}"
-        super().__init__(f"logging propensity must be positive, got {value} at {where}")
+        if position is not None:
+            where += f", position {position + 1}"
+        super().__init__(f"{message} at {where}")
 
 
-class BoundViolation(ValidationError):
+class NonPositiveLoggingPropensity(EntryError):
+    """A logging propensity of zero or less breaks the overlap requirement."""
+
+    def __init__(
+        self, index: int, value: float, position: int | None = None, line: int | None = None
+    ) -> None:
+        self.value = value
+        super().__init__(f"logging propensity must be positive, got {value}", index, position, line)
+
+
+class BoundViolation(EntryError):
     """A value falls outside the declared bounds for its quantity."""
 
     def __init__(
@@ -47,33 +65,21 @@ class BoundViolation(ValidationError):
         line: int | None = None,
     ) -> None:
         self.quantity = quantity
-        self.index = index
         self.value = value
         self.bound = bound
-        self.position = position
-        self.line = line
-        where = f"line {line}" if line is not None else f"entry {index}"
-        if position is not None:
-            where += f", position {position + 1}"
         super().__init__(
-            f"{quantity} value {value} exceeds the declared bound {bound} at {where}"
+            f"{quantity} value {value} exceeds the declared bound {bound}", index, position, line
         )
 
 
-class NonFiniteValue(ValidationError):
+class NonFiniteValue(EntryError):
     """NaN or infinity where a finite number is required."""
 
     def __init__(
         self, quantity: str, index: int, position: int | None = None, line: int | None = None
     ) -> None:
         self.quantity = quantity
-        self.index = index
-        self.position = position
-        self.line = line
-        where = f"line {line}" if line is not None else f"entry {index}"
-        if position is not None:
-            where += f", position {position + 1}"
-        super().__init__(f"{quantity} is not finite at {where}")
+        super().__init__(f"{quantity} is not finite", index, position, line)
 
 
 class LengthMismatch(ValidationError):

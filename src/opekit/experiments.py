@@ -56,7 +56,6 @@ from .simulator import (
     population_moments,
     sample_block,
     true_value,
-    weight_bound,
 )
 
 
@@ -583,18 +582,6 @@ class StudyReport:
     weight_bound: float
 
 
-def scenario_weight_bound(scenario) -> float:
-    """The largest importance weight the scenario can produce."""
-    if isinstance(scenario, BanditScenario):
-        return weight_bound(
-            scenario.logging_policy, scenario.target_policy, scenario.env.context_probs
-        )
-    return max(
-        weight_bound(pos.logging_policy, pos.target_policy, scenario.context_probs)
-        for pos in scenario.positions
-    )
-
-
 def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float], replicates: int) -> list[StudyRow]:
     rows = []
     for index, label in enumerate(matrix.labels):
@@ -661,7 +648,7 @@ def _run_grid(config: StudyConfig, specs, oracle: OracleReport, n_jobs: int, cel
         estimators=tuple(spec.label for spec in specs),
         folds=config.folds,
         failures=tuple(failures),
-        weight_bound=scenario_weight_bound(config.scenario),
+        weight_bound=compile_scenario(config.scenario).weight_bound,
     )
 
 

@@ -7,12 +7,17 @@ record per line. Scalar records hold ``context``, ``action``, ``p_log``,
 ``positions`` list of per-position objects with ``action``, ``p_log``,
 ``p_tgt``, and ``reward``. Floats are serialised with ``repr``, which
 round-trips exactly, so write-then-read reproduces a dataset bit for bit.
+Records are separated by ``"\n"`` alone.
 
-Logs are rendered and written one block of ``BLOCK_ENTRIES`` (8192)
+A scalar record is the one-position case: its own fields are its single
+position. The writer and the reader therefore have one path for both
+kinds. Logs are rendered and written one block of ``BLOCK_ENTRIES`` (8192)
 entries at a time: each column of a block becomes one list of strings and
 one format string assembles the records. The bytes equal one
 ``json.dumps`` per record with compact separators, and the working memory
-of a write is bounded by the block, not by the number of records.
+of a write is bounded by the block, not by the number of records. The
+reader appends every position to flat columns in one pass and validates
+them with one constructor call.
 
 Result tables are CSV with columns
 ``estimator,n,mean,bias,variance,mse,se``, floats formatted with %.17g
@@ -42,15 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import hoeffding_tail_bound
-from .data import BLOCK_ENTRIES, Dataset, RankedDataset
-from .errors import (
-    BoundViolation,
-    EmptyDataset,
-    MissingBounds,
-    NonFiniteValue,
-    NonPositiveLoggingPropensity,
-    ParseError,
-)
+from .data import BLOCK_ENTRIES, RankedDataset, _from_positions
+from .errors import EmptyDataset, MissingBounds, ParseError
 
 TOOL_VERSION = "0.1.0"
 
@@ -206,38 +204,30 @@ def _number(obj: dict, key: str, lineno: int) -> float:
     return float(value)
 
 
-def _reraise_with_lines(exc, entry_lines: list[int]):
-    line = entry_lines[exc.index]
-    if isinstance(exc, NonPositiveLoggingPropensity):
-        fresh = NonPositiveLoggingPropensity(exc.index, exc.value, line=line)
-        fresh.position = exc.position
-    elif isinstance(exc, BoundViolation):
-        fresh = BoundViolation(
-            exc.quantity, exc.index, exc.value, exc.bound, position=exc.position, line=line
-        )
-    else:
-        fresh = NonFiniteValue(exc.quantity, exc.index, position=exc.position, line=line)
-    raise fresh from None
-
-
 def read_logs(path, reward_bound: float | None = None, weight_bound: float | None = None):
     """Parse and validate a JSON Lines log file.
 
     Bounds given as arguments override the file's ``_meta`` header; one of
     the two sources must provide both. Returns a :class:`Dataset` or a
-    :class:`RankedDataset` depending on the records found. Errors
-    reference 1-based line numbers.
+    :class:`RankedDataset` depending on the records found. Lines are
+    separated by ``"\\n"`` alone, as in JSON Lines, and errors reference
+    1-based line numbers.
+
+    One pass appends the numbers of every position to flat columns; a
+    scalar record is its own single position. One constructor call then
+    validates the columns, and an entry error names the line of its entry.
     """
     text = Path(path).read_text(encoding="utf-8")
     meta_reward: float | None = None
     meta_weight: float | None = None
     kind: str | None = None
+    k: int | None = None
     entry_lines: list[int] = []
-    columns: list[tuple] = []
+    columns: tuple[list, list, list] = ([], [], [])
+    p_log, p_tgt, rewards = columns
     contexts: list = []
     actions: list = []
-    k: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -262,39 +252,23 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
         elif kind != this_kind:
             raise ParseError(lineno, f"{this_kind} record in a {kind} file")
         if this_kind == "scalar":
-            columns.append(
-                (
-                    _number(obj, "p_log", lineno),
-                    _number(obj, "p_tgt", lineno),
-                    _number(obj, "reward", lineno),
-                )
-            )
-            contexts.append(obj.get("context"))
-            actions.append(obj.get("action"))
+            positions = (obj,)
         else:
             positions = obj["positions"]
             if not isinstance(positions, list) or not positions:
                 raise ParseError(lineno, "positions must be a non-empty list")
-            if k is None:
-                k = len(positions)
-            elif len(positions) != k:
-                raise ParseError(lineno, f"record has {len(positions)} positions, expected {k}")
-            row = []
-            row_actions = []
-            for pos in positions:
-                if not isinstance(pos, dict):
-                    raise ParseError(lineno, "each position must be an object")
-                row.append(
-                    (
-                        _number(pos, "p_log", lineno),
-                        _number(pos, "p_tgt", lineno),
-                        _number(pos, "reward", lineno),
-                    )
-                )
-                row_actions.append(pos.get("action"))
-            columns.append(tuple(row))
-            contexts.append(obj.get("context"))
-            actions.append(row_actions)
+        if k is None:
+            k = len(positions)
+        elif len(positions) != k:
+            raise ParseError(lineno, f"record has {len(positions)} positions, expected {k}")
+        for pos in positions:
+            if not isinstance(pos, dict):
+                raise ParseError(lineno, "each position must be an object")
+            p_log.append(_number(pos, "p_log", lineno))
+            p_tgt.append(_number(pos, "p_tgt", lineno))
+            rewards.append(_number(pos, "reward", lineno))
+            actions.append(pos.get("action"))
+        contexts.append(obj.get("context"))
         entry_lines.append(lineno)
     if kind is None:
         raise EmptyDataset(f"no records in {path}")
@@ -302,41 +276,17 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
     final_weight = weight_bound if weight_bound is not None else meta_weight
     if final_reward is None or final_weight is None:
         raise MissingBounds()
-
-    has_context = all(c is not None for c in contexts)
-    if kind == "scalar":
-        has_action = all(a is not None for a in actions)
-        p_log = [c[0] for c in columns]
-        p_tgt = [c[1] for c in columns]
-        rewards = [c[2] for c in columns]
-        try:
-            return Dataset.from_arrays(
-                p_log,
-                p_tgt,
-                rewards,
-                reward_bound=final_reward,
-                weight_bound=final_weight,
-                context_ids=contexts if has_context else None,
-                action_ids=actions if has_action else None,
-            )
-        except (NonPositiveLoggingPropensity, BoundViolation, NonFiniteValue) as exc:
-            _reraise_with_lines(exc, entry_lines)
-    has_action = all(a is not None for row in actions for a in row)
-    p_log = [[pos[0] for pos in row] for row in columns]
-    p_tgt = [[pos[1] for pos in row] for row in columns]
-    rewards = [[pos[2] for pos in row] for row in columns]
-    try:
-        return RankedDataset.from_arrays(
-            p_log,
-            p_tgt,
-            rewards,
-            reward_bound=final_reward,
-            weight_bound=final_weight,
-            context_ids=contexts if has_context else None,
-            action_ids=actions if has_action else None,
-        )
-    except (NonPositiveLoggingPropensity, BoundViolation, NonFiniteValue) as exc:
-        _reraise_with_lines(exc, entry_lines)
+    return _from_positions(
+        kind == "ranked",
+        len(entry_lines),
+        k,
+        columns,
+        final_reward,
+        final_weight,
+        contexts if all(c is not None for c in contexts) else None,
+        actions if all(a is not None for a in actions) else None,
+        lines=entry_lines,
+    )
 
 
 def format_float(value: float) -> str:

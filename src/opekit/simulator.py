@@ -11,10 +11,13 @@ order (contexts, then per position actions and rewards), so a
 one-position ranking environment consumes the stream exactly like the
 scalar sampler and reproduces its datasets bit for bit.
 
-One sampler serves every caller. A scenario is compiled once into its
-sampling tables, and :func:`sample_block` draws a block of replicates
-from those tables, one row per generator, stage by stage. The public
-samplers are that block with one row.
+One sampler serves every caller. A scalar scenario is the one-position
+case of a ranking: a scenario is compiled once into per-position sampling
+tables, and :func:`sample_block` draws a block of replicates from those
+tables, one row per generator, stage by stage, dropping the position axis
+of a scalar block at the end. The public samplers, :func:`sample_logs`
+and :func:`sample_ranked_logs`, are one body that takes that block's
+single row.
 """
 
 from __future__ import annotations
@@ -339,41 +342,32 @@ def _position_tables(logging_policy: PolicyTable, target_policy: PolicyTable, re
     )
 
 
-def _compile_bandit(env: BanditEnv, logging_policy: PolicyTable, target_policy: PolicyTable) -> CompiledScenario:
-    bound = weight_bound(logging_policy, target_policy, env.context_probs)
-    if logging_policy.probs.shape != env.reward_means.shape:
-        raise DimensionMismatch("logging policy does not match the environment")
-    return CompiledScenario(
-        context_cdf=np.cumsum(env.context_probs),
-        positions=(_position_tables(logging_policy, target_policy, env.reward_means),),
-        weight_bound=bound,
-        ranked=False,
-    )
+def compile_scenario(scenario) -> CompiledScenario:
+    """Sampling tables and weight bound of a :class:`BanditScenario` or :class:`RankingEnv`.
 
-
-def _compile_ranking(env: RankingEnv) -> CompiledScenario:
-    bounds = [
-        weight_bound(pos.logging_policy, pos.target_policy, env.context_probs)
-        for pos in env.positions
-    ]
+    A bandit scenario is compiled as a ranking with one position, so both
+    kinds share the tables and the sampler.
+    """
+    if isinstance(scenario, BanditScenario):
+        context_probs = scenario.env.context_probs
+        positions = (
+            PositionModel(scenario.logging_policy, scenario.target_policy, scenario.env.reward_means),
+        )
+    elif isinstance(scenario, RankingEnv):
+        context_probs, positions = scenario.context_probs, scenario.positions
+    else:
+        raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
     return CompiledScenario(
-        context_cdf=np.cumsum(env.context_probs),
+        context_cdf=np.cumsum(context_probs),
         positions=tuple(
             _position_tables(pos.logging_policy, pos.target_policy, pos.reward_means)
-            for pos in env.positions
+            for pos in positions
         ),
-        weight_bound=max(bounds),
-        ranked=True,
+        weight_bound=max(
+            weight_bound(pos.logging_policy, pos.target_policy, context_probs) for pos in positions
+        ),
+        ranked=isinstance(scenario, RankingEnv),
     )
-
-
-def compile_scenario(scenario) -> CompiledScenario:
-    """Sampling tables and weight bound of a :class:`BanditScenario` or :class:`RankingEnv`."""
-    if isinstance(scenario, BanditScenario):
-        return _compile_bandit(scenario.env, scenario.logging_policy, scenario.target_policy)
-    if isinstance(scenario, RankingEnv):
-        return _compile_ranking(scenario)
-    raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,6 +415,29 @@ def sample_block(compiled: CompiledScenario, n: int, generators) -> SampleBlock:
     return SampleBlock(p_log, p_tgt, rewards, weights, contexts, actions)
 
 
+def _sample(scenario, n: int, seed):
+    """One sample of ``n`` entries: the sampled block's single row as a dataset.
+
+    Ranked columns are entries by positions, as views of the block; scalar
+    columns are the one-position case, already 1-d in the block.
+    """
+    if n < 1:
+        raise ValidationError(f"sample size must be at least 1, got {n}")
+    compiled = compile_scenario(scenario)
+    block = sample_block(compiled, n, [_as_generator(seed)])
+    cls = RankedDataset if compiled.ranked else Dataset
+    return cls(
+        propensity_logging=_freeze(block.propensity_logging[0].T),
+        propensity_target=_freeze(block.propensity_target[0].T),
+        rewards=_freeze(block.rewards[0].T),
+        weights=_freeze(block.weights[0].T),
+        reward_bound=1.0,
+        weight_bound=compiled.weight_bound,
+        context_ids=_freeze(block.context_ids[0]),
+        action_ids=_freeze(block.action_ids[0].T),
+    )
+
+
 def sample_logs(
     env: BanditEnv,
     logging_policy: PolicyTable,
@@ -435,20 +452,7 @@ def sample_logs(
     The declared bounds are exact: rewards are Bernoulli, and the weight
     bound is the largest reachable probability ratio.
     """
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
-    compiled = _compile_bandit(env, logging_policy, target_policy)
-    block = sample_block(compiled, n, [_as_generator(seed)])
-    return Dataset(
-        propensity_logging=_freeze(block.propensity_logging[0]),
-        propensity_target=_freeze(block.propensity_target[0]),
-        rewards=_freeze(block.rewards[0]),
-        weights=_freeze(block.weights[0]),
-        reward_bound=1.0,
-        weight_bound=compiled.weight_bound,
-        context_ids=_freeze(block.context_ids[0]),
-        action_ids=_freeze(block.action_ids[0]),
-    )
+    return _sample(BanditScenario(env, logging_policy, target_policy), n, seed)
 
 
 def true_position_values(env: RankingEnv) -> np.ndarray:
@@ -468,22 +472,8 @@ def sample_ranked_logs(env: RankingEnv, n: int, seed) -> RankedDataset:
 
     Contexts are drawn first, then an action and reward per position, so
     the stream consumption for one position matches :func:`sample_logs`.
-    Columns are entries by positions, as views of the sampled block.
     """
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
-    compiled = _compile_ranking(env)
-    block = sample_block(compiled, n, [_as_generator(seed)])
-    return RankedDataset(
-        propensity_logging=_freeze(block.propensity_logging[0].T),
-        propensity_target=_freeze(block.propensity_target[0].T),
-        rewards=_freeze(block.rewards[0].T),
-        weights=_freeze(block.weights[0].T),
-        reward_bound=1.0,
-        weight_bound=compiled.weight_bound,
-        context_ids=_freeze(block.context_ids[0]),
-        action_ids=_freeze(block.action_ids[0].T),
-    )
+    return _sample(env, n, seed)
 
 
 def _flip2() -> BanditScenario:

@@ -199,6 +199,38 @@ class TestEvaluate:
         assert run(capsys, "evaluate", "--in", str(ranked_logs),
                    "--estimators", "ipm", "--true-value", "0.5")[0] == 2
 
+    @staticmethod
+    def write_records(tmp_path, records):
+        path = tmp_path / "ragged.jsonl"
+        meta = {"_meta": {"reward_bound": 1.0, "weight_bound": 9.0}}
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in [meta, *records]))
+        return path
+
+    def test_ragged_scalar_contexts_exit_2(self, capsys, tmp_path):
+        records = [
+            {"context": context, "action": 0, "p_log": 0.9, "p_tgt": 0.1, "reward": 1.0}
+            for context in (0, [1, 2], 3)
+        ]
+        code, _, err = run(capsys, "evaluate", "--in", str(self.write_records(tmp_path, records)))
+        assert code == 2
+        assert "context_ids" in err
+
+    def test_ragged_ranked_actions_exit_2(self, capsys, tmp_path):
+        records = [
+            {
+                "context": 0,
+                "positions": [
+                    {"action": action, "p_log": 0.9, "p_tgt": 0.1, "reward": 1.0}
+                    for action in actions
+                ],
+            }
+            for actions in ((0, 1), (1, [0, 1]))
+        ]
+        code, _, err = run(capsys, "evaluate", "--in", str(self.write_records(tmp_path, records)),
+                           "--estimators", "ipm")
+        assert code == 2
+        assert "action_ids" in err
+
 
 def write_config(tmp_path, name="study.yaml", **overrides):
     payload = {

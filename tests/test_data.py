@@ -246,3 +246,13 @@ def test_builder_weights_are_exact():
     w = [0.0, 0.125, 1.0, 2.5, 7.875, 8.0]
     d = dataset_from_weights(w, np.zeros(len(w)))
     assert np.array_equal(d.weights, w)
+
+
+def test_ragged_ids_are_a_length_mismatch():
+    with pytest.raises(LengthMismatch, match="context_ids"):
+        make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=[7, [8, 9]])
+    with pytest.raises(LengthMismatch, match="action_ids"):
+        RankedDataset.from_arrays(
+            [[0.5, 0.5]], [[0.5, 0.5]], [[1.0, 0.0]],
+            reward_bound=1.0, weight_bound=1.0, action_ids=[[0, [1, 2]]],
+        )

@@ -33,9 +33,8 @@ from opekit.errors import (
 from opekit.experiments import (
     MetricSpec,
     parse_estimator_spec,
-    scenario_weight_bound,
 )
-from opekit.simulator import BanditEnv, BanditScenario, PolicyTable
+from opekit.simulator import BanditEnv, BanditScenario, PolicyTable, compile_scenario
 
 
 def zero_reward_scenario() -> BanditScenario:
@@ -266,8 +265,8 @@ class TestStudyConfig:
             StudyConfig("flip2", "flip2", (50,), 100, 0)
 
     def test_weight_bound_helper(self):
-        assert scenario_weight_bound(get_scenario("flip2")) == pytest.approx(9.0, rel=1e-12)
-        assert scenario_weight_bound(get_scenario("rankflip2x2")) == pytest.approx(9.0, rel=1e-12)
+        assert compile_scenario(get_scenario("flip2")).weight_bound == pytest.approx(9.0, rel=1e-12)
+        assert compile_scenario(get_scenario("rankflip2x2")).weight_bound == pytest.approx(9.0, rel=1e-12)
 
 
 class TestMcStudy:

@@ -333,6 +333,36 @@ class TestReadValidation:
             read_logs(path)
         assert bound_info.value.line == 3
 
+    def test_zero_logging_propensity_names_line_and_position(self, tmp_path):
+        positions = [{"p_log": 0.5, "p_tgt": 0.5, "reward": 1.0}, {"p_log": 0.0, "p_tgt": 0.5, "reward": 1.0}]
+        clean = json.dumps({"positions": [positions[0], positions[0]]})
+        path = self.write(tmp_path, [self.meta(), clean, "", json.dumps({"positions": positions})])
+        with pytest.raises(NonPositiveLoggingPropensity) as info:
+            read_logs(path)
+        assert (info.value.index, info.value.position, info.value.line) == (1, 1, 4)
+        assert str(info.value).endswith("at line 4, position 2")
+
+    def test_lines_split_on_newline_only(self, tmp_path):
+        # U+2028, U+2029 and U+0085 are valid raw characters in a JSON string.
+        contexts = ["a\u2028b", "c\u2029d", "e\x85f"]
+        lines = [self.meta()] + [
+            json.dumps({"context": c, "action": 0, "p_log": 0.5, "p_tgt": 0.5, "reward": 1.0}, ensure_ascii=False)
+            for c in contexts
+        ]
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert list(read_logs(path).context_ids) == contexts
+
+    def test_form_feed_does_not_shift_line_numbers(self, tmp_path):
+        lines = [self.meta(), self.record() + "\x0c", "\x0b\x1c", self.record(p_log=0.0)]
+        with pytest.raises(NonPositiveLoggingPropensity) as info:
+            read_logs(self.write(tmp_path, lines))
+        assert info.value.line == 4
+        path = self.write(tmp_path, [self.meta(), "\x0c", "{not json"])
+        with pytest.raises(ParseError) as parse_info:
+            read_logs(path)
+        assert parse_info.value.line == 3
+
     def test_empty_inputs(self, tmp_path):
         with pytest.raises(EmptyDataset):
             read_logs(self.write(tmp_path, [""]))
