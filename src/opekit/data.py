@@ -246,10 +246,9 @@ class _Logged:
         file, and an entry error carries the line of the failing entry.
         """
         p_log, p_tgt, rew = (np.asarray(column, dtype=np.float64) for column in columns)
-        for arr, name in zip((p_log, p_tgt, rew), _COLUMN_NAMES):
-            if arr.ndim != cls._ndim:
-                rank = "one" if cls._ndim == 1 else "two"
-                raise ValidationError(f"{name} must be {rank}-dimensional, got shape {arr.shape}")
+        if p_log.ndim != cls._ndim:
+            rank = "one" if cls._ndim == 1 else "two"
+            raise ValidationError(f"propensity_logging must be {rank}-dimensional, got shape {p_log.shape}")
         if p_log.size == 0:
             if cls._ndim == 1:
                 raise EmptyDataset()
