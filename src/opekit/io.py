@@ -7,7 +7,7 @@ record per line. Scalar records hold ``context``, ``action``, ``p_log``,
 ``positions`` list of per-position objects with ``action``, ``p_log``,
 ``p_tgt``, and ``reward``. Floats are serialised with ``repr``, which
 round-trips exactly, so write-then-read reproduces a dataset bit for bit.
-Records are separated by ``"\n"`` alone.
+Records are separated by ``"\\n"`` alone.
 
 A scalar record is the one-position case: its own fields are its single
 position. The writer and the reader therefore have one path for both
