@@ -379,6 +379,8 @@ def validate_dataset(raw_entries: Iterable, reward_bound: float, weight_bound: f
             raise LengthMismatch(f"entry {i} has {len(records)} positions, expected {k}")
         for j, rec in enumerate(records):
             if named:
+                if not isinstance(rec, (PositionRecord, LogEntry)):
+                    raise ValidationError(f"entry {i}, position {j + 1} is not a PositionRecord")
                 values = (rec.propensity_logging, rec.propensity_target, rec.reward)
                 actions.append(rec.action_id)
             elif _is_triple(rec):

@@ -13,6 +13,11 @@ from __future__ import annotations
 class OpeKitError(Exception):
     """Base class for every error raised by this package."""
 
+    def __reduce__(self):
+        # Constructors differ per class, so a copy is made from the message and
+        # the attributes without calling __init__; a --jobs worker can return it.
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class ValidationError(OpeKitError, ValueError):
     """Invalid input data, file contents, or configuration."""

@@ -15,9 +15,24 @@ kinds. Logs are rendered and written one block of ``BLOCK_ENTRIES`` (8192)
 entries at a time: each column of a block becomes one list of strings and
 one format string assembles the records. The bytes equal one
 ``json.dumps`` per record with compact separators, and the working memory
-of a write is bounded by the block, not by the number of records. The
-reader appends every position to flat columns in one pass and validates
-them with one constructor call.
+of a write is bounded by the block, not by the number of records.
+
+The reader reads a file in two ways that give the same flat columns. The
+blocks of ``BLOCK_ENTRIES // k`` lines at the start of the file that are
+laid out exactly as the writer lays them out are matched one block at a
+time by one regular expression built from the writer's record format.
+That layout is an optional ``_meta`` line 1, then one record per line, all
+of one kind and one k, with the writer's key order and no whitespace. Its
+ids are integers of at most 17 digits, ``null`` or strings without
+escapes or control characters, and its numbers are JSON numbers with at
+most 17 integer digits, for which ``float`` of the text gives what
+``json`` gives. From the first block that does not match (a blank line,
+spaces, other key orders, escaped strings, ``true``/``false`` or float
+ids, longer integers, a bare ``-0``, a last line without its newline),
+the rest of the file is read one line at a time with ``json.loads``. A
+scalar record is its own single position either way, and one constructor
+call validates the columns, so both ways share every check, error class,
+message and line number.
 
 Result tables are CSV with columns
 ``estimator,n,mean,bias,variance,mse,se``, floats formatted with %.17g
@@ -41,7 +56,10 @@ import itertools
 import json
 import os
 import platform
-from dataclasses import asdict, dataclass
+import re
+import sys
+from array import array
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +162,14 @@ def _float_strings(column):
 
 
 _POSITION = '"action":%s,"p_log":%s,"p_tgt":%s,"reward":%s'
+_META = '{"_meta":{"reward_bound":%s,"weight_bound":%s}}\n'
+
+
+def _record_format(ranked: bool, k: int) -> str:
+    """The %-format of one record line: the context id, then id and three numbers per position."""
+    if ranked:
+        return '{"context":%s,"positions":[' + ",".join(["{" + _POSITION + "}"] * k) + "]}\n"
+    return '{"context":%s,' + _POSITION + "}\n"
 
 
 def _log_chunks(dataset):
@@ -154,20 +180,11 @@ def _log_chunks(dataset):
     and the records are assembled with one format string, so the text equals
     one ``json.dumps`` per record with compact separators.
     """
-    meta = {
-        "_meta": {
-            "reward_bound": float(dataset.reward_bound),
-            "weight_bound": float(dataset.weight_bound),
-        }
-    }
-    yield json.dumps(meta, separators=(",", ":")) + "\n"
+    yield _META % (json.dumps(float(dataset.reward_bound)), json.dumps(float(dataset.weight_bound)))
     n = dataset.n
-    if isinstance(dataset, RankedDataset):
-        k = dataset.k
-        fmt = '{"context":%s,"positions":[' + ",".join(["{" + _POSITION + "}"] * k) + "]}\n"
-    else:
-        k = 1
-        fmt = '{"context":%s,' + _POSITION + "}\n"
+    ranked = isinstance(dataset, RankedDataset)
+    k = dataset.k if ranked else 1
+    fmt = _record_format(ranked, k)
     # Scalar columns are viewed as one position, so both kinds render alike.
     contexts = dataset.context_ids
     actions = None if dataset.action_ids is None else dataset.action_ids.reshape(n, k)
@@ -201,33 +218,104 @@ def _number(obj: dict, key: str, lineno: int) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(lineno, f"field {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(lineno, f"field {key!r} is too large for a float") from None
 
 
-def read_logs(path, reward_bound: float | None = None, weight_bound: float | None = None):
-    """Parse and validate a JSON Lines log file.
+# JSON texts the block scan converts itself. An integer part has at most 17
+# digits, so float() of a number's text equals float() of the int json makes of
+# it; longer integers can overflow a float or pass the interpreter's digit limit,
+# and their lines go to json. So does a bare -0 number: json reads it as the
+# integer 0, float("-0") is -0.0. Every float.__repr__ text matches _NUMBER.
+_INT = r"-?(?:0|[1-9][0-9]{0,16})"
+_NUMBER = r"(?!-0[,}])" + _INT + r"(?:\.[0-9]{1,25})?(?:[eE][-+]?[0-9]{1,3})?"
+# Ids: such integers, null, or strings with neither escapes nor the control
+# characters strict JSON forbids, whose value is the text between the quotes.
+_ID = _INT + r'|null|"[^"\\\x00-\x1f]*"'
 
-    Bounds given as arguments override the file's ``_meta`` header; one of
-    the two sources must provide both. Returns a :class:`Dataset` or a
-    :class:`RankedDataset` depending on the records found. Lines are
-    separated by ``"\\n"`` alone, as in JSON Lines, and errors reference
-    1-based line numbers.
 
-    One pass appends the numbers of every position to flat columns; a
-    scalar record is its own single position. One constructor call then
-    validates the columns, and an entry error names the line of its entry.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    meta_reward: float | None = None
-    meta_weight: float | None = None
-    kind: str | None = None
+@dataclass
+class _Scan:
+    """What the scans of a log file have read so far, before validation."""
+
+    meta: tuple = (None, None)  # reward and weight bound of the _meta header
+    kind: str | None = None  # "scalar" or "ranked", set by the first record
     k: int | None = None
-    entry_lines: list[int] = []
-    columns: tuple[list, list, list] = ([], [], [])
-    p_log, p_tgt, rewards = columns
-    contexts: list = []
-    actions: list = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    # p_log, p_tgt and reward of every position, entry by entry
+    columns: tuple = field(default_factory=lambda: (array("d"), array("d"), array("d")))
+    contexts: list = field(default_factory=list)
+    actions: list = field(default_factory=list)  # one per position, entry by entry
+    lines: list = field(default_factory=list)  # the 1-based line of each entry
+
+
+def _line_pattern(fmt: str, fields) -> re.Pattern:
+    """A multiline pattern of whole lines of ``fmt``, each ``%s`` a group matching the next field."""
+    literals = [re.escape(literal) for literal in fmt.split("%s")]
+    groups = [f"({field})" for field in fields] + [""]
+    return re.compile("^" + "".join(literal + group for literal, group in zip(literals, groups)), re.M)
+
+
+def _id_values(texts) -> list:
+    """The values json gives the id texts that match ``_ID``."""
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        return [None if t == "null" else t[1:-1] if t[0] == '"' else int(t) for t in texts]
+
+
+def _entry_major(groups) -> list:
+    """The texts of k per-position groups, entry by entry and then position by position."""
+    return list(itertools.chain.from_iterable(zip(*groups)))
+
+
+def _scan_blocks(text: str, scan: _Scan) -> tuple[int, int]:
+    """Read the start of a log that is laid out exactly as :func:`_log_chunks` writes it.
+
+    That is an optional ``_meta`` line 1, then whole blocks of
+    ``BLOCK_ENTRIES // k`` lines that are each a record of one kind and k,
+    ending in ``"\\n"``, with the writer's key order, no whitespace and the
+    ids and numbers ``_ID`` and ``_NUMBER`` accept. Each block is matched
+    with one ``findall``, and the first block with fewer matches than lines
+    ends the scan. Returns the offset and the 1-based line number of the
+    rest of the text, which :func:`_scan_lines` reads.
+    """
+    start, line = 0, 1
+    header = _line_pattern(_META, (_NUMBER, _NUMBER)).match(text)
+    if header:
+        scan.meta = (float(header[1]), float(header[2]))
+        start, line = header.end(), 2
+    first = text[start : text.find("\n", start) + 1]
+    # Matched ids hold no quotes, so these keys occur only as keys in a record that matches.
+    kind = "ranked" if '"positions":' in first else "scalar"
+    k = first.count('"p_log":')
+    if not k:
+        return start, line
+    records = _line_pattern(_record_format(kind == "ranked", k), (_ID,) + (_ID, _NUMBER, _NUMBER, _NUMBER) * k)
+    for block in re.compile(r"(?:[^\n]*\n){1,%d}" % max(1, BLOCK_ENTRIES // k)).finditer(text, start):
+        rows = records.findall(text, *block.span())
+        if len(rows) != text.count("\n", *block.span()):
+            break
+        fields = list(zip(*rows))
+        scan.contexts += _id_values(fields[0])
+        scan.actions += _id_values(_entry_major(fields[1::4]))
+        for column, first_group in zip(scan.columns, (2, 3, 4)):
+            column.extend(map(float, _entry_major(fields[first_group::4])))
+        scan.lines += range(line, line + len(rows))
+        start, line = block.end(), line + len(rows)
+    if scan.lines:
+        scan.kind, scan.k = kind, k
+    return start, line
+
+
+def _scan_lines(text: str, first_line: int, scan: _Scan) -> _Scan:
+    """Read log lines one at a time with ``json.loads``, continuing ``scan``; ``text`` starts at ``first_line``."""
+    meta_reward, meta_weight = scan.meta
+    kind, k = scan.kind, scan.k
+    p_log, p_tgt, rewards = scan.columns
+    contexts, actions, entry_lines = scan.contexts, scan.actions, scan.lines
+    for lineno, raw in enumerate(text.split("\n"), start=first_line):
         line = raw.strip()
         if not line:
             continue
@@ -235,6 +323,8 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(lineno, f"invalid JSON: {exc.msg}") from None
+        except ValueError:  # int() refused an integer text over the interpreter's digit limit
+            raise ParseError(lineno, f"integer longer than {sys.get_int_max_str_digits()} digits") from None
         if not isinstance(obj, dict):
             raise ParseError(lineno, "expected a JSON object")
         if "_meta" in obj:
@@ -270,22 +360,51 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
             actions.append(pos.get("action"))
         contexts.append(obj.get("context"))
         entry_lines.append(lineno)
-    if kind is None:
+    scan.meta, scan.kind, scan.k = (meta_reward, meta_weight), kind, k
+    return scan
+
+
+def _scan_text(text: str) -> _Scan:
+    """Read a log text: the blocks at its start in the writer's layout by pattern, the rest line by line."""
+    scan = _Scan()
+    start, line = _scan_blocks(text, scan)
+    return _scan_lines(text[start:], line, scan)
+
+
+def read_logs(path, reward_bound: float | None = None, weight_bound: float | None = None):
+    """Parse and validate a JSON Lines log file.
+
+    Bounds given as arguments override the file's ``_meta`` header; one of
+    the two sources must provide both. Returns a :class:`Dataset` or a
+    :class:`RankedDataset` depending on the records found. Lines are
+    separated by ``"\\n"`` alone, as in JSON Lines, and errors reference
+    1-based line numbers.
+
+    The blocks of lines at the start of the file that are laid out exactly
+    as :func:`write_logs` writes them are read by one pattern each, and
+    the rest of the file, all of it for other layouts, one line at a time
+    with ``json.loads``. Both give the same flat columns, with a scalar
+    record as its own single position, and one constructor call then
+    validates them, so an entry error names the line of its entry
+    whichever way it was read.
+    """
+    scan = _scan_text(Path(path).read_text(encoding="utf-8"))
+    if scan.kind is None:
         raise EmptyDataset(f"no records in {path}")
-    final_reward = reward_bound if reward_bound is not None else meta_reward
-    final_weight = weight_bound if weight_bound is not None else meta_weight
+    final_reward = reward_bound if reward_bound is not None else scan.meta[0]
+    final_weight = weight_bound if weight_bound is not None else scan.meta[1]
     if final_reward is None or final_weight is None:
         raise MissingBounds()
     return _from_positions(
-        kind == "ranked",
-        len(entry_lines),
-        k,
-        columns,
+        scan.kind == "ranked",
+        len(scan.lines),
+        scan.k,
+        scan.columns,
         final_reward,
         final_weight,
-        contexts if all(c is not None for c in contexts) else None,
-        actions if all(a is not None for a in actions) else None,
-        lines=entry_lines,
+        None if None in scan.contexts else scan.contexts,
+        None if None in scan.actions else scan.actions,
+        lines=scan.lines,
     )
 
 

@@ -215,6 +215,16 @@ class TestEvaluate:
         assert code == 2
         assert "context_ids" in err
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_integer_exit_2(self, capsys, tmp_path, digits):
+        path = self.write_records(tmp_path, [])
+        record = '{"context": 0, "action": 0, "p_log": 0.9, "p_tgt": 0.1, "reward": %s}\n'
+        with path.open("a") as handle:
+            handle.write(record % "1.0" + record % ("7" * digits))
+        code, _, err = run(capsys, "evaluate", "--in", str(path))
+        assert code == 2
+        assert err.startswith("error: line 3: ") and "Traceback" not in err
+
     def test_ragged_ranked_actions_exit_2(self, capsys, tmp_path):
         records = [
             {

@@ -212,6 +212,12 @@ class TestValidateDataset:
         assert d.k == 1
         assert list(d.context_ids) == ["x"]
 
+    def test_ranked_entry_holding_triples(self):
+        record = PositionRecord("a", 0.5, 0.5, 1.0)
+        entries = [RankedLogEntry("x", (record, record)), RankedLogEntry("y", (record, (0.5, 0.5, 1.0)))]
+        with pytest.raises(ValidationError, match=r"^entry 1, position 2 is not a PositionRecord$"):
+            validate_dataset(entries, 1.0, 1.0)
+
     def test_ragged_ranking_lengths(self):
         rows = [
             [(0.5, 0.5, 1.0), (0.5, 0.5, 0.0)],

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import opekit.io
 from opekit import (
     Dataset,
     RankedDataset,
@@ -29,6 +33,11 @@ from opekit.errors import (
 )
 from opekit.experiments import StudyRow
 from opekit.io import (
+    _record_format,
+    _Scan,
+    _scan_blocks,
+    _scan_lines,
+    _scan_text,
     atomic_write,
     atomic_write_text,
     csv_text,
@@ -42,6 +51,39 @@ from opekit.io import (
 def flip2_sample(n=40, seed=3) -> Dataset:
     s = get_scenario("flip2")
     return sample_logs(s.env, s.logging_policy, s.target_policy, n, seed)
+
+
+def read_line_by_line(path, **bounds):
+    """``read_logs`` with the block scan turned off, so every line goes through ``json.loads``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(opekit.io, "_scan_blocks", lambda text, scan: (0, 1))
+        return read_logs(path, **bounds)
+
+
+def block_scan_end(text) -> int:
+    """The offset at which the block scan of ``text`` leaves the rest to the line reader."""
+    return _scan_blocks(text, _Scan())[0]
+
+
+def outcome(read, path):
+    """What reading ``path`` gives: the dataset's type, columns, ids and bounds, or the error."""
+    try:
+        dataset = read(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    ids = [
+        None if ids is None else (ids.dtype.str, ids.tolist())
+        for ids in (dataset.context_ids, dataset.action_ids)
+    ]
+    columns = [
+        getattr(dataset, name).tobytes()
+        for name in ("propensity_logging", "propensity_target", "rewards", "weights")
+    ]
+    return type(dataset), dataset.rewards.shape, columns, ids, dataset.reward_bound, dataset.weight_bound
+
+
+def assert_both_paths_agree(path):
+    assert outcome(read_logs, path) == outcome(read_line_by_line, path)
 
 
 class TestLogRoundTrip:
@@ -181,13 +223,21 @@ def assert_same_text(actual: str, expected: str) -> None:
     )
 
 
+# Id kinds the writer renders as null, short integers or strings without escapes
+# (numpy booleans become "True" and "False"), which the block scan reads; the
+# other kinds are read line by line.
+SCANNED_ID_KINDS = {"none", "int64", "uint8", "bool"}
+
+
 class TestBlockWriter:
-    def check(self, dataset, tmp_path):
+    def check(self, dataset, tmp_path, scanned=True):
         expected = reference_logs_text(dataset)
         assert_same_text(logs_text(dataset), expected)
         path = tmp_path / "logs.jsonl"
         write_logs(dataset, path)
         assert_same_text(path.read_bytes().decode("utf-8"), expected)
+        assert (block_scan_end(expected) == len(expected)) == scanned
+        assert_both_paths_agree(path)
         loaded = read_logs(path)
         assert type(loaded) is type(dataset)
         for column in ("propensity_logging", "propensity_target", "rewards", "weights"):
@@ -215,7 +265,7 @@ class TestBlockWriter:
             action_ids=id_column(action_kind, (n,)),
         )
         assert np.signbit(dataset.rewards[0]) and dataset.propensity_target[0] == 5e-324
-        self.check(dataset, tmp_path)
+        self.check(dataset, tmp_path, {context_kind, action_kind} <= SCANNED_ID_KINDS)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("id_kind", ["none", "int64", "str", "bool"])
@@ -231,7 +281,7 @@ class TestBlockWriter:
             context_ids=id_column(id_kind, (n,)),
             action_ids=id_column(id_kind, (n, k)),
         )
-        self.check(dataset, tmp_path)
+        self.check(dataset, tmp_path, id_kind in SCANNED_ID_KINDS)
 
     def test_mixed_object_ids(self):
         # Written like json.dumps writes them; read_logs drops ids when any is null.
@@ -244,6 +294,183 @@ class TestBlockWriter:
 
     def test_sampled_ranked(self, tmp_path):
         self.check(sample_ranked_logs(get_scenario("rankflip2x2"), 5000, 9), tmp_path)
+
+
+DIGITS = "0123456789"
+
+
+@st.composite
+def json_number_texts(draw):
+    """Numbers in JSON grammar, with parts on both sides of the scan's digit caps."""
+    sign = draw(st.sampled_from(["", "-"]))
+    lead = draw(st.sampled_from(DIGITS))
+    integer = lead if lead == "0" else lead + draw(st.text(DIGITS, max_size=18))
+    fraction = draw(st.sampled_from(["", "."]))
+    if fraction:
+        fraction += draw(st.text(DIGITS, min_size=1, max_size=27))
+    exponent = draw(st.sampled_from(["", "e", "E", "e+", "e-", "E-"]))
+    if exponent:
+        exponent += draw(st.text(DIGITS, min_size=1, max_size=4))
+    return sign + integer + fraction + exponent
+
+
+# What the writer writes: float.__repr__ numbers and null, integer or plain string ids.
+WRITER_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(float.__repr__)
+WRITER_IDS = st.one_of(
+    st.just("null"),
+    st.integers(-(10**16), 10**16).map(str),
+    st.text(st.characters(blacklist_characters='"\\', blacklist_categories=("Cc", "Cs")), max_size=8).map(
+        lambda value: '"' + value + '"'
+    ),
+)
+NUMBER_TEXTS = st.one_of(
+    json_number_texts(),
+    WRITER_NUMBERS,
+    st.sampled_from(["-0", "0", "-0.0", "5e-324", "1e400", "-1e400", "12345678901234567", "1" * 400, "NaN"]),
+)
+ID_TEXTS = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["null", "true", "false", "1.5", "-0", "99999999999999999"]),
+    st.text(max_size=8).map(lambda value: json.dumps(value, ensure_ascii=False)),
+    st.text(max_size=8).map(lambda value: '"' + value + '"'),
+)
+# Edits that take a record line out of the writer's layout, or out of JSON.
+DISTURBANCES = st.sampled_from(
+    [
+        lambda line: " " + line,
+        lambda line: "\n" + line,
+        lambda line: line.replace(":", ": ", 1),
+        lambda line: line[:-1],
+        lambda line: opekit.io._META % ("1.0", "2.0") + line,
+    ]
+)
+
+
+@st.composite
+def log_texts(draw):
+    """Logs in the writer's layout with any JSON-like texts in its slots, and a few lines disturbed."""
+    ranked = draw(st.booleans())
+    k = draw(st.integers(1, 3)) if ranked else 1
+    fmt = _record_format(ranked, k)
+    records = [
+        st.tuples(*[ids] + [ids, numbers, numbers, numbers] * k)
+        for ids, numbers in ((WRITER_IDS, WRITER_NUMBERS), (WRITER_IDS, WRITER_NUMBERS), (ID_TEXTS, NUMBER_TEXTS))
+    ]
+    lines = [fmt % record for record in draw(st.lists(st.one_of(records), min_size=1, max_size=6))]
+    for i in draw(st.sets(st.integers(0, len(lines) - 1), max_size=2)):
+        lines[i] = draw(DISTURBANCES)(lines[i])
+    header = draw(st.sampled_from(["", opekit.io._META]))
+    if header:
+        header %= (draw(NUMBER_TEXTS), draw(NUMBER_TEXTS))
+    return header + "".join(lines)
+
+
+def exact(value):
+    """A value's type and, for a float, its bits, so that == tells -0.0 from 0.0."""
+    return type(value), np.float64(value).tobytes() if isinstance(value, float) else value
+
+
+def scan_outcome(scan_text, text):
+    """The error a scan raises, or what it read, value by value."""
+    try:
+        scan = scan_text(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    read = (scan.meta, *scan.columns, scan.contexts, scan.actions, scan.lines)
+    return scan.kind, scan.k, [list(map(exact, values)) for values in read]
+
+
+class TestBlockScan:
+    @settings(max_examples=300)
+    @given(log_texts())
+    @example('{"context":0,"action":-0,"p_log":-0,"p_tgt":5e-324,"reward":1e400}\n')
+    @example('{"context":12345678901234567,"action":"é x","p_log":-0.0,"p_tgt":1E-400,"reward":0}\n')
+    @example('{"context":null,"action":"","p_log":12345678901234567,"p_tgt":-99999999999999999,"reward":1.5e308}\n')
+    def test_reads_as_the_line_reader_does(self, text):
+        # The line reader alone is json.loads + _number on every line. Blocks of two
+        # entries let the block scan stop part way through these short texts.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opekit.io, "BLOCK_ENTRIES", 2)
+            got = scan_outcome(_scan_text, text)
+        assert got == scan_outcome(lambda text: _scan_lines(text, 1, _Scan()), text)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**16), 10**16))
+    def test_writer_texts_take_the_scan(self, value, ident):
+        text = opekit.io._META % (repr(1.0), repr(9.0)) + _record_format(False, 1) % (ident, ident, repr(value), "0.5", "-0.0")
+        assert block_scan_end(text) == len(text)
+
+    BASE = [
+        '{"_meta":{"reward_bound":1.0,"weight_bound":9.0}}',
+        '{"context":0,"action":1,"p_log":0.1,"p_tgt":0.9,"reward":1.0}',
+        '{"context":1,"action":0,"p_log":0.9,"p_tgt":0.1,"reward":0.0}',
+        '{"context":1,"action":1,"p_log":0.1,"p_tgt":0.9,"reward":REWARD}',
+    ]
+    LAYOUTS = {
+        "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+        "leading spaces": lambda lines: "".join(f" {line}\n" for line in lines),
+        "trailing spaces": lambda lines: "".join(f"{line} \n" for line in lines),
+        "blank line": lambda lines: "\n".join(lines[:2] + [""] + lines[2:]) + "\n",
+        "reordered keys": lambda lines: "\n".join(lines).replace('"p_log":0.1,"p_tgt":0.9', '"p_tgt":0.9,"p_log":0.1', 1) + "\n",
+        "meta after a record": lambda lines: "\n".join([lines[1], lines[0], *lines[2:]]) + "\n",
+        "bom": lambda lines: "\ufeff" + "\n".join(lines) + "\n",
+        "boolean ids": lambda lines: "\n".join(lines).replace('"context":1', '"context":true') + "\n",
+        "escaped string ids": lambda lines: "\n".join(lines).replace('"context":0', '"context":"\\u00e9"') + "\n",
+        "no final newline": lambda lines: "\n".join(lines),
+        "18-digit integer": lambda lines: "\n".join(lines).replace('"reward":0.0', '"reward":100000000000000000') + "\n",
+    }
+
+    @pytest.mark.parametrize("reward", ["1.0", "7.0"])
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_other_layouts_read_as_before(self, name, reward, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text(self.LAYOUTS[name]([line.replace("REWARD", reward) for line in self.BASE]), newline="")
+        text = path.read_text(encoding="utf-8")
+        # Reading the text turns CRLF into "\n", so a CRLF file in the writer's layout takes the scan.
+        assert (block_scan_end(text) == len(text)) == (name == "crlf")
+        assert_both_paths_agree(path)
+
+    def test_null_ids_drop_every_id_on_both_paths(self, tmp_path):
+        lines = [line.replace("REWARD", "1.0") for line in self.BASE]
+        lines[2] = lines[2].replace('"context":1', '"context":null')
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert block_scan_end(path.read_text()) == path.stat().st_size
+        loaded = read_logs(path)
+        assert loaded.context_ids is None and list(loaded.action_ids) == [1, 0, 1]
+        assert_both_paths_agree(path)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize("field", ["reward", "reward_bound"])
+    def test_huge_integers_are_parse_errors(self, digits, field, tmp_path):
+        text = "\n".join(line.replace("REWARD", "1.0") for line in self.BASE) + "\n"
+        line = 1 if field == "reward_bound" else 3
+        text = text.replace(f'"{field}":{"1.0" if field == "reward_bound" else "0.0"}', f'"{field}":-{"9" * digits}')
+        path = tmp_path / "in.jsonl"
+        path.write_text(text)
+        assert _scan_blocks(text, _Scan())[1] <= line
+        with pytest.raises(ParseError) as info:
+            read_logs(path)
+        assert info.value.line == line
+        assert_both_paths_agree(path)
+
+    def test_line_reader_continues_where_the_blocks_stop(self, tmp_path):
+        # Two whole writer blocks, then a block with a blank line in it: the scan reads
+        # the two blocks, the line reader the rest, and a bad value keeps its line.
+        path = tmp_path / "logs.jsonl"
+        write_logs(flip2_sample(n=2 * 8192 + 5), path)
+        lines = path.read_text().split("\n")
+        lines.insert(2 * 8192 + 3, "")
+        text = "\n".join(lines)
+        assert _scan_blocks(text, _Scan())[1] == 2 * 8192 + 2
+        path.write_text(text)
+        assert read_logs(path).n == 2 * 8192 + 5
+        assert_both_paths_agree(path)
+        lines[-2] = re.sub('"p_log":[^,]*', '"p_log":0.0', lines[-2])
+        path.write_text("\n".join(lines))
+        with pytest.raises(NonPositiveLoggingPropensity) as info:
+            read_logs(path)
+        assert (info.value.index, info.value.line) == (2 * 8192 + 4, 2 * 8192 + 7)
+        assert_both_paths_agree(path)
 
 
 class TestReadValidation:
