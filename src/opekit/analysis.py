@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateWeights, ValidationError, ZeroWeightSum
-from .estimators import MomentSummary, _require_scalar, remainder_rows
+from .estimators import MomentSummary, _finite, _require_scalar, remainder_rows
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,7 @@ def beta_ips_variance(moments: MomentSummary, beta: float) -> float:
 
     Equals ``(var_wr - 2 * beta * cov_w_wr + beta^2 * var_w) / n``.
     """
-    b = float(beta)
-    if not np.isfinite(b):
-        raise ValidationError(f"baseline must be finite, got {beta}")
+    b = _finite(beta)
     return (moments.var_wr - 2.0 * b * moments.cov_w_wr + b * b * moments.var_w) / moments.n
 
 
@@ -99,15 +97,13 @@ def variance_gap(moments: MomentSummary, value: float) -> VarianceGapReport:
     construction and vanishes exactly when ``value`` equals the optimal
     baseline ``cov_w_wr / var_w``.
     """
-    if moments.var_w == 0.0:
+    beta_star = moments.beta_star
+    if beta_star is None:
         raise DegenerateWeights(detail="the optimal baseline is undefined")
-    v = float(value)
-    if not np.isfinite(v):
-        raise ValidationError(f"value must be finite, got {value}")
+    v = _finite(value, "value")
     residual = v * moments.var_w - moments.cov_w_wr
     gap = (residual * residual) / (moments.n * moments.var_w)
     avar = snips_avar(moments, v)
-    beta_star = moments.cov_w_wr / moments.var_w
     return VarianceGapReport(
         var_beta=avar,
         var_beta_star=beta_ips_variance(moments, beta_star),
@@ -124,9 +120,7 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
     exist otherwise.
     """
     _require_scalar(dataset)
-    v = float(value)
-    if not np.isfinite(v):
-        raise ValidationError(f"value must be finite, got {value}")
+    v = _finite(value, "value")
     w = dataset.weights
     wr = w * dataset.rewards
     w_bar, mean_wr, l_n, r_n, zero = remainder_rows(w[None, :], wr[None, :], v)

@@ -237,19 +237,16 @@ def evaluate_command(
     else:
         moments = empirical_moments(dataset)
         report["moments"] = moments_dict(moments)
-        if moments.var_w > 0:
-            report["beta_star"] = moments.cov_w_wr / moments.var_w
-        else:
-            report["beta_star"] = None
+        report["beta_star"] = moments.beta_star
         if true_value is not None:
             report["remainder"] = _remainder_dict(dataset, true_value)
-            if moments.var_w > 0:
-                report["variance_gap"] = _gap_dict(variance_gap(moments, true_value))
-            else:
+            if moments.beta_star is None:
                 report["variance_gap"] = None
                 report["variance_gap_note"] = (
                     "weights have zero variance; the optimal baseline is undefined"
                 )
+            else:
+                report["variance_gap"] = _gap_dict(variance_gap(moments, true_value))
     text = json.dumps(report, indent=2, sort_keys=True)
     if out is None:
         click.echo(text)

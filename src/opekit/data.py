@@ -338,6 +338,8 @@ def _entry_positions(entry, i: int, ranked: bool) -> tuple:
     """
     if ranked:
         if isinstance(entry, RankedLogEntry):
+            if not _is_sequence(entry.positions):
+                raise ValidationError(f"entry {i} positions are not a sequence of PositionRecord")
             return entry.context_id, entry.positions, True
         if _is_sequence(entry):
             return None, entry, False

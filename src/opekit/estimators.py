@@ -24,7 +24,7 @@ reduction over one row alone, so all callers get the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -66,6 +66,12 @@ class MomentSummary:
                 f"covariance {self.cov_w_wr} violates the Cauchy-Schwarz bound "
                 f"for variances {self.var_w}, {self.var_wr}"
             )
+
+    @property
+    def beta_star(self) -> float | None:
+        """The plug-in optimal baseline ``cov_w_wr / var_w``; ``None`` when the weights have zero variance."""
+        baseline, degenerate = plug_in_baselines(np.float64(self.var_w), self.cov_w_wr)
+        return None if degenerate else float(baseline)
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,17 @@ def moment_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
     return moments
 
 
+def plug_in_baselines(var_w, cov) -> tuple:
+    """Plug-in optimal baselines ``cov / var_w`` and the mask of degenerate weights.
+
+    Weights are degenerate where their variance is zero; the baseline is
+    undefined there, and the returned ratio is not finite. This is the one
+    place that decides degeneracy.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return cov / var_w, var_w == 0.0
+
+
 def ips_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
     """Importance-weighted reward mean of each row."""
     return row_mean(wr), None, None
@@ -156,9 +173,7 @@ def beta_star_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
     undefined; any other non-finite baseline is a validation error.
     """
     mean_w, mean_wr, var_w, _, cov = moment_rows(w, wr)
-    degenerate = var_w == 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        baseline = cov / var_w
+    baseline, degenerate = plug_in_baselines(var_w, cov)
     _require_finite_baselines(baseline, ~degenerate)
     return baseline * (1.0 - mean_w) + mean_wr, baseline, degenerate
 
@@ -167,7 +182,7 @@ def _require_finite_baselines(baseline: np.ndarray, used: np.ndarray) -> None:
     """Raise for the first used baseline that is not finite, as a fixed baseline would."""
     bad = used & ~np.isfinite(baseline)
     if bad.any():
-        _finite_baseline(baseline[np.unravel_index(int(np.argmax(bad)), bad.shape)])
+        _finite(baseline[np.unravel_index(int(np.argmax(bad)), bad.shape)])
 
 
 def remainder_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple[np.ndarray, ...]:
@@ -222,47 +237,27 @@ def snips(dataset: Dataset) -> Estimate:
     return estimate("snips", dataset)
 
 
-def _finite_baseline(beta) -> float:
-    b = float(beta)
-    if not np.isfinite(b):
-        raise ValidationError(f"baseline must be finite, got {beta}")
+def _finite(x, name: str = "baseline") -> float:
+    """``x`` as a float; a :class:`ValidationError` naming the argument if it is ``None`` or not finite."""
+    b = None if x is None else float(x)
+    if b is None or not np.isfinite(b):
+        raise ValidationError(f"{name} must be finite, got {x}")
     return b
 
 
 def beta_ips(dataset: Dataset, beta: float) -> Estimate:
     """Baseline-corrected estimator with a fixed additive baseline."""
-    return estimate("beta-ips", dataset, _finite_baseline(beta))
+    return estimate("beta-ips", dataset, _finite(beta))
 
 
-def beta_star_hat(dataset: Dataset, *, centered: bool = True) -> float:
-    """Plug-in estimate of the variance-minimising baseline.
-
-    The default is the centred ratio cov(w, wr) / var(w). With
-    ``centered=False`` the ratio (mean(w*wr) - mean(wr)) / (mean(w^2) - 1)
-    is used instead; it replaces the empirical weight mean with its known
-    expectation of one and generally differs in finite samples.
-    """
-    _require_scalar(dataset)
-    if centered:
-        moments = empirical_moments(dataset)
-        if moments.var_w == 0.0:
-            raise DegenerateWeights()
-        return moments.cov_w_wr / moments.var_w
-    w = dataset.weights
-    wr = w * dataset.rewards
-    denominator = float(np.mean(w * w)) - 1.0
-    if denominator == 0.0:
-        raise DegenerateWeights(detail="mean squared weight equals one")
-    numerator = float(np.mean(w * wr)) - float(np.mean(wr))
-    return numerator / denominator
+def beta_star_hat(dataset: Dataset) -> float:
+    """Plug-in estimate cov(w, wr) / var(w) of the variance-minimising baseline."""
+    return beta_star_ips(dataset).baseline_used
 
 
-def beta_star_ips(dataset: Dataset, *, centered: bool = True) -> Estimate:
+def beta_star_ips(dataset: Dataset) -> Estimate:
     """Baseline-corrected estimator at the plug-in baseline."""
-    if centered:
-        return estimate("beta-star-ips", dataset)
-    baseline = beta_star_hat(dataset, centered=False)
-    return replace(beta_ips(dataset, baseline), estimator_name="beta-star-ips")
+    return estimate("beta-star-ips", dataset)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -317,10 +312,9 @@ def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tup
     for f, (fold, complement) in enumerate(zip(folds, complements)):
         _, _, var_w, _, cov = moment_rows(w.take(fold, axis=-1), wr.take(fold, axis=-1))
         offset = 1.0 - row_mean(w.take(complement, axis=-1))
-        degenerate = var_w == 0.0
+        baseline, degenerate = plug_in_baselines(var_w, cov)
         failed |= degenerate & (offset != 0.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            baseline = np.where(degenerate, 0.0, cov / var_w)
+        baseline = np.where(degenerate, 0.0, baseline)
         _require_finite_baselines(baseline, ~failed)
         baselines[..., f] = baseline
         values[..., f] = baseline * offset + row_mean(wr.take(complement, axis=-1))

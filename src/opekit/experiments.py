@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
     WorkerFailure,
 )
-from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _finite_baseline
+from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _finite
 from .ranking import _fixed_baselines
 from .simulator import (
     BanditScenario,
@@ -121,15 +121,13 @@ def kernel_arg(spec: MetricSpec, k: int, folds: int, seed: int, value: float | N
     """
     param = ESTIMATORS[spec.name].param
     if param == "baseline":
-        return _finite_baseline(spec.params[0])
+        return _finite(spec.params[0])
     if param == "baselines":
         return _fixed_baselines(k, spec.params)
     if param == "folds":
         return CrossFitConfig(folds_k=folds, seed=seed)
     if param == "value":
-        if value is None or not np.isfinite(float(value)):
-            raise ValidationError(f"value must be finite, got {value}")
-        return float(value)
+        return _finite(value, "value")
     return None
 
 
@@ -446,14 +444,12 @@ class OracleReport:
 def _scalar_oracle_target(label: str, scenario: BanditScenario) -> OracleTarget:
     v = true_value(scenario.env, scenario.target_policy)
     moments = population_moments(scenario.env, scenario.logging_policy, scenario.target_policy)
-    if moments.var_w > 0:
-        gap = variance_gap(moments, v)
-        beta_star = moments.cov_w_wr / moments.var_w
-        avar = gap.avar_snips
-        var_star = gap.var_beta_star
-        delta = gap.gap_delta
+    beta_star = moments.beta_star
+    if beta_star is None:
+        avar = var_star = delta = None
     else:
-        beta_star = avar = var_star = delta = None
+        gap = variance_gap(moments, v)
+        avar, var_star, delta = gap.avar_snips, gap.var_beta_star, gap.gap_delta
     return OracleTarget(
         label=label,
         value=v,

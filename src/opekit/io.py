@@ -7,7 +7,8 @@ record per line. Scalar records hold ``context``, ``action``, ``p_log``,
 ``positions`` list of per-position objects with ``action``, ``p_log``,
 ``p_tgt``, and ``reward``. Floats are serialised with ``repr``, which
 round-trips exactly, so write-then-read reproduces a dataset bit for bit.
-Records are separated by ``"\\n"`` alone.
+Files are read with universal newlines: ``"\\n"``, ``"\\r\\n"`` and a lone
+``"\\r"`` each end a line, and nothing else does.
 
 A scalar record is the one-position case: its own fields are its single
 position. The writer and the reader therefore have one path for both
@@ -66,7 +67,7 @@ import numpy as np
 
 from .analysis import hoeffding_tail_bound
 from .data import BLOCK_ENTRIES, RankedDataset, _from_positions
-from .errors import EmptyDataset, MissingBounds, ParseError
+from .errors import EmptyDataset, MissingBounds, ParseError, ValidationError
 
 TOOL_VERSION = "0.1.0"
 
@@ -325,6 +326,8 @@ def _scan_lines(text: str, first_line: int, scan: _Scan) -> _Scan:
             raise ParseError(lineno, f"invalid JSON: {exc.msg}") from None
         except ValueError:  # int() refused an integer text over the interpreter's digit limit
             raise ParseError(lineno, f"integer longer than {sys.get_int_max_str_digits()} digits") from None
+        except RecursionError:
+            raise ParseError(lineno, "JSON nested too deeply") from None
         if not isinstance(obj, dict):
             raise ParseError(lineno, "expected a JSON object")
         if "_meta" in obj:
@@ -371,14 +374,27 @@ def _scan_text(text: str) -> _Scan:
     return _scan_lines(text[start:], line, scan)
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8 with universal newlines.
+
+    A function of its own, so that :func:`read_logs` holds no reference to
+    the text once the scan has returned.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_logs(path, reward_bound: float | None = None, weight_bound: float | None = None):
     """Parse and validate a JSON Lines log file.
 
     Bounds given as arguments override the file's ``_meta`` header; one of
     the two sources must provide both. Returns a :class:`Dataset` or a
-    :class:`RankedDataset` depending on the records found. Lines are
-    separated by ``"\\n"`` alone, as in JSON Lines, and errors reference
-    1-based line numbers.
+    :class:`RankedDataset` depending on the records found. The file must be
+    UTF-8 and is read with universal newlines, so ``"\\n"``, ``"\\r\\n"``
+    and a lone ``"\\r"`` each end a line; errors reference 1-based line
+    numbers.
 
     The blocks of lines at the start of the file that are laid out exactly
     as :func:`write_logs` writes them are read by one pattern each, and
@@ -388,7 +404,7 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
     validates them, so an entry error names the line of its entry
     whichever way it was read.
     """
-    scan = _scan_text(Path(path).read_text(encoding="utf-8"))
+    scan = _scan_text(_read_text(path))
     if scan.kind is None:
         raise EmptyDataset(f"no records in {path}")
     final_reward = reward_bound if reward_bound is not None else scan.meta[0]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RankedDataset
-from .errors import DegenerateWeights, LengthMismatch, ValidationError, ZeroWeightSum
-from .estimators import ESTIMATORS, moment_rows
+from .errors import LengthMismatch, ValidationError, ZeroWeightSum
+from .estimators import ESTIMATORS
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,8 @@ def beta_perp_star_hat(dataset: RankedDataset) -> np.ndarray:
     Raises :class:`DegenerateWeights` listing every position whose weights
     have zero variance.
     """
-    _, _, var_w, _, cov = moment_rows(*_rows(dataset))
-    _raise_failed(DegenerateWeights, var_w[0] == 0.0)
-    baselines = cov[0] / var_w[0]
+    report = positionwise("beta-perp-star-ipm", dataset)
+    baselines = np.array([p.baseline for p in report.per_position])
     baselines.setflags(write=False)
     return baselines
 

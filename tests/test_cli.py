@@ -160,6 +160,15 @@ class TestEvaluate:
         assert estimates["beta-star-ips"]["value"] is None
         assert "weights" in estimates["beta-star-ips"]["error"]
 
+    def test_degenerate_weights_drop_the_gap(self, capsys, identity_logs):
+        code, out, _ = run(capsys, "evaluate", "--in", str(identity_logs), "--true-value", "0.5")
+        assert code == 0
+        report = json.loads(out)
+        assert report["beta_star"] is None
+        assert report["variance_gap"] is None
+        assert report["variance_gap_note"] == "weights have zero variance; the optimal baseline is undefined"
+        assert report["remainder"]["w_bar"] == 1.0
+
     def test_unknown_estimator(self, capsys, flip2_logs):
         assert run(capsys, "evaluate", "--in", str(flip2_logs),
                    "--estimators", "dr")[0] == 2
@@ -224,6 +233,21 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--in", str(path))
         assert code == 2
         assert err.startswith("error: line 3: ") and "Traceback" not in err
+
+    def test_deep_nesting_exit_2(self, capsys, tmp_path):
+        path = self.write_records(tmp_path, [])
+        with path.open("a") as handle:
+            handle.write("[" * 100000 + "\n")
+        code, _, err = run(capsys, "evaluate", "--in", str(path))
+        assert code == 2
+        assert err == "error: line 2: JSON nested too deeply\n"
+
+    def test_not_utf8_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "utf16.jsonl"
+        path.write_bytes(b"\xff\xfe" + '{"_meta":{}}\n'.encode("utf-16-le"))
+        code, _, err = run(capsys, "evaluate", "--in", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path} is not UTF-8 text: ") and "Traceback" not in err
 
     def test_ragged_ranked_actions_exit_2(self, capsys, tmp_path):
         records = [

@@ -218,6 +218,10 @@ class TestValidateDataset:
         with pytest.raises(ValidationError, match=r"^entry 1, position 2 is not a PositionRecord$"):
             validate_dataset(entries, 1.0, 1.0)
 
+    def test_ranked_entry_positions_must_be_a_sequence(self):
+        with pytest.raises(ValidationError, match=r"^entry 0 positions are not a sequence of PositionRecord$"):
+            validate_dataset([RankedLogEntry("x", 5)], 1.0, 1.0)
+
     def test_ragged_ranking_lengths(self):
         rows = [
             [(0.5, 0.5, 1.0), (0.5, 0.5, 0.0)],

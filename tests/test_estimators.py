@@ -117,21 +117,6 @@ class TestPlugInBaseline:
         assert beta_star_hat(d) == -0.5
         assert beta_star_ips(d).value == 0.25
 
-    def test_uncentered_variant(self, two_row):
-        # (mean(w*wr) - mean(wr)) / (mean(w^2) - 1) = (2 - 1) / (2.125 - 1)
-        assert beta_star_hat(two_row, centered=False) == pytest.approx(8.0 / 9.0, rel=1e-12)
-        assert beta_star_hat(two_row, centered=False) != beta_star_hat(two_row)
-
-    def test_uncentered_degenerate(self, identity_weights):
-        with pytest.raises(DegenerateWeights):
-            beta_star_hat(identity_weights, centered=False)
-
-    def test_variants_agree_at_unit_mean_weight(self, unit_mean):
-        # With mean weight exactly one the two ratios share a denominator.
-        assert beta_star_hat(unit_mean) == pytest.approx(
-            beta_star_hat(unit_mean, centered=False), rel=1e-12
-        )
-
 
 class TestFolds:
     def test_partition(self):

@@ -590,6 +590,15 @@ class TestReadValidation:
             read_logs(path)
         assert parse_info.value.line == 3
 
+    def test_lone_carriage_returns_end_lines(self, tmp_path):
+        # Universal newlines: a bare "\r" ends a line, as "\n" and "\r\n" do.
+        path = tmp_path / "in.jsonl"
+        path.write_bytes("\r".join([self.meta(), self.record(), self.record(p_log=0.0)]).encode() + b"\r")
+        with pytest.raises(NonPositiveLoggingPropensity) as info:
+            read_logs(path)
+        assert info.value.line == 3
+        assert str(info.value).endswith("at line 3")
+
     def test_empty_inputs(self, tmp_path):
         with pytest.raises(EmptyDataset):
             read_logs(self.write(tmp_path, [""]))

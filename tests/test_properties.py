@@ -5,6 +5,10 @@ quantities with exact closed forms (unit mean weight, the self-normalised
 collapse) hold bitwise, not merely to rounding.
 """
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -14,6 +18,9 @@ from opekit import (
     MomentSummary,
     beta_ips,
     beta_ips_variance,
+    beta_perp_star_hat,
+    beta_star_hat,
+    beta_star_ips,
     empirical_moments,
     ips,
     ipm,
@@ -22,7 +29,10 @@ from opekit import (
     snips,
     snips_avar,
     variance_gap,
+    write_logs,
 )
+from opekit.cli import main
+from opekit.errors import DegenerateWeights
 from opekit.estimators import CrossFitConfig, fold_indices
 
 
@@ -170,3 +180,50 @@ class TestHarnessPieces:
         assert sizes[-1] - sizes[0] <= 1
         merged = np.sort(np.concatenate(folds))
         assert np.array_equal(merged, np.arange(n))
+
+
+@st.composite
+def float_datasets(draw):
+    """Scalar datasets with arbitrary float weights and rewards; half of them have constant weights."""
+    n = draw(st.integers(2, 30))
+    weight = st.floats(0.0, 8.0)
+    if draw(st.booleans()):
+        weights = [draw(weight)] * n
+    else:
+        weights = draw(st.lists(weight, min_size=n, max_size=n))
+    rewards = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    return np.asarray(weights), np.asarray(rewards)
+
+
+def _evaluate_beta_star(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        logs, report = Path(tmp) / "logs.jsonl", Path(tmp) / "report.json"
+        write_logs(dataset, logs)
+        assert main(["evaluate", "--in", str(logs), "--out", str(report)]) == 0
+        return json.loads(report.read_text())["beta_star"]
+
+
+def _degenerate_or_hex(fn, dataset):
+    try:
+        value = fn(dataset)
+    except DegenerateWeights:
+        return None
+    return None if value is None else float(value).hex()
+
+
+class TestPlugInBaselineRoutes:
+    @given(float_datasets())
+    def test_every_route_gives_the_same_bits(self, columns):
+        weights, rewards = columns
+        dataset = dataset_from_weights(weights, rewards)
+        one_position = ranked_from_weights(weights[:, None], rewards[:, None])
+        routes = {
+            "beta_star_hat": beta_star_hat,
+            "beta_star_ips": lambda d: beta_star_ips(d).baseline_used,
+            "empirical_moments": lambda d: empirical_moments(d).beta_star,
+            "evaluate": _evaluate_beta_star,
+            "beta_perp_star_hat": lambda d: beta_perp_star_hat(one_position)[0],
+        }
+        got = {name: _degenerate_or_hex(fn, dataset) for name, fn in routes.items()}
+        assert len(set(got.values())) == 1, got
+        assert (got["beta_star_hat"] is None) == (empirical_moments(dataset).var_w == 0.0)
