@@ -1,11 +1,17 @@
-"""Study configuration files: schema validation, resolution, and hashing.
+"""Study configuration files: checking, resolution, and hashing.
 
-Configurations are YAML (JSON works too, being a YAML subset). They are
-schema-validated before any computation, then resolved: defaults are
-filled in and the result is hashed canonically. The hash feeds the run
-manifest, so it must depend on everything that shapes the output bytes
-and on nothing else; in particular the worker count is a command-line
-flag, not a config field.
+Configurations are YAML (JSON works too, being a YAML subset). This
+module checks what no constructor sees: the keys of each mapping (missing
+and unknown keys are rejected), that lists are non-empty lists, that
+table entries are numbers and that ``study`` names a known kind. The
+objects built from the file check the values: ``StudyConfig`` the
+integers (``400.0`` counts as ``400``) and their minimums, the scenario
+classes the tables, which must be rectangular, and the ``dominance`` and
+``decay`` studies, whose estimators are fixed, reject an ``estimators``
+list. The resolved configuration is hashed canonically for the run
+manifest, so the hash depends on everything that shapes the output bytes
+and on nothing else; the worker count is a command-line flag, not a
+config field.
 """
 
 from __future__ import annotations
@@ -28,61 +34,69 @@ from .simulator import (
 
 STUDY_KINDS = tuple(STUDIES)
 
-_MATRIX = {"type": "array", "minItems": 1, "items": {"type": "array", "items": {"type": "number"}}}
-_VECTOR = {"type": "array", "minItems": 1, "items": {"type": "number"}}
-
-_BANDIT_ENV = {
-    "type": "object",
-    "required": ["kind", "context_probs", "reward_means", "logging_policy", "target_policy"],
-    "properties": {
-        "kind": {"const": "bandit"},
-        "context_probs": _VECTOR,
-        "reward_means": _MATRIX,
-        "logging_policy": _MATRIX,
-        "target_policy": _MATRIX,
-    },
-    "additionalProperties": False,
+#: Required and optional keys of each mapping in a study file.
+_KEYS = {
+    "study file": ({"study", "environment", "n_grid", "replicates", "seed"}, {"estimators", "folds"}),
+    "bandit": ({"kind", "context_probs", "reward_means", "logging_policy", "target_policy"}, set()),
+    "ranking": ({"kind", "context_probs", "positions"}, set()),
+    "position": ({"logging_policy", "target_policy", "reward_means"}, set()),
 }
 
-_RANKING_ENV = {
-    "type": "object",
-    "required": ["kind", "context_probs", "positions"],
-    "properties": {
-        "kind": {"const": "ranking"},
-        "context_probs": _VECTOR,
-        "positions": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["logging_policy", "target_policy", "reward_means"],
-                "properties": {
-                    "logging_policy": _MATRIX,
-                    "target_policy": _MATRIX,
-                    "reward_means": _MATRIX,
-                },
-                "additionalProperties": False,
-            },
-        },
-    },
-    "additionalProperties": False,
-}
+#: Nesting depth of each number table: a vector of context probabilities, matrices otherwise.
+_TABLES = {"context_probs": 1, "reward_means": 2, "logging_policy": 2, "target_policy": 2}
 
-STUDY_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["study", "environment", "n_grid", "replicates", "seed"],
-    "properties": {
-        "study": {"enum": list(STUDY_KINDS)},
-        "environment": {"oneOf": [{"type": "string"}, _BANDIT_ENV, _RANKING_ENV]},
-        "estimators": {"type": "array", "minItems": 1, "items": {"type": "string"}},
-        "n_grid": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
-        "replicates": {"type": "integer", "minimum": 100},
-        "seed": {"type": "integer", "minimum": 0},
-        "folds": {"type": "integer", "minimum": 2},
-    },
-    "additionalProperties": False,
-}
+
+def _non_empty_list(value, where: str) -> list:
+    """``value`` if it is a non-empty list."""
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"expected a non-empty list (at {where})")
+    return value
+
+
+def _check_table(value, depth: int, where: str) -> None:
+    """A non-empty list nested ``depth`` deep whose leaves are numbers."""
+    for i, item in enumerate(_non_empty_list(value, where)):
+        if depth > 1:
+            _check_table(item, depth - 1, f"{where}/{i}")
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValidationError(f"expected a number, got {item!r} (at {where}/{i})")
+
+
+def _check_mapping(value, level: str, where: str) -> None:
+    """Keys of a mapping against ``_KEYS[level]``, then any number tables it holds."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"expected a mapping (at {where})")
+    required, optional = _KEYS[level]
+    missing = sorted(required - value.keys())
+    if missing:
+        raise ValidationError(f"{level} is missing {', '.join(missing)} (at {where})")
+    unknown = sorted(str(key) for key in value.keys() - required - optional)
+    if unknown:
+        raise ValidationError(f"{level} has unknown keys {', '.join(unknown)} (at {where})")
+    for key in sorted(value.keys() & _TABLES.keys()):
+        _check_table(value[key], _TABLES[key], f"{where}/{key}")
+
+
+def _check_layout(raw) -> None:
+    """Reject a study file whose layout is wrong; its values are checked by what they build."""
+    _check_mapping(raw, "study file", "<root>")
+    if raw["study"] not in STUDY_KINDS:
+        raise ValidationError(f"study must be one of {', '.join(STUDY_KINDS)}, got {raw['study']!r}")
+    if "estimators" in raw:
+        names = _non_empty_list(raw["estimators"], "estimators")
+        if not all(isinstance(name, str) for name in names):
+            raise ValidationError("expected a list of estimator names (at estimators)")
+    _non_empty_list(raw["n_grid"], "n_grid")
+    env = raw["environment"]
+    if isinstance(env, str):
+        return
+    kind = env.get("kind") if isinstance(env, dict) else None
+    if kind not in ("bandit", "ranking"):
+        raise ValidationError("expected a preset name or a bandit or ranking mapping (at environment)")
+    _check_mapping(env, kind, "environment")
+    if kind == "ranking":
+        for j, position in enumerate(_non_empty_list(env["positions"], "environment/positions")):
+            _check_mapping(position, "position", f"environment/positions/{j}")
 
 
 def canonical_hash(payload) -> str:
@@ -99,24 +113,19 @@ def environment_from_spec(spec):
     """
     if isinstance(spec, str):
         return get_scenario(spec), spec
-    kind = spec["kind"]
-    if kind == "bandit":
+    if spec["kind"] == "bandit":
         scenario = BanditScenario(
             env=BanditEnv(spec["context_probs"], spec["reward_means"]),
             logging_policy=PolicyTable(spec["logging_policy"]),
             target_policy=PolicyTable(spec["target_policy"]),
         )
-        return scenario, f"bandit:{canonical_hash(spec)[:12]}"
-    positions = tuple(
-        PositionModel(
-            logging_policy=PolicyTable(pos["logging_policy"]),
-            target_policy=PolicyTable(pos["target_policy"]),
-            reward_means=pos["reward_means"],
+    else:
+        positions = tuple(
+            PositionModel(PolicyTable(p["logging_policy"]), PolicyTable(p["target_policy"]), p["reward_means"])
+            for p in spec["positions"]
         )
-        for pos in spec["positions"]
-    )
-    scenario = RankingEnv(context_probs=spec["context_probs"], positions=positions)
-    return scenario, f"ranking:{canonical_hash(spec)[:12]}"
+        scenario = RankingEnv(context_probs=spec["context_probs"], positions=positions)
+    return scenario, f"{spec['kind']}:{canonical_hash(spec)[:12]}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +140,8 @@ class LoadedStudy:
 
 
 def load_study_config(path) -> LoadedStudy:
-    """Read, schema-validate, and resolve a study configuration file."""
-    # Imported here so that commands which never read a configuration skip their cost.
-    import jsonschema
+    """Read, check, and resolve a study configuration file."""
+    # Imported here so that commands which never read a configuration skip its cost.
     import yaml
 
     source = Path(path)
@@ -142,36 +150,27 @@ def load_study_config(path) -> LoadedStudy:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"cannot parse {source}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{source} must contain a mapping at the top level")
-    try:
-        jsonschema.validate(raw, STUDY_SCHEMA)
-    except jsonschema.exceptions.ValidationError as exc:
-        where = "/".join(str(part) for part in exc.absolute_path) or "<root>"
-        raise ValidationError(f"{source}: {exc.message} (at {where})") from None
+    _check_layout(raw)
     scenario, label = environment_from_spec(raw["environment"])
     kind = raw["study"]
-    estimators = raw.get("estimators")
-    if estimators is None:
-        estimators = default_estimators(kind, scenario)
-    resolved = {
-        "study": kind,
-        "environment": raw["environment"],
-        "estimators": list(estimators),
-        "n_grid": [int(v) for v in raw["n_grid"]],
-        "replicates": int(raw["replicates"]),
-        "seed": int(raw["seed"]),
-        "folds": int(raw.get("folds", 5)),
-    }
     config = StudyConfig(
         scenario=scenario,
         scenario_label=label,
-        n_grid=tuple(resolved["n_grid"]),
-        replicates=resolved["replicates"],
-        master_seed=resolved["seed"],
-        estimators=tuple(resolved["estimators"]),
-        folds=resolved["folds"],
+        n_grid=raw["n_grid"],
+        replicates=raw["replicates"],
+        master_seed=raw["seed"],
+        estimators=raw.get("estimators") or default_estimators(kind, scenario),
+        folds=raw.get("folds", 5),
     )
+    resolved = {
+        "study": kind,
+        "environment": raw["environment"],
+        "estimators": list(config.estimators),
+        "n_grid": list(config.n_grid),
+        "replicates": config.replicates,
+        "seed": config.master_seed,
+        "folds": config.folds,
+    }
     return LoadedStudy(
         kind=kind,
         config=config,

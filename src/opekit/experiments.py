@@ -320,19 +320,26 @@ def replicate_estimates(
         return _replicate_matrix(scenario, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
 
 
+def _replicate_vectors(*vectors) -> list[np.ndarray]:
+    """Float arrays of equal-length one-dimensional finite replicate estimates, at least two each."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+        shapes = ", ".join(str(a.shape) for a in arrays)
+        raise ValidationError(f"estimates must be one-dimensional and of one length, got shapes {shapes}")
+    if arrays[0].shape[0] < 2:
+        raise TooFewReplicates(arrays[0].shape[0])
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError("estimates must be finite; drop failed replicates first")
+    return arrays
+
+
 def mse_decompose(estimates, true_value: float) -> tuple[float, float, float]:
     """Split mean squared error into bias and variance around ``true_value``.
 
     Returns ``(bias, variance, mse)`` with the 1/m normaliser throughout,
     so ``mse == bias**2 + variance`` up to rounding.
     """
-    arr = np.asarray(estimates, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"estimates must be one-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise TooFewReplicates(arr.shape[0])
-    if not np.isfinite(arr).all():
-        raise ValidationError("estimates must be finite; drop failed replicates first")
+    (arr,) = _replicate_vectors(estimates)
     target = float(true_value)
     mean = float(np.mean(arr))
     deviations = arr - mean
@@ -350,12 +357,7 @@ def paired_mse_difference(a, b, true_value: float) -> tuple[float, float]:
     The standard error comes from the per-replicate differences, which is
     what pairing buys: shared sampling noise cancels inside each term.
     """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError("paired comparison needs two equal-length vectors")
-    if x.shape[0] < 2:
-        raise TooFewReplicates(x.shape[0])
+    x, y = _replicate_vectors(a, b)
     v = float(true_value)
     d = (y - v) ** 2 - (x - v) ** 2
     diff = float(np.mean(d))
@@ -369,12 +371,7 @@ def paired_variance_difference(a, b) -> tuple[float, float]:
     Uses the influence-function form ``(b - mean(b))^2 - (a - mean(a))^2``
     per replicate, so the standard error accounts for the pairing.
     """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError("paired comparison needs two equal-length vectors")
-    if x.shape[0] < 2:
-        raise TooFewReplicates(x.shape[0])
+    x, y = _replicate_vectors(a, b)
     dx = x - float(np.mean(x))
     dy = y - float(np.mean(y))
     d = dy * dy - dx * dx
@@ -386,14 +383,16 @@ def paired_variance_difference(a, b) -> tuple[float, float]:
 def fit_loglog_slope(points) -> tuple[float, float]:
     """Least-squares slope and intercept of log(y) against log(x).
 
-    ``points`` is a sequence of ``(x, y)`` pairs with positive coordinates
-    and at least two distinct x values.
+    ``points`` is a sequence of ``(x, y)`` pairs with finite positive
+    coordinates and at least two distinct x values.
     """
     pts = list(points)
     if len(pts) < 2:
         raise DegenerateX(f"need at least two points for a log-log fit, got {len(pts)}")
     x = np.array([float(p[0]) for p in pts])
     y = np.array([float(p[1]) for p in pts])
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DegenerateX("log-log fit needs finite coordinates")
     if (x <= 0).any() or (y <= 0).any():
         raise DegenerateX("log-log fit needs strictly positive coordinates")
     if np.unique(x).shape[0] < 2:
@@ -498,6 +497,15 @@ def _metric_targets(specs, scenario, oracle: OracleReport) -> dict[str, float]:
     return targets
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float, never a bool."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything a study needs; the seed fully determines the draws."""
@@ -515,7 +523,7 @@ class StudyConfig:
             raise ValidationError(
                 f"scenario must be a BanditScenario or RankingEnv, got {type(self.scenario).__name__}"
             )
-        grid = tuple(int(v) for v in self.n_grid)
+        grid = tuple(_integer(v, "sample size") for v in self.n_grid)
         if not grid:
             raise ValidationError("the sample size grid cannot be empty")
         if any(v < 1 for v in grid):
@@ -523,14 +531,15 @@ class StudyConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError(f"the sample size grid must be strictly increasing, got {grid}")
         object.__setattr__(self, "n_grid", grid)
-        if self.replicates < 100:
-            raise ValidationError(
-                f"studies need at least 100 replicates for stable cell statistics, got {self.replicates}"
-            )
-        if self.master_seed < 0:
-            raise ValidationError(f"master seed must be non-negative, got {self.master_seed}")
-        if self.folds < 2:
-            raise ValidationError(f"cross-fitting needs at least 2 folds, got {self.folds}")
+        for field, minimum, rule in (
+            ("replicates", 100, "studies need at least 100 replicates for stable cell statistics"),
+            ("master_seed", 0, "master seed must be non-negative"),
+            ("folds", 2, "cross-fitting needs at least 2 folds"),
+        ):
+            value = _integer(getattr(self, field), field.replace("_", " "))
+            if value < minimum:
+                raise ValidationError(f"{rule}, got {value}")
+            object.__setattr__(self, field, value)
         object.__setattr__(self, "estimators", tuple(str(e) for e in self.estimators))
 
 
@@ -648,6 +657,15 @@ def _run_grid(config: StudyConfig, specs, oracle: OracleReport, n_jobs: int, cel
     )
 
 
+def _no_estimators(config: StudyConfig, kind: str) -> None:
+    """Reject an estimator list in a study kind whose estimators are fixed."""
+    if config.estimators:
+        raise ValidationError(
+            f"the {kind} study fixes its own estimators and takes no estimators list, "
+            f"got {', '.join(config.estimators)}"
+        )
+
+
 def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
     """Bias, variance, and MSE for each estimator over the sample size grid."""
     specs = _study_specs(config.estimators, config.scenario)
@@ -720,6 +738,7 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     the true value; otherwise the two estimators have the same asymptotic
     variance and there is nothing to dominate.
     """
+    _no_estimators(config, "dominance")
     scalar = isinstance(config.scenario, BanditScenario)
     pair = ("beta-star-ips", "snips") if scalar else ("beta-perp-star-ipm", "snipm")
     oracle = oracle_report(config.scenario)
@@ -791,6 +810,7 @@ def _rate_fit(points) -> tuple[float, float, tuple[int, ...]]:
 
 def decay_rate_study(config: StudyConfig, n_jobs: int = 1) -> DecayReport:
     """Measure how fast the self-normalisation remainder vanishes."""
+    _no_estimators(config, "decay")
     _check_rate_study(config, "remainder decay")
     oracle = oracle_report(config.scenario)
     study = _run_grid(config, (MetricSpec("remainder-sq"),), oracle, n_jobs)

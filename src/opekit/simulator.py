@@ -40,8 +40,18 @@ from .estimators import MomentSummary
 _PROB_TOL = 1e-9
 
 
+def _float_table(values, name: str) -> np.ndarray:
+    """A new float64 array of ``values``; ragged nesting is a DimensionMismatch, not numpy's error."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"{name} hold a number too large for a float") from None
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{name} must be a rectangular table of numbers") from None
+
+
 def _frozen_probs(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = _float_table(values, name)
     if arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -87,7 +97,7 @@ class BanditEnv:
         ctx = _frozen_probs(self.context_probs, "context probabilities", 1)
         if abs(float(ctx.sum()) - 1.0) > _PROB_TOL:
             raise ValidationError("context probabilities must sum to one")
-        means = np.array(self.reward_means, dtype=np.float64)
+        means = _float_table(self.reward_means, "reward means")
         if means.ndim != 2 or means.shape[0] != ctx.shape[0]:
             raise DimensionMismatch(
                 f"reward means must have shape (n_contexts, n_actions), got {means.shape}"
@@ -136,7 +146,7 @@ class PositionModel:
     reward_means: np.ndarray
 
     def __post_init__(self) -> None:
-        means = np.array(self.reward_means, dtype=np.float64)
+        means = _float_table(self.reward_means, "position reward means")
         if means.ndim != 2:
             raise DimensionMismatch(
                 f"position reward means must be two-dimensional, got shape {means.shape}"

@@ -329,6 +329,33 @@ class TestStudy:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("table", ["reward_means", "logging_policy"])
+    def test_ragged_table_exits_2(self, capsys, tmp_path, table):
+        environment = {
+            "kind": "bandit",
+            "context_probs": [0.5, 0.5],
+            "reward_means": [[0.2, 0.8], [0.5, 0.5]],
+            "logging_policy": [[0.5, 0.5], [0.9, 0.1]],
+            "target_policy": [[0.1, 0.9], [0.5, 0.5]],
+        }
+        environment[table] = [[0.5, 0.5], [1.0]]
+        config = write_config(tmp_path, environment=environment)
+        code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "rectangular" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, environment, grid",
+        [("dominance", "rankflip2x2", [50, 100]), ("decay", "flip2", [100, 400, 1600, 6400])],
+    )
+    def test_fixed_estimator_study_rejects_estimators(self, capsys, tmp_path, kind, environment, grid):
+        config = write_config(tmp_path, study=kind, environment=environment, n_grid=grid, estimators=["ipm"])
+        code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "takes no estimators" in err
+        assert not (tmp_path / "study.csv").exists()
+
     def test_missing_config_file(self, capsys, tmp_path):
         assert run(capsys, "study", "--config", str(tmp_path / "no.yaml"),
                    "--out-dir", str(tmp_path))[0] == 4

@@ -166,6 +166,90 @@ class TestRejections:
         self.expect_invalid(tmp_path, base_config(n_grid=[100, 100]))
 
 
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _ranking_position(**changes):
+    return dict(INLINE_RANKING, positions=[dict(INLINE_RANKING["positions"][0], **changes)])
+
+
+def _ranking_position_without(key):
+    return dict(INLINE_RANKING, positions=[_without(INLINE_RANKING["positions"][0], key)])
+
+
+# Every study file the loader must reject, named by what is wrong with it.
+REJECTED = {
+    **{f"study file without {key}": _without(base_config(), key) for key in base_config()},
+    **{f"bandit without {key}": base_config(environment=_without(INLINE_BANDIT, key)) for key in INLINE_BANDIT},
+    **{f"ranking without {key}": base_config(environment=_without(INLINE_RANKING, key)) for key in INLINE_RANKING},
+    **{
+        f"position without {key}": base_config(environment=_ranking_position_without(key))
+        for key in INLINE_RANKING["positions"][0]
+    },
+    "unknown key in the study file": base_config(jobs=4),
+    "unknown key in a bandit": base_config(environment=dict(INLINE_BANDIT, positions=[])),
+    "unknown key in a ranking": base_config(environment=dict(INLINE_RANKING, reward_means=[[0.1, 0.9]])),
+    "unknown key in a position": base_config(environment=_ranking_position(weight=1.0)),
+    "study bogus": base_config(study="bogus"),
+    "environment a number": base_config(environment=3),
+    "environment a list": base_config(environment=["flip2"]),
+    "kind other": base_config(environment=dict(INLINE_BANDIT, kind="other")),
+    "empty n_grid": base_config(n_grid=[]),
+    "empty estimators": base_config(estimators=[]),
+    "empty context_probs": base_config(environment=dict(INLINE_BANDIT, context_probs=[])),
+    "empty positions": base_config(environment=dict(INLINE_RANKING, positions=[])),
+    "matrix without rows": base_config(environment=dict(INLINE_BANDIT, reward_means=[])),
+    "empty matrix row": base_config(environment=dict(INLINE_BANDIT, logging_policy=[[]])),
+    "empty position matrix row": base_config(environment=_ranking_position(target_policy=[[]])),
+    **{
+        f"{key} {value!r}": base_config(**{key: value})
+        for key in ("replicates", "seed", "folds")
+        for value in (True, "100", None, 1.5)
+    },
+    **{f"n_grid entry {value!r}": base_config(n_grid=[value]) for value in (True, "100", None, 1.5)},
+    "estimators not a list": base_config(estimators="ips"),
+    "estimator not a string": base_config(estimators=[1]),
+    **{
+        f"table entry {value!r}": base_config(environment=dict(INLINE_BANDIT, context_probs=[value]))
+        for value in (True, "1.0", None)
+    },
+    **{
+        f"matrix entry {value!r}": base_config(environment=_ranking_position(reward_means=[[0.1, value]]))
+        for value in (False, "0.9", None)
+    },
+    "vector where a matrix belongs": base_config(environment=dict(INLINE_BANDIT, target_policy=[0.1, 0.9])),
+    "ragged reward means": base_config(
+        environment=dict(INLINE_BANDIT, context_probs=[0.5, 0.5], reward_means=[[0.2, 0.8], [0.5]])
+    ),
+    "ragged logging policy": base_config(
+        environment=dict(
+            INLINE_BANDIT,
+            context_probs=[0.5, 0.5],
+            reward_means=[[0.2, 0.8], [0.5, 0.5]],
+            logging_policy=[[0.5, 0.5], [1.0]],
+        )
+    ),
+    "ragged position table": base_config(environment=_ranking_position(target_policy=[[0.5, 0.5], [1.0]])),
+    "sample size 0": base_config(n_grid=[0, 100]),
+}
+
+
+class TestEveryRejection:
+    @pytest.mark.parametrize("payload", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejected(self, tmp_path, payload):
+        with pytest.raises(ValidationError):
+            load_study_config(dump(tmp_path, payload))
+
+    def test_integral_floats_hash_like_integers(self, tmp_path):
+        spelled = load_study_config(
+            dump(tmp_path, base_config(n_grid=[400.0], replicates=100.0, seed=5.0, folds=5.0), "a.yaml")
+        )
+        plain = load_study_config(dump(tmp_path, base_config(n_grid=[400]), "b.yaml"))
+        assert spelled.resolved == plain.resolved
+        assert spelled.config_hash == plain.config_hash
+
+
 class TestHashing:
     def test_key_order_invariance(self):
         assert canonical_hash({"a": 1, "b": 2}) == canonical_hash({"b": 2, "a": 1})
@@ -194,3 +278,20 @@ class TestLazyImports:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "[]"
+
+    def test_loading_skips_jsonschema(self, tmp_path):
+        # A fresh interpreter, so that no other test has imported jsonschema into it.
+        src = str(Path(opekit.__file__).resolve().parents[1])
+        path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        preset = dump(tmp_path, base_config(), "preset.yaml")
+        inline = dump(tmp_path, base_config(environment=INLINE_RANKING), "inline.yaml")
+        probe = (
+            "import sys; from opekit.config import load_study_config; "
+            f"[load_study_config(p) for p in ({str(preset)!r}, {str(inline)!r})]; "
+            "print('jsonschema' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"

@@ -208,6 +208,29 @@ class TestStatisticsHelpers:
                 fit_loglog_slope(points)
 
 
+    def test_non_finite_estimates_rejected_alike(self):
+        for call in (
+            lambda: mse_decompose([0.5, float("nan")], 0.5),
+            lambda: paired_mse_difference([0.1, float("nan")], [0.1, 0.2], 0.0),
+            lambda: paired_mse_difference([0.1, 0.2], [float("inf"), 0.2], 0.0),
+            lambda: paired_variance_difference([0.1, float("nan")], [0.1, 0.2]),
+            lambda: paired_variance_difference([0.1, 0.2], [0.1, float("-inf")]),
+        ):
+            with pytest.raises(ValidationError, match="finite"):
+                call()
+
+    def test_loglog_fit_rejects_non_finite_coordinates(self, capfd):
+        for points in (
+            [(10.0, 1.0), (float("inf"), 2.0)],
+            [(10.0, 1.0), (100.0, float("inf"))],
+            [(10.0, float("nan")), (100.0, 1.0)],
+            [(float("nan"), 1.0), (100.0, 1.0)],
+        ):
+            with pytest.raises(DegenerateX, match="finite"):
+                fit_loglog_slope(points)
+        assert capfd.readouterr().err == ""
+
+
 class TestOracleReport:
     def test_flip2(self):
         scenario = get_scenario("flip2")
@@ -263,6 +286,31 @@ class TestStudyConfig:
             StudyConfig(scenario, "flip2", (50,), 100, 0, folds=1)
         with pytest.raises(ValidationError):
             StudyConfig("flip2", "flip2", (50,), 100, 0)
+
+    def test_integer_rule(self):
+        scenario = get_scenario("flip2")
+        for bad in (
+            dict(n_grid=(400.7,)),
+            dict(n_grid=(True,)),
+            dict(n_grid=("400",)),
+            dict(replicates=150.5),
+            dict(replicates=None),
+            dict(master_seed=1.5),
+            dict(master_seed=True),
+            dict(folds=2.5),
+            dict(folds=float("inf")),
+        ):
+            args = {"n_grid": (400,), "replicates": 100, "master_seed": 0, "folds": 5, **bad}
+            with pytest.raises(ValidationError, match="integer"):
+                StudyConfig(scenario, "flip2", **args)
+
+    def test_integral_values_become_ints(self):
+        config = StudyConfig(
+            get_scenario("flip2"), "flip2", (400.0, np.int64(800)), np.int32(100), 7.0, folds=np.float64(3.0)
+        )
+        assert config.n_grid == (400, 800)
+        assert (config.replicates, config.master_seed, config.folds) == (100, 7, 3)
+        assert all(type(v) is int for v in (*config.n_grid, config.replicates, config.master_seed, config.folds))
 
     def test_weight_bound_helper(self):
         assert compile_scenario(get_scenario("flip2")).weight_bound == pytest.approx(9.0, rel=1e-12)
@@ -420,3 +468,11 @@ class TestRateStudies:
             decay_rate_study(config)
         with pytest.raises(NonPositiveMean):
             bias_rate_study(config)
+
+    def test_fixed_estimator_studies_reject_an_estimator_list(self):
+        decay = self.rate_config(get_scenario("flip2"), "flip2", estimators=("ips",))
+        with pytest.raises(ValidationError, match="takes no estimators"):
+            decay_rate_study(decay)
+        ranked = StudyConfig(get_scenario("rankflip2x2"), "rankflip2x2", (100,), 100, 0, ("ipm",))
+        with pytest.raises(ValidationError, match="takes no estimators"):
+            dominance_check(ranked)

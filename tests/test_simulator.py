@@ -54,6 +54,20 @@ class TestTables:
         with pytest.raises(DimensionMismatch):
             BanditScenario(env=env, logging_policy=logging, target_policy=PolicyTable([[1.0]]))
 
+    def test_ragged_tables_are_dimension_mismatches(self):
+        with pytest.raises(DimensionMismatch):
+            PolicyTable([[0.5, 0.5], [1.0]])
+        with pytest.raises(DimensionMismatch):
+            BanditEnv(context_probs=[0.5, [0.5]], reward_means=[[0.5], [0.5]])
+        with pytest.raises(DimensionMismatch):
+            BanditEnv(context_probs=[0.5, 0.5], reward_means=[[0.5, 0.5], [0.5]])
+        with pytest.raises(DimensionMismatch):
+            PositionModel(PolicyTable([[0.5, 0.5]]), PolicyTable([[0.5, 0.5]]), [[0.5, 0.5], [0.5]])
+
+    def test_integer_too_large_for_a_float(self):
+        with pytest.raises(ValidationError, match="too large"):
+            BanditEnv(context_probs=[1.0], reward_means=[[10**400]])
+
     def test_tables_are_immutable(self):
         table = PolicyTable([[0.5, 0.5]])
         with pytest.raises(ValueError):
