@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, Estimate
+from .data import BLOCK_ENTRIES, Dataset, Estimate
 from .errors import (
     DegenerateWeights,
     EstimationError,
@@ -109,6 +109,29 @@ def row_mean(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
+def _moments(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Two-pass centred moments along the last axis, unchecked."""
+    mean_w = row_mean(w)
+    mean_wr = row_mean(wr)
+    dev_w = w - mean_w[..., None]
+    dev_wr = wr - mean_wr[..., None]
+    return (
+        mean_w,
+        mean_wr,
+        row_mean(dev_w * dev_w),
+        row_mean(dev_wr * dev_wr),
+        row_mean(dev_w * dev_wr),
+    )
+
+
+def _invalid_moments(moments) -> np.ndarray:
+    """The entries whose moments :class:`MomentSummary` would reject."""
+    _, _, var_w, var_wr, cov = moments
+    cross = cov * cov
+    bound = var_w * var_wr
+    return (var_w < 0) | (var_wr < 0) | (cross > bound + 1e-12 * np.maximum(cross, bound))
+
+
 def moment_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
     """Two-pass centred moments along the last axis, checked row by row.
 
@@ -116,21 +139,8 @@ def moment_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
     leading shape of ``w``. Raises :class:`ValidationError` for the first
     row whose moments :class:`MomentSummary` would reject.
     """
-    mean_w = row_mean(w)
-    mean_wr = row_mean(wr)
-    dev_w = w - mean_w[..., None]
-    dev_wr = wr - mean_wr[..., None]
-    moments = (
-        mean_w,
-        mean_wr,
-        row_mean(dev_w * dev_w),
-        row_mean(dev_wr * dev_wr),
-        row_mean(dev_w * dev_wr),
-    )
-    _, _, var_w, var_wr, cov = moments
-    cross = cov * cov
-    bound = var_w * var_wr
-    bad = (var_w < 0) | (var_wr < 0) | (cross > bound + 1e-12 * np.maximum(cross, bound))
+    moments = _moments(w, wr)
+    bad = _invalid_moments(moments)
     if bad.any():
         row = np.unravel_index(int(np.argmax(bad)), bad.shape)
         MomentSummary(*(float(m[row]) for m in moments), n=w.shape[-1])
@@ -296,29 +306,62 @@ def fold_indices(n: int, config: CrossFitConfig) -> list[np.ndarray]:
     return list(_fold_layout(n, config.folds_k, config.seed)[0])
 
 
+@lru_cache(maxsize=16)
+def _fold_groups(n: int, folds_k: int, seed: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The folds stacked by length: ``(first fold, (folds, length) indices)`` per length, in fold order.
+
+    ``np.array_split`` makes the longer folds first, so there are at most
+    two groups and the folds keep their order.
+    """
+    folds = _fold_layout(n, folds_k, seed)[0]
+    groups = []
+    start = 0
+    for length in sorted({len(fold) for fold in folds}, reverse=True):
+        stacked = _read_only(np.stack([fold for fold in folds if len(fold) == length]))
+        groups.append((start, stacked))
+        start += len(stacked)
+    return tuple(groups)
+
+
 def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tuple:
     """Cross-fitted value and mean baseline of each row.
 
     Fails on rows where some fold has constant weights, which leaves its
     baseline undefined, while its evaluation entries do not average to
     weight one, so the baseline still matters. Only ``w`` and ``wr`` are
-    gathered per fold, from the cached fold layout.
+    gathered, from the cached fold layout: the folds of one length in
+    stacked gathers of at most a block of entries, whose moments are taken
+    at once, and each complement alone. A validation error names the entry
+    that checking the folds one after another would meet first.
     """
-    folds, complements = _fold_layout(w.shape[-1], config.folds_k, config.seed)
-    shape = w.shape[:-1]
-    values = np.empty(shape + (len(folds),))
-    baselines = np.empty(shape + (len(folds),))
-    failed = np.zeros(shape, dtype=bool)
-    for f, (fold, complement) in enumerate(zip(folds, complements)):
-        _, _, var_w, _, cov = moment_rows(w.take(fold, axis=-1), wr.take(fold, axis=-1))
-        offset = 1.0 - row_mean(w.take(complement, axis=-1))
-        baseline, degenerate = plug_in_baselines(var_w, cov)
-        failed |= degenerate & (offset != 0.0)
-        baseline = np.where(degenerate, 0.0, baseline)
-        _require_finite_baselines(baseline, ~failed)
-        baselines[..., f] = baseline
-        values[..., f] = baseline * offset + row_mean(wr.take(complement, axis=-1))
-    return row_mean(values), row_mean(baselines), failed
+    n = w.shape[-1]
+    folds, complements = _fold_layout(n, config.folds_k, config.seed)
+    shape = w.shape[:-1] + (len(folds),)
+    moments = tuple(np.empty(shape) for _ in range(5))
+    for start, index in _fold_groups(n, config.folds_k, config.seed):
+        # Stack no more folds than a block of entries holds, so one long row
+        # is not gathered whole.
+        step = max(1, BLOCK_ENTRIES * n // (w.size * index.shape[1]))
+        for first in range(0, len(index), step):
+            stacked = index[first : first + step]
+            for out, part in zip(moments, _moments(w.take(stacked, axis=-1), wr.take(stacked, axis=-1))):
+                out[..., start + first : start + first + len(stacked)] = part
+    offsets = np.empty(shape)
+    complement_wr = np.empty(shape)
+    for f, complement in enumerate(complements):
+        offsets[..., f] = 1.0 - row_mean(w.take(complement, axis=-1))
+        complement_wr[..., f] = row_mean(wr.take(complement, axis=-1))
+    baseline, degenerate = plug_in_baselines(moments[2], moments[4])
+    failed = degenerate & (offsets != 0.0)
+    failed_so_far = np.logical_or.accumulate(failed, axis=-1)
+    baseline = np.where(degenerate, 0.0, baseline)
+    if _invalid_moments(moments).any() or (~failed_so_far & ~np.isfinite(baseline)).any():
+        # Raise what checking the folds one after another meets first.
+        for f, fold in enumerate(folds):
+            moment_rows(w.take(fold, axis=-1), wr.take(fold, axis=-1))
+            _require_finite_baselines(baseline[..., f], ~failed_so_far[..., f])
+    values = baseline * offsets + complement_wr
+    return row_mean(values), row_mean(baseline), failed.any(axis=-1)
 
 
 def cross_fitted_beta_ips(dataset: Dataset, config: CrossFitConfig = CrossFitConfig()) -> Estimate:

@@ -3,16 +3,25 @@
 Replicates are paired: every estimator in a study cell is evaluated on
 the same sampled dataset, replicate by replicate, so comparisons between
 estimators difference out the shared sampling noise. Replicate ``r`` at
-sample size ``n`` draws its generator from
-``SeedSequence((master_seed, n, r))``, which depends on nothing else;
-results are identical for any estimator list, chunking, or worker count.
+sample size ``n`` draws from the stream of
+``default_rng(SeedSequence((master_seed, n, r)))``, which depends on
+nothing else; results are identical for any estimator list, chunking, or
+worker count. The engine does not build those generators: it computes
+the seeded PCG64 states of a whole range of replicates at once and loads
+each into one reused generator, which gives the same stream bit for bit
+(:func:`~opekit.simulator.replicate_streams`).
 
 A cell is evaluated in blocks of replicates: each block is sampled into
 one ``(replicates, n)`` array (``(replicates, positions, n)`` for ranked
 scenarios), one row per replicate, and every metric is one row kernel
 reducing along the last axis. A block holds about ``_BLOCK_ENTRIES``
 entries whatever the replicate count, and row reductions sum exactly as
-a one-row reduction does, so the block size never changes a bit.
+a one-row reduction does, so the block size never changes a bit. The
+engine samples only the weights and weighted rewards
+(:func:`~opekit.simulator.sample_weights`): a block is validated through
+the compiled per-cell tables, and only a block that draws a cell the
+entry checks may reject is rebuilt and checked entry by entry, which
+raises the same error as validating that replicate's dataset.
 
 A replicate on which an estimator's precondition fails is recorded and
 its cell statistics use the surviving replicates. More than 1% failures
@@ -53,8 +62,10 @@ from .simulator import (
     BanditScenario,
     RankingEnv,
     compile_scenario,
+    draw_uniforms,
     population_moments,
-    sample_block,
+    replicate_streams,
+    sample_weights,
     true_value,
 )
 
@@ -180,15 +191,14 @@ def _replicate_range(scenario, n, master_seed, start, stop, specs, folds, oracle
     values = np.full((stop - start, sum(widths)), np.nan)
     failures: list[tuple[str, int, str]] = []
     step = _block_rows(n, compiled.k)
+    streams = replicate_streams(master_seed, n, range(start, stop))
+    # One buffer for the whole range: a block's uniforms, (1 + 2k) * n per
+    # row, outgrow malloc's mmap threshold, so a new one each block would
+    # fault its pages in again.
+    buffer = np.empty((min(step, stop - start), (1 + 2 * compiled.k) * n))
     for low in range(start, stop, step):
         high = min(low + step, stop)
-        generators = [
-            np.random.default_rng(np.random.SeedSequence((master_seed, n, r)))
-            for r in range(low, high)
-        ]
-        block = sample_block(compiled, n, generators)
-        w = block.weights
-        wr = w * block.rewards
+        w, wr = sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams))
         rows = values[low - start : high - start]
         found = []
         offset = 0
@@ -386,11 +396,14 @@ def fit_loglog_slope(points) -> tuple[float, float]:
     ``points`` is a sequence of ``(x, y)`` pairs with finite positive
     coordinates and at least two distinct x values.
     """
-    pts = list(points)
+    try:
+        pts = list(points)
+        x = np.array([float(p[0]) for p in pts])
+        y = np.array([float(p[1]) for p in pts])
+    except (TypeError, ValueError, IndexError, OverflowError):
+        raise DegenerateX("log-log fit needs a sequence of (x, y) pairs of numbers") from None
     if len(pts) < 2:
         raise DegenerateX(f"need at least two points for a log-log fit, got {len(pts)}")
-    x = np.array([float(p[0]) for p in pts])
-    y = np.array([float(p[1]) for p in pts])
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DegenerateX("log-log fit needs finite coordinates")
     if (x <= 0).any() or (y <= 0).any():
@@ -523,7 +536,11 @@ class StudyConfig:
             raise ValidationError(
                 f"scenario must be a BanditScenario or RankingEnv, got {type(self.scenario).__name__}"
             )
-        grid = tuple(_integer(v, "sample size") for v in self.n_grid)
+        try:
+            values = tuple(self.n_grid)
+        except TypeError:
+            raise ValidationError(f"the sample size grid must be a sequence, got {self.n_grid!r}") from None
+        grid = tuple(_integer(v, "sample size") for v in values)
         if not grid:
             raise ValidationError("the sample size grid cannot be empty")
         if any(v < 1 for v in grid):

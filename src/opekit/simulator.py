@@ -11,18 +11,35 @@ order (contexts, then per position actions and rewards), so a
 one-position ranking environment consumes the stream exactly like the
 scalar sampler and reproduces its datasets bit for bit.
 
-One sampler serves every caller. A scalar scenario is the one-position
-case of a ranking: a scenario is compiled once into per-position sampling
-tables, and :func:`sample_block` draws a block of replicates from those
-tables, one row per generator, stage by stage, dropping the position axis
-of a scalar block at the end. The public samplers, :func:`sample_logs`
-and :func:`sample_ranked_logs`, are one body that takes that block's
-single row.
+One set of tables serves every caller. A scalar scenario is the
+one-position case of a ranking: a scenario is compiled once into
+per-position sampling tables, and a block of replicates is drawn from
+those tables, one row per replicate, dropping the position axis of a
+scalar block at the end. The public samplers, :func:`sample_logs` and
+:func:`sample_ranked_logs`, take the single row of :func:`sample_block`,
+which builds every column.
+
+Blocks are validated through tables, not entries. The weights are
+gathered from a per-cell weight table, ``p_tgt / p_log`` (the same
+division the entry check makes), and the compiled tables mark every cell
+that a draw can reach and that the entry check may reject. Only a block
+that actually draws such a cell is checked entry by entry, which raises
+the error, message and entry index that checking the failing replicate's
+dataset raises. The study engine reads only the weights and the weighted
+rewards, through :func:`sample_weights`, which hands such a block to
+:func:`sample_block`.
+
+Replicate streams come from :func:`replicate_streams`. The PCG64 state
+that ``SeedSequence((seed, n, r))`` seeds is computed in numpy for a
+whole range of replicates at once and loaded into one reused generator,
+and a replicate's ``(1 + 2k) * n`` uniforms come from one call. The
+streams are bit-equal to ``default_rng(SeedSequence((seed, n, r)))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -287,26 +304,138 @@ def population_moments(
 
 
 def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: index of the first CDF entry strictly above u.
+    """Inverse-CDF draw: the number of CDF entries at or below u, the last entry left out.
 
-    Zero-probability cells have zero-width intervals and are never picked.
+    Leaving the last entry out sends a u at or past it to the last cell.
+    Zero-probability cells have zero-width intervals and are never picked,
+    except a last cell that its predecessors' CDF leaves room for.
     """
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.shape[0] - 1)
+    return np.searchsorted(cdf[:-1], u, side="right")
 
 
 def _pick_rows(row_cdf: np.ndarray, contexts: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw from the CDF row of each entry's context, written into ``out``."""
-    n_actions = row_cdf.shape[1]
+    """:func:`_pick` from the CDF row of each entry's context, written into ``out``."""
     out[...] = 0
-    for a in range(n_actions):
+    for a in range(row_cdf.shape[1] - 1):
         out += u >= row_cdf[:, a].take(contexts)
-    return np.minimum(out, n_actions - 1, out=out)
+    return out
 
 
-def _draw(uniforms: np.ndarray, generators) -> np.ndarray:
-    """Refill each row of ``uniforms`` from its own generator."""
-    for row, rng in zip(uniforms, generators):
+def _reachable(cdf: np.ndarray) -> np.ndarray:
+    """The cells of each CDF row that :func:`_pick` or :func:`_pick_rows` can return for some u in [0, 1).
+
+    Cell ``i`` is picked for u in ``[cdf[i - 1], cdf[i])``, the last cell
+    for every u from ``cdf[-2]`` on. The test is on real intervals, so it
+    may keep a cell that no float draw lands in, never the reverse.
+    """
+    lo = np.zeros_like(cdf)
+    lo[..., 1:] = cdf[..., :-1]
+    hi = cdf.copy()
+    hi[..., -1] = np.inf
+    return (lo < hi) & (lo < 1.0)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# seeding (pcg64.h), for computing seeded states without a SeedSequence.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence takes from a non-negative integer; zero is one word."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_constants(const: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """The running hash constant of SeedSequence, before and after each step."""
+    while True:
+        before = np.uint32(const)
+        const = (const * mult) & _MASK32
+        yield before, np.uint32(const)
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    before, after = next(constants)
+    value = value ^ before
+    value *= after
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
+
+
+def _pcg64_seeds(seed: int, n: int, rows: range) -> Iterator[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence((seed, n, r)))`` for every ``r`` in ``rows``.
+
+    SeedSequence's hash runs on uint32 columns, one entry per replicate, for
+    each run of replicates whose ``r`` has the same number of 32-bit words;
+    the two 128-bit LCG steps of the PCG64 seeding run on Python integers.
+    Replicate indices must be below ``2**64``.
+    """
+    fixed = _words(seed) + _words(n)
+    start = rows.start
+    while start < rows.stop:
+        count = len(_words(start))
+        stop = min(rows.stop, 1 << (32 * count))
+        r = np.arange(start, stop, dtype=np.uint64)
+        entropy = [np.full(r.shape, word, dtype=np.uint32) for word in fixed]
+        entropy += [(r >> np.uint64(32 * i)).astype(np.uint32) for i in range(count)]
+        constants = _hash_constants(_INIT_A, _MULT_A)
+        zero = np.zeros(r.shape, dtype=np.uint32)
+        pool = [_hashmix(entropy[i] if i < len(entropy) else zero, constants) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+        constants = _hash_constants(_INIT_B, _MULT_B)
+        halves = [_hashmix(pool[i % 4], constants).astype(np.uint64) for i in range(8)]
+        seed_hi, seed_lo, inc_hi, inc_lo = (
+            (halves[2 * i] | (halves[2 * i + 1] << np.uint64(32))).tolist() for i in range(4)
+        )
+        # PCG64 seeding: from state 0, an LCG step, add the seed, another step.
+        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+            inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+            yield ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+        start = stop
+
+
+def replicate_streams(seed: int, n: int, rows: range) -> Iterator[np.random.Generator]:
+    """The generator of each replicate in ``rows``, bit-equal to ``default_rng(SeedSequence((seed, n, r)))``.
+
+    One generator is reused: each step loads the next replicate's seeded
+    state into it, so a yielded generator is valid only until the next
+    one is taken.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in _pcg64_seeds(seed, n, rows):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def draw_uniforms(uniforms: np.ndarray, streams: Iterator[np.random.Generator]) -> np.ndarray:
+    """Fill each row of ``uniforms`` from the next stream, in one call per row."""
+    # ``uniforms`` comes first, so zip takes no stream past the last row.
+    for row, rng in zip(uniforms, streams):
         rng.random(out=row)
     return uniforms
 
@@ -317,12 +446,17 @@ class _PositionTables:
 
     ``action_cdf`` holds the logging CDF of each context, one row per
     context; the other tables are flattened by ``(context, action)`` cell.
+    ``weights`` is ``p_tgt / p_log`` where ``p_log`` is positive and zero
+    elsewhere. ``bad`` marks the cells that a draw can reach and whose
+    entry the dataset checks may reject; it is ``None`` when there are none.
     """
 
     action_cdf: np.ndarray
     reward_means: np.ndarray
     p_log: np.ndarray
     p_tgt: np.ndarray
+    weights: np.ndarray
+    bad: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,12 +477,35 @@ class CompiledScenario:
         return len(self.positions)
 
 
-def _position_tables(logging_policy: PolicyTable, target_policy: PolicyTable, reward_means) -> _PositionTables:
+def _bad_cells(p_log, p_tgt, weights, reachable, weight_bound: float) -> np.ndarray | None:
+    """The reachable cells whose entry the dataset checks may reject, or ``None`` if there are none.
+
+    The test is stricter than :func:`_check_columns`, which allows a small
+    slack over each bound, so it may mark a cell that passes but never
+    misses one that fails; a marked cell only sends a block that draws it
+    through the entry checks. Rewards are 0 or 1 and always pass.
+    """
+    if np.isfinite(weight_bound) and weight_bound > 0:
+        fine = (p_log > 0) & (p_log <= 1) & (p_tgt >= 0) & (p_tgt <= 1) & (weights <= weight_bound)
+        bad = reachable & ~fine
+    else:
+        bad = reachable
+    return bad if bad.any() else None
+
+
+def _position_tables(pos: PositionModel, reachable_contexts: np.ndarray, weight_bound: float) -> _PositionTables:
+    action_cdf = np.cumsum(pos.logging_policy.probs, axis=1)
+    p_log = np.ravel(pos.logging_policy.probs)
+    p_tgt = np.ravel(pos.target_policy.probs)
+    weights = np.divide(p_tgt, p_log, out=np.zeros_like(p_log), where=p_log > 0)
+    reachable = np.ravel(reachable_contexts[:, None] & _reachable(action_cdf))
     return _PositionTables(
-        action_cdf=np.cumsum(logging_policy.probs, axis=1),
-        reward_means=np.ravel(reward_means),
-        p_log=np.ravel(logging_policy.probs),
-        p_tgt=np.ravel(target_policy.probs),
+        action_cdf=action_cdf,
+        reward_means=np.ravel(pos.reward_means),
+        p_log=p_log,
+        p_tgt=p_tgt,
+        weights=weights,
+        bad=_bad_cells(p_log, p_tgt, weights, reachable, weight_bound),
     )
 
 
@@ -367,15 +524,13 @@ def compile_scenario(scenario) -> CompiledScenario:
         context_probs, positions = scenario.context_probs, scenario.positions
     else:
         raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
+    context_cdf = np.cumsum(context_probs)
+    contexts = _reachable(context_cdf)
+    bound = max(weight_bound(pos.logging_policy, pos.target_policy, context_probs) for pos in positions)
     return CompiledScenario(
-        context_cdf=np.cumsum(context_probs),
-        positions=tuple(
-            _position_tables(pos.logging_policy, pos.target_policy, pos.reward_means)
-            for pos in positions
-        ),
-        weight_bound=max(
-            weight_bound(pos.logging_policy, pos.target_policy, context_probs) for pos in positions
-        ),
+        context_cdf=context_cdf,
+        positions=tuple(_position_tables(pos, contexts, bound) for pos in positions),
+        weight_bound=bound,
         ranked=isinstance(scenario, RankingEnv),
     )
 
@@ -392,37 +547,92 @@ class SampleBlock:
     action_ids: np.ndarray
 
 
-def sample_block(compiled: CompiledScenario, n: int, generators) -> SampleBlock:
-    """Draw ``n`` entries per generator, each row consuming its own stream.
+def _stages(uniforms: np.ndarray, n: int) -> list[np.ndarray]:
+    """The ``(rows, n)`` uniforms of each stage of a block: contexts, then per position actions and rewards."""
+    return [uniforms[:, s : s + n] for s in range(0, uniforms.shape[1], n)]
 
-    Every generator is consumed exactly as a one-row sample would consume
-    it: contexts, then per position actions and rewards. The draws go
-    stage by stage, so one ``(rows, n)`` block of uniforms is alive at a
-    time. The block is validated like any dataset before it is returned.
+
+def _cells(pos: _PositionTables, contexts: np.ndarray, u: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """The ``(context, action)`` cell of each entry, drawing the actions into ``actions``."""
+    cells = contexts * pos.action_cdf.shape[1]
+    cells += _pick_rows(pos.action_cdf, contexts, u, actions)
+    return cells
+
+
+def _drew_bad(pos: _PositionTables, cells: np.ndarray) -> bool:
+    """Whether any of ``cells`` is marked bad."""
+    return pos.bad is not None and bool(pos.bad.take(cells).any())
+
+
+def sample_block(compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray]) -> SampleBlock:
+    """Every column of a block of ``n`` entries per row, validated as a dataset.
+
+    ``stages`` yields the ``(rows, n)`` uniforms of each stage in the order
+    a row's stream is consumed: contexts, then per position actions and
+    rewards. Each is used up before the next is taken, so a caller may
+    draw them one at a time into one buffer. The weights come from the
+    cell weight tables; only a block that draws a cell marked bad is
+    checked entry by entry, which raises the error of its first failing
+    entry.
     """
-    rows = len(generators)
-    uniforms = np.empty((rows, n))
-    contexts = _pick(compiled.context_cdf, _draw(uniforms, generators))
+    stages = iter(stages)
+    contexts = _pick(compiled.context_cdf, next(stages))
+    rows = contexts.shape[0]
     shape = (rows, compiled.k, n)
     p_log = np.empty(shape)
     p_tgt = np.empty(shape)
     rewards = np.empty(shape)
+    weights = np.empty(shape)
     actions = np.empty(shape, dtype=np.int64)
+    drew_bad = False
     for j, pos in enumerate(compiled.positions):
-        acts = _pick_rows(pos.action_cdf, contexts, _draw(uniforms, generators), actions[:, j])
-        cells = contexts * pos.action_cdf.shape[1]
-        cells += acts
-        np.less(_draw(uniforms, generators), pos.reward_means.take(cells), out=rewards[:, j], casting="unsafe")
+        cells = _cells(pos, contexts, next(stages), actions[:, j])
         # Cells are always in range. Unlike the default mode="raise", which
         # copies ``out`` through a temporary, mode="clip" writes straight into it.
-        pos.p_log.take(cells, out=p_log[:, j], mode="clip")
-        pos.p_tgt.take(cells, out=p_tgt[:, j], mode="clip")
-        del cells
-    del uniforms
+        for table, column in (
+            (pos.reward_means, rewards),
+            (pos.p_log, p_log),
+            (pos.p_tgt, p_tgt),
+            (pos.weights, weights),
+        ):
+            table.take(cells, out=column[:, j], mode="clip")
+        # Each reward mean is replaced by its draw in place, with no temporary column.
+        np.less(next(stages), rewards[:, j], out=rewards[:, j], casting="unsafe")
+        drew_bad |= _drew_bad(pos, cells)
     if not compiled.ranked:
-        p_log, p_tgt, rewards, actions = (a.reshape(rows, n) for a in (p_log, p_tgt, rewards, actions))
-    weights = _check_block(p_log, p_tgt, rewards, 1.0, compiled.weight_bound)
+        p_log, p_tgt, rewards, weights, actions = (
+            a.reshape(rows, n) for a in (p_log, p_tgt, rewards, weights, actions)
+        )
+    if drew_bad:
+        weights = _check_block(p_log, p_tgt, rewards, 1.0, compiled.weight_bound)
     return SampleBlock(p_log, p_tgt, rewards, weights, contexts, actions)
+
+
+def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights ``w`` and weighted rewards ``w * r`` of the block drawn from ``uniforms``.
+
+    ``uniforms`` holds each row's ``(1 + 2k) * n`` uniforms in stream
+    order. The weights come from the cell weight tables, and a block that
+    draws a cell marked bad is handed to :func:`sample_block`, whose entry
+    check raises the error of its first failing entry.
+    """
+    stages = _stages(uniforms, n)
+    contexts = _pick(compiled.context_cdf, stages[0])
+    rows = contexts.shape[0]
+    shape = (rows, compiled.k, n)
+    w = np.empty(shape)
+    wr = np.empty(shape)
+    actions = np.empty((rows, n), dtype=np.int64)
+    for j, pos in enumerate(compiled.positions):
+        cells = _cells(pos, contexts, stages[1 + 2 * j], actions)
+        if _drew_bad(pos, cells):
+            block = sample_block(compiled, n, stages)
+            return block.weights, block.weights * block.rewards
+        pos.weights.take(cells, out=w[:, j], mode="clip")
+        np.multiply(w[:, j], stages[2 + 2 * j] < pos.reward_means.take(cells), out=wr[:, j])
+    if not compiled.ranked:
+        w, wr = w.reshape(rows, n), wr.reshape(rows, n)
+    return w, wr
 
 
 def _sample(scenario, n: int, seed):
@@ -434,7 +644,10 @@ def _sample(scenario, n: int, seed):
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
     compiled = compile_scenario(scenario)
-    block = sample_block(compiled, n, [_as_generator(seed)])
+    rng = _as_generator(seed)
+    # Each stage is used up before the next is drawn, so one buffer serves all.
+    buffer = np.empty((1, n))
+    block = sample_block(compiled, n, (rng.random(out=buffer) for _ in range(1 + 2 * compiled.k)))
     cls = RankedDataset if compiled.ranked else Dataset
     return cls(
         propensity_logging=_freeze(block.propensity_logging[0].T),

@@ -1,11 +1,16 @@
 """Command line interface: exit codes, outputs, and reproducibility."""
 
+import contextlib
+import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opekit import experiments, get_scenario, read_logs, sample_logs
 from opekit.cli import OUT_DIR_ENV, main
@@ -264,6 +269,59 @@ class TestEvaluate:
                            "--estimators", "ipm")
         assert code == 2
         assert "action_ids" in err
+
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+#: Edits of a valid log file: a flipped byte, a number replaced by a huge or
+#: odd one, a byte order mark, CRLF line ends, a U+2028 inserted anywhere.
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
+    st.tuples(
+        st.just("number"),
+        st.floats(0, 1, exclude_max=True),
+        st.sampled_from([b"7" * 400, b"7" * 5000, b"1e309", b"-1e308", b"4.9e-324", b"NaN", b"-0", b"1" * 30]),
+    ),
+    st.tuples(st.just("bom")),
+    st.tuples(st.just("crlf")),
+    st.tuples(st.just("u2028"), st.floats(0, 1, exclude_max=True)),
+)
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    kind, *args = mutation
+    if kind == "flip":
+        at = int(args[0] * len(data))
+        return data[:at] + bytes([data[at] ^ args[1]]) + data[at + 1 :]
+    if kind == "number":
+        spans = [m.span() for m in _NUMBER.finditer(data)]
+        if not spans:
+            return data
+        start, stop = spans[int(args[0] * len(spans))]
+        return data[:start] + args[1] + data[stop:]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    at = int(args[0] * len(data))
+    return data[:at] + "\u2028".encode() + data[at:]
+
+
+class TestEvaluateFuzz:
+    @settings(max_examples=50)
+    @given(ranked=st.booleans(), mutations=st.lists(_MUTATIONS, min_size=1, max_size=4))
+    def test_mutated_logs_exit_with_a_documented_code(self, flip2_logs, ranked_logs, tmp_path_factory,
+                                                      ranked, mutations):
+        data = (ranked_logs if ranked else flip2_logs).read_bytes()
+        for mutation in mutations:
+            data = _mutate(data, mutation)
+        path = tmp_path_factory.mktemp("fuzz") / "mutated.jsonl"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--in", str(path)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def write_config(tmp_path, name="study.yaml", **overrides):

@@ -1,13 +1,17 @@
 """The block replicate engine against the public estimator API.
 
 ``replicate_estimates`` evaluates a cell in blocks of replicates with row
-kernels. Every test here replays replicate ``r`` through the public
-samplers and estimators, one dataset at a time, and requires the same
-bits and the same failure records in the same order.
+kernels. The tests replay replicate ``r`` through the public samplers and
+estimators, one dataset at a time, and require the same bits and the
+same failure records in the same order; the engine's pieces (seeded
+streams, the weights-only sampler, stacked cross-fitting) are held to
+their references the same way.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from opekit import (
     StudyConfig,
@@ -29,10 +33,29 @@ from opekit import (
     true_value,
 )
 from opekit import experiments
-from opekit.errors import EstimationError
-from opekit.estimators import CrossFitConfig, _fold_layout, fold_indices
+from opekit.errors import BoundViolation, EstimationError, NonPositiveLoggingPropensity, ValidationError
+from opekit.estimators import (
+    CrossFitConfig,
+    _fold_layout,
+    _require_finite_baselines,
+    cross_fit_rows,
+    fold_indices,
+    moment_rows,
+    plug_in_baselines,
+    row_mean,
+)
 from opekit.experiments import FailureRecord, _block_rows, parse_estimator_spec
-from opekit.simulator import BanditEnv, BanditScenario, PolicyTable
+from opekit.simulator import (
+    BanditEnv,
+    BanditScenario,
+    PolicyTable,
+    PositionModel,
+    RankingEnv,
+    compile_scenario,
+    draw_uniforms,
+    replicate_streams,
+    sample_weights,
+)
 
 SEED = 20260823
 SCALAR = ("ips", "snips", "beta-ips:0.1925", "beta-star-ips", "cf-beta-star-ips", "remainder-sq")
@@ -217,6 +240,69 @@ class TestFoldLayout:
             assert np.array_equal(np.sort(np.concatenate([fold, complement])), np.arange(23))
 
 
+def cross_fit_reference(w, wr, config):
+    """Cross-fitting one fold at a time, the loop the stacked kernel replaces."""
+    folds, complements = _fold_layout(w.shape[-1], config.folds_k, config.seed)
+    values = np.empty(w.shape[:-1] + (len(folds),))
+    baselines = np.empty(w.shape[:-1] + (len(folds),))
+    failed = np.zeros(w.shape[:-1], dtype=bool)
+    for f, (fold, complement) in enumerate(zip(folds, complements)):
+        _, _, var_w, _, cov = moment_rows(w.take(fold, axis=-1), wr.take(fold, axis=-1))
+        offset = 1.0 - row_mean(w.take(complement, axis=-1))
+        baseline, degenerate = plug_in_baselines(var_w, cov)
+        failed |= degenerate & (offset != 0.0)
+        baseline = np.where(degenerate, 0.0, baseline)
+        _require_finite_baselines(baseline, ~failed)
+        baselines[..., f] = baseline
+        values[..., f] = baseline * offset + row_mean(wr.take(complement, axis=-1))
+    return row_mean(values), row_mean(baselines), failed
+
+
+class TestCrossFit:
+    @given(st.integers(1, 4), st.integers(4, 60), st.integers(2, 7), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_stacked_folds_equal_the_fold_loop(self, rows, n, k, seed, random):
+        assume(n // k >= 2)
+        values = [0.0, 1 / 9, 0.5, 1.0, 9.0]
+        # Some rows hold one weight only, so some folds are degenerate.
+        w = np.array([[random.choice(values[: random.choice([1, 2, 5])]) for _ in range(n)] for _ in range(rows)])
+        wr = w * (np.array([[random.random() for _ in range(n)] for _ in range(rows)]) < 0.4)
+        config = CrossFitConfig(folds_k=k, seed=seed)
+        got = cross_fit_rows(w, wr, config)
+        expected = cross_fit_reference(w, wr, config)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_a_long_row_is_stacked_a_block_at_a_time(self):
+        rng = np.random.default_rng(4)
+        w = rng.choice([1 / 9, 9.0], size=(1, 20001))
+        wr = w * (rng.random(w.shape) < 0.5)
+        config = CrossFitConfig(folds_k=5, seed=1)
+        got = cross_fit_rows(w, wr, config)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
+
+    @pytest.mark.parametrize(
+        "correlated, message",
+        [
+            (np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0]), "covariance -4.99"),
+            (np.array([1, 0, 1, 0, 1, 0, 1, 0, 0, 1]), "baseline must be finite, got -inf"),
+        ],
+    )
+    def test_error_names_the_first_fold_before_the_first_row(self, correlated, message):
+        # Row 0 breaks in fold 1 with a positive covariance, row 1 in fold 0
+        # with a negative one: the folds are checked one after another.
+        folds, _ = _fold_layout(20, 2, 0)
+        w = np.tile([0.5, 1.0], (2, 10))
+        wr = np.full((2, 20), 0.5)
+        tiny = np.array([1, 0] * 5) * 2e-160
+        w[0, folds[1]], wr[0, folds[1]] = tiny, correlated * 1e150
+        w[1, folds[0]], wr[1, folds[0]] = tiny, correlated[::-1] * 1e150
+        config = CrossFitConfig(folds_k=2, seed=0)
+        with pytest.raises(ValidationError, match=message) as caught:
+            cross_fit_rows(w, wr, config)
+        with pytest.raises(ValidationError) as expected:
+            cross_fit_reference(w, wr, config)
+        assert str(caught.value) == str(expected.value)
+
+
 class TestWorkerPool:
     def test_one_pool_per_study(self, monkeypatch):
         opened = []
@@ -231,3 +317,128 @@ class TestWorkerPool:
         report = run_mc_study(config, n_jobs=2)
         assert len(opened) == 1
         assert [row.n for row in report.rows] == [50, 100, 200]
+
+
+@st.composite
+def probability_rows(draw, rows, cols, support=None):
+    """Rows of small integer weights, normalised; zero cells allowed, at least one positive cell a row.
+
+    With ``support``, cells outside the support of that table stay zero.
+    """
+    table = []
+    for i in range(rows):
+        allowed = [j for j in range(cols) if support is None or support[i][j] > 0]
+        counts = [draw(st.integers(0, 3)) if j in allowed else 0 for j in range(cols)]
+        if sum(counts) == 0:
+            counts[draw(st.sampled_from(allowed))] = 1
+        table.append([c / sum(counts) for c in counts])
+    return table
+
+
+@st.composite
+def small_scenarios(draw):
+    """Bandit (k = 1) or two-position ranking scenarios of 1-3 contexts by 1-3 actions."""
+    contexts, actions = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    context_probs = draw(probability_rows(1, contexts))[0]
+
+    def position():
+        logging = draw(probability_rows(contexts, actions))
+        target = draw(probability_rows(contexts, actions, support=logging))
+        means = [[draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0])) for _ in range(actions)] for _ in range(contexts)]
+        return PositionModel(PolicyTable(logging), PolicyTable(target), means)
+
+    if draw(st.integers(1, 2)) == 1:
+        pos = position()
+        return BanditScenario(BanditEnv(context_probs, pos.reward_means), pos.logging_policy, pos.target_policy)
+    return RankingEnv(context_probs, (position(), position()))
+
+
+class TestSeededStreams:
+    @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(0, 2**63 - 8), st.integers(1, 4))
+    @example(20260823, 400, 0, 3)
+    @example(2**32, 2**32 - 1, 2**32 - 2, 4)
+    @example(2**64 + 3, 1, 2**64 - 9, 4)
+    def test_equal_to_default_rng(self, seed, n, first, count):
+        rows = range(first, first + count)
+        for r, rng in zip(rows, replicate_streams(seed, n, rows)):
+            expected = np.random.default_rng(np.random.SeedSequence((seed, n, r))).random(7)
+            assert rng.random(7).tobytes() == expected.tobytes()
+
+    def test_one_call_per_row_consumes_the_staged_stream(self):
+        uniforms = draw_uniforms(np.empty((2, 30)), replicate_streams(SEED, 10, range(5, 7)))
+        for row, r in zip(uniforms, (5, 6)):
+            rng = np.random.default_rng(np.random.SeedSequence((SEED, 10, r)))
+            staged = np.concatenate([rng.random(10) for _ in range(3)])
+            assert row.tobytes() == staged.tobytes()
+
+
+class TestWeightsOnlySampler:
+    @given(small_scenarios(), st.integers(0, 2**40), st.integers(1, 40), st.integers(0, 2**34), st.integers(1, 3))
+    def test_rows_equal_the_public_samplers(self, scenario, seed, n, first, count):
+        compiled = compile_scenario(scenario)
+        rows = range(first, first + count)
+        uniforms = np.empty((count, (1 + 2 * compiled.k) * n))
+        w, wr = sample_weights(compiled, n, draw_uniforms(uniforms, replicate_streams(seed, n, rows)))
+        for i, r in enumerate(rows):
+            stream = np.random.SeedSequence((seed, n, r))
+            if compiled.ranked:
+                dataset = sample_ranked_logs(scenario, n, stream)
+                weights, rewards = dataset.weights.T, dataset.rewards.T
+            else:
+                dataset = sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, n, stream)
+                weights, rewards = dataset.weights, dataset.rewards
+            assert w[i].tobytes() == weights.tobytes()
+            assert wr[i].tobytes() == (weights * rewards).tobytes()
+
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_a_table_over_the_bound_slack_fails_as_each_entry_would(self, ranked):
+        # Within PolicyTable's 1e-9 row-sum tolerance, but over the 1e-12 slack
+        # of the entry bound; the bad cell is rare, so the first failing
+        # replicate sits inside the first block.
+        logging = PolicyTable([[0.002, 0.998]])
+        over = PolicyTable([[1.0 + 5e-10, 0.0]])
+        means = [[0.5, 0.5]]
+        if ranked:
+            fine = PositionModel(logging, logging, means)
+            scenario = RankingEnv([1.0], (fine, PositionModel(logging, over, means)))
+        else:
+            scenario = BanditScenario(BanditEnv([1.0], means), logging, over)
+        n, replicates = 5, 400
+        for r in range(replicates):
+            stream = np.random.SeedSequence((SEED, n, r))
+            try:
+                if ranked:
+                    sample_ranked_logs(scenario, n, stream)
+                else:
+                    sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, n, stream)
+            except BoundViolation as exc:
+                expected = exc
+                break
+        else:
+            pytest.fail("no replicate drew the cell over the bound")
+        assert r > 0
+        estimators = ("snipm",) if ranked else ("ips",)
+        with pytest.raises(BoundViolation) as caught:
+            replicate_estimates(scenario, n, replicates, SEED, estimators)
+        assert type(caught.value) is type(expected)
+        assert str(caught.value) == str(expected)
+        assert (caught.value.index, caught.value.position) == (expected.index, expected.position)
+        assert "propensity_target value 1.0000000005" in str(expected)
+
+    def test_a_zero_cell_past_the_cdf_fails_as_each_entry_would(self):
+        # The logging row sums to 1 - 4e-10, so a uniform past its CDF picks
+        # the last action, whose logging probability is zero.
+        scenario = BanditScenario(
+            BanditEnv([1.0], [[0.5, 0.5, 0.5]]),
+            PolicyTable([[0.5, 0.5 - 4e-10, 0.0]]),
+            PolicyTable([[0.5, 0.5, 0.0]]),
+        )
+        compiled = compile_scenario(scenario)
+        uniforms = np.full((2, 3 * 4), 0.25)
+        w, wr = sample_weights(compiled, 4, uniforms)
+        assert w.tobytes() == np.ones((2, 4)).tobytes() and wr.tobytes() == w.tobytes()
+        uniforms[1, 4 + 2] = 1.0 - 2.0**-53
+        with pytest.raises(NonPositiveLoggingPropensity) as caught:
+            sample_weights(compiled, 4, uniforms)
+        assert (caught.value.index, caught.value.position) == (2, None)
+        assert str(caught.value) == "logging propensity must be positive, got 0.0 at entry 2"

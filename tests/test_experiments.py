@@ -207,6 +207,10 @@ class TestStatisticsHelpers:
             with pytest.raises(DegenerateX):
                 fit_loglog_slope(points)
 
+    def test_loglog_rejects_points_that_are_not_number_pairs(self):
+        for points in ([("a", 1.0), (2.0, 3.0)], [(1.0,), (2.0, 3.0)], [1.0, 2.0], 5, [(10**400, 1.0), (2.0, 3.0)]):
+            with pytest.raises(DegenerateX, match="pairs of numbers"):
+                fit_loglog_slope(points)
 
     def test_non_finite_estimates_rejected_alike(self):
         for call in (
@@ -286,6 +290,11 @@ class TestStudyConfig:
             StudyConfig(scenario, "flip2", (50,), 100, 0, folds=1)
         with pytest.raises(ValidationError):
             StudyConfig("flip2", "flip2", (50,), 100, 0)
+
+    def test_scalar_grid_is_a_validation_error(self):
+        for grid in (400, None, 400.0):
+            with pytest.raises(ValidationError, match="sequence"):
+                StudyConfig(get_scenario("flip2"), "flip2", grid, 100, 0)
 
     def test_integer_rule(self):
         scenario = get_scenario("flip2")
