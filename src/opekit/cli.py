@@ -36,7 +36,6 @@ from .config import canonical_hash, load_study_config
 from .io import (
     TOOL_VERSION,
     build_manifest,
-    moments_dict,
     read_logs,
     study_payload,
     write_csv,
@@ -137,16 +136,6 @@ def _remainder_dict(dataset, value: float) -> dict:
     }
 
 
-def _gap_dict(report) -> dict:
-    return {
-        "var_beta": report.var_beta,
-        "var_beta_star": report.var_beta_star,
-        "avar_snips": report.avar_snips,
-        "gap_delta": report.gap_delta,
-        "n": report.n,
-    }
-
-
 @cli.command("evaluate")
 @click.option(
     "--in",
@@ -232,11 +221,11 @@ def evaluate_command(
     if ranked:
         report["k"] = dataset.k
         report["moments"] = [
-            moments_dict(empirical_moments(dataset.position(j))) for j in range(dataset.k)
+            asdict(empirical_moments(dataset.position(j))) for j in range(dataset.k)
         ]
     else:
         moments = empirical_moments(dataset)
-        report["moments"] = moments_dict(moments)
+        report["moments"] = asdict(moments)
         report["beta_star"] = moments.beta_star
         if true_value is not None:
             report["remainder"] = _remainder_dict(dataset, true_value)
@@ -246,7 +235,7 @@ def evaluate_command(
                     "weights have zero variance; the optimal baseline is undefined"
                 )
             else:
-                report["variance_gap"] = _gap_dict(variance_gap(moments, true_value))
+                report["variance_gap"] = asdict(variance_gap(moments, true_value))
     text = json.dumps(report, indent=2, sort_keys=True)
     if out is None:
         click.echo(text)

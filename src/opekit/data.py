@@ -94,16 +94,22 @@ class Estimate:
 _COLUMN_NAMES = ("propensity_logging", "propensity_target", "reward")
 
 
-def _first_bad(arr: np.ndarray, bad: np.ndarray, lines) -> tuple[float, dict]:
+def _first_bad(arr: np.ndarray, bad: np.ndarray, lines, cells) -> tuple[float, dict]:
     """The first flagged value of ``arr`` and where it sits.
 
     Where is the entry index, the position (``None`` for 1-d scalar
     columns) and the 1-based file line of the entry (``None`` without
-    ``lines``), as keyword arguments of an :class:`EntryError`.
+    ``lines``), as keyword arguments of an :class:`EntryError`. With
+    ``cells`` the entries are table cells, and where is the cell's
+    position and ``(context, action)``.
     """
     flat = int(np.argmax(bad))
+    value = float(arr.flat[flat])
+    if cells is not None:
+        position, context, action = cells[flat]
+        return value, {"index": None, "position": position, "line": None, "cell": (context, action)}
     i, j = divmod(flat, bad.shape[1]) if bad.ndim == 2 else (flat, None)
-    return float(arr.flat[flat]), {"index": i, "position": j, "line": None if lines is None else lines[i]}
+    return value, {"index": i, "position": j, "line": None if lines is None else lines[i]}
 
 
 def _check_columns(
@@ -113,14 +119,21 @@ def _check_columns(
     reward_bound: float,
     weight_bound: float,
     lines=None,
+    cells=None,
 ) -> np.ndarray:
     """Run every value-level check and return the derived weight column.
 
-    Accepts 1-d (scalar logs) or 2-d (ranked logs, entries by positions)
-    arrays of identical shape. Raises the first violation found, scanning
-    quantities in a fixed order so error reports are deterministic.
-    ``lines``, when given, maps each entry to its line in a log file, and
-    the error carries the line of the failing entry.
+    This is the one definition of the entry rules: datasets run it over
+    their columns, and :func:`opekit.simulator.compile_scenario` runs it
+    once over the cells a draw can pick. Accepts 1-d (scalar logs) or 2-d
+    (ranked logs, entries by positions) arrays of identical shape. Raises
+    the first violation found, scanning quantities in a fixed order so
+    error reports are deterministic. ``lines``, when given, maps each
+    entry to its line in a log file, and the error carries the line of the
+    failing entry. ``cells``, when given, maps each entry of 1-d columns
+    to the ``(position, context, action)`` of a scenario's table cell
+    (``position`` ``None`` for a scalar scenario), and the error names the
+    failing cell.
     """
     for bound, label in ((reward_bound, "reward bound"), (weight_bound, "weight bound")):
         if not np.isfinite(bound) or bound <= 0:
@@ -129,11 +142,11 @@ def _check_columns(
     for arr, name in zip((p_log, p_tgt, rewards), _COLUMN_NAMES):
         bad = ~np.isfinite(arr)
         if bad.any():
-            raise NonFiniteValue(name, **_first_bad(arr, bad, lines)[1])
+            raise NonFiniteValue(name, **_first_bad(arr, bad, lines, cells)[1])
 
     bad = p_log <= 0.0
     if bad.any():
-        value, where = _first_bad(p_log, bad, lines)
+        value, where = _first_bad(p_log, bad, lines, cells)
         raise NonPositiveLoggingPropensity(value=value, **where)
 
     slack = 1.0 + BOUND_SLACK
@@ -147,32 +160,9 @@ def _check_columns(
     for name, arr, lo, bound in checks:
         bad = (arr < lo * slack) | (arr > bound * slack)
         if bad.any():
-            value, where = _first_bad(arr, bad, lines)
+            value, where = _first_bad(arr, bad, lines, cells)
             raise BoundViolation(name, value=value, bound=bound, **where)
     return weights
-
-
-def _check_block(
-    p_log: np.ndarray,
-    p_tgt: np.ndarray,
-    rewards: np.ndarray,
-    reward_bound: float,
-    weight_bound: float,
-) -> np.ndarray:
-    """:func:`_check_columns` on a block of replicates stacked along the first axis.
-
-    The arrays are ``(replicates, n)`` for scalar logs or ``(replicates,
-    positions, n)`` for ranked logs. The whole block is checked at once; on
-    a violation the replicates are rechecked one by one, so the error names
-    the entry exactly as checking the first failing replicate alone would.
-    """
-    flat = [arr.reshape(arr.shape[0], -1) for arr in (p_log, p_tgt, rewards)]
-    try:
-        return _check_columns(*flat, reward_bound, weight_bound).reshape(p_log.shape)
-    except ValidationError:
-        for row in range(p_log.shape[0]):
-            _check_columns(p_log[row].T, p_tgt[row].T, rewards[row].T, reward_bound, weight_bound)
-        raise
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

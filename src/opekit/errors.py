@@ -33,15 +33,29 @@ class EntryError(ValidationError):
 
     ``index`` is the 0-based entry, ``position`` the 0-based ranking
     position (``None`` for scalar logs) and ``line`` the 1-based line of
-    the log file the entry came from (``None`` for in-memory data). The
-    message names the line when known, else the entry, then the position.
+    the log file the entry came from (``None`` for in-memory data). A value
+    of a compiled scenario's tables has no entry: ``cell`` is its
+    ``(context, action)`` and ``index`` is ``None``. The message names the
+    cell, else the line when known, else the entry, then the position.
+    Subclasses take ``position``, ``line`` and ``cell`` as keywords.
     """
 
-    def __init__(self, message: str, index: int, position: int | None, line: int | None) -> None:
+    def __init__(
+        self,
+        message: str,
+        index: int | None,
+        position: int | None = None,
+        line: int | None = None,
+        cell: tuple[int, int] | None = None,
+    ) -> None:
         self.index = index
         self.position = position
         self.line = line
-        where = f"line {line}" if line is not None else f"entry {index}"
+        self.cell = cell
+        if cell is not None:
+            where = f"context {cell[0]}, action {cell[1]}"
+        else:
+            where = f"line {line}" if line is not None else f"entry {index}"
         if position is not None:
             where += f", position {position + 1}"
         super().__init__(f"{message} at {where}")
@@ -50,41 +64,27 @@ class EntryError(ValidationError):
 class NonPositiveLoggingPropensity(EntryError):
     """A logging propensity of zero or less breaks the overlap requirement."""
 
-    def __init__(
-        self, index: int, value: float, position: int | None = None, line: int | None = None
-    ) -> None:
+    def __init__(self, index: int | None, value: float, **where) -> None:
         self.value = value
-        super().__init__(f"logging propensity must be positive, got {value}", index, position, line)
+        super().__init__(f"logging propensity must be positive, got {value}", index, **where)
 
 
 class BoundViolation(EntryError):
     """A value falls outside the declared bounds for its quantity."""
 
-    def __init__(
-        self,
-        quantity: str,
-        index: int,
-        value: float,
-        bound: float,
-        position: int | None = None,
-        line: int | None = None,
-    ) -> None:
+    def __init__(self, quantity: str, index: int | None, value: float, bound: float, **where) -> None:
         self.quantity = quantity
         self.value = value
         self.bound = bound
-        super().__init__(
-            f"{quantity} value {value} exceeds the declared bound {bound}", index, position, line
-        )
+        super().__init__(f"{quantity} value {value} exceeds the declared bound {bound}", index, **where)
 
 
 class NonFiniteValue(EntryError):
     """NaN or infinity where a finite number is required."""
 
-    def __init__(
-        self, quantity: str, index: int, position: int | None = None, line: int | None = None
-    ) -> None:
+    def __init__(self, quantity: str, index: int | None, **where) -> None:
         self.quantity = quantity
-        super().__init__(f"{quantity} is not finite", index, position, line)
+        super().__init__(f"{quantity} is not finite", index, **where)
 
 
 class LengthMismatch(ValidationError):

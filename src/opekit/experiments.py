@@ -18,10 +18,10 @@ reducing along the last axis. A block holds about ``_BLOCK_ENTRIES``
 entries whatever the replicate count, and row reductions sum exactly as
 a one-row reduction does, so the block size never changes a bit. The
 engine samples only the weights and weighted rewards
-(:func:`~opekit.simulator.sample_weights`): a block is validated through
-the compiled per-cell tables, and only a block that draws a cell the
-entry checks may reject is rebuilt and checked entry by entry, which
-raises the same error as validating that replicate's dataset.
+(:func:`~opekit.simulator.sample_weights`) from tables compiled once per
+study, before the worker pool opens: compiling runs the entry check once
+over the cells a draw can pick, so a scenario whose samples would fail
+the dataset checks fails before any draw, and no block is checked.
 
 A replicate on which an estimator's precondition fails is recorded and
 its cell statistics use the surviving replicates. More than 1% failures
@@ -60,6 +60,7 @@ from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _finite
 from .ranking import _fixed_baselines
 from .simulator import (
     BanditScenario,
+    CompiledScenario,
     RankingEnv,
     compile_scenario,
     draw_uniforms,
@@ -150,11 +151,10 @@ def _study_specs(estimators, scenario) -> tuple[MetricSpec, ...]:
     return specs
 
 
-def _metric_labels(spec: MetricSpec, scenario) -> list[str]:
-    if isinstance(scenario, BanditScenario):
+def _metric_labels(spec: MetricSpec, compiled: CompiledScenario) -> list[str]:
+    if not compiled.ranked:
         return [spec.label]
-    k = scenario.k
-    return [f"{spec.label}[pos{j + 1}]" for j in range(k)] + [f"{spec.label}[total]"]
+    return [f"{spec.label}[pos{j + 1}]" for j in range(compiled.k)] + [f"{spec.label}[total]"]
 
 
 def _block_rows(n: int, k: int) -> int:
@@ -180,14 +180,13 @@ def _evaluate(entry, arg, w: np.ndarray, wr: np.ndarray) -> tuple:
     return values, failed, entry.error
 
 
-def _replicate_range(scenario, n, master_seed, start, stop, specs, folds, oracle_value):
+def _replicate_range(compiled, n, master_seed, start, stop, specs, folds, oracle_value):
     """Evaluate all metrics on replicates [start, stop), block by block; NaN marks failures."""
-    compiled = compile_scenario(scenario)
     metrics = [
         (spec.label, ESTIMATORS[spec.name], kernel_arg(spec, compiled.k, folds, master_seed, oracle_value))
         for spec in specs
     ]
-    widths = [len(_metric_labels(spec, scenario)) for spec in specs]
+    widths = [len(_metric_labels(spec, compiled)) for spec in specs]
     values = np.full((stop - start, sum(widths)), np.nan)
     failures: list[tuple[str, int, str]] = []
     step = _block_rows(n, compiled.k)
@@ -269,10 +268,10 @@ def _run_in_pool(pool, tasks: list) -> list:
         raise WorkerFailure(f"a worker process terminated abruptly: {exc}") from exc
 
 
-def _replicate_matrix(scenario, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs):
-    """The paired replicate matrix of one cell, on the study's pool if it has one."""
+def _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs):
+    """The paired replicate matrix of one cell of a compiled scenario, on the study's pool if it has one."""
     if pool is None:
-        chunks = [_replicate_range(scenario, n, master_seed, 0, replicates, specs, folds, oracle_value)]
+        chunks = [_replicate_range(compiled, n, master_seed, 0, replicates, specs, folds, oracle_value)]
     else:
         size = max(1, -(-replicates // (n_jobs * 4)))
         chunks = _run_in_pool(
@@ -280,7 +279,7 @@ def _replicate_matrix(scenario, n, replicates, master_seed, specs, folds, oracle
             [
                 (
                     _replicate_range,
-                    (scenario, n, master_seed, start, min(start + size, replicates), specs, folds, oracle_value),
+                    (compiled, n, master_seed, start, min(start + size, replicates), specs, folds, oracle_value),
                 )
                 for start in range(0, replicates, size)
             ],
@@ -293,9 +292,7 @@ def _replicate_matrix(scenario, n, replicates, master_seed, specs, folds, oracle
         for _, _, chunk_failures in chunks
         for metric, replicate, error in chunk_failures
     )
-    labels = tuple(
-        label for spec in specs for label in _metric_labels(spec, scenario)
-    )
+    labels = tuple(label for spec in specs for label in _metric_labels(spec, compiled))
     return ReplicateMatrix(n=n, labels=labels, values=values, failures=failures)
 
 
@@ -313,7 +310,8 @@ def replicate_estimates(
     """Paired per-replicate estimates for every requested metric.
 
     ``oracle_value`` is only consulted by the squared-remainder metric; it
-    defaults to the exact enumerated value of the target policy.
+    defaults to the exact enumerated value of the target policy. The
+    scenario is compiled, and so checked, before any replicate is drawn.
     """
     specs = _study_specs(estimators, scenario)
     if not specs:
@@ -326,8 +324,9 @@ def replicate_estimates(
         raise ValidationError(f"master seed must be non-negative, got {master_seed}")
     if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
         oracle_value = true_value(scenario.env, scenario.target_policy)
+    compiled = compile_scenario(scenario)
     with _worker_pool(n_jobs) as pool:
-        return _replicate_matrix(scenario, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
+        return _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
 
 
 def _replicate_vectors(*vectors) -> list[np.ndarray]:
@@ -637,16 +636,19 @@ def _run_grid(config: StudyConfig, specs, oracle: OracleReport, n_jobs: int, cel
 
     ``cell``, a study kind's verdict, sees each cell's replicate matrix
     before the next cell is sampled, so it builds its state one cell at a
-    time and the loop keeps no earlier cell's matrix.
+    time and the loop keeps no earlier cell's matrix. The scenario is
+    compiled once, before the pool opens, so a scenario that fails its
+    checks fails before any draw.
     """
     oracle_value = oracle.value if isinstance(config.scenario, BanditScenario) else None
     targets = _metric_targets(specs, config.scenario, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
+    compiled = compile_scenario(config.scenario)
     with _worker_pool(n_jobs) as pool:
         for n in config.n_grid:
             matrix = _replicate_matrix(
-                config.scenario,
+                compiled,
                 n,
                 config.replicates,
                 config.master_seed,
@@ -670,7 +672,7 @@ def _run_grid(config: StudyConfig, specs, oracle: OracleReport, n_jobs: int, cel
         estimators=tuple(spec.label for spec in specs),
         folds=config.folds,
         failures=tuple(failures),
-        weight_bound=compile_scenario(config.scenario).weight_bound,
+        weight_bound=compiled.weight_bound,
     )
 
 

@@ -456,15 +456,9 @@ def write_json(payload: dict, path) -> None:
     atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
 
 
-def moments_dict(moments) -> dict:
-    return {
-        "mean_w": moments.mean_w,
-        "mean_wr": moments.mean_wr,
-        "var_w": moments.var_w,
-        "var_wr": moments.var_wr,
-        "cov_w_wr": moments.cov_w_wr,
-        "n": moments.n,
-    }
+#: A :class:`~opekit.estimators.MomentSummary` as a JSON object keyed by its
+#: field names; ``bench/checks.py`` compares ``evaluate`` reports with it.
+moments_dict = asdict
 
 
 def oracle_dict(report) -> dict:
@@ -478,7 +472,7 @@ def oracle_dict(report) -> dict:
                 "avar_snips_per_sample": target.avar_snips,
                 "var_beta_star_per_sample": target.var_beta_star,
                 "delta_per_sample": target.delta_per_sample,
-                "moments": None if target.moments is None else moments_dict(target.moments),
+                "moments": None if target.moments is None else asdict(target.moments),
             }
         )
     return {"targets": targets}
@@ -502,12 +496,6 @@ def rows_list(rows) -> list[dict]:
     ]
 
 
-def failures_list(failures) -> list[dict]:
-    return [
-        {"metric": f.metric, "replicate": f.replicate, "error": f.error} for f in failures
-    ]
-
-
 def study_payload(kind: str, study, manifest: RunManifest, extra: dict) -> dict:
     """Assemble the JSON report for a study run."""
     payload = {
@@ -520,7 +508,7 @@ def study_payload(kind: str, study, manifest: RunManifest, extra: dict) -> dict:
         "folds": study.folds,
         "oracle": oracle_dict(study.oracle),
         "rows": rows_list(study.rows),
-        "failures": failures_list(study.failures),
+        "failures": [asdict(failure) for failure in study.failures],
         # P(mean weight < 1/2) ceiling per sample size.
         "half_mass_tail_bound": {str(n): hoeffding_tail_bound(n, study.weight_bound) for n in study.n_grid},
         "manifest": manifest.to_dict(),

@@ -19,15 +19,17 @@ scalar block at the end. The public samplers, :func:`sample_logs` and
 :func:`sample_ranked_logs`, take the single row of :func:`sample_block`,
 which builds every column.
 
-Blocks are validated through tables, not entries. The weights are
-gathered from a per-cell weight table, ``p_tgt / p_log`` (the same
-division the entry check makes), and the compiled tables mark every cell
-that a draw can reach and that the entry check may reject. Only a block
-that actually draws such a cell is checked entry by entry, which raises
-the error, message and entry index that checking the failing replicate's
-dataset raises. The study engine reads only the weights and the weighted
-rewards, through :func:`sample_weights`, which hands such a block to
-:func:`sample_block`.
+The tables are valid by construction and checked once per scenario, not
+once per block. Every CDF reads 1.0 from its last positive cell on, so a
+draw never picks a zero-probability context or action, and
+:func:`compile_scenario` runs the entry check once over the cells a draw
+can pick: a policy entry above 1, say, is rejected there, naming its
+position, context and action, before any uniform is drawn. The weights
+are gathered from a per-cell weight table, ``p_tgt / p_log`` (the same
+division the entry check makes), so every sampled dataset passes the
+dataset checks with the same columns and weights, and no block is checked
+entry by entry. The study engine reads only the weights and the weighted
+rewards, through :func:`sample_weights`.
 
 Replicate streams come from :func:`replicate_streams`. The PCG64 state
 that ``SeedSequence((seed, n, r))`` seeds is computed in numpy for a
@@ -43,7 +45,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import Dataset, RankedDataset, _check_block, _freeze
+from .data import Dataset, RankedDataset, _check_columns, _freeze
 from .errors import (
     DimensionMismatch,
     SupportViolation,
@@ -303,36 +305,41 @@ def population_moments(
     )
 
 
-def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: the number of CDF entries at or below u, the last entry left out.
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, capped at 1.0 and reading 1.0 from each row's last positive cell on.
 
-    Leaving the last entry out sends a u at or past it to the last cell.
-    Zero-probability cells have zero-width intervals and are never picked,
-    except a last cell that its predecessors' CDF leaves room for.
+    A rounded sum can end below one (``[0.7, 0.2, 0.1, 0.0]`` sums to
+    ``1 - 2**-53``), which would leave a zero-probability cell past the
+    last positive one an interval of its own. With every cell from the last
+    positive one on at 1.0, above every uniform, each zero-probability cell
+    has an empty interval, and a draw differs from one on the plain
+    cumulative sums only where that would pick such a cell.
+    """
+    cdf = np.minimum(np.cumsum(probs, axis=-1), 1.0)
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cdf[np.arange(probs.shape[-1]) >= np.expand_dims(last, -1)] = 1.0
+    return cdf
+
+
+def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: the number of CDF entries at or below u.
+
+    Cell ``i`` is picked for u in ``[cdf[i - 1], cdf[i])``; with a CDF from
+    :func:`_cdf` that is never a zero-probability cell. The last entry
+    reads 1.0, above every u, so it is left out of the search.
     """
     return np.searchsorted(cdf[:-1], u, side="right")
 
 
 def _pick_rows(row_cdf: np.ndarray, contexts: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`_pick` from the CDF row of each entry's context, written into ``out``."""
+    """:func:`_pick` from the CDF row of each entry's context, written into ``out``.
+
+    The last column reads 1.0, above every u, so it is skipped.
+    """
     out[...] = 0
     for a in range(row_cdf.shape[1] - 1):
         out += u >= row_cdf[:, a].take(contexts)
     return out
-
-
-def _reachable(cdf: np.ndarray) -> np.ndarray:
-    """The cells of each CDF row that :func:`_pick` or :func:`_pick_rows` can return for some u in [0, 1).
-
-    Cell ``i`` is picked for u in ``[cdf[i - 1], cdf[i])``, the last cell
-    for every u from ``cdf[-2]`` on. The test is on real intervals, so it
-    may keep a cell that no float draw lands in, never the reverse.
-    """
-    lo = np.zeros_like(cdf)
-    lo[..., 1:] = cdf[..., :-1]
-    hi = cdf.copy()
-    hi[..., -1] = np.inf
-    return (lo < hi) & (lo < 1.0)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
@@ -447,8 +454,7 @@ class _PositionTables:
     ``action_cdf`` holds the logging CDF of each context, one row per
     context; the other tables are flattened by ``(context, action)`` cell.
     ``weights`` is ``p_tgt / p_log`` where ``p_log`` is positive and zero
-    elsewhere. ``bad`` marks the cells that a draw can reach and whose
-    entry the dataset checks may reject; it is ``None`` when there are none.
+    elsewhere.
     """
 
     action_cdf: np.ndarray
@@ -456,7 +462,6 @@ class _PositionTables:
     p_log: np.ndarray
     p_tgt: np.ndarray
     weights: np.ndarray
-    bad: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,35 +482,32 @@ class CompiledScenario:
         return len(self.positions)
 
 
-def _bad_cells(p_log, p_tgt, weights, reachable, weight_bound: float) -> np.ndarray | None:
-    """The reachable cells whose entry the dataset checks may reject, or ``None`` if there are none.
+def _check_tables(context_probs: np.ndarray, positions, bound: float, ranked: bool) -> None:
+    """The entry check, run once over the ``(p_log, p_tgt)`` of every cell a draw can pick.
 
-    The test is stricter than :func:`_check_columns`, which allows a small
-    slack over each bound, so it may mark a cell that passes but never
-    misses one that fails; a marked cell only sends a block that draws it
-    through the entry checks. Rewards are 0 or 1 and always pass.
+    A draw picks only cells whose context and logging probabilities are
+    positive; an error names the cell's position (ranked scenarios),
+    context and action. Rewards are 0 or 1 and always pass.
     """
-    if np.isfinite(weight_bound) and weight_bound > 0:
-        fine = (p_log > 0) & (p_log <= 1) & (p_tgt >= 0) & (p_tgt <= 1) & (weights <= weight_bound)
-        bad = reachable & ~fine
-    else:
-        bad = reachable
-    return bad if bad.any() else None
+    p_log, p_tgt, cells = [], [], []
+    for j, pos in enumerate(positions):
+        contexts, actions = np.nonzero((context_probs[:, None] > 0) & (pos.logging_policy.probs > 0))
+        p_log.append(pos.logging_policy.probs[contexts, actions])
+        p_tgt.append(pos.target_policy.probs[contexts, actions])
+        cells += [(j if ranked else None, x, a) for x, a in zip(contexts.tolist(), actions.tolist())]
+    p_log = np.concatenate(p_log)
+    _check_columns(p_log, np.concatenate(p_tgt), np.zeros_like(p_log), 1.0, bound, cells=cells)
 
 
-def _position_tables(pos: PositionModel, reachable_contexts: np.ndarray, weight_bound: float) -> _PositionTables:
-    action_cdf = np.cumsum(pos.logging_policy.probs, axis=1)
+def _position_tables(pos: PositionModel) -> _PositionTables:
     p_log = np.ravel(pos.logging_policy.probs)
     p_tgt = np.ravel(pos.target_policy.probs)
-    weights = np.divide(p_tgt, p_log, out=np.zeros_like(p_log), where=p_log > 0)
-    reachable = np.ravel(reachable_contexts[:, None] & _reachable(action_cdf))
     return _PositionTables(
-        action_cdf=action_cdf,
+        action_cdf=_cdf(pos.logging_policy.probs),
         reward_means=np.ravel(pos.reward_means),
         p_log=p_log,
         p_tgt=p_tgt,
-        weights=weights,
-        bad=_bad_cells(p_log, p_tgt, weights, reachable, weight_bound),
+        weights=np.divide(p_tgt, p_log, out=np.zeros_like(p_log), where=p_log > 0),
     )
 
 
@@ -513,7 +515,9 @@ def compile_scenario(scenario) -> CompiledScenario:
     """Sampling tables and weight bound of a :class:`BanditScenario` or :class:`RankingEnv`.
 
     A bandit scenario is compiled as a ranking with one position, so both
-    kinds share the tables and the sampler.
+    kinds share the tables and the sampler. The cells a draw can pick are
+    checked here, once, as dataset entries against the weight bound, so a
+    scenario whose samples would fail the dataset checks fails to compile.
     """
     if isinstance(scenario, BanditScenario):
         context_probs = scenario.env.context_probs
@@ -524,14 +528,14 @@ def compile_scenario(scenario) -> CompiledScenario:
         context_probs, positions = scenario.context_probs, scenario.positions
     else:
         raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
-    context_cdf = np.cumsum(context_probs)
-    contexts = _reachable(context_cdf)
+    ranked = isinstance(scenario, RankingEnv)
     bound = max(weight_bound(pos.logging_policy, pos.target_policy, context_probs) for pos in positions)
+    _check_tables(context_probs, positions, bound, ranked)
     return CompiledScenario(
-        context_cdf=context_cdf,
-        positions=tuple(_position_tables(pos, contexts, bound) for pos in positions),
+        context_cdf=_cdf(context_probs),
+        positions=tuple(_position_tables(pos) for pos in positions),
         weight_bound=bound,
-        ranked=isinstance(scenario, RankingEnv),
+        ranked=ranked,
     )
 
 
@@ -559,21 +563,15 @@ def _cells(pos: _PositionTables, contexts: np.ndarray, u: np.ndarray, actions: n
     return cells
 
 
-def _drew_bad(pos: _PositionTables, cells: np.ndarray) -> bool:
-    """Whether any of ``cells`` is marked bad."""
-    return pos.bad is not None and bool(pos.bad.take(cells).any())
-
-
 def sample_block(compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray]) -> SampleBlock:
-    """Every column of a block of ``n`` entries per row, validated as a dataset.
+    """Every column of a block of ``n`` entries per row.
 
     ``stages`` yields the ``(rows, n)`` uniforms of each stage in the order
     a row's stream is consumed: contexts, then per position actions and
     rewards. Each is used up before the next is taken, so a caller may
-    draw them one at a time into one buffer. The weights come from the
-    cell weight tables; only a block that draws a cell marked bad is
-    checked entry by entry, which raises the error of its first failing
-    entry.
+    draw them one at a time into one buffer. Every column is gathered from
+    the compiled tables, whose drawable cells passed the entry check when
+    the scenario was compiled, so the block needs no check of its own.
     """
     stages = iter(stages)
     contexts = _pick(compiled.context_cdf, next(stages))
@@ -584,7 +582,6 @@ def sample_block(compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray
     rewards = np.empty(shape)
     weights = np.empty(shape)
     actions = np.empty(shape, dtype=np.int64)
-    drew_bad = False
     for j, pos in enumerate(compiled.positions):
         cells = _cells(pos, contexts, next(stages), actions[:, j])
         # Cells are always in range. Unlike the default mode="raise", which
@@ -598,13 +595,10 @@ def sample_block(compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray
             table.take(cells, out=column[:, j], mode="clip")
         # Each reward mean is replaced by its draw in place, with no temporary column.
         np.less(next(stages), rewards[:, j], out=rewards[:, j], casting="unsafe")
-        drew_bad |= _drew_bad(pos, cells)
     if not compiled.ranked:
         p_log, p_tgt, rewards, weights, actions = (
             a.reshape(rows, n) for a in (p_log, p_tgt, rewards, weights, actions)
         )
-    if drew_bad:
-        weights = _check_block(p_log, p_tgt, rewards, 1.0, compiled.weight_bound)
     return SampleBlock(p_log, p_tgt, rewards, weights, contexts, actions)
 
 
@@ -612,9 +606,10 @@ def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> 
     """The weights ``w`` and weighted rewards ``w * r`` of the block drawn from ``uniforms``.
 
     ``uniforms`` holds each row's ``(1 + 2k) * n`` uniforms in stream
-    order. The weights come from the cell weight tables, and a block that
-    draws a cell marked bad is handed to :func:`sample_block`, whose entry
-    check raises the error of its first failing entry.
+    order. The draws are those of :func:`sample_block` and the weights
+    come from the same cell weight table, so ``w`` is bit-equal to its
+    block's weights and ``w * r`` to their product with its rewards.
+    Nothing else is gathered, and nothing is checked.
     """
     stages = _stages(uniforms, n)
     contexts = _pick(compiled.context_cdf, stages[0])
@@ -625,9 +620,6 @@ def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> 
     actions = np.empty((rows, n), dtype=np.int64)
     for j, pos in enumerate(compiled.positions):
         cells = _cells(pos, contexts, stages[1 + 2 * j], actions)
-        if _drew_bad(pos, cells):
-            block = sample_block(compiled, n, stages)
-            return block.weights, block.weights * block.rewards
         pos.weights.take(cells, out=w[:, j], mode="clip")
         np.multiply(w[:, j], stages[2 + 2 * j] < pos.reward_means.take(cells), out=wr[:, j])
     if not compiled.ranked:

@@ -324,6 +324,83 @@ class TestEvaluateFuzz:
         assert "Traceback" not in err.getvalue()
 
 
+#: Table entries a hand-written study file may hold besides probabilities:
+#: a target over one within the row-sum tolerance, a number past one, tiny
+#: propensities whose weights overflow, non-finite and huge numbers, and
+#: leaves that are not numbers.
+_ODD_ENTRIES = st.sampled_from(
+    [1.0 + 5e-10, 1.5, -0.0, -0.25, 1e-310, 5e-324, float("inf"), float("nan"), 10**400, True, "0.5", None]
+)
+
+
+@st.composite
+def _probability_rows(draw, rows, cols, support=None):
+    """Normalised rows with zero cells anywhere; with ``support``, zero outside that table's support."""
+    table = []
+    for i in range(rows):
+        allowed = [j for j in range(cols) if support is None or support[i][j] > 0]
+        counts = [draw(st.integers(0, 3)) if j in allowed else 0 for j in range(cols)]
+        if not any(counts):
+            counts[draw(st.sampled_from(allowed))] = 1
+        table.append([c / sum(counts) for c in counts])
+    return table
+
+
+@st.composite
+def _study_environments(draw):
+    """Inline bandit or ranking environments of 1-3 contexts by 1-3 actions, then up to two edits.
+
+    An edit puts an odd entry into a row or drops a row's last cell.
+    """
+    contexts, actions = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def position():
+        logging = draw(_probability_rows(contexts, actions))
+        return {
+            "logging_policy": logging,
+            "target_policy": draw(_probability_rows(contexts, actions, support=logging)),
+            "reward_means": draw(_probability_rows(contexts, actions)),
+        }
+
+    env = {"context_probs": draw(_probability_rows(1, contexts))[0]}
+    if draw(st.booleans()):
+        env.update(kind="bandit", **position())
+        positions = [env]
+    else:
+        positions = [position() for _ in range(draw(st.integers(1, 2)))]
+        env.update(kind="ranking", positions=positions)
+    rows = [env["context_probs"]] + [row for pos in positions for key in sorted(_TABLE_KEYS) for row in pos[key]]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_ENTRIES)
+        elif len(row) > 1:
+            row.pop()
+    return env
+
+
+_TABLE_KEYS = ("logging_policy", "target_policy", "reward_means")
+
+
+class TestStudyFuzz:
+    @settings(max_examples=50)
+    @given(
+        kind=st.sampled_from(["mc", "dominance", "decay", "bias-rate"]),
+        environment=_study_environments(),
+        n_grid=st.sampled_from([[2, 3], [5], [2, 6, 20, 64]]),
+    )
+    def test_generated_studies_exit_with_a_documented_code(self, tmp_path_factory, kind, environment, n_grid):
+        directory = tmp_path_factory.mktemp("study-fuzz")
+        path = directory / "study.yaml"
+        payload = {"study": kind, "environment": environment, "n_grid": n_grid, "replicates": 100, "seed": 0}
+        path.write_text(yaml.safe_dump(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["study", "--config", str(path), "--out-dir", str(directory)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
 def write_config(tmp_path, name="study.yaml", **overrides):
     payload = {
         "study": "mc",

@@ -33,7 +33,7 @@ from opekit import (
     true_value,
 )
 from opekit import experiments
-from opekit.errors import BoundViolation, EstimationError, NonPositiveLoggingPropensity, ValidationError
+from opekit.errors import BoundViolation, EstimationError, ValidationError
 from opekit.estimators import (
     CrossFitConfig,
     _fold_layout,
@@ -51,9 +51,11 @@ from opekit.simulator import (
     PolicyTable,
     PositionModel,
     RankingEnv,
+    _stages,
     compile_scenario,
     draw_uniforms,
     replicate_streams,
+    sample_block,
     sample_weights,
 )
 
@@ -391,10 +393,10 @@ class TestWeightsOnlySampler:
             assert wr[i].tobytes() == (weights * rewards).tobytes()
 
     @pytest.mark.parametrize("ranked", [False, True])
-    def test_a_table_over_the_bound_slack_fails_as_each_entry_would(self, ranked):
+    def test_a_table_over_the_bound_slack_fails_as_each_entry_would(self, ranked, monkeypatch):
         # Within PolicyTable's 1e-9 row-sum tolerance, but over the 1e-12 slack
-        # of the entry bound; the bad cell is rare, so the first failing
-        # replicate sits inside the first block.
+        # of the entry bound. The entry check rejects the drawable cell when
+        # the scenario is compiled, before any uniform is drawn.
         logging = PolicyTable([[0.002, 0.998]])
         over = PolicyTable([[1.0 + 5e-10, 0.0]])
         means = [[0.5, 0.5]]
@@ -403,42 +405,53 @@ class TestWeightsOnlySampler:
             scenario = RankingEnv([1.0], (fine, PositionModel(logging, over, means)))
         else:
             scenario = BanditScenario(BanditEnv([1.0], means), logging, over)
-        n, replicates = 5, 400
-        for r in range(replicates):
-            stream = np.random.SeedSequence((SEED, n, r))
-            try:
-                if ranked:
-                    sample_ranked_logs(scenario, n, stream)
-                else:
-                    sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, n, stream)
-            except BoundViolation as exc:
-                expected = exc
-                break
-        else:
-            pytest.fail("no replicate drew the cell over the bound")
-        assert r > 0
-        estimators = ("snipm",) if ranked else ("ips",)
-        with pytest.raises(BoundViolation) as caught:
-            replicate_estimates(scenario, n, replicates, SEED, estimators)
-        assert type(caught.value) is type(expected)
-        assert str(caught.value) == str(expected)
-        assert (caught.value.index, caught.value.position) == (expected.index, expected.position)
-        assert "propensity_target value 1.0000000005" in str(expected)
+        message = "propensity_target value 1.0000000005 exceeds the declared bound 1.0 at context 0, action 0"
+        message += ", position 2" if ranked else ""
 
-    def test_a_zero_cell_past_the_cdf_fails_as_each_entry_would(self):
-        # The logging row sums to 1 - 4e-10, so a uniform past its CDF picks
-        # the last action, whose logging probability is zero.
+        def no_draw(*args):
+            pytest.fail("a uniform was drawn")
+
+        monkeypatch.setattr(experiments, "replicate_streams", no_draw)
+        monkeypatch.setattr(experiments, "draw_uniforms", no_draw)
+        rng = np.random.default_rng(SEED)
+        state = rng.bit_generator.state
+        estimators = ("snipm",) if ranked else ("ips",)
+
+        def sample():
+            if ranked:
+                return sample_ranked_logs(scenario, 5, rng)
+            return sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, 5, rng)
+
+        for call in (
+            lambda: compile_scenario(scenario),
+            lambda: replicate_estimates(scenario, 5, 400, SEED, estimators),
+            lambda: replicate_estimates(scenario, 5, 400, SEED, estimators, n_jobs=2),
+            sample,
+        ):
+            with pytest.raises(BoundViolation) as caught:
+                call()
+            assert str(caught.value) == message
+            assert (caught.value.value, caught.value.cell, caught.value.index) == (1.0 + 5e-10, (0, 0), None)
+            assert caught.value.position == (1 if ranked else None)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "probs, target", [([0.5, 0.5 - 4e-10, 0.0], [0.25, 0.75, 0.0]), ([0.7, 0.2, 0.1, 0.0], [0.1, 0.2, 0.7, 0.0])]
+    )
+    def test_a_uniform_past_the_cdf_picks_the_last_positive_cell(self, probs, target):
+        # Both rows sum below one in floats, so on their plain cumulative sums
+        # a uniform of 1 - 2**-53 would pick the zero-probability last cell.
+        # They serve as the context probabilities and as every policy row.
+        assert np.cumsum(probs)[-1] <= 1.0 - 2.0**-53
+        size, last = len(probs), len(probs) - 2
         scenario = BanditScenario(
-            BanditEnv([1.0], [[0.5, 0.5, 0.5]]),
-            PolicyTable([[0.5, 0.5 - 4e-10, 0.0]]),
-            PolicyTable([[0.5, 0.5, 0.0]]),
+            BanditEnv(probs, [[1.0] * size] * size), PolicyTable([probs] * size), PolicyTable([target] * size)
         )
         compiled = compile_scenario(scenario)
-        uniforms = np.full((2, 3 * 4), 0.25)
-        w, wr = sample_weights(compiled, 4, uniforms)
-        assert w.tobytes() == np.ones((2, 4)).tobytes() and wr.tobytes() == w.tobytes()
-        uniforms[1, 4 + 2] = 1.0 - 2.0**-53
-        with pytest.raises(NonPositiveLoggingPropensity) as caught:
-            sample_weights(compiled, 4, uniforms)
-        assert (caught.value.index, caught.value.position) == (2, None)
-        assert str(caught.value) == "logging propensity must be positive, got 0.0 at entry 2"
+        weight = target[last] / probs[last]
+        uniforms = np.array([[1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0]])
+        block = sample_block(compiled, 1, _stages(uniforms, 1))
+        assert (block.context_ids.tolist(), block.action_ids.tolist()) == ([[last]], [[last]])
+        assert block.weights.tolist() == [[weight]] and block.propensity_logging.tolist() == [[probs[last]]]
+        w, wr = sample_weights(compiled, 1, uniforms)
+        assert w.tolist() == [[weight]] and wr.tolist() == [[weight]]

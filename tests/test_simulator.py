@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opekit import (
     BanditEnv,
+    Dataset,
+    RankedDataset,
     BanditScenario,
     PolicyTable,
     PositionModel,
@@ -24,7 +28,7 @@ from opekit.errors import (
     UnknownPreset,
     ValidationError,
 )
-from opekit.simulator import preset_description
+from opekit.simulator import _stages, compile_scenario, preset_description, sample_block, sample_weights
 
 
 def flip_tables():
@@ -177,6 +181,111 @@ class TestSampling:
         env, logging, target = flip_tables()
         with pytest.raises(ValidationError):
             sample_logs(env, logging, target, 0, 1)
+
+
+@st.composite
+def edge_rows(draw, rows, cols, support=None):
+    """Rows that pass PolicyTable's checks, with the entries the compiled tables must survive.
+
+    Zero cells lead, trail or sit in the middle; a row may hold one entry
+    within 1e-9 of one (over the entry bound when above it), and a zero
+    cell may become a subnormal, whose weight overflows under a positive
+    target. With ``support``, cells outside that table's support stay zero.
+    """
+    table = []
+    for i in range(rows):
+        allowed = [j for j in range(cols) if support is None or support[i][j] > 0]
+        kind = draw(st.sampled_from(["counts", "near one", "tiny"]))
+        if kind == "near one":
+            row = [0.0] * cols
+            row[draw(st.sampled_from(allowed))] = 1.0 + draw(st.sampled_from([-9e-10, -5e-10, 5e-10, 9e-10]))
+        else:
+            counts = [draw(st.integers(0, 3)) if j in allowed else 0 for j in range(cols)]
+            if not any(counts):
+                counts[draw(st.sampled_from(allowed))] = 1
+            row = [c / sum(counts) for c in counts]
+            zeros = [j for j in allowed if row[j] == 0.0]
+            if kind == "tiny" and zeros:
+                row[draw(st.sampled_from(zeros))] = draw(st.sampled_from([1e-310, 5e-324]))
+        table.append(row)
+    return table
+
+
+@st.composite
+def edge_scenarios(draw):
+    """Bandit or two-position ranking scenarios of 1-3 contexts by 1-3 actions built from :func:`edge_rows`."""
+    contexts, actions = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def position():
+        logging = draw(edge_rows(contexts, actions))
+        target = draw(edge_rows(contexts, actions, support=logging))
+        means = [[draw(st.sampled_from([0.0, 0.3, 1.0])) for _ in range(actions)] for _ in range(contexts)]
+        return PositionModel(PolicyTable(logging), PolicyTable(target), means)
+
+    context_probs = draw(edge_rows(1, contexts))[0]
+    if draw(st.booleans()):
+        pos = position()
+        return BanditScenario(BanditEnv(context_probs, pos.reward_means), pos.logging_policy, pos.target_policy)
+    return RankingEnv(context_probs, (position(), position()))
+
+
+#: Enough uniforms for two rows of the largest block drawn below, 5 stages of 6 entries.
+UNIFORMS = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=60, max_size=60)
+
+
+class TestCompiledTables:
+    @given(edge_scenarios(), st.integers(2, 6), UNIFORMS)
+    def test_samples_pass_the_dataset_checks_or_the_scenario_fails_to_compile(self, scenario, n, floats):
+        # The invariant that replaces checking each sampled block: a scenario
+        # either fails to compile, or every sample it gives is a valid dataset
+        # whose columns and weights the dataset checks reproduce bit for bit,
+        # drawn only from positive-probability contexts and actions.
+        try:
+            compiled = compile_scenario(scenario)
+        except ValidationError:
+            return
+        k = compiled.k
+        uniforms = np.resize(np.array(floats), (2, (1 + 2 * k) * n))
+        for stage in _stages(uniforms, n):
+            stage[0, :2] = (0.0, 1.0 - 2.0**-53)
+        block = sample_block(compiled, n, _stages(uniforms, n))
+        ranked = isinstance(scenario, RankingEnv)
+        if ranked:
+            context_probs, policies = scenario.context_probs, [pos.logging_policy for pos in scenario.positions]
+        else:
+            context_probs, policies = scenario.env.context_probs, [scenario.logging_policy]
+        assert (context_probs[block.context_ids] > 0).all()
+        actions = block.action_ids.reshape(2, k, n)
+        for j, policy in enumerate(policies):
+            assert (policy.probs[block.context_ids, actions[:, j]] > 0).all()
+        cls = RankedDataset if ranked else Dataset
+        for i in range(2):
+            dataset = cls.from_arrays(
+                block.propensity_logging[i].T,
+                block.propensity_target[i].T,
+                block.rewards[i].T,
+                reward_bound=1.0,
+                weight_bound=compiled.weight_bound,
+            )
+            assert dataset.propensity_logging.tobytes() == block.propensity_logging[i].T.tobytes()
+            assert dataset.propensity_target.tobytes() == block.propensity_target[i].T.tobytes()
+            assert dataset.rewards.tobytes() == block.rewards[i].T.tobytes()
+            assert dataset.weights.tobytes() == block.weights[i].T.tobytes()
+        w, wr = sample_weights(compiled, n, uniforms)
+        assert w.tobytes() == block.weights.tobytes()
+        assert wr.tobytes() == (block.weights * block.rewards).tobytes()
+        if ranked:
+            public = sample_ranked_logs(scenario, n, 5)
+        else:
+            public = sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, n, 5)
+        again = cls.from_arrays(
+            public.propensity_logging,
+            public.propensity_target,
+            public.rewards,
+            reward_bound=1.0,
+            weight_bound=public.weight_bound,
+        )
+        assert again.weights.tobytes() == public.weights.tobytes()
 
 
 class TestRanking:

@@ -66,3 +66,64 @@ def test_one_place_decides_degenerate_weights():
         outside += [(path.name, *site) for site in _plug_in_sites(tree) if site not in allowed]
     assert outside == []
     assert sorted(kind for _, _, kind in inside) == ["ratio over var_w", "var_w compared with zero"]
+
+
+def _names(node) -> set[str]:
+    """Every name and attribute name inside ``node``."""
+    nodes = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+
+
+def _is_propensity(node) -> bool:
+    """A propensity or weight table or column, by its name."""
+    words = ("p_log", "p_tgt", "prob", "propensit", "weight")
+    return any(w in name and not name.endswith("bound") for name in _names(node) for w in words)
+
+
+def _is_upper_bound(node) -> bool:
+    """The propensity bound 1 or a declared bound, by its name."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float) and node.value == 1
+    return isinstance(node, (ast.Name, ast.Attribute)) and _names(node).pop().endswith("bound")
+
+
+_ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _bound_sites(tree) -> list[tuple[int, int, str]]:
+    """Place and kind of every use of BOUND_SLACK and every comparison against an entry bound.
+
+    A comparison counts when it scales by the slack, or sets a propensity or
+    weight against 1 or a declared bound. Positivity tests (``> 0``) decide
+    support and which cells a draw can pick, and are not bound checks.
+    """
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "BOUND_SLACK" and isinstance(node.ctx, ast.Load):
+            sites.append((node.lineno, node.col_offset, "BOUND_SLACK"))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if not isinstance(op, _ORDERINGS):
+                    continue
+                if _names(left) & {"slack", "BOUND_SLACK"} or _names(right) & {"slack", "BOUND_SLACK"}:
+                    sites.append((node.lineno, node.col_offset, "slack comparison"))
+                elif any(_is_propensity(a) and _is_upper_bound(b) for a, b in ((left, right), (right, left))):
+                    sites.append((node.lineno, node.col_offset, "bound comparison"))
+    return sites
+
+
+def test_one_place_checks_entry_bounds():
+    # The entry rules are defined once, in data._check_columns: datasets run
+    # it over their columns and compile_scenario over a scenario's drawable
+    # cells, so no second copy of the bounds (say, without the slack) exists.
+    inside, outside = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        checks = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_check_columns"]
+        allowed = {site for check in checks for site in _bound_sites(check)}
+        inside += [(path.name, *site) for site in sorted(allowed)]
+        outside += [(path.name, *site) for site in _bound_sites(tree) if site not in allowed]
+    assert outside == []
+    assert sorted(kind for *_, kind in inside) == ["BOUND_SLACK", "slack comparison", "slack comparison"]
+    assert {name for name, *_ in inside} == {"data.py"}
