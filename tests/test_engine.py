@@ -435,23 +435,21 @@ class TestWeightsOnlySampler:
             assert caught.value.position == (1 if ranked else None)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize(
-        "probs, target", [([0.5, 0.5 - 4e-10, 0.0], [0.25, 0.75, 0.0]), ([0.7, 0.2, 0.1, 0.0], [0.1, 0.2, 0.7, 0.0])]
-    )
-    def test_a_uniform_past_the_cdf_picks_the_last_positive_cell(self, probs, target):
+    def test_a_uniform_past_the_cdf_picks_the_last_positive_cell(self):
         # Both rows sum below one in floats, so on their plain cumulative sums
         # a uniform of 1 - 2**-53 would pick the zero-probability last cell.
         # They serve as the context probabilities and as every policy row.
-        assert np.cumsum(probs)[-1] <= 1.0 - 2.0**-53
-        size, last = len(probs), len(probs) - 2
-        scenario = BanditScenario(
-            BanditEnv(probs, [[1.0] * size] * size), PolicyTable([probs] * size), PolicyTable([target] * size)
-        )
-        compiled = compile_scenario(scenario)
-        weight = target[last] / probs[last]
-        uniforms = np.array([[1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0]])
-        block = sample_block(compiled, 1, _stages(uniforms, 1))
-        assert (block.context_ids.tolist(), block.action_ids.tolist()) == ([[last]], [[last]])
-        assert block.weights.tolist() == [[weight]] and block.propensity_logging.tolist() == [[probs[last]]]
-        w, wr = sample_weights(compiled, 1, uniforms)
-        assert w.tolist() == [[weight]] and wr.tolist() == [[weight]]
+        for probs, target in ([0.5, 0.5 - 4e-10, 0.0], [0.25, 0.75, 0.0]), ([0.7, 0.2, 0.1, 0.0], [0.1, 0.2, 0.7, 0.0]):
+            assert np.cumsum(probs)[-1] <= 1.0 - 2.0**-53
+            size, last = len(probs), len(probs) - 2
+            scenario = BanditScenario(
+                BanditEnv(probs, [[1.0] * size] * size), PolicyTable([probs] * size), PolicyTable([target] * size)
+            )
+            compiled = compile_scenario(scenario)
+            weight = target[last] / probs[last]
+            uniforms = np.array([[1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0]])
+            block = sample_block(compiled, 1, _stages(uniforms, 1))
+            assert (block.context_ids.tolist(), block.action_ids.tolist()) == ([[last]], [[last]])
+            assert block.weights.tolist() == [[weight]] and block.propensity_logging.tolist() == [[probs[last]]]
+            w, wr = sample_weights(compiled, 1, uniforms)
+            assert w.tolist() == [[weight]] and wr.tolist() == [[weight]]
