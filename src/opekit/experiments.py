@@ -19,9 +19,11 @@ entries whatever the replicate count, and row reductions sum exactly as
 a one-row reduction does, so the block size never changes a bit. The
 engine samples only the weights and weighted rewards
 (:func:`~opekit.simulator.sample_weights`) from tables compiled once per
-study, before the worker pool opens: compiling runs the entry check once
+study, before the oracle and the pool: compiling runs the entry check once
 over the cells a draw can pick, so a scenario whose samples would fail
-the dataset checks fails before any draw, and no block is checked.
+the dataset checks fails before its oracle is enumerated and before any
+draw, and no block is checked. The oracle is read from the same compiled
+tables.
 
 A replicate on which an estimator's precondition fails is recorded and
 its cell statistics use the surviving replicates. More than 1% failures
@@ -62,12 +64,12 @@ from .simulator import (
     BanditScenario,
     CompiledScenario,
     RankingEnv,
+    _moments,
+    _value,
     compile_scenario,
     draw_uniforms,
-    population_moments,
     replicate_streams,
     sample_weights,
-    true_value,
 )
 
 
@@ -310,8 +312,9 @@ def replicate_estimates(
     """Paired per-replicate estimates for every requested metric.
 
     ``oracle_value`` is only consulted by the squared-remainder metric; it
-    defaults to the exact enumerated value of the target policy. The
-    scenario is compiled, and so checked, before any replicate is drawn.
+    defaults to the exact enumerated value of the target policy, read from
+    the compiled scenario. The scenario is compiled, and so checked, before
+    any replicate is drawn.
     """
     specs = _study_specs(estimators, scenario)
     if not specs:
@@ -322,9 +325,10 @@ def replicate_estimates(
         raise ValidationError(f"sample size must be at least 1, got {n}")
     if master_seed < 0:
         raise ValidationError(f"master seed must be non-negative, got {master_seed}")
-    if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
-        oracle_value = true_value(scenario.env, scenario.target_policy)
     compiled = compile_scenario(scenario)
+    if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
+        pos = compiled.positions[0]
+        oracle_value = _value(compiled.context_probs, pos.p_tgt, pos.reward_means)
     with _worker_pool(n_jobs) as pool:
         return _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
 
@@ -452,49 +456,48 @@ class OracleReport:
         return self.target("value" if "value" in labels else "total").value
 
 
-def _scalar_oracle_target(label: str, scenario: BanditScenario) -> OracleTarget:
-    v = true_value(scenario.env, scenario.target_policy)
-    moments = population_moments(scenario.env, scenario.logging_policy, scenario.target_policy)
-    beta_star = moments.beta_star
-    if beta_star is None:
-        avar = var_star = delta = None
-    else:
-        gap = variance_gap(moments, v)
-        avar, var_star, delta = gap.avar_snips, gap.var_beta_star, gap.gap_delta
-    return OracleTarget(
-        label=label,
-        value=v,
-        moments=moments,
-        beta_star=beta_star,
-        avar_snips=avar,
-        var_beta_star=var_star,
-        delta_per_sample=delta,
-    )
+def _oracle(compiled: CompiledScenario) -> OracleReport:
+    """Exact values, moments, and optimal baselines of every compiled position."""
+    targets = []
+    for j, pos in enumerate(compiled.positions):
+        v = _value(compiled.context_probs, pos.p_tgt, pos.reward_means)
+        moments = _moments(compiled.context_probs, pos)
+        beta_star = moments.beta_star
+        if beta_star is None:
+            avar = var_star = delta = None
+        else:
+            gap = variance_gap(moments, v)
+            avar, var_star, delta = gap.avar_snips, gap.var_beta_star, gap.gap_delta
+        targets.append(
+            OracleTarget(
+                label=f"pos{j + 1}" if compiled.ranked else "value",
+                value=v,
+                moments=moments,
+                beta_star=beta_star,
+                avar_snips=avar,
+                var_beta_star=var_star,
+                delta_per_sample=delta,
+            )
+        )
+    if compiled.ranked:
+        total = float(np.sum(np.array([t.value for t in targets])))
+        targets.append(
+            OracleTarget(
+                label="total",
+                value=total,
+                moments=None,
+                beta_star=None,
+                avar_snips=None,
+                var_beta_star=None,
+                delta_per_sample=None,
+            )
+        )
+    return OracleReport(targets=tuple(targets))
 
 
 def oracle_report(scenario) -> OracleReport:
-    """Exact values, moments, and optimal baselines by enumeration."""
-    if isinstance(scenario, BanditScenario):
-        return OracleReport(targets=(_scalar_oracle_target("value", scenario),))
-    if not isinstance(scenario, RankingEnv):
-        raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
-    targets = [
-        _scalar_oracle_target(f"pos{j + 1}", scenario.position_scenario(j))
-        for j in range(scenario.k)
-    ]
-    total = float(np.sum(np.array([t.value for t in targets])))
-    targets.append(
-        OracleTarget(
-            label="total",
-            value=total,
-            moments=None,
-            beta_star=None,
-            avar_snips=None,
-            var_beta_star=None,
-            delta_per_sample=None,
-        )
-    )
-    return OracleReport(targets=tuple(targets))
+    """Exact values, moments, and optimal baselines by enumeration over the compiled scenario."""
+    return _oracle(compile_scenario(scenario))
 
 
 def _metric_targets(specs, scenario, oracle: OracleReport) -> dict[str, float]:
@@ -631,20 +634,21 @@ def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float], replica
     return rows
 
 
-def _run_grid(config: StudyConfig, specs, oracle: OracleReport, n_jobs: int, cell=None) -> StudyReport:
+def _run_grid(
+    config: StudyConfig, compiled: CompiledScenario, specs, oracle: OracleReport, n_jobs: int, cell=None
+) -> StudyReport:
     """Run the study's cells in grid order on one worker pool and aggregate them.
 
-    ``cell``, a study kind's verdict, sees each cell's replicate matrix
-    before the next cell is sampled, so it builds its state one cell at a
-    time and the loop keeps no earlier cell's matrix. The scenario is
-    compiled once, before the pool opens, so a scenario that fails its
-    checks fails before any draw.
+    ``compiled`` is the study's scenario, compiled once by the study kind
+    before its oracle, so a scenario that fails its checks fails before the
+    oracle and any draw. ``cell``, a study kind's verdict, sees each cell's
+    replicate matrix before the next cell is sampled, so it builds its state
+    one cell at a time and the loop keeps no earlier cell's matrix.
     """
     oracle_value = oracle.value if isinstance(config.scenario, BanditScenario) else None
     targets = _metric_targets(specs, config.scenario, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
-    compiled = compile_scenario(config.scenario)
     with _worker_pool(n_jobs) as pool:
         for n in config.n_grid:
             matrix = _replicate_matrix(
@@ -690,7 +694,8 @@ def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
     specs = _study_specs(config.estimators, config.scenario)
     if not specs:
         raise ValidationError("the study needs at least one estimator")
-    return _run_grid(config, specs, oracle_report(config.scenario), n_jobs)
+    compiled = compile_scenario(config.scenario)
+    return _run_grid(config, compiled, specs, _oracle(compiled), n_jobs)
 
 
 @dataclass(frozen=True)
@@ -760,7 +765,8 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     _no_estimators(config, "dominance")
     scalar = isinstance(config.scenario, BanditScenario)
     pair = ("beta-star-ips", "snips") if scalar else ("beta-perp-star-ipm", "snipm")
-    oracle = oracle_report(config.scenario)
+    compiled = compile_scenario(config.scenario)
+    oracle = _oracle(compiled)
     targets = ["value"] if scalar else [f"pos{j + 1}" for j in range(config.scenario.k)]
     for label in targets:
         target = oracle.target(label)
@@ -777,7 +783,7 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     cells: list[DominanceCell] = []
     specs = tuple(MetricSpec(name) for name in pair)
     study = _run_grid(
-        config, specs, oracle, n_jobs, lambda matrix: cells.extend(_dominance_cells(matrix, pair, oracle, targets))
+        config, compiled, specs, oracle, n_jobs, lambda m: cells.extend(_dominance_cells(m, pair, oracle, targets))
     )
     smallest: dict[str, int | None] = {}
     for label in targets:
@@ -831,8 +837,9 @@ def decay_rate_study(config: StudyConfig, n_jobs: int = 1) -> DecayReport:
     """Measure how fast the self-normalisation remainder vanishes."""
     _no_estimators(config, "decay")
     _check_rate_study(config, "remainder decay")
-    oracle = oracle_report(config.scenario)
-    study = _run_grid(config, (MetricSpec("remainder-sq"),), oracle, n_jobs)
+    compiled = compile_scenario(config.scenario)
+    oracle = _oracle(compiled)
+    study = _run_grid(config, compiled, (MetricSpec("remainder-sq"),), oracle, n_jobs)
     slope, intercept, dropped = _rate_fit([(row.n, row.mean_estimate) for row in study.rows])
     return DecayReport(
         study=study, true_value=oracle.value, slope=slope, intercept=intercept, dropped_cells=dropped
@@ -862,7 +869,8 @@ def bias_rate_study(config: StudyConfig, n_jobs: int = 1) -> BiasRateReport:
     if len(estimators) != 1:
         raise ValidationError("the bias rate study takes exactly one estimator")
     specs = _study_specs(estimators, config.scenario)
-    study = _run_grid(config, specs, oracle_report(config.scenario), n_jobs)
+    compiled = compile_scenario(config.scenario)
+    study = _run_grid(config, compiled, specs, _oracle(compiled), n_jobs)
     slope, intercept, dropped = _rate_fit([(row.n, abs(row.bias)) for row in study.rows])
     return BiasRateReport(
         study=study, estimator=specs[0].label, slope=slope, intercept=intercept, dropped_cells=dropped

@@ -19,17 +19,19 @@ scalar block at the end. The public samplers, :func:`sample_logs` and
 :func:`sample_ranked_logs`, take the single row of :func:`sample_block`,
 which builds every column.
 
-The tables are valid by construction and checked once per scenario, not
-once per block. Every CDF reads 1.0 from its last positive cell on, so a
-draw never picks a zero-probability context or action, and
-:func:`compile_scenario` runs the entry check once over the cells a draw
-can pick: a policy entry above 1, say, is rejected there, naming its
-position, context and action, before any uniform is drawn. The weights
-are gathered from a per-cell weight table, ``p_tgt / p_log`` (the same
-division the entry check makes), so every sampled dataset passes the
-dataset checks with the same columns and weights, and no block is checked
-entry by entry. The study engine reads only the weights and the weighted
-rewards, through :func:`sample_weights`.
+:func:`compile_scenario` is the one place that divides ``p_tgt`` by
+``p_log`` and checks the tables. Per position it checks support, rejects a
+drawable weight that overflows a float, runs the entry check once over the
+cells a draw can pick and takes the weight bound; :func:`weight_bound` runs
+that same step. A policy entry above 1, say, is rejected there, naming its
+position, context and action, before any uniform is drawn. The moments of :func:`population_moments` and the study oracle are enumerated
+over the compiled tables, so a scenario that fails to compile has no oracle
+either. Every CDF reads 1.0 from its last positive cell on, so a draw never
+picks a zero-probability context or action, and the weights are gathered
+from the compiled weight table, so every sampled dataset passes the dataset
+checks with the same columns and weights, and no block is checked entry by
+entry. The study engine reads only the weights and the weighted rewards,
+through :func:`sample_weights`.
 
 Replicate streams come from :func:`replicate_streams`. The PCG64 state
 that ``SeedSequence((seed, n, r))`` seeds is computed in numpy for a
@@ -48,6 +50,7 @@ import numpy as np
 from .data import Dataset, RankedDataset, _check_columns, _freeze
 from .errors import (
     DimensionMismatch,
+    NonFiniteValue,
     SupportViolation,
     UnknownPreset,
     ValidationError,
@@ -70,6 +73,7 @@ def _float_table(values, name: str) -> np.ndarray:
 
 
 def _frozen_probs(values, name: str, ndim: int) -> np.ndarray:
+    """A read-only probability table of ``ndim`` dimensions whose rows each sum to one."""
     arr = _float_table(values, name)
     if arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
@@ -79,6 +83,11 @@ def _frozen_probs(values, name: str, ndim: int) -> np.ndarray:
         raise ValidationError(f"{name} must be finite")
     if (arr < 0).any():
         raise ValidationError(f"{name} must be non-negative")
+    # Entries near the float maximum sum to infinity, which fails the check.
+    with np.errstate(over="ignore"):
+        sums = arr.sum(axis=-1)
+    if np.max(np.abs(sums - 1.0)) > _PROB_TOL:
+        raise ValidationError(f"{name} must sum to one" + (" in each row" if ndim == 2 else ""))
     arr.setflags(write=False)
     return arr
 
@@ -90,11 +99,7 @@ class PolicyTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = _frozen_probs(self.probs, "policy probabilities", 2)
-        row_sums = probs.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > _PROB_TOL:
-            raise ValidationError("policy rows must each sum to one")
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _frozen_probs(self.probs, "policy probabilities", 2))
 
     @property
     def n_contexts(self) -> int:
@@ -114,8 +119,6 @@ class BanditEnv:
 
     def __post_init__(self) -> None:
         ctx = _frozen_probs(self.context_probs, "context probabilities", 1)
-        if abs(float(ctx.sum()) - 1.0) > _PROB_TOL:
-            raise ValidationError("context probabilities must sum to one")
         means = _float_table(self.reward_means, "reward means")
         if means.ndim != 2 or means.shape[0] != ctx.shape[0]:
             raise DimensionMismatch(
@@ -193,8 +196,6 @@ class RankingEnv:
 
     def __post_init__(self) -> None:
         ctx = _frozen_probs(self.context_probs, "context probabilities", 1)
-        if abs(float(ctx.sum()) - 1.0) > _PROB_TOL:
-            raise ValidationError("context probabilities must sum to one")
         positions = tuple(self.positions)
         if not positions:
             raise ValidationError("a ranking environment needs at least one position")
@@ -211,17 +212,6 @@ class RankingEnv:
     def k(self) -> int:
         return len(self.positions)
 
-    def position_scenario(self, j: int) -> BanditScenario:
-        """The scalar bandit scenario at position ``j`` (0-based)."""
-        if not 0 <= j < self.k:
-            raise ValidationError(f"position {j} out of range for {self.k} positions")
-        pos = self.positions[j]
-        return BanditScenario(
-            env=BanditEnv(self.context_probs, pos.reward_means),
-            logging_policy=pos.logging_policy,
-            target_policy=pos.target_policy,
-        )
-
 
 def _as_generator(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -234,7 +224,10 @@ def weight_bound(logging_policy: PolicyTable, target_policy: PolicyTable, contex
 
     Also checks overlap: any reachable context where the target policy puts
     mass on an action the logging policy never takes raises
-    :class:`SupportViolation`.
+    :class:`SupportViolation`. This is the per-position step of
+    :func:`compile_scenario`, so a reachable weight too large for a float,
+    or an entry that fails the dataset entry check, raises as it does there.
+    Without ``context_probs`` every context is reachable.
     """
     log_probs = logging_policy.probs
     tgt_probs = target_policy.probs
@@ -243,15 +236,21 @@ def weight_bound(logging_policy: PolicyTable, target_policy: PolicyTable, contex
             f"policy shapes {log_probs.shape} and {tgt_probs.shape} do not match"
         )
     if context_probs is None:
-        active = np.ones(log_probs.shape[0], dtype=bool)
-    else:
-        active = np.asarray(context_probs, dtype=np.float64) > 0
-    violations = (tgt_probs > 0) & (log_probs == 0) & active[:, None]
-    if violations.any():
-        xs, acts = np.nonzero(violations)
-        raise SupportViolation(list(zip(xs.tolist(), acts.tolist())))
-    ratio = np.where(log_probs > 0, tgt_probs / np.where(log_probs > 0, log_probs, 1.0), 0.0)
-    return float(ratio[active].max())
+        context_probs = np.ones(log_probs.shape[0])
+    context_probs = _float_table(context_probs, "context probabilities")
+    if context_probs.shape != log_probs.shape[:1]:
+        raise DimensionMismatch(
+            f"context probabilities have shape {context_probs.shape}, expected ({log_probs.shape[0]},)"
+        )
+    if not (context_probs > 0).any():
+        raise ValidationError("context probabilities need a positive entry")
+    return _weights(context_probs, log_probs, tgt_probs, None)[1]
+
+
+def _value(context_probs: np.ndarray, target_probs: np.ndarray, reward_means: np.ndarray) -> float:
+    """Exact value of a target table by enumeration over contexts and actions."""
+    per_context = np.sum(target_probs * reward_means, axis=1)
+    return float(np.dot(context_probs, per_context))
 
 
 def true_value(env: BanditEnv, policy: PolicyTable) -> float:
@@ -261,8 +260,7 @@ def true_value(env: BanditEnv, policy: PolicyTable) -> float:
             f"policy shape {policy.probs.shape} does not match the environment "
             f"shape {env.reward_means.shape}"
         )
-    per_context = np.sum(policy.probs * env.reward_means, axis=1)
-    return float(np.dot(env.context_probs, per_context))
+    return _value(env.context_probs, policy.probs, env.reward_means)
 
 
 def population_moments(
@@ -272,37 +270,12 @@ def population_moments(
 
     The weight mean is evaluated as the context-weighted sum of target row
     sums, cancelling the logging propensities symbolically, so policies
-    whose rows sum to one in floats give a weight mean of exactly one.
+    whose rows sum to one in floats give a weight mean of exactly one. The
+    moments are enumerated over the compiled scenario, so a scenario that
+    fails to compile raises here as it does in :func:`compile_scenario`.
     """
-    # Overlap check only: it raises SupportViolation where the target leaves
-    # the logging support.
-    weight_bound(logging_policy, target_policy, env.context_probs)
-    p_ctx = env.context_probs
-    log_probs = logging_policy.probs
-    tgt_probs = target_policy.probs
-    if log_probs.shape != env.reward_means.shape:
-        raise DimensionMismatch(
-            f"policy shape {log_probs.shape} does not match the environment "
-            f"shape {env.reward_means.shape}"
-        )
-    occupancy = p_ctx[:, None] * log_probs
-    w = np.where(log_probs > 0, tgt_probs / np.where(log_probs > 0, log_probs, 1.0), 0.0)
-    mu = env.reward_means
-    mean_w = float(np.dot(p_ctx, tgt_probs.sum(axis=1)))
-    if abs(mean_w - 1.0) > _PROB_TOL:
-        raise ValidationError(f"weight mean should be one, got {mean_w}")
-    mean_wr = float(np.sum(occupancy * w * mu))
-    dev_w = w - mean_w
-    var_w = float(np.sum(occupancy * dev_w * dev_w))
-    # Rewards are Bernoulli(mu): enumerate both outcomes given (context, action).
-    dev_wr = w - mean_wr
-    var_wr = float(
-        np.sum(occupancy * (mu * dev_wr * dev_wr + (1.0 - mu) * mean_wr * mean_wr))
-    )
-    cov_w_wr = float(np.sum(occupancy * dev_w * (mu * w - mean_wr)))
-    return MomentSummary(
-        mean_w=mean_w, mean_wr=mean_wr, var_w=var_w, var_wr=var_wr, cov_w_wr=cov_w_wr, n=1
-    )
+    compiled = compile_scenario(BanditScenario(env, logging_policy, target_policy))
+    return _moments(compiled.context_probs, compiled.positions[0])
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -449,12 +422,11 @@ def draw_uniforms(uniforms: np.ndarray, streams: Iterator[np.random.Generator]) 
 
 @dataclass(frozen=True, eq=False)
 class _PositionTables:
-    """Sampling tables of one position.
+    """Sampling and oracle tables of one position, one row per context and one column per action.
 
-    ``action_cdf`` holds the logging CDF of each context, one row per
-    context; the other tables are flattened by ``(context, action)`` cell.
-    ``weights`` is ``p_tgt / p_log`` where ``p_log`` is positive and zero
-    elsewhere.
+    ``action_cdf`` holds the logging CDF of each context; the samplers read
+    the other tables by flat ``(context, action)`` cell. ``weights`` is
+    ``p_tgt / p_log`` on the cells a draw can pick and zero elsewhere.
     """
 
     action_cdf: np.ndarray
@@ -466,12 +438,13 @@ class _PositionTables:
 
 @dataclass(frozen=True, eq=False)
 class CompiledScenario:
-    """Sampling tables of a scenario, built once and shared by every replicate.
+    """Sampling and oracle tables of a scenario, built once and shared by every replicate.
 
     ``ranked`` scenarios sample ``(replicates, positions, n)`` blocks;
     scalar ones sample ``(replicates, n)``.
     """
 
+    context_probs: np.ndarray
     context_cdf: np.ndarray
     positions: tuple[_PositionTables, ...]
     weight_bound: float
@@ -482,42 +455,43 @@ class CompiledScenario:
         return len(self.positions)
 
 
-def _check_tables(context_probs: np.ndarray, positions, bound: float, ranked: bool) -> None:
-    """The entry check, run once over the ``(p_log, p_tgt)`` of every cell a draw can pick.
+def _weights(context_probs: np.ndarray, p_log: np.ndarray, p_tgt: np.ndarray, position) -> tuple[np.ndarray, float]:
+    """The checked weight table ``p_tgt / p_log`` of one position and its largest entry, the weight bound.
 
-    A draw picks only cells whose context and logging probabilities are
-    positive; an error names the cell's position (ranked scenarios),
-    context and action. Rewards are 0 or 1 and always pass.
+    The one place a weight is formed: on the cells a draw can pick (context
+    and logging probabilities positive), zero elsewhere. Raises
+    :class:`SupportViolation` where a reachable target leaves the logging
+    support, then :class:`NonFiniteValue` for a weight too large for a
+    float, then runs the entry check over the drawable cells, whose rewards
+    are 0 or 1 and always pass. An error names the cell's position
+    (``None`` for a scalar scenario), context and action.
     """
-    p_log, p_tgt, cells = [], [], []
-    for j, pos in enumerate(positions):
-        contexts, actions = np.nonzero((context_probs[:, None] > 0) & (pos.logging_policy.probs > 0))
-        p_log.append(pos.logging_policy.probs[contexts, actions])
-        p_tgt.append(pos.target_policy.probs[contexts, actions])
-        cells += [(j if ranked else None, x, a) for x, a in zip(contexts.tolist(), actions.tolist())]
-    p_log = np.concatenate(p_log)
-    _check_columns(p_log, np.concatenate(p_tgt), np.zeros_like(p_log), 1.0, bound, cells=cells)
-
-
-def _position_tables(pos: PositionModel) -> _PositionTables:
-    p_log = np.ravel(pos.logging_policy.probs)
-    p_tgt = np.ravel(pos.target_policy.probs)
-    return _PositionTables(
-        action_cdf=_cdf(pos.logging_policy.probs),
-        reward_means=np.ravel(pos.reward_means),
-        p_log=p_log,
-        p_tgt=p_tgt,
-        weights=np.divide(p_tgt, p_log, out=np.zeros_like(p_log), where=p_log > 0),
-    )
+    active = context_probs[:, None] > 0
+    violations = active & (p_tgt > 0) & (p_log == 0)
+    if violations.any():
+        contexts, actions = np.nonzero(violations)
+        raise SupportViolation(list(zip(contexts.tolist(), actions.tolist())))
+    drawable = active & (p_log > 0)
+    with np.errstate(over="ignore"):
+        weights = np.divide(p_tgt, p_log, out=np.zeros_like(p_log), where=drawable)
+    contexts, actions = np.nonzero(drawable)
+    cells = [(position, x, a) for x, a in zip(contexts.tolist(), actions.tolist())]
+    overflow = np.isinf(weights[drawable])
+    if overflow.any():
+        raise NonFiniteValue("weight", None, position=position, cell=cells[int(np.argmax(overflow))][1:])
+    bound = float(weights.max())
+    _check_columns(p_log[drawable], p_tgt[drawable], np.zeros(len(cells)), 1.0, bound, cells=cells)
+    return weights, bound
 
 
 def compile_scenario(scenario) -> CompiledScenario:
-    """Sampling tables and weight bound of a :class:`BanditScenario` or :class:`RankingEnv`.
+    """Sampling and oracle tables and weight bound of a :class:`BanditScenario` or :class:`RankingEnv`.
 
     A bandit scenario is compiled as a ranking with one position, so both
-    kinds share the tables and the sampler. The cells a draw can pick are
-    checked here, once, as dataset entries against the weight bound, so a
-    scenario whose samples would fail the dataset checks fails to compile.
+    kinds share the tables, the sampler and the oracle. The cells a draw
+    can pick are checked here, once, as dataset entries against the weight
+    bound, so a scenario whose samples would fail the dataset checks fails
+    to compile.
     """
     if isinstance(scenario, BanditScenario):
         context_probs = scenario.env.context_probs
@@ -529,13 +503,34 @@ def compile_scenario(scenario) -> CompiledScenario:
     else:
         raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
     ranked = isinstance(scenario, RankingEnv)
-    bound = max(weight_bound(pos.logging_policy, pos.target_policy, context_probs) for pos in positions)
-    _check_tables(context_probs, positions, bound, ranked)
-    return CompiledScenario(
-        context_cdf=_cdf(context_probs),
-        positions=tuple(_position_tables(pos) for pos in positions),
-        weight_bound=bound,
-        ranked=ranked,
+    tables, bounds = [], []
+    for j, pos in enumerate(positions):
+        p_log, p_tgt = pos.logging_policy.probs, pos.target_policy.probs
+        weights, bound = _weights(context_probs, p_log, p_tgt, j if ranked else None)
+        tables.append(_PositionTables(_cdf(p_log), pos.reward_means, p_log, p_tgt, weights))
+        bounds.append(bound)
+    return CompiledScenario(context_probs, _cdf(context_probs), tuple(tables), max(bounds), ranked)
+
+
+def _moments(p_ctx: np.ndarray, pos: _PositionTables) -> MomentSummary:
+    """The moments of :func:`population_moments` at one compiled position."""
+    occupancy = p_ctx[:, None] * pos.p_log
+    w = pos.weights
+    mu = pos.reward_means
+    mean_w = float(np.dot(p_ctx, pos.p_tgt.sum(axis=1)))
+    if abs(mean_w - 1.0) > _PROB_TOL:
+        raise ValidationError(f"weight mean should be one, got {mean_w}")
+    mean_wr = float(np.sum(occupancy * w * mu))
+    dev_w = w - mean_w
+    var_w = float(np.sum(occupancy * dev_w * dev_w))
+    # Rewards are Bernoulli(mu): enumerate both outcomes given (context, action).
+    dev_wr = w - mean_wr
+    var_wr = float(
+        np.sum(occupancy * (mu * dev_wr * dev_wr + (1.0 - mu) * mean_wr * mean_wr))
+    )
+    cov_w_wr = float(np.sum(occupancy * dev_w * (mu * w - mean_wr)))
+    return MomentSummary(
+        mean_w=mean_w, mean_wr=mean_wr, var_w=var_w, var_wr=var_wr, cov_w_wr=cov_w_wr, n=1
     )
 
 
@@ -672,12 +667,7 @@ def sample_logs(
 
 def true_position_values(env: RankingEnv) -> np.ndarray:
     """Exact per-position target values; their sum is the total value."""
-    values = np.array(
-        [
-            true_value(BanditEnv(env.context_probs, pos.reward_means), pos.target_policy)
-            for pos in env.positions
-        ]
-    )
+    values = np.array([_value(env.context_probs, pos.target_policy.probs, pos.reward_means) for pos in env.positions])
     values.setflags(write=False)
     return values
 

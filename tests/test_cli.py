@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,22 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opekit import experiments, get_scenario, read_logs, sample_logs
+from opekit import (
+    BanditEnv,
+    BanditScenario,
+    PolicyTable,
+    PositionModel,
+    RankingEnv,
+    experiments,
+    get_scenario,
+    oracle_report,
+    population_moments,
+    read_logs,
+    sample_logs,
+)
 from opekit.cli import OUT_DIR_ENV, main
+from opekit.errors import NonFiniteValue
+from opekit.simulator import compile_scenario
 
 
 def run(capsys, *args):
@@ -479,6 +494,41 @@ class TestStudy:
         assert code == 2
         assert "rectangular" in err
         assert "Traceback" not in err
+
+    def test_overflowing_weight_exits_2_naming_its_cell(self, capsys, tmp_path):
+        # 0.5 / 1e-310 overflows a float: the scenario fails to compile, before
+        # its oracle, with one error line and no numpy warning.
+        environment = {
+            "kind": "bandit",
+            "context_probs": [1.0],
+            "reward_means": [[0.2, 0.8]],
+            "logging_policy": [[1.0e-310, 1.0]],
+            "target_policy": [[0.5, 0.5]],
+        }
+        config = write_config(tmp_path, environment=environment)
+        code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.splitlines() == ["error: weight is not finite at context 0, action 0"]
+        env = BanditEnv(environment["context_probs"], environment["reward_means"])
+        logging, target = PolicyTable(environment["logging_policy"]), PolicyTable(environment["target_policy"])
+        scenario = BanditScenario(env, logging, target)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for call in (
+                lambda: compile_scenario(scenario),
+                lambda: oracle_report(scenario),
+                lambda: population_moments(env, logging, target),
+                lambda: sample_logs(env, logging, target, 10, 0),
+            ):
+                with pytest.raises(NonFiniteValue) as info:
+                    call()
+                assert (info.value.cell, info.value.position) == ((0, 0), None)
+                assert f"error: {info.value}" == err.strip()
+            # A ranked scenario's error names the position as well.
+            fine = PositionModel(target, target, env.reward_means)
+            with pytest.raises(NonFiniteValue, match=r"at context 0, action 0, position 2$"):
+                compile_scenario(RankingEnv(env.context_probs, (fine, PositionModel(logging, target, env.reward_means))))
+        assert caught == []
 
     @pytest.mark.parametrize(
         "kind, environment, grid",

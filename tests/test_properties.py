@@ -5,6 +5,8 @@ quantities with exact closed forms (unit mean weight, the self-normalised
 collapse) hold bitwise, not merely to rounding.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -15,7 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import dataset_from_weights, ranked_from_weights
 from opekit import (
+    BanditEnv,
     MomentSummary,
+    PolicyTable,
+    PositionModel,
+    RankingEnv,
     beta_ips,
     beta_ips_variance,
     beta_perp_star_hat,
@@ -32,7 +38,7 @@ from opekit import (
     write_logs,
 )
 from opekit.cli import main
-from opekit.errors import DegenerateWeights
+from opekit.errors import DegenerateWeights, OpeKitError
 from opekit.estimators import CrossFitConfig, fold_indices
 
 
@@ -227,3 +233,86 @@ class TestPlugInBaselineRoutes:
         got = {name: _degenerate_or_hex(fn, dataset) for name, fn in routes.items()}
         assert len(set(got.values())) == 1, got
         assert (got["beta_star_hat"] is None) == (empirical_moments(dataset).var_w == 0.0)
+
+
+def _evaluate(data: bytes) -> tuple[int, str]:
+    """Exit code and stderr of ``opekit evaluate`` on a file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "logs.jsonl"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--in", str(path)])
+    return code, err.getvalue()
+
+
+_HEADER = b'{"_meta":{"reward_bound":1.0,"weight_bound":9.0}}'
+_SCALAR = b'{"context":0,"action":0,"p_log":0.9,"p_tgt":0.1,"reward":1.0}'
+_RANKED = b'{"context":0,"positions":[{"action":0,"p_log":0.9,"p_tgt":0.1,"reward":0.0}]}'
+
+#: Table leaves: any float, integers past the float range, and values that are not numbers.
+_LEAVES = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([True, None, "0.5", "x", 1e308, 1e-310, 5e-324]),
+)
+
+
+@st.composite
+def _constructor_tables(draw):
+    """Context probabilities and logging, target and reward tables of one shape, then up to three edits.
+
+    An edit puts an odd leaf into a row, fills a row with one leaf, drops a
+    row's last cell, or replaces a whole table with arbitrary nesting.
+    """
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    tables = [[1.0 / rows] * rows] + [[[1.0 / cols] * cols for _ in range(rows)] for _ in range(3)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, 3))
+        edit = draw(st.sampled_from(["leaf", "fill", "drop", "replace"]))
+        if edit == "replace":
+            tables[i] = draw(st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=10))
+            continue
+        if not isinstance(tables[i], list) or not tables[i]:
+            continue
+        row = tables[i] if i == 0 else tables[i][draw(st.integers(0, len(tables[i]) - 1))]
+        if not isinstance(row, list) or not row:
+            continue
+        if edit == "leaf":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_LEAVES)
+        elif edit == "fill":
+            row[:] = [draw(_LEAVES)] * len(row)
+        else:
+            row.pop()
+    return tables
+
+
+class TestNoTraceback:
+    # Inputs from outside the program end in exit 2 or a package error.
+
+    @given(st.binary(max_size=300))
+    def test_evaluate_on_random_bytes_exits_2(self, data):
+        code, err = _evaluate(data)
+        assert code == 2, err
+        assert len(err.splitlines()) == 1, err
+
+    @given(st.lists(st.booleans(), min_size=2, max_size=8).filter(lambda ranked: len(set(ranked)) == 2))
+    def test_evaluate_on_mixed_scalar_and_ranked_records_exits_2(self, ranked):
+        data = b"\n".join([_HEADER, *(_RANKED if r else _SCALAR for r in ranked)]) + b"\n"
+        code, err = _evaluate(data)
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and "record in a" in err, err
+
+    @given(_constructor_tables())
+    def test_public_constructors_raise_only_package_errors(self, tables):
+        context, logging, target, means = tables
+        for build in (
+            lambda: PolicyTable(logging),
+            lambda: BanditEnv(context, means),
+            lambda: PositionModel(PolicyTable(logging), PolicyTable(target), means),
+            lambda: RankingEnv(context, [PositionModel(PolicyTable(logging), PolicyTable(target), means)] * 2),
+        ):
+            try:
+                build()
+            except OpeKitError:
+                pass

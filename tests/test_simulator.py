@@ -42,12 +42,16 @@ class TestTables:
             PolicyTable([[0.5, 0.4]])
         with pytest.raises(ValidationError):
             PolicyTable([[0.5, -0.5, 1.0]])
+        with pytest.raises(ValidationError, match="sum to one"):
+            PolicyTable([[1e308, 1e308]])  # the row sum overflows
         with pytest.raises(DimensionMismatch):
             PolicyTable([0.5, 0.5])
 
     def test_env_validation(self):
         with pytest.raises(ValidationError):
             BanditEnv(context_probs=[0.5, 0.4], reward_means=[[0.5], [0.5]])
+        with pytest.raises(ValidationError, match="sum to one"):
+            BanditEnv(context_probs=[1e308, 1e308], reward_means=[[0.5], [0.5]])
         with pytest.raises(ValidationError):
             BanditEnv(context_probs=[1.0], reward_means=[[1.5]])
         with pytest.raises(DimensionMismatch):
@@ -98,6 +102,13 @@ class TestOracles:
         with pytest.raises(DimensionMismatch):
             true_value(env, PolicyTable([[1.0]]))
 
+    def test_population_moments_shape_check(self):
+        # Policies of two contexts against a one-context environment.
+        env, _, _ = flip_tables()
+        policy = PolicyTable([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(DimensionMismatch):
+            population_moments(env, policy, policy)
+
     def test_flip_population_moments(self):
         env, logging, target = flip_tables()
         m = population_moments(env, logging, target)
@@ -133,6 +144,16 @@ class TestOracles:
         assert bound == 1.0
         with pytest.raises(SupportViolation):
             weight_bound(logging, target, context_probs=[0.5, 0.5])
+
+    def test_weight_bound_rejects_bad_context_probs(self):
+        _, logging, target = flip_tables()
+        for context_probs, error, match in (
+            ([0.5, 0.5], DimensionMismatch, "shape"),
+            ([], DimensionMismatch, "shape"),
+            ([0.0], ValidationError, "positive"),
+        ):
+            with pytest.raises(error, match=match):
+                weight_bound(logging, target, context_probs)
 
     def test_weight_bound_flip(self):
         _, logging, target = flip_tables()
@@ -301,13 +322,6 @@ class TestRanking:
         values = true_position_values(self.rank_env())
         assert values == pytest.approx([0.26, 0.26], rel=1e-15)
         assert float(values.sum()) == pytest.approx(0.52, rel=1e-15)
-
-    def test_position_scenario_matches_scalar(self):
-        env = self.rank_env()
-        scenario = env.position_scenario(1)
-        assert true_value(scenario.env, scenario.target_policy) == pytest.approx(0.26)
-        with pytest.raises(ValidationError):
-            env.position_scenario(2)
 
     def test_ranked_sampling_deterministic(self):
         env = self.rank_env()

@@ -127,3 +127,34 @@ def test_one_place_checks_entry_bounds():
     assert outside == []
     assert sorted(kind for *_, kind in inside) == ["BOUND_SLACK", "slack comparison", "slack comparison"]
     assert {name for name, *_ in inside} == {"data.py"}
+
+
+def _is_table(node, words) -> bool:
+    return any(w in name for name in _names(node) for w in words)
+
+
+def _ratio_sites(tree) -> list[int]:
+    """Line of every division of a target table by a logging table, by ``/`` or ``np.divide``."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            num, den = node.left, node.right
+        elif isinstance(node, ast.Call) and _names(node.func) & {"divide", "true_divide"} and len(node.args) > 1:
+            num, den = node.args[:2]
+        else:
+            continue
+        if _is_table(num, ("p_tgt", "tgt_prob", "target")) and _is_table(den, ("p_log", "log_prob", "logging")):
+            sites.append(node.lineno)
+    return sites
+
+
+def test_one_place_forms_the_weight_ratio():
+    # A scenario's weights p_tgt / p_log are formed in simulator._weights
+    # alone, which compile_scenario and weight_bound share, so the sampler,
+    # the weight bound and the oracle read one checked table.
+    tree = ast.parse((SOURCE / "simulator.py").read_text(encoding="utf-8"))
+    helpers = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_weights"]
+    inside = {site for helper in helpers for site in _ratio_sites(helper)}
+    outside = [site for site in _ratio_sites(tree) if site not in inside]
+    assert outside == []
+    assert len(inside) == 1
