@@ -1,6 +1,8 @@
 """Study configuration files: checking, resolution, and hashing.
 
-Configurations are YAML (JSON works too, being a YAML subset). This
+Configurations are YAML, or strict JSON in a file ending in ``.json``
+(any case), read by the JSON parser: YAML 1.1 reads a JSON number such as
+``1e2`` or ``1e-300``, an exponent with no decimal point, as a string. This
 module checks what no constructor sees: the keys of each mapping (missing
 and unknown keys are rejected), that lists are non-empty lists, that
 table entries are numbers and that ``study`` names a known kind. The
@@ -141,14 +143,20 @@ class LoadedStudy:
 
 def load_study_config(path) -> LoadedStudy:
     """Read, check, and resolve a study configuration file."""
-    # Imported here so that commands which never read a configuration skip its cost.
-    import yaml
-
     source = Path(path)
     text = source.read_text(encoding="utf-8")
+    # Either parser raises ValueError for an integer of more than 4300 digits
+    # and RecursionError for lists nested too deeply.
+    if source.suffix.lower() == ".json":
+        parse, errors = json.loads, (ValueError, RecursionError)
+    else:
+        # Imported here so that commands which never read a YAML configuration skip its cost.
+        import yaml
+
+        parse, errors = yaml.safe_load, (yaml.YAMLError, ValueError, RecursionError)
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        raw = parse(text)
+    except errors as exc:
         raise ValidationError(f"cannot parse {source}: {exc}") from None
     _check_layout(raw)
     scenario, label = environment_from_spec(raw["environment"])

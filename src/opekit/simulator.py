@@ -21,7 +21,7 @@ which builds every column.
 
 :func:`compile_scenario` is the one place that divides ``p_tgt`` by
 ``p_log`` and checks the tables. Per position it checks support, rejects a
-drawable weight that overflows a float, runs the entry check once over the
+drawable weight whose square overflows a float, runs the entry check once over the
 cells a draw can pick and takes the weight bound; :func:`weight_bound` runs
 that same step. A policy entry above 1, say, is rejected there, naming its
 position, context and action, before any uniform is drawn. The moments of :func:`population_moments` and the study oracle are enumerated
@@ -225,7 +225,7 @@ def weight_bound(logging_policy: PolicyTable, target_policy: PolicyTable, contex
     Also checks overlap: any reachable context where the target policy puts
     mass on an action the logging policy never takes raises
     :class:`SupportViolation`. This is the per-position step of
-    :func:`compile_scenario`, so a reachable weight too large for a float,
+    :func:`compile_scenario`, so a reachable weight whose square overflows a float,
     or an entry that fails the dataset entry check, raises as it does there.
     Without ``context_probs`` every context is reachable.
     """
@@ -294,24 +294,20 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: the number of CDF entries at or below u.
+def _pick(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF draw into ``out``: the number of entries of ``cdf`` at or below each u.
 
-    Cell ``i`` is picked for u in ``[cdf[i - 1], cdf[i])``; with a CDF from
-    :func:`_cdf` that is never a zero-probability cell. The last entry
-    reads 1.0, above every u, so it is left out of the search.
-    """
-    return np.searchsorted(cdf[:-1], u, side="right")
-
-
-def _pick_rows(row_cdf: np.ndarray, contexts: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`_pick` from the CDF row of each entry's context, written into ``out``.
-
-    The last column reads 1.0, above every u, so it is skipped.
+    ``cdf`` is a CDF from :func:`_cdf`, or with ``rows`` a table of them, each
+    entry read in its own row. It never decreases and ends at 1.0, above every
+    u, so the last cell is skipped and the count equals
+    ``np.searchsorted(cdf[:-1], u, side="right")``, which never picks a
+    zero-probability cell. One comparison pass per cell: per 8192 uniforms
+    (2 cores, numpy 2.4) this beats ``np.searchsorted`` on one CDF below about
+    40 cells (12 against 39 us at 2 cells) and loses above.
     """
     out[...] = 0
-    for a in range(row_cdf.shape[1] - 1):
-        out += u >= row_cdf[:, a].take(contexts)
+    for i in range(cdf.shape[-1] - 1):
+        out += u >= (cdf[..., i] if rows is None else cdf[:, i].take(rows))
     return out
 
 
@@ -461,8 +457,9 @@ def _weights(context_probs: np.ndarray, p_log: np.ndarray, p_tgt: np.ndarray, po
     The one place a weight is formed: on the cells a draw can pick (context
     and logging probabilities positive), zero elsewhere. Raises
     :class:`SupportViolation` where a reachable target leaves the logging
-    support, then :class:`NonFiniteValue` for a weight too large for a
-    float, then runs the entry check over the drawable cells, whose rewards
+    support, then :class:`NonFiniteValue` for a weight, then for a squared
+    weight, too large for a float (the oracle's moments square the weights),
+    then runs the entry check over the drawable cells, whose rewards
     are 0 or 1 and always pass. An error names the cell's position
     (``None`` for a scalar scenario), context and action.
     """
@@ -474,11 +471,13 @@ def _weights(context_probs: np.ndarray, p_log: np.ndarray, p_tgt: np.ndarray, po
     drawable = active & (p_log > 0)
     with np.errstate(over="ignore"):
         weights = np.divide(p_tgt, p_log, out=np.zeros_like(p_log), where=drawable)
+        squares = np.square(weights[drawable])
     contexts, actions = np.nonzero(drawable)
     cells = [(position, x, a) for x, a in zip(contexts.tolist(), actions.tolist())]
-    overflow = np.isinf(weights[drawable])
-    if overflow.any():
-        raise NonFiniteValue("weight", None, position=position, cell=cells[int(np.argmax(overflow))][1:])
+    for quantity, values in (("weight", weights[drawable]), ("squared weight", squares)):
+        overflow = np.isinf(values)
+        if overflow.any():
+            raise NonFiniteValue(quantity, None, position=position, cell=cells[int(np.argmax(overflow))][1:])
     bound = float(weights.max())
     _check_columns(p_log[drawable], p_tgt[drawable], np.zeros(len(cells)), 1.0, bound, cells=cells)
     return weights, bound
@@ -554,7 +553,7 @@ def _stages(uniforms: np.ndarray, n: int) -> list[np.ndarray]:
 def _cells(pos: _PositionTables, contexts: np.ndarray, u: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """The ``(context, action)`` cell of each entry, drawing the actions into ``actions``."""
     cells = contexts * pos.action_cdf.shape[1]
-    cells += _pick_rows(pos.action_cdf, contexts, u, actions)
+    cells += _pick(pos.action_cdf, u, actions, contexts)
     return cells
 
 
@@ -569,7 +568,8 @@ def sample_block(compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray
     the scenario was compiled, so the block needs no check of its own.
     """
     stages = iter(stages)
-    contexts = _pick(compiled.context_cdf, next(stages))
+    u = next(stages)
+    contexts = _pick(compiled.context_cdf, u, np.empty(u.shape, dtype=np.int64))
     rows = contexts.shape[0]
     shape = (rows, compiled.k, n)
     p_log = np.empty(shape)
@@ -607,7 +607,7 @@ def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> 
     Nothing else is gathered, and nothing is checked.
     """
     stages = _stages(uniforms, n)
-    contexts = _pick(compiled.context_cdf, stages[0])
+    contexts = _pick(compiled.context_cdf, stages[0], np.empty(stages[0].shape, dtype=np.int64))
     rows = contexts.shape[0]
     shape = (rows, compiled.k, n)
     w = np.empty(shape)

@@ -530,6 +530,24 @@ class TestStudy:
                 compile_scenario(RankingEnv(env.context_probs, (fine, PositionModel(logging, target, env.reward_means))))
         assert caught == []
 
+    def test_weight_whose_square_overflows_exits_2(self, capsys, tmp_path):
+        # 0.5 / 1e-200 is a float, but its square, which the oracle's moments
+        # take, is not: the scenario fails to compile with one error line.
+        environment = {
+            "kind": "bandit",
+            "context_probs": [1.0],
+            "reward_means": [[0.2, 0.8]],
+            "logging_policy": [[1.0e-200, 1.0]],
+            "target_policy": [[0.5, 0.5]],
+        }
+        config = write_config(tmp_path, environment=environment)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.splitlines() == ["error: squared weight is not finite at context 0, action 0"]
+        assert caught == []
+
     @pytest.mark.parametrize(
         "kind, environment, grid",
         [("dominance", "rankflip2x2", [50, 100]), ("decay", "flip2", [100, 400, 1600, 6400])],

@@ -105,6 +105,21 @@ class TestLoading:
         loaded = load_study_config(path)
         assert loaded.config_hash == load_study_config(dump(tmp_path, base_config())).config_hash
 
+    def test_json_exponent_numbers(self, tmp_path):
+        # YAML 1.1 reads 1e2 and 1e-300 as strings; a .json file is read as JSON.
+        environment = dict(INLINE_BANDIT, reward_means=[[1e-300, 0.8]])
+        text = json.dumps(base_config(environment=environment)).replace('"replicates": 100', '"replicates": 1e2')
+        assert '"replicates": 1e2' in text and "1e-300" in text
+        spelled = load_study_config(dump(tmp_path, base_config(environment=environment)))
+        for name in ("study.json", "study.JSON"):
+            path = tmp_path / name
+            path.write_text(text)
+            loaded = load_study_config(path)
+            assert loaded.config.replicates == 100
+            assert loaded.config.scenario.env.reward_means[0, 0] == 1e-300
+            assert loaded.resolved == spelled.resolved
+            assert loaded.config_hash == spelled.config_hash
+
     def test_inline_bandit_environment(self, tmp_path):
         loaded = load_study_config(dump(tmp_path, base_config(environment=INLINE_BANDIT)))
         assert isinstance(loaded.config.scenario, BanditScenario)
@@ -149,6 +164,17 @@ class TestRejections:
         path = tmp_path / "broken.yaml"
         path.write_text("study: [mc\n")
         with pytest.raises(ValidationError):
+            load_study_config(path)
+
+    @pytest.mark.parametrize("suffix", [".json", ".yaml"])
+    @pytest.mark.parametrize(
+        "text", ["{", "[" * 100000, '{"seed": 1' + "0" * 5000 + "}"], ids=["truncated", "deep", "long-integer"]
+    )
+    def test_unparseable_json_or_yaml(self, tmp_path, text, suffix):
+        # A 5001-digit integer is past the interpreter's limit on integer parsing.
+        path = tmp_path / f"broken{suffix}"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="cannot parse"):
             load_study_config(path)
 
     def test_non_mapping_top_level(self, tmp_path):

@@ -33,6 +33,7 @@ from opekit import (
     true_value,
 )
 from opekit import experiments
+from opekit.data import BLOCK_ENTRIES
 from opekit.errors import BoundViolation, EstimationError, ValidationError
 from opekit.estimators import (
     CrossFitConfig,
@@ -139,16 +140,20 @@ def assert_engine_matches_replay(scenario, n, replicates, estimators, n_jobs=1):
 
 class TestBlockSize:
     def test_derived_from_entries(self):
-        assert _block_rows(400, 1) == 20
-        assert _block_rows(400, 2) == 10
-        assert _block_rows(8192, 1) == 1
-        assert _block_rows(9000, 1) == 1
-        assert _block_rows(1, 1) == 8192
+        budget = experiments._BLOCK_ENTRIES
+        assert _block_rows(400, 1) == budget // 400
+        assert _block_rows(400, 2) == budget // 800
+        assert _block_rows(budget, 1) == 1
+        assert _block_rows(budget + 808, 1) == 1
+        assert _block_rows(1, 1) == budget
 
     def test_block_size_never_changes_a_bit(self, monkeypatch):
         scenario = get_scenario("flip2")
         default = replicate_estimates(scenario, 100, 90, SEED, SCALAR)
-        for entries in (1, 700):
+        # The last case is the log writer's and reader's budget, which the
+        # engine used before it had a budget of its own.
+        assert _block_rows(100, 1) != BLOCK_ENTRIES // 100
+        for entries in (1, 700, BLOCK_ENTRIES):
             monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
             other = replicate_estimates(scenario, 100, 90, SEED, SCALAR)
             assert np.array_equal(default.values, other.values, equal_nan=True)
@@ -161,9 +166,10 @@ class TestScalarEquivalence:
         assert 47 % _block_rows(400, 1) != 0
         assert_engine_matches_replay(get_scenario("flip2"), 400, 47, SCALAR, n_jobs)
 
-    @pytest.mark.parametrize("n", [100, 9000])
+    @pytest.mark.parametrize("n", [100, 17000])
     def test_both_sides_of_the_entry_budget(self, n):
-        assert_engine_matches_replay(get_scenario("flip2"), n, 4 if n > 8192 else 83, SCALAR)
+        assert 100 < experiments._BLOCK_ENTRIES < 17000
+        assert_engine_matches_replay(get_scenario("flip2"), n, 4 if n == 17000 else 83, SCALAR)
 
     def test_remainder_is_squared_as_a_python_float(self):
         scenario = get_scenario("flip2")

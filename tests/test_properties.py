@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import dataset_from_weights, ranked_from_weights
@@ -40,6 +40,7 @@ from opekit import (
 from opekit.cli import main
 from opekit.errors import DegenerateWeights, OpeKitError
 from opekit.estimators import CrossFitConfig, fold_indices
+from opekit.simulator import _cdf, _pick
 
 
 @st.composite
@@ -186,6 +187,48 @@ class TestHarnessPieces:
         assert sizes[-1] - sizes[0] <= 1
         merged = np.sort(np.concatenate(folds))
         assert np.array_equal(merged, np.arange(n))
+
+
+@st.composite
+def cdf_tables(draw):
+    """Rows of CDFs from ``_cdf`` with zero cells, and a block of uniforms that hits their entries.
+
+    Widths run from 1 cell to past 40, where ``np.searchsorted`` overtakes the
+    picker's comparison count on one CDF. The uniforms are random, 0,
+    ``1 - 2**-53`` or an entry of a CDF.
+    """
+    rows, cells = draw(st.integers(1, 3)), draw(st.integers(1, 48))
+    probs = []
+    for _ in range(rows):
+        counts = draw(st.lists(st.integers(0, 4), min_size=cells, max_size=cells))
+        counts[draw(st.integers(0, cells - 1))] += 1
+        probs.append([c / sum(counts) for c in counts])
+    cdf = _cdf(np.array(probs))
+    special = st.sampled_from([0.0, 1.0 - 2.0**-53, *(x for x in cdf.ravel().tolist() if x < 1.0)])
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 12)))
+    uniforms = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True) | special, min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+    return cdf, np.array(uniforms).reshape(shape)
+
+
+class TestPicker:
+    @given(cdf_tables())
+    @example((_cdf(np.array([[0.7, 0.2, 0.1, 0.0]])), np.array([[0.0, 0.7, 0.9, 1.0 - 2.0**-53]])))
+    @example((_cdf(np.array([[0.1] * 10, [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.25]])),
+              np.array([[0.0, 0.5, 0.75, 0.3, 1.0 - 2.0**-53]])))
+    def test_equals_searchsorted(self, case):
+        cdf, u = case
+        # One CDF, as the contexts are drawn.
+        for row in cdf:
+            out = np.empty(u.shape, dtype=np.int64)
+            assert _pick(row, u, out) is out
+            assert out.tolist() == np.searchsorted(row[:-1], u, side="right").tolist()
+        # A table of rows, each entry read in its own row, as the actions are drawn.
+        rows = np.arange(u.size).reshape(u.shape) % cdf.shape[0]
+        expected = [np.searchsorted(cdf[r, :-1], x, side="right") for r, x in zip(rows.ravel(), u.ravel())]
+        out = np.empty(u.shape, dtype=np.int64)
+        assert _pick(cdf, u, out, rows) is out
+        assert out.ravel().tolist() == expected
 
 
 @st.composite

@@ -191,6 +191,12 @@ class TestSampling:
         d = sample_logs(env, logging, logging, 2000, 7)
         assert 0 not in np.unique(d.context_ids)
         assert 1 not in np.unique(d.action_ids)
+        # Wider tables: twelve contexts by twelve actions, every third
+        # context and action never drawn.
+        probs = np.tile([0.0, 0.25, 0.25, 0.0, 0.125, 0.125, 0.0, 0.0625, 0.0625, 0.0, 0.0625, 0.0625], (12, 1))
+        env = BanditEnv(context_probs=probs[0], reward_means=np.full((12, 12), 0.5))
+        d = sample_logs(env, PolicyTable(probs), PolicyTable(probs), 4000, 7)
+        assert set(np.unique(d.context_ids)) == set(np.unique(d.action_ids)) == set(np.flatnonzero(probs[0]))
 
     def test_empirical_weight_mean_near_one(self):
         env, logging, target = flip_tables()
