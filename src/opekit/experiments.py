@@ -17,8 +17,10 @@ scenarios), one row per replicate, and every metric is one row kernel
 reducing along the last axis. A block holds about ``_BLOCK_ENTRIES``
 (16384, the engine's own budget) entries whatever the replicate count.
 Row reductions sum exactly as one-row ones do, so the block size never
-changes a bit. The engine samples only the weights and weighted rewards
-(:func:`~opekit.simulator.sample_weights`) from tables compiled once per
+changes a bit. A block is drawn by the one sampler the public samplers
+and ``simulate`` also use (:func:`~opekit.simulator.sample_cells`), and the
+engine gathers only the weights and weighted rewards at its cells
+(:func:`~opekit.simulator.sample_weights`), from tables compiled once per
 study, before the oracle and the pool: compiling runs the entry check once
 over the cells a draw can pick, so a scenario whose samples would fail
 the dataset checks fails before its oracle is enumerated and before any
@@ -551,6 +553,14 @@ class StudyConfig:
             raise ValidationError("sample sizes must be at least 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError(f"the sample size grid must be strictly increasing, got {grid}")
+        # A replicate draws (1 + 2k) * n uniforms into one array row, and the
+        # replicate count sizes the result matrix: both must fit an array dimension.
+        largest = int(np.iinfo(np.intp).max)
+        stages = 1 + 2 * (self.scenario.k if isinstance(self.scenario, RankingEnv) else 1)
+        if stages * grid[-1] > largest:
+            raise ValidationError(
+                f"n_grid entries must be at most {largest // stages}, the largest sample size an array holds"
+            )
         object.__setattr__(self, "n_grid", grid)
         for field, minimum, rule in (
             ("replicates", 100, "studies need at least 100 replicates for stable cell statistics"),
@@ -561,6 +571,8 @@ class StudyConfig:
             if value < minimum:
                 raise ValidationError(f"{rule}, got {value}")
             object.__setattr__(self, field, value)
+        if self.replicates > largest:
+            raise ValidationError(f"replicates must be at most {largest}, the largest count an array holds")
         object.__setattr__(self, "estimators", tuple(str(e) for e in self.estimators))
 
 

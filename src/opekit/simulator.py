@@ -11,13 +11,15 @@ order (contexts, then per position actions and rewards), so a
 one-position ranking environment consumes the stream exactly like the
 scalar sampler and reproduces its datasets bit for bit.
 
-One set of tables serves every caller. A scalar scenario is the
-one-position case of a ranking: a scenario is compiled once into
-per-position sampling tables, and a block of replicates is drawn from
-those tables, one row per replicate, dropping the position axis of a
-scalar block at the end. The public samplers, :func:`sample_logs` and
-:func:`sample_ranked_logs`, take the single row of :func:`sample_block`,
-which builds every column.
+One set of tables and one sampler serve every caller. A scalar scenario
+is the one-position case of a ranking: a scenario is compiled once into
+per-position sampling tables, and :func:`sample_cells` draws a block of
+replicates from them, one row per replicate, into the contexts, the flat
+``(context, action)`` cell of every entry and its Bernoulli reward. Each
+caller gathers what it needs from the compiled tables at those cells: the
+public samplers, :func:`sample_logs` and :func:`sample_ranked_logs`, every
+column of a one-row block; the study engine, through
+:func:`sample_weights`, only the weights and the weighted rewards.
 
 :func:`compile_scenario` is the one place that divides ``p_tgt`` by
 ``p_log`` and checks the tables. Per position it checks support, rejects a
@@ -27,11 +29,10 @@ that same step. A policy entry above 1, say, is rejected there, naming its
 position, context and action, before any uniform is drawn. The moments of :func:`population_moments` and the study oracle are enumerated
 over the compiled tables, so a scenario that fails to compile has no oracle
 either. Every CDF reads 1.0 from its last positive cell on, so a draw never
-picks a zero-probability context or action, and the weights are gathered
-from the compiled weight table, so every sampled dataset passes the dataset
+picks a zero-probability context or action, and every column is gathered
+from the compiled tables, so every sampled dataset passes the dataset
 checks with the same columns and weights, and no block is checked entry by
-entry. The study engine reads only the weights and the weighted rewards,
-through :func:`sample_weights`.
+entry.
 
 Replicate streams come from :func:`replicate_streams`. The PCG64 state
 that ``SeedSequence((seed, n, r))`` seeds is computed in numpy for a
@@ -211,12 +212,6 @@ class RankingEnv:
     @property
     def k(self) -> int:
         return len(self.positions)
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def weight_bound(logging_policy: PolicyTable, target_policy: PolicyTable, context_probs=None) -> float:
@@ -533,118 +528,98 @@ def _moments(p_ctx: np.ndarray, pos: _PositionTables) -> MomentSummary:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBlock:
-    """Validated columns of a block of replicates, one row per replicate."""
-
-    propensity_logging: np.ndarray
-    propensity_target: np.ndarray
-    rewards: np.ndarray
-    weights: np.ndarray
-    context_ids: np.ndarray
-    action_ids: np.ndarray
-
-
 def _stages(uniforms: np.ndarray, n: int) -> list[np.ndarray]:
     """The ``(rows, n)`` uniforms of each stage of a block: contexts, then per position actions and rewards."""
     return [uniforms[:, s : s + n] for s in range(0, uniforms.shape[1], n)]
 
 
-def _cells(pos: _PositionTables, contexts: np.ndarray, u: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """The ``(context, action)`` cell of each entry, drawing the actions into ``actions``."""
-    cells = contexts * pos.action_cdf.shape[1]
-    cells += _pick(pos.action_cdf, u, actions, contexts)
-    return cells
-
-
-def sample_block(compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray]) -> SampleBlock:
-    """Every column of a block of ``n`` entries per row.
+def sample_cells(
+    compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contexts, ``(context, action)`` cells and Bernoulli rewards of a block of ``n`` entries per row.
 
     ``stages`` yields the ``(rows, n)`` uniforms of each stage in the order
     a row's stream is consumed: contexts, then per position actions and
     rewards. Each is used up before the next is taken, so a caller may
-    draw them one at a time into one buffer. Every column is gathered from
-    the compiled tables, whose drawable cells passed the entry check when
-    the scenario was compiled, so the block needs no check of its own.
+    draw them one at a time into one buffer. The contexts are ``(rows, n)``;
+    the flat cells (``context * A_j + action`` at position ``j`` of ``A_j``
+    actions) and the rewards, ``u < reward_means[cell]``, are ``(rows, k, n)``.
+    Callers gather their columns from the compiled tables at the cells,
+    whose drawable entries passed the entry check when the scenario was
+    compiled, so no block needs a check of its own.
     """
     stages = iter(stages)
     u = next(stages)
     contexts = _pick(compiled.context_cdf, u, np.empty(u.shape, dtype=np.int64))
-    rows = contexts.shape[0]
-    shape = (rows, compiled.k, n)
-    p_log = np.empty(shape)
-    p_tgt = np.empty(shape)
-    rewards = np.empty(shape)
-    weights = np.empty(shape)
-    actions = np.empty(shape, dtype=np.int64)
+    shape = (contexts.shape[0], compiled.k, n)
+    cells = np.empty(shape, dtype=np.int64)
+    rewards = np.empty(shape, dtype=bool)
     for j, pos in enumerate(compiled.positions):
-        cells = _cells(pos, contexts, next(stages), actions[:, j])
+        _pick(pos.action_cdf, next(stages), cells[:, j], contexts)
+        cells[:, j] += contexts * pos.action_cdf.shape[1]
+        np.less(next(stages), pos.reward_means.take(cells[:, j]), out=rewards[:, j])
+    return contexts, cells, rewards
+
+
+def _gather(tables: Iterable[np.ndarray], cells: np.ndarray) -> np.ndarray:
+    """Each position's table read at that position's cells, shaped like ``cells``."""
+    out = np.empty(cells.shape)
+    for j, table in enumerate(tables):
         # Cells are always in range. Unlike the default mode="raise", which
         # copies ``out`` through a temporary, mode="clip" writes straight into it.
-        for table, column in (
-            (pos.reward_means, rewards),
-            (pos.p_log, p_log),
-            (pos.p_tgt, p_tgt),
-            (pos.weights, weights),
-        ):
-            table.take(cells, out=column[:, j], mode="clip")
-        # Each reward mean is replaced by its draw in place, with no temporary column.
-        np.less(next(stages), rewards[:, j], out=rewards[:, j], casting="unsafe")
-    if not compiled.ranked:
-        p_log, p_tgt, rewards, weights, actions = (
-            a.reshape(rows, n) for a in (p_log, p_tgt, rewards, weights, actions)
-        )
-    return SampleBlock(p_log, p_tgt, rewards, weights, contexts, actions)
+        table.take(cells[:, j], out=out[:, j], mode="clip")
+    return out
 
 
 def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weights ``w`` and weighted rewards ``w * r`` of the block drawn from ``uniforms``.
 
     ``uniforms`` holds each row's ``(1 + 2k) * n`` uniforms in stream
-    order. The draws are those of :func:`sample_block` and the weights
-    come from the same cell weight table, so ``w`` is bit-equal to its
-    block's weights and ``w * r`` to their product with its rewards.
-    Nothing else is gathered, and nothing is checked.
+    order. The cells and rewards are those of :func:`sample_cells`, so a
+    row is bit-equal to the weights and weighted rewards of the public
+    sample drawn from its stream. Nothing else is gathered.
     """
-    stages = _stages(uniforms, n)
-    contexts = _pick(compiled.context_cdf, stages[0], np.empty(stages[0].shape, dtype=np.int64))
-    rows = contexts.shape[0]
-    shape = (rows, compiled.k, n)
-    w = np.empty(shape)
-    wr = np.empty(shape)
-    actions = np.empty((rows, n), dtype=np.int64)
-    for j, pos in enumerate(compiled.positions):
-        cells = _cells(pos, contexts, stages[1 + 2 * j], actions)
-        pos.weights.take(cells, out=w[:, j], mode="clip")
-        np.multiply(w[:, j], stages[2 + 2 * j] < pos.reward_means.take(cells), out=wr[:, j])
+    _, cells, rewards = sample_cells(compiled, n, _stages(uniforms, n))
+    w = _gather([pos.weights for pos in compiled.positions], cells)
+    wr = w * rewards
     if not compiled.ranked:
-        w, wr = w.reshape(rows, n), wr.reshape(rows, n)
+        w, wr = w[:, 0], wr[:, 0]
     return w, wr
 
 
 def _sample(scenario, n: int, seed):
-    """One sample of ``n`` entries: the sampled block's single row as a dataset.
+    """One sample of ``n`` entries: the single row of a :func:`sample_cells` block as a dataset.
 
     Ranked columns are entries by positions, as views of the block; scalar
-    columns are the one-position case, already 1-d in the block.
+    columns are the row of its one position. A cell ``context * A_j + action``
+    holds an action below ``A_j``, so its action id is the cell modulo
+    ``A_j``. It overwrites the cells in place, so it is taken after every gather.
     """
     if n < 1:
         raise ValidationError(f"sample size must be at least 1, got {n}")
     compiled = compile_scenario(scenario)
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     # Each stage is used up before the next is drawn, so one buffer serves all.
     buffer = np.empty((1, n))
-    block = sample_block(compiled, n, (rng.random(out=buffer) for _ in range(1 + 2 * compiled.k)))
+    contexts, cells, rewards = sample_cells(compiled, n, (rng.random(out=buffer) for _ in range(1 + 2 * compiled.k)))
+    sizes = np.array([[pos.action_cdf.shape[1]] for pos in compiled.positions])
+
+    def column(block: np.ndarray) -> np.ndarray:
+        return _freeze(block[0].T if compiled.ranked else block[0, 0])
+
+    def gathered(table: str) -> np.ndarray:
+        return column(_gather([getattr(pos, table) for pos in compiled.positions], cells))
+
     cls = RankedDataset if compiled.ranked else Dataset
     return cls(
-        propensity_logging=_freeze(block.propensity_logging[0].T),
-        propensity_target=_freeze(block.propensity_target[0].T),
-        rewards=_freeze(block.rewards[0].T),
-        weights=_freeze(block.weights[0].T),
+        propensity_logging=gathered("p_log"),
+        propensity_target=gathered("p_tgt"),
+        rewards=column(rewards.astype(np.float64)),
+        weights=gathered("weights"),
         reward_bound=1.0,
         weight_bound=compiled.weight_bound,
-        context_ids=_freeze(block.context_ids[0]),
-        action_ids=_freeze(block.action_ids[0].T),
+        context_ids=_freeze(contexts[0]),
+        action_ids=column(np.remainder(cells, sizes, out=cells)),
     )
 
 

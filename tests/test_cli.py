@@ -559,6 +559,19 @@ class TestStudy:
         assert "takes no estimators" in err
         assert not (tmp_path / "study.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("replicates", 10**400), ("n_grid", [50, 10**30]), ("n_grid", [50, 1e30])],
+        ids=["replicates-401-digits", "n_grid-int-1e30", "n_grid-float-1e30"],
+    )
+    def test_integer_too_large_for_an_array_exits_2(self, capsys, tmp_path, field, value):
+        # Such a value would size an array past numpy's largest dimension.
+        config = write_config(tmp_path, **{field: value})
+        code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {field} ") and "must be at most" in err
+        assert not (tmp_path / "study.csv").exists()
+
     def test_missing_config_file(self, capsys, tmp_path):
         assert run(capsys, "study", "--config", str(tmp_path / "no.yaml"),
                    "--out-dir", str(tmp_path))[0] == 4

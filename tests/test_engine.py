@@ -56,7 +56,7 @@ from opekit.simulator import (
     compile_scenario,
     draw_uniforms,
     replicate_streams,
-    sample_block,
+    sample_cells,
     sample_weights,
 )
 
@@ -345,11 +345,12 @@ def probability_rows(draw, rows, cols, support=None):
 
 @st.composite
 def small_scenarios(draw):
-    """Bandit (k = 1) or two-position ranking scenarios of 1-3 contexts by 1-3 actions."""
-    contexts, actions = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    """Bandit (k = 1) or two-position ranking scenarios of 1-3 contexts, each position of 1-3 actions."""
+    contexts = draw(st.integers(1, 3))
     context_probs = draw(probability_rows(1, contexts))[0]
 
     def position():
+        actions = draw(st.integers(1, 3))
         logging = draw(probability_rows(contexts, actions))
         target = draw(probability_rows(contexts, actions, support=logging))
         means = [[draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0])) for _ in range(actions)] for _ in range(contexts)]
@@ -454,8 +455,7 @@ class TestWeightsOnlySampler:
             compiled = compile_scenario(scenario)
             weight = target[last] / probs[last]
             uniforms = np.array([[1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0]])
-            block = sample_block(compiled, 1, _stages(uniforms, 1))
-            assert (block.context_ids.tolist(), block.action_ids.tolist()) == ([[last]], [[last]])
-            assert block.weights.tolist() == [[weight]] and block.propensity_logging.tolist() == [[probs[last]]]
+            contexts, cells, rewards = sample_cells(compiled, 1, _stages(uniforms, 1))
+            assert (contexts.tolist(), cells.tolist(), rewards.tolist()) == ([[last]], [[[last * size + last]]], [[[True]]])
             w, wr = sample_weights(compiled, 1, uniforms)
             assert w.tolist() == [[weight]] and wr.tolist() == [[weight]]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from opekit import (
@@ -28,7 +28,7 @@ from opekit.errors import (
     UnknownPreset,
     ValidationError,
 )
-from opekit.simulator import _stages, compile_scenario, preset_description, sample_block, sample_weights
+from opekit.simulator import _stages, compile_scenario, preset_description, sample_cells, sample_weights
 
 
 def flip_tables():
@@ -240,10 +240,11 @@ def edge_rows(draw, rows, cols, support=None):
 
 @st.composite
 def edge_scenarios(draw):
-    """Bandit or two-position ranking scenarios of 1-3 contexts by 1-3 actions built from :func:`edge_rows`."""
-    contexts, actions = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    """Bandit or two-position ranking scenarios of 1-3 contexts, each position of 1-3 actions, built from :func:`edge_rows`."""
+    contexts = draw(st.integers(1, 3))
 
     def position():
+        actions = draw(st.integers(1, 3))
         logging = draw(edge_rows(contexts, actions))
         target = draw(edge_rows(contexts, actions, support=logging))
         means = [[draw(st.sampled_from([0.0, 0.3, 1.0])) for _ in range(actions)] for _ in range(contexts)]
@@ -260,8 +261,28 @@ def edge_scenarios(draw):
 UNIFORMS = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=60, max_size=60)
 
 
+#: Two positions of different action counts over two contexts, each with mass.
+UNEVEN = RankingEnv(
+    [0.5, 0.5],
+    (
+        PositionModel(
+            PolicyTable([[0.5, 0.5], [0.25, 0.75]]),
+            PolicyTable([[1.0, 0.0], [0.5, 0.5]]),
+            [[0.3, 1.0], [0.3, 1.0]],
+        ),
+        PositionModel(
+            PolicyTable([[0.25, 0.25, 0.5], [0.0, 0.5, 0.5]]),
+            PolicyTable([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]]),
+            [[1.0, 0.0, 0.3], [1.0, 0.0, 0.3]],
+        ),
+    ),
+)
+
+
 class TestCompiledTables:
     @given(edge_scenarios(), st.integers(2, 6), UNIFORMS)
+    @example(UNEVEN, 6, [i / 60 for i in range(60)])
+    @example(RankingEnv(UNEVEN.context_probs, UNEVEN.positions[::-1]), 6, [i / 60 for i in range(60)])
     def test_samples_pass_the_dataset_checks_or_the_scenario_fails_to_compile(self, scenario, n, floats):
         # The invariant that replaces checking each sampled block: a scenario
         # either fails to compile, or every sample it gives is a valid dataset
@@ -275,36 +296,38 @@ class TestCompiledTables:
         uniforms = np.resize(np.array(floats), (2, (1 + 2 * k) * n))
         for stage in _stages(uniforms, n):
             stage[0, :2] = (0.0, 1.0 - 2.0**-53)
-        block = sample_block(compiled, n, _stages(uniforms, n))
-        ranked = isinstance(scenario, RankingEnv)
-        if ranked:
-            context_probs, policies = scenario.context_probs, [pos.logging_policy for pos in scenario.positions]
-        else:
-            context_probs, policies = scenario.env.context_probs, [scenario.logging_policy]
-        assert (context_probs[block.context_ids] > 0).all()
-        actions = block.action_ids.reshape(2, k, n)
-        for j, policy in enumerate(policies):
-            assert (policy.probs[block.context_ids, actions[:, j]] > 0).all()
-        cls = RankedDataset if ranked else Dataset
-        for i in range(2):
-            dataset = cls.from_arrays(
-                block.propensity_logging[i].T,
-                block.propensity_target[i].T,
-                block.rewards[i].T,
-                reward_bound=1.0,
-                weight_bound=compiled.weight_bound,
-            )
-            assert dataset.propensity_logging.tobytes() == block.propensity_logging[i].T.tobytes()
-            assert dataset.propensity_target.tobytes() == block.propensity_target[i].T.tobytes()
-            assert dataset.rewards.tobytes() == block.rewards[i].T.tobytes()
-            assert dataset.weights.tobytes() == block.weights[i].T.tobytes()
+        contexts, cells, rewards = sample_cells(compiled, n, _stages(uniforms, n))
         w, wr = sample_weights(compiled, n, uniforms)
-        assert w.tobytes() == block.weights.tobytes()
-        assert wr.tobytes() == (block.weights * block.rewards).tobytes()
-        if ranked:
-            public = sample_ranked_logs(scenario, n, 5)
+        w, wr = w.reshape(cells.shape), wr.reshape(cells.shape)
+        if isinstance(scenario, RankingEnv):
+            context_probs, positions = scenario.context_probs, scenario.positions
+            public, cls = sample_ranked_logs(scenario, n, 5), RankedDataset
         else:
-            public = sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, n, 5)
+            env, logging, target = scenario.env, scenario.logging_policy, scenario.target_policy
+            context_probs, positions = env.context_probs, [PositionModel(logging, target, env.reward_means)]
+            public, cls = sample_logs(env, logging, target, n, 5), Dataset
+        assert (context_probs[contexts] > 0).all()
+        for j, pos in enumerate(positions):
+            at = cells[:, j]
+            assert (at // pos.reward_means.shape[1] == contexts).all()
+            p_log, p_tgt = pos.logging_policy.probs.ravel()[at], pos.target_policy.probs.ravel()[at]
+            assert (p_log > 0).all()
+            assert (rewards[:, j] == (_stages(uniforms, n)[2 + 2 * j] < pos.reward_means.ravel()[at])).all()
+            for i in range(2):
+                dataset = Dataset.from_arrays(
+                    p_log[i], p_tgt[i], rewards[i, j], reward_bound=1.0, weight_bound=compiled.weight_bound
+                )
+                assert dataset.weights.tobytes() == w[i, j].tobytes()
+                assert (dataset.weights * dataset.rewards).tobytes() == wr[i, j].tobytes()
+        # Each entry sits on a positive-probability logging cell of its
+        # position, and its propensities are the policy entries there.
+        columns = [c.reshape(n, k) for c in (public.action_ids, public.propensity_logging, public.propensity_target)]
+        assert (context_probs[public.context_ids] > 0).all()
+        for j, pos in enumerate(positions):
+            cell = (public.context_ids, columns[0][:, j])
+            assert (pos.logging_policy.probs[cell] > 0).all()
+            assert columns[1][:, j].tobytes() == pos.logging_policy.probs[cell].tobytes()
+            assert columns[2][:, j].tobytes() == pos.target_policy.probs[cell].tobytes()
         again = cls.from_arrays(
             public.propensity_logging,
             public.propensity_target,

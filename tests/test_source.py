@@ -158,3 +158,24 @@ def test_one_place_forms_the_weight_ratio():
     outside = [site for site in _ratio_sites(tree) if site not in inside]
     assert outside == []
     assert len(inside) == 1
+
+
+def test_one_function_draws_the_cells():
+    # How uniforms become contexts, actions and rewards is decided in
+    # simulator.sample_cells alone: every sampler gathers its columns at the
+    # cells it returns, so no second draw path has to agree with it bit for bit.
+    tree = ast.parse((SOURCE / "simulator.py").read_text(encoding="utf-8"))
+    callers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_pick"
+    }
+    assert callers == {"sample_cells"}
+    elsewhere = [
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "simulator.py" and "_pick" in _names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert elsewhere == []
