@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for validation problems (bad data, files,
 configuration, or usage), 3 for estimation preconditions and study
-failures, 4 for I/O errors and failures of the ``--jobs`` worker
+failures, 4 for I/O errors, running out of memory (say, a study whose
+result matrix cannot be allocated) and failures of the ``--jobs`` worker
 processes. When ``--out`` or ``--out-dir`` is omitted,
 outputs default to the directory named by the ``OPEKIT_OUT_DIR``
 environment variable, falling back to the working directory.
@@ -315,6 +316,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
+        return 4
+    except MemoryError as exc:
+        click.echo(f"memory error: {exc}", err=True)
         return 4
     except WorkerFailure as exc:
         click.echo(f"worker error: {exc}", err=True)

@@ -1,4 +1,4 @@
-"""Logged-feedback datasets: record types, validation, and derived weights.
+"""Logged-feedback datasets: validation and derived weights.
 
 Datasets are stored column-wise as read-only float arrays. Importance
 weights are derived exactly once, at validation time, as the elementwise
@@ -8,23 +8,27 @@ same order.
 
 A scalar log is the one-position case of a ranked log. Ranked columns are
 ``(entries, positions)`` and scalar columns are the same data with the
-single position dropped, so both kinds share one validated constructor:
-:func:`validate_dataset`, the ``from_arrays`` classmethods and
-:func:`opekit.io.read_logs` all end in it, and a value error names the
-entry, the position (ranked logs) and the file line (logs read from a
-file) whichever way the data came in. No partially validated dataset is
-observable.
+single position dropped, so both kinds share one validated constructor.
+There are two ways in, and both end in it: the ``from_arrays``
+classmethods for columns in memory and :func:`opekit.io.read_logs` for
+log files. A value error names the entry, the position (ranked logs) and
+the file line (logs read from a file) whichever way the data came in,
+and any input that is not a table of real numbers raises a
+:class:`~opekit.errors.ValidationError` naming its column or bound. No
+partially validated dataset is observable.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     BoundViolation,
+    DimensionMismatch,
     EmptyDataset,
     LengthMismatch,
     NonFiniteValue,
@@ -42,35 +46,6 @@ BOUND_SLACK = 1e-12
 #: Larger blocks save little time and cost resident memory. The study engine
 #: sizes its replicate blocks by a budget of its own.
 BLOCK_ENTRIES = 8192
-
-
-@dataclass(frozen=True)
-class LogEntry:
-    """One logged interaction under the logging policy."""
-
-    context_id: object
-    action_id: object
-    propensity_logging: float
-    propensity_target: float
-    reward: float
-
-
-@dataclass(frozen=True)
-class PositionRecord:
-    """The slice of a ranked interaction at a single position."""
-
-    action_id: object
-    propensity_logging: float
-    propensity_target: float
-    reward: float
-
-
-@dataclass(frozen=True)
-class RankedLogEntry:
-    """One logged ranking; all entries in a dataset share the same length."""
-
-    context_id: object
-    positions: tuple[PositionRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -137,8 +112,14 @@ def _check_columns(
     failing cell.
     """
     for bound, label in ((reward_bound, "reward bound"), (weight_bound, "weight bound")):
-        if not np.isfinite(bound) or bound <= 0:
-            raise ValidationError(f"declared {label} must be a positive finite number, got {bound}")
+        if not isinstance(bound, numbers.Real):
+            raise ValidationError(f"declared {label} must be a real number, got {type(bound).__name__}")
+        try:
+            value = float(bound)
+        except OverflowError:  # an integer past the float range
+            value = math.inf
+        if not 0 < value < math.inf:
+            raise ValidationError(f"declared {label} must be a positive finite number, got {value}")
 
     for arr, name in zip((p_log, p_tgt, rewards), _COLUMN_NAMES):
         bad = ~np.isfinite(arr)
@@ -151,7 +132,8 @@ def _check_columns(
         raise NonPositiveLoggingPropensity(value=value, **where)
 
     slack = 1.0 + BOUND_SLACK
-    weights = p_tgt / p_log
+    with np.errstate(over="ignore"):  # a weight past the float range is inf and fails its bound
+        weights = p_tgt / p_log
     checks = (
         ("propensity_logging", p_log, 0.0, 1.0),
         ("propensity_target", p_tgt, 0.0, 1.0),
@@ -164,6 +146,23 @@ def _check_columns(
             value, where = _first_bad(arr, bad, lines, cells)
             raise BoundViolation(name, value=value, bound=bound, **where)
     return weights
+
+
+def _float_column(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it is one; anything else is a package error."""
+    # numpy casts a complex array to real with only a warning, dropping the imaginary part.
+    if getattr(values, "dtype", None) is not None and values.dtype.kind == "c":
+        raise ValidationError(f"{name} must hold only real numbers")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"{name} holds a number too large for a float") from None
+    except (TypeError, ValueError):
+        try:
+            np.asarray(values)
+        except ValueError:  # numpy refuses ragged nesting
+            raise DimensionMismatch(f"{name} must be a rectangular table of numbers") from None
+        raise ValidationError(f"{name} must hold only real numbers") from None
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -236,7 +235,7 @@ class _Logged:
         ``lines``, when given, maps each entry to its 1-based line in a log
         file, and an entry error carries the line of the failing entry.
         """
-        p_log, p_tgt, rew = (np.asarray(column, dtype=np.float64) for column in columns)
+        p_log, p_tgt, rew = map(_float_column, columns, _COLUMN_NAMES)
         if p_log.ndim != cls._ndim:
             rank = "one" if cls._ndim == 1 else "two"
             raise ValidationError(f"propensity_logging must be {rank}-dimensional, got shape {p_log.shape}")
@@ -310,89 +309,3 @@ def _from_positions(
         action_ids = [action_ids[i * k : (i + 1) * k] for i in range(n)]
     columns = [np.array(column, dtype=np.float64).reshape(shape) for column in columns]
     return cls._build(columns, reward_bound, weight_bound, context_ids, action_ids, lines)
-
-
-def _is_sequence(obj) -> bool:
-    return isinstance(obj, Sequence) and not isinstance(obj, (str, bytes))
-
-
-def _is_triple(obj) -> bool:
-    return _is_sequence(obj) and len(obj) == 3
-
-
-def _entry_positions(entry, i: int, ranked: bool) -> tuple:
-    """``(context, records, named)`` of one entry; a scalar entry is its own single position.
-
-    ``named`` entries (:class:`LogEntry`, :class:`RankedLogEntry`) carry ids
-    and records with attributes; the others are ``(p_log, p_tgt, reward)``
-    triples, one per position.
-    """
-    if ranked:
-        if isinstance(entry, RankedLogEntry):
-            if not _is_sequence(entry.positions):
-                raise ValidationError(f"entry {i} positions are not a sequence of PositionRecord")
-            return entry.context_id, entry.positions, True
-        if _is_sequence(entry):
-            return None, entry, False
-        raise ValidationError(f"entry {i} is not a ranked log entry")
-    if isinstance(entry, LogEntry):
-        return entry.context_id, (entry,), True
-    if _is_triple(entry):
-        return None, (entry,), False
-    raise ValidationError(f"entry {i} is neither a LogEntry nor a (p_log, p_tgt, reward) triple")
-
-
-def validate_dataset(raw_entries: Iterable, reward_bound: float, weight_bound: float):
-    """Validate raw log entries and return a :class:`Dataset` or :class:`RankedDataset`.
-
-    Scalar entries may be :class:`LogEntry` instances or plain
-    ``(p_log, p_tgt, reward)`` triples. Ranked entries may be
-    :class:`RankedLogEntry` instances or sequences of such triples, one per
-    position. The first entry fixes the kind; mixing kinds is an error. Ids
-    are kept when every entry is a named record and some context is set.
-    """
-    entries = list(raw_entries)
-    if not entries:
-        raise EmptyDataset()
-    first = entries[0]
-    ranked = isinstance(first, RankedLogEntry) or (
-        _is_sequence(first) and len(first) > 0 and _is_triple(first[0])
-    )
-    columns = ([], [], [])
-    contexts: list = []
-    actions: list = []
-    all_named = True
-    k = None
-    for i, entry in enumerate(entries):
-        context, records, named = _entry_positions(entry, i, ranked)
-        all_named = all_named and named
-        if k is None:
-            k = len(records)
-        elif len(records) != k:
-            raise LengthMismatch(f"entry {i} has {len(records)} positions, expected {k}")
-        for j, rec in enumerate(records):
-            if named:
-                if not isinstance(rec, (PositionRecord, LogEntry)):
-                    raise ValidationError(f"entry {i}, position {j + 1} is not a PositionRecord")
-                values = (rec.propensity_logging, rec.propensity_target, rec.reward)
-                actions.append(rec.action_id)
-            elif _is_triple(rec):
-                values = [float(v) for v in rec]
-            else:
-                raise ValidationError(
-                    f"entry {i}, position {j + 1} is not a (p_log, p_tgt, reward) triple"
-                )
-            for column, value in zip(columns, values):
-                column.append(value)
-        contexts.append(context)
-    keep_ids = all_named and any(c is not None for c in contexts)
-    return _from_positions(
-        ranked,
-        len(entries),
-        k,
-        columns,
-        reward_bound,
-        weight_bound,
-        contexts if keep_ids else None,
-        actions if keep_ids else None,
-    )

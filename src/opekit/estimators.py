@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BLOCK_ENTRIES, Dataset, Estimate
+from .data import BLOCK_ENTRIES, Dataset, Estimate, _freeze
 from .errors import (
     DegenerateWeights,
     EstimationError,
@@ -270,11 +270,6 @@ def beta_star_ips(dataset: Dataset) -> Estimate:
     return estimate("beta-star-ips", dataset)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 @lru_cache(maxsize=16)
 def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Sorted fold indices and their sorted complements, cached and read-only.
@@ -286,13 +281,13 @@ def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[tuple[np.ndarray, ...
     if n // folds_k < 2:
         raise FoldTooSmall(n, folds_k)
     perm = np.random.default_rng(seed).permutation(n)
-    folds = tuple(_read_only(np.sort(chunk)) for chunk in np.array_split(perm, folds_k))
+    folds = tuple(_freeze(np.sort(chunk)) for chunk in np.array_split(perm, folds_k))
     all_indices = np.arange(n)
     complements = []
     for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        complements.append(_read_only(all_indices[mask]))
+        complements.append(_freeze(all_indices[mask]))
     return folds, tuple(complements)
 
 
@@ -317,7 +312,7 @@ def _fold_groups(n: int, folds_k: int, seed: int) -> tuple[tuple[int, np.ndarray
     groups = []
     start = 0
     for length in sorted({len(fold) for fold in folds}, reverse=True):
-        stacked = _read_only(np.stack([fold for fold in folds if len(fold) == length]))
+        stacked = _freeze(np.stack([fold for fold in folds if len(fold) == length]))
         groups.append((start, stacked))
         start += len(stacked)
     return tuple(groups)

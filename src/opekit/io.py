@@ -131,11 +131,6 @@ def atomic_write(path, chunks) -> None:
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write one string atomically, as :func:`atomic_write` does."""
-    atomic_write(path, (text,))
-
-
 def _jsonable_id(value):
     if value is None or isinstance(value, (str, bool)):
         return value

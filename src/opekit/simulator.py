@@ -102,14 +102,6 @@ class PolicyTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", _frozen_probs(self.probs, "policy probabilities", 2))
 
-    @property
-    def n_contexts(self) -> int:
-        return int(self.probs.shape[0])
-
-    @property
-    def n_actions(self) -> int:
-        return int(self.probs.shape[1])
-
 
 @dataclass(frozen=True, eq=False)
 class BanditEnv:
@@ -130,14 +122,6 @@ class BanditEnv:
         means.setflags(write=False)
         object.__setattr__(self, "context_probs", ctx)
         object.__setattr__(self, "reward_means", means)
-
-    @property
-    def n_contexts(self) -> int:
-        return int(self.reward_means.shape[0])
-
-    @property
-    def n_actions(self) -> int:
-        return int(self.reward_means.shape[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -572,6 +572,14 @@ class TestStudy:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {field} ") and "must be at most" in err
         assert not (tmp_path / "study.csv").exists()
 
+    def test_result_matrix_too_large_for_memory_exits_4(self, capsys, tmp_path):
+        # 10**15 replicates fit an array dimension; allocating their results fails at once.
+        config = write_config(tmp_path, replicates=10**15)
+        code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path), "--jobs", "1")
+        assert code == 4
+        assert len(err.splitlines()) == 1 and err.startswith("memory error: "), err
+        assert not (tmp_path / "study.csv").exists()
+
     def test_missing_config_file(self, capsys, tmp_path):
         assert run(capsys, "study", "--config", str(tmp_path / "no.yaml"),
                    "--out-dir", str(tmp_path))[0] == 4

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from opekit import Dataset, Estimate, LogEntry, RankedDataset, validate_dataset
-from opekit.data import BOUND_SLACK, PositionRecord, RankedLogEntry
+from opekit import Dataset, Estimate, RankedDataset
+from opekit.data import BOUND_SLACK
 from opekit.errors import (
     BoundViolation,
     EmptyDataset,
@@ -148,64 +148,6 @@ class TestRankedConstruction:
         assert info.value.position == 1
 
 
-class TestValidateDataset:
-    def test_triples(self):
-        d = validate_dataset([(0.5, 1.0, 1.0), (0.5, 0.25, 0.0)], 1.0, 2.0)
-        assert isinstance(d, Dataset)
-        assert np.array_equal(d.weights, [2.0, 0.5])
-
-    def test_log_entries_keep_ids(self):
-        entries = [LogEntry("x1", "a0", 0.5, 0.25, 1.0), LogEntry("x2", "a1", 0.5, 0.5, 0.0)]
-        d = validate_dataset(entries, 1.0, 1.0)
-        assert list(d.context_ids) == ["x1", "x2"]
-        assert list(d.action_ids) == ["a0", "a1"]
-
-    def test_ranked_triples(self):
-        rows = [
-            [(0.5, 0.5, 1.0), (0.25, 0.5, 0.5)],
-            [(0.5, 0.5, 0.0), (0.5, 0.25, 1.0)],
-        ]
-        d = validate_dataset(rows, 1.0, 2.0)
-        assert isinstance(d, RankedDataset)
-        assert np.array_equal(d.position(1).weights, [2.0, 0.5])
-
-    def test_ranked_entries(self):
-        entry = RankedLogEntry("x", (PositionRecord("a", 0.5, 0.5, 1.0),))
-        d = validate_dataset([entry], 1.0, 1.0)
-        assert isinstance(d, RankedDataset)
-        assert d.k == 1
-        assert list(d.context_ids) == ["x"]
-
-    def test_ranked_entry_holding_triples(self):
-        record = PositionRecord("a", 0.5, 0.5, 1.0)
-        entries = [RankedLogEntry("x", (record, record)), RankedLogEntry("y", (record, (0.5, 0.5, 1.0)))]
-        with pytest.raises(ValidationError, match=r"^entry 1, position 2 is not a PositionRecord$"):
-            validate_dataset(entries, 1.0, 1.0)
-
-    def test_ranked_entry_positions_must_be_a_sequence(self):
-        with pytest.raises(ValidationError, match=r"^entry 0 positions are not a sequence of PositionRecord$"):
-            validate_dataset([RankedLogEntry("x", 5)], 1.0, 1.0)
-
-    def test_ragged_ranking_lengths(self):
-        rows = [
-            [(0.5, 0.5, 1.0), (0.5, 0.5, 0.0)],
-            [(0.5, 0.5, 1.0)],
-        ]
-        with pytest.raises(LengthMismatch):
-            validate_dataset(rows, 1.0, 1.0)
-
-    def test_mixed_kinds_rejected(self):
-        mixed = [[(0.5, 0.5, 1.0)], (0.5, 0.5, 1.0)]
-        with pytest.raises(ValidationError):
-            validate_dataset(mixed, 1.0, 1.0)
-
-    def test_garbage_entry(self):
-        with pytest.raises(ValidationError):
-            validate_dataset(["nope"], 1.0, 1.0)
-        with pytest.raises(EmptyDataset):
-            validate_dataset([], 1.0, 1.0)
-
-
 class TestEstimateRecord:
     def test_requires_positive_n(self):
         with pytest.raises(ValidationError):
@@ -220,6 +162,12 @@ def test_builder_weights_are_exact():
     w = [0.0, 0.125, 1.0, 2.5, 7.875, 8.0]
     d = dataset_from_weights(w, np.zeros(len(w)))
     assert np.array_equal(d.weights, w)
+
+
+def test_complex_array_is_not_cast_to_real():
+    # numpy would keep the real part of a complex column, with only a warning.
+    with pytest.raises(ValidationError, match="^reward must hold only real numbers$"):
+        make([0.5], [0.5], np.array([0.5 + 0.5j]))
 
 
 def test_ragged_ids_are_a_length_mismatch():

@@ -39,7 +39,6 @@ from opekit.io import (
     _scan_lines,
     _scan_text,
     atomic_write,
-    atomic_write_text,
     csv_text,
     format_float,
     logs_text,
@@ -716,15 +715,15 @@ class TestPayload:
 class TestAtomicWrites:
     def test_write_and_overwrite(self, tmp_path):
         path = tmp_path / "deep" / "file.txt"
-        atomic_write_text(path, "one\n")
+        atomic_write(path, ("one\n",))
         assert path.read_text() == "one\n"
-        atomic_write_text(path, "two\n")
+        atomic_write(path, ("two\n",))
         assert path.read_text() == "two\n"
         assert list(path.parent.iterdir()) == [path]
 
     def test_failed_write_removes_temp_and_keeps_target(self, tmp_path):
         path = tmp_path / "file.txt"
-        atomic_write_text(path, "old\n")
+        atomic_write(path, ("old\n",))
 
         def chunks():
             yield "new\n"

@@ -1,11 +1,11 @@
-"""A scalar log is the one-position case: every way into a dataset agrees.
+"""A scalar log is the one-position case: both ways into a dataset agree.
 
 The same records are built as scalar data, as one-position ranked data and
-as two-position ranked data, and each is read from a log file, validated
-from named entries, validated from plain triples and built from arrays.
-Clean data gives bit-equal columns and ids on every path; each entry fault
-gives the same error class, entry and position on every path, and the log
-file reader adds the line of the entry.
+as two-position ranked data, and each is read from a log file and built
+from arrays, the two ways in. Clean data gives bit-equal columns and ids
+on both paths; each entry fault gives the same error class, entry and
+position on both paths, and the log file reader adds the line of the
+entry.
 """
 
 import json
@@ -13,8 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from opekit import Dataset, LogEntry, RankedDataset, read_logs, validate_dataset
-from opekit.data import PositionRecord, RankedLogEntry
+from opekit import Dataset, RankedDataset, read_logs
 from opekit.errors import BoundViolation, NonFiniteValue, NonPositiveLoggingPropensity
 
 N = 5
@@ -81,24 +80,6 @@ def via_file(kind, columns, tmp_path):
     return read_logs(path)
 
 
-def via_entries(kind, columns, tmp_path):
-    entries = []
-    for context, positions in rows(columns):
-        if kind == "scalar":
-            entries.append(LogEntry(context, *positions[0]))
-        else:
-            entries.append(RankedLogEntry(context, tuple(PositionRecord(*pos) for pos in positions)))
-    return validate_dataset(entries, REWARD_BOUND, WEIGHT_BOUND)
-
-
-def via_triples(kind, columns, tmp_path):
-    entries = []
-    for _, positions in rows(columns):
-        triples = [tuple(pos[1:]) for pos in positions]
-        entries.append(triples[0] if kind == "scalar" else triples)
-    return validate_dataset(entries, REWARD_BOUND, WEIGHT_BOUND)
-
-
 def via_arrays(kind, columns, tmp_path):
     cls = Dataset if kind == "scalar" else RankedDataset
     return cls.from_arrays(
@@ -112,7 +93,7 @@ def via_arrays(kind, columns, tmp_path):
     )
 
 
-PATHS = {"read_logs": via_file, "entries": via_entries, "triples": via_triples, "from_arrays": via_arrays}
+PATHS = {"read_logs": via_file, "from_arrays": via_arrays}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -126,9 +107,6 @@ def test_clean_data_is_bit_equal_on_every_path(kind, tmp_path):
         for column in COLUMNS:
             got, want = getattr(dataset, column), getattr(reference, column)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (name, column)
-        if name == "triples":
-            assert dataset.context_ids is None and dataset.action_ids is None
-            continue
         for ids in ("context_ids", "action_ids"):
             got, want = getattr(dataset, ids), getattr(reference, ids)
             assert (got.dtype, got.shape, got.tolist()) == (want.dtype, want.shape, want.tolist()), (name, ids)

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 from conftest import dataset_from_weights, ranked_from_weights
 from opekit import (
     BanditEnv,
+    Dataset,
     MomentSummary,
     PolicyTable,
     PositionModel,
+    RankedDataset,
     RankingEnv,
     beta_ips,
     beta_ips_variance,
@@ -297,8 +300,13 @@ _RANKED = b'{"context":0,"positions":[{"action":0,"p_log":0.9,"p_tgt":0.1,"rewar
 _LEAVES = st.one_of(
     st.floats(),
     st.integers(-(10**400), 10**400),
-    st.sampled_from([True, None, "0.5", "x", 1e308, 1e-310, 5e-324]),
+    st.sampled_from([True, None, "0.5", "x", {}, 1j, 1e308, 1e-310, 5e-324]),
 )
+
+
+def _leaf_tables(leaf):
+    """Constructor tables, 1-d context and 2-d others, that each hold ``leaf`` alone."""
+    return [leaf], [[leaf]], [[leaf]], [[leaf]]
 
 
 @st.composite
@@ -346,14 +354,30 @@ class TestNoTraceback:
         assert code == 2, err
         assert len(err.splitlines()) == 1 and "record in a" in err, err
 
-    @given(_constructor_tables())
-    def test_public_constructors_raise_only_package_errors(self, tables):
+    @given(_constructor_tables(), _LEAVES)
+    @example(([[0.5, 0.5], [0.5]],) * 4, 1.0)
+    @example(_leaf_tables("x"), 1.0)
+    @example(_leaf_tables(10**400), 1.0)
+    @example(_leaf_tables({}), 1.0)
+    @example(_leaf_tables(1j), 1.0)
+    @example(([0.5], [[5e-324]], [[0.5]], [[0.5]]), 1.0)  # a weight past the float range
+    @example(_leaf_tables(0.5), "1")
+    @example(_leaf_tables(0.5), None)
+    def test_public_constructors_raise_only_package_errors(self, tables, bound):
         context, logging, target, means = tables
+        # Both dataset kinds on 1-d and 2-d columns, the drawn leaf as either declared bound.
+        datasets = [
+            partial(cls.from_arrays, *columns, reward_bound=reward_bound, weight_bound=weight_bound)
+            for cls in (Dataset, RankedDataset)
+            for columns in ((context,) * 3, (logging, target, means))
+            for reward_bound, weight_bound in ((bound, 10.0), (1.0, bound))
+        ]
         for build in (
             lambda: PolicyTable(logging),
             lambda: BanditEnv(context, means),
             lambda: PositionModel(PolicyTable(logging), PolicyTable(target), means),
             lambda: RankingEnv(context, [PositionModel(PolicyTable(logging), PolicyTable(target), means)] * 2),
+            *datasets,
         ):
             try:
                 build()

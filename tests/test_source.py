@@ -179,3 +179,31 @@ def test_one_function_draws_the_cells():
         if path.name != "simulator.py" and "_pick" in _names(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert elsewhere == []
+
+
+def _functions(tree):
+    """Each top-level function and method of a module, by ``name`` or ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _build_calls(node) -> int:
+    return sum(isinstance(n, ast.Call) and "_build" in _names(n.func) for n in ast.walk(node))
+
+
+def test_one_constructor_builds_every_dataset():
+    # Columns in memory (from_arrays) and log files (read_logs, through
+    # _from_positions) are the two ways into a dataset, and both end in
+    # _Logged._build: no second in-memory format has to agree with it.
+    callers, calls, defined = set(), 0, set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        calls += _build_calls(tree)
+        callers |= {f"{path.stem}.{name}" for name, function in _functions(tree) if _build_calls(function)}
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert callers == {"data._Logged.from_arrays", "data._from_positions"}
+    assert calls == 2
+    assert defined & {"validate_dataset", "LogEntry", "PositionRecord", "RankedLogEntry"} == set()
