@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DegenerateWeights, ValidationError, ZeroWeightSum
-from .estimators import MomentSummary, _finite, _require_scalar, remainder_rows
+from .estimators import MomentSummary, _finite, _integer, _require_scalar, remainder_rows
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,10 @@ def hoeffding_tail_bound(n: int, weight_bound: float) -> float:
     The weights live in ``[0, weight_bound]`` with mean one, so the bound is
     ``exp(-n / (2 * weight_bound^2))``.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
-    if not np.isfinite(weight_bound) or weight_bound <= 0:
+    b = _finite(weight_bound, "weight bound")
+    if b <= 0:
         raise ValidationError(f"weight bound must be a positive finite number, got {weight_bound}")
-    return math.exp(-n / (2.0 * weight_bound * weight_bound))
+    return math.exp(-n / (2.0 * b * b))

@@ -41,12 +41,6 @@ from .errors import (
 #: rounding in the ratio p_tgt / p_log from flagging in-bounds data.
 BOUND_SLACK = 1e-12
 
-#: Entries per block wherever a whole dataset is processed a block at a time
-#: (rendered and parsed blocks of a log file, stacked cross-fitting folds).
-#: Larger blocks save little time and cost resident memory. The study engine
-#: sizes its replicate blocks by a budget of its own.
-BLOCK_ENTRIES = 8192
-
 
 @dataclass(frozen=True)
 class Estimate:

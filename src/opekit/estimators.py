@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BLOCK_ENTRIES, Dataset, Estimate, _freeze
+from .data import Dataset, Estimate, _freeze
 from .errors import (
     DegenerateWeights,
     EstimationError,
@@ -82,10 +82,21 @@ class CrossFitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "folds_k", _integer(self.folds_k, "fold count"))
+        object.__setattr__(self, "seed", _integer(self.seed, "fold seed"))
         if self.folds_k < 2:
             raise ValidationError(f"cross-fitting needs at least 2 folds, got {self.folds_k}")
         if self.seed < 0:
             raise ValidationError(f"fold seed must be non-negative, got {self.seed}")
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float, never a bool."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_scalar(dataset) -> Dataset:
@@ -109,12 +120,12 @@ def row_mean(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1) / x.shape[-1]
 
 
-def _moments(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Two-pass centred moments along the last axis, unchecked."""
+def _moments(w: np.ndarray, wr: np.ndarray, out=(None, None)) -> tuple[np.ndarray, ...]:
+    """Two-pass centred moments along the last axis, unchecked; ``out=(w, wr)`` centres them in place."""
     mean_w = row_mean(w)
     mean_wr = row_mean(wr)
-    dev_w = w - mean_w[..., None]
-    dev_wr = wr - mean_wr[..., None]
+    dev_w = np.subtract(w, mean_w[..., None], out=out[0])
+    dev_wr = np.subtract(wr, mean_wr[..., None], out=out[1])
     return (
         mean_w,
         mean_wr,
@@ -140,11 +151,16 @@ def moment_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
     row whose moments :class:`MomentSummary` would reject.
     """
     moments = _moments(w, wr)
+    _check_moments(moments, w.shape[-1])
+    return moments
+
+
+def _check_moments(moments, n: int) -> None:
+    """Raise what :class:`MomentSummary` says of the first entry whose moments it would reject."""
     bad = _invalid_moments(moments)
     if bad.any():
         row = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        MomentSummary(*(float(m[row]) for m in moments), n=w.shape[-1])
-    return moments
+        MomentSummary(*(float(m[row]) for m in moments), n=n)
 
 
 def plug_in_baselines(var_w, cov) -> tuple:
@@ -248,9 +264,14 @@ def snips(dataset: Dataset) -> Estimate:
 
 
 def _finite(x, name: str = "baseline") -> float:
-    """``x`` as a float; a :class:`ValidationError` naming the argument if it is ``None`` or not finite."""
-    b = None if x is None else float(x)
-    if b is None or not np.isfinite(b):
+    """``x`` as a float; a :class:`ValidationError` naming the argument if it is not a finite number."""
+    try:
+        b = float(x)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got a number too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {x!r}") from None
+    if not np.isfinite(b):
         raise ValidationError(f"{name} must be finite, got {x}")
     return b
 
@@ -271,51 +292,33 @@ def beta_star_ips(dataset: Dataset) -> Estimate:
 
 
 @lru_cache(maxsize=16)
-def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Sorted fold indices and their sorted complements, cached and read-only.
+def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's fold label and the fold-major order, cached and read-only.
 
     Indices are shuffled by a generator seeded from ``seed`` and split into
-    ``folds_k`` near-equal folds, so the same arguments always produce the
-    same partition.
+    ``folds_k`` near-equal folds by ``np.array_split``, so the same
+    arguments always produce the same partition, whose first ``n % folds_k``
+    folds hold one entry more than the rest. The labels take the smallest
+    unsigned type that holds ``folds_k - 1``. The order lists fold 0's
+    indices ascending, then fold 1's, and so on.
     """
     if n // folds_k < 2:
         raise FoldTooSmall(n, folds_k)
-    perm = np.random.default_rng(seed).permutation(n)
-    folds = tuple(_freeze(np.sort(chunk)) for chunk in np.array_split(perm, folds_k))
-    all_indices = np.arange(n)
-    complements = []
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        complements.append(_freeze(all_indices[mask]))
-    return folds, tuple(complements)
+    labels = np.empty(n, dtype=np.min_scalar_type(folds_k - 1))
+    for f, chunk in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), folds_k)):
+        labels[chunk] = f
+    return _freeze(labels), _freeze(np.argsort(labels, kind="stable"))
 
 
 def fold_indices(n: int, config: CrossFitConfig) -> list[np.ndarray]:
     """Deterministic near-equal partition of range(n) into ``folds_k`` folds.
 
-    Indices are shuffled by a generator seeded from ``config.seed`` and the
-    folds are returned sorted and read-only, so the same configuration
-    always produces the same partition.
+    Indices are shuffled by a generator seeded from ``config.seed``; the
+    folds are sorted, read-only views of one cached fold-major order, so
+    the same configuration always produces the same partition.
     """
-    return list(_fold_layout(n, config.folds_k, config.seed)[0])
-
-
-@lru_cache(maxsize=16)
-def _fold_groups(n: int, folds_k: int, seed: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """The folds stacked by length: ``(first fold, (folds, length) indices)`` per length, in fold order.
-
-    ``np.array_split`` makes the longer folds first, so there are at most
-    two groups and the folds keep their order.
-    """
-    folds = _fold_layout(n, folds_k, seed)[0]
-    groups = []
-    start = 0
-    for length in sorted({len(fold) for fold in folds}, reverse=True):
-        stacked = _freeze(np.stack([fold for fold in folds if len(fold) == length]))
-        groups.append((start, stacked))
-        start += len(stacked)
-    return tuple(groups)
+    labels, order = _fold_layout(n, config.folds_k, config.seed)
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tuple:
@@ -323,37 +326,41 @@ def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tup
 
     Fails on rows where some fold has constant weights, which leaves its
     baseline undefined, while its evaluation entries do not average to
-    weight one, so the baseline still matters. Only ``w`` and ``wr`` are
-    gathered, from the cached fold layout: the folds of one length in
-    stacked gathers of at most a block of entries, whose moments are taken
-    at once, and each complement alone. A validation error names the entry
+    weight one, so the baseline still matters. ``w`` and ``wr`` are
+    gathered once into the cached fold-major order and centred there in
+    place, the folds of one length at once; the copies are dropped before
+    the complements are read, so one long row needs room for two copies
+    and one product of them. Each complement is read in index order, as a
+    gather of its indices would be. A validation error names the entry
     that checking the folds one after another would meet first.
     """
     n = w.shape[-1]
-    folds, complements = _fold_layout(n, config.folds_k, config.seed)
-    shape = w.shape[:-1] + (len(folds),)
-    moments = tuple(np.empty(shape) for _ in range(5))
-    for start, index in _fold_groups(n, config.folds_k, config.seed):
-        # Stack no more folds than a block of entries holds, so one long row
-        # is not gathered whole.
-        step = max(1, BLOCK_ENTRIES * n // (w.size * index.shape[1]))
-        for first in range(0, len(index), step):
-            stacked = index[first : first + step]
-            for out, part in zip(moments, _moments(w.take(stacked, axis=-1), wr.take(stacked, axis=-1))):
-                out[..., start + first : start + first + len(stacked)] = part
-    offsets = np.empty(shape)
-    complement_wr = np.empty(shape)
-    for f, complement in enumerate(complements):
-        offsets[..., f] = 1.0 - row_mean(w.take(complement, axis=-1))
-        complement_wr[..., f] = row_mean(wr.take(complement, axis=-1))
+    k = config.folds_k
+    labels, order = _fold_layout(n, k, config.seed)
+    size, longer = divmod(n, k)
+    split = longer * (size + 1)
+    lead = w.shape[:-1]
+    w_folds, wr_folds = w.take(order, axis=-1), wr.take(order, axis=-1)
+    groups = [
+        (w_folds[..., part].reshape(shape), wr_folds[..., part].reshape(shape))
+        for part, shape in ((slice(split), lead + (longer, size + 1)), (slice(split, None), lead + (k - longer, size)))
+    ]
+    moments = tuple(np.concatenate(parts, axis=-1) for parts in zip(*(_moments(*group, out=group) for group in groups)))
+    del w_folds, wr_folds, groups
+    offsets = np.empty(lead + (k,))
+    complement_wr = np.empty(lead + (k,))
+    for f in range(k):
+        outside = labels != f
+        offsets[..., f] = 1.0 - row_mean(w.compress(outside, axis=-1))
+        complement_wr[..., f] = row_mean(wr.compress(outside, axis=-1))
     baseline, degenerate = plug_in_baselines(moments[2], moments[4])
     failed = degenerate & (offsets != 0.0)
     failed_so_far = np.logical_or.accumulate(failed, axis=-1)
     baseline = np.where(degenerate, 0.0, baseline)
     if _invalid_moments(moments).any() or (~failed_so_far & ~np.isfinite(baseline)).any():
         # Raise what checking the folds one after another meets first.
-        for f, fold in enumerate(folds):
-            moment_rows(w.take(fold, axis=-1), wr.take(fold, axis=-1))
+        for f in range(k):
+            _check_moments(tuple(m[..., f] for m in moments), size + (f < longer))
             _require_finite_baselines(baseline[..., f], ~failed_so_far[..., f])
     values = baseline * offsets + complement_wr
     return row_mean(values), row_mean(baseline), failed.any(axis=-1)

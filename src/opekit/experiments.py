@@ -59,7 +59,7 @@ from .errors import (
     ValidationError,
     WorkerFailure,
 )
-from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _finite
+from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _finite, _integer
 from .ranking import _fixed_baselines
 from .simulator import (
     BanditScenario,
@@ -73,7 +73,7 @@ from .simulator import (
     sample_weights,
 )
 
-#: Entries per replicate block, twice ``data.BLOCK_ENTRIES``; 32768 added 2 MB to a study's peak RSS.
+#: Entries per replicate block; 32768 added 2 MB to a study's peak RSS.
 _BLOCK_ENTRIES = 16384  # a module global, so tests can change it
 
 
@@ -455,9 +455,8 @@ class OracleReport:
 
     @property
     def value(self) -> float:
-        """The scalar value, or the total for ranking scenarios."""
-        labels = [t.label for t in self.targets]
-        return self.target("value" if "value" in labels else "total").value
+        """The scalar value, or the total for ranking scenarios: the last target either way."""
+        return self.targets[-1].value
 
 
 def _oracle(compiled: CompiledScenario) -> OracleReport:
@@ -504,25 +503,13 @@ def oracle_report(scenario) -> OracleReport:
     return _oracle(compile_scenario(scenario))
 
 
-def _metric_targets(specs, scenario, oracle: OracleReport) -> dict[str, float]:
-    targets: dict[str, float] = {}
-    for spec in specs:
-        if isinstance(scenario, BanditScenario):
-            targets[spec.label] = 0.0 if spec.name == "remainder-sq" else oracle.target("value").value
-        else:
-            for j in range(scenario.k):
-                targets[f"{spec.label}[pos{j + 1}]"] = oracle.target(f"pos{j + 1}").value
-            targets[f"{spec.label}[total]"] = oracle.target("total").value
-    return targets
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: an int, a numpy integer or an integral float, never a bool."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
+def _metric_targets(specs, compiled: CompiledScenario, oracle: OracleReport) -> dict[str, float]:
+    """Each metric label's oracle target; the labels of a spec follow the oracle's targets in order."""
+    return {
+        label: 0.0 if spec.name == "remainder-sq" else target.value
+        for spec in specs
+        for label, target in zip(_metric_labels(spec, compiled), oracle.targets)
+    }
 
 
 @dataclass(frozen=True)
@@ -659,8 +646,8 @@ def _run_grid(
     replicate matrix before the next cell is sampled, so it builds its state
     one cell at a time and the loop keeps no earlier cell's matrix.
     """
-    oracle_value = oracle.value if isinstance(config.scenario, BanditScenario) else None
-    targets = _metric_targets(specs, config.scenario, oracle)
+    oracle_value = None if compiled.ranked else oracle.value
+    targets = _metric_targets(specs, compiled, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
     with _worker_pool(n_jobs) as pool:
@@ -740,14 +727,13 @@ class DominanceReport:
     smallest_dominant_n: dict[str, int | None]
 
 
-def _dominance_cells(matrix: ReplicateMatrix, pair, oracle: OracleReport, targets) -> list[DominanceCell]:
-    """The paired comparison of one grid cell at every target."""
+def _dominance_cells(matrix: ReplicateMatrix, columns, targets) -> list[DominanceCell]:
+    """The paired comparison of one grid cell at every target, from the pair's columns for each."""
     cells = []
-    for label in targets:
-        suffix = "" if label == "value" else f"[{label}]"
-        optimal = matrix.column(pair[0] + suffix)
-        selfnorm = matrix.column(pair[1] + suffix)
-        value = oracle.target(label).value
+    for target, optimal_label, selfnorm_label in zip(targets, *columns):
+        optimal = matrix.column(optimal_label)
+        selfnorm = matrix.column(selfnorm_label)
+        value = target.value
         paired = np.isfinite(optimal) & np.isfinite(selfnorm)
         if int(paired.sum()) < 2:
             raise TooFewReplicates(int(paired.sum()))
@@ -757,7 +743,7 @@ def _dominance_cells(matrix: ReplicateMatrix, pair, oracle: OracleReport, target
         cells.append(
             DominanceCell(
                 n=matrix.n,
-                target=label,
+                target=target.label,
                 mse_optimal=mse_optimal,
                 mse_self_normalised=mse_selfnorm,
                 mse_difference=diff,
@@ -777,32 +763,31 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     variance and there is nothing to dominate.
     """
     _no_estimators(config, "dominance")
-    scalar = isinstance(config.scenario, BanditScenario)
-    pair = ("beta-star-ips", "snips") if scalar else ("beta-perp-star-ipm", "snipm")
     compiled = compile_scenario(config.scenario)
+    pair = ("beta-perp-star-ipm", "snipm") if compiled.ranked else ("beta-star-ips", "snips")
     oracle = _oracle(compiled)
-    targets = ["value"] if scalar else [f"pos{j + 1}" for j in range(config.scenario.k)]
-    for label in targets:
-        target = oracle.target(label)
+    targets = oracle.targets[: compiled.k]  # each position's, not the ranked total
+    for target in targets:
         if target.beta_star is None:
             raise PreconditionNotMet(
-                f"{label}: the optimal baseline is undefined (degenerate weights)"
+                f"{target.label}: the optimal baseline is undefined (degenerate weights)"
             )
         scale = max(1.0, abs(target.value), abs(target.beta_star))
         if abs(target.beta_star - target.value) <= 1e-9 * scale:
             raise PreconditionNotMet(
-                f"{label}: the optimal baseline equals the true value, so "
+                f"{target.label}: the optimal baseline equals the true value, so "
                 "self-normalisation is already asymptotically optimal"
             )
     cells: list[DominanceCell] = []
     specs = tuple(MetricSpec(name) for name in pair)
+    columns = [_metric_labels(spec, compiled) for spec in specs]
     study = _run_grid(
-        config, compiled, specs, oracle, n_jobs, lambda m: cells.extend(_dominance_cells(m, pair, oracle, targets))
+        config, compiled, specs, oracle, n_jobs, lambda m: cells.extend(_dominance_cells(m, columns, targets))
     )
     smallest: dict[str, int | None] = {}
-    for label in targets:
-        dominant_ns = [c.n for c in cells if c.target == label and c.dominant]
-        smallest[label] = min(dominant_ns) if dominant_ns else None
+    for target in targets:
+        dominant_ns = [c.n for c in cells if c.target == target.label and c.dominant]
+        smallest[target.label] = min(dominant_ns) if dominant_ns else None
     return DominanceReport(study=study, cells=tuple(cells), smallest_dominant_n=smallest)
 
 

@@ -66,10 +66,14 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import hoeffding_tail_bound
-from .data import BLOCK_ENTRIES, RankedDataset, _from_positions
+from .data import RankedDataset, _from_positions
 from .errors import EmptyDataset, MissingBounds, ParseError, ValidationError
 
 TOOL_VERSION = "0.1.0"
+
+#: Entries per block of a log file, as the writer renders it and the reader
+#: parses it. Larger blocks save little time and cost resident memory.
+BLOCK_ENTRIES = 8192
 
 CSV_COLUMNS = ("estimator", "n", "mean", "bias", "variance", "mse", "se")
 

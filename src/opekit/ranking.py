@@ -104,7 +104,12 @@ def snipm(dataset: RankedDataset) -> PositionwiseReport:
 
 
 def _fixed_baselines(k: int, betas) -> np.ndarray:
-    b = np.asarray(betas, dtype=np.float64)
+    try:
+        b = np.asarray(betas, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError("baselines must be finite, got a number too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"baselines must be numbers, got {betas!r}") from None
     if b.shape != (k,):
         raise LengthMismatch(f"expected {k} baselines for {k} positions, got shape {b.shape}")
     if not np.isfinite(b).all():

@@ -33,7 +33,6 @@ from opekit import (
     true_value,
 )
 from opekit import experiments
-from opekit.data import BLOCK_ENTRIES
 from opekit.errors import BoundViolation, EstimationError, ValidationError
 from opekit.estimators import (
     CrossFitConfig,
@@ -46,6 +45,7 @@ from opekit.estimators import (
     row_mean,
 )
 from opekit.experiments import FailureRecord, _block_rows, parse_estimator_spec
+from opekit.io import BLOCK_ENTRIES
 from opekit.simulator import (
     BanditEnv,
     BanditScenario,
@@ -232,29 +232,43 @@ class TestFailureRecords:
 
 class TestFoldLayout:
     def test_cached_arrays_are_read_only(self):
-        folds, complements = _fold_layout(40, 4, 9)
-        for arr in folds + complements:
+        layout = _fold_layout(40, 4, 9)
+        for arr in layout + tuple(fold_indices(40, CrossFitConfig(folds_k=4, seed=9))):
             with pytest.raises(ValueError):
                 arr[0] = 0
-        assert _fold_layout(40, 4, 9) is _fold_layout(40, 4, 9)
+        assert _fold_layout(40, 4, 9) is layout
+        # Integral floats and numpy integers key the same cached layout.
+        assert _fold_layout(40, CrossFitConfig(4.0).folds_k, CrossFitConfig(seed=np.int64(9)).seed) is layout
 
     def test_fold_indices_partition_unchanged(self):
-        folds = fold_indices(23, CrossFitConfig(folds_k=5, seed=3))
-        perm = np.random.default_rng(3).permutation(23)
-        expected = [np.sort(chunk) for chunk in np.array_split(perm, 5)]
-        assert all(np.array_equal(a, b) for a, b in zip(folds, expected))
-        _, complements = _fold_layout(23, 5, 3)
-        for fold, complement in zip(folds, complements):
-            assert np.array_equal(np.sort(np.concatenate([fold, complement])), np.arange(23))
+        for n, k, seed in ((23, 5, 3), (2003, 7, 11), (40, 4, 9)):
+            folds = fold_indices(n, CrossFitConfig(folds_k=k, seed=seed))
+            perm = np.random.default_rng(seed).permutation(n)
+            expected = [np.sort(chunk) for chunk in np.array_split(perm, k)]
+            assert len(folds) == k
+            assert all(np.array_equal(a, b) for a, b in zip(folds, expected))
+            labels, order = _fold_layout(n, k, seed)
+            for f, fold in enumerate(folds):
+                assert (labels[fold] == f).all()
+            assert np.array_equal(np.concatenate(folds), order)
+
+    def test_layout_holds_at_most_two_indices_per_entry(self):
+        n = 200_000
+        assert sum(arr.size for arr in _fold_layout(n, 5, 0)) <= 2 * n
 
 
 def cross_fit_reference(w, wr, config):
-    """Cross-fitting one fold at a time, the loop the stacked kernel replaces."""
-    folds, complements = _fold_layout(w.shape[-1], config.folds_k, config.seed)
+    """Cross-fitting one fold at a time, the loop the stacked kernel replaces.
+
+    Each complement is every index outside the fold, in index order.
+    """
+    n = w.shape[-1]
+    folds = fold_indices(n, config)
     values = np.empty(w.shape[:-1] + (len(folds),))
     baselines = np.empty(w.shape[:-1] + (len(folds),))
     failed = np.zeros(w.shape[:-1], dtype=bool)
-    for f, (fold, complement) in enumerate(zip(folds, complements)):
+    for f, fold in enumerate(folds):
+        complement = np.setdiff1d(np.arange(n), fold)
         _, _, var_w, _, cov = moment_rows(w.take(fold, axis=-1), wr.take(fold, axis=-1))
         offset = 1.0 - row_mean(w.take(complement, axis=-1))
         baseline, degenerate = plug_in_baselines(var_w, cov)
@@ -279,7 +293,7 @@ class TestCrossFit:
         expected = cross_fit_reference(w, wr, config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
-    def test_a_long_row_is_stacked_a_block_at_a_time(self):
+    def test_a_long_row_with_unequal_folds_equals_the_fold_loop(self):
         rng = np.random.default_rng(4)
         w = rng.choice([1 / 9, 9.0], size=(1, 20001))
         wr = w * (rng.random(w.shape) < 0.5)
@@ -297,7 +311,7 @@ class TestCrossFit:
     def test_error_names_the_first_fold_before_the_first_row(self, correlated, message):
         # Row 0 breaks in fold 1 with a positive covariance, row 1 in fold 0
         # with a negative one: the folds are checked one after another.
-        folds, _ = _fold_layout(20, 2, 0)
+        folds = fold_indices(20, CrossFitConfig(folds_k=2, seed=0))
         w = np.tile([0.5, 1.0], (2, 10))
         wr = np.full((2, 20), 0.5)
         tiny = np.array([1, 0] * 5) * 2e-160

@@ -6,13 +6,18 @@ import pytest
 from opekit import (
     CrossFitConfig,
     MomentSummary,
+    beta_ipm,
     beta_ips,
+    beta_ips_variance,
     beta_star_hat,
     beta_star_ips,
     cross_fitted_beta_ips,
     empirical_moments,
+    hoeffding_tail_bound,
     ips,
+    remainder_diagnostics,
     snips,
+    variance_gap,
 )
 from opekit.errors import (
     DegenerateWeights,
@@ -144,6 +149,12 @@ class TestFolds:
             CrossFitConfig(folds_k=1)
         with pytest.raises(ValidationError):
             CrossFitConfig(seed=-1)
+        for folds_k, seed in ((2.5, 0), (5, 1.5), (True, 0), (5, "1"), (None, 0)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                CrossFitConfig(folds_k, seed)
+        config = CrossFitConfig(np.int64(4), 9.0)
+        assert (type(config.folds_k), type(config.seed)) == (int, int)
+        assert config == CrossFitConfig(4, 9)
 
 
 class TestCrossFitted:
@@ -179,3 +190,44 @@ def test_ranked_input_rejected_everywhere():
     for fn in (ips, snips, lambda d: beta_ips(d, 0.0), beta_star_hat):
         with pytest.raises(ValidationError):
             fn(ranked)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d, m, r: hoeffding_tail_bound(10, None), "weight bound must be a number"),
+        (lambda d, m, r: hoeffding_tail_bound("10", 9.0), "n must be an integer"),
+        (lambda d, m, r: hoeffding_tail_bound(10, 10**400), "weight bound must be finite"),
+        (lambda d, m, r: beta_ips(d, "abc"), "baseline must be a number"),
+        (lambda d, m, r: beta_ips(d, [1, 2]), "baseline must be a number"),
+        (lambda d, m, r: beta_ips(d, 10**400), "baseline must be finite"),
+        (lambda d, m, r: beta_ips_variance(m, "x"), "baseline must be a number"),
+        (lambda d, m, r: variance_gap(m, [0.2, 0.3]), "value must be a number"),
+        (lambda d, m, r: remainder_diagnostics(d, "x"), "value must be a number"),
+        (lambda d, m, r: beta_ipm(r, "ab"), "baselines must be numbers"),
+        (lambda d, m, r: beta_ipm(r, [10**400, 0.0]), "baselines must be finite"),
+    ],
+    ids=[
+        "tail-bound-none",
+        "tail-bound-str-n",
+        "tail-bound-huge",
+        "beta-ips-str",
+        "beta-ips-list",
+        "beta-ips-huge",
+        "variance-str",
+        "gap-list",
+        "remainder-str",
+        "beta-ipm-str",
+        "beta-ipm-huge",
+    ],
+)
+def test_non_number_arguments_raise_validation_errors(call, message):
+    d = dataset_from_weights([2.0, 0.5], [1.0, 0.0], weight_bound=2.0)
+    r = ranked_from_weights([[1.0, 2.0], [1.0, 0.5]], [[1.0, 0.5], [0.0, 1.0]], weight_bound=2.0)
+    with pytest.raises(ValidationError, match=message):
+        call(d, empirical_moments(d), r)
+
+
+def test_numbers_in_other_spellings_keep_their_results(two_row):
+    assert hoeffding_tail_bound(10, "9") == hoeffding_tail_bound(np.int64(10), 9) == hoeffding_tail_bound(10.0, 9.0)
+    assert beta_ips(two_row, "0.5") == beta_ips(two_row, 0.5)

@@ -4,7 +4,7 @@ Reruns of a study are compared with each other elsewhere (acceptance
 criterion 9); that cannot see a change that shifts the same bits on every
 run. This test pins the SHA-256 digests of short studies of every kind
 (scalar and ranked ``mc``, ranked ``dominance``, ``decay`` and
-``bias-rate``) and of three ``opekit evaluate`` reports, all run through
+``bias-rate``) and of four ``opekit evaluate`` reports, all run through
 the CLI. The ``mc``/``dominance`` digests were recorded before the block
 replicate engine replaced the per-replicate loop, the others before the
 estimator registry and the single study grid loop replaced the per-kind code.
@@ -92,6 +92,12 @@ EVALUATIONS = {
         500,
         ["--estimators", "ips,snips,beta-star-ips,cf-beta-star-ips", "--true-value", "0.74"],
     ),
+    # 2003 = 7 * 286 + 1: one fold is longer than the others.
+    "flip2-unequal-folds": (
+        "flip2",
+        2003,
+        ["--estimators", "cf-beta-star-ips", "--folds", "7", "--cf-seed", "11"],
+    ),
 }
 
 # numpy version -> study -> {"csv": sha256, "json_data": sha256};
@@ -122,6 +128,7 @@ GOLDEN = {
             "flip2": "3dec5df6167573e521aae94722e3bb6b6fe633175e8f937b1f8c9d31cb0f81b6",
             "rankflip2x2": "dad64d54ec6acbace6654103bba7157c0359bc8d32e2e593082c675220683579",
             "identity2": "47965445a2f3cab7901bce7bb9271b2c0dde454f29f371c455863286e6a33a53",
+            "flip2-unequal-folds": "b2e5fac9aa9f7a019dcd11c9551126110c854d36b6f877a99fcc7d6e917cd47b",
         },
     },
 }
