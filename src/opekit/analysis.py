@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _finite, _integer
 from .errors import DegenerateWeights, ValidationError, ZeroWeightSum
-from .estimators import MomentSummary, _finite, _integer, _require_scalar, remainder_rows
+from .estimators import MomentSummary, _require_scalar, remainder_rows
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,9 @@ def hoeffding_tail_bound(n: int, weight_bound: float) -> float:
     n = _integer(n, "n")
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
+    n = _finite(n, "n")
     b = _finite(weight_bound, "weight bound")
     if b <= 0:
         raise ValidationError(f"weight bound must be a positive finite number, got {weight_bound}")
-    return math.exp(-n / (2.0 * b * b))
+    # A bound whose square underflows to zero takes the exponential's limit, zero.
+    return math.exp(-n / scale) if (scale := 2.0 * b * b) else 0.0

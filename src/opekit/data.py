@@ -1,4 +1,4 @@
-"""Logged-feedback datasets: validation and derived weights.
+"""Logged-feedback datasets: validation and derived weights, and the one rule for numbers from outside.
 
 Datasets are stored column-wise as read-only float arrays. Importance
 weights are derived exactly once, at validation time, as the elementwise
@@ -12,16 +12,18 @@ single position dropped, so both kinds share one validated constructor.
 There are two ways in, and both end in it: the ``from_arrays``
 classmethods for columns in memory and :func:`opekit.io.read_logs` for
 log files. A value error names the entry, the position (ranked logs) and
-the file line (logs read from a file) whichever way the data came in,
-and any input that is not a table of real numbers raises a
-:class:`~opekit.errors.ValidationError` naming its column or bound. No
+the file line (logs read from a file) whichever way the data came in. No
 partially validated dataset is observable.
+
+:func:`_float_column`, :func:`_finite` and :func:`_integer` alone turn a
+caller's argument into a float64 array, a finite float or an int. A number
+is an int, a float, a numpy real or a numeric string, never complex; an
+integer is no bool, and may be an integral float. Anything else raises a
+:class:`~opekit.errors.ValidationError` naming the argument or column.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +92,8 @@ def _check_columns(
     weight_bound: float,
     lines=None,
     cells=None,
-) -> np.ndarray:
-    """Run every value-level check and return the derived weight column.
+) -> tuple[np.ndarray, float, float]:
+    """Run every value-level check; return the derived weight column and the bounds as floats.
 
     This is the one definition of the entry rules: datasets run it over
     their columns, and :func:`opekit.simulator.compile_scenario` runs it
@@ -105,15 +107,13 @@ def _check_columns(
     (``position`` ``None`` for a scalar scenario), and the error names the
     failing cell.
     """
-    for bound, label in ((reward_bound, "reward bound"), (weight_bound, "weight bound")):
-        if not isinstance(bound, numbers.Real):
-            raise ValidationError(f"declared {label} must be a real number, got {type(bound).__name__}")
-        try:
-            value = float(bound)
-        except OverflowError:  # an integer past the float range
-            value = math.inf
-        if not 0 < value < math.inf:
-            raise ValidationError(f"declared {label} must be a positive finite number, got {value}")
+    bounds = []
+    for bound, label in ((reward_bound, "declared reward bound"), (weight_bound, "declared weight bound")):
+        value = _finite(bound, label)
+        if value <= 0:
+            raise ValidationError(f"{label} must be a positive finite number, got {value}")
+        bounds.append(value)
+    reward_bound, weight_bound = bounds
 
     for arr, name in zip((p_log, p_tgt, rewards), _COLUMN_NAMES):
         bad = ~np.isfinite(arr)
@@ -139,24 +139,49 @@ def _check_columns(
         if bad.any():
             value, where = _first_bad(arr, bad, lines, cells)
             raise BoundViolation(name, value=value, bound=bound, **where)
-    return weights
+    return weights, reward_bound, weight_bound
 
 
 def _float_column(values, name: str) -> np.ndarray:
     """``values`` as a float64 array, not copied if it is one; anything else is a package error."""
-    # numpy casts a complex array to real with only a warning, dropping the imaginary part.
-    if getattr(values, "dtype", None) is not None and values.dtype.kind == "c":
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nesting
+        raise DimensionMismatch(f"{name} must be a rectangular table of numbers") from None
+    # numpy casts complex arrays and elements to real with only a warning, dropping the imaginary part.
+    if arr.dtype.kind == "c" or arr.dtype.kind == "O" and any(map(np.iscomplexobj, arr.flat)):
         raise ValidationError(f"{name} must hold only real numbers")
     try:
-        return np.asarray(values, dtype=np.float64)
+        return arr.astype(np.float64, copy=False)
     except OverflowError:
         raise ValidationError(f"{name} holds a number too large for a float") from None
     except (TypeError, ValueError):
-        try:
-            np.asarray(values)
-        except ValueError:  # numpy refuses ragged nesting
-            raise DimensionMismatch(f"{name} must be a rectangular table of numbers") from None
         raise ValidationError(f"{name} must hold only real numbers") from None
+
+
+def _finite(x, name: str = "baseline") -> float:
+    """``x`` as a float; a :class:`ValidationError` naming the argument if it is not a finite real number."""
+    # float() keeps the real part of a numpy complex scalar, with only a warning.
+    if getattr(x, "dtype", None) is not None and x.dtype.kind == "c":
+        raise ValidationError(f"{name} must be a number, got {x!r}")
+    try:
+        b = float(x)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got a number too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {x!r}") from None
+    if not np.isfinite(b):
+        raise ValidationError(f"{name} must be finite, got {x}")
+    return b
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float, never a bool."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -241,14 +266,14 @@ class _Logged:
             raise LengthMismatch(f"columns disagree in shape: {p_log.shape}, {p_tgt.shape}, {rew.shape}")
         context_ids = _id_column(context_ids, "context_ids", p_log.shape[:1])
         action_ids = _id_column(action_ids, "action_ids", p_log.shape)
-        weights = _check_columns(p_log, p_tgt, rew, reward_bound, weight_bound, lines)
+        weights, reward_bound, weight_bound = _check_columns(p_log, p_tgt, rew, reward_bound, weight_bound, lines)
         return cls(
             propensity_logging=_freeze(p_log),
             propensity_target=_freeze(p_tgt),
             rewards=_freeze(rew),
             weights=_freeze(weights),
-            reward_bound=float(reward_bound),
-            weight_bound=float(weight_bound),
+            reward_bound=reward_bound,
+            weight_bound=weight_bound,
             context_ids=context_ids,
             action_ids=action_ids,
         )
@@ -275,6 +300,7 @@ class RankedDataset(_Logged):
 
     def position(self, j: int) -> Dataset:
         """The scalar marginal dataset at position ``j`` (0-based)."""
+        j = _integer(j, "position")
         if not 0 <= j < self.k:
             raise ValidationError(f"position {j} out of range for {self.k} positions")
         return Dataset(
@@ -292,14 +318,14 @@ class RankedDataset(_Logged):
 def _from_positions(
     ranked: bool, n: int, k: int, columns, reward_bound, weight_bound, context_ids, action_ids, lines=None
 ):
-    """A dataset from flat ``(p_log, p_tgt, reward)`` lists holding ``k`` positions per entry.
+    """A dataset from flat ``(p_log, p_tgt, reward)`` ``array("d")`` columns holding ``k`` positions per entry.
 
-    A scalar log is the one-position case, reshaped to 1-d columns. Ranked
-    action ids are regrouped per entry, so an id that is itself a list
-    stays one id and its shape is checked.
+    Its columns are views of those buffers. A scalar log is the one-position
+    case, reshaped to 1-d columns. Ranked action ids are regrouped per entry,
+    so an id that is itself a list stays one id and its shape is checked.
     """
     cls, shape = (RankedDataset, (n, k)) if ranked else (Dataset, (n,))
     if ranked and action_ids is not None:
         action_ids = [action_ids[i * k : (i + 1) * k] for i in range(n)]
-    columns = [np.array(column, dtype=np.float64).reshape(shape) for column in columns]
+    columns = [np.frombuffer(column).reshape(shape) for column in columns]
     return cls._build(columns, reward_bound, weight_bound, context_ids, action_ids, lines)

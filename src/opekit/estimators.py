@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, Estimate, _freeze
+from .data import Dataset, Estimate, _finite, _freeze, _integer
 from .errors import (
     DegenerateWeights,
     EstimationError,
@@ -88,15 +88,6 @@ class CrossFitConfig:
             raise ValidationError(f"cross-fitting needs at least 2 folds, got {self.folds_k}")
         if self.seed < 0:
             raise ValidationError(f"fold seed must be non-negative, got {self.seed}")
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: an int, a numpy integer or an integral float, never a bool."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_scalar(dataset) -> Dataset:
@@ -261,19 +252,6 @@ def ips(dataset: Dataset) -> Estimate:
 def snips(dataset: Dataset) -> Estimate:
     """Self-normalised variant: weighted reward mean over the weight mean."""
     return estimate("snips", dataset)
-
-
-def _finite(x, name: str = "baseline") -> float:
-    """``x`` as a float; a :class:`ValidationError` naming the argument if it is not a finite number."""
-    try:
-        b = float(x)
-    except OverflowError:
-        raise ValidationError(f"{name} must be finite, got a number too large for a float") from None
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a number, got {x!r}") from None
-    if not np.isfinite(b):
-        raise ValidationError(f"{name} must be finite, got {x}")
-    return b
 
 
 def beta_ips(dataset: Dataset, beta: float) -> Estimate:

@@ -59,12 +59,14 @@ from .errors import (
     ValidationError,
     WorkerFailure,
 )
-from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _finite, _integer
+from .data import _finite, _float_column, _integer
+from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary
 from .ranking import _fixed_baselines
 from .simulator import (
     BanditScenario,
     CompiledScenario,
     RankingEnv,
+    _check_sample_size,
     _moments,
     _value,
     compile_scenario,
@@ -276,6 +278,11 @@ def _run_in_pool(pool, tasks: list) -> list:
 
 def _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs):
     """The paired replicate matrix of one cell of a compiled scenario, on the study's pool if it has one."""
+    labels = tuple(label for spec in specs for label in _metric_labels(spec, compiled))
+    # The matrix holds a float64 per replicate and label, and numpy holds at most intp.max bytes in one array.
+    largest = int(np.iinfo(np.intp).max) // (8 * len(labels))
+    if replicates > largest:
+        raise ValidationError(f"replicates must be at most {largest}, the largest count an array holds")
     if pool is None:
         chunks = [_replicate_range(compiled, n, master_seed, 0, replicates, specs, folds, oracle_value)]
     else:
@@ -298,7 +305,6 @@ def _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle
         for _, _, chunk_failures in chunks
         for metric, replicate, error in chunk_failures
     )
-    labels = tuple(label for spec in specs for label in _metric_labels(spec, compiled))
     return ReplicateMatrix(n=n, labels=labels, values=values, failures=failures)
 
 
@@ -323,13 +329,16 @@ def replicate_estimates(
     specs = _study_specs(estimators, scenario)
     if not specs:
         raise ValidationError("at least one estimator is required")
+    n = _integer(n, "sample size")
+    replicates = _integer(replicates, "replicates")
+    master_seed = _integer(master_seed, "master seed")
+    n_jobs = _integer(n_jobs, "worker count")
     if replicates < 2:
         raise TooFewReplicates(replicates)
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
     if master_seed < 0:
         raise ValidationError(f"master seed must be non-negative, got {master_seed}")
     compiled = compile_scenario(scenario)
+    _check_sample_size(n, compiled.k)
     if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
         pos = compiled.positions[0]
         oracle_value = _value(compiled.context_probs, pos.p_tgt, pos.reward_means)
@@ -339,7 +348,7 @@ def replicate_estimates(
 
 def _replicate_vectors(*vectors) -> list[np.ndarray]:
     """Float arrays of equal-length one-dimensional finite replicate estimates, at least two each."""
-    arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
+    arrays = [_float_column(v, "estimates") for v in vectors]
     if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
         shapes = ", ".join(str(a.shape) for a in arrays)
         raise ValidationError(f"estimates must be one-dimensional and of one length, got shapes {shapes}")
@@ -357,13 +366,14 @@ def mse_decompose(estimates, true_value: float) -> tuple[float, float, float]:
     so ``mse == bias**2 + variance`` up to rounding.
     """
     (arr,) = _replicate_vectors(estimates)
-    target = float(true_value)
-    mean = float(np.mean(arr))
-    deviations = arr - mean
-    errors = arr - target
-    bias = mean - target
-    variance = float(np.mean(deviations * deviations))
-    mse = float(np.mean(errors * errors))
+    target = _finite(true_value, "true value")
+    with np.errstate(over="ignore", invalid="ignore"):  # numbers near the float maximum give inf or nan
+        mean = float(np.mean(arr))
+        deviations = arr - mean
+        errors = arr - target
+        bias = mean - target
+        variance = float(np.mean(deviations * deviations))
+        mse = float(np.mean(errors * errors))
     return bias, variance, mse
 
 
@@ -375,7 +385,7 @@ def paired_mse_difference(a, b, true_value: float) -> tuple[float, float]:
     what pairing buys: shared sampling noise cancels inside each term.
     """
     x, y = _replicate_vectors(a, b)
-    v = float(true_value)
+    v = _finite(true_value, "true value")
     d = (y - v) ** 2 - (x - v) ** 2
     diff = float(np.mean(d))
     se = float(np.std(d, ddof=1) / np.sqrt(d.shape[0]))
@@ -540,14 +550,7 @@ class StudyConfig:
             raise ValidationError("sample sizes must be at least 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError(f"the sample size grid must be strictly increasing, got {grid}")
-        # A replicate draws (1 + 2k) * n uniforms into one array row, and the
-        # replicate count sizes the result matrix: both must fit an array dimension.
-        largest = int(np.iinfo(np.intp).max)
-        stages = 1 + 2 * (self.scenario.k if isinstance(self.scenario, RankingEnv) else 1)
-        if stages * grid[-1] > largest:
-            raise ValidationError(
-                f"n_grid entries must be at most {largest // stages}, the largest sample size an array holds"
-            )
+        _check_sample_size(grid[-1], self.scenario.k if isinstance(self.scenario, RankingEnv) else 1, "n_grid entries")
         object.__setattr__(self, "n_grid", grid)
         for field, minimum, rule in (
             ("replicates", 100, "studies need at least 100 replicates for stable cell statistics"),
@@ -558,8 +561,6 @@ class StudyConfig:
             if value < minimum:
                 raise ValidationError(f"{rule}, got {value}")
             object.__setattr__(self, field, value)
-        if self.replicates > largest:
-            raise ValidationError(f"replicates must be at most {largest}, the largest count an array holds")
         object.__setattr__(self, "estimators", tuple(str(e) for e in self.estimators))
 
 

@@ -66,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import hoeffding_tail_bound
-from .data import RankedDataset, _from_positions
+from .data import RankedDataset, _from_positions, _integer
 from .errors import EmptyDataset, MissingBounds, ParseError, ValidationError
 
 TOOL_VERSION = "0.1.0"
@@ -109,7 +109,7 @@ def build_manifest(config_hash: str, master_seed: int, environment: str) -> RunM
     return RunManifest(
         tool_version=TOOL_VERSION,
         config_hash=config_hash,
-        master_seed=int(master_seed),
+        master_seed=_integer(master_seed, "master seed"),
         environment=environment,
         numpy_version=np.__version__,
         python_version=platform.python_version(),
@@ -247,7 +247,7 @@ class _Scan:
     columns: tuple = field(default_factory=lambda: (array("d"), array("d"), array("d")))
     contexts: list = field(default_factory=list)
     actions: list = field(default_factory=list)  # one per position, entry by entry
-    lines: list = field(default_factory=list)  # the 1-based line of each entry
+    lines: array = field(default_factory=lambda: array("q"))  # the 1-based line of each entry
 
 
 def _line_pattern(fmt: str, fields) -> re.Pattern:
@@ -302,7 +302,7 @@ def _scan_blocks(text: str, scan: _Scan) -> tuple[int, int]:
         scan.actions += _id_values(_entry_major(fields[1::4]))
         for column, first_group in zip(scan.columns, (2, 3, 4)):
             column.extend(map(float, _entry_major(fields[first_group::4])))
-        scan.lines += range(line, line + len(rows))
+        scan.lines.extend(range(line, line + len(rows)))
         start, line = block.end(), line + len(rows)
     if scan.lines:
         scan.kind, scan.k = kind, k

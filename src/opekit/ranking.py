@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RankedDataset
+from .data import RankedDataset, _float_column
 from .errors import LengthMismatch, ValidationError, ZeroWeightSum
 from .estimators import ESTIMATORS
 
@@ -104,12 +104,7 @@ def snipm(dataset: RankedDataset) -> PositionwiseReport:
 
 
 def _fixed_baselines(k: int, betas) -> np.ndarray:
-    try:
-        b = np.asarray(betas, dtype=np.float64)
-    except OverflowError:
-        raise ValidationError("baselines must be finite, got a number too large for a float") from None
-    except (TypeError, ValueError):
-        raise ValidationError(f"baselines must be numbers, got {betas!r}") from None
+    b = _float_column(betas, "baselines")
     if b.shape != (k,):
         raise LengthMismatch(f"expected {k} baselines for {k} positions, got shape {b.shape}")
     if not np.isfinite(b).all():

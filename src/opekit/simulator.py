@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .data import Dataset, RankedDataset, _check_columns, _freeze
+from .data import Dataset, RankedDataset, _check_columns, _float_column, _freeze, _integer
 from .errors import (
     DimensionMismatch,
     NonFiniteValue,
@@ -63,19 +63,9 @@ from .estimators import MomentSummary
 _PROB_TOL = 1e-9
 
 
-def _float_table(values, name: str) -> np.ndarray:
-    """A new float64 array of ``values``; ragged nesting is a DimensionMismatch, not numpy's error."""
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        raise ValidationError(f"{name} hold a number too large for a float") from None
-    except (TypeError, ValueError):
-        raise DimensionMismatch(f"{name} must be a rectangular table of numbers") from None
-
-
 def _frozen_probs(values, name: str, ndim: int) -> np.ndarray:
     """A read-only probability table of ``ndim`` dimensions whose rows each sum to one."""
-    arr = _float_table(values, name)
+    arr = np.array(_float_column(values, name))
     if arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -89,8 +79,7 @@ def _frozen_probs(values, name: str, ndim: int) -> np.ndarray:
         sums = arr.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > _PROB_TOL:
         raise ValidationError(f"{name} must sum to one" + (" in each row" if ndim == 2 else ""))
-    arr.setflags(write=False)
-    return arr
+    return _freeze(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +101,15 @@ class BanditEnv:
 
     def __post_init__(self) -> None:
         ctx = _frozen_probs(self.context_probs, "context probabilities", 1)
-        means = _float_table(self.reward_means, "reward means")
+        means = np.array(_float_column(self.reward_means, "reward means"))
         if means.ndim != 2 or means.shape[0] != ctx.shape[0]:
             raise DimensionMismatch(
                 f"reward means must have shape (n_contexts, n_actions), got {means.shape}"
             )
         if not np.isfinite(means).all() or (means < 0).any() or (means > 1).any():
             raise ValidationError("Bernoulli reward means must lie in [0, 1]")
-        means.setflags(write=False)
         object.__setattr__(self, "context_probs", ctx)
-        object.__setattr__(self, "reward_means", means)
+        object.__setattr__(self, "reward_means", _freeze(means))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +141,7 @@ class PositionModel:
     reward_means: np.ndarray
 
     def __post_init__(self) -> None:
-        means = _float_table(self.reward_means, "position reward means")
+        means = np.array(_float_column(self.reward_means, "position reward means"))
         if means.ndim != 2:
             raise DimensionMismatch(
                 f"position reward means must be two-dimensional, got shape {means.shape}"
@@ -164,8 +152,7 @@ class PositionModel:
             raise DimensionMismatch("position logging policy does not match its reward means")
         if self.target_policy.probs.shape != means.shape:
             raise DimensionMismatch("position target policy does not match its reward means")
-        means.setflags(write=False)
-        object.__setattr__(self, "reward_means", means)
+        object.__setattr__(self, "reward_means", _freeze(means))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +203,7 @@ def weight_bound(logging_policy: PolicyTable, target_policy: PolicyTable, contex
         )
     if context_probs is None:
         context_probs = np.ones(log_probs.shape[0])
-    context_probs = _float_table(context_probs, "context probabilities")
+    context_probs = _float_column(context_probs, "context probabilities")
     if context_probs.shape != log_probs.shape[:1]:
         raise DimensionMismatch(
             f"context probabilities have shape {context_probs.shape}, expected ({log_probs.shape[0]},)"
@@ -571,6 +558,16 @@ def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> 
     return w, wr
 
 
+def _check_sample_size(n: int, k: int, name: str = "sample size") -> None:
+    """Raise unless ``n`` is from 1 to the largest sample size of ``k`` positions, defined here alone."""
+    # A replicate's (1 + 2k) * n uniforms fill one float64 array row; numpy arrays hold at most intp.max bytes.
+    largest = int(np.iinfo(np.intp).max) // (8 * (1 + 2 * k))
+    if n < 1:
+        raise ValidationError(f"{name} must be at least 1, got {n}")
+    if n > largest:
+        raise ValidationError(f"{name} must be at most {largest}, the largest sample size an array holds")
+
+
 def _sample(scenario, n: int, seed):
     """One sample of ``n`` entries: the single row of a :func:`sample_cells` block as a dataset.
 
@@ -579,9 +576,9 @@ def _sample(scenario, n: int, seed):
     holds an action below ``A_j``, so its action id is the cell modulo
     ``A_j``. It overwrites the cells in place, so it is taken after every gather.
     """
-    if n < 1:
-        raise ValidationError(f"sample size must be at least 1, got {n}")
+    n = _integer(n, "sample size")
     compiled = compile_scenario(scenario)
+    _check_sample_size(n, compiled.k)
     rng = np.random.default_rng(seed)
     # Each stage is used up before the next is drawn, so one buffer serves all.
     buffer = np.empty((1, n))

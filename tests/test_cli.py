@@ -129,6 +129,13 @@ class TestSimulate:
     def test_bad_sample_count(self, capsys):
         assert run(capsys, "simulate", "--preset", "flip2", "--n", "0")[0] == 2
 
+    @pytest.mark.parametrize("n", ["2305843009213693952", "100000000000000000000"])
+    def test_sample_count_too_large_for_an_array_exits_2(self, capsys, tmp_path, n):
+        code, _, err = run(capsys, "simulate", "--preset", "flip2", "--n", n, "--out", str(tmp_path / "a.jsonl"))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "must be at most" in err, err
+        assert not (tmp_path / "a.jsonl").exists()
+
 
 class TestEvaluate:
     def test_default_report(self, capsys, flip2_logs):
@@ -561,11 +568,26 @@ class TestStudy:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("replicates", 10**400), ("n_grid", [50, 10**30]), ("n_grid", [50, 1e30])],
-        ids=["replicates-401-digits", "n_grid-int-1e30", "n_grid-float-1e30"],
+        [
+            ("replicates", 10**400),
+            ("n_grid", [50, 10**30]),
+            ("n_grid", [50, 1e30]),
+            # Each fits an array dimension, but not numpy's largest array in bytes.
+            ("n_grid", [3074457345618258602]),
+            ("n_grid", [50, (2**63 - 1) // 24 + 1]),
+            ("replicates", 4611686018427387904),
+        ],
+        ids=[
+            "replicates-401-digits",
+            "n_grid-int-1e30",
+            "n_grid-float-1e30",
+            "n_grid-a-third-of-intp-max",
+            "n_grid-one-past-the-largest",
+            "replicates-2-to-the-62",
+        ],
     )
     def test_integer_too_large_for_an_array_exits_2(self, capsys, tmp_path, field, value):
-        # Such a value would size an array past numpy's largest dimension.
+        # Such a value would size an array past numpy's largest dimension or size in bytes.
         config = write_config(tmp_path, **{field: value})
         code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
         assert code == 2

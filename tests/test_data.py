@@ -124,6 +124,10 @@ class TestRankedConstruction:
         assert np.array_equal(d.position(1).weights, [2.0, 1.0])
         with pytest.raises(ValidationError):
             d.position(2)
+        for bad in ("1", 1.5, True):
+            with pytest.raises(ValidationError, match="position must be an integer"):
+                d.position(bad)
+        assert np.array_equal(d.position(1.0).weights, d.position(np.int64(1)).weights)
 
     def test_position_views_share_bounds(self):
         d = RankedDataset.from_arrays(
@@ -168,6 +172,21 @@ def test_complex_array_is_not_cast_to_real():
     # numpy would keep the real part of a complex column, with only a warning.
     with pytest.raises(ValidationError, match="^reward must hold only real numbers$"):
         make([0.5], [0.5], np.array([0.5 + 0.5j]))
+
+
+def test_complex_scalars_are_not_cast_to_real():
+    with pytest.raises(ValidationError, match="^propensity_logging must hold only real numbers$"):
+        make([np.complex128(0.5 + 1j)], [0.5], [1.0])
+    with pytest.raises(ValidationError, match="^propensity_logging must hold only real numbers$"):
+        make([None, np.complex128(0.5 + 1j)], [0.5, 0.5], [1.0, 1.0])  # an object array
+    with pytest.raises(ValidationError, match="^declared weight bound must be a number"):
+        make([0.5], [0.5], [1.0], weight_bound=np.complex128(4.0 + 1j))
+
+
+def test_bounds_in_other_spellings_keep_their_values():
+    d = make([0.5], [0.5], [1.0], reward_bound="1", weight_bound=np.int64(4))
+    assert (d.reward_bound, d.weight_bound) == (1.0, 4.0)
+    assert all(type(b) is float for b in (d.reward_bound, d.weight_bound))
 
 
 def test_ragged_ids_are_a_length_mismatch():

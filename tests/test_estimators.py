@@ -198,19 +198,24 @@ def test_ranked_input_rejected_everywhere():
         (lambda d, m, r: hoeffding_tail_bound(10, None), "weight bound must be a number"),
         (lambda d, m, r: hoeffding_tail_bound("10", 9.0), "n must be an integer"),
         (lambda d, m, r: hoeffding_tail_bound(10, 10**400), "weight bound must be finite"),
+        (lambda d, m, r: hoeffding_tail_bound(10**400, 9.0), "n must be finite"),
         (lambda d, m, r: beta_ips(d, "abc"), "baseline must be a number"),
         (lambda d, m, r: beta_ips(d, [1, 2]), "baseline must be a number"),
         (lambda d, m, r: beta_ips(d, 10**400), "baseline must be finite"),
         (lambda d, m, r: beta_ips_variance(m, "x"), "baseline must be a number"),
         (lambda d, m, r: variance_gap(m, [0.2, 0.3]), "value must be a number"),
         (lambda d, m, r: remainder_diagnostics(d, "x"), "value must be a number"),
-        (lambda d, m, r: beta_ipm(r, "ab"), "baselines must be numbers"),
-        (lambda d, m, r: beta_ipm(r, [10**400, 0.0]), "baselines must be finite"),
+        (lambda d, m, r: beta_ipm(r, "ab"), "baselines must hold only real numbers"),
+        (lambda d, m, r: beta_ipm(r, [10**400, 0.0]), "baselines holds a number too large for a float"),
+        (lambda d, m, r: beta_ips(d, np.complex128(0.5 + 2j)), "baseline must be a number"),
+        (lambda d, m, r: beta_ipm(r, np.array([0.5 + 2j, 0.5])), "baselines must hold only real numbers"),
+        (lambda d, m, r: beta_ipm(r, [np.complex128(0.5 + 2j), 0.5]), "baselines must hold only real numbers"),
     ],
     ids=[
         "tail-bound-none",
         "tail-bound-str-n",
         "tail-bound-huge",
+        "tail-bound-huge-n",
         "beta-ips-str",
         "beta-ips-list",
         "beta-ips-huge",
@@ -219,6 +224,9 @@ def test_ranked_input_rejected_everywhere():
         "remainder-str",
         "beta-ipm-str",
         "beta-ipm-huge",
+        "beta-ips-complex",
+        "beta-ipm-complex-array",
+        "beta-ipm-complex-scalars",
     ],
 )
 def test_non_number_arguments_raise_validation_errors(call, message):

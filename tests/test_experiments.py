@@ -313,6 +313,23 @@ class TestStudyConfig:
             with pytest.raises(ValidationError, match="integer"):
                 StudyConfig(scenario, "flip2", **args)
 
+    def test_replicate_estimates_integer_rule(self):
+        scenario = get_scenario("flip2")
+        for bad in (dict(n="5"), dict(n=5.5), dict(replicates="100"), dict(master_seed=True), dict(n_jobs=1.5)):
+            args = {"n": 5, "replicates": 100, "master_seed": 0, **bad}
+            with pytest.raises(ValidationError, match="integer"):
+                replicate_estimates(scenario, estimators=["ips"], **args)
+        whole = replicate_estimates(scenario, 5.0, np.int64(100), 0.0, ["ips"], n_jobs=np.int8(1))
+        assert np.array_equal(whole.values, replicate_estimates(scenario, 5, 100, 0, ["ips"]).values)
+
+    def test_sample_size_integer_rule(self):
+        scenario = get_scenario("flip2")
+        tables = (scenario.env, scenario.logging_policy, scenario.target_policy)
+        for bad in ("5", 5.5, True):
+            with pytest.raises(ValidationError, match="sample size must be an integer"):
+                sample_logs(*tables, bad, 0)
+        assert np.array_equal(sample_logs(*tables, 5.0, 0).weights, sample_logs(*tables, 5, 0).weights)
+
     def test_integral_values_become_ints(self):
         config = StudyConfig(
             get_scenario("flip2"), "flip2", (400.0, np.int64(800)), np.int32(100), 7.0, folds=np.float64(3.0)

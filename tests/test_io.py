@@ -30,6 +30,7 @@ from opekit.errors import (
     MissingBounds,
     NonPositiveLoggingPropensity,
     ParseError,
+    ValidationError,
 )
 from opekit.experiments import StudyRow
 from opekit.io import (
@@ -681,6 +682,12 @@ class TestManifest:
         assert payload["fingerprint"] == manifest.fingerprint()
         assert payload["numpy_version"] == np.__version__
         assert payload["master_seed"] == 3
+
+    def test_build_manifest_never_truncates_the_seed(self):
+        assert build_manifest(config_hash="h", master_seed=np.int64(3), environment="flip2").master_seed == 3
+        for bad in (3.5, "3", True):
+            with pytest.raises(ValidationError, match="master seed must be an integer"):
+                build_manifest(config_hash="h", master_seed=bad, environment="flip2")
 
 
 class TestPayload:

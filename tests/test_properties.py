@@ -19,22 +19,27 @@ from hypothesis import strategies as st
 from conftest import dataset_from_weights, ranked_from_weights
 from opekit import (
     BanditEnv,
+    BanditScenario,
     Dataset,
     MomentSummary,
     PolicyTable,
     PositionModel,
     RankedDataset,
     RankingEnv,
+    beta_ipm,
     beta_ips,
     beta_ips_variance,
     beta_perp_star_hat,
     beta_star_hat,
     beta_star_ips,
     empirical_moments,
+    hoeffding_tail_bound,
     ips,
     ipm,
     mse_decompose,
     remainder_diagnostics,
+    replicate_estimates,
+    sample_logs,
     snips,
     snips_avar,
     variance_gap,
@@ -300,8 +305,11 @@ _RANKED = b'{"context":0,"positions":[{"action":0,"p_log":0.9,"p_tgt":0.1,"rewar
 _LEAVES = st.one_of(
     st.floats(),
     st.integers(-(10**400), 10**400),
-    st.sampled_from([True, None, "0.5", "x", {}, 1j, 1e308, 1e-310, 5e-324]),
+    st.sampled_from([True, None, "0.5", "x", {}, 1j, np.complex128(0.5 + 1j), 1e308, 1e-310, 5e-324]),
 )
+
+#: A scenario whose target leaves the logging support: it fails to compile, after its sample size is read.
+_UNSUPPORTED = (BanditEnv([1.0], [[0.5, 0.5]]), PolicyTable([[1.0, 0.0]]), PolicyTable([[0.0, 1.0]]))
 
 
 def _leaf_tables(leaf):
@@ -360,9 +368,14 @@ class TestNoTraceback:
     @example(_leaf_tables(10**400), 1.0)
     @example(_leaf_tables({}), 1.0)
     @example(_leaf_tables(1j), 1.0)
+    @example(([1.0], np.array([[0.5 + 3j, 0.5]]), [[0.5, 0.5]], [[0.5, 0.5]]), 1.0)
+    @example(([-(2**63) - 1, np.complex128(0.5 + 1j)], [[1.0]], [[1.0]], [[1.0]]), 0.0)  # an object array
     @example(([0.5], [[5e-324]], [[0.5]], [[0.5]]), 1.0)  # a weight past the float range
     @example(_leaf_tables(0.5), "1")
     @example(_leaf_tables(0.5), None)
+    @example(_leaf_tables(0.5), np.complex128(0.5 + 1j))
+    @example(_leaf_tables(0.5), 1e308)  # squares past the float range
+    @example(_leaf_tables(0.5), 1e-310)  # a square that underflows to zero
     def test_public_constructors_raise_only_package_errors(self, tables, bound):
         context, logging, target, means = tables
         # Both dataset kinds on 1-d and 2-d columns, the drawn leaf as either declared bound.
@@ -372,12 +385,28 @@ class TestNoTraceback:
             for columns in ((context,) * 3, (logging, target, means))
             for reward_bound, weight_bound in ((bound, 10.0), (1.0, bound))
         ]
+        # The drawn leaf as each numeric argument. The unsupported scenario fails to
+        # compile after its integers are read, so no sample is drawn, whatever their size.
+        d = dataset_from_weights([2.0, 0.5], [1.0, 0.0], weight_bound=2.0)
+        r = ranked_from_weights([[1.0, 2.0], [1.0, 0.5]], [[1.0, 0.5], [0.0, 1.0]], weight_bound=2.0)
+        arguments = [
+            lambda: beta_ips(d, bound),
+            lambda: beta_ipm(r, [bound, bound]),
+            lambda: variance_gap(empirical_moments(d), bound),
+            lambda: hoeffding_tail_bound(bound, 9.0),
+            lambda: hoeffding_tail_bound(10, bound),
+            lambda: mse_decompose([bound, bound], 0.5),
+            lambda: mse_decompose([0.25, 0.75], bound),
+            lambda: replicate_estimates(BanditScenario(*_UNSUPPORTED), bound, bound, bound, ["ips"], n_jobs=bound),
+            lambda: sample_logs(*_UNSUPPORTED, bound, 0),
+        ]
         for build in (
             lambda: PolicyTable(logging),
             lambda: BanditEnv(context, means),
             lambda: PositionModel(PolicyTable(logging), PolicyTable(target), means),
             lambda: RankingEnv(context, [PositionModel(PolicyTable(logging), PolicyTable(target), means)] * 2),
             *datasets,
+            *arguments,
         ):
             try:
                 build()

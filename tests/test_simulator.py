@@ -76,6 +76,17 @@ class TestTables:
         with pytest.raises(ValidationError, match="too large"):
             BanditEnv(context_probs=[1.0], reward_means=[[10**400]])
 
+    def test_complex_tables_are_not_cast_to_real(self):
+        with pytest.raises(ValidationError, match="^policy probabilities must hold only real numbers$"):
+            PolicyTable(np.array([[0.5 + 3j, 0.5]]))
+        with pytest.raises(ValidationError, match="^reward means must hold only real numbers$"):
+            BanditEnv(context_probs=[1.0], reward_means=[[np.complex128(0.5 + 1j), 0.5]])
+
+    def test_tables_never_freeze_the_callers_array(self):
+        probs = np.array([[0.5, 0.5]])
+        PolicyTable(probs)
+        assert probs.flags.writeable
+
     def test_tables_are_immutable(self):
         table = PolicyTable([[0.5, 0.5]])
         with pytest.raises(ValueError):

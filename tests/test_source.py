@@ -207,3 +207,46 @@ def test_one_constructor_builds_every_dataset():
     assert callers == {"data._Logged.from_arrays", "data._from_positions"}
     assert calls == 2
     assert defined & {"validate_dataset", "LogEntry", "PositionRecord", "RankedLogEntry"} == set()
+
+
+def _is_float64_cast(node) -> bool:
+    """An ``np.asarray`` or ``np.array`` call with ``dtype=np.float64``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("asarray", "array")
+        and _names(node.func.value) == {"np"}
+        and any(k.arg == "dtype" and _names(k.value) == {"np", "float64"} for k in node.keywords)
+    )
+
+
+def _overflow_handlers(node) -> int:
+    """The ``except`` clauses inside ``node`` that catch ``OverflowError``."""
+    return sum(
+        isinstance(n, ast.ExceptHandler) and n.type is not None and "OverflowError" in _names(n.type)
+        for n in ast.walk(node)
+    )
+
+
+def test_one_module_converts_numbers():
+    # _float_column, _finite and _integer in data.py alone turn an argument from
+    # outside into a float64 array, a float or an int, so that no second rule
+    # for what counts as a number (complex, too large, a string) can drift.
+    # File formats keep their own checks: io._number and fit_loglog_slope.
+    converters = {"_finite", "_integer", "_float_column"}
+    defined, casts, overflow = set(), [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined |= {
+            (path.stem, n.name) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in converters
+        }
+        if path.name != "data.py":
+            casts += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_float64_cast(n)]
+        functions = list(_functions(tree))
+        sites = {f"{path.stem}.{name}" for name, function in functions if _overflow_handlers(function)}
+        if _overflow_handlers(tree) > sum(_overflow_handlers(function) for _, function in functions):
+            sites.add(path.stem)  # a handler outside any function
+        overflow |= {"data"} if sites and path.name == "data.py" else sites
+    assert defined == {("data", name) for name in converters}
+    assert casts == []
+    assert overflow == {"data", "io._number", "experiments.fit_loglog_slope"}
