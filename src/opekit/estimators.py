@@ -55,6 +55,9 @@ class MomentSummary:
     n: int
 
     def __post_init__(self) -> None:
+        for name in ("mean_w", "mean_wr", "var_w", "var_wr", "cov_w_wr"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValidationError(f"moment summary needs n >= 1, got {self.n}")
         if self.var_w < 0 or self.var_wr < 0:

@@ -386,10 +386,9 @@ def paired_mse_difference(a, b, true_value: float) -> tuple[float, float]:
     """
     x, y = _replicate_vectors(a, b)
     v = _finite(true_value, "true value")
-    d = (y - v) ** 2 - (x - v) ** 2
-    diff = float(np.mean(d))
-    se = float(np.std(d, ddof=1) / np.sqrt(d.shape[0]))
-    return diff, se
+    with np.errstate(over="ignore", invalid="ignore"):  # numbers near the float maximum give inf or nan
+        d = (y - v) ** 2 - (x - v) ** 2
+        return float(np.mean(d)), float(np.std(d, ddof=1) / np.sqrt(d.shape[0]))
 
 
 def paired_variance_difference(a, b) -> tuple[float, float]:
@@ -399,12 +398,11 @@ def paired_variance_difference(a, b) -> tuple[float, float]:
     per replicate, so the standard error accounts for the pairing.
     """
     x, y = _replicate_vectors(a, b)
-    dx = x - float(np.mean(x))
-    dy = y - float(np.mean(y))
-    d = dy * dy - dx * dx
-    diff = float(np.mean(d))
-    se = float(np.std(d, ddof=1) / np.sqrt(d.shape[0]))
-    return diff, se
+    with np.errstate(over="ignore", invalid="ignore"):  # numbers near the float maximum give inf or nan
+        dx = x - float(np.mean(x))
+        dy = y - float(np.mean(y))
+        d = dy * dy - dx * dx
+        return float(np.mean(d)), float(np.std(d, ddof=1) / np.sqrt(d.shape[0]))
 
 
 def fit_loglog_slope(points) -> tuple[float, float]:

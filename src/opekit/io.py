@@ -18,22 +18,22 @@ one format string assembles the records. The bytes equal one
 ``json.dumps`` per record with compact separators, and the working memory
 of a write is bounded by the block, not by the number of records.
 
-The reader reads a file in two ways that give the same flat columns. The
-blocks of ``BLOCK_ENTRIES // k`` lines at the start of the file that are
-laid out exactly as the writer lays them out are matched one block at a
-time by one regular expression built from the writer's record format.
-That layout is an optional ``_meta`` line 1, then one record per line, all
-of one kind and one k, with the writer's key order and no whitespace. Its
-ids are integers of at most 17 digits, ``null`` or strings without
-escapes or control characters, and its numbers are JSON numbers with at
-most 17 integer digits, for which ``float`` of the text gives what
-``json`` gives. From the first block that does not match (a blank line,
-spaces, other key orders, escaped strings, ``true``/``false`` or float
-ids, longer integers, a bare ``-0``, a last line without its newline),
-the rest of the file is read one line at a time with ``json.loads``. A
-scalar record is its own single position either way, and one constructor
-call validates the columns, so both ways share every check, error class,
-message and line number.
+The reader streams a file a block of lines at a time, never holding its
+whole text, and reads it in two ways that give the same flat columns. The
+blocks of ``BLOCK_ENTRIES // k`` lines at its start that are laid out
+exactly as the writer writes them are each matched by one regular
+expression built from the writer's record format. That layout is an
+optional ``_meta`` line 1, then one record per line, all of one kind and
+one k, with the writer's key order and no whitespace. Its ids are integers
+of at most 17 digits, ``null`` or strings without escapes or control
+characters, and its numbers are JSON numbers with at most 17 integer
+digits, for which ``float`` of the text gives what ``json`` gives. From
+the first block that does not match (a blank line, spaces, other key
+orders, escaped strings, ``true``/``false`` or float ids, longer integers,
+a bare ``-0``, a last line without its newline), the rest of the file is
+read one line at a time with ``json.loads``. A scalar record is its own
+single position either way, and one constructor call validates the
+columns, so both ways share every check, error, message and line number.
 
 Result tables are CSV with columns
 ``estimator,n,mean,bias,variance,mse,se``, floats formatted with %.17g
@@ -49,6 +49,7 @@ fingerprints denote byte-identical data files.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime
 import hashlib
@@ -270,32 +271,33 @@ def _entry_major(groups) -> list:
     return list(itertools.chain.from_iterable(zip(*groups)))
 
 
-def _scan_blocks(text: str, scan: _Scan) -> tuple[int, int]:
+def _scan_blocks(lines, scan: _Scan) -> tuple[list, int]:
     """Read the start of a log that is laid out exactly as :func:`_log_chunks` writes it.
 
     That is an optional ``_meta`` line 1, then whole blocks of
     ``BLOCK_ENTRIES // k`` lines that are each a record of one kind and k,
     ending in ``"\\n"``, with the writer's key order, no whitespace and the
-    ids and numbers ``_ID`` and ``_NUMBER`` accept. Each block is matched
-    with one ``findall``, and the first block with fewer matches than lines
-    ends the scan. Returns the offset and the 1-based line number of the
-    rest of the text, which :func:`_scan_lines` reads.
+    ids and numbers ``_ID`` and ``_NUMBER`` accept. Each block is taken from
+    the iterator ``lines`` and matched with one ``findall``; the first block
+    with fewer matches than lines ends the scan. Returns the lines read but
+    not taken and the line number of the first; :func:`_scan_lines` goes on.
     """
-    start, line = 0, 1
-    header = _line_pattern(_META, (_NUMBER, _NUMBER)).match(text)
+    line, first = 1, next(lines, "")
+    header = _line_pattern(_META, (_NUMBER, _NUMBER)).match(first)
     if header:
         scan.meta = (float(header[1]), float(header[2]))
-        start, line = header.end(), 2
-    first = text[start : text.find("\n", start) + 1]
+        line, first = 2, next(lines, "")
     # Matched ids hold no quotes, so these keys occur only as keys in a record that matches.
     kind = "ranked" if '"positions":' in first else "scalar"
     k = first.count('"p_log":')
     if not k:
-        return start, line
+        return [first], line
     records = _line_pattern(_record_format(kind == "ranked", k), (_ID,) + (_ID, _NUMBER, _NUMBER, _NUMBER) * k)
-    for block in re.compile(r"(?:[^\n]*\n){1,%d}" % max(1, BLOCK_ENTRIES // k)).finditer(text, start):
-        rows = records.findall(text, *block.span())
-        if len(rows) != text.count("\n", *block.span()):
+    size = max(1, BLOCK_ENTRIES // k)
+    block = [first, *itertools.islice(lines, size - 1)]
+    while block:
+        rows = records.findall("".join(block))
+        if len(rows) != len(block):  # a line that does not match, or a last line without its newline
             break
         fields = list(zip(*rows))
         scan.contexts += _id_values(fields[0])
@@ -303,19 +305,19 @@ def _scan_blocks(text: str, scan: _Scan) -> tuple[int, int]:
         for column, first_group in zip(scan.columns, (2, 3, 4)):
             column.extend(map(float, _entry_major(fields[first_group::4])))
         scan.lines.extend(range(line, line + len(rows)))
-        start, line = block.end(), line + len(rows)
+        block, line = list(itertools.islice(lines, size)), line + len(rows)
     if scan.lines:
         scan.kind, scan.k = kind, k
-    return start, line
+    return block, line
 
 
-def _scan_lines(text: str, first_line: int, scan: _Scan) -> _Scan:
-    """Read log lines one at a time with ``json.loads``, continuing ``scan``; ``text`` starts at ``first_line``."""
+def _scan_lines(lines, first_line: int, scan: _Scan) -> _Scan:
+    """Read log lines one at a time with ``json.loads``, continuing ``scan``; ``lines`` starts at ``first_line``."""
     meta_reward, meta_weight = scan.meta
     kind, k = scan.kind, scan.k
     p_log, p_tgt, rewards = scan.columns
     contexts, actions, entry_lines = scan.contexts, scan.actions, scan.lines
-    for lineno, raw in enumerate(text.split("\n"), start=first_line):
+    for lineno, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line:
             continue
@@ -366,23 +368,26 @@ def _scan_lines(text: str, first_line: int, scan: _Scan) -> _Scan:
     return scan
 
 
-def _scan_text(text: str) -> _Scan:
-    """Read a log text: the blocks at its start in the writer's layout by pattern, the rest line by line."""
+def _scan_stream(stream) -> _Scan:
+    """Read a log from a text stream: the blocks at its start in the writer's layout by pattern, the rest line by line."""
     scan = _Scan()
-    start, line = _scan_blocks(text, scan)
-    return _scan_lines(text[start:], line, scan)
+    rest, line = _scan_blocks(stream, scan)
+    return _scan_lines(itertools.chain(rest, stream), line, scan)
 
 
-def _read_text(path) -> str:
-    """The file decoded as UTF-8 with universal newlines.
-
-    A function of its own, so that :func:`read_logs` holds no reference to
-    the text once the scan has returned.
-    """
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+def _not_utf8(path, exc: UnicodeDecodeError) -> ValidationError:
+    """The error for a file that is not UTF-8, at the file offset of its first bad byte, found by decoding it again."""
+    decoder, offset = codecs.getincrementaldecoder("utf-8")(), 0
+    with open(path, "rb") as handle:  # a text stream's exc.start counts from its own decode chunk
+        for chunk in itertools.chain(iter(lambda: handle.read(_stringio.DEFAULT_BUFFER_SIZE), b""), [b""]):
+            start = offset - len(decoder.getstate()[0])  # a sequence cut at the last chunk's end starts there
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as found:
+                exc, offset = found, start
+                break
+            offset += len(chunk)
+    return ValidationError(f"{path} is not UTF-8 text: {exc.reason} at byte {offset + exc.start}")
 
 
 def read_logs(path, reward_bound: float | None = None, weight_bound: float | None = None):
@@ -395,15 +400,24 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
     and a lone ``"\\r"`` each end a line; errors reference 1-based line
     numbers.
 
-    The blocks of lines at the start of the file that are laid out exactly
-    as :func:`write_logs` writes them are read by one pattern each, and
-    the rest of the file, all of it for other layouts, one line at a time
-    with ``json.loads``. Both give the same flat columns, with a scalar
-    record as its own single position, and one constructor call then
-    validates them, so an entry error names the line of its entry
-    whichever way it was read.
+    The file is streamed and never held whole. The blocks of lines at its
+    start that are laid out exactly as :func:`write_logs` writes them are
+    read by one pattern each, a block at a time, and the rest of the file,
+    all of it for other layouts, one line at a time with ``json.loads``.
+    Both give the same flat columns, with a scalar record as its own single
+    position, and one constructor call then validates them, so an entry
+    error names the line of its entry whichever way it was read.
     """
-    scan = _scan_text(_read_text(path))
+    try:
+        with open(Path(path), encoding="utf-8") as stream:
+            try:
+                scan = _scan_stream(stream)
+            except ParseError:
+                for _ in stream:  # bytes that are not UTF-8 are reported first, wherever they are
+                    pass
+                raise
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if scan.kind is None:
         raise EmptyDataset(f"no records in {path}")
     final_reward = reward_bound if reward_bound is not None else scan.meta[0]

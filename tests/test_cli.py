@@ -276,6 +276,27 @@ class TestEvaluate:
         assert code == 2
         assert err.startswith(f"error: {path} is not UTF-8 text: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "inserts, at, reason",
+        [
+            ([(100000, b"\xff")], 100000, "invalid start byte"),
+            # A sequence cut where two chunks of the binary re-read meet.
+            ([(3 * io.DEFAULT_BUFFER_SIZE - 1, b"\xe2\x82")], 3 * io.DEFAULT_BUFFER_SIZE - 1, "invalid continuation byte"),
+            # Line 1 is not JSON, and the bad byte blocks later is still the error.
+            ([(0, b"\xc3\xa9"), (1000000, b"\xff")], 1000000, "invalid start byte"),
+        ],
+        ids=["past-the-first-chunk", "cut-at-a-chunk-boundary", "after-a-parse-error"],
+    )
+    def test_not_utf8_names_the_file_offset(self, capsys, tmp_path, inserts, at, reason):
+        path = tmp_path / "logs.jsonl"
+        assert run(capsys, "simulate", "--preset", "flip2", "--n", "20000", "--out", str(path))[0] == 0
+        data = path.read_bytes()
+        for offset, piece in inserts:
+            data = data[:offset] + piece + data[offset:]
+        path.write_bytes(data)
+        code, _, err = run(capsys, "evaluate", "--in", str(path))
+        assert (code, err) == (2, f"error: {path} is not UTF-8 text: {reason} at byte {at}\n")
+
     def test_ragged_ranked_actions_exit_2(self, capsys, tmp_path):
         records = [
             {

@@ -210,6 +210,9 @@ def test_ranked_input_rejected_everywhere():
         (lambda d, m, r: beta_ips(d, np.complex128(0.5 + 2j)), "baseline must be a number"),
         (lambda d, m, r: beta_ipm(r, np.array([0.5 + 2j, 0.5])), "baselines must hold only real numbers"),
         (lambda d, m, r: beta_ipm(r, [np.complex128(0.5 + 2j), 0.5]), "baselines must hold only real numbers"),
+        (lambda d, m, r: MomentSummary(0.5, 0.1, "x", 0.1, 0.0, 3), "var_w must be a number"),
+        (lambda d, m, r: MomentSummary("x", 0.1, 0.1, 0.1, 0.0, 3), "mean_w must be a number"),
+        (lambda d, m, r: MomentSummary(0.5, 0.1, 0.1, 0.1, 0.0, "3"), "n must be an integer"),
     ],
     ids=[
         "tail-bound-none",
@@ -227,6 +230,9 @@ def test_ranked_input_rejected_everywhere():
         "beta-ips-complex",
         "beta-ipm-complex-array",
         "beta-ipm-complex-scalars",
+        "moments-str-variance",
+        "moments-str-mean",
+        "moments-str-n",
     ],
 )
 def test_non_number_arguments_raise_validation_errors(call, message):

@@ -188,6 +188,11 @@ class TestStatisticsHelpers:
         assert diff == pytest.approx(3.0, rel=1e-15)
         assert se == 0.0
 
+    def test_paired_differences_near_the_float_maximum_warn_nothing(self):
+        # Squares past the float range are inf, and inf - inf is nan, as in mse_decompose.
+        assert np.isnan(paired_mse_difference([1e308, 1e308], [1e300, 1e300], 0.0)).all()
+        assert paired_variance_difference([1e308, -1e308], [1e300, 1e300])[0] == -np.inf
+
     def test_paired_validation(self):
         with pytest.raises(ValidationError):
             paired_mse_difference([0.1, 0.2], [0.1], 0.0)

@@ -1,8 +1,10 @@
 """Log file round trips, result tables, and run manifests."""
 
 import dataclasses
+import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,11 +36,12 @@ from opekit.errors import (
 )
 from opekit.experiments import StudyRow
 from opekit.io import (
+    BLOCK_ENTRIES,
     _record_format,
     _Scan,
     _scan_blocks,
     _scan_lines,
-    _scan_text,
+    _scan_stream,
     atomic_write,
     csv_text,
     format_float,
@@ -56,13 +59,15 @@ def flip2_sample(n=40, seed=3) -> Dataset:
 def read_line_by_line(path, **bounds):
     """``read_logs`` with the block scan turned off, so every line goes through ``json.loads``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(opekit.io, "_scan_blocks", lambda text, scan: (0, 1))
+        patch.setattr(opekit.io, "_scan_blocks", lambda lines, scan: ([], 1))
         return read_logs(path, **bounds)
 
 
 def block_scan_end(text) -> int:
     """The offset at which the block scan of ``text`` leaves the rest to the line reader."""
-    return _scan_blocks(text, _Scan())[0]
+    stream = io.StringIO(text)
+    rest, _ = _scan_blocks(stream, _Scan())
+    return len(text) - len("".join(rest)) - len(stream.read())
 
 
 def outcome(read, path):
@@ -391,8 +396,8 @@ class TestBlockScan:
         # entries let the block scan stop part way through these short texts.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(opekit.io, "BLOCK_ENTRIES", 2)
-            got = scan_outcome(_scan_text, text)
-        assert got == scan_outcome(lambda text: _scan_lines(text, 1, _Scan()), text)
+            got = scan_outcome(lambda text: _scan_stream(io.StringIO(text)), text)
+        assert got == scan_outcome(lambda text: _scan_lines(io.StringIO(text), 1, _Scan()), text)
 
     @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**16), 10**16))
     def test_writer_texts_take_the_scan(self, value, ident):
@@ -447,7 +452,7 @@ class TestBlockScan:
         text = text.replace(f'"{field}":{"1.0" if field == "reward_bound" else "0.0"}', f'"{field}":-{"9" * digits}')
         path = tmp_path / "in.jsonl"
         path.write_text(text)
-        assert _scan_blocks(text, _Scan())[1] <= line
+        assert _scan_blocks(io.StringIO(text), _Scan())[1] <= line
         with pytest.raises(ParseError) as info:
             read_logs(path)
         assert info.value.line == line
@@ -461,7 +466,7 @@ class TestBlockScan:
         lines = path.read_text().split("\n")
         lines.insert(2 * 8192 + 3, "")
         text = "\n".join(lines)
-        assert _scan_blocks(text, _Scan())[1] == 2 * 8192 + 2
+        assert _scan_blocks(io.StringIO(text), _Scan())[1] == 2 * 8192 + 2
         path.write_text(text)
         assert read_logs(path).n == 2 * 8192 + 5
         assert_both_paths_agree(path)
@@ -471,6 +476,26 @@ class TestBlockScan:
             read_logs(path)
         assert (info.value.index, info.value.line) == (2 * 8192 + 4, 2 * 8192 + 7)
         assert_both_paths_agree(path)
+
+
+class TestReadMemory:
+    def test_peak_beyond_the_dataset_does_not_grow_with_the_file(self, tmp_path):
+        # The text is read a block at a time, so what read_logs holds beyond the
+        # dataset it returns is about one block, whatever the size of the file.
+        excess, sizes = [], []
+        for blocks in (2, 6):
+            path = tmp_path / f"{blocks}.jsonl"
+            write_logs(flip2_sample(n=blocks * BLOCK_ENTRIES), path)
+            tracemalloc.start()
+            try:
+                dataset = read_logs(path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert dataset.n == blocks * BLOCK_ENTRIES
+            excess.append(peak - held)
+            sizes.append(path.stat().st_size)
+        assert excess[1] - excess[0] < (sizes[1] - sizes[0]) / 4
 
 
 class TestReadValidation:
