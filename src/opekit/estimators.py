@@ -229,7 +229,8 @@ def remainder_sq_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple:
 
 def empirical_moments(dataset: Dataset) -> MomentSummary:
     """Two-pass centred moments of the weights and weighted rewards."""
-    moments = moment_rows(*_one_row(dataset))
+    with np.errstate(over="ignore"):  # squares past the float range: MomentSummary rejects the inf variance
+        moments = moment_rows(*_one_row(dataset))
     return MomentSummary(*(float(m[0]) for m in moments), n=dataset.n)
 
 

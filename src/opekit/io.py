@@ -22,7 +22,10 @@ The reader streams a file a block of lines at a time, never holding its
 whole text, and reads it in two ways that give the same flat columns. The
 blocks of ``BLOCK_ENTRIES // k`` lines at its start that are laid out
 exactly as the writer writes them are each matched by one regular
-expression built from the writer's record format. That layout is an
+expression built from the writer's record format. Each distinct line of
+a block is matched and converted once and its copies take its values,
+so the lines of a log drawn from finite policy tables, which repeat
+throughout, are mostly looked up rather than parsed. That layout is an
 optional ``_meta`` line 1, then one record per line, all of one kind and
 one k, with the writer's key order and no whitespace. Its ids are integers
 of at most 17 digits, ``null`` or strings without escapes or control
@@ -266,9 +269,9 @@ def _id_values(texts) -> list:
         return [None if t == "null" else t[1:-1] if t[0] == '"' else int(t) for t in texts]
 
 
-def _entry_major(groups) -> list:
-    """The texts of k per-position groups, entry by entry and then position by position."""
-    return list(itertools.chain.from_iterable(zip(*groups)))
+def _entry_major(groups) -> tuple | list:
+    """The texts of k per-position groups, entry by entry and then position by position; one group as it is."""
+    return groups[0] if len(groups) == 1 else list(itertools.chain.from_iterable(zip(*groups)))
 
 
 def _scan_blocks(lines, scan: _Scan) -> tuple[list, int]:
@@ -278,8 +281,10 @@ def _scan_blocks(lines, scan: _Scan) -> tuple[list, int]:
     ``BLOCK_ENTRIES // k`` lines that are each a record of one kind and k,
     ending in ``"\\n"``, with the writer's key order, no whitespace and the
     ids and numbers ``_ID`` and ``_NUMBER`` accept. Each block is taken from
-    the iterator ``lines`` and matched with one ``findall``; the first block
-    with fewer matches than lines ends the scan. Returns the lines read but
+    the iterator ``lines``; its distinct lines are matched with one
+    ``findall`` and converted once, and a block with repeated lines then
+    gathers each line's values from its distinct line. The first block with
+    a line that does not match ends the scan. Returns the lines read but
     not taken and the line number of the first; :func:`_scan_lines` goes on.
     """
     line, first = 1, next(lines, "")
@@ -296,16 +301,24 @@ def _scan_blocks(lines, scan: _Scan) -> tuple[list, int]:
     size = max(1, BLOCK_ENTRIES // k)
     block = [first, *itertools.islice(lines, size - 1)]
     while block:
-        rows = records.findall("".join(block))
-        if len(rows) != len(block):  # a line that does not match, or a last line without its newline
+        distinct = dict.fromkeys(block)
+        rows = records.findall("".join(distinct))
+        if len(rows) != len(distinct):  # a line that does not match, or a last line without its newline
             break
         fields = list(zip(*rows))
-        scan.contexts += _id_values(fields[0])
-        scan.actions += _id_values(_entry_major(fields[1::4]))
-        for column, first_group in zip(scan.columns, (2, 3, 4)):
-            column.extend(map(float, _entry_major(fields[first_group::4])))
-        scan.lines.extend(range(line, line + len(rows)))
-        block, line = list(itertools.islice(lines, size)), line + len(rows)
+        ids = [_id_values(fields[0]), _id_values(_entry_major(fields[1::4]))]
+        numbers = [array("d", map(float, _entry_major(fields[group::4]))) for group in (2, 3, 4)]
+        if len(distinct) < len(block):  # gather each line's values from those of its distinct line
+            entry = np.fromiter(map(dict(zip(distinct, itertools.count())).__getitem__, block), np.intp, len(block))
+            position = (entry[:, None] * k + np.arange(k)).ravel()
+            ids = [np.array(values, dtype=object)[taken].tolist() for values, taken in zip(ids, (entry, position))]
+            numbers = [np.frombuffer(values)[position] for values in numbers]
+        scan.contexts += ids[0]
+        scan.actions += ids[1]
+        for column, values in zip(scan.columns, numbers):
+            column.frombytes(values.tobytes())
+        scan.lines.extend(range(line, line + len(block)))
+        block, line = list(itertools.islice(lines, size)), line + len(block)
     if scan.lines:
         scan.kind, scan.k = kind, k
     return block, line
@@ -402,8 +415,9 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
 
     The file is streamed and never held whole. The blocks of lines at its
     start that are laid out exactly as :func:`write_logs` writes them are
-    read by one pattern each, a block at a time, and the rest of the file,
-    all of it for other layouts, one line at a time with ``json.loads``.
+    read a block at a time by one pattern, which matches each distinct line
+    of a block once, and the rest of the file, all of it for other
+    layouts, one line at a time with ``json.loads``.
     Both give the same flat columns, with a scalar record as its own single
     position, and one constructor call then validates them, so an entry
     error names the line of its entry whichever way it was read.

@@ -251,6 +251,20 @@ class TestEvaluate:
         assert code == 2
         assert "context_ids" in err
 
+    def test_squared_weight_overflow_is_one_error_line(self, capsys, tmp_path):
+        # Weights 1e200 and 1 are finite and within the bound, their squares are not:
+        # the variance of the weights is infinite, and no numpy warning comes first.
+        records = [
+            {"context": 0, "action": 0, "p_log": 1e-200, "p_tgt": 1.0, "reward": 1.0},
+            {"context": 0, "action": 1, "p_log": 0.5, "p_tgt": 0.5, "reward": 0.0},
+        ]
+        path = self.write_records(tmp_path, records)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "evaluate", "--in", str(path), "--weight-bound", "1e201")
+        assert [str(warning.message) for warning in caught] == []
+        assert (code, err) == (2, "error: var_w must be finite, got inf\n")
+
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_huge_integer_exit_2(self, capsys, tmp_path, digits):
         path = self.write_records(tmp_path, [])

@@ -353,7 +353,12 @@ DISTURBANCES = st.sampled_from(
 
 @st.composite
 def log_texts(draw):
-    """Logs in the writer's layout with any JSON-like texts in its slots, and a few lines disturbed."""
+    """Logs in the writer's layout with any JSON-like texts in its slots, lines repeated, and a few disturbed.
+
+    Each line is one of up to four records, as in a log drawn from finite
+    policy tables, so blocks hold repeated lines; a disturbed line may be a
+    copy of a repeated one, and the last line may lose its newline.
+    """
     ranked = draw(st.booleans())
     k = draw(st.integers(1, 3)) if ranked else 1
     fmt = _record_format(ranked, k)
@@ -361,7 +366,8 @@ def log_texts(draw):
         st.tuples(*[ids] + [ids, numbers, numbers, numbers] * k)
         for ids, numbers in ((WRITER_IDS, WRITER_NUMBERS), (WRITER_IDS, WRITER_NUMBERS), (ID_TEXTS, NUMBER_TEXTS))
     ]
-    lines = [fmt % record for record in draw(st.lists(st.one_of(records), min_size=1, max_size=6))]
+    distinct = [fmt % record for record in draw(st.lists(st.one_of(records), min_size=1, max_size=4))]
+    lines = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
     for i in draw(st.sets(st.integers(0, len(lines) - 1), max_size=2)):
         lines[i] = draw(DISTURBANCES)(lines[i])
     header = draw(st.sampled_from(["", opekit.io._META]))
@@ -385,17 +391,30 @@ def scan_outcome(scan_text, text):
     return scan.kind, scan.k, [list(map(exact, values)) for values in read]
 
 
+# Records for the examples of repeated lines: scalar, and ranked with k = 2 and 3.
+SCALAR = _record_format(False, 1) % (7, '"a"', "0.1", "0.9", "1.0")
+OTHER = _record_format(False, 1) % (7, '"b"', "0.9", "0.1", "-0.0")
+RANKED2 = [_record_format(True, 2) % (c, 1, "0.5", "0.25", r, "null", "0.5", "5e-324", "0.0") for c, r in (('"x"', "1.0"), (3, "0.5"))]
+RANKED3 = [_record_format(True, 3) % (c, *[a, "0.2", "0.4", "1.0"] * 3) for c, a in ((0, 1), (0, '"z"'))]
+
+
 class TestBlockScan:
     @settings(max_examples=300)
-    @given(log_texts())
-    @example('{"context":0,"action":-0,"p_log":-0,"p_tgt":5e-324,"reward":1e400}\n')
-    @example('{"context":12345678901234567,"action":"é x","p_log":-0.0,"p_tgt":1E-400,"reward":0}\n')
-    @example('{"context":null,"action":"","p_log":12345678901234567,"p_tgt":-99999999999999999,"reward":1.5e308}\n')
-    def test_reads_as_the_line_reader_does(self, text):
-        # The line reader alone is json.loads + _number on every line. Blocks of two
-        # entries let the block scan stop part way through these short texts.
+    @given(log_texts(), st.sampled_from([2, 6]))
+    @example('{"context":0,"action":-0,"p_log":-0,"p_tgt":5e-324,"reward":1e400}\n', 2)
+    @example('{"context":12345678901234567,"action":"é x","p_log":-0.0,"p_tgt":1E-400,"reward":0}\n', 2)
+    @example('{"context":null,"action":"","p_log":12345678901234567,"p_tgt":-99999999999999999,"reward":1.5e308}\n', 2)
+    @example(SCALAR * 13, 6)  # one record many times
+    @example(SCALAR * 2 + OTHER + SCALAR * 4 + " " + SCALAR + OTHER, 6)  # a disturbed copy in the second block
+    @example(SCALAR * 3 + OTHER + SCALAR + SCALAR[:-1], 6)  # the last line, a copy but for its newline
+    @example(RANKED2[0] * 2 + RANKED2[1] + RANKED2[0] + RANKED2[1] * 2 + RANKED2[0], 6)
+    @example(opekit.io._META % ("1.0", "9.0") + RANKED3[1] + RANKED3[0] * 3 + RANKED3[1], 6)
+    def test_reads_as_the_line_reader_does(self, text, block_entries):
+        # The line reader alone is json.loads + _number on every line. Blocks of two or
+        # six entries let the block scan stop part way through these short texts and
+        # gather the values of lines repeated within a block.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(opekit.io, "BLOCK_ENTRIES", 2)
+            patch.setattr(opekit.io, "BLOCK_ENTRIES", block_entries)
             got = scan_outcome(lambda text: _scan_stream(io.StringIO(text)), text)
         assert got == scan_outcome(lambda text: _scan_lines(io.StringIO(text), 1, _Scan()), text)
 
@@ -478,14 +497,20 @@ class TestBlockScan:
         assert_both_paths_agree(path)
 
 
+def distinct_sample(n) -> Dataset:
+    """A scalar log with continuous propensities and rewards, so that no two of its lines are equal."""
+    return Dataset.from_arrays(*crafted_columns((n,), seed=n), reward_bound=1.0, weight_bound=20.0)
+
+
 class TestReadMemory:
-    def test_peak_beyond_the_dataset_does_not_grow_with_the_file(self, tmp_path):
+    @staticmethod
+    def check(make, tmp_path):
         # The text is read a block at a time, so what read_logs holds beyond the
         # dataset it returns is about one block, whatever the size of the file.
         excess, sizes = [], []
         for blocks in (2, 6):
             path = tmp_path / f"{blocks}.jsonl"
-            write_logs(flip2_sample(n=blocks * BLOCK_ENTRIES), path)
+            write_logs(make(blocks * BLOCK_ENTRIES), path)
             tracemalloc.start()
             try:
                 dataset = read_logs(path)
@@ -496,6 +521,16 @@ class TestReadMemory:
             excess.append(peak - held)
             sizes.append(path.stat().st_size)
         assert excess[1] - excess[0] < (sizes[1] - sizes[0]) / 4
+
+    def test_peak_beyond_the_dataset_does_not_grow_with_the_file(self, tmp_path):
+        # A flip2 block holds at most four distinct lines.
+        self.check(flip2_sample, tmp_path)
+
+    def test_distinct_lines_do_not_grow_the_peak(self, tmp_path):
+        # Every line is distinct, so each block's map of distinct lines holds all of them.
+        self.check(distinct_sample, tmp_path)
+        lines = (tmp_path / "6.jsonl").read_text().splitlines()
+        assert len(set(lines)) == len(lines) == 6 * BLOCK_ENTRIES + 1
 
 
 class TestReadValidation:
