@@ -234,6 +234,61 @@ def assert_same_text(actual: str, expected: str) -> None:
 SCANNED_ID_KINDS = {"none", "int64", "uint8", "bool"}
 
 
+def distinct_records(dataset):
+    """How many distinct records ``_distinct_records`` finds in a one-block dataset; None when it renders every record."""
+    n = dataset.n
+    actions = None if dataset.action_ids is None else dataset.action_ids.reshape(n, -1)
+    numbers = [column.reshape(n, -1) for column in (dataset.propensity_logging, dataset.propensity_target, dataset.rewards)]
+    distinct = opekit.io._distinct_records(dataset.context_ids, actions, *numbers)
+    return None if distinct is None else len(distinct[0])
+
+
+def distinct_lines(text) -> int:
+    """The number of distinct record lines of a log text with a _meta header."""
+    return len(set(text.splitlines()[1:]))
+
+
+# Pools of values that repeat: signed zeros, the least subnormal, and a sum
+# whose repr has 17 digits; ids at the ends of their dtypes.
+P_LOG_POOL = np.array([0.5, 0.1, 0.1 + 0.2, 1.0])
+P_TGT_POOL = np.array([0.0, 5e-324, 0.5, 1.0])
+REWARD_POOL = np.array([0.0, -0.0, 5e-324, 1.0, -1.0, 0.1])
+ID_POOLS = {
+    "none": None,
+    "int64": np.array([-(2**63), -1, 0, 7], dtype=np.int64),
+    "uint64": np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+    "uint8": np.array([0, 255], dtype=np.uint8),
+    "str": np.array(["a", "b"]),
+    "bool": np.array([True, False]),
+}
+
+
+@st.composite
+def pooled_datasets(draw):
+    """Scalar or ranked datasets whose columns are drawn from small pools, so that records repeat."""
+    ranked = draw(st.booleans())
+    k = draw(st.integers(1, 3)) if ranked else 1
+    n = draw(st.integers(1, 30))
+    shape = (n, k) if ranked else (n,)
+
+    def pooled(pool, shape):
+        if pool is None:
+            return None
+        size = int(np.prod(shape))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+        return pool[picks].reshape(shape)
+
+    columns = [pooled(pool, shape) for pool in (P_LOG_POOL, P_TGT_POOL, REWARD_POOL)]
+    context_kind, action_kind = draw(st.sampled_from(list(ID_POOLS))), draw(st.sampled_from(list(ID_POOLS)))
+    return (RankedDataset if ranked else Dataset).from_arrays(
+        *columns,
+        reward_bound=1.0,
+        weight_bound=20.0,
+        context_ids=pooled(ID_POOLS[context_kind], (n,)),
+        action_ids=pooled(ID_POOLS[action_kind], shape),
+    )
+
+
 class TestBlockWriter:
     def check(self, dataset, tmp_path, scanned=True):
         expected = reference_logs_text(dataset)
@@ -299,6 +354,104 @@ class TestBlockWriter:
 
     def test_sampled_ranked(self, tmp_path):
         self.check(sample_ranked_logs(get_scenario("rankflip2x2"), 5000, 9), tmp_path)
+
+    def test_repeats_that_differ_only_in_bits(self, tmp_path):
+        # 0.0 == -0.0, so a key on values would write one for the other; 5e-324 is the least float above 0.0.
+        n = 600
+        entry = np.arange(n)
+        dataset = Dataset.from_arrays(
+            np.full(n, 0.5),
+            np.array([0.0, 5e-324, 0.5])[entry % 3],
+            np.array([0.0, -0.0])[entry // 3 % 2],
+            reward_bound=1.0,
+            weight_bound=2.0,
+            context_ids=np.zeros(n, dtype=np.int64),
+        )
+        assert distinct_records(dataset) == distinct_lines(reference_logs_text(dataset)) == 6
+        self.check(dataset, tmp_path)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ranked_repeats_across_blocks(self, k, tmp_path):
+        # Five records, drawn again in every block of 8192 // k records and the part block after them.
+        n = 2 * (BLOCK_ENTRIES // k) + 5
+        rng = np.random.default_rng(k)
+        record = rng.integers(0, 5, n)
+        p_log, p_tgt, rewards = (column[record] for column in crafted_columns((5, k), seed=k))
+        dataset = RankedDataset.from_arrays(
+            p_log,
+            p_tgt,
+            rewards,
+            reward_bound=1.0,
+            weight_bound=20.0,
+            context_ids=record % 2,
+            action_ids=(record[:, None] + np.arange(k)) % 3,
+        )
+        self.check(dataset, tmp_path)
+
+    def test_wide_integer_ids(self, tmp_path):
+        # uint64 ids at and past 2**63 beside small ones, and negative int64 ids down to
+        # -2**63; neighbours there round to the same float, so only their bits tell them apart.
+        n = 600
+        entry = np.arange(n)
+        dataset = Dataset.from_arrays(
+            np.full(n, 0.5),
+            np.full(n, 0.25),
+            np.array([0.0, 1.0])[entry % 2],
+            reward_bound=1.0,
+            weight_bound=2.0,
+            context_ids=np.array([2**64 - 1, 2**64 - 2, 2**63, 2**63 + 1, 1, 0], dtype=np.uint64)[entry % 6],
+            action_ids=np.array([-(2**63), -(2**63) + 1, -1, 2**63 - 1, 0], dtype=np.int64)[entry % 5],
+        )
+        expected = reference_logs_text(dataset)
+        assert distinct_records(dataset) == distinct_lines(expected) == 30
+        assert_same_text(logs_text(dataset), expected)
+        # Only the writer: read_logs takes a column of ids past the int64 range as floats.
+        write_logs(dataset, tmp_path / "logs.jsonl")
+        assert_same_text((tmp_path / "logs.jsonl").read_bytes().decode("utf-8"), expected)
+
+    def test_all_distinct_records(self, tmp_path):
+        # Every p_log differs, so the one-column check sees that no record repeats.
+        dataset = distinct_sample(300)
+        assert distinct_records(dataset) is None
+        self.check(dataset, tmp_path)
+        # Every number column repeats, but the context ids make each record distinct:
+        # keyed, and rendered without a gather.
+        entry = np.arange(300)
+        dataset = Dataset.from_arrays(
+            np.array([0.5, 0.25])[entry % 2],
+            np.array([0.0, 0.5])[entry % 3 // 2],
+            np.array([1.0, -0.0, 0.0])[entry % 3],
+            reward_bound=1.0,
+            weight_bound=2.0,
+            context_ids=entry,
+        )
+        assert distinct_records(dataset) is None
+        self.check(dataset, tmp_path)
+
+    @pytest.mark.parametrize("id_kind", ["str", "bool", "object", "float"])
+    def test_ids_that_are_not_integers_render_every_record(self, id_kind, tmp_path):
+        n = 300
+        ids = id_column(id_kind, (4,))[np.arange(n) % 4]
+        dataset = Dataset.from_arrays(
+            np.full(n, 0.5),
+            np.full(n, 0.25),
+            np.zeros(n),
+            reward_bound=1.0,
+            weight_bound=2.0,
+            context_ids=ids,
+            action_ids=ids,
+        )
+        assert distinct_records(dataset) is None
+        assert distinct_lines(reference_logs_text(dataset)) <= 4
+        self.check(dataset, tmp_path, id_kind in SCANNED_ID_KINDS)
+
+    @settings(max_examples=200)
+    @given(pooled_datasets(), st.sampled_from([2, 6, BLOCK_ENTRIES]))
+    def test_pooled_records_render_as_json_dumps(self, dataset, block_entries):
+        # Columns drawn from small pools repeat records within and across blocks.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opekit.io, "BLOCK_ENTRIES", block_entries)
+            assert_same_text(logs_text(dataset), reference_logs_text(dataset))
 
 
 DIGITS = "0123456789"
@@ -531,6 +684,26 @@ class TestReadMemory:
         self.check(distinct_sample, tmp_path)
         lines = (tmp_path / "6.jsonl").read_text().splitlines()
         assert len(set(lines)) == len(lines) == 6 * BLOCK_ENTRIES + 1
+
+
+class TestWriteMemory:
+    def test_peak_beyond_the_dataset_is_one_block(self, tmp_path):
+        # write_logs renders, gathers and writes one block at a time, so what it
+        # holds beyond the dataset is about one block's text, whatever the size of the log.
+        excess = []
+        for blocks in (2, 6):
+            dataset = flip2_sample(blocks * BLOCK_ENTRIES)
+            path = tmp_path / f"{blocks}.jsonl"
+            tracemalloc.start()
+            try:
+                write_logs(dataset, path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - held)
+        block_text = path.stat().st_size / 6
+        assert max(excess) < 4 * block_text
+        assert excess[1] - excess[0] < block_text / 4
 
 
 class TestReadValidation:
