@@ -21,18 +21,15 @@ import click
 import numpy as np
 
 from .analysis import remainder_diagnostics, variance_gap
-from .data import RankedDataset
 from .errors import (
     EstimationError,
     StudyError,
-    UnknownEstimator,
     ValidationError,
     VRequiredForGap,
     WorkerFailure,
 )
-from .estimators import ESTIMATORS, estimate, empirical_moments
+from .estimators import _apply, _check_kind, _kind, empirical_moments
 from .experiments import STUDIES, StudyReport, kernel_arg, parse_estimator_spec
-from .ranking import positionwise
 from .config import canonical_hash, load_study_config
 from .io import (
     TOOL_VERSION,
@@ -95,29 +92,15 @@ def simulate_command(preset: str, n: int, seed: int, out: Path | None) -> None:
     click.echo(f"wrote {out} ({dataset.n} entries) and {sidecar}")
 
 
-def _estimate_dict(estimate) -> dict:
-    return {
-        "estimator": estimate.estimator_name,
-        "value": estimate.value,
-        "n_used": estimate.n_used,
-        "baseline_used": estimate.baseline_used,
-    }
-
-
-def _positionwise_dict(report) -> dict:
-    return {
-        "estimator": report.estimator_name,
-        "value": report.total,
-        "n_used": report.n_used,
-        "per_position": [
-            {
-                "position": j + 1,
-                "value": p.estimate,
-                "baseline_used": p.baseline,
-            }
-            for j, p in enumerate(report.per_position)
-        ],
-    }
+def _estimate_dict(label: str, n: int, values, baselines, ranked: bool) -> dict:
+    """One report entry: a scalar log's value and baseline, or a ranked log's total and positions."""
+    if not ranked:
+        return {"estimator": label, "value": float(values[0]), "n_used": n, "baseline_used": baselines[0]}
+    positions = [
+        {"position": j + 1, "value": value, "baseline_used": baseline}
+        for j, (value, baseline) in enumerate(zip(values.tolist(), baselines))
+    ]
+    return {"estimator": label, "value": float(np.sum(values)), "n_used": n, "per_position": positions}
 
 
 def _remainder_dict(dataset, value: float) -> dict:
@@ -177,14 +160,17 @@ def evaluate_command(
 ) -> None:
     """Evaluate estimators on a log file and report moments and diagnostics.
 
-    Estimators whose preconditions fail on this data report a null value
-    with the reason instead of aborting the run. Gap and remainder
+    Each estimator runs through the Python estimators' driver, a scalar
+    log being the one-position case, and is reported under the label asked
+    for. Estimators whose preconditions fail on this data report a null
+    value with the reason instead of aborting the run. Gap and remainder
     diagnostics apply to scalar log files and need --true-value.
     """
     if gap and true_value is None:
         raise VRequiredForGap()
     dataset = read_logs(logs_path, reward_bound=reward_bound, weight_bound=weight_bound)
-    ranked = isinstance(dataset, RankedDataset)
+    kind = _kind(dataset)
+    ranked = kind == "ranked"
     specs = [parse_estimator_spec(s) for s in estimators.split(",") if s.strip()]
     if not specs:
         raise ValidationError("at least one estimator is required")
@@ -193,24 +179,17 @@ def evaluate_command(
             "gap and remainder diagnostics are scalar-only; ranked files take "
             "per-position values that --true-value cannot express"
         )
-    kind = "ranked" if ranked else "scalar"
+    for spec in specs:  # before kernel_arg, whose checks assume the estimator's kind
+        _check_kind(spec.name, kind, spec.label)
     k = dataset.k if ranked else 1
     results = []
     for spec in specs:
-        if ESTIMATORS[spec.name].kind != kind:
-            raise UnknownEstimator(f"{spec.label} does not apply to {kind} log files")
         try:
-            arg = kernel_arg(spec, k, folds, cf_seed, None)
-            if ranked:
-                entry = _positionwise_dict(positionwise(spec.name, dataset, arg))
-            else:
-                entry = _estimate_dict(estimate(spec.name, dataset, arg))
-            # Report the requested label; it disambiguates parameterised
-            # estimators the family name alone cannot.
-            entry["estimator"] = spec.label
-            results.append(entry)
+            values, baselines = _apply(spec.name, dataset, kernel_arg(spec, k, folds, cf_seed, None))
         except EstimationError as exc:
             results.append({"estimator": spec.label, "value": None, "error": str(exc)})
+        else:
+            results.append(_estimate_dict(spec.label, dataset.n, values, baselines, ranked))
     report: dict = {
         "source": str(logs_path),
         "kind": kind,

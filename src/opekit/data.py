@@ -190,13 +190,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _id_column(raw, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """A read-only id column of ``shape``; ids that mix scalars and lists are a length mismatch."""
+    """A read-only id column of ``shape``; ids that mix scalars and lists are a length mismatch.
+
+    Integers that span the int64 and uint64 ranges, which numpy would merge
+    as floats, stay exact: uint64 if none is negative, objects otherwise.
+    """
     if raw is None:
         return None
     try:
         arr = np.asarray(raw)
     except ValueError:  # numpy refuses ragged nesting
         raise LengthMismatch(f"{name} mix values of different shapes, expected shape {shape}") from None
+    if arr.dtype.kind == "f" and not isinstance(raw, np.ndarray):
+        ids = np.asarray(raw, dtype=object)
+        if all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids.flat):
+            arr = ids.astype(np.uint64) if all(i >= 0 for i in ids.flat) else ids
     if arr.shape != shape:
         raise LengthMismatch(f"{name} has shape {arr.shape}, expected {shape}")
     return _freeze(arr)

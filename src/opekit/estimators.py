@@ -14,11 +14,13 @@ dataset therefore agree to the last bit.
 Every estimator is defined once, as a row kernel: a function of a weight
 array ``w`` and the weighted rewards ``wr = w * r`` that reduces along the
 last axis and returns one value per row. :data:`ESTIMATORS` maps each
-estimator name to its kernel, and every caller reads that one table: the
-public functions here apply the kernel to a dataset as a single row, the
-ranked functions to one row per position, ``opekit evaluate`` to a log
-file, and the Monte Carlo engine to a block of replicates, one row each.
-Row reductions over C-contiguous rows sum in the same order as a
+estimator name to its kernel and kind. One driver, :func:`_apply`, runs a
+kernel on a dataset, one row per position, a scalar dataset being the
+one-position case: the public functions here, the ranked functions and
+``opekit evaluate`` all go through it, with one kind rule
+(:func:`_check_kind`, which the studies share) and one failure rule. The
+Monte Carlo engine runs the same kernels on a block of replicates, one
+row each. Row reductions over C-contiguous rows sum in the same order as a
 reduction over one row alone, so all callers get the same bits.
 """
 
@@ -30,11 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, Estimate, _finite, _freeze, _integer
+from .data import Dataset, Estimate, RankedDataset, _finite, _freeze, _integer
 from .errors import (
     DegenerateWeights,
     EstimationError,
     FoldTooSmall,
+    UnknownEstimator,
     ValidationError,
     ZeroWeightSum,
 )
@@ -102,11 +105,24 @@ def _require_scalar(dataset) -> Dataset:
     return dataset
 
 
-def _one_row(dataset) -> tuple[np.ndarray, np.ndarray]:
-    """A scalar dataset as one row of weights and weighted rewards."""
+def _kind(dataset) -> str:
+    """``"ranked"`` or ``"scalar"``: the registry kind of the estimators that apply to ``dataset``."""
+    if isinstance(dataset, RankedDataset):
+        return "ranked"
     _require_scalar(dataset)
-    w = dataset.weights[None, :]
-    return w, w * dataset.rewards[None, :]
+    return "scalar"
+
+
+def _check_kind(name: str, kind: str, label: str | None = None, study: bool = False) -> RegisteredEstimator:
+    """The registry entry of ``name``; :class:`UnknownEstimator`, naming ``label``, unless it applies to ``kind`` data.
+
+    The one kind rule of the estimators, ``opekit evaluate`` and the studies;
+    a study diagnostic applies to scalar data in studies (``study``) only.
+    """
+    entry = ESTIMATORS[name]
+    if entry.kind != kind and not (study and entry.kind == "study" and kind == "scalar"):
+        raise UnknownEstimator(f"{label or name} does not apply to {kind} data")
+    return entry
 
 
 def row_mean(x: np.ndarray) -> np.ndarray:
@@ -115,26 +131,32 @@ def row_mean(x: np.ndarray) -> np.ndarray:
 
 
 def _moments(w: np.ndarray, wr: np.ndarray, out=(None, None)) -> tuple[np.ndarray, ...]:
-    """Two-pass centred moments along the last axis, unchecked; ``out=(w, wr)`` centres them in place."""
-    mean_w = row_mean(w)
-    mean_wr = row_mean(wr)
-    dev_w = np.subtract(w, mean_w[..., None], out=out[0])
-    dev_wr = np.subtract(wr, mean_wr[..., None], out=out[1])
-    return (
-        mean_w,
-        mean_wr,
-        row_mean(dev_w * dev_w),
-        row_mean(dev_wr * dev_wr),
-        row_mean(dev_w * dev_wr),
-    )
+    """Two-pass centred moments along the last axis, unchecked; ``out=(w, wr)`` centres them in place.
+
+    Sums past the float range are inf or nan, silently: :func:`_invalid_moments` rejects them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_w = row_mean(w)
+        mean_wr = row_mean(wr)
+        dev_w = np.subtract(w, mean_w[..., None], out=out[0])
+        dev_wr = np.subtract(wr, mean_wr[..., None], out=out[1])
+        return (
+            mean_w,
+            mean_wr,
+            row_mean(dev_w * dev_w),
+            row_mean(dev_wr * dev_wr),
+            row_mean(dev_w * dev_wr),
+        )
 
 
 def _invalid_moments(moments) -> np.ndarray:
-    """The entries whose moments :class:`MomentSummary` would reject."""
+    """The entries whose moments :class:`MomentSummary` would reject: not finite, or not a covariance."""
     _, _, var_w, var_wr, cov = moments
-    cross = cov * cov
-    bound = var_w * var_wr
-    return (var_w < 0) | (var_wr < 0) | (cross > bound + 1e-12 * np.maximum(cross, bound))
+    with np.errstate(over="ignore"):
+        cross = cov * cov
+        bound = var_w * var_wr
+        bad = (var_w < 0) | (var_wr < 0) | (cross > bound + 1e-12 * np.maximum(cross, bound))
+    return bad | ~np.logical_and.reduce([np.isfinite(m) for m in moments])
 
 
 def moment_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -142,7 +164,8 @@ def moment_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Returns ``(mean_w, mean_wr, var_w, var_wr, cov_w_wr)``, each with the
     leading shape of ``w``. Raises :class:`ValidationError` for the first
-    row whose moments :class:`MomentSummary` would reject.
+    row whose moments :class:`MomentSummary` would reject, among them
+    moments past the float range.
     """
     moments = _moments(w, wr)
     _check_moments(moments, w.shape[-1])
@@ -229,22 +252,43 @@ def remainder_sq_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple:
 
 def empirical_moments(dataset: Dataset) -> MomentSummary:
     """Two-pass centred moments of the weights and weighted rewards."""
-    with np.errstate(over="ignore"):  # squares past the float range: MomentSummary rejects the inf variance
-        moments = moment_rows(*_one_row(dataset))
+    w = _require_scalar(dataset).weights[None, :]
+    moments = moment_rows(w, w * dataset.rewards[None, :])
     return MomentSummary(*(float(m[0]) for m in moments), n=dataset.n)
 
 
+def _apply(name: str, dataset, arg=None) -> tuple[np.ndarray, list]:
+    """The registered estimator ``name`` on a dataset: an array of values and a list of baselines, one per position.
+
+    A scalar dataset is the one-position case. The dataset runs as one
+    C-contiguous row of positions by entries, as an engine block does; a
+    scalar column is not copied. A baseline is ``None`` outside the
+    baseline-corrected family. A failed precondition raises the
+    estimator's error, which names the failing positions of ranked data.
+    """
+    kind = _kind(dataset)
+    entry = _check_kind(name, kind)
+    w = np.ascontiguousarray(dataset.weights.T)[None]
+    values, baselines, failed = entry.kernel(w, w * np.ascontiguousarray(dataset.rewards.T)[None], arg)
+    if failed is not None and failed.any():
+        if kind == "scalar":
+            raise entry.error()
+        positions = tuple(np.flatnonzero(failed).tolist())
+        if entry.error is ZeroWeightSum:
+            raise ZeroWeightSum(position=positions[0])
+        raise entry.error(positions=positions)
+    return values.reshape(-1), [None] * values.size if baselines is None else baselines.reshape(-1).tolist()
+
+
 def estimate(name: str, dataset: Dataset, arg=None) -> Estimate:
-    """The registered estimator ``name`` on a scalar dataset, evaluated as one row."""
-    entry = ESTIMATORS[name]
-    values, baselines, failed = entry.kernel(*_one_row(dataset), arg)
-    if failed is not None and failed[0]:
-        raise entry.error()
+    """The registered scalar estimator ``name`` on a scalar dataset."""
+    values, baselines = _apply(name, dataset, arg)
+    _require_scalar(dataset)  # a ranked estimator on ranked data passes _apply; positionwise reports it
     return Estimate(
         value=float(values[0]),
         estimator_name=name,
         n_used=dataset.n,
-        baseline_used=None if baselines is None else float(baselines[0]),
+        baseline_used=baselines[0],
     )
 
 

@@ -60,7 +60,7 @@ from .errors import (
     WorkerFailure,
 )
 from .data import _finite, _float_column, _integer
-from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary
+from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _check_kind
 from .ranking import _fixed_baselines
 from .simulator import (
     BanditScenario,
@@ -124,14 +124,6 @@ def default_estimators(kind: str, scenario) -> tuple[str, ...]:
     return tuple(name for name, entry in ESTIMATORS.items() if entry.kind == family and kind in entry.defaults)
 
 
-def _check_spec_kind(spec: MetricSpec, scenario) -> None:
-    ranked = ESTIMATORS[spec.name].kind == "ranked"
-    if not ranked and not isinstance(scenario, BanditScenario):
-        raise UnknownEstimator(f"{spec.label} applies to scalar scenarios only")
-    if ranked and isinstance(scenario, BanditScenario):
-        raise UnknownEstimator(f"{spec.label} applies to ranking scenarios only")
-
-
 def kernel_arg(spec: MetricSpec, k: int, folds: int, seed: int, value: float | None):
     """The third argument of the spec's registered kernel.
 
@@ -153,9 +145,10 @@ def kernel_arg(spec: MetricSpec, k: int, folds: int, seed: int, value: float | N
 
 def _study_specs(estimators, scenario) -> tuple[MetricSpec, ...]:
     """Parsed specs, each checked to apply to the scenario's kind."""
+    kind = "scalar" if isinstance(scenario, BanditScenario) else "ranked"
     specs = tuple(parse_estimator_spec(e) for e in estimators)
     for spec in specs:
-        _check_spec_kind(spec, scenario)
+        _check_kind(spec.name, kind, spec.label, study=True)
     return specs
 
 

@@ -3,8 +3,10 @@
 A ranked dataset factorises into scalar marginals, one per position, and
 the total value is the sum of per-position values. Every estimator here
 is a registered scalar row kernel (see :data:`~opekit.estimators.ESTIMATORS`)
-applied to each marginal, one row per position, so a one-position ranked
-dataset reproduces the scalar result bit for bit.
+run by the one driver the scalar estimators use,
+:func:`~opekit.estimators._apply`, one row per position; a scalar dataset
+is its one-position case, so a one-position ranked dataset reproduces the
+scalar result bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RankedDataset, _float_column
-from .errors import LengthMismatch, ValidationError, ZeroWeightSum
-from .estimators import ESTIMATORS
+from .errors import LengthMismatch, ValidationError
+from .estimators import _apply, _check_kind, _kind
 
 
 @dataclass(frozen=True)
@@ -49,45 +51,12 @@ class PositionwiseReport:
             )
 
 
-def _require_ranked(dataset) -> RankedDataset:
-    if not isinstance(dataset, RankedDataset):
-        raise ValidationError(
-            f"expected a RankedDataset, got {type(dataset).__name__}; "
-            "use the scalar estimators for scalar data"
-        )
-    return dataset
-
-
-def _rows(dataset) -> tuple[np.ndarray, np.ndarray]:
-    """A ranked dataset as one row of positions by entries, C-contiguous."""
-    _require_ranked(dataset)
-    w = np.ascontiguousarray(dataset.weights.T)[None]
-    return w, w * np.ascontiguousarray(dataset.rewards.T)[None]
-
-
-def _raise_failed(error, failed: np.ndarray) -> None:
-    """Raise ``error`` if ``failed`` marks any position; the error names the failing positions."""
-    if not failed.any():
-        return
-    positions = tuple(np.flatnonzero(failed).tolist())
-    if error is ZeroWeightSum:
-        raise ZeroWeightSum(position=positions[0])
-    raise error(positions=positions)
-
-
 def positionwise(name: str, dataset: RankedDataset, arg=None) -> PositionwiseReport:
-    """The registered estimator ``name`` applied to every position of a ranked dataset."""
-    entry = ESTIMATORS[name]
-    values, baselines, failed = entry.kernel(*_rows(dataset), arg)
-    if failed is not None:
-        _raise_failed(entry.error, failed[0])
-    per_position = tuple(
-        PositionEstimate(float(values[0, j]), None if baselines is None else float(baselines[0, j]))
-        for j in range(dataset.k)
-    )
+    """The registered ranked estimator ``name`` applied to every position of a ranked dataset."""
+    values, baselines = _apply(name, dataset, arg)
     return PositionwiseReport(
-        per_position=per_position,
-        total=float(np.sum(values[0])),
+        per_position=tuple(map(PositionEstimate, values.tolist(), baselines)),
+        total=float(np.sum(values)),
         estimator_name=name,
         n_used=dataset.n,
     )
@@ -114,7 +83,7 @@ def _fixed_baselines(k: int, betas) -> np.ndarray:
 
 def beta_ipm(dataset: RankedDataset, betas) -> PositionwiseReport:
     """Sum of per-position baseline-corrected estimates at fixed baselines."""
-    _require_ranked(dataset)
+    _check_kind("beta-ipm", _kind(dataset))  # before reading the positions, which scalar data lacks
     return positionwise("beta-ipm", dataset, _fixed_baselines(dataset.k, betas))
 
 

@@ -21,13 +21,15 @@ from opekit import (
     RankingEnv,
     experiments,
     get_scenario,
+    ips,
     oracle_report,
     population_moments,
     read_logs,
     sample_logs,
+    sample_ranked_logs,
 )
 from opekit.cli import OUT_DIR_ENV, main
-from opekit.errors import NonFiniteValue
+from opekit.errors import NonFiniteValue, ValidationError
 from opekit.simulator import compile_scenario
 
 
@@ -251,19 +253,39 @@ class TestEvaluate:
         assert code == 2
         assert "context_ids" in err
 
-    def test_squared_weight_overflow_is_one_error_line(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "estimators, ranked",
+        [("ips,snips", False), ("beta-star-ips", False), ("cf-beta-star-ips", False), ("beta-perp-star-ipm", True)],
+        ids=["ips,snips", "beta-star-ips", "cf-beta-star-ips", "ranked-beta-perp-star-ipm"],
+    )
+    def test_squared_weight_overflow_is_one_error_line(self, capsys, tmp_path, estimators, ranked):
         # Weights 1e200 and 1 are finite and within the bound, their squares are not:
-        # the variance of the weights is infinite, and no numpy warning comes first.
+        # the variance of the weights is infinite, and no numpy warning comes first,
+        # whether the estimators or the reported moments meet it first.
         records = [
             {"context": 0, "action": 0, "p_log": 1e-200, "p_tgt": 1.0, "reward": 1.0},
             {"context": 0, "action": 1, "p_log": 0.5, "p_tgt": 0.5, "reward": 0.0},
         ]
+        if ranked:
+            records = [{"context": r.pop("context"), "positions": [r]} for r in records]
         path = self.write_records(tmp_path, records)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, _, err = run(capsys, "evaluate", "--in", str(path), "--weight-bound", "1e201")
+            code, _, err = run(capsys, "evaluate", "--in", str(path), "--weight-bound", "1e201",
+                               "--estimators", estimators)
         assert [str(warning.message) for warning in caught] == []
         assert (code, err) == (2, "error: var_w must be finite, got inf\n")
+
+    def test_kind_mismatch_has_one_wording(self, capsys, tmp_path, flip2_logs):
+        # The Python estimators, evaluate and study share one kind rule.
+        code, _, err = run(capsys, "evaluate", "--in", str(flip2_logs), "--estimators", "ips,ipm")
+        assert (code, err) == (2, "error: ipm does not apply to scalar data\n")
+        config = write_config(tmp_path, estimators=["ips", "ipm"])
+        code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+        assert (code, err) == (2, "error: ipm does not apply to scalar data\n")
+        ranked = sample_ranked_logs(get_scenario("rankflip2x2"), 20, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match=r"^ips does not apply to ranked data$"):
+            ips(ranked)
 
     @pytest.mark.parametrize("digits", [400, 5000])
     def test_huge_integer_exit_2(self, capsys, tmp_path, digits):

@@ -405,9 +405,14 @@ class TestBlockWriter:
         expected = reference_logs_text(dataset)
         assert distinct_records(dataset) == distinct_lines(expected) == 30
         assert_same_text(logs_text(dataset), expected)
-        # Only the writer: read_logs takes a column of ids past the int64 range as floats.
-        write_logs(dataset, tmp_path / "logs.jsonl")
-        assert_same_text((tmp_path / "logs.jsonl").read_bytes().decode("utf-8"), expected)
+        path = tmp_path / "logs.jsonl"
+        write_logs(dataset, path)
+        assert_same_text(path.read_bytes().decode("utf-8"), expected)
+        read = read_logs(path)
+        assert read.context_ids.dtype == np.uint64
+        assert np.array_equal(read.context_ids, dataset.context_ids)
+        assert np.array_equal(read.action_ids, dataset.action_ids)
+        assert_same_text(logs_text(read), expected)
 
     def test_all_distinct_records(self, tmp_path):
         # Every p_log differs, so the one-column check sees that no record repeats.

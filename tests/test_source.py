@@ -250,3 +250,25 @@ def test_one_module_converts_numbers():
     assert defined == {("data", name) for name in converters}
     assert casts == []
     assert overflow == {"data", "io._number", "experiments.fit_loglog_slope"}
+
+
+def _kernel_calls(node) -> int:
+    return sum(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "kernel"
+        for n in ast.walk(node)
+    )
+
+
+def test_one_function_runs_kernels_on_datasets():
+    # estimators._apply alone runs a registered kernel on a dataset, a scalar
+    # one being the one-position case, with one kind rule and one failure rule;
+    # the study engine runs kernels on blocks of replicates and records failures.
+    callers, calls, defined = set(), 0, set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        calls += _kernel_calls(tree)
+        callers |= {f"{path.stem}.{name}" for name, function in _functions(tree) if _kernel_calls(function)}
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert callers == {"estimators._apply", "experiments._evaluate"}
+    assert calls == 2
+    assert defined & {"_one_row", "_raise_failed", "_check_spec_kind"} == set()
