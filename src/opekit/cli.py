@@ -7,11 +7,17 @@ result matrix cannot be allocated) and failures of the ``--jobs`` worker
 processes. When ``--out`` or ``--out-dir`` is omitted,
 outputs default to the directory named by the ``OPEKIT_OUT_DIR``
 environment variable, falling back to the working directory.
+
+Each command loads only the modules it runs. This module's imports are
+what ``evaluate`` needs: the log reader and the estimators. ``presets``
+and ``simulate`` import the simulator, and ``study`` the configuration
+reader and the study engine, in their own bodies. JSON reports are
+strict: a number that is not finite is written as null and named in a
+``non_finite`` note.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -28,19 +34,18 @@ from .errors import (
     VRequiredForGap,
     WorkerFailure,
 )
-from .estimators import _apply, _check_kind, _kind, empirical_moments
-from .experiments import STUDIES, StudyReport, kernel_arg, parse_estimator_spec
-from .config import canonical_hash, load_study_config
+from .estimators import _apply, _check_kind, _kind, empirical_moments, kernel_arg, parse_estimator_spec
 from .io import (
     TOOL_VERSION,
     build_manifest,
+    canonical_hash,
+    json_text,
     read_logs,
     study_payload,
     write_csv,
     write_json,
     write_logs,
 )
-from .simulator import _sample, get_scenario, preset_description, preset_names
 
 OUT_DIR_ENV = "OPEKIT_OUT_DIR"
 
@@ -58,6 +63,8 @@ def cli() -> None:
 @cli.command("presets")
 def presets_command() -> None:
     """List the built-in simulation presets."""
+    from .simulator import preset_description, preset_names
+
     for name in preset_names():
         click.echo(f"{name}: {preset_description(name)}")
 
@@ -78,6 +85,8 @@ def simulate_command(preset: str, n: int, seed: int, out: Path | None) -> None:
     The dataset equals replicate 0 of a study on the same preset with the
     same seed and sample size, and a manifest sidecar records provenance.
     """
+    from .simulator import _sample, get_scenario
+
     dataset = _sample(get_scenario(preset), n, np.random.SeedSequence((seed, n, 0)))
     if out is None:
         out = _default_dir() / f"{preset}-n{n}-seed{seed}.jsonl"
@@ -216,9 +225,8 @@ def evaluate_command(
                 )
             else:
                 report["variance_gap"] = asdict(variance_gap(moments, true_value))
-    text = json.dumps(report, indent=2, sort_keys=True)
     if out is None:
-        click.echo(text)
+        click.echo(json_text(report))
     else:
         write_json(report, out)
         click.echo(f"wrote {out}")
@@ -253,6 +261,9 @@ def study_command(config_path: Path, out_dir: Path | None, jobs: int) -> None:
     embeds a manifest whose fingerprint covers exactly the fields that
     determine the output bytes.
     """
+    from .config import load_study_config
+    from .experiments import STUDIES, StudyReport
+
     loaded = load_study_config(config_path)
     if out_dir is None:
         out_dir = _default_dir()

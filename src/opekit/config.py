@@ -18,13 +18,13 @@ config field.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ValidationError
 from .experiments import STUDIES, StudyConfig, default_estimators
+from .io import canonical_hash
 from .simulator import (
     BanditEnv,
     BanditScenario,
@@ -99,12 +99,6 @@ def _check_layout(raw) -> None:
     if kind == "ranking":
         for j, position in enumerate(_non_empty_list(env["positions"], "environment/positions")):
             _check_mapping(position, "position", f"environment/positions/{j}")
-
-
-def canonical_hash(payload) -> str:
-    """SHA-256 of the canonical JSON encoding (sorted keys, no whitespace)."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def environment_from_spec(spec):

@@ -21,7 +21,9 @@ one-position case: the public functions here, the ranked functions and
 (:func:`_check_kind`, which the studies share) and one failure rule. The
 Monte Carlo engine runs the same kernels on a block of replicates, one
 row each. Row reductions over C-contiguous rows sum in the same order as a
-reduction over one row alone, so all callers get the same bits.
+reduction over one row alone, so all callers get the same bits. Specs
+such as ``beta-ips:0.5`` are parsed next to the registry they name
+(:func:`parse_estimator_spec`, :func:`kernel_arg`).
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, Estimate, RankedDataset, _finite, _freeze, _integer
+from .data import Dataset, Estimate, RankedDataset, _finite, _float_column, _freeze, _integer
 from .errors import (
     DegenerateWeights,
     EstimationError,
     FoldTooSmall,
+    LengthMismatch,
     UnknownEstimator,
     ValidationError,
     ZeroWeightSum,
@@ -336,17 +339,6 @@ def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[np.ndarray, np.ndarra
     return _freeze(labels), _freeze(np.argsort(labels, kind="stable"))
 
 
-def fold_indices(n: int, config: CrossFitConfig) -> list[np.ndarray]:
-    """Deterministic near-equal partition of range(n) into ``folds_k`` folds.
-
-    Indices are shuffled by a generator seeded from ``config.seed``; the
-    folds are sorted, read-only views of one cached fold-major order, so
-    the same configuration always produces the same partition.
-    """
-    labels, order = _fold_layout(n, config.folds_k, config.seed)
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
-
-
 def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tuple:
     """Cross-fitted value and mean baseline of each row.
 
@@ -455,3 +447,70 @@ ESTIMATORS: dict[str, RegisteredEstimator] = {
     "beta-ipm": RegisteredEstimator("ranked", "baselines", _NONE, beta_ips_rows),
     "beta-perp-star-ipm": RegisteredEstimator("ranked", None, _MC, beta_star_rows, DegenerateWeights),
 }
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    """A parsed estimator or diagnostic metric specification."""
+
+    name: str
+    params: tuple[float, ...] = ()
+
+    @property
+    def label(self) -> str:
+        if not self.params:
+            return self.name
+        return self.name + ":" + ",".join(repr(p) for p in self.params)
+
+
+def parse_estimator_spec(spec) -> MetricSpec:
+    """Parse ``"name"`` or ``"name:param[,param...]"`` into a :class:`MetricSpec`."""
+    if isinstance(spec, MetricSpec):
+        return spec
+    text = str(spec).strip()
+    name, sep, arg = text.partition(":")
+    name = name.strip()
+    entry = ESTIMATORS.get(name)
+    if entry is None:
+        raise UnknownEstimator(f"unknown estimator {text!r}")
+    if entry.param not in ("baseline", "baselines"):
+        if sep:
+            raise UnknownEstimator(f"{name} takes no parameter, got {text!r}")
+        return MetricSpec(name)
+    if not sep or not arg.strip():
+        raise UnknownEstimator(f"{name} needs a baseline, e.g. {name}:0.5")
+    try:
+        params = tuple(float(p) for p in arg.split(","))
+    except ValueError as exc:
+        raise UnknownEstimator(f"cannot parse baselines in {text!r}") from exc
+    if entry.param == "baseline" and len(params) != 1:
+        raise UnknownEstimator(f"{name} takes exactly one baseline, got {text!r}")
+    return MetricSpec(name, params)
+
+
+def _fixed_baselines(k: int, betas) -> np.ndarray:
+    b = _float_column(betas, "baselines")
+    if b.shape != (k,):
+        raise LengthMismatch(f"expected {k} baselines for {k} positions, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValidationError("baselines must be finite")
+    return b
+
+
+def kernel_arg(spec: MetricSpec, k: int, folds: int, seed: int, value: float | None):
+    """The third argument of the spec's registered kernel.
+
+    ``k`` is the number of positions, ``folds`` and ``seed`` set the
+    cross-fitting layout, and ``value`` is the reference value of the
+    squared remainder; each is read only by the kernels that need it.
+    """
+    param = ESTIMATORS[spec.name].param
+    if param == "baseline":
+        return _finite(spec.params[0])
+    if param == "baselines":
+        return _fixed_baselines(k, spec.params)
+    if param == "folds":
+        return CrossFitConfig(folds_k=folds, seed=seed)
+    if param == "value":
+        return _finite(value, "value")
+    return None

@@ -40,8 +40,6 @@ metrics, and a verdict that it builds one grid cell at a time.
 from __future__ import annotations
 
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -55,13 +53,11 @@ from .errors import (
     NonPositiveMean,
     PreconditionNotMet,
     TooFewReplicates,
-    UnknownEstimator,
     ValidationError,
     WorkerFailure,
 )
 from .data import _finite, _float_column, _integer
-from .estimators import ESTIMATORS, CrossFitConfig, MomentSummary, _check_kind
-from .ranking import _fixed_baselines
+from .estimators import ESTIMATORS, MetricSpec, MomentSummary, _check_kind, kernel_arg, parse_estimator_spec
 from .simulator import (
     BanditScenario,
     CompiledScenario,
@@ -79,68 +75,10 @@ from .simulator import (
 _BLOCK_ENTRIES = 16384  # a module global, so tests can change it
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """A parsed estimator or diagnostic metric specification."""
-
-    name: str
-    params: tuple[float, ...] = ()
-
-    @property
-    def label(self) -> str:
-        if not self.params:
-            return self.name
-        return self.name + ":" + ",".join(repr(p) for p in self.params)
-
-
-def parse_estimator_spec(spec) -> MetricSpec:
-    """Parse ``"name"`` or ``"name:param[,param...]"`` into a :class:`MetricSpec`."""
-    if isinstance(spec, MetricSpec):
-        return spec
-    text = str(spec).strip()
-    name, sep, arg = text.partition(":")
-    name = name.strip()
-    entry = ESTIMATORS.get(name)
-    if entry is None:
-        raise UnknownEstimator(f"unknown estimator {text!r}")
-    if entry.param not in ("baseline", "baselines"):
-        if sep:
-            raise UnknownEstimator(f"{name} takes no parameter, got {text!r}")
-        return MetricSpec(name)
-    if not sep or not arg.strip():
-        raise UnknownEstimator(f"{name} needs a baseline, e.g. {name}:0.5")
-    try:
-        params = tuple(float(p) for p in arg.split(","))
-    except ValueError as exc:
-        raise UnknownEstimator(f"cannot parse baselines in {text!r}") from exc
-    if entry.param == "baseline" and len(params) != 1:
-        raise UnknownEstimator(f"{name} takes exactly one baseline, got {text!r}")
-    return MetricSpec(name, params)
-
-
 def default_estimators(kind: str, scenario) -> tuple[str, ...]:
     """The registered estimators a study of ``kind`` runs when its configuration names none."""
     family = "scalar" if isinstance(scenario, BanditScenario) else "ranked"
     return tuple(name for name, entry in ESTIMATORS.items() if entry.kind == family and kind in entry.defaults)
-
-
-def kernel_arg(spec: MetricSpec, k: int, folds: int, seed: int, value: float | None):
-    """The third argument of the spec's registered kernel.
-
-    ``k`` is the number of positions, ``folds`` and ``seed`` set the
-    cross-fitting layout, and ``value`` is the reference value of the
-    squared remainder; each is read only by the kernels that need it.
-    """
-    param = ESTIMATORS[spec.name].param
-    if param == "baseline":
-        return _finite(spec.params[0])
-    if param == "baselines":
-        return _fixed_baselines(k, spec.params)
-    if param == "folds":
-        return CrossFitConfig(folds_k=folds, seed=seed)
-    if param == "value":
-        return _finite(value, "value")
-    return None
 
 
 def _study_specs(estimators, scenario) -> tuple[MetricSpec, ...]:
@@ -247,6 +185,9 @@ def _worker_pool(n_jobs: int):
     if n_jobs == 1:
         yield None
         return
+    # Imported here so that a single worker skips the process-pool machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         yield pool
 
@@ -258,6 +199,8 @@ def _run_task(payload: bytes):
 
 def _run_in_pool(pool, tasks: list) -> list:
     """Run ``(fn, args)`` tasks on the pool; a pool failure becomes :class:`WorkerFailure`."""
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         payloads = [pickle.dumps(task) for task in tasks]
     except (pickle.PicklingError, TypeError, AttributeError) as exc:

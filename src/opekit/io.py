@@ -54,7 +54,9 @@ Every run writes a manifest. Its fingerprint hashes the fields that
 determine the output bytes (tool version, config hash, master seed,
 environment label, numpy version); ``created_at`` and the Python version
 are recorded for the record but excluded, so two manifests with equal
-fingerprints denote byte-identical data files.
+fingerprints denote byte-identical data files. JSON reports are strict: a
+number that is not finite is written as null and its place is listed
+under ``non_finite``.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ import hashlib
 import io as _stringio
 import itertools
 import json
+import math
 import os
 import platform
 import re
@@ -76,11 +79,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .analysis import hoeffding_tail_bound
 from .data import RankedDataset, _from_positions, _integer
 from .errors import EmptyDataset, MissingBounds, ParseError, ValidationError
-
-TOOL_VERSION = "0.1.0"
 
 #: Entries per block of a log file, as the writer renders it and the reader
 #: parses it. Larger blocks save little time and cost resident memory.
@@ -105,15 +107,16 @@ class RunManifest:
 
     def fingerprint(self) -> str:
         """Hash of the fields that determine the output bytes."""
-        payload = json.dumps(
-            {name: getattr(self, name) for name in self.STABLE_FIELDS},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_hash({name: getattr(self, name) for name in self.STABLE_FIELDS})
 
     def to_dict(self) -> dict:
         return {**asdict(self), "fingerprint": self.fingerprint()}
+
+
+def canonical_hash(payload) -> str:
+    """SHA-256 of the canonical JSON encoding (sorted keys, no whitespace)."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def build_manifest(config_hash: str, master_seed: int, environment: str) -> RunManifest:
@@ -537,8 +540,29 @@ def write_csv(rows, path) -> None:
     atomic_write(path, (csv_text(rows),))
 
 
+def _finite_or_null(value, where: str, found: list):
+    """``value`` with each float that is not finite replaced by ``None`` and its place appended to ``found``."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item, f"{where}.{key}" if where else key, found) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item, f"{where}[{i}]", found) for i, item in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        found.append(where)
+        return None
+    return value
+
+
+def json_text(payload: dict) -> str:
+    """A report as strict JSON: a number that is not finite is written as null, and a ``non_finite`` note names it."""
+    found: list[str] = []
+    payload = _finite_or_null(payload, "", found)
+    if found:
+        payload["non_finite"] = found
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(payload: dict, path) -> None:
-    atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n",))
+    atomic_write(path, (json_text(payload) + "\n",))
 
 
 #: A :class:`~opekit.estimators.MomentSummary` as a JSON object keyed by its

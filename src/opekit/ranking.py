@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RankedDataset, _float_column
-from .errors import LengthMismatch, ValidationError
-from .estimators import _apply, _check_kind, _kind
+from .data import RankedDataset
+from .errors import ValidationError
+from .estimators import _apply, _check_kind, _fixed_baselines, _kind
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,6 @@ def ipm(dataset: RankedDataset) -> PositionwiseReport:
 def snipm(dataset: RankedDataset) -> PositionwiseReport:
     """Sum of per-position self-normalised estimates."""
     return positionwise("snipm", dataset)
-
-
-def _fixed_baselines(k: int, betas) -> np.ndarray:
-    b = _float_column(betas, "baselines")
-    if b.shape != (k,):
-        raise LengthMismatch(f"expected {k} baselines for {k} positions, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValidationError("baselines must be finite")
-    return b
 
 
 def beta_ipm(dataset: RankedDataset, betas) -> PositionwiseReport:

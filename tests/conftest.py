@@ -13,6 +13,7 @@ import pytest
 from hypothesis import settings
 
 from opekit import Dataset, RankedDataset
+from opekit.estimators import _fold_layout
 
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -53,6 +54,15 @@ def ranked_from_weights(weights, rewards, *, reward_bound=1.0, weight_bound=8.0)
         reward_bound=reward_bound,
         weight_bound=weight_bound,
     )
+
+
+def fold_indices(n: int, config) -> list[np.ndarray]:
+    """The cross-fitting partition of range(n) under a ``CrossFitConfig``: each fold's indices, ascending.
+
+    The reference partition the tests compare the engine's fold layout with.
+    """
+    labels, order = _fold_layout(n, config.folds_k, config.seed)
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 @pytest.fixture

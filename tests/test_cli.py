@@ -1,5 +1,6 @@
 """Command line interface: exit codes, outputs, and reproducibility."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -690,7 +691,57 @@ class TestWorkerFailures:
         assert err.startswith("worker error: cannot send the work to worker processes")
 
     def test_one_worker_needs_no_pool(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         config = write_config(tmp_path, n_grid=[50])
         assert run(capsys, "study", "--config", str(config),
                    "--out-dir", str(tmp_path), "--jobs", "1")[0] == 0
+
+
+def strict_json(text: str):
+    """Parse JSON that holds no ``NaN`` or infinity, which strict JSON forbids."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Every output is strict JSON: a number that is not finite is null, named in a ``non_finite`` note."""
+
+    def test_unbounded_diagnostics_are_null(self, capsys, tmp_path):
+        # Weights up to 2e149: r * w * (1 + w) of the declared bound and the gap pass the float range.
+        logs = tmp_path / "huge.jsonl"
+        logs.write_text(
+            '{"_meta":{"reward_bound":1.0,"weight_bound":1e201}}\n'
+            '{"context":0,"action":0,"p_log":1e-150,"p_tgt":1.0,"reward":1.0}\n'
+            + '{"context":0,"action":1,"p_log":0.5,"p_tgt":0.5,"reward":0.0}\n' * 2
+        )
+        args = ("evaluate", "--in", str(logs), "--true-value", "0.5", "--gap")
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, "")
+        report = strict_json(out)
+        assert report["remainder"]["u_bound"] is None
+        assert report["variance_gap"]["gap_delta"] is None
+        assert report["non_finite"] == ["remainder.u_bound", "variance_gap.gap_delta"]
+        assert report["remainder"]["t_bound"] == 1e201
+        assert run(capsys, *args, "--out", str(tmp_path / "report.json"))[0] == 0
+        assert strict_json((tmp_path / "report.json").read_text()) == report
+
+    def test_every_output(self, capsys, tmp_path, flip2_logs, ranked_logs):
+        outputs = []
+        for args in (
+            ("evaluate", "--in", str(flip2_logs), "--true-value", "0.26", "--gap",
+             "--estimators", "ips,snips,beta-ips:0.5,beta-star-ips,cf-beta-star-ips"),
+            ("evaluate", "--in", str(ranked_logs), "--estimators", "ipm,snipm,beta-perp-star-ipm"),
+        ):
+            code, out, _ = run(capsys, *args)
+            assert code == 0
+            outputs.append(out)
+        logs = tmp_path / "logs.jsonl"
+        assert run(capsys, "simulate", "--preset", "flip2", "--n", "50", "--out", str(logs))[0] == 0
+        assert run(capsys, "evaluate", "--in", str(logs), "--out", str(tmp_path / "report.json"))[0] == 0
+        config = write_config(tmp_path, n_grid=[50])
+        assert run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))[0] == 0
+        outputs += [(tmp_path / name).read_text() for name in ("logs.jsonl.manifest.json", "report.json", "study.json")]
+        for text in outputs:
+            assert "non_finite" not in strict_json(text)

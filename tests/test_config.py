@@ -1,5 +1,6 @@
 """Study configuration loading, defaults, and canonical hashing."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import yaml
 
 import opekit
 from opekit import BanditScenario, RankingEnv, load_study_config
+from opekit.cli import main
 from opekit.config import STUDY_KINDS, canonical_hash, environment_from_spec
 from opekit.errors import UnknownPreset, ValidationError
 
@@ -293,31 +295,65 @@ class TestHashing:
         assert label_a != label_b
 
 
+def fresh_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``, which may print lines of its own."""
+    # A fresh interpreter, because this test process has loaded every module already.
+    src = str(Path(opekit.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def cli_modules(*args) -> set[str]:
+    """The modules a fresh interpreter holds after one successful CLI command."""
+    return fresh_modules(f"from opekit.cli import main\nif main({list(map(str, args))!r}):\n    sys.exit('failed')")
+
+
+#: What the study engine, its process pool and the configuration reader load.
+STUDY_MODULES = {"opekit.experiments", "opekit.simulator", "opekit.ranking", "opekit.config", "concurrent.futures"}
+
+
 class TestLazyImports:
     def test_cli_import_skips_config_parsers(self):
-        # A fresh interpreter, because this test process has loaded both already.
-        src = str(Path(opekit.__file__).resolve().parents[1])
-        path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        probe = "import sys, opekit.cli; print(sorted({'jsonschema', 'yaml'} & set(sys.modules)))"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "[]"
+        assert {"jsonschema", "yaml"} & fresh_modules("import opekit.cli") == set()
 
     def test_loading_skips_jsonschema(self, tmp_path):
-        # A fresh interpreter, so that no other test has imported jsonschema into it.
-        src = str(Path(opekit.__file__).resolve().parents[1])
-        path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         preset = dump(tmp_path, base_config(), "preset.yaml")
         inline = dump(tmp_path, base_config(environment=INLINE_RANKING), "inline.yaml")
-        probe = (
-            "import sys; from opekit.config import load_study_config; "
-            f"[load_study_config(p) for p in ({str(preset)!r}, {str(inline)!r})]; "
-            "print('jsonschema' in sys.modules)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout.strip() == "False"
+        code = f"from opekit.config import load_study_config\n[load_study_config(p) for p in ({str(preset)!r}, {str(inline)!r})]"
+        assert "jsonschema" not in fresh_modules(code)
+
+    def test_package_import_loads_no_submodule(self):
+        assert {m for m in fresh_modules("import opekit") if m.startswith("opekit.")} == set()
+
+    def test_evaluate_skips_the_study_engine(self, tmp_path):
+        logs = tmp_path / "logs.jsonl"
+        assert main(["simulate", "--preset", "flip2", "--n", "50", "--out", str(logs)]) == 0
+        loaded = cli_modules("evaluate", "--in", logs, "--estimators", "ips,snips,beta-star-ips,cf-beta-star-ips",
+                             "--true-value", "0.26", "--out", tmp_path / "report.json")
+        assert STUDY_MODULES & loaded == set()
+
+    def test_simulate_skips_the_study_engine(self, tmp_path):
+        loaded = cli_modules("simulate", "--preset", "rankflip2x2", "--n", "50", "--out", tmp_path / "logs.jsonl")
+        assert "opekit.simulator" in loaded
+        assert (STUDY_MODULES - {"opekit.simulator"}) & loaded == set()
+
+    def test_one_worker_skips_the_process_pool(self, tmp_path):
+        config = dump(tmp_path, base_config(n_grid=[50], estimators=["ips", "snips"]))
+        loaded = cli_modules("study", "--config", config, "--out-dir", tmp_path, "--jobs", "1")
+        assert "opekit.experiments" in loaded
+        assert "concurrent.futures" not in loaded
+
+    def test_every_export_resolves_to_its_submodule(self):
+        fresh = fresh_modules("import opekit\nprint(' '.join(dir(opekit)))")  # dir() imports nothing
+        assert {m for m in fresh if m.startswith("opekit.")} == set()
+        listed = dir(opekit)
+        for name in opekit.__all__:
+            module = importlib.import_module(f"opekit.{opekit._SUBMODULE[name]}")
+            assert getattr(opekit, name) is getattr(module, name)
+            assert name in listed
+        assert len(opekit.__all__) == 65
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            opekit.nothing

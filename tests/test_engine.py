@@ -8,6 +8,8 @@ streams, the weights-only sampler, stacked cross-fitting) are held to
 their references the same way.
 """
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -39,7 +41,6 @@ from opekit.estimators import (
     _fold_layout,
     _require_finite_baselines,
     cross_fit_rows,
-    fold_indices,
     moment_rows,
     plug_in_baselines,
     row_mean,
@@ -59,6 +60,8 @@ from opekit.simulator import (
     sample_cells,
     sample_weights,
 )
+
+from conftest import fold_indices
 
 SEED = 20260823
 SCALAR = ("ips", "snips", "beta-ips:0.1925", "beta-star-ips", "cf-beta-star-ips", "remainder-sq")
@@ -329,12 +332,12 @@ class TestWorkerPool:
     def test_one_pool_per_study(self, monkeypatch):
         opened = []
 
-        class CountingPool(experiments.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 opened.append(1)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         config = StudyConfig(get_scenario("flip2"), "flip2", (50, 100, 200), 100, SEED, ("ips",))
         report = run_mc_study(config, n_jobs=2)
         assert len(opened) == 1

@@ -25,9 +25,8 @@ from opekit.errors import (
     ValidationError,
     ZeroWeightSum,
 )
-from opekit.estimators import fold_indices
 
-from conftest import dataset_from_weights, ranked_from_weights
+from conftest import dataset_from_weights, fold_indices, ranked_from_weights
 
 
 class TestMoments:

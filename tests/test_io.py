@@ -984,3 +984,14 @@ class TestAtomicWrites:
         write_json({"b": 1, "a": [1, 2]}, path)
         text = path.read_text()
         assert text == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+
+    def test_write_json_is_strict(self, tmp_path):
+        # A non-finite number in a list or a tuple at any depth is written as null and named.
+        path = tmp_path / "out.json"
+        payload = {"a": [1.5, float("nan")], "b": {"c": (float("-inf"), 2)}, "d": True}
+        write_json(payload, path)
+        assert path.read_text() == (
+            '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": {\n    "c": [\n      null,\n      2\n    ]\n  },\n'
+            '  "d": true,\n  "non_finite": [\n    "a[1]",\n    "b.c[0]"\n  ]\n}\n'
+        )
+        assert payload["b"]["c"][0] == float("-inf")  # the caller's payload is left as it was

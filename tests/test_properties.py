@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import dataset_from_weights, ranked_from_weights
+from conftest import dataset_from_weights, fold_indices, ranked_from_weights
 from opekit import (
     BanditEnv,
     BanditScenario,
@@ -47,7 +47,7 @@ from opekit import (
 )
 from opekit.cli import main
 from opekit.errors import DegenerateWeights, OpeKitError
-from opekit.estimators import CrossFitConfig, fold_indices
+from opekit.estimators import CrossFitConfig
 from opekit.simulator import _cdf, _pick
 
 

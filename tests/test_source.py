@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import opekit
+from opekit.io import TOOL_VERSION
 
 SOURCE = Path(opekit.__file__).resolve().parent
 
@@ -272,3 +275,11 @@ def test_one_function_runs_kernels_on_datasets():
     assert callers == {"estimators._apply", "experiments._evaluate"}
     assert calls == 2
     assert defined & {"_one_row", "_raise_failed", "_check_spec_kind"} == set()
+
+
+def test_one_version_string():
+    # The release bumps opekit.__version__ alone; the manifests and --version read it.
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["version"] == opekit.__version__
+    assert TOOL_VERSION is opekit.__version__
