@@ -276,7 +276,7 @@ def study_command(config_path: Path, out_dir: Path | None, jobs: int) -> None:
     manifest = build_manifest(
         config_hash=loaded.config_hash,
         master_seed=loaded.config.master_seed,
-        environment=loaded.label,
+        environment=loaded.config.scenario_label,
     )
     stem = config_path.stem
     csv_path = Path(out_dir) / f"{stem}.csv"

@@ -130,7 +130,6 @@ class LoadedStudy:
 
     kind: str
     config: StudyConfig
-    label: str
     resolved: dict
     config_hash: str
 
@@ -176,7 +175,6 @@ def load_study_config(path) -> LoadedStudy:
     return LoadedStudy(
         kind=kind,
         config=config,
-        label=label,
         resolved=resolved,
         config_hash=canonical_hash(resolved),
     )

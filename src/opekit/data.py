@@ -194,6 +194,7 @@ def _id_column(raw, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
 
     Integers that span the int64 and uint64 ranges, which numpy would merge
     as floats, stay exact: uint64 if none is negative, objects otherwise.
+    A NaN or infinite float id is rejected, since a log file cannot hold it.
     """
     if raw is None:
         return None
@@ -207,6 +208,10 @@ def _id_column(raw, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
             arr = ids.astype(np.uint64) if all(i >= 0 for i in ids.flat) else ids
     if arr.shape != shape:
         raise LengthMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+    if arr.dtype.kind == "f" or arr.dtype == object:
+        floats = [i for i in arr.flat if isinstance(i, (float, np.floating))] if arr.dtype == object else arr
+        if not np.isfinite(np.asarray(floats, dtype=np.float64)).all():
+            raise ValidationError(f"{name} must not hold a NaN or infinite id")
     return _freeze(arr)
 
 

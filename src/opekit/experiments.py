@@ -52,6 +52,7 @@ from .errors import (
     ExcessiveFailureRate,
     NonPositiveMean,
     PreconditionNotMet,
+    StudyError,
     TooFewReplicates,
     ValidationError,
     WorkerFailure,
@@ -150,7 +151,7 @@ def _replicate_range(compiled, n, master_seed, start, stop, specs, folds, oracle
             offset += width
         found.sort()
         failures.extend((label, replicate, error) for replicate, _, label, error in found)
-    return start, values, failures
+    return values, failures
 
 
 @dataclass(frozen=True)
@@ -179,17 +180,18 @@ class ReplicateMatrix:
 
 @contextmanager
 def _worker_pool(n_jobs: int):
-    """One process pool for every cell of a study, or ``None`` for a single worker."""
+    """``(pool, n_jobs)``: one process pool for every cell of a study, ``None`` for one worker, and the int count."""
+    n_jobs = _integer(n_jobs, "worker count")
     if n_jobs < 1:
         raise ValidationError(f"worker count must be at least 1, got {n_jobs}")
     if n_jobs == 1:
-        yield None
+        yield None, n_jobs
         return
     # Imported here so that a single worker skips the process-pool machinery.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        yield pool
+        yield pool, n_jobs
 
 
 def _run_task(payload: bytes):
@@ -233,12 +235,11 @@ def _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle
                 for start in range(0, replicates, size)
             ],
         )
-    chunks.sort(key=lambda item: item[0])
-    values = np.vstack([chunk[1] for chunk in chunks])
+    values = np.vstack([chunk_values for chunk_values, _ in chunks])
     values.setflags(write=False)
     failures = tuple(
         FailureRecord(metric, replicate, error)
-        for _, _, chunk_failures in chunks
+        for _, chunk_failures in chunks
         for metric, replicate, error in chunk_failures
     )
     return ReplicateMatrix(n=n, labels=labels, values=values, failures=failures)
@@ -268,7 +269,6 @@ def replicate_estimates(
     n = _integer(n, "sample size")
     replicates = _integer(replicates, "replicates")
     master_seed = _integer(master_seed, "master seed")
-    n_jobs = _integer(n_jobs, "worker count")
     if replicates < 2:
         raise TooFewReplicates(replicates)
     if master_seed < 0:
@@ -278,7 +278,7 @@ def replicate_estimates(
     if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
         pos = compiled.positions[0]
         oracle_value = _value(compiled.context_probs, pos.p_tgt, pos.reward_means)
-    with _worker_pool(n_jobs) as pool:
+    with _worker_pool(n_jobs) as (pool, n_jobs):
         return _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
 
 
@@ -295,22 +295,26 @@ def _replicate_vectors(*vectors) -> list[np.ndarray]:
     return arrays
 
 
-def mse_decompose(estimates, true_value: float) -> tuple[float, float, float]:
-    """Split mean squared error into bias and variance around ``true_value``.
-
-    Returns ``(bias, variance, mse)`` with the 1/m normaliser throughout,
-    so ``mse == bias**2 + variance`` up to rounding.
-    """
+def _decompose(estimates, true_value: float) -> tuple[float, float, float, float]:
+    """``(mean, bias, variance, mse)`` of the estimates around ``true_value``, in one pass."""
     (arr,) = _replicate_vectors(estimates)
     target = _finite(true_value, "true value")
     with np.errstate(over="ignore", invalid="ignore"):  # numbers near the float maximum give inf or nan
         mean = float(np.mean(arr))
         deviations = arr - mean
         errors = arr - target
-        bias = mean - target
         variance = float(np.mean(deviations * deviations))
         mse = float(np.mean(errors * errors))
-    return bias, variance, mse
+    return mean, mean - target, variance, mse
+
+
+def mse_decompose(estimates, true_value: float) -> tuple[float, float, float]:
+    """Split mean squared error into bias and variance around ``true_value``.
+
+    Returns ``(bias, variance, mse)`` with the 1/m normaliser throughout,
+    so ``mse == bias**2 + variance`` up to rounding.
+    """
+    return _decompose(estimates, true_value)[1:]
 
 
 def paired_mse_difference(a, b, true_value: float) -> tuple[float, float]:
@@ -523,7 +527,7 @@ class StudyRow:
 
 @dataclass(frozen=True, eq=False)
 class StudyReport:
-    """Aggregated study output plus the configuration echo that produced it.
+    """Aggregated study output and the configuration that produced it.
 
     ``weight_bound`` is the scenario's largest importance weight; it feeds
     the theoretical ceiling on replicate failure frequency reported next
@@ -532,32 +536,36 @@ class StudyReport:
 
     rows: tuple[StudyRow, ...]
     oracle: OracleReport
-    scenario_label: str
-    n_grid: tuple[int, ...]
-    replicates: int
-    master_seed: int
+    config: StudyConfig
     estimators: tuple[str, ...]
-    folds: int
     failures: tuple[FailureRecord, ...]
     weight_bound: float
 
 
-def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float], replicates: int) -> list[StudyRow]:
+def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float]) -> list[StudyRow]:
+    """Each metric's cell statistics; a cell whose statistics leave the float range fails the study."""
     rows = []
+    replicates = matrix.values.shape[0]
     for index, label in enumerate(matrix.labels):
         column = matrix.values[:, index]
         finite = np.isfinite(column)
-        n_failed = int(column.shape[0] - int(finite.sum()))
+        n_failed = replicates - int(finite.sum())
         if n_failed > 0.01 * replicates:
             raise ExcessiveFailureRate(label, matrix.n, n_failed, replicates)
         kept = column[finite]
         target = targets[label]
-        bias, variance, mse = mse_decompose(kept, target)
+        mean, bias, variance, mse = _decompose(kept, target)
+        # The bias is the mean less a finite target, so it overflows only when the mse does.
+        if not np.isfinite((mean, variance, mse)).all():
+            raise StudyError(
+                f"{label} at n={matrix.n}: cell statistics are not finite "
+                f"(mean {mean}, variance {variance}, mse {mse}); the estimates reach the float range"
+            )
         rows.append(
             StudyRow(
                 estimator=label,
                 n=matrix.n,
-                mean_estimate=float(np.mean(kept)),
+                mean_estimate=mean,
                 bias=bias,
                 variance=variance,
                 mse=mse,
@@ -585,7 +593,7 @@ def _run_grid(
     targets = _metric_targets(specs, compiled, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
-    with _worker_pool(n_jobs) as pool:
+    with _worker_pool(n_jobs) as (pool, n_jobs):
         for n in config.n_grid:
             matrix = _replicate_matrix(
                 compiled,
@@ -598,19 +606,15 @@ def _run_grid(
                 pool,
                 n_jobs,
             )
-            rows.extend(_rows_for_matrix(matrix, targets, config.replicates))
+            rows.extend(_rows_for_matrix(matrix, targets))
             failures.extend(matrix.failures)
             if cell is not None:
                 cell(matrix)
     return StudyReport(
         rows=tuple(rows),
         oracle=oracle,
-        scenario_label=config.scenario_label,
-        n_grid=config.n_grid,
-        replicates=config.replicates,
-        master_seed=config.master_seed,
+        config=config,
         estimators=tuple(spec.label for spec in specs),
-        folds=config.folds,
         failures=tuple(failures),
         weight_bound=compiled.weight_bound,
     )

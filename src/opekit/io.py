@@ -521,18 +521,8 @@ def csv_text(rows) -> str:
     buffer = _stringio.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.estimator,
-                str(row.n),
-                format_float(row.mean_estimate),
-                format_float(row.bias),
-                format_float(row.variance),
-                format_float(row.mse),
-                format_float(row.std_error),
-            ]
-        )
+    for row in rows_list(rows):
+        writer.writerow([row["estimator"], str(row["n"]), *(format_float(row[c]) for c in CSV_COLUMNS[2:])])
     return buffer.getvalue()
 
 
@@ -607,19 +597,20 @@ def rows_list(rows) -> list[dict]:
 
 def study_payload(kind: str, study, manifest: RunManifest, extra: dict) -> dict:
     """Assemble the JSON report for a study run."""
+    config = study.config
     payload = {
         "study": kind,
-        "scenario": study.scenario_label,
-        "n_grid": list(study.n_grid),
-        "replicates": study.replicates,
-        "master_seed": study.master_seed,
+        "scenario": config.scenario_label,
+        "n_grid": list(config.n_grid),
+        "replicates": config.replicates,
+        "master_seed": config.master_seed,
         "estimators": list(study.estimators),
-        "folds": study.folds,
+        "folds": config.folds,
         "oracle": oracle_dict(study.oracle),
         "rows": rows_list(study.rows),
         "failures": [asdict(failure) for failure in study.failures],
         # P(mean weight < 1/2) ceiling per sample size.
-        "half_mass_tail_bound": {str(n): hoeffding_tail_bound(n, study.weight_bound) for n in study.n_grid},
+        "half_mass_tail_bound": {str(n): hoeffding_tail_bound(n, study.weight_bound) for n in config.n_grid},
         "manifest": manifest.to_dict(),
     }
     payload.update(extra)

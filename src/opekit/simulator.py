@@ -433,7 +433,7 @@ def _weights(context_probs: np.ndarray, p_log: np.ndarray, p_tgt: np.ndarray, po
     violations = active & (p_tgt > 0) & (p_log == 0)
     if violations.any():
         contexts, actions = np.nonzero(violations)
-        raise SupportViolation(list(zip(contexts.tolist(), actions.tolist())))
+        raise SupportViolation(list(zip(contexts.tolist(), actions.tolist())), position=position)
     drawable = active & (p_log > 0)
     with np.errstate(over="ignore"):
         weights = np.divide(p_tgt, p_log, out=np.zeros_like(p_log), where=drawable)

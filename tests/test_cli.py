@@ -277,6 +277,20 @@ class TestEvaluate:
         assert [str(warning.message) for warning in caught] == []
         assert (code, err) == (2, "error: var_w must be finite, got inf\n")
 
+    @pytest.mark.parametrize(
+        "field, value", [("context", "NaN"), ("context", "Infinity"), ("action", "-Infinity")]
+    )
+    @pytest.mark.parametrize("other", ["1.5", "1180591620717411303424"], ids=["float-column", "object-column"])
+    def test_non_finite_id_exit_2(self, capsys, tmp_path, field, value, other):
+        # A log file written with such an id would not be JSON; the second id
+        # makes the column float or, past the uint64 range, objects.
+        path = self.write_records(tmp_path, [])
+        record = '{"%s": %s, "p_log": 0.9, "p_tgt": 0.1, "reward": 1.0}\n'
+        with path.open("a") as handle:
+            handle.write(record % (field, value) + record % (field, other))
+        code, _, err = run(capsys, "evaluate", "--in", str(path))
+        assert (code, err) == (2, f"error: {field}_ids must not hold a NaN or infinite id\n")
+
     def test_kind_mismatch_has_one_wording(self, capsys, tmp_path, flip2_logs):
         # The Python estimators, evaluate and study share one kind rule.
         code, _, err = run(capsys, "evaluate", "--in", str(flip2_logs), "--estimators", "ips,ipm")
@@ -612,6 +626,36 @@ class TestStudy:
         assert code == 2
         assert err.splitlines() == ["error: squared weight is not finite at context 0, action 0"]
         assert caught == []
+
+    @pytest.mark.parametrize("baseline", ["1e308", "1e307"])
+    def test_cell_statistics_past_the_float_range_exit_3(self, capsys, tmp_path, baseline):
+        # Estimates near the float maximum: the cell's mean, variance or mse is
+        # not finite, which neither the CSV nor the JSON report can hold.
+        config = write_config(tmp_path, estimators=[f"beta-ips:{baseline}"], n_grid=[50])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: beta-ips:") and " at n=50: cell statistics are not finite" in err
+        assert not (tmp_path / "study.csv").exists()
+
+    def test_support_violation_names_its_position(self, capsys, tmp_path):
+        environment = {
+            "kind": "ranking",
+            "context_probs": [1.0],
+            "positions": [
+                {"logging_policy": [[0.5, 0.5]], "target_policy": [[0.1, 0.9]], "reward_means": [[0.2, 0.8]]},
+                {"logging_policy": [[1.0, 0.0]], "target_policy": [[0.1, 0.9]], "reward_means": [[0.2, 0.8]]},
+            ],
+        }
+        config = write_config(tmp_path, environment=environment)
+        code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert (code, err) == (
+            2,
+            "error: position 2: target policy has positive probability where the logging "
+            "policy has zero: (context 0, action 1)\n",
+        )
 
     @pytest.mark.parametrize(
         "kind, environment, grid",

@@ -60,12 +60,11 @@ class TestLoading:
     def test_preset_happy_path(self, tmp_path):
         loaded = load_study_config(dump(tmp_path, base_config()))
         assert loaded.kind == "mc"
-        assert loaded.label == "flip2"
+        assert loaded.config.scenario_label == "flip2"
         assert loaded.config.n_grid == (100, 200)
         assert loaded.config.replicates == 100
         assert loaded.config.master_seed == 5
         assert loaded.config.folds == 5
-        assert loaded.config.scenario_label == "flip2"
         assert loaded.config_hash == canonical_hash(loaded.resolved)
 
     def test_default_estimators_by_kind(self, tmp_path):
@@ -125,7 +124,7 @@ class TestLoading:
     def test_inline_bandit_environment(self, tmp_path):
         loaded = load_study_config(dump(tmp_path, base_config(environment=INLINE_BANDIT)))
         assert isinstance(loaded.config.scenario, BanditScenario)
-        prefix, digest = loaded.label.split(":")
+        prefix, digest = loaded.config.scenario_label.split(":")
         assert prefix == "bandit"
         assert len(digest) == 12
         assert int(digest, 16) >= 0
@@ -134,7 +133,7 @@ class TestLoading:
         loaded = load_study_config(dump(tmp_path, base_config(environment=INLINE_RANKING)))
         assert isinstance(loaded.config.scenario, RankingEnv)
         assert loaded.config.scenario.k == 1
-        assert loaded.label.startswith("ranking:")
+        assert loaded.config.scenario_label.startswith("ranking:")
 
 
 class TestRejections:

@@ -189,6 +189,21 @@ def test_bounds_in_other_spellings_keep_their_values():
     assert all(type(b) is float for b in (d.reward_bound, d.weight_bound))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float32(np.nan)])
+def test_non_finite_ids_are_rejected(bad):
+    # A log file would write such an id as NaN or Infinity, which is not JSON.
+    with pytest.raises(ValidationError, match="^context_ids must not hold a NaN or infinite id$"):
+        make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=[bad, 1.5])
+    with pytest.raises(ValidationError, match="^context_ids must not hold a NaN or infinite id$"):
+        make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=np.array(["a", bad], dtype=object))
+    with pytest.raises(ValidationError, match="^action_ids must not hold a NaN or infinite id$"):
+        RankedDataset.from_arrays(
+            [[0.5, 0.5]], [[0.5, 0.5]], [[1.0, 0.0]],
+            reward_bound=1.0, weight_bound=1.0, action_ids=[[2**70, bad]],
+        )
+    assert make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=[0.5, 1.5]).context_ids.tolist() == [0.5, 1.5]
+
+
 def test_ragged_ids_are_a_length_mismatch():
     with pytest.raises(LengthMismatch, match="context_ids"):
         make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=[7, [8, 9]])

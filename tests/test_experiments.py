@@ -1,5 +1,7 @@
 """Monte Carlo engine, statistics helpers, and study drivers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,32 @@ class TestStudyConfig:
                 replicate_estimates(scenario, estimators=["ips"], **args)
         whole = replicate_estimates(scenario, 5.0, np.int64(100), 0.0, ["ips"], n_jobs=np.int8(1))
         assert np.array_equal(whole.values, replicate_estimates(scenario, 5, 100, 0, ["ips"]).values)
+
+    @pytest.mark.parametrize("n_jobs", [2.5, "2", True])
+    def test_worker_count_integer_rule(self, n_jobs):
+        # Each is rejected before a pool is created, so no worker process starts.
+        scalar = StudyConfig(get_scenario("flip2"), "flip2", (100, 400, 1600, 6400), 100, 0)
+        ranked = StudyConfig(get_scenario("rankflip2x2"), "rankflip2x2", (50,), 100, 0)
+        for run in (
+            lambda: replicate_estimates(get_scenario("flip2"), 5, 100, 0, ["ips"], n_jobs=n_jobs),
+            lambda: run_mc_study(replace(scalar, estimators=("ips",)), n_jobs=n_jobs),
+            lambda: dominance_check(ranked, n_jobs=n_jobs),
+            lambda: decay_rate_study(scalar, n_jobs=n_jobs),
+            lambda: bias_rate_study(scalar, n_jobs=n_jobs),
+        ):
+            with pytest.raises(ValidationError, match="worker count must be an integer"):
+                run()
+
+    @pytest.mark.parametrize("n_jobs", [2.0, np.int8(2)])
+    def test_integral_worker_count_runs_as_int(self, n_jobs):
+        # The chunk size is computed from the converted count: a float would break range() and
+        # np.int8 would overflow in replicates // (n_jobs * 4) at 128 or more replicates.
+        scenario = get_scenario("flip2")
+        serial = replicate_estimates(scenario, 50, 200, 0, ["ips", "snips"])
+        pooled = replicate_estimates(scenario, 50, 200, 0, ["ips", "snips"], n_jobs=n_jobs)
+        assert np.array_equal(pooled.values, serial.values)
+        config = StudyConfig(scenario, "flip2", (50,), 200, 0, estimators=("ips",))
+        assert run_mc_study(config, n_jobs=n_jobs).rows == run_mc_study(config).rows
 
     def test_sample_size_integer_rule(self):
         scenario = get_scenario("flip2")

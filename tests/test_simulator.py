@@ -148,6 +148,21 @@ class TestOracles:
             population_moments(env, logging, target)
         assert info.value.pairs == [(0, 1)]
 
+    def test_ranked_support_violation_names_its_position(self):
+        env, logging, target = flip_tables()
+        positions = (
+            PositionModel(logging, target, env.reward_means),
+            PositionModel(PolicyTable([[1.0, 0.0]]), target, env.reward_means),
+        )
+        with pytest.raises(SupportViolation) as info:
+            compile_scenario(RankingEnv(context_probs=[1.0], positions=positions))
+        assert info.value.position == 1
+        assert str(info.value).startswith("position 2: target policy has positive probability")
+        with pytest.raises(SupportViolation) as info:
+            compile_scenario(BanditScenario(env, PolicyTable([[1.0, 0.0]]), target))
+        assert info.value.position is None
+        assert str(info.value).startswith("target policy has positive probability")
+
     def test_unreachable_context_is_ignored(self):
         logging = PolicyTable([[0.5, 0.5], [1.0, 0.0]])
         target = PolicyTable([[0.5, 0.5], [0.0, 1.0]])
