@@ -62,12 +62,6 @@ class VarianceGapReport:
     def __post_init__(self) -> None:
         if self.gap_delta < -1e-12:
             raise ValidationError(f"variance gap must be non-negative, got {self.gap_delta}")
-        diff = self.avar_snips - self.var_beta_star
-        scale = max(abs(self.avar_snips), abs(self.var_beta_star), abs(self.gap_delta))
-        if abs(self.gap_delta - diff) > 1e-12 * max(scale, 1e-300):
-            raise ValidationError(
-                f"gap {self.gap_delta} does not match avar_snips - var_beta_star = {diff}"
-            )
 
 
 def beta_ips_variance(moments: MomentSummary, beta: float) -> float:
@@ -104,13 +98,14 @@ def variance_gap(moments: MomentSummary, value: float) -> VarianceGapReport:
     residual = v * moments.var_w - moments.cov_w_wr
     gap = (residual * residual) / (moments.n * moments.var_w)
     avar = snips_avar(moments, v)
-    return VarianceGapReport(
-        var_beta=avar,
-        var_beta_star=beta_ips_variance(moments, beta_star),
-        avar_snips=avar,
-        gap_delta=gap,
-        n=moments.n,
-    )
+    var_star = beta_ips_variance(moments, beta_star)
+    # Each variance cancels terms of the size of its quadratic's absolute terms, so their
+    # difference matches the gap to the rounding of those terms, not of the gap; a gap
+    # past the float range (the gap is at most those terms) passes, to be written as null.
+    terms = sum(moments.var_wr + 2.0 * abs(b * moments.cov_w_wr) + b * b * moments.var_w for b in (v, beta_star))
+    if abs(gap - (avar - var_star)) > 1e-12 * (terms / moments.n + gap):
+        raise ValidationError(f"gap {gap} does not match avar_snips - var_beta_star = {avar - var_star}")
+    return VarianceGapReport(var_beta=avar, var_beta_star=var_star, avar_snips=avar, gap_delta=gap, n=moments.n)
 
 
 def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostics:

@@ -20,6 +20,10 @@ caller's argument into a float64 array, a finite float or an int. A number
 is an int, a float, a numpy real or a numeric string, never complex; an
 integer is no bool, and may be an integral float. Anything else raises a
 :class:`~opekit.errors.ValidationError` naming the argument or column.
+
+:func:`_id_column` alone decides the type of an id column, from a file or
+in memory, and the log writer renders ``json.dumps`` of its values. numpy
+reads a plain list that mixes bools with ints as ints, so its bools become 0 and 1.
 """
 
 from __future__ import annotations
@@ -190,11 +194,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _id_column(raw, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
-    """A read-only id column of ``shape``; ids that mix scalars and lists are a length mismatch.
+    """A read-only id column of ``shape``, each id a JSON string, number, bool or null.
 
-    Integers that span the int64 and uint64 ranges, which numpy would merge
-    as floats, stay exact: uint64 if none is negative, objects otherwise.
-    A NaN or infinite float id is rejected, since a log file cannot hold it.
+    Integer ids stay exact: int64 or uint64, else Python ints. Ids all
+    strings, all floats or all bools keep numpy's type; mixed ids are an
+    object column of their Python values (numpy scalars by ``.item()``). An
+    id JSON cannot hold (NaN, infinity, bytes, a datetime, any other object)
+    is rejected, and ids that mix scalars and lists are a length mismatch.
     """
     if raw is None:
         return None
@@ -202,16 +208,24 @@ def _id_column(raw, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
         arr = np.asarray(raw)
     except ValueError:  # numpy refuses ragged nesting
         raise LengthMismatch(f"{name} mix values of different shapes, expected shape {shape}") from None
-    if arr.dtype.kind == "f" and not isinstance(raw, np.ndarray):
-        ids = np.asarray(raw, dtype=object)
-        if all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids.flat):
-            arr = ids.astype(np.uint64) if all(i >= 0 for i in ids.flat) else ids
     if arr.shape != shape:
         raise LengthMismatch(f"{name} has shape {arr.shape}, expected {shape}")
-    if arr.dtype.kind == "f" or arr.dtype == object:
-        floats = [i for i in arr.flat if isinstance(i, (float, np.floating))] if arr.dtype == object else arr
-        if not np.isfinite(np.asarray(floats, dtype=np.float64)).all():
+    if arr.dtype.kind in "iu":
+        return _freeze(arr)
+    not_json = f"{name} must hold only strings, numbers, booleans or null, got "
+    if arr.dtype.kind not in "bfUO" or arr.dtype.kind == "f" and arr.dtype.itemsize > 8:
+        raise ValidationError(not_json + arr.dtype.type.__name__)
+    if arr.dtype.kind in "fO" or not isinstance(raw, np.ndarray):  # a list's dtype may merge types; a float may be NaN
+        ids = [i.item() if isinstance(i, (np.bool_, np.number, np.str_)) else i for i in np.asarray(raw, object).flat]
+        types = set(map(type, ids))
+        for other in types - {str, int, float, bool, type(None)}:
+            raise ValidationError(not_json + other.__name__)
+        if not np.isfinite([i for i in ids if type(i) is float]).all():
             raise ValidationError(f"{name} must not hold a NaN or infinite id")
+        if types == {int} and arr.dtype.kind == "f" and min(ids) >= 0:
+            arr = np.array(ids, np.uint64).reshape(shape)
+        elif len(types) > 1 or types == {int} or arr.dtype == object:
+            arr = np.array(ids, object).reshape(shape)
     return _freeze(arr)
 
 
@@ -334,11 +348,12 @@ def _from_positions(
     """A dataset from flat ``(p_log, p_tgt, reward)`` ``array("d")`` columns holding ``k`` positions per entry.
 
     Its columns are views of those buffers. A scalar log is the one-position
-    case, reshaped to 1-d columns. Ranked action ids are regrouped per entry,
-    so an id that is itself a list stays one id and its shape is checked.
+    case, reshaped to 1-d columns. The action ids, one per position, are
+    converted once as one flat column of ``n * k`` ids and reshaped like the
+    number columns.
     """
     cls, shape = (RankedDataset, (n, k)) if ranked else (Dataset, (n,))
-    if ranked and action_ids is not None:
-        action_ids = [action_ids[i * k : (i + 1) * k] for i in range(n)]
     columns = [np.frombuffer(column).reshape(shape) for column in columns]
+    if action_ids is not None:
+        action_ids = _id_column(action_ids, "action_ids", (n * k,)).reshape(shape)
     return cls._build(columns, reward_bound, weight_bound, context_ids, action_ids, lines)

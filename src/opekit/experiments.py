@@ -488,7 +488,7 @@ class StudyConfig:
             raise ValidationError("sample sizes must be at least 1")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError(f"the sample size grid must be strictly increasing, got {grid}")
-        _check_sample_size(grid[-1], self.scenario.k if isinstance(self.scenario, RankingEnv) else 1, "n_grid entries")
+        _check_sample_size(grid[-1], self.scenario.k, "n_grid entries")
         object.__setattr__(self, "n_grid", grid)
         for field, minimum, rule in (
             ("replicates", 100, "studies need at least 100 replicates for stable cell statistics"),

@@ -7,6 +7,9 @@ record per line. Scalar records hold ``context``, ``action``, ``p_log``,
 ``positions`` list of per-position objects with ``action``, ``p_log``,
 ``p_tgt``, and ``reward``. Floats are serialised with ``repr``, which
 round-trips exactly, so write-then-read reproduces a dataset bit for bit.
+Ids are written as ``json.dumps`` of their column's values, whose type
+:func:`opekit.data._id_column` alone decides, so each id reads back with its
+JSON type, except bools in a plain list with ints, which numpy reads as ints.
 Files are read with universal newlines: ``"\\n"``, ``"\\r\\n"`` and a lone
 ``"\\r"`` each end a line, and nothing else does.
 
@@ -149,25 +152,13 @@ def atomic_write(path, chunks) -> None:
         raise
 
 
-def _jsonable_id(value):
-    if value is None or isinstance(value, (str, bool)):
-        return value
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return str(value)
-
-
 def _id_strings(ids):
     """JSON texts of a block of ids, exactly as ``json.dumps`` writes each one."""
     if ids is None:
         return itertools.repeat("null")  # zip stops at the end of the float columns
     if ids.dtype.kind in "iu":
         return map(str, ids.tolist())
-    return [json.dumps(_jsonable_id(value)) for value in ids]
+    return list(map(json.dumps, ids.tolist()))
 
 
 def _float_strings(column):

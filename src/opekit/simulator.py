@@ -43,7 +43,7 @@ streams are bit-equal to ``default_rng(SeedSequence((seed, n, r)))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -92,6 +92,16 @@ class PolicyTable:
         object.__setattr__(self, "probs", _frozen_probs(self.probs, "policy probabilities", 2))
 
 
+def _reward_means(values, name: str) -> np.ndarray:
+    """A read-only table of Bernoulli reward means, one row per context and one column per action."""
+    means = np.array(_float_column(values, name))
+    if means.ndim != 2:
+        raise DimensionMismatch(f"{name} must be two-dimensional, got shape {means.shape}")
+    if not np.isfinite(means).all() or (means < 0).any() or (means > 1).any():
+        raise ValidationError("Bernoulli reward means must lie in [0, 1]")
+    return _freeze(means)
+
+
 @dataclass(frozen=True, eq=False)
 class BanditEnv:
     """Finite contextual bandit with Bernoulli rewards."""
@@ -101,35 +111,31 @@ class BanditEnv:
 
     def __post_init__(self) -> None:
         ctx = _frozen_probs(self.context_probs, "context probabilities", 1)
-        means = np.array(_float_column(self.reward_means, "reward means"))
-        if means.ndim != 2 or means.shape[0] != ctx.shape[0]:
-            raise DimensionMismatch(
-                f"reward means must have shape (n_contexts, n_actions), got {means.shape}"
-            )
-        if not np.isfinite(means).all() or (means < 0).any() or (means > 1).any():
-            raise ValidationError("Bernoulli reward means must lie in [0, 1]")
+        means = _reward_means(self.reward_means, "reward means")
+        if means.shape[0] != ctx.shape[0]:
+            raise DimensionMismatch(f"reward means must have shape (n_contexts, n_actions), got {means.shape}")
         object.__setattr__(self, "context_probs", ctx)
-        object.__setattr__(self, "reward_means", _freeze(means))
+        object.__setattr__(self, "reward_means", means)
 
 
 @dataclass(frozen=True, eq=False)
 class BanditScenario:
-    """A bandit environment paired with its logging and target policies."""
+    """A bandit environment and its policies, held in ``positions`` as a ranking's one position, which checks shapes."""
 
     env: BanditEnv
     logging_policy: PolicyTable
     target_policy: PolicyTable
+    positions: tuple[PositionModel] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for table, name in (
-            (self.logging_policy, "logging policy"),
-            (self.target_policy, "target policy"),
-        ):
-            if table.probs.shape != self.env.reward_means.shape:
-                raise DimensionMismatch(
-                    f"{name} shape {table.probs.shape} does not match the environment "
-                    f"shape {self.env.reward_means.shape}"
-                )
+        position = PositionModel(self.logging_policy, self.target_policy, self.env.reward_means)
+        object.__setattr__(self, "positions", (position,))
+
+    @property
+    def context_probs(self) -> np.ndarray:
+        return self.env.context_probs
+
+    k = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +147,13 @@ class PositionModel:
     reward_means: np.ndarray
 
     def __post_init__(self) -> None:
-        means = np.array(_float_column(self.reward_means, "position reward means"))
-        if means.ndim != 2:
-            raise DimensionMismatch(
-                f"position reward means must be two-dimensional, got shape {means.shape}"
-            )
-        if not np.isfinite(means).all() or (means < 0).any() or (means > 1).any():
-            raise ValidationError("Bernoulli reward means must lie in [0, 1]")
-        if self.logging_policy.probs.shape != means.shape:
-            raise DimensionMismatch("position logging policy does not match its reward means")
-        if self.target_policy.probs.shape != means.shape:
-            raise DimensionMismatch("position target policy does not match its reward means")
-        object.__setattr__(self, "reward_means", _freeze(means))
+        means = _reward_means(self.reward_means, "position reward means")
+        for table, name in ((self.logging_policy, "logging policy"), (self.target_policy, "target policy")):
+            if table.probs.shape != means.shape:
+                raise DimensionMismatch(
+                    f"{name} shape {table.probs.shape} does not match the reward means shape {means.shape}"
+                )
+        object.__setattr__(self, "reward_means", means)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,18 +459,12 @@ def compile_scenario(scenario) -> CompiledScenario:
     bound, so a scenario whose samples would fail the dataset checks fails
     to compile.
     """
-    if isinstance(scenario, BanditScenario):
-        context_probs = scenario.env.context_probs
-        positions = (
-            PositionModel(scenario.logging_policy, scenario.target_policy, scenario.env.reward_means),
-        )
-    elif isinstance(scenario, RankingEnv):
-        context_probs, positions = scenario.context_probs, scenario.positions
-    else:
+    if not isinstance(scenario, (BanditScenario, RankingEnv)):
         raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
     ranked = isinstance(scenario, RankingEnv)
+    context_probs = scenario.context_probs
     tables, bounds = [], []
-    for j, pos in enumerate(positions):
+    for j, pos in enumerate(scenario.positions):
         p_log, p_tgt = pos.logging_policy.probs, pos.target_policy.probs
         weights, bound = _weights(context_probs, p_log, p_tgt, j if ranked else None)
         tables.append(_PositionTables(_cdf(p_log), pos.reward_means, p_log, p_tgt, weights))
@@ -483,7 +478,9 @@ def _moments(p_ctx: np.ndarray, pos: _PositionTables) -> MomentSummary:
     w = pos.weights
     mu = pos.reward_means
     mean_w = float(np.dot(p_ctx, pos.p_tgt.sum(axis=1)))
-    if abs(mean_w - 1.0) > _PROB_TOL:
+    # The context probabilities and each target row sum to one within _PROB_TOL,
+    # so the mean is within (1 +- _PROB_TOL)**2 of one, up to rounding.
+    if abs(mean_w - 1.0) > 2.0 * _PROB_TOL + _PROB_TOL**2 + 1e-12:
         raise ValidationError(f"weight mean should be one, got {mean_w}")
     mean_wr = float(np.sum(occupancy * w * mu))
     dev_w = w - mean_w

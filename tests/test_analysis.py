@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from opekit import (
+    Dataset,
     MomentSummary,
     beta_ips,
     beta_ips_variance,
+    empirical_moments,
     hoeffding_tail_bound,
     remainder_diagnostics,
     snips,
@@ -84,6 +86,19 @@ class TestVarianceGap:
             report.gap_delta, rel=1e-10
         )
         assert report.var_beta_star <= report.avar_snips
+
+    @pytest.mark.parametrize("value", [1.0 + 1e-7, 1.001, 1.25])
+    def test_value_near_the_optimum_of_a_log(self, value):
+        # Every reward is 1, so beta* is 1 and both variances cancel terms far larger than the gap.
+        rng = np.random.default_rng(0)
+        log = Dataset.from_arrays(
+            np.full(1000, 0.5), rng.uniform(0.05, 0.95, 1000), np.ones(1000), reward_bound=1.0, weight_bound=2.0
+        )
+        m = empirical_moments(log)
+        report = variance_gap(m, value)
+        residual = (value - 1.0) * m.var_w
+        assert report.gap_delta == pytest.approx(residual * residual / (m.n * m.var_w), rel=1e-6)
+        assert report.avar_snips - report.var_beta_star == pytest.approx(report.gap_delta, rel=1e-9, abs=1e-18)
 
     def test_degenerate_weights(self):
         with pytest.raises(DegenerateWeights):

@@ -201,7 +201,37 @@ def test_non_finite_ids_are_rejected(bad):
             [[0.5, 0.5]], [[0.5, 0.5]], [[1.0, 0.0]],
             reward_bound=1.0, weight_bound=1.0, action_ids=[[2**70, bad]],
         )
+    with pytest.raises(ValidationError, match="^context_ids must not hold a NaN or infinite id$"):
+        make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=[bad, "a"])  # numpy would read it as the string "inf"
     assert make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=[0.5, 1.5]).context_ids.tolist() == [0.5, 1.5]
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        [b"a", b"b"],
+        [np.datetime64("2020-01-01"), 1],
+        np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[ns]"),
+        [{"a": 1}, 2],
+        [object(), "a"],
+        [1j, "a"],
+        np.array([1.0, 2.0], dtype=np.longdouble),
+    ],
+    ids=["bytes", "datetime-and-int", "datetime64-ns", "dict", "object", "complex", "longdouble"],
+)
+def test_ids_json_cannot_hold_are_rejected(ids):
+    with pytest.raises(ValidationError, match="^context_ids must hold only strings, numbers, booleans or null, got "):
+        make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=ids)
+
+
+def test_mixed_ids_are_their_python_values():
+    # numpy alone would read [1, "a"] as the strings "1" and "a", and [True, 2.5] as floats.
+    for ids in ([1, "a"], [np.int32(1), "a"], [True, 2.5], [1, 2.5], [None, np.float32(0.5)]):
+        column = make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=ids).context_ids
+        assert column.dtype == object
+        assert [(type(i), i) for i in column] == [(type(i), i) for i in (i.item() if isinstance(i, np.generic) else i for i in ids)]
+    assert make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=["a", "b"]).context_ids.dtype.kind == "U"
+    assert make([0.5, 0.5], [0.5, 0.5], [1.0, 0.0], context_ids=[True, False]).context_ids.dtype == bool
 
 
 def test_ragged_ids_are_a_length_mismatch():

@@ -259,6 +259,16 @@ class TestOracleReport:
         assert target.moments == expected
         assert report.value == target.value
 
+    def test_tables_at_their_tolerance(self):
+        # Each table passes its own 1e-9 sum check, so the oracle takes what the sampler takes,
+        # though the weight mean, their product, is 1 + 1.8e-9.
+        env = BanditEnv([0.5 + 9e-10, 0.5], [[0.8, 0.2], [0.3, 0.6]])
+        logging = PolicyTable([[0.5, 0.5], [0.5, 0.5]])
+        target = PolicyTable([[0.1 + 9e-10, 0.9], [0.1 + 9e-10, 0.9]])
+        assert sample_logs(env, logging, target, 50, 0).n == 50
+        moments = oracle_report(BanditScenario(env, logging, target)).target("value").moments
+        assert moments.mean_w == pytest.approx(1.0 + 1.8e-9, rel=1e-15)
+
     def test_identity2_has_no_baseline(self):
         target = oracle_report(get_scenario("identity2")).target("value")
         assert target.value == pytest.approx(0.74, rel=1e-15)

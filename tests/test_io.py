@@ -129,16 +129,52 @@ class TestLogRoundTrip:
         assert set(first["_meta"]) == {"reward_bound", "weight_bound"}
 
 
+def _typed(values) -> list:
+    """Ids with their Python types, so that ``True`` and ``1`` or ``1`` and ``1.0`` differ."""
+    return [(type(value), value) for value in values]
+
+
+class TestIdRoundTrip:
+    """A log's ids come back with their JSON types, and writing them again gives the same bytes."""
+
+    @staticmethod
+    def compact(obj) -> str:
+        return json.dumps(obj, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("ids", [[True, False], [1, "a"], [2.5, "x"]], ids=["bool", "int-str", "float-str"])
+    @pytest.mark.parametrize("ranked", [False, True], ids=["scalar", "ranked"])
+    def test_log_ids(self, ids, ranked, tmp_path):
+        position = {"p_log": 0.5, "p_tgt": 0.5, "reward": 1.0}
+        if ranked:
+            records = [{"context": i, "positions": [{"action": i, **position}, {"action": ids[-1], **position}]} for i in ids]
+        else:
+            records = [{"context": i, "action": i, **position} for i in ids]
+        text = "".join(map(self.compact, [{"_meta": {"reward_bound": 1.0, "weight_bound": 1.0}}, *records]))
+        path = tmp_path / "logs.jsonl"
+        path.write_text(text)
+        read = read_logs(path)
+        actions = read.action_ids[:, 0] if ranked else read.action_ids
+        assert _typed(read.context_ids.tolist()) == _typed(actions.tolist()) == _typed(ids)
+        assert logs_text(read) == text
+        write_logs(read, path)
+        assert logs_text(read_logs(path)) == text
+
+    def test_numpy_bool_ids(self, tmp_path):
+        ids = np.array([True, False, True])
+        dataset = Dataset.from_arrays(
+            np.full(3, 0.5), np.full(3, 0.5), np.ones(3), reward_bound=1.0, weight_bound=1.0, context_ids=ids
+        )
+        path = tmp_path / "logs.jsonl"
+        write_logs(dataset, path)
+        assert json.loads(path.read_text().splitlines()[1])["context"] is True
+        read = read_logs(path)
+        assert read.context_ids.dtype == bool and _typed(read.context_ids.tolist()) == _typed(ids.tolist())
+        assert logs_text(read) == path.read_text()
+
+
 def _reference_id(value):
-    if value is None or isinstance(value, (str, bool)):
-        return value
-    if isinstance(value, (int, float)):
-        return value
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return str(value)
+    """An id as the Python value json writes: a numpy scalar's ``.item()``."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def reference_logs_text(dataset) -> str:
@@ -228,10 +264,9 @@ def assert_same_text(actual: str, expected: str) -> None:
     )
 
 
-# Id kinds the writer renders as null, short integers or strings without escapes
-# (numpy booleans become "True" and "False"), which the block scan reads; the
-# other kinds are read line by line.
-SCANNED_ID_KINDS = {"none", "int64", "uint8", "bool"}
+# Id kinds the writer renders as null or short integers, which the block scan
+# reads; the other kinds (escaped strings, true/false, floats) are read line by line.
+SCANNED_ID_KINDS = {"none", "int64", "uint8"}
 
 
 def distinct_records(dataset):

@@ -58,9 +58,16 @@ class TestTables:
             BanditEnv(context_probs=[1.0], reward_means=[[0.5], [0.5]])
 
     def test_scenario_shape_check(self):
+        # One wording for both kinds: a bandit scenario is its one position.
         env, logging, _ = flip_tables()
-        with pytest.raises(DimensionMismatch):
+        message = r"^target policy shape \(1, 1\) does not match the reward means shape \(1, 2\)$"
+        with pytest.raises(DimensionMismatch, match=message):
             BanditScenario(env=env, logging_policy=logging, target_policy=PolicyTable([[1.0]]))
+        with pytest.raises(DimensionMismatch, match=message):
+            PositionModel(logging, PolicyTable([[1.0]]), env.reward_means)
+        scenario = BanditScenario(env, logging, logging)
+        assert scenario.k == 1 and scenario.context_probs is env.context_probs
+        assert np.array_equal(scenario.positions[0].reward_means, env.reward_means)
 
     def test_ragged_tables_are_dimension_mismatches(self):
         with pytest.raises(DimensionMismatch):
