@@ -11,9 +11,10 @@ A scalar log is the one-position case of a ranked log. Ranked columns are
 single position dropped, so both kinds share one validated constructor.
 There are two ways in, and both end in it: the ``from_arrays``
 classmethods for columns in memory and :func:`opekit.io.read_logs` for
-log files. A value error names the entry, the position (ranked logs) and
-the file line (logs read from a file) whichever way the data came in. No
-partially validated dataset is observable.
+log files. A value error names the entry and the position (ranked logs);
+:func:`~opekit.io.read_logs` adds the file line and
+:func:`~opekit.simulator.compile_scenario` the table cell. No partially
+validated dataset is observable.
 
 :func:`_float_column`, :func:`_finite` and :func:`_integer` alone turn a
 caller's argument into a float64 array, a finite float or an int. A number
@@ -22,8 +23,8 @@ integer is no bool, and may be an integral float. Anything else raises a
 :class:`~opekit.errors.ValidationError` naming the argument or column.
 
 :func:`_id_column` alone decides the type of an id column, from a file or
-in memory, and the log writer renders ``json.dumps`` of its values. numpy
-reads a plain list that mixes bools with ints as ints, so its bools become 0 and 1.
+in memory, nulls included, and the log writer renders ``json.dumps`` of its
+values. numpy reads a plain list that mixes bools with ints as ints, so its bools become 0 and 1.
 """
 
 from __future__ import annotations
@@ -70,22 +71,11 @@ class Estimate:
 _COLUMN_NAMES = ("propensity_logging", "propensity_target", "reward")
 
 
-def _first_bad(arr: np.ndarray, bad: np.ndarray, lines, cells) -> tuple[float, dict]:
-    """The first flagged value of ``arr`` and where it sits.
-
-    Where is the entry index, the position (``None`` for 1-d scalar
-    columns) and the 1-based file line of the entry (``None`` without
-    ``lines``), as keyword arguments of an :class:`EntryError`. With
-    ``cells`` the entries are table cells, and where is the cell's
-    position and ``(context, action)``.
-    """
+def _first_bad(arr: np.ndarray, bad: np.ndarray) -> tuple[float, dict]:
+    """The first flagged value of ``arr``, and its entry index and position (``None`` for 1-d columns) as keywords."""
     flat = int(np.argmax(bad))
-    value = float(arr.flat[flat])
-    if cells is not None:
-        position, context, action = cells[flat]
-        return value, {"index": None, "position": position, "line": None, "cell": (context, action)}
     i, j = divmod(flat, bad.shape[1]) if bad.ndim == 2 else (flat, None)
-    return value, {"index": i, "position": j, "line": None if lines is None else lines[i]}
+    return float(arr.flat[flat]), {"index": i, "position": j}
 
 
 def _check_columns(
@@ -94,8 +84,6 @@ def _check_columns(
     rewards: np.ndarray,
     reward_bound: float,
     weight_bound: float,
-    lines=None,
-    cells=None,
 ) -> tuple[np.ndarray, float, float]:
     """Run every value-level check; return the derived weight column and the bounds as floats.
 
@@ -104,12 +92,9 @@ def _check_columns(
     once over the cells a draw can pick. Accepts 1-d (scalar logs) or 2-d
     (ranked logs, entries by positions) arrays of identical shape. Raises
     the first violation found, scanning quantities in a fixed order so
-    error reports are deterministic. ``lines``, when given, maps each
-    entry to its line in a log file, and the error carries the line of the
-    failing entry. ``cells``, when given, maps each entry of 1-d columns
-    to the ``(position, context, action)`` of a scenario's table cell
-    (``position`` ``None`` for a scalar scenario), and the error names the
-    failing cell.
+    error reports are deterministic. An error names the entry and its
+    position, all the checker knows; a caller that knows the entry's file
+    line or table cell sets it with :meth:`~opekit.errors.EntryError.located`.
     """
     bounds = []
     for bound, label in ((reward_bound, "declared reward bound"), (weight_bound, "declared weight bound")):
@@ -122,11 +107,11 @@ def _check_columns(
     for arr, name in zip((p_log, p_tgt, rewards), _COLUMN_NAMES):
         bad = ~np.isfinite(arr)
         if bad.any():
-            raise NonFiniteValue(name, **_first_bad(arr, bad, lines, cells)[1])
+            raise NonFiniteValue(name, **_first_bad(arr, bad)[1])
 
     bad = p_log <= 0.0
     if bad.any():
-        value, where = _first_bad(p_log, bad, lines, cells)
+        value, where = _first_bad(p_log, bad)
         raise NonPositiveLoggingPropensity(value=value, **where)
 
     slack = 1.0 + BOUND_SLACK
@@ -141,7 +126,7 @@ def _check_columns(
     for name, arr, lo, bound in checks:
         bad = (arr < lo * slack) | (arr > bound * slack)
         if bad.any():
-            value, where = _first_bad(arr, bad, lines, cells)
+            value, where = _first_bad(arr, bad)
             raise BoundViolation(name, value=value, bound=bound, **where)
     return weights, reward_bound, weight_bound
 
@@ -198,7 +183,8 @@ def _id_column(raw, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
 
     Integer ids stay exact: int64 or uint64, else Python ints. Ids all
     strings, all floats or all bools keep numpy's type; mixed ids are an
-    object column of their Python values (numpy scalars by ``.item()``). An
+    object column of their Python values (numpy scalars by ``.item()``),
+    a null among them ``None``; ids all null are no column (``None``). An
     id JSON cannot hold (NaN, infinity, bytes, a datetime, any other object)
     is rejected, and ids that mix scalars and lists are a length mismatch.
     """
@@ -218,6 +204,8 @@ def _id_column(raw, name: str, shape: tuple[int, ...]) -> np.ndarray | None:
     if arr.dtype.kind in "fO" or not isinstance(raw, np.ndarray):  # a list's dtype may merge types; a float may be NaN
         ids = [i.item() if isinstance(i, (np.bool_, np.number, np.str_)) else i for i in np.asarray(raw, object).flat]
         types = set(map(type, ids))
+        if types == {type(None)}:
+            return None
         for other in types - {str, int, float, bool, type(None)}:
             raise ValidationError(not_json + other.__name__)
         if not np.isfinite([i for i in ids if type(i) is float]).all():
@@ -275,12 +263,8 @@ class _Logged:
         )
 
     @classmethod
-    def _build(cls, columns, reward_bound, weight_bound, context_ids, action_ids, lines=None):
-        """Check shapes, ids and values, derive the weights and freeze every column.
-
-        ``lines``, when given, maps each entry to its 1-based line in a log
-        file, and an entry error carries the line of the failing entry.
-        """
+    def _build(cls, columns, reward_bound, weight_bound, context_ids, action_ids):
+        """Check shapes, ids and values, derive the weights and freeze every column."""
         p_log, p_tgt, rew = map(_float_column, columns, _COLUMN_NAMES)
         if p_log.ndim != cls._ndim:
             rank = "one" if cls._ndim == 1 else "two"
@@ -293,7 +277,7 @@ class _Logged:
             raise LengthMismatch(f"columns disagree in shape: {p_log.shape}, {p_tgt.shape}, {rew.shape}")
         context_ids = _id_column(context_ids, "context_ids", p_log.shape[:1])
         action_ids = _id_column(action_ids, "action_ids", p_log.shape)
-        weights, reward_bound, weight_bound = _check_columns(p_log, p_tgt, rew, reward_bound, weight_bound, lines)
+        weights, reward_bound, weight_bound = _check_columns(p_log, p_tgt, rew, reward_bound, weight_bound)
         return cls(
             propensity_logging=_freeze(p_log),
             propensity_target=_freeze(p_tgt),
@@ -342,9 +326,7 @@ class RankedDataset(_Logged):
         )
 
 
-def _from_positions(
-    ranked: bool, n: int, k: int, columns, reward_bound, weight_bound, context_ids, action_ids, lines=None
-):
+def _from_positions(ranked: bool, n: int, k: int, columns, reward_bound, weight_bound, context_ids, action_ids):
     """A dataset from flat ``(p_log, p_tgt, reward)`` ``array("d")`` columns holding ``k`` positions per entry.
 
     Its columns are views of those buffers. A scalar log is the one-position
@@ -354,6 +336,7 @@ def _from_positions(
     """
     cls, shape = (RankedDataset, (n, k)) if ranked else (Dataset, (n,))
     columns = [np.frombuffer(column).reshape(shape) for column in columns]
+    action_ids = _id_column(action_ids, "action_ids", (n * k,))
     if action_ids is not None:
-        action_ids = _id_column(action_ids, "action_ids", (n * k,)).reshape(shape)
-    return cls._build(columns, reward_bound, weight_bound, context_ids, action_ids, lines)
+        action_ids = action_ids.reshape(shape)
+    return cls._build(columns, reward_bound, weight_bound, context_ids, action_ids)

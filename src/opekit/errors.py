@@ -37,7 +37,8 @@ class EntryError(ValidationError):
     of a compiled scenario's tables has no entry: ``cell`` is its
     ``(context, action)`` and ``index`` is ``None``. The message names the
     cell, else the line when known, else the entry, then the position.
-    Subclasses take ``position``, ``line`` and ``cell`` as keywords.
+    Subclasses take ``position``, ``line`` and ``cell`` as keywords, and
+    a caller that knows more of the place sets it with :meth:`located`.
     """
 
     def __init__(
@@ -48,17 +49,20 @@ class EntryError(ValidationError):
         line: int | None = None,
         cell: tuple[int, int] | None = None,
     ) -> None:
-        self.index = index
-        self.position = position
-        self.line = line
-        self.cell = cell
-        if cell is not None:
-            where = f"context {cell[0]}, action {cell[1]}"
+        self._message = message
+        self.located(index=index, position=position, line=line, cell=cell)
+
+    def located(self, **place) -> EntryError:
+        """Set the given ones of ``index``, ``position``, ``line`` and ``cell`` and name the place in the message."""
+        vars(self).update(place)
+        if self.cell is not None:
+            where = f"context {self.cell[0]}, action {self.cell[1]}"
         else:
-            where = f"line {line}" if line is not None else f"entry {index}"
-        if position is not None:
-            where += f", position {position + 1}"
-        super().__init__(f"{message} at {where}")
+            where = f"line {self.line}" if self.line is not None else f"entry {self.index}"
+        if self.position is not None:
+            where += f", position {self.position + 1}"
+        self.args = (f"{self._message} at {where}",)
+        return self
 
 
 class NonPositiveLoggingPropensity(EntryError):
@@ -180,9 +184,6 @@ class FoldTooSmall(EstimationError):
 
 class DegenerateX(EstimationError):
     """A log-log fit needs at least two distinct positive abscissae."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message)
 
 
 class NonPositiveMean(EstimationError):

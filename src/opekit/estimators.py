@@ -208,7 +208,8 @@ def snips_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
 
 def beta_ips_rows(w: np.ndarray, wr: np.ndarray, beta) -> tuple:
     """Baseline-corrected value ``beta * (1 - mean(w)) + mean(wr)`` of each row at fixed baselines."""
-    values = beta * (1.0 - row_mean(w)) + row_mean(wr)
+    with np.errstate(over="ignore"):  # a baseline near the float maximum gives an infinite value
+        values = beta * (1.0 - row_mean(w)) + row_mean(wr)
     return values, np.broadcast_to(beta, values.shape), None
 
 

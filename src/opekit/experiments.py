@@ -295,10 +295,8 @@ def _replicate_vectors(*vectors) -> list[np.ndarray]:
     return arrays
 
 
-def _decompose(estimates, true_value: float) -> tuple[float, float, float, float]:
-    """``(mean, bias, variance, mse)`` of the estimates around ``true_value``, in one pass."""
-    (arr,) = _replicate_vectors(estimates)
-    target = _finite(true_value, "true value")
+def _decompose(arr: np.ndarray, target: float) -> tuple[float, float, float, float]:
+    """``(mean, bias, variance, mse)`` of an array around ``target`` in one pass, inf or nan past the float range."""
     with np.errstate(over="ignore", invalid="ignore"):  # numbers near the float maximum give inf or nan
         mean = float(np.mean(arr))
         deviations = arr - mean
@@ -314,7 +312,7 @@ def mse_decompose(estimates, true_value: float) -> tuple[float, float, float]:
     Returns ``(bias, variance, mse)`` with the 1/m normaliser throughout,
     so ``mse == bias**2 + variance`` up to rounding.
     """
-    return _decompose(estimates, true_value)[1:]
+    return _decompose(_replicate_vectors(estimates)[0], _finite(true_value, "true value"))[1:]
 
 
 def paired_mse_difference(a, b, true_value: float) -> tuple[float, float]:
@@ -543,16 +541,16 @@ class StudyReport:
 
 
 def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float]) -> list[StudyRow]:
-    """Each metric's cell statistics; a cell whose statistics leave the float range fails the study."""
+    """Each metric's statistics over the replicates it did not fail; statistics past the float range fail the study."""
     rows = []
     replicates = matrix.values.shape[0]
     for index, label in enumerate(matrix.labels):
-        column = matrix.values[:, index]
-        finite = np.isfinite(column)
-        n_failed = replicates - int(finite.sum())
+        metric = label.partition("[")[0]  # a ranked metric's columns, "ipm[pos1]" to "ipm[total]", share its failures
+        lost = {failure.replicate for failure in matrix.failures if failure.metric == metric}
+        n_failed = len(lost)
         if n_failed > 0.01 * replicates:
             raise ExcessiveFailureRate(label, matrix.n, n_failed, replicates)
-        kept = column[finite]
+        kept = np.delete(matrix.values[:, index], list(lost))
         target = targets[label]
         mean, bias, variance, mse = _decompose(kept, target)
         # The bias is the mean less a finite target, so it overflows only when the mse does.

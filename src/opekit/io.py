@@ -46,7 +46,9 @@ orders, escaped strings, ``true``/``false`` or float ids, longer integers,
 a bare ``-0``, a last line without its newline), the rest of the file is
 read one line at a time with ``json.loads``. A scalar record is its own
 single position either way, and one constructor call validates the
-columns, so both ways share every check, error, message and line number.
+columns, so both ways share every check, error and message. An entry
+error names its entry, and ``read_logs`` adds its line from the scans'
+runs of entries on consecutive lines, one for a writer-layout prefix.
 
 Result tables are CSV with columns
 ``estimator,n,mean,bias,variance,mse,se``, floats formatted with %.17g
@@ -64,6 +66,7 @@ under ``non_finite``.
 
 from __future__ import annotations
 
+import bisect
 import codecs
 import csv
 import datetime
@@ -85,7 +88,7 @@ import numpy as np
 from . import __version__ as TOOL_VERSION
 from .analysis import hoeffding_tail_bound
 from .data import RankedDataset, _from_positions, _integer
-from .errors import EmptyDataset, MissingBounds, ParseError, ValidationError
+from .errors import EmptyDataset, EntryError, MissingBounds, ParseError, ValidationError
 
 #: Entries per block of a log file, as the writer renders it and the reader
 #: parses it. Larger blocks save little time and cost resident memory.
@@ -303,7 +306,10 @@ class _Scan:
     columns: tuple = field(default_factory=lambda: (array("d"), array("d"), array("d")))
     contexts: list = field(default_factory=list)
     actions: list = field(default_factory=list)  # one per position, entry by entry
-    lines: array = field(default_factory=lambda: array("q"))  # the 1-based line of each entry
+    n: int = 0  # entries read
+    # (first entry, first line) of each run of entries on consecutive lines: one for a
+    # writer-layout prefix, and one more after each line the line reader skips
+    runs: list = field(default_factory=list)
 
 
 def _line_pattern(fmt: str, fields) -> re.Pattern:
@@ -350,7 +356,7 @@ def _scan_blocks(lines, scan: _Scan) -> tuple[list, int]:
     if not k:
         return [first], line
     records = _line_pattern(_record_format(kind == "ranked", k), (_ID,) + (_ID, _NUMBER, _NUMBER, _NUMBER) * k)
-    size = max(1, BLOCK_ENTRIES // k)
+    size, start = max(1, BLOCK_ENTRIES // k), line
     block = [first, *itertools.islice(lines, size - 1)]
     while block:
         distinct = dict.fromkeys(block)
@@ -369,10 +375,11 @@ def _scan_blocks(lines, scan: _Scan) -> tuple[list, int]:
         scan.actions += ids[1]
         for column, values in zip(scan.columns, numbers):
             column.frombytes(values.tobytes())
-        scan.lines.extend(range(line, line + len(block)))
+        scan.n += len(block)
         block, line = list(itertools.islice(lines, size)), line + len(block)
-    if scan.lines:
+    if scan.n:
         scan.kind, scan.k = kind, k
+        scan.runs.append((0, start))
     return block, line
 
 
@@ -381,7 +388,8 @@ def _scan_lines(lines, first_line: int, scan: _Scan) -> _Scan:
     meta_reward, meta_weight = scan.meta
     kind, k = scan.kind, scan.k
     p_log, p_tgt, rewards = scan.columns
-    contexts, actions, entry_lines = scan.contexts, scan.actions, scan.lines
+    contexts, actions, n, runs = scan.contexts, scan.actions, scan.n, scan.runs
+    next_line = first_line if n else 0  # the line on which an entry continues the block scan's run
     for lineno, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line:
@@ -397,7 +405,7 @@ def _scan_lines(lines, first_line: int, scan: _Scan) -> _Scan:
         if not isinstance(obj, dict):
             raise ParseError(lineno, "expected a JSON object")
         if "_meta" in obj:
-            if entry_lines or meta_reward is not None or meta_weight is not None:
+            if n or meta_reward is not None or meta_weight is not None:
                 raise ParseError(lineno, "_meta must appear once, before any record")
             meta = obj["_meta"]
             if not isinstance(meta, dict):
@@ -428,8 +436,10 @@ def _scan_lines(lines, first_line: int, scan: _Scan) -> _Scan:
             rewards.append(_number(pos, "reward", lineno))
             actions.append(pos.get("action"))
         contexts.append(obj.get("context"))
-        entry_lines.append(lineno)
-    scan.meta, scan.kind, scan.k = (meta_reward, meta_weight), kind, k
+        if lineno != next_line:  # an entry after a skipped line starts a run
+            runs.append((n, lineno))
+        n, next_line = n + 1, lineno + 1
+    scan.meta, scan.kind, scan.k, scan.n = (meta_reward, meta_weight), kind, k, n
     return scan
 
 
@@ -490,17 +500,16 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
     final_weight = weight_bound if weight_bound is not None else scan.meta[1]
     if final_reward is None or final_weight is None:
         raise MissingBounds()
-    return _from_positions(
-        scan.kind == "ranked",
-        len(scan.lines),
-        scan.k,
-        scan.columns,
-        final_reward,
-        final_weight,
-        None if None in scan.contexts else scan.contexts,
-        None if None in scan.actions else scan.actions,
-        lines=scan.lines,
-    )
+    # Ids all null are no column, which _id_column decides too; a count finds them faster.
+    contexts, actions = (None if ids.count(None) == len(ids) else ids for ids in (scan.contexts, scan.actions))
+    try:
+        return _from_positions(
+            scan.kind == "ranked", scan.n, scan.k, scan.columns, final_reward, final_weight, contexts, actions
+        )
+    except EntryError as exc:  # its line is its run's first line plus its offset in the run
+        entry, line = scan.runs[bisect.bisect_right(scan.runs, (exc.index, math.inf)) - 1]
+        exc.located(line=line + exc.index - entry)
+        raise
 
 
 def format_float(value: float) -> str:

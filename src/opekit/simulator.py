@@ -51,6 +51,7 @@ import numpy as np
 from .data import Dataset, RankedDataset, _check_columns, _float_column, _freeze, _integer
 from .errors import (
     DimensionMismatch,
+    EntryError,
     NonFiniteValue,
     SupportViolation,
     UnknownPreset,
@@ -438,15 +439,19 @@ def _weights(context_probs: np.ndarray, p_log: np.ndarray, p_tgt: np.ndarray, po
     drawable = active & (p_log > 0)
     with np.errstate(over="ignore"):
         weights = np.divide(p_tgt, p_log, out=np.zeros_like(p_log), where=drawable)
-        squares = np.square(weights[drawable])
-    contexts, actions = np.nonzero(drawable)
-    cells = [(position, x, a) for x, a in zip(contexts.tolist(), actions.tolist())]
-    for quantity, values in (("weight", weights[drawable]), ("squared weight", squares)):
-        overflow = np.isinf(values)
-        if overflow.any():
-            raise NonFiniteValue(quantity, None, position=position, cell=cells[int(np.argmax(overflow))][1:])
-    bound = float(weights.max())
-    _check_columns(p_log[drawable], p_tgt[drawable], np.zeros(len(cells)), 1.0, bound, cells=cells)
+        drawn = weights[drawable]
+        squares = np.square(drawn)
+    try:
+        for quantity, values in (("weight", drawn), ("squared weight", squares)):
+            overflow = np.isinf(values)
+            if overflow.any():
+                raise NonFiniteValue(quantity, int(np.argmax(overflow)))
+        bound = float(weights.max())
+        _check_columns(p_log[drawable], p_tgt[drawable], np.zeros_like(drawn), 1.0, bound)
+    except EntryError as exc:  # its index counts the drawable cells in row-major order, as argwhere lists them
+        context, action = np.argwhere(drawable)[exc.index].tolist()
+        exc.located(index=None, position=position, cell=(context, action))
+        raise
     return weights, bound
 
 

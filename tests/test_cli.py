@@ -640,6 +640,20 @@ class TestStudy:
         assert err.startswith("error: beta-ips:") and " at n=50: cell statistics are not finite" in err
         assert not (tmp_path / "study.csv").exists()
 
+    def test_infinite_estimates_are_values_not_failures(self, capsys, tmp_path):
+        # A fixed baseline near the float maximum takes some estimates past the float
+        # range. They are values of an estimator without preconditions, not failed
+        # replicates, so the cell's statistics, not its failure rate, fail the study.
+        config = write_config(tmp_path, estimators=["beta-ips:5e307"], n_grid=[3], replicates=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 3
+        assert err.splitlines() == [
+            "error: beta-ips:5e+307 at n=3: cell statistics are not finite (mean nan, variance nan, mse inf); "
+            "the estimates reach the float range"
+        ]
+
     def test_support_violation_names_its_position(self, capsys, tmp_path):
         environment = {
             "kind": "ranking",
@@ -770,6 +784,22 @@ class TestStrictJson:
         assert report["remainder"]["t_bound"] == 1e201
         assert run(capsys, *args, "--out", str(tmp_path / "report.json"))[0] == 0
         assert strict_json((tmp_path / "report.json").read_text()) == report
+
+    def test_estimate_past_the_float_range_is_null(self, capsys, tmp_path):
+        # beta * (1 - mean(w)) = 1e308 * -8 passes the float range: no numpy warning, a null value.
+        logs = tmp_path / "nine.jsonl"
+        logs.write_text(
+            '{"_meta":{"reward_bound":1.0,"weight_bound":9.0}}\n'
+            '{"context":0,"action":1,"p_log":0.1,"p_tgt":0.9,"reward":1.0}\n'
+            '{"context":1,"action":1,"p_log":0.1,"p_tgt":0.9,"reward":0.0}\n'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "evaluate", "--in", str(logs), "--estimators", "beta-ips:1e308")
+        assert (code, err) == (0, "")
+        report = strict_json(out)
+        assert report["estimates"][0]["value"] is None and report["estimates"][0]["baseline_used"] == 1e308
+        assert report["non_finite"] == ["estimates[0].value"]
 
     def test_every_output(self, capsys, tmp_path, flip2_logs, ranked_logs):
         outputs = []

@@ -53,3 +53,10 @@ def test_pickle_round_trip(error):
     assert vars(copy) == vars(error)
     assert copy.args == error.args
     assert str(copy) == str(error)
+
+
+def test_a_place_set_after_raising_survives_pickling():
+    error = errors.NonFiniteValue("weight", 2).located(index=None, position=1, cell=(0, 1))
+    copy = pickle.loads(pickle.dumps(error))
+    assert str(copy) == str(error) == "weight is not finite at context 0, action 1, position 2"
+    assert vars(copy) == vars(error) and (copy.index, copy.cell) == (None, (0, 1))

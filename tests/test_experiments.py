@@ -422,6 +422,20 @@ class TestMcStudy:
         with pytest.raises(ValidationError):
             run_mc_study(self.config(estimators=()))
 
+    @pytest.mark.parametrize("name, estimator", [("flip2", "beta-star-ips"), ("rankflip2x2", "beta-perp-star-ipm")])
+    def test_failed_counts_are_the_recorded_failures(self, name, estimator):
+        # At n = 48 the weights of a few replicates in a thousand have no variance,
+        # where the plug-in baseline is undefined; a ranked metric's columns share them.
+        report = run_mc_study(
+            self.config(scenario=get_scenario(name), scenario_label=name, n_grid=(48,), replicates=1000,
+                        master_seed=1, estimators=(estimator,))
+        )
+        failed = len(report.failures)
+        assert 0 < failed <= 10
+        assert len(report.rows) == (1 if name == "flip2" else 3)
+        for row in report.rows:
+            assert (row.n_failed, row.n_used) == (failed, 1000 - failed)
+
     def test_excessive_failures_abort(self):
         config = StudyConfig(
             scenario=get_scenario("identity2"),

@@ -159,6 +159,22 @@ class TestIdRoundTrip:
         write_logs(read, path)
         assert logs_text(read_logs(path)) == text
 
+    @pytest.mark.parametrize("ids", [[None, "a"], [None, 3], [None, None]], ids=["null-str", "null-int", "nulls"])
+    @pytest.mark.parametrize("column", ["context_ids", "action_ids"])
+    def test_null_ids(self, ids, column, tmp_path):
+        dataset = Dataset.from_arrays(
+            np.full(2, 0.5), np.full(2, 0.5), np.ones(2), reward_bound=1.0, weight_bound=1.0, **{column: ids}
+        )
+        path = tmp_path / "logs.jsonl"
+        write_logs(dataset, path)
+        read = read_logs(path)
+        held = getattr(read, column)
+        assert (getattr(dataset, column) is None) == (held is None) == (ids == [None, None])
+        assert held is None if ids == [None, None] else _typed(held.tolist()) == _typed(ids)
+        assert logs_text(read) == path.read_text()
+        write_logs(read, path)
+        assert logs_text(read_logs(path)) == logs_text(dataset)
+
     def test_numpy_bool_ids(self, tmp_path):
         ids = np.array([True, False, True])
         dataset = Dataset.from_arrays(
@@ -379,7 +395,7 @@ class TestBlockWriter:
         self.check(dataset, tmp_path, id_kind in SCANNED_ID_KINDS)
 
     def test_mixed_object_ids(self):
-        # Written like json.dumps writes them; read_logs drops ids when any is null.
+        # Written like json.dumps writes them, the null too.
         ids = np.array([None, 7, "x", 2.5, True, np.int32(4)], dtype=object)
         p_log, p_tgt, rewards = crafted_columns((6,))
         dataset = Dataset.from_arrays(
@@ -574,13 +590,19 @@ def exact(value):
     return type(value), np.float64(value).tobytes() if isinstance(value, float) else value
 
 
+def entry_lines(scan) -> list[int]:
+    """The 1-based line of each entry of a scan, expanded from its runs of entries on consecutive lines."""
+    stops = [entry for entry, _ in scan.runs[1:]] + [scan.n]
+    return [line + i for (entry, line), stop in zip(scan.runs, stops) for i in range(stop - entry)]
+
+
 def scan_outcome(scan_text, text):
-    """The error a scan raises, or what it read, value by value."""
+    """The error a scan raises, or what it read, value by value, with the line of each entry."""
     try:
         scan = scan_text(text)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    read = (scan.meta, *scan.columns, scan.contexts, scan.actions, scan.lines)
+    read = (scan.meta, *scan.columns, scan.contexts, scan.actions, entry_lines(scan))
     return scan.kind, scan.k, [list(map(exact, values)) for values in read]
 
 
@@ -591,7 +613,60 @@ RANKED2 = [_record_format(True, 2) % (c, 1, "0.5", "0.25", r, "null", "0.5", "5e
 RANKED3 = [_record_format(True, 3) % (c, *[a, "0.2", "0.4", "1.0"] * 3) for c, a in ((0, 1), (0, '"z"'))]
 
 
+@st.composite
+def spaced_logs(draw):
+    """A log with one reward out of bounds, blank lines anywhere and one kind of line ending.
+
+    Returns the text, the out-of-bounds record's entry and position (``None``
+    for a scalar log) and the 1-based line it was written on.
+    """
+    ranked = draw(st.booleans())
+    k = draw(st.integers(1, 2)) if ranked else 1
+    n = draw(st.integers(1, 20))
+    bad, position = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))
+    fmt = _record_format(ranked, k)
+    records = [
+        fmt % (i % 3, *[field for j in range(k) for field in (j, "0.5", "0.5", "7.0" if (i, j) == (bad, position) else "1.0")])
+        for i in range(n)
+    ]
+    lines = [opekit.io._META % ("1.0", "2.0"), *records]
+    for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
+        lines.insert(at, "\n")
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "".join(line[:-1] + ending for line in lines)
+    return text, bad, position if ranked else None, lines.index(records[bad]) + 1
+
+
+IN_BOUNDS = _record_format(False, 1) % (0, 0, "0.5", "0.5", "1.0")
+
+
 class TestBlockScan:
+    @settings(max_examples=100, deadline=None)
+    @given(spaced_logs(), st.sampled_from([2, 3, 6]))
+    @example((opekit.io._META % ("1.0", "2.0") + IN_BOUNDS * 9 + IN_BOUNDS.replace(":1.0}", ":7.0}"), 9, None, 11), 2)
+    def test_entry_errors_name_the_line_of_their_record(self, tmp_path_factory, log, block_entries):
+        # Blocks of two to six entries put the bad record past the first block of
+        # a writer-layout prefix, or among lines the line reader reads after a blank line.
+        text, entry, position, line = log
+        path = tmp_path_factory.getbasetemp() / "spaced.jsonl"
+        path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opekit.io, "BLOCK_ENTRIES", block_entries)
+            with pytest.raises(BoundViolation) as info:
+                read_logs(path)
+        assert (info.value.index, info.value.position, info.value.line) == (entry, position, line)
+        assert str(info.value).endswith(f"at line {line}" + ("" if position is None else f", position {position + 1}"))
+
+    def test_a_writer_layout_file_is_one_run(self, tmp_path):
+        path = tmp_path / "logs.jsonl"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opekit.io, "BLOCK_ENTRIES", 6)
+            write_logs(flip2_sample(n=40), path)
+            with open(path, encoding="utf-8") as stream:
+                scan = _scan_stream(stream)
+        assert (scan.n, scan.runs) == (40, [(0, 2)])
+        assert entry_lines(scan) == list(range(2, 42))
+
     @settings(max_examples=300)
     @given(log_texts(), st.sampled_from([2, 6]))
     @example('{"context":0,"action":-0,"p_log":-0,"p_tgt":5e-324,"reward":1e400}\n', 2)
@@ -646,14 +721,15 @@ class TestBlockScan:
         assert (block_scan_end(text) == len(text)) == (name == "crlf")
         assert_both_paths_agree(path)
 
-    def test_null_ids_drop_every_id_on_both_paths(self, tmp_path):
+    def test_null_ids_stay_beside_other_ids_on_both_paths(self, tmp_path):
         lines = [line.replace("REWARD", "1.0") for line in self.BASE]
         lines[2] = lines[2].replace('"context":1', '"context":null')
         path = tmp_path / "in.jsonl"
         path.write_text("\n".join(lines) + "\n")
         assert block_scan_end(path.read_text()) == path.stat().st_size
         loaded = read_logs(path)
-        assert loaded.context_ids is None and list(loaded.action_ids) == [1, 0, 1]
+        assert loaded.context_ids.tolist() == [0, None, 1] and list(loaded.action_ids) == [1, 0, 1]
+        assert logs_text(loaded) == path.read_text()
         assert_both_paths_agree(path)
 
     @pytest.mark.parametrize("digits", [400, 5000])
@@ -878,14 +954,16 @@ class TestReadValidation:
         with pytest.raises(EmptyDataset):
             read_logs(self.write(tmp_path, [self.meta()]))
 
-    def test_partial_ids_are_dropped(self, tmp_path):
+    def test_missing_ids_read_as_null(self, tmp_path):
         path = self.write(
             tmp_path,
             [self.meta(), self.record(context=1, action=0), self.record()],
         )
         loaded = read_logs(path)
-        assert loaded.context_ids is None
-        assert loaded.action_ids is None
+        assert loaded.context_ids.tolist() == [1, None]
+        assert loaded.action_ids.tolist() == [0, None]
+        nulls = self.write(tmp_path, [self.meta(), self.record(context=None), self.record()])
+        assert read_logs(nulls).context_ids is None and read_logs(nulls).action_ids is None
         full = self.write(
             tmp_path,
             [self.meta(), self.record(context=1, action=0), self.record(context=2, action=1)],
