@@ -37,9 +37,8 @@ _EXPORTS = {
     "io": ("RunManifest", "build_manifest", "read_logs", "write_logs"),
     "ranking": ("PositionwiseReport", "beta_ipm", "beta_perp_star_hat", "beta_perp_star_ipm", "ipm", "snipm"),
     "simulator": (
-        "BanditEnv", "BanditScenario", "PolicyTable", "PositionModel", "RankingEnv", "get_scenario",
-        "population_moments", "preset_names", "sample_logs", "sample_ranked_logs", "true_position_values",
-        "true_value", "weight_bound",
+        "BanditEnv", "BanditScenario", "PolicyTable", "PositionModel", "RankingEnv", "get_scenario", "preset_names",
+        "sample_logs", "sample_ranked_logs",
     ),
 }
 

@@ -34,7 +34,7 @@ from .errors import (
     VRequiredForGap,
     WorkerFailure,
 )
-from .estimators import _apply, _check_kind, _kind, empirical_moments, kernel_arg, parse_estimator_spec
+from .estimators import _apply, _check_kind, _kind, empirical_moments, kernel_arg, parse_estimator_spec, row_total
 from .io import (
     TOOL_VERSION,
     build_manifest,
@@ -109,7 +109,7 @@ def _estimate_dict(label: str, n: int, values, baselines, ranked: bool) -> dict:
         {"position": j + 1, "value": value, "baseline_used": baseline}
         for j, (value, baseline) in enumerate(zip(values.tolist(), baselines))
     ]
-    return {"estimator": label, "value": float(np.sum(values)), "n_used": n, "per_position": positions}
+    return {"estimator": label, "value": float(row_total(values)), "n_used": n, "per_position": positions}
 
 
 def _remainder_dict(dataset, value: float) -> dict:

@@ -121,8 +121,11 @@ def _check_kind(name: str, kind: str, label: str | None = None, study: bool = Fa
 
     The one kind rule of the estimators, ``opekit evaluate`` and the studies;
     a study diagnostic applies to scalar data in studies (``study``) only.
+    A name that is not registered is unknown, as :func:`parse_estimator_spec` says.
     """
-    entry = ESTIMATORS[name]
+    entry = ESTIMATORS.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise UnknownEstimator(f"unknown estimator {name!r}")
     if entry.kind != kind and not (study and entry.kind == "study" and kind == "scalar"):
         raise UnknownEstimator(f"{label or name} does not apply to {kind} data")
     return entry
@@ -131,6 +134,15 @@ def _check_kind(name: str, kind: str, label: str | None = None, study: bool = Fa
 def row_mean(x: np.ndarray) -> np.ndarray:
     """Mean along the last axis: the sum and division of ``np.mean``, without its overhead."""
     return np.add.reduce(x, axis=-1) / x.shape[-1]
+
+
+def row_total(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, as ``np.sum`` adds: a ranked estimate's total over its positions.
+
+    A total past the float range is inf, silently, as a value past it is.
+    """
+    with np.errstate(over="ignore"):
+        return np.sum(x, axis=-1)
 
 
 def _moments(w: np.ndarray, wr: np.ndarray, out=(None, None)) -> tuple[np.ndarray, ...]:
@@ -400,6 +412,8 @@ def cross_fitted_beta_ips(dataset: Dataset, config: CrossFitConfig = CrossFitCon
     weight mean of exactly one, every baseline gives the same value and
     zero is used; otherwise :class:`DegenerateWeights` is raised.
     """
+    if not isinstance(config, CrossFitConfig):
+        raise ValidationError(f"the cross-fit config must be a CrossFitConfig, got {type(config).__name__}")
     return estimate("cf-beta-star-ips", dataset, config)
 
 

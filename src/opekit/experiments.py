@@ -58,7 +58,7 @@ from .errors import (
     WorkerFailure,
 )
 from .data import _finite, _float_column, _integer
-from .estimators import ESTIMATORS, MetricSpec, MomentSummary, _check_kind, kernel_arg, parse_estimator_spec
+from .estimators import ESTIMATORS, MetricSpec, MomentSummary, _check_kind, kernel_arg, parse_estimator_spec, row_total
 from .simulator import (
     BanditScenario,
     CompiledScenario,
@@ -82,10 +82,20 @@ def default_estimators(kind: str, scenario) -> tuple[str, ...]:
     return tuple(name for name, entry in ESTIMATORS.items() if entry.kind == family and kind in entry.defaults)
 
 
+def _estimator_list(estimators) -> tuple:
+    """The entries of an estimator list; a string or a non-iterable is not one."""
+    if not isinstance(estimators, str):
+        try:
+            return tuple(estimators)
+        except TypeError:
+            pass
+    raise ValidationError(f"estimators must be a list of estimator names, got {estimators!r}")
+
+
 def _study_specs(estimators, scenario) -> tuple[MetricSpec, ...]:
     """Parsed specs, each checked to apply to the scenario's kind."""
     kind = "scalar" if isinstance(scenario, BanditScenario) else "ranked"
-    specs = tuple(parse_estimator_spec(e) for e in estimators)
+    specs = tuple(parse_estimator_spec(e) for e in _estimator_list(estimators))
     for spec in specs:
         _check_kind(spec.name, kind, spec.label, study=True)
     return specs
@@ -115,7 +125,7 @@ def _evaluate(entry, arg, w: np.ndarray, wr: np.ndarray) -> tuple:
     except EstimationError as exc:
         return np.full(w.shape[:1], np.nan), np.ones(w.shape[:1], dtype=bool), type(exc)
     if entry.kind == "ranked":
-        values = np.concatenate([values, np.sum(values, axis=-1)[:, None]], axis=1)
+        values = np.concatenate([values, row_total(values)[:, None]], axis=1)
         failed = None if failed is None else failed.any(axis=-1)
     return values, failed, entry.error
 
@@ -259,8 +269,8 @@ def replicate_estimates(
     """Paired per-replicate estimates for every requested metric.
 
     ``oracle_value`` is only consulted by the squared-remainder metric; it
-    defaults to the exact enumerated value of the target policy, read from
-    the compiled scenario. The scenario is compiled, and so checked, before
+    defaults to the exact value of the target policy, read from the
+    scenario's oracle. The scenario is compiled, and so checked, before
     any replicate is drawn.
     """
     specs = _study_specs(estimators, scenario)
@@ -276,8 +286,7 @@ def replicate_estimates(
     compiled = compile_scenario(scenario)
     _check_sample_size(n, compiled.k)
     if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
-        pos = compiled.positions[0]
-        oracle_value = _value(compiled.context_probs, pos.p_tgt, pos.reward_means)
+        oracle_value = _oracle(compiled).value
     with _worker_pool(n_jobs) as (pool, n_jobs):
         return _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
 
@@ -389,9 +398,15 @@ class OracleTarget:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Enumerated truths for every target of a scenario."""
+    """Enumerated truths for every target of a scenario.
+
+    ``weight_bound`` is the scenario's largest importance weight over the
+    cells a draw can pick; it feeds the theoretical ceiling on replicate
+    failure frequency reported next to a study's tallied failures.
+    """
 
     targets: tuple[OracleTarget, ...]
+    weight_bound: float
 
     def target(self, label: str) -> OracleTarget:
         for t in self.targets:
@@ -406,7 +421,7 @@ class OracleReport:
 
 
 def _oracle(compiled: CompiledScenario) -> OracleReport:
-    """Exact values, moments, and optimal baselines of every compiled position."""
+    """Exact values, moments, and optimal baselines of every compiled position, and the weight bound."""
     targets = []
     for j, pos in enumerate(compiled.positions):
         v = _value(compiled.context_probs, pos.p_tgt, pos.reward_means)
@@ -429,7 +444,7 @@ def _oracle(compiled: CompiledScenario) -> OracleReport:
             )
         )
     if compiled.ranked:
-        total = float(np.sum(np.array([t.value for t in targets])))
+        total = float(row_total(np.array([t.value for t in targets])))
         targets.append(
             OracleTarget(
                 label="total",
@@ -441,11 +456,16 @@ def _oracle(compiled: CompiledScenario) -> OracleReport:
                 delta_per_sample=None,
             )
         )
-    return OracleReport(targets=tuple(targets))
+    return OracleReport(targets=tuple(targets), weight_bound=compiled.weight_bound)
 
 
 def oracle_report(scenario) -> OracleReport:
-    """Exact values, moments, and optimal baselines by enumeration over the compiled scenario."""
+    """Exact values, moments, optimal baselines and weight bound by enumeration over the compiled scenario.
+
+    The one way to a scenario's exact quantities: a :class:`BanditScenario`
+    has one target, ``"value"``; a :class:`RankingEnv` one per position and
+    the total.
+    """
     return _oracle(compile_scenario(scenario))
 
 
@@ -497,7 +517,7 @@ class StudyConfig:
             if value < minimum:
                 raise ValidationError(f"{rule}, got {value}")
             object.__setattr__(self, field, value)
-        object.__setattr__(self, "estimators", tuple(str(e) for e in self.estimators))
+        object.__setattr__(self, "estimators", tuple(str(e) for e in _estimator_list(self.estimators)))
 
 
 @dataclass(frozen=True)
@@ -525,19 +545,13 @@ class StudyRow:
 
 @dataclass(frozen=True, eq=False)
 class StudyReport:
-    """Aggregated study output and the configuration that produced it.
-
-    ``weight_bound`` is the scenario's largest importance weight; it feeds
-    the theoretical ceiling on replicate failure frequency reported next
-    to the tallied failures.
-    """
+    """Aggregated study output and the configuration that produced it."""
 
     rows: tuple[StudyRow, ...]
     oracle: OracleReport
     config: StudyConfig
     estimators: tuple[str, ...]
     failures: tuple[FailureRecord, ...]
-    weight_bound: float
 
 
 def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float]) -> list[StudyRow]:
@@ -614,7 +628,6 @@ def _run_grid(
         config=config,
         estimators=tuple(spec.label for spec in specs),
         failures=tuple(failures),
-        weight_bound=compiled.weight_bound,
     )
 
 

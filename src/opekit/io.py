@@ -610,7 +610,7 @@ def study_payload(kind: str, study, manifest: RunManifest, extra: dict) -> dict:
         "rows": rows_list(study.rows),
         "failures": [asdict(failure) for failure in study.failures],
         # P(mean weight < 1/2) ceiling per sample size.
-        "half_mass_tail_bound": {str(n): hoeffding_tail_bound(n, study.weight_bound) for n in config.n_grid},
+        "half_mass_tail_bound": {str(n): hoeffding_tail_bound(n, study.oracle.weight_bound) for n in config.n_grid},
         "manifest": manifest.to_dict(),
     }
     payload.update(extra)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import RankedDataset
 from .errors import ValidationError
-from .estimators import _apply, _check_kind, _fixed_baselines, _kind
+from .estimators import _apply, _check_kind, _fixed_baselines, _kind, row_total
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class PositionwiseReport:
     def __post_init__(self) -> None:
         if not self.per_position:
             raise ValidationError("a position-wise report needs at least one position")
-        check = float(np.sum(np.array([p.estimate for p in self.per_position])))
+        check = float(row_total(np.array([p.estimate for p in self.per_position])))
         if abs(check - self.total) > 1e-12 * max(1.0, abs(check), abs(self.total)):
             raise ValidationError(
                 f"total {self.total} does not match the sum of positions {check}"
@@ -56,7 +56,7 @@ def positionwise(name: str, dataset: RankedDataset, arg=None) -> PositionwiseRep
     values, baselines = _apply(name, dataset, arg)
     return PositionwiseReport(
         per_position=tuple(map(PositionEstimate, values.tolist(), baselines)),
-        total=float(np.sum(values)),
+        total=float(row_total(values)),
         estimator_name=name,
         n_used=dataset.n,
     )

@@ -23,16 +23,16 @@ column of a one-row block; the study engine, through
 
 :func:`compile_scenario` is the one place that divides ``p_tgt`` by
 ``p_log`` and checks the tables. Per position it checks support, rejects a
-drawable weight whose square overflows a float, runs the entry check once over the
-cells a draw can pick and takes the weight bound; :func:`weight_bound` runs
-that same step. A policy entry above 1, say, is rejected there, naming its
-position, context and action, before any uniform is drawn. The moments of :func:`population_moments` and the study oracle are enumerated
-over the compiled tables, so a scenario that fails to compile has no oracle
-either. Every CDF reads 1.0 from its last positive cell on, so a draw never
-picks a zero-probability context or action, and every column is gathered
-from the compiled tables, so every sampled dataset passes the dataset
-checks with the same columns and weights, and no block is checked entry by
-entry.
+drawable weight whose square overflows a float, runs the entry check once
+over the cells a draw can pick and takes the weight bound. A policy entry
+above 1, say, is rejected there, naming its position, context and action,
+before any uniform is drawn. The oracle,
+:func:`~opekit.experiments.oracle_report`, is enumerated over the compiled
+tables, so a scenario that fails to compile has no oracle either. Every CDF
+reads 1.0 from its last positive cell on, so a draw never picks a
+zero-probability context or action, and every column is gathered from the
+compiled tables, so every sampled dataset passes the dataset checks with
+the same columns and weights, and no block is checked entry by entry.
 
 Replicate streams come from :func:`replicate_streams`. The PCG64 state
 that ``SeedSequence((seed, n, r))`` seeds is computed in numpy for a
@@ -187,63 +187,10 @@ class RankingEnv:
         return len(self.positions)
 
 
-def weight_bound(logging_policy: PolicyTable, target_policy: PolicyTable, context_probs=None) -> float:
-    """Largest target-over-logging probability ratio over reachable pairs.
-
-    Also checks overlap: any reachable context where the target policy puts
-    mass on an action the logging policy never takes raises
-    :class:`SupportViolation`. This is the per-position step of
-    :func:`compile_scenario`, so a reachable weight whose square overflows a float,
-    or an entry that fails the dataset entry check, raises as it does there.
-    Without ``context_probs`` every context is reachable.
-    """
-    log_probs = logging_policy.probs
-    tgt_probs = target_policy.probs
-    if log_probs.shape != tgt_probs.shape:
-        raise DimensionMismatch(
-            f"policy shapes {log_probs.shape} and {tgt_probs.shape} do not match"
-        )
-    if context_probs is None:
-        context_probs = np.ones(log_probs.shape[0])
-    context_probs = _float_column(context_probs, "context probabilities")
-    if context_probs.shape != log_probs.shape[:1]:
-        raise DimensionMismatch(
-            f"context probabilities have shape {context_probs.shape}, expected ({log_probs.shape[0]},)"
-        )
-    if not (context_probs > 0).any():
-        raise ValidationError("context probabilities need a positive entry")
-    return _weights(context_probs, log_probs, tgt_probs, None)[1]
-
-
 def _value(context_probs: np.ndarray, target_probs: np.ndarray, reward_means: np.ndarray) -> float:
     """Exact value of a target table by enumeration over contexts and actions."""
     per_context = np.sum(target_probs * reward_means, axis=1)
     return float(np.dot(context_probs, per_context))
-
-
-def true_value(env: BanditEnv, policy: PolicyTable) -> float:
-    """Exact policy value by enumeration over contexts and actions."""
-    if policy.probs.shape != env.reward_means.shape:
-        raise DimensionMismatch(
-            f"policy shape {policy.probs.shape} does not match the environment "
-            f"shape {env.reward_means.shape}"
-        )
-    return _value(env.context_probs, policy.probs, env.reward_means)
-
-
-def population_moments(
-    env: BanditEnv, logging_policy: PolicyTable, target_policy: PolicyTable
-) -> MomentSummary:
-    """Exact moments of the weight and weighted reward under logging, at n = 1.
-
-    The weight mean is evaluated as the context-weighted sum of target row
-    sums, cancelling the logging propensities symbolically, so policies
-    whose rows sum to one in floats give a weight mean of exactly one. The
-    moments are enumerated over the compiled scenario, so a scenario that
-    fails to compile raises here as it does in :func:`compile_scenario`.
-    """
-    compiled = compile_scenario(BanditScenario(env, logging_policy, target_policy))
-    return _moments(compiled.context_probs, compiled.positions[0])
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -478,7 +425,12 @@ def compile_scenario(scenario) -> CompiledScenario:
 
 
 def _moments(p_ctx: np.ndarray, pos: _PositionTables) -> MomentSummary:
-    """The moments of :func:`population_moments` at one compiled position."""
+    """Exact moments of the weight and weighted reward under logging at one compiled position, at n = 1.
+
+    The weight mean is evaluated as the context-weighted sum of target row
+    sums, cancelling the logging propensities symbolically, so policies
+    whose rows sum to one in floats give a weight mean of exactly one.
+    """
     occupancy = p_ctx[:, None] * pos.p_log
     w = pos.weights
     mu = pos.reward_means
@@ -621,13 +573,6 @@ def sample_logs(
     bound is the largest reachable probability ratio.
     """
     return _sample(BanditScenario(env, logging_policy, target_policy), n, seed)
-
-
-def true_position_values(env: RankingEnv) -> np.ndarray:
-    """Exact per-position target values; their sum is the total value."""
-    values = np.array([_value(env.context_probs, pos.target_policy.probs, pos.reward_means) for pos in env.positions])
-    values.setflags(write=False)
-    return values
 
 
 def sample_ranked_logs(env: RankingEnv, n: int, seed) -> RankedDataset:

@@ -24,7 +24,6 @@ from opekit import (
     get_scenario,
     ips,
     oracle_report,
-    population_moments,
     read_logs,
     sample_logs,
     sample_ranked_logs,
@@ -596,7 +595,6 @@ class TestStudy:
             for call in (
                 lambda: compile_scenario(scenario),
                 lambda: oracle_report(scenario),
-                lambda: population_moments(env, logging, target),
                 lambda: sample_logs(env, logging, target, 10, 0),
             ):
                 with pytest.raises(NonFiniteValue) as info:
@@ -653,6 +651,19 @@ class TestStudy:
             "error: beta-ips:5e+307 at n=3: cell statistics are not finite (mean nan, variance nan, mse inf); "
             "the estimates reach the float range"
         ]
+
+    def test_ranked_total_past_the_float_range_exit_3(self, capsys, tmp_path):
+        # Each position's estimates are floats, their totals are not: exit 3 on the
+        # cell statistics, with no numpy warning from summing the positions.
+        config = write_config(
+            tmp_path, environment="rankflip2x2", estimators=["beta-ipm:1.5e308,1.5e308"], n_grid=[50], seed=1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: beta-ipm:") and " at n=50: cell statistics are not finite" in err
 
     def test_support_violation_names_its_position(self, capsys, tmp_path):
         environment = {
@@ -799,6 +810,23 @@ class TestStrictJson:
         assert (code, err) == (0, "")
         report = strict_json(out)
         assert report["estimates"][0]["value"] is None and report["estimates"][0]["baseline_used"] == 1e308
+        assert report["non_finite"] == ["estimates[0].value"]
+
+    def test_ranked_total_past_the_float_range_is_null(self, capsys, tmp_path):
+        # Two positions of 1e308 each: the total passes the float range, with no numpy warning.
+        logs = tmp_path / "ranked.jsonl"
+        position = '{"action":0,"p_log":1e-308,"p_tgt":1.0,"reward":1.0}'
+        logs.write_text(
+            '{"_meta":{"reward_bound":1.0,"weight_bound":1e308}}\n'
+            f'{{"context":0,"positions":[{position},{position}]}}\n'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "evaluate", "--in", str(logs), "--estimators", "ipm")
+        assert (code, err) == (0, "")
+        report = strict_json(out)
+        assert [p["value"] for p in report["estimates"][0]["per_position"]] == [1e308, 1e308]
+        assert report["estimates"][0]["value"] is None
         assert report["non_finite"] == ["estimates[0].value"]
 
     def test_every_output(self, capsys, tmp_path, flip2_logs, ranked_logs):

@@ -353,6 +353,6 @@ class TestLazyImports:
             module = importlib.import_module(f"opekit.{opekit._SUBMODULE[name]}")
             assert getattr(opekit, name) is getattr(module, name)
             assert name in listed
-        assert len(opekit.__all__) == 65
+        assert len(opekit.__all__) == 61
         with pytest.raises(AttributeError, match="no attribute 'nothing'"):
             opekit.nothing

@@ -25,6 +25,7 @@ from opekit import (
     get_scenario,
     ipm,
     ips,
+    oracle_report,
     remainder_diagnostics,
     replicate_estimates,
     run_mc_study,
@@ -32,7 +33,6 @@ from opekit import (
     sample_ranked_logs,
     snipm,
     snips,
-    true_value,
 )
 from opekit import experiments
 from opekit.errors import BoundViolation, EstimationError, ValidationError
@@ -110,7 +110,7 @@ def replay(scenario, n, replicates, estimators, folds=5):
     """The replicate matrix and failure records, one public-API dataset at a time."""
     specs = [parse_estimator_spec(e) for e in estimators]
     scalar = isinstance(scenario, BanditScenario)
-    oracle = true_value(scenario.env, scenario.target_policy) if scalar else None
+    oracle = oracle_report(scenario).value if scalar else None
     width = 1 if scalar else scenario.k + 1
     rows, failures = [], []
     for r in range(replicates):

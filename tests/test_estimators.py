@@ -22,9 +22,12 @@ from opekit import (
 from opekit.errors import (
     DegenerateWeights,
     FoldTooSmall,
+    UnknownEstimator,
     ValidationError,
     ZeroWeightSum,
 )
+from opekit.estimators import estimate, parse_estimator_spec
+from opekit.ranking import positionwise
 
 from conftest import dataset_from_weights, fold_indices, ranked_from_weights
 
@@ -155,6 +158,10 @@ class TestFolds:
         assert (type(config.folds_k), type(config.seed)) == (int, int)
         assert config == CrossFitConfig(4, 9)
 
+    def test_config_must_be_a_config(self, two_row):
+        with pytest.raises(ValidationError, match="^the cross-fit config must be a CrossFitConfig, got int$"):
+            cross_fitted_beta_ips(two_row, 5)
+
 
 class TestCrossFitted:
     def test_identity_weights_give_plain_mean(self):
@@ -244,3 +251,15 @@ def test_non_number_arguments_raise_validation_errors(call, message):
 def test_numbers_in_other_spellings_keep_their_results(two_row):
     assert hoeffding_tail_bound(10, "9") == hoeffding_tail_bound(np.int64(10), 9) == hoeffding_tail_bound(10.0, 9.0)
     assert beta_ips(two_row, "0.5") == beta_ips(two_row, 0.5)
+
+
+def test_unknown_name_has_one_wording(two_row):
+    # estimate and positionwise name an estimator that is not registered as the spec parser does.
+    ranked = ranked_from_weights([[1.0, 2.0], [1.0, 0.5]], [[1.0, 0.5], [0.0, 1.0]], weight_bound=2.0)
+    for call in (
+        lambda: estimate("nope", two_row),
+        lambda: positionwise("nope", ranked),
+        lambda: parse_estimator_spec("nope"),
+    ):
+        with pytest.raises(UnknownEstimator, match=r"^unknown estimator 'nope'$"):
+            call()

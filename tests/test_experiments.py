@@ -17,7 +17,6 @@ from opekit import (
     oracle_report,
     paired_mse_difference,
     paired_variance_difference,
-    population_moments,
     replicate_estimates,
     run_mc_study,
     sample_logs,
@@ -36,7 +35,7 @@ from opekit.experiments import (
     MetricSpec,
     parse_estimator_spec,
 )
-from opekit.simulator import BanditEnv, BanditScenario, PolicyTable, compile_scenario
+from opekit.simulator import BanditEnv, BanditScenario, PolicyTable
 
 
 def zero_reward_scenario() -> BanditScenario:
@@ -253,10 +252,6 @@ class TestOracleReport:
         assert target.avar_snips - target.var_beta_star == pytest.approx(
             target.delta_per_sample, rel=1e-10
         )
-        expected = population_moments(
-            scenario.env, scenario.logging_policy, scenario.target_policy
-        )
-        assert target.moments == expected
         assert report.value == target.value
 
     def test_tables_at_their_tolerance(self):
@@ -312,6 +307,16 @@ class TestStudyConfig:
         for grid in (400, None, 400.0):
             with pytest.raises(ValidationError, match="sequence"):
                 StudyConfig(get_scenario("flip2"), "flip2", grid, 100, 0)
+
+    def test_estimators_must_be_a_list(self):
+        # A string is not read as a list of one-letter names, in a study or in the engine.
+        scenario = get_scenario("flip2")
+        for bad in ("snips", 5):
+            message = f"^estimators must be a list of estimator names, got {bad!r}$"
+            with pytest.raises(ValidationError, match=message):
+                StudyConfig(scenario, "flip2", (50,), 100, 0, estimators=bad)
+            with pytest.raises(ValidationError, match=message):
+                replicate_estimates(scenario, 50, 10, 0, bad)
 
     def test_integer_rule(self):
         scenario = get_scenario("flip2")
@@ -382,8 +387,9 @@ class TestStudyConfig:
         assert all(type(v) is int for v in (*config.n_grid, config.replicates, config.master_seed, config.folds))
 
     def test_weight_bound_helper(self):
-        assert compile_scenario(get_scenario("flip2")).weight_bound == pytest.approx(9.0, rel=1e-12)
-        assert compile_scenario(get_scenario("rankflip2x2")).weight_bound == pytest.approx(9.0, rel=1e-12)
+        # The oracle reports the compiled bound, 0.9 / 0.1 on each position.
+        for name in ("flip2", "rankflip2x2"):
+            assert oracle_report(get_scenario(name)).weight_bound == 9.0
 
 
 class TestMcStudy:
@@ -409,7 +415,8 @@ class TestMcStudy:
             assert row.n_failed == 0
             assert row.mse == pytest.approx(row.bias**2 + row.variance, rel=1e-10)
             assert row.std_error > 0
-        assert report.weight_bound == pytest.approx(9.0, rel=1e-12)
+        assert report.oracle.weight_bound == 9.0
+        assert not hasattr(report, "weight_bound")
         assert report.estimators == ("ips", "snips", "beta-star-ips")
 
     def test_reproducible_across_runs_and_workers(self):

@@ -1060,7 +1060,7 @@ class TestPayload:
         assert payload["study"] == "mc"
         assert payload["extra_key"] == 1
         assert payload["half_mass_tail_bound"] == {
-            "50": hoeffding_tail_bound(50, study.weight_bound)
+            "50": hoeffding_tail_bound(50, study.oracle.weight_bound)
         }
         target = payload["oracle"]["targets"][0]
         assert target["label"] == "value"

@@ -32,6 +32,7 @@ from opekit import (
     beta_perp_star_hat,
     beta_star_hat,
     beta_star_ips,
+    cross_fitted_beta_ips,
     empirical_moments,
     hoeffding_tail_bound,
     ips,
@@ -47,7 +48,8 @@ from opekit import (
 )
 from opekit.cli import main
 from opekit.errors import DegenerateWeights, OpeKitError
-from opekit.estimators import CrossFitConfig
+from opekit.estimators import CrossFitConfig, estimate
+from opekit.ranking import positionwise
 from opekit.simulator import _cdf, _pick
 
 
@@ -376,6 +378,8 @@ class TestNoTraceback:
     @example(_leaf_tables(0.5), np.complex128(0.5 + 1j))
     @example(_leaf_tables(0.5), 1e308)  # squares past the float range
     @example(_leaf_tables(0.5), 1e-310)  # a square that underflows to zero
+    @example(_leaf_tables(0.5), "nope")  # an estimator name that is not registered
+    @example(_leaf_tables(0.5), 5)  # a cross-fit config that is not one
     def test_public_constructors_raise_only_package_errors(self, tables, bound):
         context, logging, target, means = tables
         # Both dataset kinds on 1-d and 2-d columns, the drawn leaf as either declared bound.
@@ -385,8 +389,9 @@ class TestNoTraceback:
             for columns in ((context,) * 3, (logging, target, means))
             for reward_bound, weight_bound in ((bound, 10.0), (1.0, bound))
         ]
-        # The drawn leaf as each numeric argument. The unsupported scenario fails to
-        # compile after its integers are read, so no sample is drawn, whatever their size.
+        # The drawn leaf as each numeric argument, estimator name and cross-fit config. The
+        # unsupported scenario fails to compile after its integers are read, so no sample is
+        # drawn, whatever their size.
         d = dataset_from_weights([2.0, 0.5], [1.0, 0.0], weight_bound=2.0)
         r = ranked_from_weights([[1.0, 2.0], [1.0, 0.5]], [[1.0, 0.5], [0.0, 1.0]], weight_bound=2.0)
         arguments = [
@@ -399,6 +404,9 @@ class TestNoTraceback:
             lambda: mse_decompose([0.25, 0.75], bound),
             lambda: replicate_estimates(BanditScenario(*_UNSUPPORTED), bound, bound, bound, ["ips"], n_jobs=bound),
             lambda: sample_logs(*_UNSUPPORTED, bound, 0),
+            lambda: estimate(bound, d),
+            lambda: positionwise(bound, r),
+            lambda: cross_fitted_beta_ips(d, bound),
         ]
         for build in (
             lambda: PolicyTable(logging),

@@ -143,6 +143,15 @@ class TestReportStructure:
             assert swapped.per_position[j].estimate == original.per_position[source].estimate
         assert swapped.total == pytest.approx(original.total, rel=1e-12)
 
+    def test_total_past_the_float_range_is_inf(self):
+        # Each position's 1.5e308 * (1 - 1/9) is a float; their sum is not, and numpy does not warn.
+        ranked = RankedDataset.from_arrays(
+            np.full((2, 2), 0.9), np.full((2, 2), 0.1), np.zeros((2, 2)), reward_bound=1.0, weight_bound=1.0
+        )
+        report = beta_ipm(ranked, [1.5e308, 1.5e308])
+        assert [p.estimate for p in report.per_position] == [1.5e308 * (1.0 - 1.0 / 9.0)] * 2
+        assert report.total == np.inf
+
     def test_zero_weight_position_reported(self):
         ranked = ranked_from_weights([[1.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ZeroWeightSum) as info:

@@ -14,13 +14,10 @@ from opekit import (
     PositionModel,
     RankingEnv,
     get_scenario,
-    population_moments,
+    oracle_report,
     preset_names,
     sample_logs,
     sample_ranked_logs,
-    true_position_values,
-    true_value,
-    weight_bound,
 )
 from opekit.errors import (
     DimensionMismatch,
@@ -34,6 +31,11 @@ from opekit.simulator import _stages, compile_scenario, preset_description, samp
 def flip_tables():
     env = BanditEnv(context_probs=[1.0], reward_means=[[0.8, 0.2]])
     return env, PolicyTable([[0.9, 0.1]]), PolicyTable([[0.1, 0.9]])
+
+
+def oracle(env, logging, target):
+    """The oracle target of a bandit scenario."""
+    return oracle_report(BanditScenario(env, logging, target)).target("value")
 
 
 class TestTables:
@@ -102,34 +104,36 @@ class TestTables:
 
 class TestOracles:
     def test_true_value(self):
-        env, _, target = flip_tables()
-        assert true_value(env, PolicyTable([[0.5, 0.5]])) == pytest.approx(0.5, rel=1e-15)
-        assert true_value(env, target) == pytest.approx(0.26, rel=1e-15)
+        env, logging, target = flip_tables()
+        assert oracle(env, logging, PolicyTable([[0.5, 0.5]])).value == pytest.approx(0.5, rel=1e-15)
+        assert oracle(env, logging, target).value == pytest.approx(0.26, rel=1e-15)
 
     def test_context_symmetry(self):
         single = BanditEnv(context_probs=[1.0], reward_means=[[0.8, 0.2]])
         double = BanditEnv(context_probs=[0.5, 0.5], reward_means=[[0.8, 0.2], [0.8, 0.2]])
         policy_one = PolicyTable([[0.1, 0.9]])
         policy_two = PolicyTable([[0.1, 0.9], [0.1, 0.9]])
-        assert true_value(double, policy_two) == pytest.approx(
-            true_value(single, policy_one), rel=1e-15
+        assert oracle(double, policy_two, policy_two).value == pytest.approx(
+            oracle(single, policy_one, policy_one).value, rel=1e-15
         )
 
     def test_true_value_shape_check(self):
+        # Policies of one action against an environment of two.
         env, _, _ = flip_tables()
+        policy = PolicyTable([[1.0]])
         with pytest.raises(DimensionMismatch):
-            true_value(env, PolicyTable([[1.0]]))
+            oracle(env, policy, policy)
 
     def test_population_moments_shape_check(self):
         # Policies of two contexts against a one-context environment.
         env, _, _ = flip_tables()
         policy = PolicyTable([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(DimensionMismatch):
-            population_moments(env, policy, policy)
+            oracle(env, policy, policy)
 
     def test_flip_population_moments(self):
         env, logging, target = flip_tables()
-        m = population_moments(env, logging, target)
+        m = oracle(env, logging, target).moments
         assert m.mean_w == 1.0
         assert m.mean_wr == pytest.approx(0.26, rel=1e-12)
         assert m.var_w == pytest.approx(64.0 / 9.0, rel=1e-12)
@@ -142,7 +146,7 @@ class TestOracles:
 
     def test_identity_policy_moments(self):
         env, logging, _ = flip_tables()
-        m = population_moments(env, logging, logging)
+        m = oracle(env, logging, logging).moments
         assert m.mean_w == 1.0
         assert m.var_w == 0.0
         assert m.cov_w_wr == 0.0
@@ -152,7 +156,7 @@ class TestOracles:
         logging = PolicyTable([[1.0, 0.0]])
         target = PolicyTable([[0.5, 0.5]])
         with pytest.raises(SupportViolation) as info:
-            population_moments(env, logging, target)
+            oracle(env, logging, target)
         assert info.value.pairs == [(0, 1)]
 
     def test_ranked_support_violation_names_its_position(self):
@@ -171,26 +175,19 @@ class TestOracles:
         assert str(info.value).startswith("target policy has positive probability")
 
     def test_unreachable_context_is_ignored(self):
+        # The target leaves the logging support in context 1, which only the second environment reaches.
+        means = [[0.5, 0.5], [0.5, 0.5]]
         logging = PolicyTable([[0.5, 0.5], [1.0, 0.0]])
         target = PolicyTable([[0.5, 0.5], [0.0, 1.0]])
-        bound = weight_bound(logging, target, context_probs=[1.0, 0.0])
-        assert bound == 1.0
-        with pytest.raises(SupportViolation):
-            weight_bound(logging, target, context_probs=[0.5, 0.5])
-
-    def test_weight_bound_rejects_bad_context_probs(self):
-        _, logging, target = flip_tables()
-        for context_probs, error, match in (
-            ([0.5, 0.5], DimensionMismatch, "shape"),
-            ([], DimensionMismatch, "shape"),
-            ([0.0], ValidationError, "positive"),
-        ):
-            with pytest.raises(error, match=match):
-                weight_bound(logging, target, context_probs)
+        report = oracle_report(BanditScenario(BanditEnv([1.0, 0.0], means), logging, target))
+        assert report.weight_bound == 1.0
+        assert report.value == 0.5
+        with pytest.raises(SupportViolation) as info:
+            oracle_report(BanditScenario(BanditEnv([0.5, 0.5], means), logging, target))
+        assert info.value.pairs == [(1, 1)]
 
     def test_weight_bound_flip(self):
-        _, logging, target = flip_tables()
-        assert weight_bound(logging, target) == pytest.approx(9.0, rel=1e-12)
+        assert oracle_report(BanditScenario(*flip_tables())).weight_bound == pytest.approx(9.0, rel=1e-12)
 
 
 class TestSampling:
@@ -233,7 +230,7 @@ class TestSampling:
 
     def test_empirical_weight_mean_near_one(self):
         env, logging, target = flip_tables()
-        m = population_moments(env, logging, target)
+        m = oracle(env, logging, target).moments
         d = sample_logs(env, logging, target, 100_000, 2026)
         assert abs(float(np.mean(d.weights)) - 1.0) <= 3.0 * np.sqrt(m.var_w / d.n)
 
@@ -381,9 +378,9 @@ class TestRanking:
         return RankingEnv(context_probs=[1.0], positions=(position, position))
 
     def test_true_position_values(self):
-        values = true_position_values(self.rank_env())
-        assert values == pytest.approx([0.26, 0.26], rel=1e-15)
-        assert float(values.sum()) == pytest.approx(0.52, rel=1e-15)
+        report = oracle_report(self.rank_env())
+        assert [t.value for t in report.targets[:-1]] == pytest.approx([0.26, 0.26], rel=1e-15)
+        assert report.value == pytest.approx(0.52, rel=1e-15)
 
     def test_ranked_sampling_deterministic(self):
         env = self.rank_env()
@@ -442,17 +439,17 @@ class TestPresets:
     def test_flip2(self):
         scenario = get_scenario("flip2")
         assert isinstance(scenario, BanditScenario)
-        assert true_value(scenario.env, scenario.target_policy) == pytest.approx(0.26)
+        assert oracle_report(scenario).value == pytest.approx(0.26)
 
     def test_identity2(self):
         scenario = get_scenario("identity2")
         assert np.array_equal(scenario.logging_policy.probs, scenario.target_policy.probs)
-        assert true_value(scenario.env, scenario.target_policy) == pytest.approx(0.74)
+        assert oracle_report(scenario).value == pytest.approx(0.74)
 
     def test_const2_baseline_equals_value(self):
         scenario = get_scenario("const2")
-        m = population_moments(scenario.env, scenario.logging_policy, scenario.target_policy)
-        value = true_value(scenario.env, scenario.target_policy)
+        target = oracle_report(scenario).target("value")
+        m, value = target.moments, target.value
         assert value == pytest.approx(0.5, rel=1e-15)
         assert m.cov_w_wr / m.var_w == pytest.approx(value, rel=1e-12)
 
@@ -460,4 +457,4 @@ class TestPresets:
         env = get_scenario("rankflip2x2")
         assert isinstance(env, RankingEnv)
         assert env.k == 2
-        assert true_position_values(env) == pytest.approx([0.26, 0.26])
+        assert [t.value for t in oracle_report(env).targets[:-1]] == pytest.approx([0.26, 0.26])

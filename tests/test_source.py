@@ -153,7 +153,7 @@ def _ratio_sites(tree) -> list[int]:
 
 def test_one_place_forms_the_weight_ratio():
     # A scenario's weights p_tgt / p_log are formed in simulator._weights
-    # alone, which compile_scenario and weight_bound share, so the sampler,
+    # alone, which compile_scenario calls once per position, so the sampler,
     # the weight bound and the oracle read one checked table.
     tree = ast.parse((SOURCE / "simulator.py").read_text(encoding="utf-8"))
     helpers = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_weights"]
@@ -210,6 +210,33 @@ def test_one_constructor_builds_every_dataset():
     assert callers == {"data._Logged.from_arrays", "data._from_positions"}
     assert calls == 2
     assert defined & {"validate_dataset", "LogEntry", "PositionRecord", "RankedLogEntry"} == set()
+
+
+def test_one_oracle_enumerates_scenarios():
+    # A scenario's exact value and moments are enumerated by simulator._value and
+    # simulator._moments, over the compiled tables, in experiments._oracle alone:
+    # oracle_report is the one public way to them, and no helper returns a part.
+    callers, defined = set(), set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        enumerators = {"_value", "_moments"} if path.name == "simulator.py" else {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "simulator"
+            for alias in node.names
+            if alias.name in ("_value", "_moments")
+        }
+        callers |= {
+            f"{path.stem}.{name}"
+            for name, function in _functions(tree)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in enumerators
+        }
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert callers == {"experiments._oracle"}
+    removed = {"true_value", "true_position_values", "population_moments", "weight_bound"}
+    assert defined & removed == set()
+    assert set(opekit.__all__) & removed == set()
 
 
 def _is_float64_cast(node) -> bool:
