@@ -85,9 +85,9 @@ def simulate_command(preset: str, n: int, seed: int, out: Path | None) -> None:
     The dataset equals replicate 0 of a study on the same preset with the
     same seed and sample size, and a manifest sidecar records provenance.
     """
-    from .simulator import _sample, get_scenario
+    from .simulator import _sample, get_scenario, replicate_streams
 
-    dataset = _sample(get_scenario(preset), n, np.random.SeedSequence((seed, n, 0)))
+    dataset = _sample(get_scenario(preset), n, next(replicate_streams(seed, n, range(1))))
     if out is None:
         out = _default_dir() / f"{preset}-n{n}-seed{seed}.jsonl"
     write_logs(dataset, out)
@@ -188,13 +188,12 @@ def evaluate_command(
             "gap and remainder diagnostics are scalar-only; ranked files take "
             "per-position values that --true-value cannot express"
         )
-    for spec in specs:  # before kernel_arg, whose checks assume the estimator's kind
+    for spec in specs:
         _check_kind(spec.name, kind, spec.label)
-    k = dataset.k if ranked else 1
     results = []
     for spec in specs:
         try:
-            values, baselines = _apply(spec.name, dataset, kernel_arg(spec, k, folds, cf_seed, None))
+            values, baselines = _apply(spec.name, dataset, kernel_arg(spec, folds, cf_seed, None))
         except EstimationError as exc:
             results.append({"estimator": spec.label, "value": None, "error": str(exc)})
         else:

@@ -23,7 +23,8 @@ Monte Carlo engine runs the same kernels on a block of replicates, one
 row each. Row reductions over C-contiguous rows sum in the same order as a
 reduction over one row alone, so all callers get the same bits. Specs
 such as ``beta-ips:0.5`` are parsed next to the registry they name
-(:func:`parse_estimator_spec`, :func:`kernel_arg`).
+(:func:`parse_estimator_spec`, :func:`kernel_arg`), and every kernel
+argument passes one rule, :func:`_checked_arg`.
 """
 
 from __future__ import annotations
@@ -284,6 +285,7 @@ def _apply(name: str, dataset, arg=None) -> tuple[np.ndarray, list]:
     """
     kind = _kind(dataset)
     entry = _check_kind(name, kind)
+    arg = _checked_arg(name, arg, dataset.k if kind == "ranked" else 1)
     w = np.ascontiguousarray(dataset.weights.T)[None]
     values, baselines, failed = entry.kernel(w, w * np.ascontiguousarray(dataset.rewards.T)[None], arg)
     if failed is not None and failed.any():
@@ -320,7 +322,7 @@ def snips(dataset: Dataset) -> Estimate:
 
 def beta_ips(dataset: Dataset, beta: float) -> Estimate:
     """Baseline-corrected estimator with a fixed additive baseline."""
-    return estimate("beta-ips", dataset, _finite(beta))
+    return estimate("beta-ips", dataset, beta)
 
 
 def beta_star_hat(dataset: Dataset) -> float:
@@ -412,8 +414,6 @@ def cross_fitted_beta_ips(dataset: Dataset, config: CrossFitConfig = CrossFitCon
     weight mean of exactly one, every baseline gives the same value and
     zero is used; otherwise :class:`DegenerateWeights` is raised.
     """
-    if not isinstance(config, CrossFitConfig):
-        raise ValidationError(f"the cross-fit config must be a CrossFitConfig, got {type(config).__name__}")
     return estimate("cf-beta-star-ips", dataset, config)
 
 
@@ -428,8 +428,9 @@ class RegisteredEstimator:
     baseline a spec such as ``beta-ips:0.5`` gives (``"baseline"``), one
     baseline per position (``"baselines"``), or what the run supplies
     rather than the spec: the cross-fitting layout (``"folds"``) or the
-    reference value (``"value"``). ``defaults`` holds the study kinds
-    whose default estimator list includes this one.
+    reference value (``"value"``); :func:`_checked_arg` checks it.
+    ``defaults`` holds the study kinds whose default estimator list
+    includes this one.
 
     ``kernel(w, wr, arg)`` reduces along the last axis and returns
     ``(values, baselines, failed)``: ``baselines`` is ``None`` outside
@@ -479,53 +480,69 @@ class MetricSpec:
 
 
 def parse_estimator_spec(spec) -> MetricSpec:
-    """Parse ``"name"`` or ``"name:param[,param...]"`` into a :class:`MetricSpec`."""
+    """Parse ``"name"`` or ``"name:param[,param...]"`` into a :class:`MetricSpec`.
+
+    A given :class:`MetricSpec` passes the same rules, its label standing
+    for the text, and is returned as it is.
+    """
     if isinstance(spec, MetricSpec):
-        return spec
-    text = str(spec).strip()
-    name, sep, arg = text.partition(":")
-    name = name.strip()
-    entry = ESTIMATORS.get(name)
+        name, given, params = spec.name, bool(spec.params), spec.params
+        text = spec.label if given else name
+    else:
+        text = str(spec).strip()
+        name, sep, arg = text.partition(":")
+        name, given, params = name.strip(), bool(sep), arg.split(",") if arg.strip() else ()
+    entry = ESTIMATORS.get(name) if isinstance(name, str) else None
     if entry is None:
         raise UnknownEstimator(f"unknown estimator {text!r}")
-    if entry.param not in ("baseline", "baselines"):
-        if sep:
-            raise UnknownEstimator(f"{name} takes no parameter, got {text!r}")
-        return MetricSpec(name)
-    if not sep or not arg.strip():
+    takes = entry.param in ("baseline", "baselines")
+    if given and not takes:
+        raise UnknownEstimator(f"{name} takes no parameter, got {text!r}")
+    if takes and not params:
         raise UnknownEstimator(f"{name} needs a baseline, e.g. {name}:0.5")
     try:
-        params = tuple(float(p) for p in arg.split(","))
-    except ValueError as exc:
+        params = tuple(float(p) for p in params)
+    except (TypeError, ValueError) as exc:
         raise UnknownEstimator(f"cannot parse baselines in {text!r}") from exc
     if entry.param == "baseline" and len(params) != 1:
         raise UnknownEstimator(f"{name} takes exactly one baseline, got {text!r}")
-    return MetricSpec(name, params)
+    return spec if isinstance(spec, MetricSpec) else MetricSpec(name, params)
 
 
-def _fixed_baselines(k: int, betas) -> np.ndarray:
-    b = _float_column(betas, "baselines")
-    if b.shape != (k,):
-        raise LengthMismatch(f"expected {k} baselines for {k} positions, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValidationError("baselines must be finite")
-    return b
+def kernel_arg(spec: MetricSpec, folds: int, seed: int, value: float | None):
+    """The raw third argument of the spec's registered kernel, for :func:`_checked_arg` to check.
 
-
-def kernel_arg(spec: MetricSpec, k: int, folds: int, seed: int, value: float | None):
-    """The third argument of the spec's registered kernel.
-
-    ``k`` is the number of positions, ``folds`` and ``seed`` set the
-    cross-fitting layout, and ``value`` is the reference value of the
-    squared remainder; each is read only by the kernels that need it.
+    ``folds`` and ``seed`` set the cross-fitting layout, and ``value`` is the
+    reference value of the squared remainder; each is read only by the
+    kernels that need it.
     """
     param = ESTIMATORS[spec.name].param
     if param == "baseline":
-        return _finite(spec.params[0])
+        return spec.params[0]
     if param == "baselines":
-        return _fixed_baselines(k, spec.params)
+        return spec.params
     if param == "folds":
         return CrossFitConfig(folds_k=folds, seed=seed)
-    if param == "value":
-        return _finite(value, "value")
-    return None
+    return value if param == "value" else None
+
+
+def _checked_arg(name: str, arg, k: int):
+    """``arg`` checked as the third argument of ``name``'s kernel on ``k`` positions, by its ``param``.
+
+    The one argument rule; a wrong argument is a :class:`ValidationError` that names it.
+    """
+    param = ESTIMATORS[name].param
+    if param in ("baseline", "value"):
+        return _finite(arg, param)
+    if param == "baselines":
+        b = _float_column(arg, "baselines")
+        if b.shape != (k,):
+            raise LengthMismatch(f"expected {k} baselines for {k} positions, got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValidationError("baselines must be finite")
+        return b
+    if param == "folds" and not isinstance(arg, CrossFitConfig):
+        raise ValidationError(f"the cross-fit config must be a CrossFitConfig, got {type(arg).__name__}")
+    if param is None and arg is not None:
+        raise ValidationError(f"{name} takes no argument, got {arg!r}")
+    return arg

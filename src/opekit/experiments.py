@@ -6,10 +6,10 @@ estimators difference out the shared sampling noise. Replicate ``r`` at
 sample size ``n`` draws from the stream of
 ``default_rng(SeedSequence((master_seed, n, r)))``, which depends on
 nothing else; results are identical for any estimator list, chunking, or
-worker count. The engine does not build those generators: it computes
-the seeded PCG64 states of a whole range of replicates at once and loads
-each into one reused generator, which gives the same stream bit for bit
-(:func:`~opekit.simulator.replicate_streams`).
+worker count. The engine builds no SeedSequence per replicate: it hashes
+the seeds of a whole range of replicates at once and lets PCG64 seed
+itself from each replicate's words, which gives the same stream bit for
+bit (:func:`~opekit.simulator.replicate_streams`).
 
 A cell is evaluated in blocks of replicates: each block is sampled into
 one ``(replicates, n)`` array (``(replicates, positions, n)`` for ranked
@@ -58,7 +58,8 @@ from .errors import (
     WorkerFailure,
 )
 from .data import _finite, _float_column, _integer
-from .estimators import ESTIMATORS, MetricSpec, MomentSummary, _check_kind, kernel_arg, parse_estimator_spec, row_total
+from .estimators import ESTIMATORS, MetricSpec, MomentSummary, _check_kind, _checked_arg, kernel_arg
+from .estimators import parse_estimator_spec, row_total
 from .simulator import (
     BanditScenario,
     CompiledScenario,
@@ -101,10 +102,16 @@ def _study_specs(estimators, scenario) -> tuple[MetricSpec, ...]:
     return specs
 
 
-def _metric_labels(spec: MetricSpec, compiled: CompiledScenario) -> list[str]:
+def _metric_labels(label: str, compiled: CompiledScenario) -> list[str]:
     if not compiled.ranked:
-        return [spec.label]
-    return [f"{spec.label}[pos{j + 1}]" for j in range(compiled.k)] + [f"{spec.label}[total]"]
+        return [label]
+    return [f"{label}[pos{j + 1}]" for j in range(compiled.k)] + [f"{label}[total]"]
+
+
+def _metrics(specs, compiled: CompiledScenario, folds, master_seed: int, oracle_value) -> tuple:
+    """Each spec's label, registry entry and kernel argument, checked once, before the pool and any draw."""
+    args = (kernel_arg(spec, folds, master_seed, oracle_value) for spec in specs)
+    return tuple((s.label, ESTIMATORS[s.name], _checked_arg(s.name, arg, compiled.k)) for s, arg in zip(specs, args))
 
 
 def _block_rows(n: int, k: int) -> int:
@@ -130,13 +137,9 @@ def _evaluate(entry, arg, w: np.ndarray, wr: np.ndarray) -> tuple:
     return values, failed, entry.error
 
 
-def _replicate_range(compiled, n, master_seed, start, stop, specs, folds, oracle_value):
+def _replicate_range(compiled, n, master_seed, start, stop, metrics):
     """Evaluate all metrics on replicates [start, stop), block by block; NaN marks failures."""
-    metrics = [
-        (spec.label, ESTIMATORS[spec.name], kernel_arg(spec, compiled.k, folds, master_seed, oracle_value))
-        for spec in specs
-    ]
-    widths = [len(_metric_labels(spec, compiled)) for spec in specs]
+    widths = [len(_metric_labels(label, compiled)) for label, _, _ in metrics]
     values = np.full((stop - start, sum(widths)), np.nan)
     failures: list[tuple[str, int, str]] = []
     step = _block_rows(n, compiled.k)
@@ -224,15 +227,15 @@ def _run_in_pool(pool, tasks: list) -> list:
         raise WorkerFailure(f"a worker process terminated abruptly: {exc}") from exc
 
 
-def _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs):
+def _replicate_matrix(compiled, n, replicates, master_seed, metrics, pool, n_jobs):
     """The paired replicate matrix of one cell of a compiled scenario, on the study's pool if it has one."""
-    labels = tuple(label for spec in specs for label in _metric_labels(spec, compiled))
+    labels = tuple(column for label, _, _ in metrics for column in _metric_labels(label, compiled))
     # The matrix holds a float64 per replicate and label, and numpy holds at most intp.max bytes in one array.
     largest = int(np.iinfo(np.intp).max) // (8 * len(labels))
     if replicates > largest:
         raise ValidationError(f"replicates must be at most {largest}, the largest count an array holds")
     if pool is None:
-        chunks = [_replicate_range(compiled, n, master_seed, 0, replicates, specs, folds, oracle_value)]
+        chunks = [_replicate_range(compiled, n, master_seed, 0, replicates, metrics)]
     else:
         size = max(1, -(-replicates // (n_jobs * 4)))
         chunks = _run_in_pool(
@@ -240,7 +243,7 @@ def _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle
             [
                 (
                     _replicate_range,
-                    (compiled, n, master_seed, start, min(start + size, replicates), specs, folds, oracle_value),
+                    (compiled, n, master_seed, start, min(start + size, replicates), metrics),
                 )
                 for start in range(0, replicates, size)
             ],
@@ -287,8 +290,9 @@ def replicate_estimates(
     _check_sample_size(n, compiled.k)
     if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
         oracle_value = _oracle(compiled).value
+    metrics = _metrics(specs, compiled, folds, master_seed, oracle_value)
     with _worker_pool(n_jobs) as (pool, n_jobs):
-        return _replicate_matrix(compiled, n, replicates, master_seed, specs, folds, oracle_value, pool, n_jobs)
+        return _replicate_matrix(compiled, n, replicates, master_seed, metrics, pool, n_jobs)
 
 
 def _replicate_vectors(*vectors) -> list[np.ndarray]:
@@ -474,7 +478,7 @@ def _metric_targets(specs, compiled: CompiledScenario, oracle: OracleReport) -> 
     return {
         label: 0.0 if spec.name == "remainder-sq" else target.value
         for spec in specs
-        for label, target in zip(_metric_labels(spec, compiled), oracle.targets)
+        for label, target in zip(_metric_labels(spec.label, compiled), oracle.targets)
     }
 
 
@@ -601,23 +605,13 @@ def _run_grid(
     replicate matrix before the next cell is sampled, so it builds its state
     one cell at a time and the loop keeps no earlier cell's matrix.
     """
-    oracle_value = None if compiled.ranked else oracle.value
+    metrics = _metrics(specs, compiled, config.folds, config.master_seed, None if compiled.ranked else oracle.value)
     targets = _metric_targets(specs, compiled, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
     with _worker_pool(n_jobs) as (pool, n_jobs):
         for n in config.n_grid:
-            matrix = _replicate_matrix(
-                compiled,
-                n,
-                config.replicates,
-                config.master_seed,
-                specs,
-                config.folds,
-                oracle_value,
-                pool,
-                n_jobs,
-            )
+            matrix = _replicate_matrix(compiled, n, config.replicates, config.master_seed, metrics, pool, n_jobs)
             rows.extend(_rows_for_matrix(matrix, targets))
             failures.extend(matrix.failures)
             if cell is not None:
@@ -730,7 +724,7 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
             )
     cells: list[DominanceCell] = []
     specs = tuple(MetricSpec(name) for name in pair)
-    columns = [_metric_labels(spec, compiled) for spec in specs]
+    columns = [_metric_labels(spec.label, compiled) for spec in specs]
     study = _run_grid(
         config, compiled, specs, oracle, n_jobs, lambda m: cells.extend(_dominance_cells(m, columns, targets))
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import RankedDataset
 from .errors import ValidationError
-from .estimators import _apply, _check_kind, _fixed_baselines, _kind, row_total
+from .estimators import _apply, row_total
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ def snipm(dataset: RankedDataset) -> PositionwiseReport:
 
 def beta_ipm(dataset: RankedDataset, betas) -> PositionwiseReport:
     """Sum of per-position baseline-corrected estimates at fixed baselines."""
-    _check_kind("beta-ipm", _kind(dataset))  # before reading the positions, which scalar data lacks
-    return positionwise("beta-ipm", dataset, _fixed_baselines(dataset.k, betas))
+    return positionwise("beta-ipm", dataset, betas)
 
 
 def beta_perp_star_hat(dataset: RankedDataset) -> np.ndarray:

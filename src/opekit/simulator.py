@@ -34,11 +34,12 @@ zero-probability context or action, and every column is gathered from the
 compiled tables, so every sampled dataset passes the dataset checks with
 the same columns and weights, and no block is checked entry by entry.
 
-Replicate streams come from :func:`replicate_streams`. The PCG64 state
-that ``SeedSequence((seed, n, r))`` seeds is computed in numpy for a
-whole range of replicates at once and loaded into one reused generator,
-and a replicate's ``(1 + 2k) * n`` uniforms come from one call. The
-streams are bit-equal to ``default_rng(SeedSequence((seed, n, r)))``.
+Replicate streams come from :func:`replicate_streams`. SeedSequence's
+hash of ``(seed, n, r)`` runs in numpy for a whole range of replicates at
+once, and PCG64 runs its own seeding on each replicate's words, handed
+over through numpy's ``ISeedSequence`` protocol, so every replicate has
+its own generator, bit-equal to ``default_rng(SeedSequence((seed, n, r)))``.
+A replicate's ``(1 + 2k) * n`` uniforms come from one call.
 """
 
 from __future__ import annotations
@@ -226,14 +227,11 @@ def _pick(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, rows: np.ndarray | No
     return out
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# seeding (pcg64.h), for computing seeded states without a SeedSequence.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), run on columns of replicates at once.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _words(value: int) -> list[int]:
@@ -266,13 +264,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _pcg64_seeds(seed: int, n: int, rows: range) -> Iterator[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(SeedSequence((seed, n, r)))`` for every ``r`` in ``rows``.
+def _pcg64_seeds(seed: int, n: int, rows: range) -> Iterator[np.ndarray]:
+    """``SeedSequence((seed, n, r)).generate_state(4, np.uint64)`` for every ``r`` in ``rows``.
 
     SeedSequence's hash runs on uint32 columns, one entry per replicate, for
-    each run of replicates whose ``r`` has the same number of 32-bit words;
-    the two 128-bit LCG steps of the PCG64 seeding run on Python integers.
-    Replicate indices must be below ``2**64``.
+    each run of replicates whose ``r`` has the same number of 32-bit words.
+    Each replicate's four words are a C-contiguous row, as PCG64 reads them
+    from the raw buffer. Replicate indices must be below ``2**64``.
     """
     fixed = _words(seed) + _words(n)
     start = rows.start
@@ -294,33 +292,26 @@ def _pcg64_seeds(seed: int, n: int, rows: range) -> Iterator[tuple[int, int]]:
                 pool[dst] = _mix(pool[dst], _hashmix(word, constants))
         constants = _hash_constants(_INIT_B, _MULT_B)
         halves = [_hashmix(pool[i % 4], constants).astype(np.uint64) for i in range(8)]
-        seed_hi, seed_lo, inc_hi, inc_lo = (
-            (halves[2 * i] | (halves[2 * i + 1] << np.uint64(32))).tolist() for i in range(4)
-        )
-        # PCG64 seeding: from state 0, an LCG step, add the seed, another step.
-        for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-            inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-            yield ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+        yield from np.stack([halves[2 * i] | (halves[2 * i + 1] << np.uint64(32)) for i in range(4)], axis=1)
         start = stop
 
 
-def replicate_streams(seed: int, n: int, rows: range) -> Iterator[np.random.Generator]:
-    """The generator of each replicate in ``rows``, bit-equal to ``default_rng(SeedSequence((seed, n, r)))``.
+class _SeedWords:
+    """A replicate's SeedSequence words for PCG64's own seeding; :func:`replicate_streams` makes it an ISeedSequence."""
 
-    One generator is reused: each step loads the next replicate's seeded
-    state into it, so a yielded generator is valid only until the next
-    one is taken.
-    """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state, inc in _pcg64_seeds(seed, n, rows):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for its four uint64 words alone
+
+
+def replicate_streams(seed: int, n: int, rows: range) -> Iterator[np.random.Generator]:
+    """The generator of each replicate in ``rows``, bit-equal to ``default_rng(SeedSequence((seed, n, r)))``."""
+    # Registered here, not at import, so that importing this module loads no numpy.random.
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    for words in _pcg64_seeds(seed, n, rows):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def draw_uniforms(uniforms: np.ndarray, streams: Iterator[np.random.Generator]) -> np.ndarray:

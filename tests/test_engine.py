@@ -390,6 +390,15 @@ class TestSeededStreams:
             expected = np.random.default_rng(np.random.SeedSequence((seed, n, r))).random(7)
             assert rng.random(7).tobytes() == expected.tobytes()
 
+    @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(0, 2**63 - 8))
+    @example(20260823, 400, 0)
+    def test_generators_taken_together_stay_independent(self, seed, n, first):
+        rows = range(first, first + 3)
+        streams = list(replicate_streams(seed, n, rows))
+        for r, rng in zip(rows, streams):
+            expected = np.random.default_rng(np.random.SeedSequence((seed, n, r))).random(7)
+            assert rng.random(7).tobytes() == expected.tobytes()
+
     def test_one_call_per_row_consumes_the_staged_stream(self):
         uniforms = draw_uniforms(np.empty((2, 30)), replicate_streams(SEED, 10, range(5, 7)))
         for row, r in zip(uniforms, (5, 6)):

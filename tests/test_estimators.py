@@ -219,6 +219,14 @@ def test_ranked_input_rejected_everywhere():
         (lambda d, m, r: MomentSummary(0.5, 0.1, "x", 0.1, 0.0, 3), "var_w must be a number"),
         (lambda d, m, r: MomentSummary("x", 0.1, 0.1, 0.1, 0.0, 3), "mean_w must be a number"),
         (lambda d, m, r: MomentSummary(0.5, 0.1, 0.1, 0.1, 0.0, "3"), "n must be an integer"),
+        (lambda d, m, r: estimate("cf-beta-star-ips", d, 5), "^the cross-fit config must be a CrossFitConfig, got int$"),
+        (lambda d, m, r: estimate("beta-ips", d, None), "^baseline must be a number, got None$"),
+        (lambda d, m, r: estimate("beta-ips", d, "x"), "^baseline must be a number, got 'x'$"),
+        (lambda d, m, r: estimate("beta-ips", d, np.inf), "^baseline must be finite, got inf$"),
+        (lambda d, m, r: estimate("beta-ips", d, [1.0, 2.0]), r"^baseline must be a number, got \[1.0, 2.0\]$"),
+        (lambda d, m, r: estimate("ips", d, 3), "^ips takes no argument, got 3$"),
+        (lambda d, m, r: positionwise("ipm", r, 0.5), "^ipm takes no argument, got 0.5$"),
+        (lambda d, m, r: positionwise("beta-ipm", r, [1.0]), r"^expected 2 baselines for 2 positions, got shape \(1,\)$"),
     ],
     ids=[
         "tail-bound-none",
@@ -239,6 +247,14 @@ def test_ranked_input_rejected_everywhere():
         "moments-str-variance",
         "moments-str-mean",
         "moments-str-n",
+        "estimate-cf-int",
+        "estimate-beta-ips-none",
+        "estimate-beta-ips-str",
+        "estimate-beta-ips-inf",
+        "estimate-beta-ips-list",
+        "estimate-ips-int",
+        "positionwise-ipm-float",
+        "positionwise-beta-ipm-short",
     ],
 )
 def test_non_number_arguments_raise_validation_errors(call, message):

@@ -75,6 +75,28 @@ class TestSpecParsing:
             with pytest.raises(UnknownEstimator):
                 parse_estimator_spec(bad)
 
+    @pytest.mark.parametrize(
+        "spec, text, message",
+        [
+            (MetricSpec("beta-ips"), "beta-ips", "^beta-ips needs a baseline, e.g. beta-ips:0.5$"),
+            (MetricSpec("ips", (1.0,)), "ips:1.0", "^ips takes no parameter, got 'ips:1.0'$"),
+            (
+                MetricSpec("beta-ips", (1.0, 2.0)),
+                "beta-ips:1.0,2.0",
+                "^beta-ips takes exactly one baseline, got 'beta-ips:1.0,2.0'$",
+            ),
+            (MetricSpec("beta-ips", ("x",)), None, "^cannot parse baselines in \"beta-ips:'x'\"$"),
+        ],
+    )
+    def test_a_built_spec_passes_the_text_rules(self, spec, text, message):
+        # A hand-built spec is refused as its label would be, before any replicate is drawn.
+        calls = [lambda: replicate_estimates(get_scenario("flip2"), 50, 10, 0, [spec])]
+        if text is not None:
+            calls.append(lambda: parse_estimator_spec(text))
+        for call in calls:
+            with pytest.raises(UnknownEstimator, match=message):
+                call()
+
 
 class TestReplicateEngine:
     def test_seeding_contract(self):

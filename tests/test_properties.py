@@ -48,7 +48,7 @@ from opekit import (
 )
 from opekit.cli import main
 from opekit.errors import DegenerateWeights, OpeKitError
-from opekit.estimators import CrossFitConfig, estimate
+from opekit.estimators import ESTIMATORS, CrossFitConfig, estimate
 from opekit.ranking import positionwise
 from opekit.simulator import _cdf, _pick
 
@@ -389,9 +389,9 @@ class TestNoTraceback:
             for columns in ((context,) * 3, (logging, target, means))
             for reward_bound, weight_bound in ((bound, 10.0), (1.0, bound))
         ]
-        # The drawn leaf as each numeric argument, estimator name and cross-fit config. The
-        # unsupported scenario fails to compile after its integers are read, so no sample is
-        # drawn, whatever their size.
+        # The drawn leaf as each numeric argument, estimator name, cross-fit config and the
+        # argument of every registered estimator. The unsupported scenario fails to compile
+        # after its integers are read, so no sample is drawn, whatever their size.
         d = dataset_from_weights([2.0, 0.5], [1.0, 0.0], weight_bound=2.0)
         r = ranked_from_weights([[1.0, 2.0], [1.0, 0.5]], [[1.0, 0.5], [0.0, 1.0]], weight_bound=2.0)
         arguments = [
@@ -407,6 +407,8 @@ class TestNoTraceback:
             lambda: estimate(bound, d),
             lambda: positionwise(bound, r),
             lambda: cross_fitted_beta_ips(d, bound),
+            *(partial(estimate, name, d, bound) for name in ESTIMATORS),
+            *(partial(positionwise, name, r, bound) for name in ESTIMATORS),
         ]
         for build in (
             lambda: PolicyTable(logging),

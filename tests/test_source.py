@@ -304,6 +304,39 @@ def test_one_function_runs_kernels_on_datasets():
     assert defined & {"_one_row", "_raise_failed", "_check_spec_kind"} == set()
 
 
+def test_one_rule_checks_kernel_arguments():
+    # estimators._checked_arg alone decides what a kernel's argument may be, once
+    # per call: _apply after the kind check for datasets and experiments._metrics
+    # once per study. Wrappers and spec helpers pass their argument on unchecked.
+    callers, defined = set(), set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        callers |= {
+            f"{path.stem}.{name}"
+            for name, function in _functions(tree)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and "_checked_arg" in _names(node.func)
+        }
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert callers == {"estimators._apply", "experiments._metrics"}
+    assert "_fixed_baselines" not in defined
+
+
+def test_no_bit_generator_state_is_assigned():
+    # Replicate streams come from PCG64's own seeding on the words SeedSequence's
+    # hash gives, not from a state loaded into a generator through the layout of
+    # numpy's state dict.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and target.attr == "state"
+    ]
+    assert found == []
+
+
 def test_one_version_string():
     # The release bumps opekit.__version__ alone; the manifests and --version read it.
     tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
