@@ -482,17 +482,21 @@ class MetricSpec:
 def parse_estimator_spec(spec) -> MetricSpec:
     """Parse ``"name"`` or ``"name:param[,param...]"`` into a :class:`MetricSpec`.
 
-    A given :class:`MetricSpec` passes the same rules, its label standing
-    for the text, and is returned as it is.
+    A given :class:`MetricSpec`, whose name must be a string and whose
+    params a tuple, passes the same rules, its label standing for the text;
+    its params become floats as the text's do, and it is returned as it is
+    when that changes nothing.
     """
     if isinstance(spec, MetricSpec):
-        name, given, params = spec.name, bool(spec.params), spec.params
-        text = spec.label if given else name
+        name, params = spec.name, spec.params
+        if not (isinstance(name, str) and isinstance(params, tuple)):
+            raise UnknownEstimator(f"not an estimator spec: {spec!r}")
+        text, given = spec.label, bool(params)
     else:
         text = str(spec).strip()
         name, sep, arg = text.partition(":")
         name, given, params = name.strip(), bool(sep), arg.split(",") if arg.strip() else ()
-    entry = ESTIMATORS.get(name) if isinstance(name, str) else None
+    entry = ESTIMATORS.get(name)
     if entry is None:
         raise UnknownEstimator(f"unknown estimator {text!r}")
     takes = entry.param in ("baseline", "baselines")
@@ -500,13 +504,18 @@ def parse_estimator_spec(spec) -> MetricSpec:
         raise UnknownEstimator(f"{name} takes no parameter, got {text!r}")
     if takes and not params:
         raise UnknownEstimator(f"{name} needs a baseline, e.g. {name}:0.5")
-    try:
-        params = tuple(float(p) for p in params)
-    except (TypeError, ValueError) as exc:
-        raise UnknownEstimator(f"cannot parse baselines in {text!r}") from exc
+    if params:
+        try:
+            column = _float_column(params, "baselines")
+        except ValidationError:
+            column = None
+        if column is None or column.ndim != 1:
+            raise UnknownEstimator(f"cannot parse baselines in {text!r}")
+        params = tuple(column.tolist())
     if entry.param == "baseline" and len(params) != 1:
         raise UnknownEstimator(f"{name} takes exactly one baseline, got {text!r}")
-    return spec if isinstance(spec, MetricSpec) else MetricSpec(name, params)
+    parsed = MetricSpec(name, params)
+    return spec if isinstance(spec, MetricSpec) and spec.label == parsed.label else parsed
 
 
 def kernel_arg(spec: MetricSpec, folds: int, seed: int, value: float | None):

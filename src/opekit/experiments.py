@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import variance_gap
+from .analysis import VarianceGapReport, variance_gap
 from .errors import (
     DegenerateX,
     EstimationError,
@@ -385,28 +385,30 @@ class OracleTarget:
     """Exact reference quantities for one estimation target.
 
     ``label`` is ``"value"`` for scalar scenarios and ``"pos1"``,
-    ``"pos2"``, ..., ``"total"`` for ranking scenarios. The variance
-    quantities are per single sample; divide by n for a sample-size-n
-    estimator. They and ``beta_star`` are ``None`` when the weights are
-    degenerate, and for the ranking total, which aggregates positions.
+    ``"pos2"``, ..., ``"total"`` for ranking scenarios. ``moments`` are the
+    target's exact moments at n = 1, and their ``beta_star`` its optimal
+    baseline; ``gap`` is ``variance_gap(moments, value)``, the per-sample
+    variances of self-normalisation and of the optimal baseline and the gap
+    between them (divide by n for a sample-size-n estimator). ``gap`` is
+    ``None`` when the weights are degenerate, and both are ``None`` for the
+    ranking total, which aggregates positions.
     """
 
     label: str
     value: float
     moments: MomentSummary | None
-    beta_star: float | None
-    avar_snips: float | None
-    var_beta_star: float | None
-    delta_per_sample: float | None
+    gap: VarianceGapReport | None
 
 
 @dataclass(frozen=True)
 class OracleReport:
     """Enumerated truths for every target of a scenario.
 
-    ``weight_bound`` is the scenario's largest importance weight over the
-    cells a draw can pick; it feeds the theoretical ceiling on replicate
-    failure frequency reported next to a study's tallied failures.
+    Each target holds its value, its exact ``moments`` and its variance
+    ``gap``, the paper's decomposition, once. ``weight_bound`` is the
+    scenario's largest importance weight over the cells a draw can pick;
+    it feeds the theoretical ceiling on replicate failure frequency
+    reported next to a study's tallied failures.
     """
 
     targets: tuple[OracleTarget, ...]
@@ -425,46 +427,20 @@ class OracleReport:
 
 
 def _oracle(compiled: CompiledScenario) -> OracleReport:
-    """Exact values, moments, and optimal baselines of every compiled position, and the weight bound."""
+    """Exact values, moments, and variance gaps of every compiled position, and the weight bound."""
     targets = []
     for j, pos in enumerate(compiled.positions):
-        v = _value(compiled.context_probs, pos.p_tgt, pos.reward_means)
+        value = _value(compiled.context_probs, pos.p_tgt, pos.reward_means)
         moments = _moments(compiled.context_probs, pos)
-        beta_star = moments.beta_star
-        if beta_star is None:
-            avar = var_star = delta = None
-        else:
-            gap = variance_gap(moments, v)
-            avar, var_star, delta = gap.avar_snips, gap.var_beta_star, gap.gap_delta
-        targets.append(
-            OracleTarget(
-                label=f"pos{j + 1}" if compiled.ranked else "value",
-                value=v,
-                moments=moments,
-                beta_star=beta_star,
-                avar_snips=avar,
-                var_beta_star=var_star,
-                delta_per_sample=delta,
-            )
-        )
+        gap = None if moments.beta_star is None else variance_gap(moments, value)
+        targets.append(OracleTarget(f"pos{j + 1}" if compiled.ranked else "value", value, moments, gap))
     if compiled.ranked:
-        total = float(row_total(np.array([t.value for t in targets])))
-        targets.append(
-            OracleTarget(
-                label="total",
-                value=total,
-                moments=None,
-                beta_star=None,
-                avar_snips=None,
-                var_beta_star=None,
-                delta_per_sample=None,
-            )
-        )
+        targets.append(OracleTarget("total", float(row_total(np.array([t.value for t in targets]))), None, None))
     return OracleReport(targets=tuple(targets), weight_bound=compiled.weight_bound)
 
 
 def oracle_report(scenario) -> OracleReport:
-    """Exact values, moments, optimal baselines and weight bound by enumeration over the compiled scenario.
+    """Exact values, moments, variance gaps and weight bound by enumeration over the compiled scenario.
 
     The one way to a scenario's exact quantities: a :class:`BanditScenario`
     has one target, ``"value"``; a :class:`RankingEnv` one per position and
@@ -605,7 +581,7 @@ def _run_grid(
     replicate matrix before the next cell is sampled, so it builds its state
     one cell at a time and the loop keeps no earlier cell's matrix.
     """
-    metrics = _metrics(specs, compiled, config.folds, config.master_seed, None if compiled.ranked else oracle.value)
+    metrics = _metrics(specs, compiled, config.folds, config.master_seed, oracle.value)
     targets = _metric_targets(specs, compiled, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
@@ -677,23 +653,19 @@ def _dominance_cells(matrix: ReplicateMatrix, columns, targets) -> list[Dominanc
     for target, optimal_label, selfnorm_label in zip(targets, *columns):
         optimal = matrix.column(optimal_label)
         selfnorm = matrix.column(selfnorm_label)
-        value = target.value
         paired = np.isfinite(optimal) & np.isfinite(selfnorm)
-        if int(paired.sum()) < 2:
-            raise TooFewReplicates(int(paired.sum()))
-        diff, se = paired_mse_difference(optimal[paired], selfnorm[paired], value)
-        _, _, mse_optimal = mse_decompose(optimal[paired], value)
-        _, _, mse_selfnorm = mse_decompose(selfnorm[paired], value)
+        optimal, selfnorm = optimal[paired], selfnorm[paired]
+        diff, se = paired_mse_difference(optimal, selfnorm, target.value)
         cells.append(
             DominanceCell(
                 n=matrix.n,
                 target=target.label,
-                mse_optimal=mse_optimal,
-                mse_self_normalised=mse_selfnorm,
+                mse_optimal=_decompose(optimal, target.value)[3],
+                mse_self_normalised=_decompose(selfnorm, target.value)[3],
                 mse_difference=diff,
                 se_difference=se,
                 dominant=bool(diff > 2.0 * se),
-                n_pairs=int(paired.sum()),
+                n_pairs=len(optimal),
             )
         )
     return cells
@@ -712,12 +684,13 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     oracle = _oracle(compiled)
     targets = oracle.targets[: compiled.k]  # each position's, not the ranked total
     for target in targets:
-        if target.beta_star is None:
+        beta_star = target.moments.beta_star
+        if beta_star is None:
             raise PreconditionNotMet(
                 f"{target.label}: the optimal baseline is undefined (degenerate weights)"
             )
-        scale = max(1.0, abs(target.value), abs(target.beta_star))
-        if abs(target.beta_star - target.value) <= 1e-9 * scale:
+        scale = max(1.0, abs(target.value), abs(beta_star))
+        if abs(beta_star - target.value) <= 1e-9 * scale:
             raise PreconditionNotMet(
                 f"{target.label}: the optimal baseline equals the true value, so "
                 "self-normalisation is already asymptotically optimal"

@@ -563,15 +563,16 @@ moments_dict = asdict
 def oracle_dict(report) -> dict:
     targets = []
     for target in report.targets:
+        moments, gap = target.moments, target.gap
         targets.append(
             {
                 "label": target.label,
                 "value": target.value,
-                "beta_star": target.beta_star,
-                "avar_snips_per_sample": target.avar_snips,
-                "var_beta_star_per_sample": target.var_beta_star,
-                "delta_per_sample": target.delta_per_sample,
-                "moments": None if target.moments is None else asdict(target.moments),
+                "beta_star": None if moments is None else moments.beta_star,
+                "avar_snips_per_sample": None if gap is None else gap.avar_snips,
+                "var_beta_star_per_sample": None if gap is None else gap.var_beta_star,
+                "delta_per_sample": None if gap is None else gap.gap_delta,
+                "moments": None if moments is None else asdict(moments),
             }
         )
     return {"targets": targets}

@@ -54,6 +54,10 @@ class PositionwiseReport:
 def positionwise(name: str, dataset: RankedDataset, arg=None) -> PositionwiseReport:
     """The registered ranked estimator ``name`` applied to every position of a ranked dataset."""
     values, baselines = _apply(name, dataset, arg)
+    if not isinstance(dataset, RankedDataset):  # a scalar name on scalar data passes _apply's kind rule
+        raise ValidationError(
+            f"expected a RankedDataset, got {type(dataset).__name__}; use the scalar estimators for scalar data"
+        )
     return PositionwiseReport(
         per_position=tuple(map(PositionEstimate, values.tolist(), baselines)),
         total=float(row_total(values)),

@@ -21,6 +21,7 @@ from opekit import (
     run_mc_study,
     sample_logs,
     snips,
+    variance_gap,
 )
 from opekit.errors import (
     DegenerateX,
@@ -35,7 +36,7 @@ from opekit.experiments import (
     MetricSpec,
     parse_estimator_spec,
 )
-from opekit.simulator import BanditEnv, BanditScenario, PolicyTable
+from opekit.simulator import BanditEnv, BanditScenario, PolicyTable, PositionModel, RankingEnv
 
 
 def zero_reward_scenario() -> BanditScenario:
@@ -86,11 +87,22 @@ class TestSpecParsing:
                 "^beta-ips takes exactly one baseline, got 'beta-ips:1.0,2.0'$",
             ),
             (MetricSpec("beta-ips", ("x",)), None, "^cannot parse baselines in \"beta-ips:'x'\"$"),
+            (MetricSpec("beta-ips", 0.5), None, r"^not an estimator spec: MetricSpec\(name='beta-ips', params=0.5\)$"),
+            (MetricSpec(5, (1.0,)), None, r"^not an estimator spec: MetricSpec\(name=5, params=\(1.0,\)\)$"),
+            (MetricSpec("beta-ips", (10**400,)), None, "^cannot parse baselines in 'beta-ips:10{400}'$"),
+            (MetricSpec("beta-ips", ("0.5",)), "beta-ips:0.5", None),
         ],
     )
     def test_a_built_spec_passes_the_text_rules(self, spec, text, message):
         # A hand-built spec is refused as its label would be, before any replicate is drawn.
         calls = [lambda: replicate_estimates(get_scenario("flip2"), 50, 10, 0, [spec])]
+        if message is None:
+            # One that passes comes back with its params converted as the text's are.
+            parsed = parse_estimator_spec(spec)
+            assert parsed == parse_estimator_spec(text) == MetricSpec("beta-ips", (0.5,))
+            assert parsed.label == text
+            assert calls[0]().labels == (text,)
+            return
         if text is not None:
             calls.append(lambda: parse_estimator_spec(text))
         for call in calls:
@@ -269,11 +281,12 @@ class TestOracleReport:
         report = oracle_report(scenario)
         target = report.target("value")
         assert target.value == pytest.approx(0.26, rel=1e-15)
-        assert target.beta_star == pytest.approx(0.1925, rel=1e-12)
-        assert target.delta_per_sample == pytest.approx(0.0324, rel=1e-10)
-        assert target.avar_snips - target.var_beta_star == pytest.approx(
-            target.delta_per_sample, rel=1e-10
+        assert target.moments.beta_star == pytest.approx(0.1925, rel=1e-12)
+        assert target.gap.gap_delta == pytest.approx(0.0324, rel=1e-10)
+        assert target.gap.avar_snips - target.gap.var_beta_star == pytest.approx(
+            target.gap.gap_delta, rel=1e-10
         )
+        assert target.gap == variance_gap(target.moments, target.value)
         assert report.value == target.value
 
     def test_tables_at_their_tolerance(self):
@@ -289,9 +302,8 @@ class TestOracleReport:
     def test_identity2_has_no_baseline(self):
         target = oracle_report(get_scenario("identity2")).target("value")
         assert target.value == pytest.approx(0.74, rel=1e-15)
-        assert target.beta_star is None
-        assert target.avar_snips is None
-        assert target.delta_per_sample is None
+        assert target.moments.beta_star is None
+        assert target.gap is None
         assert target.moments.var_w == 0.0
 
     def test_ranking_targets(self):
@@ -301,7 +313,7 @@ class TestOracleReport:
         total = report.target("total")
         assert total.value == pytest.approx(0.52, rel=1e-12)
         assert total.moments is None
-        assert total.beta_star is None
+        assert total.gap is None
         assert report.value == pytest.approx(0.52, rel=1e-12)
 
     def test_unknown_target(self):
@@ -514,16 +526,29 @@ class TestDominance:
         assert set(report.smallest_dominant_n) == {"pos1", "pos2"}
 
     def test_preconditions(self):
-        for preset in ("const2", "identity2"):
+        # The second position logs and targets one policy: its weights are all one.
+        flip = PositionModel(PolicyTable([[0.9, 0.1]]), PolicyTable([[0.1, 0.9]]), [[0.2, 0.3]])
+        same = PositionModel(PolicyTable([[0.5, 0.5]]), PolicyTable([[0.5, 0.5]]), [[0.2, 0.3]])
+        undefined = "the optimal baseline is undefined (degenerate weights)"
+        for scenario, message in (
+            (get_scenario("identity2"), f"value: {undefined}"),
+            (
+                get_scenario("const2"),
+                "value: the optimal baseline equals the true value, "
+                "so self-normalisation is already asymptotically optimal",
+            ),
+            (RankingEnv([1.0], [flip, same]), f"pos2: {undefined}"),
+        ):
             config = StudyConfig(
-                scenario=get_scenario(preset),
-                scenario_label=preset,
+                scenario=scenario,
+                scenario_label="preconditions",
                 n_grid=(100,),
                 replicates=100,
                 master_seed=0,
             )
-            with pytest.raises(PreconditionNotMet):
+            with pytest.raises(PreconditionNotMet) as info:
                 dominance_check(config)
+            assert str(info.value) == message
 
 
 class TestRateStudies:

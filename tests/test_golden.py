@@ -6,8 +6,10 @@ run. This test pins the SHA-256 digests of short studies of every kind
 (scalar and ranked ``mc``, ranked ``dominance``, ``decay`` and
 ``bias-rate``) and of four ``opekit evaluate`` reports, all run through
 the CLI. The ``mc``/``dominance`` digests were recorded before the block
-replicate engine replaced the per-replicate loop, the others before the
-estimator registry and the single study grid loop replaced the per-kind code.
+replicate engine replaced the per-replicate loop, ``mc-identity2`` before
+the oracle targets came to hold their variance gap as one report, the
+others before the estimator registry and the single study grid loop
+replaced the per-kind code.
 A study's JSON digest covers the report without its ``manifest`` block,
 which records a creation time; an evaluate digest covers the report
 without its ``source`` path.
@@ -51,6 +53,15 @@ STUDIES = {
         "n_grid": [400, 1600],
         "replicates": 100,
         "seed": SEED,
+    },
+    # Degenerate weights: the oracle has moments but a null optimal baseline and gap.
+    "mc-identity2": {
+        "study": "mc",
+        "environment": "identity2",
+        "n_grid": [400, 1600],
+        "replicates": 100,
+        "seed": SEED,
+        "estimators": ["ips", "snips"],
     },
     "mc-ranked": {
         "study": "mc",
@@ -111,6 +122,10 @@ GOLDEN = {
         "dominance": {
             "csv": "0f74c9bbd107cb0cb46c2536627b5d6a085b3e61acefe36649a5f92a03db5819",
             "json_data": "f4f84dbb266a120722d3a41ee87796b30a10141f7f08096b75a67a1844158914",
+        },
+        "mc-identity2": {
+            "csv": "1c48e44a08da1e26be515804d06da9b12bb802e37e9979c1c13b3255ad18fd6e",
+            "json_data": "d830567c5f6cee36c9baa1e448165e2662c5d962569d03067e81c447461a8527",
         },
         "mc-ranked": {
             "csv": "c3183c415c3385ba422f41d542327011f925644f1336d404f6454107e9fe3d0c",

@@ -21,6 +21,7 @@ from opekit.errors import (
     ValidationError,
     ZeroWeightSum,
 )
+from opekit.ranking import positionwise
 
 from conftest import dataset_from_weights, ranked_from_weights
 
@@ -162,3 +163,11 @@ class TestReportStructure:
         for fn in (ipm, snipm, beta_perp_star_hat, lambda d: beta_ipm(d, [0.0])):
             with pytest.raises(ValidationError):
                 fn(two_row)
+        # The kind rule runs first, so a ranked name on scalar data still names the estimator.
+        with pytest.raises(ValidationError, match="^ipm does not apply to scalar data$"):
+            ipm(two_row)
+        with pytest.raises(
+            ValidationError,
+            match="^expected a RankedDataset, got Dataset; use the scalar estimators for scalar data$",
+        ):
+            positionwise("snips", two_row)

@@ -1,11 +1,13 @@
 """Invariants of the package source itself."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import opekit
+from opekit.experiments import OracleTarget
 from opekit.io import TOOL_VERSION
 
 SOURCE = Path(opekit.__file__).resolve().parent
@@ -302,6 +304,24 @@ def test_one_function_runs_kernels_on_datasets():
     assert callers == {"estimators._apply", "experiments._evaluate"}
     assert calls == 2
     assert defined & {"_one_row", "_raise_failed", "_check_spec_kind"} == set()
+
+
+def _gap_calls(node) -> int:
+    return sum(isinstance(n, ast.Call) and "variance_gap" in _names(n.func) for n in ast.walk(node))
+
+
+def test_the_oracle_holds_each_fact_once():
+    # An oracle target holds its exact moments and its variance gap report and
+    # copies no number out of them. experiments._oracle makes the one gap of
+    # each position, in its loop over the positions, and the study grid loop
+    # hands every registry entry the oracle value, ranked or not.
+    assert [field.name for field in fields(OracleTarget)] == ["label", "value", "moments", "gap"]
+    tree = ast.parse((SOURCE / "experiments.py").read_text(encoding="utf-8"))
+    functions = dict(_functions(tree))
+    assert {name for name, function in functions.items() if _gap_calls(function)} == {"_oracle"}
+    loops = [node for node in ast.walk(functions["_oracle"]) if isinstance(node, ast.For)]
+    assert _gap_calls(functions["_oracle"]) == sum(_gap_calls(loop) for loop in loops) == 1
+    assert "ranked" not in _names(functions["_run_grid"])
 
 
 def test_one_rule_checks_kernel_arguments():
