@@ -489,8 +489,12 @@ def parse_estimator_spec(spec) -> MetricSpec:
     """
     if isinstance(spec, MetricSpec):
         name, params = spec.name, spec.params
+        try:
+            shown = repr(spec)  # it writes every param, as the label does
+        except ValueError:  # an int with more digits than Python writes in decimal
+            raise UnknownEstimator("not an estimator spec: it holds an integer too long to write") from None
         if not (isinstance(name, str) and isinstance(params, tuple)):
-            raise UnknownEstimator(f"not an estimator spec: {spec!r}")
+            raise UnknownEstimator(f"not an estimator spec: {shown}")
         text, given = spec.label, bool(params)
     else:
         text = str(spec).strip()

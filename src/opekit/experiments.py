@@ -27,14 +27,16 @@ the dataset checks fails before its oracle is enumerated and before any
 draw, and no block is checked. The oracle is read from the same compiled
 tables.
 
-A replicate on which an estimator's precondition fails is recorded and
-its cell statistics use the surviving replicates. More than 1% failures
+A replicate on which an estimator's precondition fails is recorded, and
+every column of the estimator and every dominance pair keeps only the
+surviving replicates (:meth:`ReplicateMatrix.kept`). More than 1% failures
 for any estimator at any sample size aborts the study, because then the
 survivors no longer represent the sampling distribution.
 
 Every study kind runs its grid through one loop, ``_run_grid``, which
-builds the study's report; a kind adds only its preconditions, its
-metrics, and a verdict that it builds one grid cell at a time.
+compiles the scenario, enumerates its oracle and builds the study's
+report; a kind adds only its metrics, a precondition on the oracle
+(``check``), and a verdict that it builds one grid cell at a time (``cell``).
 """
 
 from __future__ import annotations
@@ -61,11 +63,10 @@ from .data import _finite, _float_column, _integer
 from .estimators import ESTIMATORS, MetricSpec, MomentSummary, _check_kind, _checked_arg, kernel_arg
 from .estimators import parse_estimator_spec, row_total
 from .simulator import (
-    BanditScenario,
     CompiledScenario,
-    RankingEnv,
     _check_sample_size,
     _moments,
+    _ranked,
     _value,
     compile_scenario,
     draw_uniforms,
@@ -79,7 +80,7 @@ _BLOCK_ENTRIES = 16384  # a module global, so tests can change it
 
 def default_estimators(kind: str, scenario) -> tuple[str, ...]:
     """The registered estimators a study of ``kind`` runs when its configuration names none."""
-    family = "scalar" if isinstance(scenario, BanditScenario) else "ranked"
+    family = "ranked" if _ranked(scenario) else "scalar"
     return tuple(name for name, entry in ESTIMATORS.items() if entry.kind == family and kind in entry.defaults)
 
 
@@ -95,7 +96,7 @@ def _estimator_list(estimators) -> tuple:
 
 def _study_specs(estimators, scenario) -> tuple[MetricSpec, ...]:
     """Parsed specs, each checked to apply to the scenario's kind."""
-    kind = "scalar" if isinstance(scenario, BanditScenario) else "ranked"
+    kind = "ranked" if _ranked(scenario) else "scalar"
     specs = tuple(parse_estimator_spec(e) for e in _estimator_list(estimators))
     for spec in specs:
         _check_kind(spec.name, kind, spec.label, study=True)
@@ -189,6 +190,12 @@ class ReplicateMatrix:
         if label not in self.labels:
             raise ValidationError(f"no metric {label!r} in this matrix")
         return self.values[:, self.labels.index(label)]
+
+    def kept(self, metric: str) -> np.ndarray:
+        """The replicates ``metric`` has no failure record for, as a mask: every column of the metric keeps them."""
+        keep = np.ones(self.values.shape[0], dtype=bool)
+        keep[[failure.replicate for failure in self.failures if failure.metric == metric]] = False
+        return keep
 
 
 @contextmanager
@@ -449,12 +456,14 @@ def oracle_report(scenario) -> OracleReport:
     return _oracle(compile_scenario(scenario))
 
 
-def _metric_targets(specs, compiled: CompiledScenario, oracle: OracleReport) -> dict[str, float]:
-    """Each metric label's oracle target; the labels of a spec follow the oracle's targets in order."""
+def _metric_columns(specs, compiled: CompiledScenario, oracle: OracleReport) -> dict[str, dict[str, float]]:
+    """Each metric's column labels and their oracle targets; a metric's columns follow the oracle's targets in order."""
     return {
-        label: 0.0 if spec.name == "remainder-sq" else target.value
+        spec.label: {
+            label: 0.0 if spec.name == "remainder-sq" else target.value
+            for label, target in zip(_metric_labels(spec.label, compiled), oracle.targets)
+        }
         for spec in specs
-        for label, target in zip(_metric_labels(spec.label, compiled), oracle.targets)
     }
 
 
@@ -471,10 +480,7 @@ class StudyConfig:
     folds: int = 5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, (BanditScenario, RankingEnv)):
-            raise ValidationError(
-                f"scenario must be a BanditScenario or RankingEnv, got {type(self.scenario).__name__}"
-            )
+        _ranked(self.scenario)
         try:
             values = tuple(self.n_grid)
         except TypeError:
@@ -506,11 +512,11 @@ class StudyRow:
 
     estimator: str
     n: int
-    mean_estimate: float
+    mean: float
     bias: float
     variance: float
     mse: float
-    std_error: float
+    se: float
     oracle_value: float
     n_used: int
     n_failed: int
@@ -534,64 +540,64 @@ class StudyReport:
     failures: tuple[FailureRecord, ...]
 
 
-def _rows_for_matrix(matrix: ReplicateMatrix, targets: dict[str, float]) -> list[StudyRow]:
-    """Each metric's statistics over the replicates it did not fail; statistics past the float range fail the study."""
+def _rows_for_matrix(matrix: ReplicateMatrix, columns: dict[str, dict[str, float]]) -> list[StudyRow]:
+    """Each column's statistics over the replicates its metric kept; statistics past the float range fail the study."""
     rows = []
     replicates = matrix.values.shape[0]
-    for index, label in enumerate(matrix.labels):
-        metric = label.partition("[")[0]  # a ranked metric's columns, "ipm[pos1]" to "ipm[total]", share its failures
-        lost = {failure.replicate for failure in matrix.failures if failure.metric == metric}
-        n_failed = len(lost)
-        if n_failed > 0.01 * replicates:
-            raise ExcessiveFailureRate(label, matrix.n, n_failed, replicates)
-        kept = np.delete(matrix.values[:, index], list(lost))
-        target = targets[label]
-        mean, bias, variance, mse = _decompose(kept, target)
-        # The bias is the mean less a finite target, so it overflows only when the mse does.
-        if not np.isfinite((mean, variance, mse)).all():
-            raise StudyError(
-                f"{label} at n={matrix.n}: cell statistics are not finite "
-                f"(mean {mean}, variance {variance}, mse {mse}); the estimates reach the float range"
+    for metric, targets in columns.items():
+        keep = matrix.kept(metric)
+        n_used = int(keep.sum())
+        if replicates - n_used > 0.01 * replicates:
+            raise ExcessiveFailureRate(next(iter(targets)), matrix.n, replicates - n_used, replicates)
+        for label, target in targets.items():
+            mean, bias, variance, mse = _decompose(matrix.column(label)[keep], target)
+            # The bias is the mean less a finite target, so it overflows only when the mse does.
+            if not np.isfinite((mean, variance, mse)).all():
+                raise StudyError(
+                    f"{label} at n={matrix.n}: cell statistics are not finite "
+                    f"(mean {mean}, variance {variance}, mse {mse}); the estimates reach the float range"
+                )
+            rows.append(
+                StudyRow(
+                    estimator=label,
+                    n=matrix.n,
+                    mean=mean,
+                    bias=bias,
+                    variance=variance,
+                    mse=mse,
+                    se=float(np.sqrt(variance / (n_used - 1))),
+                    oracle_value=target,
+                    n_used=n_used,
+                    n_failed=replicates - n_used,
+                )
             )
-        rows.append(
-            StudyRow(
-                estimator=label,
-                n=matrix.n,
-                mean_estimate=mean,
-                bias=bias,
-                variance=variance,
-                mse=mse,
-                std_error=float(np.sqrt(variance / (kept.shape[0] - 1))),
-                oracle_value=target,
-                n_used=int(kept.shape[0]),
-                n_failed=n_failed,
-            )
-        )
     return rows
 
 
-def _run_grid(
-    config: StudyConfig, compiled: CompiledScenario, specs, oracle: OracleReport, n_jobs: int, cell=None
-) -> StudyReport:
-    """Run the study's cells in grid order on one worker pool and aggregate them.
+def _run_grid(config: StudyConfig, specs, n_jobs: int, check=None, cell=None) -> StudyReport:
+    """Compile the study's scenario and enumerate its oracle once, then run its cells in grid order on one pool.
 
-    ``compiled`` is the study's scenario, compiled once by the study kind
-    before its oracle, so a scenario that fails its checks fails before the
-    oracle and any draw. ``cell``, a study kind's verdict, sees each cell's
-    replicate matrix before the next cell is sampled, so it builds its state
-    one cell at a time and the loop keeps no earlier cell's matrix.
+    A scenario that fails its checks fails before the oracle and any draw.
+    ``check``, a study kind's precondition, sees the oracle before the
+    kernel arguments are checked and the pool opens. ``cell``, its verdict,
+    sees each cell's matrix and the metrics' columns before the next cell is
+    sampled, so the loop keeps no earlier cell's matrix.
     """
+    compiled = compile_scenario(config.scenario)
+    oracle = _oracle(compiled)
+    if check is not None:
+        check(oracle)
     metrics = _metrics(specs, compiled, config.folds, config.master_seed, oracle.value)
-    targets = _metric_targets(specs, compiled, oracle)
+    columns = _metric_columns(specs, compiled, oracle)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
     with _worker_pool(n_jobs) as (pool, n_jobs):
         for n in config.n_grid:
             matrix = _replicate_matrix(compiled, n, config.replicates, config.master_seed, metrics, pool, n_jobs)
-            rows.extend(_rows_for_matrix(matrix, targets))
+            rows.extend(_rows_for_matrix(matrix, columns))
             failures.extend(matrix.failures)
             if cell is not None:
-                cell(matrix)
+                cell(matrix, columns)
     return StudyReport(
         rows=tuple(rows),
         oracle=oracle,
@@ -615,8 +621,7 @@ def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
     specs = _study_specs(config.estimators, config.scenario)
     if not specs:
         raise ValidationError("the study needs at least one estimator")
-    compiled = compile_scenario(config.scenario)
-    return _run_grid(config, compiled, specs, _oracle(compiled), n_jobs)
+    return _run_grid(config, specs, n_jobs)
 
 
 @dataclass(frozen=True)
@@ -647,14 +652,14 @@ class DominanceReport:
     smallest_dominant_n: dict[str, int | None]
 
 
-def _dominance_cells(matrix: ReplicateMatrix, columns, targets) -> list[DominanceCell]:
-    """The paired comparison of one grid cell at every target, from the pair's columns for each."""
+def _dominance_cells(matrix: ReplicateMatrix, columns: dict[str, dict[str, float]], targets) -> list[DominanceCell]:
+    """The paired comparison of one grid cell at every target, on the replicates both metrics of the pair kept."""
+    optimal_metric, selfnorm_metric = columns
+    paired = matrix.kept(optimal_metric) & matrix.kept(selfnorm_metric)
     cells = []
-    for target, optimal_label, selfnorm_label in zip(targets, *columns):
-        optimal = matrix.column(optimal_label)
-        selfnorm = matrix.column(selfnorm_label)
-        paired = np.isfinite(optimal) & np.isfinite(selfnorm)
-        optimal, selfnorm = optimal[paired], selfnorm[paired]
+    for target, optimal_label, selfnorm_label in zip(targets, *columns.values()):
+        optimal = matrix.column(optimal_label)[paired]
+        selfnorm = matrix.column(selfnorm_label)[paired]
         diff, se = paired_mse_difference(optimal, selfnorm, target.value)
         cells.append(
             DominanceCell(
@@ -679,27 +684,26 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
     variance and there is nothing to dominate.
     """
     _no_estimators(config, "dominance")
-    compiled = compile_scenario(config.scenario)
-    pair = ("beta-perp-star-ipm", "snipm") if compiled.ranked else ("beta-star-ips", "snips")
-    oracle = _oracle(compiled)
-    targets = oracle.targets[: compiled.k]  # each position's, not the ranked total
-    for target in targets:
-        beta_star = target.moments.beta_star
-        if beta_star is None:
-            raise PreconditionNotMet(
-                f"{target.label}: the optimal baseline is undefined (degenerate weights)"
-            )
-        scale = max(1.0, abs(target.value), abs(beta_star))
-        if abs(beta_star - target.value) <= 1e-9 * scale:
-            raise PreconditionNotMet(
-                f"{target.label}: the optimal baseline equals the true value, so "
-                "self-normalisation is already asymptotically optimal"
-            )
+    pair = ("beta-perp-star-ipm", "snipm") if _ranked(config.scenario) else ("beta-star-ips", "snips")
+    targets: list[OracleTarget] = []
     cells: list[DominanceCell] = []
+
+    def check(oracle: OracleReport) -> None:
+        targets.extend(oracle.targets[: config.scenario.k])  # each position's, not the ranked total
+        for target in targets:
+            beta_star = target.moments.beta_star
+            if beta_star is None:
+                raise PreconditionNotMet(f"{target.label}: the optimal baseline is undefined (degenerate weights)")
+            scale = max(1.0, abs(target.value), abs(beta_star))
+            if abs(beta_star - target.value) <= 1e-9 * scale:
+                raise PreconditionNotMet(
+                    f"{target.label}: the optimal baseline equals the true value, so "
+                    "self-normalisation is already asymptotically optimal"
+                )
+
     specs = tuple(MetricSpec(name) for name in pair)
-    columns = [_metric_labels(spec.label, compiled) for spec in specs]
     study = _run_grid(
-        config, compiled, specs, oracle, n_jobs, lambda m: cells.extend(_dominance_cells(m, columns, targets))
+        config, specs, n_jobs, check, lambda matrix, columns: cells.extend(_dominance_cells(matrix, columns, targets))
     )
     smallest: dict[str, int | None] = {}
     for target in targets:
@@ -726,18 +730,14 @@ class DecayReport:
 
 def _check_rate_study(config: StudyConfig, name: str) -> None:
     """Rate studies are scalar and need leverage: 4 grid points spanning 1.5 decades."""
-    if not isinstance(config.scenario, BanditScenario):
+    if _ranked(config.scenario):
         raise ValidationError(f"the {name} study applies to scalar scenarios only")
     n_grid = config.n_grid
     if len(n_grid) < 4:
-        raise ValidationError(
-            f"rate studies need at least 4 grid points, got {len(n_grid)}"
-        )
+        raise ValidationError(f"rate studies need at least 4 grid points, got {len(n_grid)}")
     span = np.log10(n_grid[-1] / n_grid[0])
     if span < 1.5:
-        raise ValidationError(
-            f"rate studies need a grid spanning at least 1.5 decades, got {span:.2f}"
-        )
+        raise ValidationError(f"rate studies need a grid spanning at least 1.5 decades, got {span:.2f}")
 
 
 def _rate_fit(points) -> tuple[float, float, tuple[int, ...]]:
@@ -753,12 +753,10 @@ def decay_rate_study(config: StudyConfig, n_jobs: int = 1) -> DecayReport:
     """Measure how fast the self-normalisation remainder vanishes."""
     _no_estimators(config, "decay")
     _check_rate_study(config, "remainder decay")
-    compiled = compile_scenario(config.scenario)
-    oracle = _oracle(compiled)
-    study = _run_grid(config, compiled, (MetricSpec("remainder-sq"),), oracle, n_jobs)
-    slope, intercept, dropped = _rate_fit([(row.n, row.mean_estimate) for row in study.rows])
+    study = _run_grid(config, (MetricSpec("remainder-sq"),), n_jobs)
+    slope, intercept, dropped = _rate_fit([(row.n, row.mean) for row in study.rows])
     return DecayReport(
-        study=study, true_value=oracle.value, slope=slope, intercept=intercept, dropped_cells=dropped
+        study=study, true_value=study.oracle.value, slope=slope, intercept=intercept, dropped_cells=dropped
     )
 
 
@@ -785,8 +783,7 @@ def bias_rate_study(config: StudyConfig, n_jobs: int = 1) -> BiasRateReport:
     if len(estimators) != 1:
         raise ValidationError("the bias rate study takes exactly one estimator")
     specs = _study_specs(estimators, config.scenario)
-    compiled = compile_scenario(config.scenario)
-    study = _run_grid(config, compiled, specs, _oracle(compiled), n_jobs)
+    study = _run_grid(config, specs, n_jobs)
     slope, intercept, dropped = _rate_fit([(row.n, abs(row.bias)) for row in study.rows])
     return BiasRateReport(
         study=study, estimator=specs[0].label, slope=slope, intercept=intercept, dropped_cells=dropped

@@ -94,6 +94,7 @@ from .errors import EmptyDataset, EntryError, MissingBounds, ParseError, Validat
 #: parses it. Larger blocks save little time and cost resident memory.
 BLOCK_ENTRIES = 8192
 
+#: The :class:`~opekit.experiments.StudyRow` fields a study's CSV writes; its JSON rows hold all of them.
 CSV_COLUMNS = ("estimator", "n", "mean", "bias", "variance", "mse", "se")
 
 
@@ -521,8 +522,8 @@ def csv_text(rows) -> str:
     buffer = _stringio.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows_list(rows):
-        writer.writerow([row["estimator"], str(row["n"]), *(format_float(row[c]) for c in CSV_COLUMNS[2:])])
+    for row in rows:
+        writer.writerow([row.estimator, str(row.n), *(format_float(getattr(row, c)) for c in CSV_COLUMNS[2:])])
     return buffer.getvalue()
 
 
@@ -578,24 +579,6 @@ def oracle_dict(report) -> dict:
     return {"targets": targets}
 
 
-def rows_list(rows) -> list[dict]:
-    return [
-        {
-            "estimator": row.estimator,
-            "n": row.n,
-            "mean": row.mean_estimate,
-            "bias": row.bias,
-            "variance": row.variance,
-            "mse": row.mse,
-            "se": row.std_error,
-            "oracle_value": row.oracle_value,
-            "n_used": row.n_used,
-            "n_failed": row.n_failed,
-        }
-        for row in rows
-    ]
-
-
 def study_payload(kind: str, study, manifest: RunManifest, extra: dict) -> dict:
     """Assemble the JSON report for a study run."""
     config = study.config
@@ -608,7 +591,7 @@ def study_payload(kind: str, study, manifest: RunManifest, extra: dict) -> dict:
         "estimators": list(study.estimators),
         "folds": config.folds,
         "oracle": oracle_dict(study.oracle),
-        "rows": rows_list(study.rows),
+        "rows": [asdict(row) for row in study.rows],
         "failures": [asdict(failure) for failure in study.failures],
         # P(mean weight < 1/2) ceiling per sample size.
         "half_mass_tail_bound": {str(n): hoeffding_tail_bound(n, study.oracle.weight_bound) for n in config.n_grid},

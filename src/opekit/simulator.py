@@ -308,6 +308,10 @@ class _SeedWords:
 
 def replicate_streams(seed: int, n: int, rows: range) -> Iterator[np.random.Generator]:
     """The generator of each replicate in ``rows``, bit-equal to ``default_rng(SeedSequence((seed, n, r)))``."""
+    # SeedSequence takes non-negative words alone; _words would shift a negative int forever.
+    for name, value in (("master seed", seed), ("sample size", n), ("replicate index", rows.start)):
+        if value < 0:
+            raise ValidationError(f"{name} must be non-negative, got {value}")
     # Registered here, not at import, so that importing this module loads no numpy.random.
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
     for words in _pcg64_seeds(seed, n, rows):
@@ -393,6 +397,13 @@ def _weights(context_probs: np.ndarray, p_log: np.ndarray, p_tgt: np.ndarray, po
     return weights, bound
 
 
+def _ranked(scenario) -> bool:
+    """Whether a scenario is a :class:`RankingEnv`, not a :class:`BanditScenario`: the one rule for its kind."""
+    if not isinstance(scenario, (BanditScenario, RankingEnv)):
+        raise ValidationError(f"scenario must be a BanditScenario or RankingEnv, got {type(scenario).__name__}")
+    return isinstance(scenario, RankingEnv)
+
+
 def compile_scenario(scenario) -> CompiledScenario:
     """Sampling and oracle tables and weight bound of a :class:`BanditScenario` or :class:`RankingEnv`.
 
@@ -402,9 +413,7 @@ def compile_scenario(scenario) -> CompiledScenario:
     bound, so a scenario whose samples would fail the dataset checks fails
     to compile.
     """
-    if not isinstance(scenario, (BanditScenario, RankingEnv)):
-        raise ValidationError(f"unsupported scenario type {type(scenario).__name__}")
-    ranked = isinstance(scenario, RankingEnv)
+    ranked = _ranked(scenario)
     context_probs = scenario.context_probs
     tables, bounds = [], []
     for j, pos in enumerate(scenario.positions):
@@ -524,6 +533,10 @@ def _sample(scenario, n: int, seed):
     n = _integer(n, "sample size")
     compiled = compile_scenario(scenario)
     _check_sample_size(n, compiled.k)
+    if not isinstance(seed, (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator)):
+        seed = _integer(seed, "seed")
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     # Each stage is used up before the next is drawn, so one buffer serves all.
     buffer = np.empty((1, n))
@@ -558,8 +571,9 @@ def sample_logs(
 ) -> Dataset:
     """Draw ``n`` logged interactions under the logging policy.
 
-    ``seed`` may be an int, a ``numpy.random.SeedSequence``, or a
-    ``numpy.random.Generator``; the first two fully determine the dataset.
+    ``seed`` may be a non-negative int, a ``numpy.random.SeedSequence``, a
+    ``numpy.random.BitGenerator`` or a ``numpy.random.Generator``; an int or
+    a SeedSequence fully determines the dataset.
     The declared bounds are exact: rewards are Bernoulli, and the weight
     bound is the largest reachable probability ratio.
     """

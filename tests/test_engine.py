@@ -399,6 +399,20 @@ class TestSeededStreams:
             expected = np.random.default_rng(np.random.SeedSequence((seed, n, r))).random(7)
             assert rng.random(7).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "seed, n, rows, message",
+        [
+            (-1, 10, range(2), "^master seed must be non-negative, got -1$"),
+            (1, -10, range(2), "^sample size must be non-negative, got -10$"),
+            (1, 10, range(-1, 2), "^replicate index must be non-negative, got -1$"),
+        ],
+    )
+    def test_negative_words_are_refused(self, seed, n, rows, message):
+        # A negative int has no SeedSequence words: shifting it right never reaches zero.
+        streams = replicate_streams(seed, n, rows)
+        with pytest.raises(ValidationError, match=message):
+            next(streams)
+
     def test_one_call_per_row_consumes_the_staged_stream(self):
         uniforms = draw_uniforms(np.empty((2, 30)), replicate_streams(SEED, 10, range(5, 7)))
         for row, r in zip(uniforms, (5, 6)):

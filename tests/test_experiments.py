@@ -20,6 +20,7 @@ from opekit import (
     replicate_estimates,
     run_mc_study,
     sample_logs,
+    sample_ranked_logs,
     snips,
     variance_gap,
 )
@@ -90,6 +91,10 @@ class TestSpecParsing:
             (MetricSpec("beta-ips", 0.5), None, r"^not an estimator spec: MetricSpec\(name='beta-ips', params=0.5\)$"),
             (MetricSpec(5, (1.0,)), None, r"^not an estimator spec: MetricSpec\(name=5, params=\(1.0,\)\)$"),
             (MetricSpec("beta-ips", (10**400,)), None, "^cannot parse baselines in 'beta-ips:10{400}'$"),
+            # Integers with more digits than Python writes in decimal, which the message cannot show.
+            (MetricSpec("beta-ips", (10**5000,)), None, "^not an estimator spec: it holds an integer too long to write$"),
+            (MetricSpec("beta-ipm", (1.0, 10**5000)), None, "^not an estimator spec: it holds an integer too long to write$"),
+            (MetricSpec(10**5000, ()), None, "^not an estimator spec: it holds an integer too long to write$"),
             (MetricSpec("beta-ips", ("0.5",)), "beta-ips:0.5", None),
         ],
     )
@@ -337,6 +342,19 @@ class TestStudyConfig:
         with pytest.raises(ValidationError):
             StudyConfig("flip2", "flip2", (50,), 100, 0)
 
+    def test_one_message_for_what_is_not_a_scenario(self):
+        # One rule decides a scenario's kind, so nothing reads a non-scenario as a ranking first.
+        message = "^scenario must be a BanditScenario or RankingEnv, got str$"
+        for call in (
+            lambda: replicate_estimates("garbage", 10, 100, 0, ["ips"]),
+            lambda: replicate_estimates("garbage", 10, 100, 0, ["ipm"]),
+            lambda: oracle_report("garbage"),
+            lambda: sample_ranked_logs("garbage", 10, 0),
+            lambda: StudyConfig("garbage", "garbage", (50,), 100, 0),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                call()
+
     def test_scalar_grid_is_a_validation_error(self):
         for grid in (400, None, 400.0):
             with pytest.raises(ValidationError, match="sequence"):
@@ -448,7 +466,7 @@ class TestMcStudy:
             assert row.n_used == 200
             assert row.n_failed == 0
             assert row.mse == pytest.approx(row.bias**2 + row.variance, rel=1e-10)
-            assert row.std_error > 0
+            assert row.se > 0
         assert report.oracle.weight_bound == 9.0
         assert not hasattr(report, "weight_bound")
         assert report.estimators == ("ips", "snips", "beta-star-ips")

@@ -976,11 +976,11 @@ class TestTables:
         base = dict(
             estimator="ips",
             n=50,
-            mean_estimate=0.3,
+            mean=0.3,
             bias=0.04,
             variance=0.01,
             mse=0.0116,
-            std_error=0.005,
+            se=0.005,
             oracle_value=0.26,
             n_used=200,
             n_failed=0,

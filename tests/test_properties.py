@@ -41,6 +41,7 @@ from opekit import (
     remainder_diagnostics,
     replicate_estimates,
     sample_logs,
+    sample_ranked_logs,
     snips,
     snips_avar,
     variance_gap,
@@ -313,6 +314,9 @@ _LEAVES = st.one_of(
 #: A scenario whose target leaves the logging support: it fails to compile, after its sample size is read.
 _UNSUPPORTED = (BanditEnv([1.0], [[0.5, 0.5]]), PolicyTable([[1.0, 0.0]]), PolicyTable([[0.0, 1.0]]))
 
+#: A scenario that compiles, so that a sampler reads its seed.
+_SUPPORTED = (BanditEnv([1.0], [[0.5, 0.5]]), PolicyTable([[0.5, 0.5]]), PolicyTable([[0.0, 1.0]]))
+
 
 def _leaf_tables(leaf):
     """Constructor tables, 1-d context and 2-d others, that each hold ``leaf`` alone."""
@@ -380,6 +384,7 @@ class TestNoTraceback:
     @example(_leaf_tables(0.5), 1e-310)  # a square that underflows to zero
     @example(_leaf_tables(0.5), "nope")  # an estimator name that is not registered
     @example(_leaf_tables(0.5), 5)  # a cross-fit config that is not one
+    @example(_leaf_tables(0.5), -1)  # a negative seed
     def test_public_constructors_raise_only_package_errors(self, tables, bound):
         context, logging, target, means = tables
         # Both dataset kinds on 1-d and 2-d columns, the drawn leaf as either declared bound.
@@ -404,6 +409,9 @@ class TestNoTraceback:
             lambda: mse_decompose([0.25, 0.75], bound),
             lambda: replicate_estimates(BanditScenario(*_UNSUPPORTED), bound, bound, bound, ["ips"], n_jobs=bound),
             lambda: sample_logs(*_UNSUPPORTED, bound, 0),
+            lambda: sample_logs(*_SUPPORTED, 5, bound),
+            lambda: sample_logs(*_SUPPORTED, 5, [bound]),
+            lambda: sample_ranked_logs(RankingEnv([1.0], [PositionModel(*_SUPPORTED[1:], [[0.5, 0.5]])] * 2), 5, bound),
             lambda: estimate(bound, d),
             lambda: positionwise(bound, r),
             lambda: cross_fitted_beta_ips(d, bound),

@@ -1,5 +1,7 @@
 """Synthetic environments, enumeration oracles, and seeded sampling."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -238,6 +240,18 @@ class TestSampling:
         env, logging, target = flip_tables()
         with pytest.raises(ValidationError):
             sample_logs(env, logging, target, 0, 1)
+
+    def test_seed_rule(self):
+        # A seed is a non-negative integer, or a SeedSequence, BitGenerator or Generator as given.
+        env, logging, target = flip_tables()
+        ranked = get_scenario("rankflip2x2")
+        for seed in (-1, [1, -2], "x", 5.5, True, None):
+            for sample in (partial(sample_logs, env, logging, target), partial(sample_ranked_logs, ranked)):
+                with pytest.raises(ValidationError, match="^seed must be "):
+                    sample(10, seed)
+        expected = sample_logs(env, logging, target, 10, 5).rewards
+        for seed in (5.0, np.int64(5), np.random.SeedSequence(5), np.random.PCG64(5), np.random.default_rng(5)):
+            assert np.array_equal(sample_logs(env, logging, target, 10, seed).rewards, expected)
 
 
 @st.composite

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import opekit
-from opekit.experiments import OracleTarget
-from opekit.io import TOOL_VERSION
+import opekit.io
+from opekit.experiments import OracleTarget, StudyRow
+from opekit.io import CSV_COLUMNS, TOOL_VERSION
 
 SOURCE = Path(opekit.__file__).resolve().parent
 
@@ -355,6 +356,72 @@ def test_no_bit_generator_state_is_assigned():
         if isinstance(target, ast.Attribute) and target.attr == "state"
     ]
     assert found == []
+
+
+def _calls(node, name: str) -> int:
+    """Calls inside ``node`` of a function or method named ``name``."""
+    return sum(isinstance(n, ast.Call) and name in _names(n.func) for n in ast.walk(node))
+
+
+def test_one_study_setup():
+    # experiments._run_grid alone compiles a study's scenario and enumerates its
+    # oracle; a study kind adds its specs, a precondition and a verdict.
+    functions = dict(_functions(ast.parse((SOURCE / "experiments.py").read_text(encoding="utf-8"))))
+    for kind in ("run_mc_study", "dominance_check", "decay_rate_study", "bias_rate_study"):
+        assert _calls(functions[kind], "compile_scenario") == _calls(functions[kind], "_oracle") == 0, kind
+    assert _calls(functions["_run_grid"], "compile_scenario") == _calls(functions["_run_grid"], "_oracle") == 1
+    assert {"check", "cell"} <= {arg.arg for arg in functions["_run_grid"].args.args}
+
+
+def _is_scenario_test(node) -> bool:
+    """An ``isinstance`` call against ``BanditScenario`` or ``RankingEnv``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and bool(_names(node.args[1]) & {"BanditScenario", "RankingEnv"})
+    )
+
+
+def test_one_function_decides_a_scenarios_kind():
+    # simulator._ranked alone tells a ranking from a bandit scenario and refuses
+    # anything else, so nothing reads a non-scenario as a ranking first.
+    sites = {
+        f"{path.stem}.{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for name, function in _functions(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if any(_is_scenario_test(node) for node in ast.walk(function))
+    }
+    outside = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for n in ast.walk(node)
+        if _is_scenario_test(n)
+    ]
+    assert sites == {"simulator._ranked"}
+    assert outside == []
+
+
+def test_one_rule_keeps_a_cells_replicates():
+    # A metric keeps, in all its columns, the replicates it has no failure record
+    # for (ReplicateMatrix.kept), for the study rows and the dominance pairs alike:
+    # no label is parsed for its metric and no pair is chosen by finiteness.
+    source = (SOURCE / "experiments.py").read_text(encoding="utf-8")
+    functions = dict(_functions(ast.parse(source)))
+    assert ".partition(\"[\")" not in source
+    assert _calls(functions["_dominance_cells"], "isfinite") == 0
+    assert _calls(functions["_dominance_cells"], "kept") == 2
+    assert _calls(functions["_rows_for_matrix"], "kept") == 1
+
+
+def test_study_rows_carry_the_names_they_are_written_under():
+    # The CSV columns and the JSON keys are StudyRow's own field names, so no
+    # table renames them on the way out.
+    assert [field.name for field in fields(StudyRow)][: len(CSV_COLUMNS)] == list(CSV_COLUMNS)
+    assert not hasattr(opekit.io, "rows_list")
 
 
 def test_one_version_string():
