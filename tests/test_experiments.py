@@ -91,11 +91,11 @@ class TestSpecParsing:
             (MetricSpec("beta-ips", 0.5), None, r"^not an estimator spec: MetricSpec\(name='beta-ips', params=0.5\)$"),
             (MetricSpec(5, (1.0,)), None, r"^not an estimator spec: MetricSpec\(name=5, params=\(1.0,\)\)$"),
             (MetricSpec("beta-ips", (10**400,)), None, "^cannot parse baselines in 'beta-ips:10{400}'$"),
+            (MetricSpec("beta-ips", ("0.5",)), "beta-ips:0.5", None),
             # Integers with more digits than Python writes in decimal, which the message cannot show.
             (MetricSpec("beta-ips", (10**5000,)), None, "^not an estimator spec: it holds an integer too long to write$"),
             (MetricSpec("beta-ipm", (1.0, 10**5000)), None, "^not an estimator spec: it holds an integer too long to write$"),
             (MetricSpec(10**5000, ()), None, "^not an estimator spec: it holds an integer too long to write$"),
-            (MetricSpec("beta-ips", ("0.5",)), "beta-ips:0.5", None),
         ],
     )
     def test_a_built_spec_passes_the_text_rules(self, spec, text, message):
