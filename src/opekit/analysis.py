@@ -128,8 +128,10 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
     t_series.setflags(write=False)
     # Internal consistency: the series were built from the same columns the
     # scalars came from, so their means can only differ by accumulated
-    # rounding in the rearranged sums.
-    scale = max(1.0, abs(mean_wr), abs(v) * abs(mean_w))
+    # rounding in the rearranged sums, which scales with the summands, not
+    # with their sum: weighted rewards of both signs cancel in the sum.
+    with np.errstate(over="ignore"):  # a scale past the float range passes the check
+        scale = float(np.mean(np.abs(wr))) + abs(v) * mean_w
     if abs(float(np.mean(u_series)) - l_n) > 1e-12 * scale:
         raise ValidationError(f"mean of the u series disagrees with L_n = {l_n}")
     if abs(float(np.mean(t_series)) - (mean_w - 1.0)) > 1e-12 * max(1.0, abs(mean_w)):

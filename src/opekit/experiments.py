@@ -33,10 +33,12 @@ surviving replicates (:meth:`ReplicateMatrix.kept`). More than 1% failures
 for any estimator at any sample size aborts the study, because then the
 survivors no longer represent the sampling distribution.
 
-Every study kind runs its grid through one loop, ``_run_grid``, which
-compiles the scenario, enumerates its oracle and builds the study's
-report; a kind adds only its metrics, a precondition on the oracle
-(``check``), and a verdict that it builds one grid cell at a time (``cell``).
+Every study and replicate matrix is set up by ``_setup``: it compiles the
+scenario, always enumerates its oracle, runs a study kind's precondition
+(``check``) and builds the metric table, each metric's columns named from
+the oracle's target labels with their targets. Every study kind runs its
+grid through one loop, ``_run_grid``; a kind adds only its metrics,
+``check``, and a verdict built one grid cell at a time (``cell``).
 """
 
 from __future__ import annotations
@@ -95,24 +97,14 @@ def _estimator_list(estimators) -> tuple:
 
 
 def _study_specs(estimators, scenario) -> tuple[MetricSpec, ...]:
-    """Parsed specs, each checked to apply to the scenario's kind."""
+    """Parsed specs, at least one, each checked to apply to the scenario's kind."""
     kind = "ranked" if _ranked(scenario) else "scalar"
     specs = tuple(parse_estimator_spec(e) for e in _estimator_list(estimators))
+    if not specs:
+        raise ValidationError("at least one estimator is required")
     for spec in specs:
         _check_kind(spec.name, kind, spec.label, study=True)
     return specs
-
-
-def _metric_labels(label: str, compiled: CompiledScenario) -> list[str]:
-    if not compiled.ranked:
-        return [label]
-    return [f"{label}[pos{j + 1}]" for j in range(compiled.k)] + [f"{label}[total]"]
-
-
-def _metrics(specs, compiled: CompiledScenario, folds, master_seed: int, oracle_value) -> tuple:
-    """Each spec's label, registry entry and kernel argument, checked once, before the pool and any draw."""
-    args = (kernel_arg(spec, folds, master_seed, oracle_value) for spec in specs)
-    return tuple((s.label, ESTIMATORS[s.name], _checked_arg(s.name, arg, compiled.k)) for s, arg in zip(specs, args))
 
 
 def _block_rows(n: int, k: int) -> int:
@@ -138,11 +130,19 @@ def _evaluate(entry, arg, w: np.ndarray, wr: np.ndarray) -> tuple:
     return values, failed, entry.error
 
 
+@dataclass(frozen=True)
+class FailureRecord:
+    """One replicate on which a metric's precondition failed."""
+
+    metric: str
+    replicate: int
+    error: str
+
+
 def _replicate_range(compiled, n, master_seed, start, stop, metrics):
     """Evaluate all metrics on replicates [start, stop), block by block; NaN marks failures."""
-    widths = [len(_metric_labels(label, compiled)) for label, _, _ in metrics]
-    values = np.full((stop - start, sum(widths)), np.nan)
-    failures: list[tuple[str, int, str]] = []
+    values = np.full((stop - start, sum(len(targets) for _, targets, _, _ in metrics)), np.nan)
+    failures: list[FailureRecord] = []
     step = _block_rows(n, compiled.k)
     streams = replicate_streams(master_seed, n, range(start, stop))
     # One buffer for the whole range: a block's uniforms, (1 + 2k) * n per
@@ -153,28 +153,17 @@ def _replicate_range(compiled, n, master_seed, start, stop, metrics):
         high = min(low + step, stop)
         w, wr = sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams))
         rows = values[low - start : high - start]
-        found = []
         offset = 0
-        for index, ((label, entry, arg), width) in enumerate(zip(metrics, widths)):
+        for label, targets, entry, arg in metrics:
             out, failed, error = _evaluate(entry, arg, w, wr)
-            columns = rows[:, offset : offset + width]
+            columns = rows[:, offset : offset + len(targets)]
             columns[...] = out.reshape(len(columns), -1)
             if failed is not None and failed.any():
                 columns[failed] = np.nan
-                found.extend((low + int(row), index, label, error.__name__) for row in np.flatnonzero(failed))
-            offset += width
-        found.sort()
-        failures.extend((label, replicate, error) for replicate, _, label, error in found)
+                failures.extend(FailureRecord(label, low + int(row), error.__name__) for row in np.flatnonzero(failed))
+            offset += len(targets)
+    failures.sort(key=lambda record: record.replicate)  # stable: a replicate's records stay in metric order
     return values, failures
-
-
-@dataclass(frozen=True)
-class FailureRecord:
-    """One replicate on which a metric's precondition failed."""
-
-    metric: str
-    replicate: int
-    error: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +225,7 @@ def _run_in_pool(pool, tasks: list) -> list:
 
 def _replicate_matrix(compiled, n, replicates, master_seed, metrics, pool, n_jobs):
     """The paired replicate matrix of one cell of a compiled scenario, on the study's pool if it has one."""
-    labels = tuple(column for label, _, _ in metrics for column in _metric_labels(label, compiled))
+    labels = tuple(column for _, targets, _, _ in metrics for column in targets)
     # The matrix holds a float64 per replicate and label, and numpy holds at most intp.max bytes in one array.
     largest = int(np.iinfo(np.intp).max) // (8 * len(labels))
     if replicates > largest:
@@ -257,11 +246,7 @@ def _replicate_matrix(compiled, n, replicates, master_seed, metrics, pool, n_job
         )
     values = np.vstack([chunk_values for chunk_values, _ in chunks])
     values.setflags(write=False)
-    failures = tuple(
-        FailureRecord(metric, replicate, error)
-        for _, chunk_failures in chunks
-        for metric, replicate, error in chunk_failures
-    )
+    failures = tuple(record for _, chunk_failures in chunks for record in chunk_failures)
     return ReplicateMatrix(n=n, labels=labels, values=values, failures=failures)
 
 
@@ -279,13 +264,11 @@ def replicate_estimates(
     """Paired per-replicate estimates for every requested metric.
 
     ``oracle_value`` is only consulted by the squared-remainder metric; it
-    defaults to the exact value of the target policy, read from the
-    scenario's oracle. The scenario is compiled, and so checked, before
-    any replicate is drawn.
+    defaults to the exact value of the target policy. :func:`_setup`
+    compiles the scenario and always enumerates its oracle before any
+    draw, and the matrix's columns are those of its metric table.
     """
     specs = _study_specs(estimators, scenario)
-    if not specs:
-        raise ValidationError("at least one estimator is required")
     n = _integer(n, "sample size")
     replicates = _integer(replicates, "replicates")
     master_seed = _integer(master_seed, "master seed")
@@ -293,11 +276,8 @@ def replicate_estimates(
         raise TooFewReplicates(replicates)
     if master_seed < 0:
         raise ValidationError(f"master seed must be non-negative, got {master_seed}")
-    compiled = compile_scenario(scenario)
-    _check_sample_size(n, compiled.k)
-    if oracle_value is None and any(ESTIMATORS[s.name].param == "value" for s in specs):
-        oracle_value = _oracle(compiled).value
-    metrics = _metrics(specs, compiled, folds, master_seed, oracle_value)
+    _check_sample_size(n, scenario.k)
+    compiled, _, metrics = _setup(scenario, specs, folds, master_seed, value=oracle_value)
     with _worker_pool(n_jobs) as (pool, n_jobs):
         return _replicate_matrix(compiled, n, replicates, master_seed, metrics, pool, n_jobs)
 
@@ -456,15 +436,30 @@ def oracle_report(scenario) -> OracleReport:
     return _oracle(compile_scenario(scenario))
 
 
-def _metric_columns(specs, compiled: CompiledScenario, oracle: OracleReport) -> dict[str, dict[str, float]]:
-    """Each metric's column labels and their oracle targets; a metric's columns follow the oracle's targets in order."""
-    return {
-        spec.label: {
-            label: 0.0 if spec.name == "remainder-sq" else target.value
-            for label, target in zip(_metric_labels(spec.label, compiled), oracle.targets)
+def _setup(scenario, specs, folds, master_seed: int, check=None, value=None) -> tuple:
+    """``(compiled, oracle, metrics)``: the one setup of every study and replicate matrix, before the pool and any draw.
+
+    ``check``, a study kind's precondition, sees the oracle before any kernel
+    argument is checked. A metric is ``(label, targets, entry, arg)``:
+    ``targets`` maps each column, named from the oracle's target labels, to
+    its target (0.0 for the squared remainder), and ``arg`` is the checked
+    kernel argument, which reads ``value``, or else the oracle value.
+    """
+    compiled = compile_scenario(scenario)
+    oracle = _oracle(compiled)
+    if check is not None:
+        check(oracle)
+    value = oracle.value if value is None else value
+    metrics = []
+    for spec in specs:
+        remainder = spec.name == "remainder-sq"
+        targets = {
+            f"{spec.label}[{t.label}]" if compiled.ranked else spec.label: 0.0 if remainder else t.value
+            for t in oracle.targets
         }
-        for spec in specs
-    }
+        arg = _checked_arg(spec.name, kernel_arg(spec, folds, master_seed, value), compiled.k)
+        metrics.append((spec.label, targets, ESTIMATORS[spec.name], arg))
+    return compiled, oracle, tuple(metrics)
 
 
 @dataclass(frozen=True)
@@ -540,11 +535,11 @@ class StudyReport:
     failures: tuple[FailureRecord, ...]
 
 
-def _rows_for_matrix(matrix: ReplicateMatrix, columns: dict[str, dict[str, float]]) -> list[StudyRow]:
+def _rows_for_matrix(matrix: ReplicateMatrix, metrics) -> list[StudyRow]:
     """Each column's statistics over the replicates its metric kept; statistics past the float range fail the study."""
     rows = []
     replicates = matrix.values.shape[0]
-    for metric, targets in columns.items():
+    for metric, targets, _, _ in metrics:
         keep = matrix.kept(metric)
         n_used = int(keep.sum())
         if replicates - n_used > 0.01 * replicates:
@@ -575,29 +570,24 @@ def _rows_for_matrix(matrix: ReplicateMatrix, columns: dict[str, dict[str, float
 
 
 def _run_grid(config: StudyConfig, specs, n_jobs: int, check=None, cell=None) -> StudyReport:
-    """Compile the study's scenario and enumerate its oracle once, then run its cells in grid order on one pool.
+    """Set the study up once with :func:`_setup`, then run its cells in grid order on one pool.
 
-    A scenario that fails its checks fails before the oracle and any draw.
-    ``check``, a study kind's precondition, sees the oracle before the
-    kernel arguments are checked and the pool opens. ``cell``, its verdict,
-    sees each cell's matrix and the metrics' columns before the next cell is
-    sampled, so the loop keeps no earlier cell's matrix.
+    The setup compiles the scenario, always enumerates its oracle and runs
+    ``check`` on it before the pool opens. Each cell's rows are judged
+    against the metric table's targets; ``cell``, the kind's verdict, sees
+    each cell's matrix and the table before the next cell is sampled, so
+    the loop keeps no earlier cell's matrix.
     """
-    compiled = compile_scenario(config.scenario)
-    oracle = _oracle(compiled)
-    if check is not None:
-        check(oracle)
-    metrics = _metrics(specs, compiled, config.folds, config.master_seed, oracle.value)
-    columns = _metric_columns(specs, compiled, oracle)
+    compiled, oracle, metrics = _setup(config.scenario, specs, config.folds, config.master_seed, check)
     rows: list[StudyRow] = []
     failures: list[FailureRecord] = []
     with _worker_pool(n_jobs) as (pool, n_jobs):
         for n in config.n_grid:
             matrix = _replicate_matrix(compiled, n, config.replicates, config.master_seed, metrics, pool, n_jobs)
-            rows.extend(_rows_for_matrix(matrix, columns))
+            rows.extend(_rows_for_matrix(matrix, metrics))
             failures.extend(matrix.failures)
             if cell is not None:
-                cell(matrix, columns)
+                cell(matrix, metrics)
     return StudyReport(
         rows=tuple(rows),
         oracle=oracle,
@@ -618,10 +608,7 @@ def _no_estimators(config: StudyConfig, kind: str) -> None:
 
 def run_mc_study(config: StudyConfig, n_jobs: int = 1) -> StudyReport:
     """Bias, variance, and MSE for each estimator over the sample size grid."""
-    specs = _study_specs(config.estimators, config.scenario)
-    if not specs:
-        raise ValidationError("the study needs at least one estimator")
-    return _run_grid(config, specs, n_jobs)
+    return _run_grid(config, _study_specs(config.estimators, config.scenario), n_jobs)
 
 
 @dataclass(frozen=True)
@@ -652,12 +639,12 @@ class DominanceReport:
     smallest_dominant_n: dict[str, int | None]
 
 
-def _dominance_cells(matrix: ReplicateMatrix, columns: dict[str, dict[str, float]], targets) -> list[DominanceCell]:
+def _dominance_cells(matrix: ReplicateMatrix, metrics, targets) -> list[DominanceCell]:
     """The paired comparison of one grid cell at every target, on the replicates both metrics of the pair kept."""
-    optimal_metric, selfnorm_metric = columns
+    (optimal_metric, optimal_columns, _, _), (selfnorm_metric, selfnorm_columns, _, _) = metrics
     paired = matrix.kept(optimal_metric) & matrix.kept(selfnorm_metric)
     cells = []
-    for target, optimal_label, selfnorm_label in zip(targets, *columns.values()):
+    for target, optimal_label, selfnorm_label in zip(targets, optimal_columns, selfnorm_columns):
         optimal = matrix.column(optimal_label)[paired]
         selfnorm = matrix.column(selfnorm_label)[paired]
         diff, se = paired_mse_difference(optimal, selfnorm, target.value)
@@ -703,7 +690,7 @@ def dominance_check(config: StudyConfig, n_jobs: int = 1) -> DominanceReport:
 
     specs = tuple(MetricSpec(name) for name in pair)
     study = _run_grid(
-        config, specs, n_jobs, check, lambda matrix, columns: cells.extend(_dominance_cells(matrix, columns, targets))
+        config, specs, n_jobs, check, lambda matrix, metrics: cells.extend(_dominance_cells(matrix, metrics, targets))
     )
     smallest: dict[str, int | None] = {}
     for target in targets:

@@ -312,6 +312,8 @@ def replicate_streams(seed: int, n: int, rows: range) -> Iterator[np.random.Gene
     for name, value in (("master seed", seed), ("sample size", n), ("replicate index", rows.start)):
         if value < 0:
             raise ValidationError(f"{name} must be non-negative, got {value}")
+    if rows.step != 1:  # _pcg64_seeds hashes every index from rows.start to rows.stop
+        raise ValidationError(f"replicate rows must be a range of step 1, got {rows!r}")
     # Registered here, not at import, so that importing this module loads no numpy.random.
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
     for words in _pcg64_seeds(seed, n, rows):

@@ -56,6 +56,17 @@ def ranked_from_weights(weights, rewards, *, reward_bound=1.0, weight_bound=8.0)
     )
 
 
+def cancelling_log(n: int) -> Dataset:
+    """A scalar log of ``n`` entries (even) whose weighted rewards cancel in pairs.
+
+    Each pair shares a logging propensity of 1e-9 * U(1, 2), so weights near
+    1e9 with target propensity one, and holds rewards +1 and -1.
+    """
+    p_log = np.repeat(1e-9 * np.random.default_rng(0).uniform(1.0, 2.0, n // 2), 2)
+    rewards = np.tile([1.0, -1.0], n // 2)
+    return Dataset.from_arrays(p_log, np.ones(n), rewards, reward_bound=1.0, weight_bound=1e10)
+
+
 def fold_indices(n: int, config) -> list[np.ndarray]:
     """The cross-fitting partition of range(n) under a ``CrossFitConfig``: each fold's indices, ascending.
 

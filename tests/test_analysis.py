@@ -19,7 +19,7 @@ from opekit import (
 )
 from opekit.errors import DegenerateWeights, ValidationError, ZeroWeightSum
 
-from conftest import dataset_from_weights
+from conftest import cancelling_log, dataset_from_weights
 
 
 def moments(var_w, var_wr, cov, n, mean_wr=0.5):
@@ -160,6 +160,18 @@ class TestRemainder:
         big_w = d.weight_bound
         assert np.all(np.abs(diag.u_series) <= d.reward_bound * big_w * (1.0 + big_w))
         assert np.all(np.abs(diag.t_series) <= big_w)
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    @pytest.mark.parametrize("value", [1e-10, 1e-8, 1e-6])
+    def test_cancelling_weighted_rewards(self, n, value):
+        # The u series' mean and L_n sum terms near 1e9 whose sum cancels, so they
+        # differ by rounding of the terms' size, not of the sum's.
+        dataset = cancelling_log(n)
+        wr = dataset.weights * dataset.rewards
+        d = remainder_diagnostics(dataset, value)
+        tolerance = 1e-12 * float(np.mean(np.abs(wr)))
+        assert d.l_n == pytest.approx(math.fsum(wr) / n - value * d.w_bar, rel=0, abs=tolerance)
+        assert float(np.mean(d.u_series)) == pytest.approx(d.l_n, rel=0, abs=tolerance)
 
     def test_event_flag(self):
         low = dataset_from_weights([0.25, 0.25], [1.0, 0.0], weight_bound=1.0)

@@ -27,10 +27,13 @@ from opekit import (
     read_logs,
     sample_logs,
     sample_ranked_logs,
+    write_logs,
 )
 from opekit.cli import OUT_DIR_ENV, main
 from opekit.errors import NonFiniteValue, ValidationError
 from opekit.simulator import compile_scenario
+
+from conftest import cancelling_log
 
 
 def run(capsys, *args):
@@ -174,6 +177,14 @@ class TestEvaluate:
         gap = report["variance_gap"]
         assert gap["gap_delta"] >= 0.0
         assert gap["n"] == 80
+
+    def test_cancelling_weighted_rewards_pass_the_remainder_checks(self, capsys, tmp_path):
+        # Weighted rewards near 1e9 that cancel in pairs: rounding of the summands is not a disagreement.
+        path = tmp_path / "cancel.jsonl"
+        write_logs(cancelling_log(10_000), path)
+        code, out, err = run(capsys, "evaluate", "--in", str(path), "--true-value", "1e-8")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["remainder"]["event_holds"]
 
     def test_gap_needs_true_value(self, capsys, flip2_logs):
         code, _, err = run(capsys, "evaluate", "--in", str(flip2_logs), "--gap")

@@ -413,6 +413,14 @@ class TestSeededStreams:
         with pytest.raises(ValidationError, match=message):
             next(streams)
 
+    @pytest.mark.parametrize("rows", [range(0, 4, 2), range(4, 0, -1)])
+    def test_a_step_other_than_one_is_refused(self, rows):
+        # The seeds are hashed for every index from rows.start to rows.stop, so a
+        # stride would hand out other replicates' streams and a descending range none.
+        streams = replicate_streams(SEED, 10, rows)
+        with pytest.raises(ValidationError, match=r"^replicate rows must be a range of step 1, got range\("):
+            next(streams)
+
     def test_one_call_per_row_consumes_the_staged_stream(self):
         uniforms = draw_uniforms(np.empty((2, 30)), replicate_streams(SEED, 10, range(5, 7)))
         for row, r in zip(uniforms, (5, 6)):

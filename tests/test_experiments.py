@@ -1,6 +1,7 @@
 """Monte Carlo engine, statistics helpers, and study drivers."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -326,6 +327,72 @@ class TestOracleReport:
             oracle_report(get_scenario("flip2")).target("pos9")
 
 
+def exact_target(context_probs, position) -> dict:
+    """A position's value, moments at n = 1, optimal baseline and variance gap, in exact arithmetic.
+
+    Every context, action and reward outcome is enumerated in Fractions of
+    the scenario's own float tables, so the only rounding left is the one
+    of the oracle under test.
+    """
+    value, cells = Fraction(0), []  # cells: (probability under logging, weight, reward)
+    tables = (position.logging_policy.probs, position.target_policy.probs, position.reward_means)
+    for p_x, *rows in zip(context_probs.tolist(), *(table.tolist() for table in tables)):
+        for p_log, p_tgt, mu in zip(*([Fraction(v) for v in row] for row in rows)):
+            value += Fraction(p_x) * p_tgt * mu
+            if p_log:
+                w = p_tgt / p_log
+                cells += [(Fraction(p_x) * p_log * mu, w, 1), (Fraction(p_x) * p_log * (1 - mu), w, 0)]
+    mean_w = sum(p * w for p, w, _ in cells)
+    mean_wr = sum(p * w * y for p, w, y in cells)
+    var_w = sum(p * (w - mean_w) ** 2 for p, w, _ in cells)
+    cov = sum(p * (w - mean_w) * (w * y - mean_wr) for p, w, y in cells)
+    return {
+        "value": value,
+        "mean_w": mean_w,
+        "mean_wr": mean_wr,
+        "var_w": var_w,
+        "var_wr": sum(p * (w * y - mean_wr) ** 2 for p, w, y in cells),
+        "cov_w_wr": cov,
+        "beta_star": cov / var_w if var_w else None,
+        "gap_delta": (value * var_w - cov) ** 2 / var_w if var_w else None,
+    }
+
+
+class TestExactOracle:
+    # The oracle's floats against exact enumeration: within 1e-12 relative, and 1e-12
+    # absolute for quantities that are zero but for the rounding of the tables
+    # (identity2's weight variance and covariance, const2's gap).
+    @pytest.mark.parametrize(
+        "scenario",
+        [get_scenario(name) for name in ("flip2", "identity2", "const2", "rankflip2x2")]
+        + [
+            BanditScenario(
+                BanditEnv([0.3, 0.7], [[0.1, 0.5, 0.9], [0.4, 0.8, 0.3]]),
+                PolicyTable([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]]),
+                PolicyTable([[0.2, 0.2, 0.6], [0.7, 0.1, 0.2]]),
+            )
+        ],
+        ids=["flip2", "identity2", "const2", "rankflip2x2", "inline-2x3"],
+    )
+    def test_enumeration_in_fractions(self, scenario):
+        report = oracle_report(scenario)
+        values = []
+        for position, target in zip(scenario.positions, report.targets):
+            exact = exact_target(scenario.context_probs, position)
+            values.append(exact["value"])
+            moments = target.moments
+            found = {"value": target.value, **{k: getattr(moments, k) for k in list(exact)[1:6]}}
+            if moments.beta_star is None:
+                assert target.gap is None
+                assert exact["var_w"] < 1e-12
+            else:
+                found.update(beta_star=moments.beta_star, gap_delta=target.gap.gap_delta)
+            for name, number in found.items():
+                assert number == pytest.approx(float(exact[name]), rel=1e-12, abs=1e-12), (target.label, name)
+        if len(report.targets) > len(values):
+            assert report.value == pytest.approx(float(sum(values)), rel=1e-12)
+
+
 class TestStudyConfig:
     def test_validation(self):
         scenario = get_scenario("flip2")
@@ -478,8 +545,12 @@ class TestMcStudy:
         assert first.rows == second.rows == parallel.rows
 
     def test_needs_estimators(self):
-        with pytest.raises(ValidationError):
+        # The study and the replicate engine refuse an empty list with one message.
+        message = "^at least one estimator is required$"
+        with pytest.raises(ValidationError, match=message):
             run_mc_study(self.config(estimators=()))
+        with pytest.raises(ValidationError, match=message):
+            replicate_estimates(get_scenario("flip2"), 40, 20, 0, ())
 
     @pytest.mark.parametrize("name, estimator", [("flip2", "beta-star-ips"), ("rankflip2x2", "beta-perp-star-ipm")])
     def test_failed_counts_are_the_recorded_failures(self, name, estimator):

@@ -327,8 +327,9 @@ def test_the_oracle_holds_each_fact_once():
 
 def test_one_rule_checks_kernel_arguments():
     # estimators._checked_arg alone decides what a kernel's argument may be, once
-    # per call: _apply after the kind check for datasets and experiments._metrics
-    # once per study. Wrappers and spec helpers pass their argument on unchecked.
+    # per call: _apply after the kind check for datasets and experiments._setup
+    # once per study or replicate matrix. Wrappers and spec helpers pass their
+    # argument on unchecked.
     callers, defined = set(), set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -339,7 +340,7 @@ def test_one_rule_checks_kernel_arguments():
             if isinstance(node, ast.Call) and "_checked_arg" in _names(node.func)
         }
         defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert callers == {"estimators._apply", "experiments._metrics"}
+    assert callers == {"estimators._apply", "experiments._setup"}
     assert "_fixed_baselines" not in defined
 
 
@@ -364,13 +365,20 @@ def _calls(node, name: str) -> int:
 
 
 def test_one_study_setup():
-    # experiments._run_grid alone compiles a study's scenario and enumerates its
-    # oracle; a study kind adds its specs, a precondition and a verdict.
+    # experiments._setup alone compiles a scenario, enumerates its oracle and builds
+    # the metric table, once for every study (_run_grid) and every replicate matrix
+    # (replicate_estimates); oracle_report is the public way to the oracle alone.
+    # Column names come from the oracle's target labels, in _setup, with no helper.
     functions = dict(_functions(ast.parse((SOURCE / "experiments.py").read_text(encoding="utf-8"))))
-    for kind in ("run_mc_study", "dominance_check", "decay_rate_study", "bias_rate_study"):
-        assert _calls(functions[kind], "compile_scenario") == _calls(functions[kind], "_oracle") == 0, kind
-    assert _calls(functions["_run_grid"], "compile_scenario") == _calls(functions["_run_grid"], "_oracle") == 1
+    for name in ("compile_scenario", "_oracle"):
+        assert {caller for caller, function in functions.items() if _calls(function, name)} == {
+            "_setup",
+            "oracle_report",
+        }, name
+    for caller in ("_run_grid", "replicate_estimates"):
+        assert _calls(functions[caller], "_setup") == 1, caller
     assert {"check", "cell"} <= {arg.arg for arg in functions["_run_grid"].args.args}
+    assert {"_metric_labels", "_metric_columns", "_metrics"} & set(functions) == set()
 
 
 def _is_scenario_test(node) -> bool:
