@@ -335,23 +335,34 @@ def beta_star_ips(dataset: Dataset) -> Estimate:
     return estimate("beta-star-ips", dataset)
 
 
-@lru_cache(maxsize=16)
-def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's fold label and the fold-major order, cached and read-only.
+_COMPLEMENT_ENTRIES = 4 * 16384  # complement indices a fold layout caches at most: about four engine blocks
 
-    Indices are shuffled by a generator seeded from ``seed`` and split into
-    ``folds_k`` near-equal folds by ``np.array_split``, so the same
-    arguments always produce the same partition, whose first ``n % folds_k``
-    folds hold one entry more than the rest. The labels take the smallest
-    unsigned type that holds ``folds_k - 1``. The order lists fold 0's
-    indices ascending, then fold 1's, and so on.
+
+@lru_cache(maxsize=16)
+def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+    """Index matrices of each group of equal-length folds, cached and read-only.
+
+    Indices are shuffled by a generator seeded from ``seed`` and split in
+    order into ``folds_k`` folds as ``np.array_split`` splits, so the same
+    arguments always give the same partition, whose first ``n % folds_k``
+    folds hold one entry more than the rest. Each group of equal-length
+    folds, the longer first, is a pair ``(folds, complements)``: row ``f``
+    of ``folds``, a view of the shuffled indices, lists a fold's indices
+    ascending, and row ``f`` of ``complements`` every other index, or is
+    ``None`` past ``_COMPLEMENT_ENTRIES``: a long row costs one index per entry.
     """
-    if n // folds_k < 2:
+    size, longer = divmod(n, folds_k)
+    if size < 2:
         raise FoldTooSmall(n, folds_k)
-    labels = np.empty(n, dtype=np.min_scalar_type(folds_k - 1))
-    for f, chunk in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), folds_k)):
-        labels[chunk] = f
-    return _freeze(labels), _freeze(np.argsort(labels, kind="stable"))
+    order = np.random.default_rng(seed).permutation(n)
+    split = longer * (size + 1)
+    groups = []
+    cached = folds_k * (n - size) <= _COMPLEMENT_ENTRIES
+    for folds in filter(len, (order[:split].reshape(longer, size + 1), order[split:].reshape(folds_k - longer, size))):
+        folds.sort(axis=-1)
+        complements = _freeze(np.stack([np.delete(np.arange(n), fold) for fold in folds])) if cached else None
+        groups.append((_freeze(folds), complements))
+    return tuple(groups)
 
 
 def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tuple:
@@ -359,40 +370,38 @@ def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tup
 
     Fails on rows where some fold has constant weights, which leaves its
     baseline undefined, while its evaluation entries do not average to
-    weight one, so the baseline still matters. ``w`` and ``wr`` are
-    gathered once into the cached fold-major order and centred there in
-    place, the folds of one length at once; the copies are dropped before
-    the complements are read, so one long row needs room for two copies
-    and one product of them. Each complement is read in index order, as a
-    gather of its indices would be. A validation error names the entry
-    that checking the folds one after another would meet first.
+    weight one, so the baseline still matters. Each group of equal-length
+    folds is one ``take`` of ``w`` and of ``wr`` by the cached fold matrix,
+    centred in place, and its complement means one ``take`` by the cached
+    complement matrix, or, past its budget, one masked fold at a time, so a
+    long row needs room for two copies and one product of them. Each
+    complement sums in index order, as one contiguous row does. A validation
+    error names the entry that checking the folds one after another meets first.
     """
     n = w.shape[-1]
-    k = config.folds_k
-    labels, order = _fold_layout(n, k, config.seed)
-    size, longer = divmod(n, k)
-    split = longer * (size + 1)
-    lead = w.shape[:-1]
-    w_folds, wr_folds = w.take(order, axis=-1), wr.take(order, axis=-1)
-    groups = [
-        (w_folds[..., part].reshape(shape), wr_folds[..., part].reshape(shape))
-        for part, shape in ((slice(split), lead + (longer, size + 1)), (slice(split, None), lead + (k - longer, size)))
-    ]
-    moments = tuple(np.concatenate(parts, axis=-1) for parts in zip(*(_moments(*group, out=group) for group in groups)))
-    del w_folds, wr_folds, groups
-    offsets = np.empty(lead + (k,))
-    complement_wr = np.empty(lead + (k,))
-    for f in range(k):
-        outside = labels != f
-        offsets[..., f] = 1.0 - row_mean(w.compress(outside, axis=-1))
-        complement_wr[..., f] = row_mean(wr.compress(outside, axis=-1))
+    size, longer = divmod(n, config.folds_k)
+    parts = []
+    for folds, complements in _fold_layout(n, config.folds_k, config.seed):
+        pair = w.take(folds, axis=-1), wr.take(folds, axis=-1)
+        moments = _moments(*pair, out=pair)
+        del pair
+        if complements is not None:
+            means = [row_mean(x.take(complements, axis=-1)) for x in (w, wr)]
+        else:
+            means = np.empty((2,) + w.shape[:-1] + (len(folds),))
+            for f, fold in enumerate(folds):
+                outside = np.ones(n, dtype=bool)
+                outside[fold] = False
+                means[:, ..., f] = [row_mean(x.compress(outside, axis=-1)) for x in (w, wr)]
+        parts.append(moments + (1.0 - means[0], means[1]))
+    *moments, offsets, complement_wr = (np.concatenate(column, axis=-1) for column in zip(*parts))
     baseline, degenerate = plug_in_baselines(moments[2], moments[4])
     failed = degenerate & (offsets != 0.0)
     failed_so_far = np.logical_or.accumulate(failed, axis=-1)
     baseline = np.where(degenerate, 0.0, baseline)
     if _invalid_moments(moments).any() or (~failed_so_far & ~np.isfinite(baseline)).any():
         # Raise what checking the folds one after another meets first.
-        for f in range(k):
+        for f in range(config.folds_k):
             _check_moments(tuple(m[..., f] for m in moments), size + (f < longer))
             _require_finite_baselines(baseline[..., f], ~failed_so_far[..., f])
     values = baseline * offsets + complement_wr

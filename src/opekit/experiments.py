@@ -543,7 +543,7 @@ def _rows_for_matrix(matrix: ReplicateMatrix, metrics) -> list[StudyRow]:
         keep = matrix.kept(metric)
         n_used = int(keep.sum())
         if replicates - n_used > 0.01 * replicates:
-            raise ExcessiveFailureRate(next(iter(targets)), matrix.n, replicates - n_used, replicates)
+            raise ExcessiveFailureRate(metric, matrix.n, replicates - n_used, replicates)
         for label, target in targets.items():
             mean, bias, variance, mse = _decompose(matrix.column(label)[keep], target)
             # The bias is the mean less a finite target, so it overflows only when the mse does.

@@ -676,6 +676,17 @@ class TestStudy:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: beta-ipm:") and " at n=50: cell statistics are not finite" in err
 
+    def test_ranked_failure_rate_names_the_metric(self, capsys, tmp_path):
+        # A replicate fails when any position fails, so the count is the metric's, not its first column's.
+        config = write_config(
+            tmp_path, environment="rankflip2x2", estimators=["beta-perp-star-ipm"], n_grid=[3], seed=1
+        )
+        code, _, err = run(capsys, "study", "--config", str(config), "--out-dir", str(tmp_path))
+        assert (code, err) == (
+            3,
+            "error: beta-perp-star-ipm failed on 93/100 replicates at n=3 (more than 1% invalidates the study)\n",
+        )
+
     def test_support_violation_names_its_position(self, capsys, tmp_path):
         environment = {
             "kind": "ranking",

@@ -9,6 +9,7 @@ their references the same way.
 """
 
 import concurrent.futures
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,9 +237,12 @@ class TestFailureRecords:
 class TestFoldLayout:
     def test_cached_arrays_are_read_only(self):
         layout = _fold_layout(40, 4, 9)
-        for arr in layout + tuple(fold_indices(40, CrossFitConfig(folds_k=4, seed=9))):
+        # One group of folds when k divides n, two otherwise, each with its complements.
+        matrices = [arr for n in (40, 42) for group in _fold_layout(n, 4, 9) for arr in group]
+        assert len(matrices) == 6
+        for arr in matrices + fold_indices(40, CrossFitConfig(folds_k=4, seed=9)):
             with pytest.raises(ValueError):
-                arr[0] = 0
+                arr.flat[0] = 0
         assert _fold_layout(40, 4, 9) is layout
         # Integral floats and numpy integers key the same cached layout.
         assert _fold_layout(40, CrossFitConfig(4.0).folds_k, CrossFitConfig(seed=np.int64(9)).seed) is layout
@@ -250,14 +254,16 @@ class TestFoldLayout:
             expected = [np.sort(chunk) for chunk in np.array_split(perm, k)]
             assert len(folds) == k
             assert all(np.array_equal(a, b) for a, b in zip(folds, expected))
-            labels, order = _fold_layout(n, k, seed)
-            for f, fold in enumerate(folds):
-                assert (labels[fold] == f).all()
-            assert np.array_equal(np.concatenate(folds), order)
+            complements = [row for _, matrix in _fold_layout(n, k, seed) for row in matrix]
+            assert all(np.array_equal(c, np.setdiff1d(np.arange(n), fold)) for c, fold in zip(complements, folds))
+            assert len(complements) == k
 
     def test_layout_holds_at_most_two_indices_per_entry(self):
+        # A row too long for complement matrices: the layout holds each index once.
         n = 200_000
-        assert sum(arr.size for arr in _fold_layout(n, 5, 0)) <= 2 * n
+        layout = _fold_layout(n, 5, 0)
+        assert all(complements is None for _, complements in layout)
+        assert sum(folds.size for folds, _ in layout) == n
 
 
 def cross_fit_reference(w, wr, config):
@@ -303,6 +309,33 @@ class TestCrossFit:
         config = CrossFitConfig(folds_k=5, seed=1)
         got = cross_fit_rows(w, wr, config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
+
+    @pytest.mark.parametrize("n, cached", [(16383, True), (16384, False)])
+    def test_rows_either_side_of_the_complement_budget_equal_the_fold_loop(self, n, cached):
+        # Complements from cached index matrices, and one at a time past their budget.
+        config = CrossFitConfig(folds_k=5, seed=2)
+        assert [complements is not None for _, complements in _fold_layout(n, 5, 2)] == [cached, cached]
+        rng = np.random.default_rng(n)
+        w = rng.choice([1 / 9, 9.0], size=(2, n))
+        wr = w * (rng.random(w.shape) < 0.5)
+        got = cross_fit_rows(w, wr, config)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
+
+    def test_a_long_row_needs_room_for_three_copies(self):
+        # Two gathered copies of the row and one product of them; the layout holds no
+        # complement matrix at this n (test_layout_holds_at_most_two_indices_per_entry).
+        rng = np.random.default_rng(5)
+        w = rng.choice([1 / 9, 9.0], size=(1, 200_000))
+        wr = w * (rng.random(w.shape) < 0.5)
+        config = CrossFitConfig()
+        cross_fit_rows(w, wr, config)  # the layout is cached before the measurement
+        tracemalloc.start()
+        try:
+            cross_fit_rows(w, wr, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * w.nbytes
 
     @pytest.mark.parametrize(
         "correlated, message",

@@ -580,6 +580,20 @@ class TestMcStudy:
         assert info.value.metric == "beta-star-ips"
         assert info.value.failed == 100
 
+    def test_ranked_excessive_failures_name_the_metric(self):
+        # A replicate fails when any position fails: the count is the metric's, not a column's.
+        config = StudyConfig(
+            scenario=get_scenario("rankflip2x2"),
+            scenario_label="rankflip2x2",
+            n_grid=(3,),
+            replicates=100,
+            master_seed=1,
+            estimators=("beta-perp-star-ipm",),
+        )
+        with pytest.raises(ExcessiveFailureRate) as info:
+            run_mc_study(config)
+        assert (info.value.metric, info.value.failed) == ("beta-perp-star-ipm", 93)
+
 
 class TestDominance:
     def test_flip2_structure(self):
