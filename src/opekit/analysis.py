@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _finite, _integer
+from .data import Dataset, _finite, _freeze, _integer
 from .errors import DegenerateWeights, ValidationError, ZeroWeightSum
-from .estimators import MomentSummary, _require_scalar, remainder_rows
+from .estimators import MomentSummary, Rows, _require_scalar, remainder_rows
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,19 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
     _require_scalar(dataset)
     v = _finite(value, "value")
     w = dataset.weights
-    wr = w * dataset.rewards
-    w_bar, mean_wr, l_n, r_n, zero = remainder_rows(w[None, :], wr[None, :], v)
+    rows = Rows(w[None, :], (w * dataset.rewards)[None, :])
+    l_n, r_n, zero = remainder_rows(rows, v)
     if zero[0]:
         raise ZeroWeightSum()
-    mean_w, mean_wr, l_n = float(w_bar[0]), float(mean_wr[0]), float(l_n[0])
-    u_series = w * (dataset.rewards - v)
-    t_series = w - 1.0
-    u_series.setflags(write=False)
-    t_series.setflags(write=False)
+    mean_w, l_n = float(rows.mean_w[0]), float(l_n[0])
+    u_series = _freeze(w * (dataset.rewards - v))
+    t_series = _freeze(w - 1.0)
     # Internal consistency: the series were built from the same columns the
     # scalars came from, so their means can only differ by accumulated
     # rounding in the rearranged sums, which scales with the summands, not
     # with their sum: weighted rewards of both signs cancel in the sum.
     with np.errstate(over="ignore"):  # a scale past the float range passes the check
-        scale = float(np.mean(np.abs(wr))) + abs(v) * mean_w
+        scale = float(np.mean(np.abs(rows.wr))) + abs(v) * mean_w
     if abs(float(np.mean(u_series)) - l_n) > 1e-12 * scale:
         raise ValidationError(f"mean of the u series disagrees with L_n = {l_n}")
     if abs(float(np.mean(t_series)) - (mean_w - 1.0)) > 1e-12 * max(1.0, abs(mean_w)):

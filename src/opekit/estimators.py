@@ -11,18 +11,20 @@ Moments use the population normaliser 1/n and a two-pass centred
 computation: means first, then moments of deviations. Runs over the same
 dataset therefore agree to the last bit.
 
-Every estimator is defined once, as a row kernel: a function of a weight
-array ``w`` and the weighted rewards ``wr = w * r`` that reduces along the
-last axis and returns one value per row. :data:`ESTIMATORS` maps each
-estimator name to its kernel and kind. One driver, :func:`_apply`, runs a
-kernel on a dataset, one row per position, a scalar dataset being the
-one-position case: the public functions here, the ranked functions and
-``opekit evaluate`` all go through it, with one kind rule
-(:func:`_check_kind`, which the studies share) and one failure rule. The
-Monte Carlo engine runs the same kernels on a block of replicates, one
-row each. Row reductions over C-contiguous rows sum in the same order as a
-reduction over one row alone, so all callers get the same bits. Specs
-such as ``beta-ips:0.5`` are parsed next to the registry they name
+Every estimator is defined once, as a row kernel: a function of a
+:class:`Rows` block, the weights ``w`` and weighted rewards ``wr = w * r``
+of some rows, that returns one value per row. A block takes its row means
+and centred moments once, and the kernels read them; only cross-fitting
+makes its own pass, over its folds. :data:`ESTIMATORS` maps each estimator
+name to its kernel and kind. One driver, :func:`_apply`, runs a kernel on
+a dataset, one row per position, a scalar dataset being the one-position
+case: the public functions here, the ranked functions and ``opekit
+evaluate`` all go through it, with one kind rule (:func:`_check_kind`,
+which the studies share) and one failure rule. The Monte Carlo engine
+runs the same kernels on a block of replicates, one row each. Row
+reductions over C-contiguous rows sum in the same order as a reduction
+over one row alone, so all callers get the same bits. Specs such as
+``beta-ips:0.5`` are parsed next to the registry they name
 (:func:`parse_estimator_spec`, :func:`kernel_arg`), and every kernel
 argument passes one rule, :func:`_checked_arg`.
 """
@@ -30,7 +32,7 @@ argument passes one rule, :func:`_checked_arg`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -146,14 +148,13 @@ def row_total(x: np.ndarray) -> np.ndarray:
         return np.sum(x, axis=-1)
 
 
-def _moments(w: np.ndarray, wr: np.ndarray, out=(None, None)) -> tuple[np.ndarray, ...]:
-    """Two-pass centred moments along the last axis, unchecked; ``out=(w, wr)`` centres them in place.
+def _moments(w: np.ndarray, wr: np.ndarray, means=None, out=(None, None)) -> tuple[np.ndarray, ...]:
+    """Unchecked two-pass centred moments along the last axis about ``means``, else the row means.
 
-    Sums past the float range are inf or nan, silently: :func:`_invalid_moments` rejects them.
+    ``out=(w, wr)`` centres in place. Overflow is silent, an inf or nan that :func:`_invalid_moments` rejects.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_w = row_mean(w)
-        mean_wr = row_mean(wr)
+        mean_w, mean_wr = (row_mean(w), row_mean(wr)) if means is None else means
         dev_w = np.subtract(w, mean_w[..., None], out=out[0])
         dev_wr = np.subtract(wr, mean_wr[..., None], out=out[1])
         return (
@@ -175,25 +176,31 @@ def _invalid_moments(moments) -> np.ndarray:
     return bad | ~np.logical_and.reduce([np.isfinite(m) for m in moments])
 
 
-def moment_rows(w: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Two-pass centred moments along the last axis, checked row by row.
-
-    Returns ``(mean_w, mean_wr, var_w, var_wr, cov_w_wr)``, each with the
-    leading shape of ``w``. Raises :class:`ValidationError` for the first
-    row whose moments :class:`MomentSummary` would reject, among them
-    moments past the float range.
-    """
-    moments = _moments(w, wr)
-    _check_moments(moments, w.shape[-1])
-    return moments
-
-
 def _check_moments(moments, n: int) -> None:
     """Raise what :class:`MomentSummary` says of the first entry whose moments it would reject."""
     bad = _invalid_moments(moments)
     if bad.any():
         row = np.unravel_index(int(np.argmax(bad)), bad.shape)
         MomentSummary(*(float(m[row]) for m in moments), n=n)
+
+
+class Rows:
+    """What every registered kernel reads: weights ``w`` and weighted rewards ``wr``, each row reduced once.
+
+    ``mean_w`` and ``mean_wr`` are taken as :func:`_moments` takes them, past the float range silently.
+    """
+
+    def __init__(self, w: np.ndarray, wr: np.ndarray):
+        self.w, self.wr = w, wr
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.mean_w, self.mean_wr = row_mean(w), row_mean(wr)
+
+    @cached_property
+    def moments(self) -> tuple[np.ndarray, ...]:
+        """``(mean_w, mean_wr, var_w, var_wr, cov_w_wr)`` on first read; raises as :func:`_check_moments` does."""
+        moments = _moments(self.w, self.wr, (self.mean_w, self.mean_wr))
+        _check_moments(moments, self.w.shape[-1])
+        return moments
 
 
 def plug_in_baselines(var_w, cov) -> tuple:
@@ -207,35 +214,34 @@ def plug_in_baselines(var_w, cov) -> tuple:
         return cov / var_w, var_w == 0.0
 
 
-def ips_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
+def ips_rows(rows: Rows, arg=None) -> tuple:
     """Importance-weighted reward mean of each row."""
-    return row_mean(wr), None, None
+    return rows.mean_wr, None, None
 
 
-def snips_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
+def snips_rows(rows: Rows, arg=None) -> tuple:
     """Weighted reward mean over weight mean of each row; fails where the weights sum to zero."""
-    mean_w = row_mean(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return row_mean(wr) / mean_w, None, mean_w == 0.0
+        return rows.mean_wr / rows.mean_w, None, rows.mean_w == 0.0
 
 
-def beta_ips_rows(w: np.ndarray, wr: np.ndarray, beta) -> tuple:
+def beta_ips_rows(rows: Rows, beta) -> tuple:
     """Baseline-corrected value ``beta * (1 - mean(w)) + mean(wr)`` of each row at fixed baselines."""
-    with np.errstate(over="ignore"):  # a baseline near the float maximum gives an infinite value
-        values = beta * (1.0 - row_mean(w)) + row_mean(wr)
+    with np.errstate(over="ignore", invalid="ignore"):  # a baseline near the float maximum, or means past it
+        values = beta * (1.0 - rows.mean_w) + rows.mean_wr
     return values, np.broadcast_to(beta, values.shape), None
 
 
-def beta_star_rows(w: np.ndarray, wr: np.ndarray, arg=None) -> tuple:
+def beta_star_rows(rows: Rows, arg=None) -> tuple:
     """Baseline-corrected value of each row at its plug-in baseline ``cov(w, wr) / var(w)``.
 
     Fails on rows whose weights have zero variance, where the baseline is
     undefined; any other non-finite baseline is a validation error.
     """
-    mean_w, mean_wr, var_w, _, cov = moment_rows(w, wr)
+    _, _, var_w, _, cov = rows.moments
     baseline, degenerate = plug_in_baselines(var_w, cov)
     _require_finite_baselines(baseline, ~degenerate)
-    return baseline * (1.0 - mean_w) + mean_wr, baseline, degenerate
+    return *beta_ips_rows(rows, baseline)[:2], degenerate
 
 
 def _require_finite_baselines(baseline: np.ndarray, used: np.ndarray) -> None:
@@ -245,24 +251,20 @@ def _require_finite_baselines(baseline: np.ndarray, used: np.ndarray) -> None:
         _finite(baseline[np.unravel_index(int(np.argmax(bad)), bad.shape)])
 
 
-def remainder_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple[np.ndarray, ...]:
-    """Remainder decomposition of each row around ``value``.
+def remainder_rows(rows: Rows, value: float) -> tuple[np.ndarray, ...]:
+    """Remainder decomposition ``(l_n, r_n, zero)`` of each row around ``value``.
 
-    Returns ``(w_bar, mean_wr, l_n, r_n, zero)``, reducing along the last
-    axis; ``zero`` marks rows whose weight mean is zero, where ``r_n`` is
-    undefined.
+    ``zero`` marks rows whose weight mean is zero, where ``r_n`` is undefined.
     """
-    w_bar = row_mean(w)
-    mean_wr = row_mean(wr)
-    l_n = mean_wr - value * w_bar
+    l_n = rows.mean_wr - value * rows.mean_w
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_n = l_n * (1.0 - w_bar) / w_bar
-    return w_bar, mean_wr, l_n, r_n, w_bar == 0.0
+        r_n = l_n * (1.0 - rows.mean_w) / rows.mean_w
+    return l_n, r_n, rows.mean_w == 0.0
 
 
-def remainder_sq_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple:
+def remainder_sq_rows(rows: Rows, value: float) -> tuple:
     """Squared self-normalisation remainder ``r_n**2`` of each row around ``value``."""
-    r_n, zero = remainder_rows(w, wr, value)[3:]
+    _, r_n, zero = remainder_rows(rows, value)
     # Square as Python floats (libm pow), as the scalar diagnostics do.
     return np.array([r**2 for r in r_n.tolist()]), None, zero
 
@@ -270,8 +272,7 @@ def remainder_sq_rows(w: np.ndarray, wr: np.ndarray, value: float) -> tuple:
 def empirical_moments(dataset: Dataset) -> MomentSummary:
     """Two-pass centred moments of the weights and weighted rewards."""
     w = _require_scalar(dataset).weights[None, :]
-    moments = moment_rows(w, w * dataset.rewards[None, :])
-    return MomentSummary(*(float(m[0]) for m in moments), n=dataset.n)
+    return MomentSummary(*(float(m[0]) for m in Rows(w, w * dataset.rewards[None, :]).moments), n=dataset.n)
 
 
 def _apply(name: str, dataset, arg=None) -> tuple[np.ndarray, list]:
@@ -287,7 +288,7 @@ def _apply(name: str, dataset, arg=None) -> tuple[np.ndarray, list]:
     entry = _check_kind(name, kind)
     arg = _checked_arg(name, arg, dataset.k if kind == "ranked" else 1)
     w = np.ascontiguousarray(dataset.weights.T)[None]
-    values, baselines, failed = entry.kernel(w, w * np.ascontiguousarray(dataset.rewards.T)[None], arg)
+    values, baselines, failed = entry.kernel(Rows(w, w * np.ascontiguousarray(dataset.rewards.T)[None]), arg)
     if failed is not None and failed.any():
         if kind == "scalar":
             raise entry.error()
@@ -365,8 +366,8 @@ def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[tuple[np.ndarray, np.
     return tuple(groups)
 
 
-def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tuple:
-    """Cross-fitted value and mean baseline of each row.
+def cross_fit_rows(rows: Rows, config: CrossFitConfig) -> tuple:
+    """Cross-fitted value and mean baseline of each row, from its own pass over the folds of ``rows.w`` and ``rows.wr``.
 
     Fails on rows where some fold has constant weights, which leaves its
     baseline undefined, while its evaluation entries do not average to
@@ -378,6 +379,7 @@ def cross_fit_rows(w: np.ndarray, wr: np.ndarray, config: CrossFitConfig) -> tup
     complement sums in index order, as one contiguous row does. A validation
     error names the entry that checking the folds one after another meets first.
     """
+    w, wr = rows.w, rows.wr
     n = w.shape[-1]
     size, longer = divmod(n, config.folds_k)
     parts = []
@@ -433,19 +435,18 @@ class RegisteredEstimator:
     ``kind`` is ``"scalar"``, ``"ranked"`` (a scalar kernel applied to
     each position of ranked rows shaped ``(..., positions, n)``) or
     ``"study"`` (a diagnostic that only studies report). ``param`` is what
-    the kernel's third argument holds: nothing (``None``), the one
-    baseline a spec such as ``beta-ips:0.5`` gives (``"baseline"``), one
-    baseline per position (``"baselines"``), or what the run supplies
-    rather than the spec: the cross-fitting layout (``"folds"``) or the
-    reference value (``"value"``); :func:`_checked_arg` checks it.
-    ``defaults`` holds the study kinds whose default estimator list
-    includes this one.
+    the kernel's ``arg`` holds: nothing (``None``), the one baseline a
+    spec such as ``beta-ips:0.5`` gives (``"baseline"``), one baseline per
+    position (``"baselines"``), or what the run supplies rather than the
+    spec: the cross-fitting layout (``"folds"``) or the reference value
+    (``"value"``); :func:`_checked_arg` checks it. ``defaults`` holds the
+    study kinds whose default estimator list includes this one.
 
-    ``kernel(w, wr, arg)`` reduces along the last axis and returns
-    ``(values, baselines, failed)``: ``baselines`` is ``None`` outside
-    the baseline-corrected family, and ``failed`` is ``None`` for kernels
-    that cannot fail, otherwise it marks the rows whose precondition
-    fails, which ``error`` names.
+    ``kernel(rows, arg)`` reads a :class:`Rows` block and returns
+    ``(values, baselines, failed)``, one entry per row: ``baselines`` is
+    ``None`` outside the baseline-corrected family, and ``failed`` is
+    ``None`` for kernels that cannot fail, otherwise it marks the rows
+    whose precondition fails, which ``error`` names.
     """
 
     kind: str
@@ -532,7 +533,7 @@ def parse_estimator_spec(spec) -> MetricSpec:
 
 
 def kernel_arg(spec: MetricSpec, folds: int, seed: int, value: float | None):
-    """The raw third argument of the spec's registered kernel, for :func:`_checked_arg` to check.
+    """The raw ``arg`` of the spec's registered kernel, for :func:`_checked_arg` to check.
 
     ``folds`` and ``seed`` set the cross-fitting layout, and ``value`` is the
     reference value of the squared remainder; each is read only by the
@@ -549,7 +550,7 @@ def kernel_arg(spec: MetricSpec, folds: int, seed: int, value: float | None):
 
 
 def _checked_arg(name: str, arg, k: int):
-    """``arg`` checked as the third argument of ``name``'s kernel on ``k`` positions, by its ``param``.
+    """``arg`` checked as the argument of ``name``'s kernel on ``k`` positions, by its ``param``.
 
     The one argument rule; a wrong argument is a :class:`ValidationError` that names it.
     """

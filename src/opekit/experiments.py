@@ -13,13 +13,14 @@ bit (:func:`~opekit.simulator.replicate_streams`).
 
 A cell is evaluated in blocks of replicates: each block is sampled into
 one ``(replicates, n)`` array (``(replicates, positions, n)`` for ranked
-scenarios), one row per replicate, and every metric is one row kernel
-reducing along the last axis. A block holds about ``_BLOCK_ENTRIES``
-(16384, the engine's own budget) entries whatever the replicate count.
-Row reductions sum exactly as one-row ones do, so the block size never
-changes a bit. A block is drawn by the one sampler the public samplers
-and ``simulate`` also use (:func:`~opekit.simulator.sample_cells`), and the
-engine gathers only the weights and weighted rewards at its cells
+scenarios), one row per replicate, whose means and moments one
+:class:`~opekit.estimators.Rows` takes once for every metric's kernel.
+A block holds about ``_BLOCK_ENTRIES`` (16384, the engine's own budget)
+entries whatever the replicate count. Row reductions sum exactly as
+one-row ones do, so the block size never changes a bit. A block is drawn
+by the one sampler the public samplers and ``simulate`` also use
+(:func:`~opekit.simulator.sample_cells`), and the engine gathers only the
+weights and weighted rewards at its cells
 (:func:`~opekit.simulator.sample_weights`), from tables compiled once per
 study, before the oracle and the pool: compiling runs the entry check once
 over the cells a draw can pick, so a scenario whose samples would fail
@@ -62,7 +63,7 @@ from .errors import (
     WorkerFailure,
 )
 from .data import _finite, _float_column, _integer
-from .estimators import ESTIMATORS, MetricSpec, MomentSummary, _check_kind, _checked_arg, kernel_arg
+from .estimators import ESTIMATORS, MetricSpec, MomentSummary, Rows, _check_kind, _checked_arg, kernel_arg
 from .estimators import parse_estimator_spec, row_total
 from .simulator import (
     CompiledScenario,
@@ -112,7 +113,7 @@ def _block_rows(n: int, k: int) -> int:
     return max(1, _BLOCK_ENTRIES // (n * k))
 
 
-def _evaluate(entry, arg, w: np.ndarray, wr: np.ndarray) -> tuple:
+def _evaluate(entry, arg, block: Rows) -> tuple:
     """A kernel's values and failed rows on a block, with the error that names the failures.
 
     A kernel that raises an estimation error (cross-fitting at fewer than
@@ -121,9 +122,9 @@ def _evaluate(entry, arg, w: np.ndarray, wr: np.ndarray) -> tuple:
     positions does.
     """
     try:
-        values, _, failed = entry.kernel(w, wr, arg)
+        values, _, failed = entry.kernel(block, arg)
     except EstimationError as exc:
-        return np.full(w.shape[:1], np.nan), np.ones(w.shape[:1], dtype=bool), type(exc)
+        return np.full(block.w.shape[:1], np.nan), np.ones(block.w.shape[:1], dtype=bool), type(exc)
     if entry.kind == "ranked":
         values = np.concatenate([values, row_total(values)[:, None]], axis=1)
         failed = None if failed is None else failed.any(axis=-1)
@@ -151,11 +152,11 @@ def _replicate_range(compiled, n, master_seed, start, stop, metrics):
     buffer = np.empty((min(step, stop - start), (1 + 2 * compiled.k) * n))
     for low in range(start, stop, step):
         high = min(low + step, stop)
-        w, wr = sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams))
+        block = Rows(*sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams)))
         rows = values[low - start : high - start]
         offset = 0
         for label, targets, entry, arg in metrics:
-            out, failed, error = _evaluate(entry, arg, w, wr)
+            out, failed, error = _evaluate(entry, arg, block)
             columns = rows[:, offset : offset + len(targets)]
             columns[...] = out.reshape(len(columns), -1)
             if failed is not None and failed.any():

@@ -287,6 +287,19 @@ class TestEvaluate:
         assert [str(warning.message) for warning in caught] == []
         assert (code, err) == (2, "error: var_w must be finite, got inf\n")
 
+    @pytest.mark.parametrize("estimator", ["ips", "snips", "beta-ips:0.5", "beta-star-ips"])
+    def test_weights_summing_past_the_float_range_is_one_error_line(self, capsys, tmp_path, estimator):
+        # Two weights of 1e308 are within the bound, their sum is not: a block's means
+        # pass the float range silently, whichever kernel reads them, and the reported
+        # moments give the one error line.
+        record = {"context": 0, "action": 0, "p_log": 1e-308, "p_tgt": 1.0, "reward": 1.0}
+        path = self.write_records(tmp_path, [record, record])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "evaluate", "--in", str(path), "--weight-bound", "1e308",
+                               "--estimators", estimator)
+        assert (code, err) == (2, "error: mean_w must be finite, got inf\n")
+
     @pytest.mark.parametrize(
         "field, value", [("context", "NaN"), ("context", "Infinity"), ("action", "-Infinity")]
     )

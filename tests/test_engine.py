@@ -39,10 +39,10 @@ from opekit import experiments
 from opekit.errors import BoundViolation, EstimationError, ValidationError
 from opekit.estimators import (
     CrossFitConfig,
+    Rows,
     _fold_layout,
     _require_finite_baselines,
     cross_fit_rows,
-    moment_rows,
     plug_in_baselines,
     row_mean,
 )
@@ -278,7 +278,7 @@ def cross_fit_reference(w, wr, config):
     failed = np.zeros(w.shape[:-1], dtype=bool)
     for f, fold in enumerate(folds):
         complement = np.setdiff1d(np.arange(n), fold)
-        _, _, var_w, _, cov = moment_rows(w.take(fold, axis=-1), wr.take(fold, axis=-1))
+        _, _, var_w, _, cov = Rows(w.take(fold, axis=-1), wr.take(fold, axis=-1)).moments
         offset = 1.0 - row_mean(w.take(complement, axis=-1))
         baseline, degenerate = plug_in_baselines(var_w, cov)
         failed |= degenerate & (offset != 0.0)
@@ -298,7 +298,7 @@ class TestCrossFit:
         w = np.array([[random.choice(values[: random.choice([1, 2, 5])]) for _ in range(n)] for _ in range(rows)])
         wr = w * (np.array([[random.random() for _ in range(n)] for _ in range(rows)]) < 0.4)
         config = CrossFitConfig(folds_k=k, seed=seed)
-        got = cross_fit_rows(w, wr, config)
+        got = cross_fit_rows(Rows(w, wr), config)
         expected = cross_fit_reference(w, wr, config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
@@ -307,7 +307,7 @@ class TestCrossFit:
         w = rng.choice([1 / 9, 9.0], size=(1, 20001))
         wr = w * (rng.random(w.shape) < 0.5)
         config = CrossFitConfig(folds_k=5, seed=1)
-        got = cross_fit_rows(w, wr, config)
+        got = cross_fit_rows(Rows(w, wr), config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
 
     @pytest.mark.parametrize("n, cached", [(16383, True), (16384, False)])
@@ -318,7 +318,7 @@ class TestCrossFit:
         rng = np.random.default_rng(n)
         w = rng.choice([1 / 9, 9.0], size=(2, n))
         wr = w * (rng.random(w.shape) < 0.5)
-        got = cross_fit_rows(w, wr, config)
+        got = cross_fit_rows(Rows(w, wr), config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
 
     def test_a_long_row_needs_room_for_three_copies(self):
@@ -326,12 +326,12 @@ class TestCrossFit:
         # complement matrix at this n (test_layout_holds_at_most_two_indices_per_entry).
         rng = np.random.default_rng(5)
         w = rng.choice([1 / 9, 9.0], size=(1, 200_000))
-        wr = w * (rng.random(w.shape) < 0.5)
+        rows = Rows(w, w * (rng.random(w.shape) < 0.5))
         config = CrossFitConfig()
-        cross_fit_rows(w, wr, config)  # the layout is cached before the measurement
+        cross_fit_rows(rows, config)  # the layout is cached before the measurement
         tracemalloc.start()
         try:
-            cross_fit_rows(w, wr, config)
+            cross_fit_rows(rows, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,7 +355,7 @@ class TestCrossFit:
         w[1, folds[0]], wr[1, folds[0]] = tiny, correlated[::-1] * 1e150
         config = CrossFitConfig(folds_k=2, seed=0)
         with pytest.raises(ValidationError, match=message) as caught:
-            cross_fit_rows(w, wr, config)
+            cross_fit_rows(Rows(w, wr), config)
         with pytest.raises(ValidationError) as expected:
             cross_fit_reference(w, wr, config)
         assert str(caught.value) == str(expected.value)

@@ -35,7 +35,12 @@ from opekit.errors import (
     ValidationError,
 )
 from opekit.experiments import (
+    FailureRecord,
     MetricSpec,
+    OracleTarget,
+    ReplicateMatrix,
+    _dominance_cells,
+    _rows_for_matrix,
     parse_estimator_spec,
 )
 from opekit.simulator import BanditEnv, BanditScenario, PolicyTable, PositionModel, RankingEnv
@@ -391,6 +396,38 @@ class TestExactOracle:
                 assert number == pytest.approx(float(exact[name]), rel=1e-12, abs=1e-12), (target.label, name)
         if len(report.targets) > len(values):
             assert report.value == pytest.approx(float(sum(values)), rel=1e-12)
+
+
+class TestRuleBoundaries:
+    # Hand-built matrices at the edge of each study rule README states, so that
+    # a rule moved past its edge fails here, with no Monte Carlo.
+    @pytest.mark.parametrize("failed", [2, 3])
+    def test_one_percent_of_replicates_may_fail(self, failed):
+        values = np.linspace(0.0, 1.0, 200)[:, None].copy()
+        values[:failed] = np.nan
+        failures = tuple(FailureRecord("snips", r, "ZeroWeightSum") for r in range(failed))
+        matrix = ReplicateMatrix(n=50, labels=("snips",), values=values, failures=failures)
+        metrics = (("snips", {"snips": 0.5}, None, None),)
+        if failed == 2:  # exactly 1% of 200
+            (row,) = _rows_for_matrix(matrix, metrics)
+            assert (row.n_used, row.n_failed) == (198, 2)
+        else:
+            with pytest.raises(ExcessiveFailureRate, match="^snips failed on 3/200 replicates at n=50 "):
+                _rows_for_matrix(matrix, metrics)
+
+    @pytest.mark.parametrize(
+        "pairs, margin, dominant",
+        [(((8.0, 9.0), (6.0, 5.0)), 1.5, False), (((9.0, 10.0), (3.0, 0.0)), 2.5, True)],
+    )
+    def test_dominance_needs_a_margin_of_two_standard_errors(self, pairs, margin, dominant):
+        # Squared-error differences alternate between two integers 14 apart, so over
+        # 50 pairs their standard error is 14 / 7 = 2 and their mean is margin * 2.
+        values = np.array(pairs * 25)
+        matrix = ReplicateMatrix(n=50, labels=("beta-star-ips", "snips"), values=values, failures=())
+        metrics = (("beta-star-ips", {"beta-star-ips": 0.0}, None, None), ("snips", {"snips": 0.0}, None, None))
+        (cell,) = _dominance_cells(matrix, metrics, [OracleTarget("value", 0.0, None, None)])
+        assert cell.mse_difference / cell.se_difference == pytest.approx(margin, rel=1e-12)
+        assert (cell.dominant, cell.n_pairs) == (dominant, 50)
 
 
 class TestStudyConfig:

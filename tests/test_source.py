@@ -8,6 +8,7 @@ import pytest
 
 import opekit
 import opekit.io
+from opekit.estimators import ESTIMATORS
 from opekit.experiments import OracleTarget, StudyRow
 from opekit.io import CSV_COLUMNS, TOOL_VERSION
 
@@ -305,6 +306,28 @@ def test_one_function_runs_kernels_on_datasets():
     assert callers == {"estimators._apply", "experiments._evaluate"}
     assert calls == 2
     assert defined & {"_one_row", "_raise_failed", "_check_spec_kind"} == set()
+
+
+def _called_names(node) -> set[str]:
+    """The names of the plain functions ``node`` calls."""
+    return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def test_kernels_read_a_blocks_moments():
+    # A block's means, and its centred moments, are taken once, by estimators.Rows;
+    # the registered kernels read them there. Only cross_fit_rows reduces again, in
+    # its own pass over its folds: no other kernel, nor any helper it calls, does.
+    functions = dict(_functions(ast.parse((SOURCE / "estimators.py").read_text(encoding="utf-8"))))
+    reducers = {"row_mean", "_moments"}
+    reached, todo = set(), sorted({entry.kernel.__name__ for entry in ESTIMATORS.values()} - {"cross_fit_rows"})
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += sorted((_called_names(functions[name]) & set(functions)) - reached)
+    assert {"ips_rows", "beta_star_rows", "remainder_rows", "plug_in_baselines"} <= reached
+    assert [name for name in sorted(reached) if _called_names(functions[name]) & reducers] == []
+    reducing = {name for name, function in functions.items() if _called_names(function) & reducers}
+    assert reducing == {"Rows.__init__", "Rows.moments", "_moments", "cross_fit_rows"}
 
 
 def _gap_calls(node) -> int:
