@@ -114,16 +114,14 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
     Requires a non-zero weight mean; the self-normalised estimate does not
     exist otherwise.
     """
-    _require_scalar(dataset)
+    rows = Rows.of(_require_scalar(dataset))
     v = _finite(value, "value")
-    w = dataset.weights
-    rows = Rows(w[None, :], (w * dataset.rewards)[None, :])
     l_n, r_n, zero = remainder_rows(rows, v)
     if zero[0]:
         raise ZeroWeightSum()
     mean_w, l_n = float(rows.mean_w[0]), float(l_n[0])
-    u_series = _freeze(w * (dataset.rewards - v))
-    t_series = _freeze(w - 1.0)
+    u_series = _freeze(dataset.weights * (dataset.rewards - v))
+    t_series = _freeze(dataset.weights - 1.0)
     # Internal consistency: the series were built from the same columns the
     # scalars came from, so their means can only differ by accumulated
     # rounding in the rearranged sums, which scales with the summands, not

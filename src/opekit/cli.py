@@ -34,7 +34,7 @@ from .errors import (
     VRequiredForGap,
     WorkerFailure,
 )
-from .estimators import _apply, _check_kind, _kind, empirical_moments, kernel_arg, parse_estimator_spec, row_total
+from .estimators import Rows, _apply, _check_kind, _kind, kernel_arg, parse_estimator_spec, row_total
 from .io import (
     TOOL_VERSION,
     build_manifest,
@@ -114,8 +114,7 @@ def _estimate_dict(label: str, n: int, values, baselines, ranked: bool) -> dict:
 
 def _remainder_dict(dataset, value: float) -> dict:
     diagnostics = remainder_diagnostics(dataset, value)
-    w = dataset.weight_bound
-    r = dataset.reward_bound
+    r, w = dataset.reward_bound, dataset.weight_bound
     return {
         "l_n": diagnostics.l_n,
         "w_bar": diagnostics.w_bar,
@@ -169,11 +168,11 @@ def evaluate_command(
 ) -> None:
     """Evaluate estimators on a log file and report moments and diagnostics.
 
-    Each estimator runs through the Python estimators' driver, a scalar
-    log being the one-position case, and is reported under the label asked
-    for. Estimators whose preconditions fail on this data report a null
-    value with the reason instead of aborting the run. Gap and remainder
-    diagnostics apply to scalar log files and need --true-value.
+    The log is read into one block, a scalar log being the one-position
+    case. Every estimator runs on it through the Python estimators' driver,
+    reported under the label asked for, and the moments are read from it.
+    Estimators whose preconditions fail report a null value with the reason
+    instead of aborting. Gap and remainder diagnostics need --true-value.
     """
     if gap and true_value is None:
         raise VRequiredForGap()
@@ -190,14 +189,17 @@ def evaluate_command(
         )
     for spec in specs:
         _check_kind(spec.name, kind, spec.label)
+    rows = Rows.of(dataset)
     results = []
     for spec in specs:
         try:
-            values, baselines = _apply(spec.name, dataset, kernel_arg(spec, folds, cf_seed, None))
+            values, baselines = _apply(spec.name, kind, rows, kernel_arg(spec, folds, cf_seed, None))
         except EstimationError as exc:
             results.append({"estimator": spec.label, "value": None, "error": str(exc)})
         else:
             results.append(_estimate_dict(spec.label, dataset.n, values, baselines, ranked))
+    summaries = rows.summaries()
+    del rows  # the remainder diagnostics build their own block; holding two raises the peak memory
     report: dict = {
         "source": str(logs_path),
         "kind": kind,
@@ -205,23 +207,18 @@ def evaluate_command(
         "reward_bound": dataset.reward_bound,
         "weight_bound": dataset.weight_bound,
         "estimates": results,
+        "moments": [asdict(m) for m in summaries] if ranked else asdict(summaries[0]),
     }
     if ranked:
         report["k"] = dataset.k
-        report["moments"] = [
-            asdict(empirical_moments(dataset.position(j))) for j in range(dataset.k)
-        ]
     else:
-        moments = empirical_moments(dataset)
-        report["moments"] = asdict(moments)
+        (moments,) = summaries
         report["beta_star"] = moments.beta_star
         if true_value is not None:
             report["remainder"] = _remainder_dict(dataset, true_value)
             if moments.beta_star is None:
                 report["variance_gap"] = None
-                report["variance_gap_note"] = (
-                    "weights have zero variance; the optimal baseline is undefined"
-                )
+                report["variance_gap_note"] = "weights have zero variance; the optimal baseline is undefined"
             else:
                 report["variance_gap"] = asdict(variance_gap(moments, true_value))
     if out is None:

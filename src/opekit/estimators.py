@@ -16,12 +16,13 @@ Every estimator is defined once, as a row kernel: a function of a
 of some rows, that returns one value per row. A block takes its row means
 and centred moments once, and the kernels read them; only cross-fitting
 makes its own pass, over its folds. :data:`ESTIMATORS` maps each estimator
-name to its kernel and kind. One driver, :func:`_apply`, runs a kernel on
-a dataset, one row per position, a scalar dataset being the one-position
-case: the public functions here, the ranked functions and ``opekit
-evaluate`` all go through it, with one kind rule (:func:`_check_kind`,
-which the studies share) and one failure rule. The Monte Carlo engine
-runs the same kernels on a block of replicates, one row each. Row
+name to its kernel and kind. :meth:`Rows.of` alone makes a dataset a
+block, one row of positions by entries, a scalar dataset being the
+one-position case, and one driver, :func:`_apply`, runs a kernel on it:
+the public functions here, the ranked functions and ``opekit evaluate``
+(one block for all its estimators and moments) go through it, with one
+kind rule (:func:`_check_kind`) and one failure rule. The Monte Carlo
+engine runs the same kernels on a block of replicates, one row each. Row
 reductions over C-contiguous rows sum in the same order as a reduction
 over one row alone, so all callers get the same bits. Specs such as
 ``beta-ips:0.5`` are parsed next to the registry they name
@@ -185,7 +186,7 @@ def _check_moments(moments, n: int) -> None:
 
 
 class Rows:
-    """What every registered kernel reads: weights ``w`` and weighted rewards ``wr``, each row reduced once.
+    """What every kernel reads: ``w`` and ``wr`` of a replicate block or a dataset (:meth:`of`), each row reduced once.
 
     ``mean_w`` and ``mean_wr`` are taken as :func:`_moments` takes them, past the float range silently.
     """
@@ -195,12 +196,23 @@ class Rows:
         with np.errstate(over="ignore", invalid="ignore"):
             self.mean_w, self.mean_wr = row_mean(w), row_mean(wr)
 
+    @staticmethod
+    def of(dataset) -> Rows:
+        """A dataset as a one-row block of positions by entries, C-contiguous; a scalar column is not copied."""
+        w = np.ascontiguousarray(dataset.weights.T)[None]
+        return Rows(w, w * np.ascontiguousarray(dataset.rewards.T)[None])
+
     @cached_property
     def moments(self) -> tuple[np.ndarray, ...]:
         """``(mean_w, mean_wr, var_w, var_wr, cov_w_wr)`` on first read; raises as :func:`_check_moments` does."""
         moments = _moments(self.w, self.wr, (self.mean_w, self.mean_wr))
         _check_moments(moments, self.w.shape[-1])
         return moments
+
+    def summaries(self) -> list[MomentSummary]:
+        """The moments of a one-row block as one :class:`MomentSummary` per position."""
+        columns = zip(*(m.reshape(-1).tolist() for m in self.moments))
+        return [MomentSummary(*column, n=self.w.shape[-1]) for column in columns]
 
 
 def plug_in_baselines(var_w, cov) -> tuple:
@@ -271,24 +283,21 @@ def remainder_sq_rows(rows: Rows, value: float) -> tuple:
 
 def empirical_moments(dataset: Dataset) -> MomentSummary:
     """Two-pass centred moments of the weights and weighted rewards."""
-    w = _require_scalar(dataset).weights[None, :]
-    return MomentSummary(*(float(m[0]) for m in Rows(w, w * dataset.rewards[None, :]).moments), n=dataset.n)
+    return Rows.of(_require_scalar(dataset)).summaries()[0]
 
 
-def _apply(name: str, dataset, arg=None) -> tuple[np.ndarray, list]:
+def _apply(name: str, kind: str, rows: Rows, arg=None) -> tuple[np.ndarray, list]:
     """The registered estimator ``name`` on a dataset: an array of values and a list of baselines, one per position.
 
-    A scalar dataset is the one-position case. The dataset runs as one
-    C-contiguous row of positions by entries, as an engine block does; a
-    scalar column is not copied. A baseline is ``None`` outside the
+    ``kind`` is ``_kind(dataset)`` and ``rows`` is ``Rows.of(dataset)``, a
+    scalar dataset being the one-position case; one block serves every
+    estimator run on the same dataset. A baseline is ``None`` outside the
     baseline-corrected family. A failed precondition raises the
     estimator's error, which names the failing positions of ranked data.
     """
-    kind = _kind(dataset)
     entry = _check_kind(name, kind)
-    arg = _checked_arg(name, arg, dataset.k if kind == "ranked" else 1)
-    w = np.ascontiguousarray(dataset.weights.T)[None]
-    values, baselines, failed = entry.kernel(Rows(w, w * np.ascontiguousarray(dataset.rewards.T)[None]), arg)
+    arg = _checked_arg(name, arg, rows.w.shape[1] if kind == "ranked" else 1)
+    values, baselines, failed = entry.kernel(rows, arg)
     if failed is not None and failed.any():
         if kind == "scalar":
             raise entry.error()
@@ -301,14 +310,9 @@ def _apply(name: str, dataset, arg=None) -> tuple[np.ndarray, list]:
 
 def estimate(name: str, dataset: Dataset, arg=None) -> Estimate:
     """The registered scalar estimator ``name`` on a scalar dataset."""
-    values, baselines = _apply(name, dataset, arg)
+    values, baselines = _apply(name, _kind(dataset), Rows.of(dataset), arg)
     _require_scalar(dataset)  # a ranked estimator on ranked data passes _apply; positionwise reports it
-    return Estimate(
-        value=float(values[0]),
-        estimator_name=name,
-        n_used=dataset.n,
-        baseline_used=baselines[0],
-    )
+    return Estimate(value=float(values[0]), estimator_name=name, n_used=dataset.n, baseline_used=baselines[0])
 
 
 def ips(dataset: Dataset) -> Estimate:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import RankedDataset
 from .errors import ValidationError
-from .estimators import _apply, row_total
+from .estimators import Rows, _apply, _kind, row_total
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class PositionwiseReport:
 
 def positionwise(name: str, dataset: RankedDataset, arg=None) -> PositionwiseReport:
     """The registered ranked estimator ``name`` applied to every position of a ranked dataset."""
-    values, baselines = _apply(name, dataset, arg)
+    values, baselines = _apply(name, _kind(dataset), Rows.of(dataset), arg)
     if not isinstance(dataset, RankedDataset):  # a scalar name on scalar data passes _apply's kind rule
         raise ValidationError(
             f"expected a RankedDataset, got {type(dataset).__name__}; use the scalar estimators for scalar data"

@@ -31,6 +31,7 @@ from opekit import (
 )
 from opekit.cli import OUT_DIR_ENV, main
 from opekit.errors import NonFiniteValue, ValidationError
+from opekit.estimators import Rows
 from opekit.simulator import compile_scenario
 
 from conftest import cancelling_log
@@ -165,6 +166,33 @@ class TestEvaluate:
         assert estimates["beta-ips:0.2"]["baseline_used"] == 0.2
         assert np.isfinite(estimates["cf-beta-star-ips"]["value"])
         assert estimates["ips"]["baseline_used"] is None
+
+    @pytest.mark.parametrize(
+        "ranked, estimators, true_value",
+        [
+            (False, "ips,snips,beta-ips:0.5,beta-star-ips,cf-beta-star-ips", []),
+            (False, "ips,snips,beta-ips:0.5,beta-star-ips,cf-beta-star-ips", ["--true-value", "0.26"]),
+            (True, "ipm,snipm,beta-perp-star-ipm", []),
+        ],
+        ids=["scalar", "scalar-true-value", "ranked"],
+    )
+    def test_a_log_is_reduced_once(
+        self, capsys, monkeypatch, flip2_logs, ranked_logs, ranked, estimators, true_value
+    ):
+        # One block serves every estimator, the moments, beta_star and the variance
+        # gap; only remainder_diagnostics, under --true-value, builds one of its own.
+        built, init = [], Rows.__init__
+
+        def counted(rows, w, wr):
+            built.append(w.shape)
+            init(rows, w, wr)
+
+        monkeypatch.setattr(Rows, "__init__", counted)
+        path = ranked_logs if ranked else flip2_logs
+        code, out, _ = run(capsys, "evaluate", "--in", str(path), "--estimators", estimators, *true_value)
+        assert code == 0
+        assert len(json.loads(out)["estimates"]) == len(estimators.split(","))
+        assert len(built) == 1 + bool(true_value)
 
     def test_true_value_adds_diagnostics(self, capsys, flip2_logs):
         code, out, _ = run(capsys, "evaluate", "--in", str(flip2_logs),

@@ -61,6 +61,17 @@ class TestMoments:
         with pytest.raises(ValidationError):
             empirical_moments(ranked_example)
 
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 200_003])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_block_gives_each_positions_moments(self, k, n):
+        # A log's one block of positions by entries reduces each position as the
+        # position alone is reduced, so the per-position moments opekit evaluate
+        # reports are those of each position's own dataset, bit for bit, on either
+        # side of numpy's 8192-element reduction buffer and far past it.
+        rng = np.random.default_rng(n + k)
+        dataset = ranked_from_weights(rng.uniform(0.0, 8.0, (n, k)), rng.random((n, k)))
+        assert Rows.of(dataset).summaries() == [empirical_moments(dataset.position(j)) for j in range(k)]
+
     def test_summary_validation(self):
         with pytest.raises(ValidationError):
             MomentSummary(mean_w=1, mean_wr=0, var_w=-0.1, var_wr=1, cov_w_wr=0, n=2)
@@ -352,9 +363,10 @@ class TestExactKernels:
             dataset = dataset_from_weights(w[row], r[row])
             found = {name: [float(values[row])] for name, values in block_values.items()}
             for name in ("ips", "snips", "beta-star-ips", "cf-beta-star-ips"):
-                found[name].append(float(_apply(name, dataset, config if name.startswith("cf") else None)[0][0]))
-            found["beta-ips"].append(float(_apply("beta-ips", dataset, self.BETA)[0][0]))
-            found["beta-star"].append(_apply("beta-star-ips", dataset)[1][0])
+                arg = config if name.startswith("cf") else None
+                found[name].append(float(_apply(name, "scalar", Rows.of(dataset), arg)[0][0]))
+            found["beta-ips"].append(float(_apply("beta-ips", "scalar", Rows.of(dataset), self.BETA)[0][0]))
+            found["beta-star"].append(_apply("beta-star-ips", "scalar", Rows.of(dataset))[1][0])
             found["r_n"].append(remainder_diagnostics(dataset, self.VALUE).r_n)
             for name, numbers in found.items():
                 for number in numbers:

@@ -39,6 +39,7 @@ from opekit.experiments import (
     MetricSpec,
     OracleTarget,
     ReplicateMatrix,
+    _check_rate_study,
     _dominance_cells,
     _rows_for_matrix,
     parse_estimator_spec,
@@ -428,6 +429,31 @@ class TestRuleBoundaries:
         (cell,) = _dominance_cells(matrix, metrics, [OracleTarget("value", 0.0, None, None)])
         assert cell.mse_difference / cell.se_difference == pytest.approx(margin, rel=1e-12)
         assert (cell.dominant, cell.n_pairs) == (dominant, 50)
+
+    @pytest.mark.parametrize("last, accepted", [(316, False), (317, True)])
+    def test_rate_grids_span_one_and_a_half_decades(self, last, accepted):
+        # log10(316 / 10) = 1.4997 and log10(317 / 10) = 1.5011.
+        config = StudyConfig(get_scenario("flip2"), "flip2", (10, 20, 40, last), 100, 0)
+        if accepted:
+            _check_rate_study(config, "bias rate")
+        else:
+            message = "^rate studies need a grid spanning at least 1.5 decades, got 1.50$"
+            with pytest.raises(ValidationError, match=message):
+                _check_rate_study(config, "bias rate")
+
+    @pytest.mark.parametrize("delta, refused", [(1e-6, False), (1e-9, True)])
+    def test_dominance_refuses_only_an_optimal_baseline_at_the_true_value(self, delta, refused):
+        # flip2's policies with reward means 0.5 + delta and 0.5: beta* differs from
+        # the true value by 1.1e-7 at delta = 1e-6 and by 1.1e-10 at delta = 1e-9,
+        # against the precondition's 1e-9 relative tolerance.
+        env = BanditEnv(context_probs=[1.0], reward_means=[[0.5 + delta, 0.5]])
+        scenario = BanditScenario(env, PolicyTable([[0.9, 0.1]]), PolicyTable([[0.1, 0.9]]))
+        config = StudyConfig(scenario, "inline", (50,), 100, 0)
+        if refused:
+            with pytest.raises(PreconditionNotMet, match="the optimal baseline equals the true value"):
+                dominance_check(config)
+        else:
+            assert [cell.n for cell in dominance_check(config).cells] == [50]
 
 
 class TestStudyConfig:

@@ -330,6 +330,26 @@ def test_kernels_read_a_blocks_moments():
     assert reducing == {"Rows.__init__", "Rows.moments", "_moments", "cross_fit_rows"}
 
 
+def _rows_calls(node) -> int:
+    return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Rows" for n in ast.walk(node))
+
+
+def test_one_way_from_a_dataset_to_a_block():
+    # estimators.Rows.of alone turns a dataset into a block, and the study engine
+    # builds its blocks of replicates in _replicate_range: nothing else constructs
+    # a Rows. opekit evaluate reduces its log once, through that block, with no
+    # moments of its own and no per-position copies of the log.
+    builders, calls = set(), 0
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        calls += _rows_calls(tree)
+        builders |= {f"{path.stem}.{name}" for name, function in _functions(tree) if _rows_calls(function)}
+    assert builders == {"estimators.Rows.of", "experiments._replicate_range"}
+    assert calls == 2
+    cli = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    assert _calls(cli, "empirical_moments") == _calls(cli, "position") == 0
+
+
 def _gap_calls(node) -> int:
     return sum(isinstance(n, ast.Call) and "variance_gap" in _names(n.func) for n in ast.walk(node))
 
