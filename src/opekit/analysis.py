@@ -3,8 +3,9 @@
 The self-normalised estimator differs from the baseline-corrected one at
 the true value by an exactly computable remainder, and its asymptotic
 variance exceeds the variance at the optimal baseline by a non-negative
-gap with a closed form. Both quantities are evaluated here from moment
-summaries or datasets, with no sampling involved.
+gap with a closed form. The gap is evaluated here from moment summaries,
+and the remainder from a dataset and its block, the ``Rows.of(dataset)``
+the estimators read, with no sampling involved.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _finite, _freeze, _integer
+from .data import Dataset, _finite, _integer
 from .errors import DegenerateWeights, ValidationError, ZeroWeightSum
 from .estimators import MomentSummary, Rows, _require_scalar, remainder_rows
 
@@ -26,11 +27,11 @@ class RemainderDiagnostics:
     With ``L_n = mean(wr) - value * mean(w)`` and ``W_bar = mean(w)``, the
     self-normalised estimate equals the baseline-corrected estimate at
     ``beta = value`` plus ``r_n = L_n * (1 - W_bar) / W_bar``. The
-    linearised remainder drops the denominator. ``u_series`` holds
-    ``w * (reward - value)`` and ``t_series`` holds ``w - 1``; their means
-    are ``L_n`` and ``W_bar - 1``. ``event_holds`` records whether the
-    weight mean stayed at or above one half, the regime in which the
-    remainder admits quadratic tail control.
+    linearised remainder drops the denominator. ``max_abs_u`` is the
+    largest ``|w * (reward - value)|`` and ``max_abs_t`` the largest
+    ``|w - 1|``; those series' means are ``L_n`` and ``W_bar - 1``.
+    ``event_holds`` records whether the weight mean stayed at or above one
+    half, the regime in which the remainder admits quadratic tail control.
     """
 
     l_n: float
@@ -38,8 +39,8 @@ class RemainderDiagnostics:
     r_n: float
     r_n_linearised: float
     event_holds: bool
-    u_series: np.ndarray
-    t_series: np.ndarray
+    max_abs_u: float
+    max_abs_t: float
 
 
 @dataclass(frozen=True)
@@ -112,25 +113,32 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
     """Evaluate the exact remainder decomposition on a dataset.
 
     Requires a non-zero weight mean; the self-normalised estimate does not
-    exist otherwise.
+    exist otherwise. A number past the float range (``max_abs_u`` at a
+    value near the float maximum, say) comes back infinite, with no numpy
+    warning.
     """
-    rows = Rows.of(_require_scalar(dataset))
+    return _remainder(dataset, Rows.of(_require_scalar(dataset)), value)
+
+
+def _remainder(dataset: Dataset, rows: Rows, value: float) -> RemainderDiagnostics:
+    """The remainder decomposition of a scalar dataset whose block is ``rows`` (``Rows.of(dataset)``)."""
     v = _finite(value, "value")
     l_n, r_n, zero = remainder_rows(rows, v)
     if zero[0]:
         raise ZeroWeightSum()
     mean_w, l_n = float(rows.mean_w[0]), float(l_n[0])
-    u_series = _freeze(dataset.weights * (dataset.rewards - v))
-    t_series = _freeze(dataset.weights - 1.0)
-    # Internal consistency: the series were built from the same columns the
+    # Internal consistency: the series are built from the same columns the
     # scalars came from, so their means can only differ by accumulated
     # rounding in the rearranged sums, which scales with the summands, not
     # with their sum: weighted rewards of both signs cancel in the sum.
-    with np.errstate(over="ignore"):  # a scale past the float range passes the check
+    # A series mean or a scale past the float range passes the check.
+    with np.errstate(over="ignore", invalid="ignore"):
         scale = float(np.mean(np.abs(rows.wr))) + abs(v) * mean_w
-    if abs(float(np.mean(u_series)) - l_n) > 1e-12 * scale:
+        mean_u, max_abs_u = _mean_and_max_abs(dataset.weights * (dataset.rewards - v))
+        mean_t, max_abs_t = _mean_and_max_abs(dataset.weights - 1.0)
+    if math.isfinite(mean_u) and abs(mean_u - l_n) > 1e-12 * scale:
         raise ValidationError(f"mean of the u series disagrees with L_n = {l_n}")
-    if abs(float(np.mean(t_series)) - (mean_w - 1.0)) > 1e-12 * max(1.0, abs(mean_w)):
+    if abs(mean_t - (mean_w - 1.0)) > 1e-12 * max(1.0, abs(mean_w)):
         raise ValidationError(f"mean of the t series disagrees with W_bar - 1 = {mean_w - 1.0}")
     return RemainderDiagnostics(
         l_n=l_n,
@@ -138,9 +146,13 @@ def remainder_diagnostics(dataset: Dataset, value: float) -> RemainderDiagnostic
         r_n=float(r_n[0]),
         r_n_linearised=l_n * (1.0 - mean_w),
         event_holds=bool(mean_w >= 0.5),
-        u_series=u_series,
-        t_series=t_series,
+        max_abs_u=max_abs_u,
+        max_abs_t=max_abs_t,
     )
+
+
+def _mean_and_max_abs(series: np.ndarray) -> tuple[float, float]:
+    return float(np.mean(series)), float(np.max(np.abs(series)))
 
 
 def hoeffding_tail_bound(n: int, weight_bound: float) -> float:

@@ -24,9 +24,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .analysis import remainder_diagnostics, variance_gap
+from .analysis import _remainder, variance_gap
 from .errors import (
     EstimationError,
     StudyError,
@@ -112,22 +111,6 @@ def _estimate_dict(label: str, n: int, values, baselines, ranked: bool) -> dict:
     return {"estimator": label, "value": float(row_total(values)), "n_used": n, "per_position": positions}
 
 
-def _remainder_dict(dataset, value: float) -> dict:
-    diagnostics = remainder_diagnostics(dataset, value)
-    r, w = dataset.reward_bound, dataset.weight_bound
-    return {
-        "l_n": diagnostics.l_n,
-        "w_bar": diagnostics.w_bar,
-        "r_n": diagnostics.r_n,
-        "r_n_linearised": diagnostics.r_n_linearised,
-        "event_holds": diagnostics.event_holds,
-        "max_abs_u": float(np.max(np.abs(diagnostics.u_series))),
-        "u_bound": r * w * (1.0 + w),
-        "max_abs_t": float(np.max(np.abs(diagnostics.t_series))),
-        "t_bound": w,
-    }
-
-
 @cli.command("evaluate")
 @click.option(
     "--in",
@@ -199,7 +182,6 @@ def evaluate_command(
         else:
             results.append(_estimate_dict(spec.label, dataset.n, values, baselines, ranked))
     summaries = rows.summaries()
-    del rows  # the remainder diagnostics build their own block; holding two raises the peak memory
     report: dict = {
         "source": str(logs_path),
         "kind": kind,
@@ -215,7 +197,9 @@ def evaluate_command(
         (moments,) = summaries
         report["beta_star"] = moments.beta_star
         if true_value is not None:
-            report["remainder"] = _remainder_dict(dataset, true_value)
+            r, w = dataset.reward_bound, dataset.weight_bound
+            remainder = asdict(_remainder(dataset, rows, true_value))
+            report["remainder"] = {**remainder, "u_bound": r * w * (1.0 + w), "t_bound": w}
             if moments.beta_star is None:
                 report["variance_gap"] = None
                 report["variance_gap_note"] = "weights have zero variance; the optimal baseline is undefined"

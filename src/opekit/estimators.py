@@ -267,9 +267,11 @@ def remainder_rows(rows: Rows, value: float) -> tuple[np.ndarray, ...]:
     """Remainder decomposition ``(l_n, r_n, zero)`` of each row around ``value``.
 
     ``zero`` marks rows whose weight mean is zero, where ``r_n`` is undefined.
+    A number past the float range (at a value near the float maximum, say)
+    comes back infinite, with no numpy warning.
     """
-    l_n = rows.mean_wr - value * rows.mean_w
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        l_n = rows.mean_wr - value * rows.mean_w
         r_n = l_n * (1.0 - rows.mean_w) / rows.mean_w
     return l_n, r_n, rows.mean_w == 0.0
 

@@ -1,5 +1,6 @@
 """Closed-form variances, the exact remainder, and tail bounds."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -18,8 +19,28 @@ from opekit import (
     variance_gap,
 )
 from opekit.errors import DegenerateWeights, ValidationError, ZeroWeightSum
+from opekit.estimators import Rows
 
 from conftest import cancelling_log, dataset_from_weights
+
+
+def random_log() -> Dataset:
+    """300 entries of weights in eighths up to 4 and rewards in [-1, 1]."""
+    rng = np.random.default_rng(11)
+    w = rng.integers(0, 33, size=300) / 8.0
+    r = np.round(rng.uniform(-1, 1, size=300), 6)
+    return dataset_from_weights(w, r, weight_bound=4.0)
+
+
+def shift_block(monkeypatch, mean: str, by: float) -> None:
+    """Every block built from here on has its ``mean`` moved by ``by``."""
+    init = Rows.__init__
+
+    def shifted(rows, w, wr):
+        init(rows, w, wr)
+        setattr(rows, mean, getattr(rows, mean) + by)
+
+    monkeypatch.setattr(Rows, "__init__", shifted)
 
 
 def moments(var_w, var_wr, cov, n, mean_wr=0.5):
@@ -146,32 +167,58 @@ class TestRemainder:
 
     def test_series_definitions(self, two_row):
         d = remainder_diagnostics(two_row, 0.5)
-        assert np.array_equal(d.u_series, two_row.weights * (two_row.rewards - 0.5))
-        assert np.array_equal(d.t_series, two_row.weights - 1.0)
-        assert float(np.mean(d.u_series)) == pytest.approx(d.l_n, rel=1e-12)
-        assert float(np.mean(d.t_series)) == pytest.approx(d.w_bar - 1.0, rel=1e-12)
+        u, t = two_row.weights * (two_row.rewards - 0.5), two_row.weights - 1.0
+        assert (d.max_abs_u, d.max_abs_t) == (1.0, 1.0)
+        assert (d.max_abs_u, d.max_abs_t) == (np.max(np.abs(u)), np.max(np.abs(t)))
+        assert float(np.mean(u)) == pytest.approx(d.l_n, rel=1e-12)
+        assert float(np.mean(t)) == pytest.approx(d.w_bar - 1.0, rel=1e-12)
 
     def test_series_bounds(self):
-        rng = np.random.default_rng(11)
-        w = rng.integers(0, 33, size=300) / 8.0
-        r = np.round(rng.uniform(-1, 1, size=300), 6)
-        d = dataset_from_weights(w, r, weight_bound=4.0)
+        d = random_log()
         diag = remainder_diagnostics(d, 0.9)
         big_w = d.weight_bound
-        assert np.all(np.abs(diag.u_series) <= d.reward_bound * big_w * (1.0 + big_w))
-        assert np.all(np.abs(diag.t_series) <= big_w)
+        assert diag.max_abs_u == np.max(np.abs(d.weights * (d.rewards - 0.9)))
+        assert diag.max_abs_t == np.max(np.abs(d.weights - 1.0))
+        assert diag.max_abs_u <= d.reward_bound * big_w * (1.0 + big_w)
+        assert diag.max_abs_t <= big_w
 
     @pytest.mark.parametrize("n", [10_000, 100_000])
     @pytest.mark.parametrize("value", [1e-10, 1e-8, 1e-6])
     def test_cancelling_weighted_rewards(self, n, value):
         # The u series' mean and L_n sum terms near 1e9 whose sum cancels, so they
-        # differ by rounding of the terms' size, not of the sum's.
+        # differ by rounding of the terms' size, not of the sum's: the call's check passes.
         dataset = cancelling_log(n)
         wr = dataset.weights * dataset.rewards
         d = remainder_diagnostics(dataset, value)
         tolerance = 1e-12 * float(np.mean(np.abs(wr)))
         assert d.l_n == pytest.approx(math.fsum(wr) / n - value * d.w_bar, rel=0, abs=tolerance)
-        assert float(np.mean(d.u_series)) == pytest.approx(d.l_n, rel=0, abs=tolerance)
+        assert d.max_abs_u == np.max(np.abs(dataset.weights * (dataset.rewards - value)))
+
+    @pytest.mark.parametrize("shift, raises", [(1e-10, True), (1e-14, False)])
+    def test_u_series_tolerance(self, monkeypatch, shift, raises):
+        # No dataset makes the u series' mean and L_n disagree, so the block's weighted
+        # reward mean is moved by a share of the check's scale: 1e-10 is caught, 1e-14 is rounding.
+        dataset, value = random_log(), 0.9
+        scale = float(np.mean(np.abs(dataset.weights * dataset.rewards))) + value * float(np.mean(dataset.weights))
+        shift_block(monkeypatch, "mean_wr", shift * scale)
+        with pytest.raises(ValidationError, match="u series") if raises else contextlib.nullcontext():
+            remainder_diagnostics(dataset, value)
+
+    @pytest.mark.parametrize("shift, raises", [(1e-10, True), (1e-14, False)])
+    def test_t_series_tolerance(self, monkeypatch, shift, raises):
+        # As above for the weight mean; at value 0, L_n does not read it.
+        dataset = random_log()
+        shift_block(monkeypatch, "mean_w", shift * max(1.0, float(np.mean(dataset.weights))))
+        with pytest.raises(ValidationError, match="t series") if raises else contextlib.nullcontext():
+            remainder_diagnostics(dataset, 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1.75e308])
+    def test_value_near_the_float_maximum(self, value):
+        # The u series sums past the float range; its check passes, and nothing warns.
+        unit = dataset_from_weights([1.0, 1.0], [1.0, 0.0], weight_bound=1.0)
+        d = remainder_diagnostics(unit, value)
+        assert (d.l_n, d.r_n, d.max_abs_u, d.max_abs_t) == (0.5 - value, 0.0, abs(value), 0.0)
 
     def test_event_flag(self):
         low = dataset_from_weights([0.25, 0.25], [1.0, 0.0], weight_bound=1.0)

@@ -137,8 +137,10 @@ class TestScalarIdentities:
         diagnostics = remainder_diagnostics(dataset, value)
         w_bound = dataset.weight_bound
         u_cap = dataset.reward_bound * w_bound * (1.0 + w_bound)
-        assert np.all(np.abs(diagnostics.u_series) <= u_cap)
-        assert np.all(np.abs(diagnostics.t_series) <= w_bound)
+        assert diagnostics.max_abs_u == np.max(np.abs(dataset.weights * (dataset.rewards - value)))
+        assert diagnostics.max_abs_t == np.max(np.abs(dataset.weights - 1.0))
+        assert diagnostics.max_abs_u <= u_cap
+        assert diagnostics.max_abs_t <= w_bound
 
 
 class TestVarianceSurface:
