@@ -12,17 +12,20 @@ computation: means first, then moments of deviations. Runs over the same
 dataset therefore agree to the last bit.
 
 Every estimator is defined once, as a row kernel: a function of a
-:class:`Rows` block, the weights ``w`` and weighted rewards ``wr = w * r``
-of some rows, that returns one value per row. A block takes its row means
-and centred moments once, and the kernels read them; only cross-fitting
-makes its own pass, over its folds. :data:`ESTIMATORS` maps each estimator
-name to its kernel and kind. :meth:`Rows.of` alone makes a dataset a
+:class:`Rows` bundle, the per-row reductions of the weights ``w`` and
+weighted rewards ``wr = w * r`` of some rows, that returns one value per
+row. A bundle always holds the row means; the centred moments and
+cross-fitting's fold moments and complement means are taken from the
+entries on first read (:meth:`Rows.reduction`), and no kernel reads an
+entry. :data:`ESTIMATORS` maps each estimator name to its kernel, its kind
+and the reduction it reads. :meth:`Rows.of` alone makes a dataset a
 block, one row of positions by entries, a scalar dataset being the
 one-position case, and one driver, :func:`_apply`, runs a kernel on it:
 the public functions here, the ranked functions and ``opekit evaluate``
 (one block for all its estimators and moments) go through it, with one
 kind rule (:func:`_check_kind`) and one failure rule. The Monte Carlo
-engine runs the same kernels on a block of replicates, one row each. Row
+engine reduces each block of replicates, one row each, into one bundle
+of a replicate range and runs the same kernels once on it. Row
 reductions over C-contiguous rows sum in the same order as a reduction
 over one row alone, so all callers get the same bits. Specs such as
 ``beta-ips:0.5`` are parsed next to the registry they name
@@ -186,15 +189,22 @@ def _check_moments(moments, n: int) -> None:
 
 
 class Rows:
-    """What every kernel reads: ``w`` and ``wr`` of a replicate block or a dataset (:meth:`of`), each row reduced once.
+    """What every kernel reads: the per-row reductions of weights ``w`` and weighted rewards ``wr``.
 
+    A block of entries, ``Rows(w, wr)`` or a dataset's one row (:meth:`of`),
+    takes its row means at once and any other reduction on first read
+    (:meth:`reduction`). The engine gathers the reductions of a range's
+    blocks into one bundle (:meth:`bundle`, :meth:`fill`), which holds no
+    entries, and runs each kernel once on it; a kernel reads a bundle's
+    reductions alone, so it gives the same bits on either.
     ``mean_w`` and ``mean_wr`` are taken as :func:`_moments` takes them, past the float range silently.
     """
 
     def __init__(self, w: np.ndarray, wr: np.ndarray):
-        self.w, self.wr = w, wr
+        self.w, self.wr, self.n = w, wr, w.shape[-1]
         with np.errstate(over="ignore", invalid="ignore"):
             self.mean_w, self.mean_wr = row_mean(w), row_mean(wr)
+        self.reductions: dict = {}
 
     @staticmethod
     def of(dataset) -> Rows:
@@ -202,17 +212,63 @@ class Rows:
         w = np.ascontiguousarray(dataset.weights.T)[None]
         return Rows(w, w * np.ascontiguousarray(dataset.rewards.T)[None])
 
+    def reduction(self, key) -> tuple[np.ndarray, ...]:
+        """Unchecked reductions of each row under ``key``, taken on first read.
+
+        ``"centred"`` gives ``(var_w, var_wr, cov_w_wr)``, and a :class:`CrossFitConfig` its :func:`_fold_reductions`.
+        """
+        if key not in self.reductions:
+            if key == "centred":
+                self.reductions[key] = _moments(self.w, self.wr, (self.mean_w, self.mean_wr))[2:]
+            else:
+                self.reductions[key] = _fold_reductions(self, key)
+        return self.reductions[key]
+
+    def reduce(self, keys) -> Rows:
+        """This block with the reductions ``keys`` taken; one its kernel refuses (folds too small) is left for it to raise."""
+        for key in keys:
+            try:
+                self.reduction(key)
+            except EstimationError:
+                pass
+        return self
+
     @cached_property
     def moments(self) -> tuple[np.ndarray, ...]:
         """``(mean_w, mean_wr, var_w, var_wr, cov_w_wr)`` on first read; raises as :func:`_check_moments` does."""
-        moments = _moments(self.w, self.wr, (self.mean_w, self.mean_wr))
-        _check_moments(moments, self.w.shape[-1])
+        moments = (self.mean_w, self.mean_wr, *self.reduction("centred"))
+        _check_moments(moments, self.n)
         return moments
 
     def summaries(self) -> list[MomentSummary]:
         """The moments of a one-row block as one :class:`MomentSummary` per position."""
         columns = zip(*(m.reshape(-1).tolist() for m in self.moments))
-        return [MomentSummary(*column, n=self.w.shape[-1]) for column in columns]
+        return [MomentSummary(*column, n=self.n) for column in columns]
+
+    def _map(self, fn) -> Rows:
+        """A bundle without entries whose every reduction is ``fn`` of this one's."""
+        bundle = object.__new__(Rows)
+        bundle.w = bundle.wr = None
+        bundle.n = self.n
+        bundle.mean_w, bundle.mean_wr = fn(self.mean_w), fn(self.mean_wr)
+        bundle.reductions = {key: tuple(map(fn, arrays)) for key, arrays in self.reductions.items()}
+        return bundle
+
+    def bundle(self, rows: int) -> Rows:
+        """An unfilled bundle of ``rows`` rows for the reductions this block has taken."""
+        return self._map(lambda a: np.empty((rows,) + a.shape[1:]))
+
+    def fill(self, start: int, block: Rows) -> None:
+        """Write ``block``'s reductions into this bundle's rows from ``start`` on."""
+        rows = slice(start, start + block.mean_w.shape[0])
+        self.mean_w[rows], self.mean_wr[rows] = block.mean_w, block.mean_wr
+        for key, arrays in self.reductions.items():
+            for out, taken in zip(arrays, block.reductions[key]):
+                out[rows] = taken
+
+    def __getitem__(self, rows: slice) -> Rows:
+        """The bundle of ``rows``: views of every reduction taken."""
+        return self._map(lambda a: a[rows])
 
 
 def plug_in_baselines(var_w, cov) -> tuple:
@@ -372,24 +428,23 @@ def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[tuple[np.ndarray, np.
     return tuple(groups)
 
 
-def cross_fit_rows(rows: Rows, config: CrossFitConfig) -> tuple:
-    """Cross-fitted value and mean baseline of each row, from its own pass over the folds of ``rows.w`` and ``rows.wr``.
+def _fold_reductions(rows: Rows, config: CrossFitConfig) -> tuple[np.ndarray, ...]:
+    """Each row's per-fold reductions, one column per fold, in one pass over ``rows.w`` and ``rows.wr``.
 
-    Fails on rows where some fold has constant weights, which leaves its
-    baseline undefined, while its evaluation entries do not average to
-    weight one, so the baseline still matters. Each group of equal-length
-    folds is one ``take`` of ``w`` and of ``wr`` by the cached fold matrix,
-    centred in place, and its complement means one ``take`` by the cached
-    complement matrix, or, past its budget, one masked fold at a time, so a
-    long row needs room for two copies and one product of them. Each
-    complement sums in index order, as one contiguous row does. A validation
-    error names the entry that checking the folds one after another meets first.
+    They are the fold's moments ``(mean_w, mean_wr, var_w, var_wr, cov_w_wr)``,
+    then its complement's offset ``1 - mean(w)`` and ``mean(wr)``. The
+    layout is read first, so too few entries per fold raise
+    :class:`FoldTooSmall` before any entry is read. Each group of
+    equal-length folds is one ``take`` of ``w`` and of ``wr`` by the cached
+    fold matrix, centred in place, and its complement means one ``take`` by
+    the cached complement matrix, or, past its budget, one masked fold at a
+    time, so a long row needs room for two copies and one product of them.
+    Each complement sums in index order, as one contiguous row does.
     """
-    w, wr = rows.w, rows.wr
-    n = w.shape[-1]
-    size, longer = divmod(n, config.folds_k)
+    layout = _fold_layout(rows.n, config.folds_k, config.seed)
+    w, wr, n = rows.w, rows.wr, rows.n
     parts = []
-    for folds, complements in _fold_layout(n, config.folds_k, config.seed):
+    for folds, complements in layout:
         pair = w.take(folds, axis=-1), wr.take(folds, axis=-1)
         moments = _moments(*pair, out=pair)
         del pair
@@ -402,7 +457,19 @@ def cross_fit_rows(rows: Rows, config: CrossFitConfig) -> tuple:
                 outside[fold] = False
                 means[:, ..., f] = [row_mean(x.compress(outside, axis=-1)) for x in (w, wr)]
         parts.append(moments + (1.0 - means[0], means[1]))
-    *moments, offsets, complement_wr = (np.concatenate(column, axis=-1) for column in zip(*parts))
+    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
+
+
+def cross_fit_rows(rows: Rows, config: CrossFitConfig) -> tuple:
+    """Cross-fitted value and mean baseline of each row, from its fold reductions under ``config``.
+
+    Fails on rows where some fold has constant weights, which leaves its
+    baseline undefined, while its evaluation entries do not average to
+    weight one, so the baseline still matters. A validation error names the
+    entry that checking the folds one after another meets first.
+    """
+    *moments, offsets, complement_wr = rows.reduction(config)
+    size, longer = divmod(rows.n, config.folds_k)
     baseline, degenerate = plug_in_baselines(moments[2], moments[4])
     failed = degenerate & (offsets != 0.0)
     failed_so_far = np.logical_or.accumulate(failed, axis=-1)
@@ -413,7 +480,8 @@ def cross_fit_rows(rows: Rows, config: CrossFitConfig) -> tuple:
             _check_moments(tuple(m[..., f] for m in moments), size + (f < longer))
             _require_finite_baselines(baseline[..., f], ~failed_so_far[..., f])
     values = baseline * offsets + complement_wr
-    return row_mean(values), row_mean(baseline), failed.any(axis=-1)
+    # Means over the folds, of numbers the reductions gave: np.mean adds and divides as row_mean does.
+    return np.mean(values, axis=-1), np.mean(baseline, axis=-1), failed.any(axis=-1)
 
 
 def cross_fitted_beta_ips(dataset: Dataset, config: CrossFitConfig = CrossFitConfig()) -> Estimate:
@@ -452,7 +520,9 @@ class RegisteredEstimator:
     ``(values, baselines, failed)``, one entry per row: ``baselines`` is
     ``None`` outside the baseline-corrected family, and ``failed`` is
     ``None`` for kernels that cannot fail, otherwise it marks the rows
-    whose precondition fails, which ``error`` names.
+    whose precondition fails, which ``error`` names. ``reads`` names what
+    the kernel reads past the row means: the ``"centred"`` moments, or its
+    ``"folds"``, the fold reductions under its ``arg``.
     """
 
     kind: str
@@ -460,6 +530,11 @@ class RegisteredEstimator:
     defaults: frozenset[str]
     kernel: Callable
     error: type[EstimationError] | None = None
+    reads: str | None = None
+
+    def reduction(self, arg):
+        """The :meth:`Rows.reduction` key the kernel reads with ``arg``, or ``None`` for the row means alone."""
+        return arg if self.reads == "folds" else self.reads
 
 
 _MC = frozenset({"mc"})
@@ -471,13 +546,13 @@ ESTIMATORS: dict[str, RegisteredEstimator] = {
     "ips": RegisteredEstimator("scalar", None, _MC, ips_rows),
     "snips": RegisteredEstimator("scalar", None, frozenset({"mc", "bias-rate"}), snips_rows, ZeroWeightSum),
     "beta-ips": RegisteredEstimator("scalar", "baseline", _NONE, beta_ips_rows),
-    "beta-star-ips": RegisteredEstimator("scalar", None, _MC, beta_star_rows, DegenerateWeights),
-    "cf-beta-star-ips": RegisteredEstimator("scalar", "folds", _NONE, cross_fit_rows, DegenerateWeights),
+    "beta-star-ips": RegisteredEstimator("scalar", None, _MC, beta_star_rows, DegenerateWeights, "centred"),
+    "cf-beta-star-ips": RegisteredEstimator("scalar", "folds", _NONE, cross_fit_rows, DegenerateWeights, "folds"),
     "remainder-sq": RegisteredEstimator("study", "value", _NONE, remainder_sq_rows, ZeroWeightSum),
     "ipm": RegisteredEstimator("ranked", None, _MC, ips_rows),
     "snipm": RegisteredEstimator("ranked", None, _MC, snips_rows, ZeroWeightSum),
     "beta-ipm": RegisteredEstimator("ranked", "baselines", _NONE, beta_ips_rows),
-    "beta-perp-star-ipm": RegisteredEstimator("ranked", None, _MC, beta_star_rows, DegenerateWeights),
+    "beta-perp-star-ipm": RegisteredEstimator("ranked", None, _MC, beta_star_rows, DegenerateWeights, "centred"),
 }
 
 

@@ -11,13 +11,22 @@ the seeds of a whole range of replicates at once and lets PCG64 seed
 itself from each replicate's words, which gives the same stream bit for
 bit (:func:`~opekit.simulator.replicate_streams`).
 
-A cell is evaluated in blocks of replicates: each block is sampled into
-one ``(replicates, n)`` array (``(replicates, positions, n)`` for ranked
-scenarios), one row per replicate, whose means and moments one
-:class:`~opekit.estimators.Rows` takes once for every metric's kernel.
-A block holds about ``_BLOCK_ENTRIES`` (16384, the engine's own budget)
-entries whatever the replicate count. Row reductions sum exactly as
-one-row ones do, so the block size never changes a bit. A block is drawn
+A cell is evaluated by replicate ranges (one per worker task), each
+reduced block by block and finished once. Each block is sampled into one
+``(replicates, n)`` array (``(replicates, positions, n)`` for ranked
+scenarios), one row per replicate, and one
+:class:`~opekit.estimators.Rows` takes the reductions the metric table
+reads: both row means always, the centred moments for the plug-in
+baselines and the fold moments and complement means for cross-fitting.
+They are written into one bundle of the range, preallocated with a few
+numbers per replicate (a few per fold for cross-fitting), never one per
+entry. After the last block each kernel runs once on the bundle, so its
+checks and failure masks run once per range; a validation error is the
+one a block-by-block run would meet first (the earliest block, then the
+metric order). A block holds about ``_BLOCK_ENTRIES`` (16384, the
+engine's own budget) entries whatever the replicate count. Row
+reductions sum exactly as one-row ones do, so the block size never
+changes a bit. A block is drawn
 by the one sampler the public samplers and ``simulate`` also use
 (:func:`~opekit.simulator.sample_cells`), and the engine gathers only the
 weights and weighted rewards at its cells
@@ -113,18 +122,18 @@ def _block_rows(n: int, k: int) -> int:
     return max(1, _BLOCK_ENTRIES // (n * k))
 
 
-def _evaluate(entry, arg, block: Rows) -> tuple:
-    """A kernel's values and failed rows on a block, with the error that names the failures.
+def _evaluate(entry, arg, rows: Rows) -> tuple:
+    """A kernel's values and failed rows on a bundle, with the error that names the failures.
 
     A kernel that raises an estimation error (cross-fitting at fewer than
-    two entries per fold) fails every row of the block. Ranked values gain
-    a last column, the total over positions, and a row fails if any of its
+    two entries per fold) fails every row. Ranked values gain a last
+    column, the total over positions, and a row fails if any of its
     positions does.
     """
     try:
-        values, _, failed = entry.kernel(block, arg)
+        values, _, failed = entry.kernel(rows, arg)
     except EstimationError as exc:
-        return np.full(block.w.shape[:1], np.nan), np.ones(block.w.shape[:1], dtype=bool), type(exc)
+        return np.full(rows.mean_w.shape[:1], np.nan), np.ones(rows.mean_w.shape[:1], dtype=bool), type(exc)
     if entry.kind == "ranked":
         values = np.concatenate([values, row_total(values)[:, None]], axis=1)
         failed = None if failed is None else failed.any(axis=-1)
@@ -141,28 +150,40 @@ class FailureRecord:
 
 
 def _replicate_range(compiled, n, master_seed, start, stop, metrics):
-    """Evaluate all metrics on replicates [start, stop), block by block; NaN marks failures."""
-    values = np.full((stop - start, sum(len(targets) for _, targets, _, _ in metrics)), np.nan)
-    failures: list[FailureRecord] = []
+    """Evaluate all metrics on replicates [start, stop): reduce block by block, then run each kernel once; NaN marks failures."""
+    keys = dict.fromkeys(entry.reduction(arg) for _, _, entry, arg in metrics)
+    keys.pop(None, None)
     step = _block_rows(n, compiled.k)
     streams = replicate_streams(master_seed, n, range(start, stop))
     # One buffer for the whole range: a block's uniforms, (1 + 2k) * n per
     # row, outgrow malloc's mmap threshold, so a new one each block would
     # fault its pages in again.
     buffer = np.empty((min(step, stop - start), (1 + 2 * compiled.k) * n))
+    bundle = None
     for low in range(start, stop, step):
         high = min(low + step, stop)
-        block = Rows(*sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams)))
-        rows = values[low - start : high - start]
-        offset = 0
-        for label, targets, entry, arg in metrics:
-            out, failed, error = _evaluate(entry, arg, block)
-            columns = rows[:, offset : offset + len(targets)]
-            columns[...] = out.reshape(len(columns), -1)
-            if failed is not None and failed.any():
-                columns[failed] = np.nan
-                failures.extend(FailureRecord(label, low + int(row), error.__name__) for row in np.flatnonzero(failed))
-            offset += len(targets)
+        block = Rows(*sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams))).reduce(keys)
+        if bundle is None:
+            bundle = block.bundle(stop - start)
+        bundle.fill(low - start, block)
+    try:
+        results = [_evaluate(entry, arg, bundle) for _, _, entry, arg in metrics]
+    except ValidationError:
+        # Raise what evaluating block by block meets first: the earliest block, then the metric order.
+        for low in range(0, stop - start, step):
+            for _, _, entry, arg in metrics:
+                _evaluate(entry, arg, bundle[low : low + step])
+        raise
+    values = np.empty((stop - start, sum(len(targets) for _, targets, _, _ in metrics)))
+    failures: list[FailureRecord] = []
+    offset = 0
+    for (label, targets, _, _), (out, failed, error) in zip(metrics, results):
+        columns = values[:, offset : offset + len(targets)]
+        columns[...] = out.reshape(len(columns), -1)
+        if failed is not None and failed.any():
+            columns[failed] = np.nan
+            failures.extend(FailureRecord(label, start + int(row), error.__name__) for row in np.flatnonzero(failed))
+        offset += len(targets)
     failures.sort(key=lambda record: record.replicate)  # stable: a replicate's records stay in metric order
     return values, failures
 

@@ -481,9 +481,13 @@ def sample_cells(
     shape = (contexts.shape[0], compiled.k, n)
     cells = np.empty(shape, dtype=np.int64)
     rewards = np.empty(shape, dtype=bool)
+    one_context = compiled.context_cdf.size == 1  # every context is 0, and each cell its action
     for j, pos in enumerate(compiled.positions):
-        _pick(pos.action_cdf, next(stages), cells[:, j], contexts)
-        cells[:, j] += contexts * pos.action_cdf.shape[1]
+        if one_context:
+            _pick(pos.action_cdf[0], next(stages), cells[:, j])
+        else:
+            _pick(pos.action_cdf, next(stages), cells[:, j], contexts)
+            cells[:, j] += contexts * pos.action_cdf.shape[1]
         np.less(next(stages), pos.reward_means.take(cells[:, j]), out=rewards[:, j])
     return contexts, cells, rewards
 

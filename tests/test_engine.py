@@ -9,6 +9,7 @@ their references the same way.
 """
 
 import concurrent.futures
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from opekit import (
 from opekit import experiments
 from opekit.errors import BoundViolation, EstimationError, ValidationError
 from opekit.estimators import (
+    ESTIMATORS,
     CrossFitConfig,
     Rows,
     _fold_layout,
@@ -152,16 +154,83 @@ class TestBlockSize:
         assert _block_rows(1, 1) == budget
 
     def test_block_size_never_changes_a_bit(self, monkeypatch):
-        scenario = get_scenario("flip2")
-        default = replicate_estimates(scenario, 100, 90, SEED, SCALAR)
         # The last case is the log writer's and reader's budget, which the
         # engine used before it had a budget of its own.
         assert _block_rows(100, 1) != BLOCK_ENTRIES // 100
-        for entries in (1, 700, BLOCK_ENTRIES):
+        for preset, estimators in (("flip2", SCALAR), ("rankflip2x2", RANKED)):
+            scenario = get_scenario(preset)
+            monkeypatch.undo()
+            default = replicate_estimates(scenario, 100, 90, SEED, estimators)
+            for entries in (1, 7, 700, BLOCK_ENTRIES):
+                monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
+                for n_jobs in (1, 2):
+                    other = replicate_estimates(scenario, 100, 90, SEED, estimators, n_jobs=n_jobs)
+                    assert np.array_equal(default.values, other.values, equal_nan=True)
+                    assert default.failures == other.failures
+
+    @pytest.mark.parametrize("entries", [1, 7, None])
+    @pytest.mark.parametrize("preset, estimators", [("flip2", SCALAR), ("rankflip2x2", RANKED)], ids=["scalar", "ranked"])
+    def test_each_kernel_runs_once_per_range(self, monkeypatch, preset, estimators, entries):
+        # Blocks are reduced one by one; each kernel then runs once on the range, whatever its block count.
+        if entries is not None:
             monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", entries)
-            other = replicate_estimates(scenario, 100, 90, SEED, SCALAR)
-            assert np.array_equal(default.values, other.values, equal_nan=True)
-            assert default.failures == other.failures
+        calls, ranges, blocks = [], [], []
+        for name, entry in ESTIMATORS.items():
+            def counted(rows, arg, kernel=entry.kernel, name=name):
+                calls.append(name)
+                return kernel(rows, arg)
+
+            monkeypatch.setitem(ESTIMATORS, name, dataclasses.replace(entry, kernel=counted))
+        for name, log in (("_replicate_range", ranges), ("sample_weights", blocks)):
+            def logged(*args, function=getattr(experiments, name), log=log):
+                log.append(1)
+                return function(*args)
+
+            monkeypatch.setattr(experiments, name, logged)
+        scenario = get_scenario(preset)
+        replicate_estimates(scenario, 100, 90, SEED, estimators)
+        assert len(ranges) == 1
+        assert len(blocks) == -(-90 // _block_rows(100, scenario.k)) > (entries is not None)
+        assert calls == [parse_estimator_spec(e).name for e in estimators]
+
+
+class TestErrorOrder:
+    """A validation error is the one a block-by-block run meets first: earliest block, then metric order."""
+
+    N = 20
+
+    def rows_breaking(self, metric: str):
+        """Weights and weighted rewards of one replicate on which ``metric`` alone raises a validation error.
+
+        Under two folds, ``cf-beta-star-ips`` breaks on a fold whose tiny weights make its
+        covariance violate the Cauchy-Schwarz bound. ``beta-star-ips`` breaks on weights
+        constant in each fold: every fold is degenerate, which cross-fitting records as a
+        failure, while the whole row's weight variance is subnormal and breaks the bound.
+        """
+        fold = fold_indices(self.N, CrossFitConfig(folds_k=2, seed=SEED))[1]
+        if metric == "cf-beta-star-ips":
+            w, wr = np.tile([0.5, 1.0], self.N // 2), np.full(self.N, 0.5)
+            w[fold], wr[fold] = np.array([1, 0] * 5) * 2e-160, np.array([1, 0] * 5) * 1e150
+        else:
+            w, wr = np.zeros(self.N), np.zeros(self.N)
+            w[fold], wr[fold] = 1e-160, 1e150
+        return w[None], wr[None]
+
+    @pytest.mark.parametrize("first", ["cf-beta-star-ips", "beta-star-ips"])
+    @pytest.mark.parametrize("table", [("beta-star-ips", "cf-beta-star-ips"), ("cf-beta-star-ips", "beta-star-ips")])
+    def test_the_earliest_block_fails_first(self, monkeypatch, first, table):
+        second = "beta-star-ips" if first == "cf-beta-star-ips" else "cf-beta-star-ips"
+        blocks = iter([self.rows_breaking(first), self.rows_breaking(second)])
+        monkeypatch.setattr(experiments, "sample_weights", lambda compiled, n, uniforms: next(blocks))
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", self.N)  # one replicate a block
+        with pytest.raises(ValidationError) as caught:
+            replicate_estimates(get_scenario("flip2"), self.N, 2, SEED, table, folds=2)
+        expected = {
+            "cf-beta-star-ips": "covariance 4.9999999999999995e-11 violates the Cauchy-Schwarz bound "
+            "for variances 1e-320, 2.4999999999999994e+299",
+            "beta-star-ips": "covariance 2.5e-11 violates the Cauchy-Schwarz bound for variances 2.5e-321, 2.5e+299",
+        }
+        assert str(caught.value) == expected[first]
 
 
 class TestScalarEquivalence:
@@ -326,12 +395,12 @@ class TestCrossFit:
         # complement matrix at this n (test_layout_holds_at_most_two_indices_per_entry).
         rng = np.random.default_rng(5)
         w = rng.choice([1 / 9, 9.0], size=(1, 200_000))
-        rows = Rows(w, w * (rng.random(w.shape) < 0.5))
+        wr = w * (rng.random(w.shape) < 0.5)
         config = CrossFitConfig()
-        cross_fit_rows(rows, config)  # the layout is cached before the measurement
+        cross_fit_rows(Rows(w, wr), config)  # the layout is cached before the measurement
         tracemalloc.start()
         try:
-            cross_fit_rows(rows, config)
+            cross_fit_rows(Rows(w, wr), config)  # a new block: its fold reductions are taken again
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -51,7 +51,7 @@ from opekit.cli import main
 from opekit.errors import DegenerateWeights, OpeKitError
 from opekit.estimators import ESTIMATORS, CrossFitConfig, estimate
 from opekit.ranking import positionwise
-from opekit.simulator import _cdf, _pick
+from opekit.simulator import _cdf, _pick, _stages, compile_scenario, sample_cells
 
 
 @st.composite
@@ -242,6 +242,42 @@ class TestPicker:
         out = np.empty(u.shape, dtype=np.int64)
         assert _pick(cdf, u, out, rows) is out
         assert out.ravel().tolist() == expected
+
+
+@st.composite
+def one_context_scenarios(draw):
+    """A one-context scenario of 1 to 5 actions, zero-probability ones among them, and a block of uniforms.
+
+    The uniforms are random, 0, ``1 - 2**-53`` or an entry of the action CDF.
+    """
+    actions = draw(st.integers(1, 5))
+    counts = draw(st.lists(st.integers(0, 4), min_size=actions, max_size=actions))
+    counts[draw(st.integers(0, actions - 1))] += 1
+    probs = [c / sum(counts) for c in counts]
+    policy = PolicyTable([probs])
+    scenario = BanditScenario(BanditEnv([1.0], [[0.5] * actions]), policy, policy)
+    special = st.sampled_from([0.0, 1.0 - 2.0**-53, *(x for x in _cdf(np.array(probs)).tolist() if x < 1.0)])
+    rows, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    uniforms = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True) | special, min_size=rows * 3 * n,
+                             max_size=rows * 3 * n))
+    return scenario, n, np.array(uniforms).reshape(rows, 3 * n)
+
+
+class TestOneContextPicker:
+    @given(one_context_scenarios())
+    @example((BanditScenario(BanditEnv([1.0], [[0.5, 0.5, 0.5, 0.5]]), *[PolicyTable([[0.7, 0.2, 0.1, 0.0]])] * 2), 2,
+              np.array([[0.3, 0.9, 0.0, 0.7, 0.9, 1.0 - 2.0**-53]])))
+    def test_equals_the_general_pick_on_a_zero_context_column(self, case):
+        # One context: each action is picked against that context's CDF row, with no gather by context.
+        scenario, n, uniforms = case
+        compiled = compile_scenario(scenario)
+        contexts, cells, _ = sample_cells(compiled, n, _stages(uniforms, n))
+        zeros = np.zeros((uniforms.shape[0], n), dtype=np.int64)
+        action_cdf = compiled.positions[0].action_cdf
+        general = _pick(action_cdf, _stages(uniforms, n)[1], np.empty_like(zeros), zeros)
+        general += zeros * action_cdf.shape[1]
+        assert contexts.tolist() == zeros.tolist()
+        assert cells[:, 0].tolist() == general.tolist()
 
 
 @st.composite

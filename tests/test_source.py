@@ -313,21 +313,29 @@ def _called_names(node) -> set[str]:
     return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
 
 
+def _attributes(node) -> set[str]:
+    """The attribute names ``node`` reads."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def test_kernels_read_a_blocks_moments():
-    # A block's means, and its centred moments, are taken once, by estimators.Rows;
-    # the registered kernels read them there. Only cross_fit_rows reduces again, in
-    # its own pass over its folds: no other kernel, nor any helper it calls, does.
+    # A kernel reads only a bundle's reductions (estimators.Rows): the row means,
+    # and the centred moments and fold reductions that Rows.reduction takes on
+    # first read. No registered kernel, cross-fitting included, nor any helper it
+    # calls, reduces over entries or reads them (rows.w, rows.wr), so one kernel
+    # gives the same bits on a dataset's block and on the engine's range bundle.
     functions = dict(_functions(ast.parse((SOURCE / "estimators.py").read_text(encoding="utf-8"))))
     reducers = {"row_mean", "_moments"}
-    reached, todo = set(), sorted({entry.kernel.__name__ for entry in ESTIMATORS.values()} - {"cross_fit_rows"})
+    reached, todo = set(), sorted({entry.kernel.__name__ for entry in ESTIMATORS.values()})
     while todo:
         name = todo.pop()
         reached.add(name)
         todo += sorted((_called_names(functions[name]) & set(functions)) - reached)
-    assert {"ips_rows", "beta_star_rows", "remainder_rows", "plug_in_baselines"} <= reached
+    assert {"ips_rows", "beta_star_rows", "cross_fit_rows", "remainder_rows", "plug_in_baselines"} <= reached
     assert [name for name in sorted(reached) if _called_names(functions[name]) & reducers] == []
+    assert [name for name in sorted(reached) if _attributes(functions[name]) & {"w", "wr"}] == []
     reducing = {name for name, function in functions.items() if _called_names(function) & reducers}
-    assert reducing == {"Rows.__init__", "Rows.moments", "_moments", "cross_fit_rows"}
+    assert reducing == {"Rows.__init__", "Rows.reduction", "_moments", "_fold_reductions"}
 
 
 def _rows_calls(node) -> int:
@@ -337,15 +345,19 @@ def _rows_calls(node) -> int:
 def test_one_way_from_a_dataset_to_a_block():
     # estimators.Rows.of alone turns a dataset into a block, and the study engine
     # builds its blocks of replicates in _replicate_range: nothing else constructs
-    # a Rows. opekit evaluate reduces its log once, through that block, with no
-    # moments of its own and no per-position copies of the log.
-    builders, calls = set(), 0
+    # a Rows from entries. A bundle without entries (a replicate range, or a slice
+    # of one) is made from a block's reductions by Rows._map alone. opekit evaluate
+    # reduces its log once, through that block, with no moments of its own and no
+    # per-position copies of the log.
+    builders, calls, bundles = set(), 0, set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         calls += _rows_calls(tree)
         builders |= {f"{path.stem}.{name}" for name, function in _functions(tree) if _rows_calls(function)}
+        bundles |= {f"{path.stem}.{name}" for name, function in _functions(tree) if _calls(function, "__new__")}
     assert builders == {"estimators.Rows.of", "experiments._replicate_range"}
     assert calls == 2
+    assert bundles == {"estimators.Rows._map"}
     cli = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
     assert _calls(cli, "empirical_moments") == _calls(cli, "position") == 0
 
