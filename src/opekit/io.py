@@ -35,7 +35,11 @@ exactly as the writer writes them are each matched by one regular
 expression built from the writer's record format. Each distinct line of
 a block is matched and converted once and its copies take its values,
 so the lines of a log drawn from finite policy tables, which repeat
-throughout, are mostly looked up rather than parsed. That layout is an
+throughout, are mostly looked up rather than parsed. While every id read
+is an integer, the ids of each block are gathered as int64 and appended to
+two int64 arrays, which the dataset's id columns then view; the first
+block or line with a ``null`` or string id turns both into lists of Python
+values, exact ints included, as the line reader gives them. That layout is an
 optional ``_meta`` line 1, then one record per line, all of one kind and
 one k, with the writer's key order and no whitespace. Its ids are integers
 of at most 17 digits, ``null`` or strings without escapes or control
@@ -305,8 +309,9 @@ class _Scan:
     k: int | None = None
     # p_log, p_tgt and reward of every position, entry by entry
     columns: tuple = field(default_factory=lambda: (array("d"), array("d"), array("d")))
-    contexts: list = field(default_factory=list)
-    actions: list = field(default_factory=list)  # one per position, entry by entry
+    # Ids: int64 while every id read is an integer, else Python values (exact ints for the integers)
+    contexts: array | list = field(default_factory=lambda: array("q"))
+    actions: array | list = field(default_factory=lambda: array("q"))  # one per position, entry by entry
     n: int = 0  # entries read
     # (first entry, first line) of each run of entries on consecutive lines: one for a
     # writer-layout prefix, and one more after each line the line reader skips
@@ -320,12 +325,16 @@ def _line_pattern(fmt: str, fields) -> re.Pattern:
     return re.compile("^" + "".join(literal + group for literal, group in zip(literals, groups)), re.M)
 
 
-def _id_values(texts) -> list:
-    """The values json gives the id texts that match ``_ID``."""
+def _id_values(texts, integers: bool) -> list | np.ndarray:
+    """The values json gives the id texts that match ``_ID``: int64 if ``integers`` and all are integers, else a list.
+
+    ``_ID`` allows at most 17 digits, so every integer fits int64.
+    """
     try:
-        return list(map(int, texts))
+        values = list(map(int, texts))
     except ValueError:
         return [None if t == "null" else t[1:-1] if t[0] == '"' else int(t) for t in texts]
+    return np.array(values, np.int64) if integers else values
 
 
 def _entry_major(groups) -> tuple | list:
@@ -365,15 +374,26 @@ def _scan_blocks(lines, scan: _Scan) -> tuple[list, int]:
         if len(rows) != len(distinct):  # a line that does not match, or a last line without its newline
             break
         fields = list(zip(*rows))
-        ids = [_id_values(fields[0]), _id_values(_entry_major(fields[1::4]))]
+        integers = isinstance(scan.contexts, array)
+        ids = [_id_values(fields[0], integers), _id_values(_entry_major(fields[1::4]), integers)]
+        if integers and any(isinstance(values, list) for values in ids):  # a null or string id: lists from here on
+            integers, scan.contexts, scan.actions = False, scan.contexts.tolist(), scan.actions.tolist()
+            ids = [values if isinstance(values, list) else values.tolist() for values in ids]
         numbers = [array("d", map(float, _entry_major(fields[group::4]))) for group in (2, 3, 4)]
         if len(distinct) < len(block):  # gather each line's values from those of its distinct line
             entry = np.fromiter(map(dict(zip(distinct, itertools.count())).__getitem__, block), np.intp, len(block))
             position = (entry[:, None] * k + np.arange(k)).ravel()
-            ids = [np.array(values, dtype=object)[taken].tolist() for values, taken in zip(ids, (entry, position))]
+            ids = [
+                values[taken] if integers else np.array(values, dtype=object)[taken].tolist()
+                for values, taken in zip(ids, (entry, position))
+            ]
             numbers = [np.frombuffer(values)[position] for values in numbers]
-        scan.contexts += ids[0]
-        scan.actions += ids[1]
+        if integers:
+            scan.contexts.frombytes(ids[0].tobytes())
+            scan.actions.frombytes(ids[1].tobytes())
+        else:
+            scan.contexts += ids[0]
+            scan.actions += ids[1]
         for column, values in zip(scan.columns, numbers):
             column.frombytes(values.tobytes())
         scan.n += len(block)
@@ -429,6 +449,8 @@ def _scan_lines(lines, first_line: int, scan: _Scan) -> _Scan:
             k = len(positions)
         elif len(positions) != k:
             raise ParseError(lineno, f"record has {len(positions)} positions, expected {k}")
+        if isinstance(contexts, array):  # json's ids may be of any kind: Python values from here on
+            contexts, actions = scan.contexts, scan.actions = contexts.tolist(), actions.tolist()
         for pos in positions:
             if not isinstance(pos, dict):
                 raise ParseError(lineno, "each position must be an object")
@@ -480,7 +502,10 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
     start that are laid out exactly as :func:`write_logs` writes them are
     read a block at a time by one pattern, which matches each distinct line
     of a block once, and the rest of the file, all of it for other
-    layouts, one line at a time with ``json.loads``.
+    layouts, one line at a time with ``json.loads``. Block-scanned integer
+    ids are kept as int64, block by block, and reach the dataset as int64
+    arrays; from the first ``null`` or string id, or the first line the
+    line reader takes, both id columns are lists of Python values.
     Both give the same flat columns, with a scalar record as its own single
     position, and one constructor call then validates them, so an entry
     error names the line of its entry whichever way it was read.
@@ -502,7 +527,10 @@ def read_logs(path, reward_bound: float | None = None, weight_bound: float | Non
     if final_reward is None or final_weight is None:
         raise MissingBounds()
     # Ids all null are no column, which _id_column decides too; a count finds them faster.
-    contexts, actions = (None if ids.count(None) == len(ids) else ids for ids in (scan.contexts, scan.actions))
+    contexts, actions = (
+        np.frombuffer(ids, np.int64) if isinstance(ids, array) else None if ids.count(None) == len(ids) else ids
+        for ids in (scan.contexts, scan.actions)
+    )
     try:
         return _from_positions(
             scan.kind == "ranked", scan.n, scan.k, scan.columns, final_reward, final_weight, contexts, actions

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import opekit.data
 import opekit.io
 from opekit import (
     Dataset,
@@ -640,6 +641,34 @@ def spaced_logs(draw):
 IN_BOUNDS = _record_format(False, 1) % (0, 0, "0.5", "0.5", "1.0")
 
 
+def id_records(contexts, actions=None) -> str:
+    """In-bounds scalar records in the writer's layout with these context and action id texts (actions 5 if None)."""
+    actions = actions or [5] * len(contexts)
+    return "".join(_record_format(False, 1) % (c, a, "0.5", "0.5", "1.0") for c, a in zip(contexts, actions))
+
+
+def ranked_id_records(contexts, actions) -> str:
+    """In-bounds two-position records in the writer's layout with these context ids and pairs of action ids."""
+    fmt = _record_format(True, 2)
+    return "".join(fmt % (c, a, "0.5", "0.5", "1.0", b, "0.5", "0.5", "1.0") for c, (a, b) in zip(contexts, actions))
+
+
+# Integer ids in the first blocks of two or six entries, then ids of another kind: logs
+# the block scan reads as int64 until a block or a line of the line reader changes the kind.
+INTEGERS = [1, 2, 1, 2, 1, 2]
+KIND_CHANGES = {
+    "null in block 2": (id_records(INTEGERS + ["null", 1]), ("|O", "<i8")),
+    "string in block 2": (id_records(INTEGERS * 2, INTEGERS + ['"s"', 3, 4, 3, 4, 3]), ("<i8", "|O")),
+    "18-digit integer in block 2": (id_records(INTEGERS + ["100000000000000000", 1]), ("<i8", "<i8")),
+    "17-digit extremes": (id_records(["99999999999999999", "-99999999999999999"] * 4), ("<i8", "<i8")),
+    "all null": (id_records(["null"] * 8, ["null"] * 8), (None, None)),
+    "ranked, null action in block 2": (
+        ranked_id_records(INTEGERS * 2, [(0, 1)] * 6 + [(0, "null")] + [(1, 0)] * 5),
+        ("<i8", "|O"),
+    ),
+}
+
+
 class TestBlockScan:
     @settings(max_examples=100, deadline=None)
     @given(spaced_logs(), st.sampled_from([2, 3, 6]))
@@ -677,6 +706,14 @@ class TestBlockScan:
     @example(SCALAR * 3 + OTHER + SCALAR + SCALAR[:-1], 6)  # the last line, a copy but for its newline
     @example(RANKED2[0] * 2 + RANKED2[1] + RANKED2[0] + RANKED2[1] * 2 + RANKED2[0], 6)
     @example(opekit.io._META % ("1.0", "9.0") + RANKED3[1] + RANKED3[0] * 3 + RANKED3[1], 6)
+    @example(KIND_CHANGES["null in block 2"][0], 2)
+    @example(KIND_CHANGES["null in block 2"][0], 6)
+    @example(KIND_CHANGES["string in block 2"][0], 6)
+    @example(KIND_CHANGES["18-digit integer in block 2"][0], 6)
+    @example(KIND_CHANGES["17-digit extremes"][0], 2)
+    @example(KIND_CHANGES["all null"][0], 6)
+    @example(KIND_CHANGES["ranked, null action in block 2"][0], 6)
+    @example(id_records(INTEGERS) + " " + id_records([3]), 6)  # integer blocks, then the line reader
     def test_reads_as_the_line_reader_does(self, text, block_entries):
         # The line reader alone is json.loads + _number on every line. Blocks of two or
         # six entries let the block scan stop part way through these short texts and
@@ -685,6 +722,50 @@ class TestBlockScan:
             patch.setattr(opekit.io, "BLOCK_ENTRIES", block_entries)
             got = scan_outcome(lambda text: _scan_stream(io.StringIO(text)), text)
         assert got == scan_outcome(lambda text: _scan_lines(io.StringIO(text), 1, _Scan()), text)
+
+    @pytest.mark.parametrize("block_entries", [2, 6])
+    @pytest.mark.parametrize("name", sorted(KIND_CHANGES))
+    def test_ids_that_change_kind_read_as_the_line_reader_does(self, name, block_entries, tmp_path):
+        # The block scan keeps integer ids as int64 until ids of another kind appear; then both
+        # columns hold Python values and the dataset's id columns are as the line reader gives them.
+        records, dtypes = KIND_CHANGES[name]
+        path = tmp_path / "in.jsonl"
+        path.write_text(opekit.io._META % ("1.0", "2.0") + records)
+        if name == "17-digit extremes":  # the widest integers the block scan takes
+            assert block_scan_end(path.read_text()) == path.stat().st_size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opekit.io, "BLOCK_ENTRIES", block_entries)
+            got = outcome(read_logs, path)
+        assert got == outcome(read_line_by_line, path)
+        assert tuple(None if ids is None else ids[0] for ids in got[3]) == dtypes
+
+    @pytest.mark.parametrize("last_context", [None, '"s"'])
+    def test_integer_ids_reach_the_dataset_as_int64(self, last_context, tmp_path):
+        # Three blocks of integer ids are handed over as int64 arrays; a string id in the
+        # last block turns both columns into lists of Python values.
+        path = tmp_path / "logs.jsonl"
+        received = {}
+
+        def recording(raw, name, shape):
+            received.setdefault(name, (type(raw), getattr(raw, "dtype", None)))
+            return original(raw, name, shape)
+
+        original = opekit.data._id_column
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(opekit.io, "BLOCK_ENTRIES", 6)
+            write_logs(flip2_sample(n=15), path)
+            if last_context is not None:
+                lines = path.read_text().splitlines(keepends=True)
+                lines[-1] = re.sub('"context":[^,]*', '"context":' + last_context, lines[-1])
+                path.write_text("".join(lines))
+            patch.setattr(opekit.data, "_id_column", recording)
+            dataset = read_logs(path)
+        assert dataset.n == 15
+        if last_context is None:
+            assert received == {name: (np.ndarray, np.dtype(np.int64)) for name in ("context_ids", "action_ids")}
+        else:
+            assert received == {name: (list, None) for name in ("context_ids", "action_ids")}
+            assert dataset.context_ids[-1] == "s"
 
     @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**16), 10**16))
     def test_writer_texts_take_the_scan(self, value, ident):
@@ -794,6 +875,16 @@ class TestReadMemory:
     def test_peak_beyond_the_dataset_does_not_grow_with_the_file(self, tmp_path):
         # A flip2 block holds at most four distinct lines.
         self.check(flip2_sample, tmp_path)
+
+    def test_integer_ids_do_not_grow_the_peak(self, tmp_path):
+        # Context ids above the small-int cache: every id read is an integer the scan keeps as int64.
+        def make(n):
+            sample = flip2_sample(n)
+            columns = (sample.propensity_logging, sample.propensity_target, sample.rewards)
+            bounds = dict(reward_bound=sample.reward_bound, weight_bound=sample.weight_bound)
+            return Dataset.from_arrays(*columns, **bounds, context_ids=np.arange(n) + 10**6, action_ids=sample.action_ids)
+
+        self.check(make, tmp_path)
 
     def test_distinct_lines_do_not_grow_the_peak(self, tmp_path):
         # Every line is distinct, so each block's map of distinct lines holds all of them.
