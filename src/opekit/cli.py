@@ -6,7 +6,9 @@ failures, 4 for I/O errors, running out of memory (say, a study whose
 result matrix cannot be allocated) and failures of the ``--jobs`` worker
 processes. When ``--out`` or ``--out-dir`` is omitted,
 outputs default to the directory named by the ``OPEKIT_OUT_DIR``
-environment variable, falling back to the working directory.
+environment variable, falling back to the working directory. A command
+exits without a final garbage collection (see :func:`run`); ``atexit``
+handlers and the flushes of stdout and stderr still run.
 
 Each command loads only the modules it runs. This module's imports are
 what ``evaluate`` needs: the log reader and the estimators. ``presets``
@@ -296,5 +298,21 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """The program entry of ``python -m opekit`` and the ``opekit`` script: :func:`main`, then ``gc.freeze()``.
+
+    The process exits next, and no output reads what a last collection
+    would free. Frozen objects are left out of the collection the
+    interpreter runs as it finalizes, while ``atexit`` handlers and the
+    flushes of stdout and stderr still run. :func:`main` called in process
+    freezes nothing.
+    """
+    import gc  # here, not at the top: importing this module loads what evaluate needs and no more
+
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -437,8 +437,9 @@ def _fold_reductions(rows: Rows, config: CrossFitConfig) -> tuple[np.ndarray, ..
     :class:`FoldTooSmall` before any entry is read. Each group of
     equal-length folds is one ``take`` of ``w`` and of ``wr`` by the cached
     fold matrix, centred in place, and its complement means one ``take`` by
-    the cached complement matrix, or, past its budget, one masked fold at a
-    time, so a long row needs room for two copies and one product of them.
+    the cached complement matrix, or, past its budget, by one fold's
+    complement indices at a time, taken from one reused mask, so a long row
+    needs room for two copies and one product of them.
     Each complement sums in index order, as one contiguous row does.
     """
     layout = _fold_layout(rows.n, config.folds_k, config.seed)
@@ -452,10 +453,12 @@ def _fold_reductions(rows: Rows, config: CrossFitConfig) -> tuple[np.ndarray, ..
             means = [row_mean(x.take(complements, axis=-1)) for x in (w, wr)]
         else:
             means = np.empty((2,) + w.shape[:-1] + (len(folds),))
+            outside = np.ones(n, dtype=bool)
             for f, fold in enumerate(folds):
-                outside = np.ones(n, dtype=bool)
                 outside[fold] = False
-                means[:, ..., f] = [row_mean(x.compress(outside, axis=-1)) for x in (w, wr)]
+                complement = np.flatnonzero(outside)
+                outside[fold] = True
+                means[:, ..., f] = [row_mean(x.take(complement, axis=-1)) for x in (w, wr)]
         parts.append(moments + (1.0 - means[0], means[1]))
     return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
 

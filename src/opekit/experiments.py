@@ -155,14 +155,17 @@ def _replicate_range(compiled, n, master_seed, start, stop, metrics):
     keys.pop(None, None)
     step = _block_rows(n, compiled.k)
     streams = replicate_streams(master_seed, n, range(start, stop))
-    # One buffer for the whole range: a block's uniforms, (1 + 2k) * n per
-    # row, outgrow malloc's mmap threshold, so a new one each block would
-    # fault its pages in again.
-    buffer = np.empty((min(step, stop - start), (1 + 2 * compiled.k) * n))
+    # Each stream steps past the n context uniforms of a one-context
+    # scenario, which no draw reads, so a row holds (1 + 2k) * n uniforms,
+    # or 2k * n. One buffer serves the whole range: a block's uniforms
+    # outgrow malloc's mmap threshold, so a new one each block would fault
+    # its pages in again.
+    skip = n if compiled.one_context else 0
+    buffer = np.empty((min(step, stop - start), (1 + 2 * compiled.k) * n - skip))
     bundle = None
     for low in range(start, stop, step):
         high = min(low + step, stop)
-        block = Rows(*sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams))).reduce(keys)
+        block = Rows(*sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams, skip))).reduce(keys)
         if bundle is None:
             bundle = block.bundle(stop - start)
         bundle.fill(low - start, block)

@@ -39,7 +39,11 @@ hash of ``(seed, n, r)`` runs in numpy for a whole range of replicates at
 once, and PCG64 runs its own seeding on each replicate's words, handed
 over through numpy's ``ISeedSequence`` protocol, so every replicate has
 its own generator, bit-equal to ``default_rng(SeedSequence((seed, n, r)))``.
-A replicate's ``(1 + 2k) * n`` uniforms come from one call.
+A replicate's uniforms come from one call, after the context stage of a
+one-context scenario, which no draw reads, is stepped past: a float64
+uniform is one 64-bit PCG64 step, and ``advance`` jumps ``n`` of them in
+O(log n) steps. The public samplers draw every stage, since a caller's
+generator may have no ``advance``, or another step per uniform.
 """
 
 from __future__ import annotations
@@ -320,10 +324,12 @@ def replicate_streams(seed: int, n: int, rows: range) -> Iterator[np.random.Gene
         yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def draw_uniforms(uniforms: np.ndarray, streams: Iterator[np.random.Generator]) -> np.ndarray:
-    """Fill each row of ``uniforms`` from the next stream, in one call per row."""
+def draw_uniforms(uniforms: np.ndarray, streams: Iterator[np.random.Generator], skip: int = 0) -> np.ndarray:
+    """Fill each row of ``uniforms`` from the next PCG64 stream, in one call per row, after ``skip`` uniforms."""
     # ``uniforms`` comes first, so zip takes no stream past the last row.
     for row, rng in zip(uniforms, streams):
+        if skip:
+            rng.bit_generator.advance(skip)
         rng.random(out=row)
     return uniforms
 
@@ -361,6 +367,11 @@ class CompiledScenario:
     @property
     def k(self) -> int:
         return len(self.positions)
+
+    @property
+    def one_context(self) -> bool:
+        """Whether every context is 0, so that no draw reads a context uniform and each cell is its action."""
+        return self.context_cdf.size == 1
 
 
 def _weights(context_probs: np.ndarray, p_log: np.ndarray, p_tgt: np.ndarray, position) -> tuple[np.ndarray, float]:
@@ -481,9 +492,8 @@ def sample_cells(
     shape = (contexts.shape[0], compiled.k, n)
     cells = np.empty(shape, dtype=np.int64)
     rewards = np.empty(shape, dtype=bool)
-    one_context = compiled.context_cdf.size == 1  # every context is 0, and each cell its action
     for j, pos in enumerate(compiled.positions):
-        if one_context:
+        if compiled.one_context:
             _pick(pos.action_cdf[0], next(stages), cells[:, j])
         else:
             _pick(pos.action_cdf, next(stages), cells[:, j], contexts)
@@ -506,11 +516,16 @@ def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> 
     """The weights ``w`` and weighted rewards ``w * r`` of the block drawn from ``uniforms``.
 
     ``uniforms`` holds each row's ``(1 + 2k) * n`` uniforms in stream
-    order. The cells and rewards are those of :func:`sample_cells`, so a
+    order, or, for a one-context scenario, the ``2k * n`` after its context
+    stage. The cells and rewards are those of :func:`sample_cells`, so a
     row is bit-equal to the weights and weighted rewards of the public
     sample drawn from its stream. Nothing else is gathered.
     """
-    _, cells, rewards = sample_cells(compiled, n, _stages(uniforms, n))
+    stages = _stages(uniforms, n)
+    if compiled.one_context and len(stages) == 2 * compiled.k:
+        # The context stage was stepped past; sample_cells reads only its shape.
+        stages.insert(0, np.broadcast_to(0.0, stages[0].shape))
+    _, cells, rewards = sample_cells(compiled, n, stages)
     w = _gather([pos.weights for pos in compiled.positions], cells)
     wr = w * rewards
     if not compiled.ranked:

@@ -2,11 +2,15 @@
 
 import concurrent.futures
 import contextlib
+import gc
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opekit
 from opekit import (
     BanditEnv,
     BanditScenario,
@@ -41,6 +46,14 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with these arguments on this checkout's sources, its output captured through pipes."""
+    src = str(Path(opekit.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +98,37 @@ class TestTopLevel:
         assert code == 0
         for name in ("const2", "flip2", "identity2", "rankflip2x2"):
             assert f"{name}: " in out
+
+
+class TestProgramEntry:
+    """``python -m opekit`` freezes the collector before exit; ``main`` in process does not."""
+
+    def test_the_program_entry_freezes_before_exit(self):
+        # As ``python -m opekit presets`` runs, with a probe that atexit runs last.
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['opekit', 'presets']\n"
+            "runpy.run_module('opekit', run_name='__main__', alter_sys=True)\n"
+        )
+        result = fresh_python("-c", probe)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert "flip2: " in result.stdout
+        assert result.stdout.splitlines()[-1] == "frozen True"
+
+    def test_main_in_process_freezes_nothing(self, capsys, flip2_logs):
+        before = gc.get_freeze_count()
+        assert run(capsys, "presets")[0] == 0
+        assert run(capsys, "evaluate", "--in", str(flip2_logs))[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_a_report_written_to_a_pipe_is_whole(self, capsys, flip2_logs):
+        result = fresh_python("-m", "opekit", "evaluate", "--in", str(flip2_logs))
+        assert (result.returncode, result.stderr) == (0, "")
+        code, out, _ = run(capsys, "evaluate", "--in", str(flip2_logs))
+        assert code == 0
+        assert result.stdout == out
+        assert json.loads(result.stdout)["estimates"]
 
 
 class TestSimulate:

@@ -36,7 +36,7 @@ from opekit import (
     snipm,
     snips,
 )
-from opekit import experiments
+from opekit import estimators, experiments
 from opekit.errors import BoundViolation, EstimationError, ValidationError
 from opekit.estimators import (
     ESTIMATORS,
@@ -80,6 +80,15 @@ def three_by_three() -> BanditScenario:
         ),
         logging_policy=PolicyTable([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]]),
         target_policy=PolicyTable([[0.0, 0.0, 1.0], [0.1, 0.8, 0.1], [0.6, 0.2, 0.2]]),
+    )
+
+
+def two_contexts() -> BanditScenario:
+    """A bandit with two contexts, so that its draws read the context stage."""
+    return BanditScenario(
+        env=BanditEnv(context_probs=[0.3, 0.7], reward_means=[[0.8, 0.2], [0.4, 0.6]]),
+        logging_policy=PolicyTable([[0.9, 0.1], [0.5, 0.5]]),
+        target_policy=PolicyTable([[0.1, 0.9], [0.7, 0.3]]),
     )
 
 
@@ -390,6 +399,24 @@ class TestCrossFit:
         got = cross_fit_rows(Rows(w, wr), config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
 
+    @pytest.mark.parametrize("n", [12, 403, 20001])
+    def test_both_complement_paths_give_the_same_bits(self, monkeypatch, n):
+        # Folds of two lengths (n is no multiple of 5); complements by cached matrix, then one fold at a time.
+        config = CrossFitConfig(folds_k=5, seed=2)
+        rng = np.random.default_rng(n)
+        w = rng.choice([1 / 9, 9.0], size=(2, n))
+        wr = w * (rng.random(w.shape) < 0.5)
+        got = []
+        try:
+            for budget in (10**9, 0):
+                monkeypatch.setattr(estimators, "_COMPLEMENT_ENTRIES", budget)
+                _fold_layout.cache_clear()
+                assert [complements is not None for _, complements in _fold_layout(n, 5, 2)] == [budget > 0] * 2
+                got.append([a.tobytes() for a in cross_fit_rows(Rows(w, wr), config)])
+        finally:
+            _fold_layout.cache_clear()  # no layout cached under a patched budget outlives the test
+        assert got[0] == got[1]
+
     def test_a_long_row_needs_room_for_three_copies(self):
         # Two gathered copies of the row and one product of them; the layout holds no
         # complement matrix at this n (test_layout_holds_at_most_two_indices_per_entry).
@@ -529,6 +556,49 @@ class TestSeededStreams:
             rng = np.random.default_rng(np.random.SeedSequence((SEED, 10, r)))
             staged = np.concatenate([rng.random(10) for _ in range(3)])
             assert row.tobytes() == staged.tobytes()
+
+
+class TestEngineDraws:
+    """A one-context stream steps past its context stage; any other draws it. Either way, the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 400])
+    @pytest.mark.parametrize("name", ["flip2", "rankflip2x2", "two contexts"])
+    def test_streams_and_blocks_equal_the_public_samplers(self, monkeypatch, name, n):
+        scenario = two_contexts() if name == "two contexts" else get_scenario(name)
+        compiled = compile_scenario(scenario)
+        k, replicates = compiled.k, 5
+        streams, blocks = [], []
+
+        def recorded(*args):
+            for rng in replicate_streams(*args):
+                streams.append(rng)
+                yield rng
+
+        def sampled(compiled, n, uniforms):
+            blocks.append((uniforms.shape[1], *sample_weights(compiled, n, uniforms)))
+            return blocks[-1][1:]
+
+        monkeypatch.setattr(experiments, "replicate_streams", recorded)
+        monkeypatch.setattr(experiments, "sample_weights", sampled)
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 2 * n * k)  # two replicates a block, so three blocks
+        replicate_estimates(scenario, n, replicates, SEED, ("ipm",) if compiled.ranked else ("ips",))
+        drawn = 1 + 2 * k if name == "two contexts" else 2 * k
+        assert [width for width, _, _ in blocks] == [drawn * n] * 3
+        w, wr = (np.concatenate([block[i] for block in blocks]) for i in (1, 2))
+        assert len(streams) == replicates
+        for r, rng in enumerate(streams):
+            reference = np.random.default_rng(np.random.SeedSequence((SEED, n, r)))
+            reference.random((1 + 2 * k) * n)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            stream = np.random.SeedSequence((SEED, n, r))
+            if compiled.ranked:
+                dataset = sample_ranked_logs(scenario, n, stream)
+                weights, rewards = dataset.weights.T, dataset.rewards.T
+            else:
+                dataset = sample_logs(scenario.env, scenario.logging_policy, scenario.target_policy, n, stream)
+                weights, rewards = dataset.weights, dataset.rewards
+            assert w[r].tobytes() == weights.tobytes()
+            assert wr[r].tobytes() == (weights * rewards).tobytes()
 
 
 class TestWeightsOnlySampler:
