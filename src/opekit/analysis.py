@@ -131,11 +131,14 @@ def _remainder(dataset: Dataset, rows: Rows, value: float) -> RemainderDiagnosti
     # scalars came from, so their means can only differ by accumulated
     # rounding in the rearranged sums, which scales with the summands, not
     # with their sum: weighted rewards of both signs cancel in the sum.
-    # A series mean or a scale past the float range passes the check.
+    # A series mean or a scale past the float range passes the check. The
+    # series go into the block's deviation arrays, free once it is reduced.
+    series, absolute = rows.ws("dev_w", dataset.weights.shape), rows.ws("dev_wr", dataset.weights.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.mean(np.abs(rows.wr))) + abs(v) * mean_w
-        mean_u, max_abs_u = _mean_and_max_abs(dataset.weights * (dataset.rewards - v))
-        mean_t, max_abs_t = _mean_and_max_abs(dataset.weights - 1.0)
+        scale = float(np.mean(np.abs(rows.wr, out=absolute[None]))) + abs(v) * mean_w
+        u = np.multiply(dataset.weights, np.subtract(dataset.rewards, v, out=series), out=series)
+        mean_u, max_abs_u = _mean_and_max_abs(u, absolute)
+        mean_t, max_abs_t = _mean_and_max_abs(np.subtract(dataset.weights, 1.0, out=series), absolute)
     if math.isfinite(mean_u) and abs(mean_u - l_n) > 1e-12 * scale:
         raise ValidationError(f"mean of the u series disagrees with L_n = {l_n}")
     if abs(mean_t - (mean_w - 1.0)) > 1e-12 * max(1.0, abs(mean_w)):
@@ -151,8 +154,8 @@ def _remainder(dataset: Dataset, rows: Rows, value: float) -> RemainderDiagnosti
     )
 
 
-def _mean_and_max_abs(series: np.ndarray) -> tuple[float, float]:
-    return float(np.mean(series)), float(np.max(np.abs(series)))
+def _mean_and_max_abs(series: np.ndarray, absolute: np.ndarray) -> tuple[float, float]:
+    return float(np.mean(series)), float(np.max(np.abs(series, out=absolute)))
 
 
 def hoeffding_tail_bound(n: int, weight_bound: float) -> float:

@@ -25,7 +25,8 @@ the public functions here, the ranked functions and ``opekit evaluate``
 (one block for all its estimators and moments) go through it, with one
 kind rule (:func:`_check_kind`) and one failure rule. The Monte Carlo
 engine reduces each block of replicates, one row each, into one bundle
-of a replicate range and runs the same kernels once on it. Row
+of a replicate range and runs the same kernels once on it; a block's
+arrays are a :class:`Workspace`'s, one per range or dataset. Row
 reductions over C-contiguous rows sum in the same order as a reduction
 over one row alone, so all callers get the same bits. Specs such as
 ``beta-ips:0.5`` are parsed next to the registry they name
@@ -152,15 +153,19 @@ def row_total(x: np.ndarray) -> np.ndarray:
         return np.sum(x, axis=-1)
 
 
-def _moments(w: np.ndarray, wr: np.ndarray, means=None, out=(None, None)) -> tuple[np.ndarray, ...]:
+def _moments(w: np.ndarray, wr: np.ndarray, ws: Workspace, means=None) -> tuple[np.ndarray, ...]:
     """Unchecked two-pass centred moments along the last axis about ``means``, else the row means.
 
-    ``out=(w, wr)`` centres in place. Overflow is silent, an inf or nan that :func:`_invalid_moments` rejects.
+    The deviations go to the workspace's ``dev_w`` and ``dev_wr`` of their
+    shape, so ``w`` and ``wr`` taken there are centred in place; their
+    products stay temporaries, so that a long row's complement pass holds
+    two copies, not three. Overflow is silent, an inf or nan that
+    :func:`_invalid_moments` rejects.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean_w, mean_wr = (row_mean(w), row_mean(wr)) if means is None else means
-        dev_w = np.subtract(w, mean_w[..., None], out=out[0])
-        dev_wr = np.subtract(wr, mean_wr[..., None], out=out[1])
+        dev_w = np.subtract(w, mean_w[..., None], out=ws("dev_w", w.shape))
+        dev_wr = np.subtract(wr, mean_wr[..., None], out=ws("dev_wr", w.shape))
         return (
             mean_w,
             mean_wr,
@@ -188,20 +193,43 @@ def _check_moments(moments, n: int) -> None:
         MomentSummary(*(float(m[row]) for m in moments), n=n)
 
 
+class Workspace:
+    """The arrays of a block by name: ``ws(name, shape, dtype)``, the same memory for every later block.
+
+    Each is a C-contiguous view of the name's buffer, which grows to the largest size asked of it,
+    made on the first lookup of its shape and then found by one dict hit. So a name serves arrays
+    whose lifetimes do not overlap, and one kept past the next lookup of its name is copied.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.views: dict[tuple, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        view = self.views.get((name, shape, dtype))
+        if view is None:
+            size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+            buffer = self.buffers.get(name)
+            if buffer is None or buffer.size < size:
+                buffer = self.buffers[name] = np.empty(size, np.uint8)
+            view = self.views[name, shape, dtype] = buffer[:size].view(dtype).reshape(shape)
+        return view
+
+
 class Rows:
     """What every kernel reads: the per-row reductions of weights ``w`` and weighted rewards ``wr``.
 
-    A block of entries, ``Rows(w, wr)`` or a dataset's one row (:meth:`of`),
+    A block of entries, ``Rows(w, wr, ws)`` or a dataset's one row (:meth:`of`),
     takes its row means at once and any other reduction on first read
-    (:meth:`reduction`). The engine gathers the reductions of a range's
-    blocks into one bundle (:meth:`bundle`, :meth:`fill`), which holds no
-    entries, and runs each kernel once on it; a kernel reads a bundle's
-    reductions alone, so it gives the same bits on either.
+    (:meth:`reduction`), into the workspace ``ws``. The engine gathers the
+    reductions of a range's blocks into one bundle (:meth:`bundle`,
+    :meth:`fill`), which holds no entries, and runs each kernel once on it;
+    a kernel reads a bundle's reductions alone, so it gives the same bits on either.
     ``mean_w`` and ``mean_wr`` are taken as :func:`_moments` takes them, past the float range silently.
     """
 
-    def __init__(self, w: np.ndarray, wr: np.ndarray):
-        self.w, self.wr, self.n = w, wr, w.shape[-1]
+    def __init__(self, w: np.ndarray, wr: np.ndarray, ws: Workspace):
+        self.w, self.wr, self.n, self.ws = w, wr, w.shape[-1], ws
         with np.errstate(over="ignore", invalid="ignore"):
             self.mean_w, self.mean_wr = row_mean(w), row_mean(wr)
         self.reductions: dict = {}
@@ -209,8 +237,8 @@ class Rows:
     @staticmethod
     def of(dataset) -> Rows:
         """A dataset as a one-row block of positions by entries, C-contiguous; a scalar column is not copied."""
-        w = np.ascontiguousarray(dataset.weights.T)[None]
-        return Rows(w, w * np.ascontiguousarray(dataset.rewards.T)[None])
+        ws, w = Workspace(), np.ascontiguousarray(dataset.weights.T)[None]
+        return Rows(w, np.multiply(w, np.ascontiguousarray(dataset.rewards.T)[None], out=ws("wr", w.shape)), ws)
 
     def reduction(self, key) -> tuple[np.ndarray, ...]:
         """Unchecked reductions of each row under ``key``, taken on first read.
@@ -219,7 +247,7 @@ class Rows:
         """
         if key not in self.reductions:
             if key == "centred":
-                self.reductions[key] = _moments(self.w, self.wr, (self.mean_w, self.mean_wr))[2:]
+                self.reductions[key] = _moments(self.w, self.wr, self.ws, (self.mean_w, self.mean_wr))[2:]
             else:
                 self.reductions[key] = _fold_reductions(self, key)
         return self.reductions[key]
@@ -248,7 +276,7 @@ class Rows:
     def _map(self, fn) -> Rows:
         """A bundle without entries whose every reduction is ``fn`` of this one's."""
         bundle = object.__new__(Rows)
-        bundle.w = bundle.wr = None
+        bundle.w = bundle.wr = bundle.ws = None
         bundle.n = self.n
         bundle.mean_w, bundle.mean_wr = fn(self.mean_w), fn(self.mean_wr)
         bundle.reductions = {key: tuple(map(fn, arrays)) for key, arrays in self.reductions.items()}
@@ -436,29 +464,32 @@ def _fold_reductions(rows: Rows, config: CrossFitConfig) -> tuple[np.ndarray, ..
     layout is read first, so too few entries per fold raise
     :class:`FoldTooSmall` before any entry is read. Each group of
     equal-length folds is one ``take`` of ``w`` and of ``wr`` by the cached
-    fold matrix, centred in place, and its complement means one ``take`` by
-    the cached complement matrix, or, past its budget, by one fold's
-    complement indices at a time, taken from one reused mask, so a long row
-    needs room for two copies and one product of them.
+    fold matrix into the workspace's deviation arrays, centred in place
+    there, and its complement means one plain ``take`` by the cached
+    complement matrix, or, past its budget, by one fold's complement
+    indices at a time, taken from one reused mask into the free ``dev_w``,
+    so a long row needs room for two copies and one product of them.
     Each complement sums in index order, as one contiguous row does.
     """
     layout = _fold_layout(rows.n, config.folds_k, config.seed)
-    w, wr, n = rows.w, rows.wr, rows.n
+    w, wr, n, ws = rows.w, rows.wr, rows.n, rows.ws
     parts = []
     for folds, complements in layout:
-        pair = w.take(folds, axis=-1), wr.take(folds, axis=-1)
-        moments = _moments(*pair, out=pair)
-        del pair
+        shape = w.shape[:-1] + folds.shape  # mode="clip" takes straight into ``out``, as in simulator._gather
+        pair = [x.take(folds, axis=-1, out=ws(name, shape), mode="clip") for x, name in ((w, "dev_w"), (wr, "dev_wr"))]
+        moments = _moments(*pair, ws)
         if complements is not None:
             means = [row_mean(x.take(complements, axis=-1)) for x in (w, wr)]
         else:
             means = np.empty((2,) + w.shape[:-1] + (len(folds),))
             outside = np.ones(n, dtype=bool)
+            taken = ws("dev_w", w.shape[:-1] + (n - folds.shape[1],))  # free once the fold moments are taken
             for f, fold in enumerate(folds):
                 outside[fold] = False
                 complement = np.flatnonzero(outside)
                 outside[fold] = True
-                means[:, ..., f] = [row_mean(x.take(complement, axis=-1)) for x in (w, wr)]
+                means[:, ..., f] = [row_mean(x.take(complement, axis=-1, out=taken, mode="clip")) for x in (w, wr)]
+                del complement  # before the next fold's is made
         parts.append(moments + (1.0 - means[0], means[1]))
     return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
 

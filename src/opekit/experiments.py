@@ -26,7 +26,14 @@ one a block-by-block run would meet first (the earliest block, then the
 metric order). A block holds about ``_BLOCK_ENTRIES`` (16384, the
 engine's own budget) entries whatever the replicate count. Row
 reductions sum exactly as one-row ones do, so the block size never
-changes a bit. A block is drawn
+changes a bit.
+
+A range's :class:`~opekit.estimators.Workspace` holds every array of a
+block but the deviations' products and cross-fitting's complement takes:
+the first block allocates them and the rest write over them, where freed
+ones would go back to the kernel and fault in again. It lives per range,
+not per process, so concurrent callers share no buffer and a finished
+range holds no memory. A block is drawn
 by the one sampler the public samplers and ``simulate`` also use
 (:func:`~opekit.simulator.sample_cells`), and the engine gathers only the
 weights and weighted rewards at its cells
@@ -72,7 +79,7 @@ from .errors import (
     WorkerFailure,
 )
 from .data import _finite, _float_column, _integer
-from .estimators import ESTIMATORS, MetricSpec, MomentSummary, Rows, _check_kind, _checked_arg, kernel_arg
+from .estimators import ESTIMATORS, MetricSpec, MomentSummary, Rows, Workspace, _check_kind, _checked_arg, kernel_arg
 from .estimators import parse_estimator_spec, row_total
 from .simulator import (
     CompiledScenario,
@@ -157,15 +164,16 @@ def _replicate_range(compiled, n, master_seed, start, stop, metrics):
     streams = replicate_streams(master_seed, n, range(start, stop))
     # Each stream steps past the n context uniforms of a one-context
     # scenario, which no draw reads, so a row holds (1 + 2k) * n uniforms,
-    # or 2k * n. One buffer serves the whole range: a block's uniforms
-    # outgrow malloc's mmap threshold, so a new one each block would fault
-    # its pages in again.
+    # or 2k * n. They and every other array of a block are the range's
+    # workspace's, written over by each block (the module docstring says why).
     skip = n if compiled.one_context else 0
-    buffer = np.empty((min(step, stop - start), (1 + 2 * compiled.k) * n - skip))
+    width = (1 + 2 * compiled.k) * n - skip
+    ws = Workspace()
     bundle = None
     for low in range(start, stop, step):
         high = min(low + step, stop)
-        block = Rows(*sample_weights(compiled, n, draw_uniforms(buffer[: high - low], streams, skip))).reduce(keys)
+        uniforms = draw_uniforms(ws("uniforms", (high - low, width)), streams, skip)
+        block = Rows(*sample_weights(compiled, n, uniforms, ws), ws).reduce(keys)
         if bundle is None:
             bundle = block.bundle(stop - start)
         bundle.fill(low - start, block)

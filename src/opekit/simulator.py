@@ -19,7 +19,8 @@ replicates from them, one row per replicate, into the contexts, the flat
 caller gathers what it needs from the compiled tables at those cells: the
 public samplers, :func:`sample_logs` and :func:`sample_ranked_logs`, every
 column of a one-row block; the study engine, through
-:func:`sample_weights`, only the weights and the weighted rewards.
+:func:`sample_weights`, only the weights and the weighted rewards. Draws
+write into a :class:`~opekit.estimators.Workspace`, fresh for each sample.
 
 :func:`compile_scenario` is the one place that divides ``p_tgt`` by
 ``p_log`` and checks the tables. Per position it checks support, rejects a
@@ -62,7 +63,7 @@ from .errors import (
     UnknownPreset,
     ValidationError,
 )
-from .estimators import MomentSummary
+from .estimators import MomentSummary, Workspace
 
 #: Tolerance for probability tables summing to one. Preset tables sum to
 #: one exactly in floats; hand-written tables get a little slack.
@@ -214,7 +215,7 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _pick(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+def _pick(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, ws: Workspace, rows: np.ndarray | None = None) -> np.ndarray:
     """Inverse-CDF draw into ``out``: the number of entries of ``cdf`` at or below each u.
 
     ``cdf`` is a CDF from :func:`_cdf`, or with ``rows`` a table of them, each
@@ -227,7 +228,8 @@ def _pick(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, rows: np.ndarray | No
     """
     out[...] = 0
     for i in range(cdf.shape[-1] - 1):
-        out += u >= (cdf[..., i] if rows is None else cdf[:, i].take(rows))
+        bound = cdf[..., i] if rows is None else cdf[:, i].take(rows, out=ws("lookup", u.shape), mode="clip")
+        out += np.greater_equal(u, bound, out=ws("pick", u.shape, np.bool_))
     return out
 
 
@@ -472,39 +474,43 @@ def _stages(uniforms: np.ndarray, n: int) -> list[np.ndarray]:
 
 
 def sample_cells(
-    compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray]
+    compiled: CompiledScenario, n: int, stages: Iterable[np.ndarray], ws: Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The contexts, ``(context, action)`` cells and Bernoulli rewards of a block of ``n`` entries per row.
 
     ``stages`` yields the ``(rows, n)`` uniforms of each stage in the order
     a row's stream is consumed: contexts, then per position actions and
     rewards. Each is used up before the next is taken, so a caller may
-    draw them one at a time into one buffer. The contexts are ``(rows, n)``;
-    the flat cells (``context * A_j + action`` at position ``j`` of ``A_j``
-    actions) and the rewards, ``u < reward_means[cell]``, are ``(rows, k, n)``.
-    Callers gather their columns from the compiled tables at the cells,
-    whose drawable entries passed the entry check when the scenario was
-    compiled, so no block needs a check of its own.
+    draw them one at a time into one buffer. The contexts are ``(rows, n)``,
+    a read-only view of zeros that reads no uniform for a one-context
+    scenario; the flat cells (``context * A_j + action`` at position ``j``
+    of ``A_j`` actions) and the rewards, ``u < reward_means[cell]``, are
+    ``(rows, k, n)``. Every other array is the workspace's. Callers gather
+    their columns from the compiled tables at the cells, whose drawable
+    entries passed the entry check when the scenario was compiled, so no
+    block needs a check of its own.
     """
     stages = iter(stages)
     u = next(stages)
-    contexts = _pick(compiled.context_cdf, u, np.empty(u.shape, dtype=np.int64))
-    shape = (contexts.shape[0], compiled.k, n)
-    cells = np.empty(shape, dtype=np.int64)
-    rewards = np.empty(shape, dtype=bool)
+    zeros = np.broadcast_to(np.int64(0), u.shape)
+    contexts = zeros if compiled.one_context else _pick(compiled.context_cdf, u, ws("contexts", u.shape, np.int64), ws)
+    shape = (u.shape[0], compiled.k, n)
+    cells = ws("cells", shape, np.int64)
+    rewards = ws("rewards", shape, np.bool_)
     for j, pos in enumerate(compiled.positions):
         if compiled.one_context:
-            _pick(pos.action_cdf[0], next(stages), cells[:, j])
+            _pick(pos.action_cdf[0], next(stages), cells[:, j], ws)
         else:
-            _pick(pos.action_cdf, next(stages), cells[:, j], contexts)
-            cells[:, j] += contexts * pos.action_cdf.shape[1]
-        np.less(next(stages), pos.reward_means.take(cells[:, j]), out=rewards[:, j])
+            _pick(pos.action_cdf, next(stages), cells[:, j], ws, contexts)
+            cells[:, j] += np.multiply(contexts, pos.action_cdf.shape[1], out=ws("offsets", u.shape, np.int64))
+        means = pos.reward_means.take(cells[:, j], out=ws("lookup", u.shape), mode="clip")
+        np.less(next(stages), means, out=rewards[:, j])
     return contexts, cells, rewards
 
 
-def _gather(tables: Iterable[np.ndarray], cells: np.ndarray) -> np.ndarray:
-    """Each position's table read at that position's cells, shaped like ``cells``."""
-    out = np.empty(cells.shape)
+def _gather(tables: Iterable[np.ndarray], cells: np.ndarray, ws: Workspace, name: str) -> np.ndarray:
+    """Each position's table read at that position's cells, shaped like ``cells``, into the workspace's ``name``."""
+    out = ws(name, cells.shape)
     for j, table in enumerate(tables):
         # Cells are always in range. Unlike the default mode="raise", which
         # copies ``out`` through a temporary, mode="clip" writes straight into it.
@@ -512,8 +518,8 @@ def _gather(tables: Iterable[np.ndarray], cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights ``w`` and weighted rewards ``w * r`` of the block drawn from ``uniforms``.
+def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray, ws: Workspace) -> tuple[np.ndarray, ...]:
+    """The weights ``w`` and weighted rewards ``w * r`` of the block drawn from ``uniforms``, ``ws``'s ``w`` and ``wr``.
 
     ``uniforms`` holds each row's ``(1 + 2k) * n`` uniforms in stream
     order, or, for a one-context scenario, the ``2k * n`` after its context
@@ -525,9 +531,9 @@ def sample_weights(compiled: CompiledScenario, n: int, uniforms: np.ndarray) -> 
     if compiled.one_context and len(stages) == 2 * compiled.k:
         # The context stage was stepped past; sample_cells reads only its shape.
         stages.insert(0, np.broadcast_to(0.0, stages[0].shape))
-    _, cells, rewards = sample_cells(compiled, n, stages)
-    w = _gather([pos.weights for pos in compiled.positions], cells)
-    wr = w * rewards
+    _, cells, rewards = sample_cells(compiled, n, stages, ws)
+    w = _gather([pos.weights for pos in compiled.positions], cells, ws, "w")
+    wr = np.multiply(w, rewards, out=ws("wr", w.shape))
     if not compiled.ranked:
         w, wr = w[:, 0], wr[:, 0]
     return w, wr
@@ -561,14 +567,16 @@ def _sample(scenario, n: int, seed):
     rng = np.random.default_rng(seed)
     # Each stage is used up before the next is drawn, so one buffer serves all.
     buffer = np.empty((1, n))
-    contexts, cells, rewards = sample_cells(compiled, n, (rng.random(out=buffer) for _ in range(1 + 2 * compiled.k)))
+    # Fresh workspaces: no two samples share memory, and the draw's temporaries go with its own.
+    stages = (rng.random(out=buffer) for _ in range(1 + 2 * compiled.k))
+    contexts, cells, rewards = sample_cells(compiled, n, stages, Workspace())
     sizes = np.array([[pos.action_cdf.shape[1]] for pos in compiled.positions])
 
     def column(block: np.ndarray) -> np.ndarray:
         return _freeze(block[0].T if compiled.ranked else block[0, 0])
 
     def gathered(table: str) -> np.ndarray:
-        return column(_gather([getattr(pos, table) for pos in compiled.positions], cells))
+        return column(_gather([getattr(pos, table) for pos in compiled.positions], cells, Workspace(), table))
 
     cls = RankedDataset if compiled.ranked else Dataset
     return cls(
@@ -578,7 +586,7 @@ def _sample(scenario, n: int, seed):
         weights=gathered("weights"),
         reward_bound=1.0,
         weight_bound=compiled.weight_bound,
-        context_ids=_freeze(contexts[0]),
+        context_ids=_freeze(np.ascontiguousarray(contexts[0])),  # a one-context sample's zeros become an array
         action_ids=column(np.remainder(cells, sizes, out=cells)),
     )
 

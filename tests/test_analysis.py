@@ -36,8 +36,8 @@ def shift_block(monkeypatch, mean: str, by: float) -> None:
     """Every block built from here on has its ``mean`` moved by ``by``."""
     init = Rows.__init__
 
-    def shifted(rows, w, wr):
-        init(rows, w, wr)
+    def shifted(rows, w, wr, ws):
+        init(rows, w, wr, ws)
         setattr(rows, mean, getattr(rows, mean) + by)
 
     monkeypatch.setattr(Rows, "__init__", shifted)

@@ -227,9 +227,9 @@ class TestEvaluate:
         # and the remainder diagnostics.
         built, init = [], Rows.__init__
 
-        def counted(rows, w, wr):
+        def counted(rows, w, wr, ws):
             built.append(w.shape)
-            init(rows, w, wr)
+            init(rows, w, wr, ws)
 
         monkeypatch.setattr(Rows, "__init__", counted)
         path = ranked_logs if ranked else flip2_logs

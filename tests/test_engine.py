@@ -42,6 +42,7 @@ from opekit.estimators import (
     ESTIMATORS,
     CrossFitConfig,
     Rows,
+    Workspace,
     _fold_layout,
     _require_finite_baselines,
     cross_fit_rows,
@@ -230,7 +231,7 @@ class TestErrorOrder:
     def test_the_earliest_block_fails_first(self, monkeypatch, first, table):
         second = "beta-star-ips" if first == "cf-beta-star-ips" else "cf-beta-star-ips"
         blocks = iter([self.rows_breaking(first), self.rows_breaking(second)])
-        monkeypatch.setattr(experiments, "sample_weights", lambda compiled, n, uniforms: next(blocks))
+        monkeypatch.setattr(experiments, "sample_weights", lambda compiled, n, uniforms, ws: next(blocks))
         monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", self.N)  # one replicate a block
         with pytest.raises(ValidationError) as caught:
             replicate_estimates(get_scenario("flip2"), self.N, 2, SEED, table, folds=2)
@@ -356,7 +357,7 @@ def cross_fit_reference(w, wr, config):
     failed = np.zeros(w.shape[:-1], dtype=bool)
     for f, fold in enumerate(folds):
         complement = np.setdiff1d(np.arange(n), fold)
-        _, _, var_w, _, cov = Rows(w.take(fold, axis=-1), wr.take(fold, axis=-1)).moments
+        _, _, var_w, _, cov = Rows(w.take(fold, axis=-1), wr.take(fold, axis=-1), Workspace()).moments
         offset = 1.0 - row_mean(w.take(complement, axis=-1))
         baseline, degenerate = plug_in_baselines(var_w, cov)
         failed |= degenerate & (offset != 0.0)
@@ -376,7 +377,7 @@ class TestCrossFit:
         w = np.array([[random.choice(values[: random.choice([1, 2, 5])]) for _ in range(n)] for _ in range(rows)])
         wr = w * (np.array([[random.random() for _ in range(n)] for _ in range(rows)]) < 0.4)
         config = CrossFitConfig(folds_k=k, seed=seed)
-        got = cross_fit_rows(Rows(w, wr), config)
+        got = cross_fit_rows(Rows(w, wr, Workspace()), config)
         expected = cross_fit_reference(w, wr, config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
@@ -385,7 +386,7 @@ class TestCrossFit:
         w = rng.choice([1 / 9, 9.0], size=(1, 20001))
         wr = w * (rng.random(w.shape) < 0.5)
         config = CrossFitConfig(folds_k=5, seed=1)
-        got = cross_fit_rows(Rows(w, wr), config)
+        got = cross_fit_rows(Rows(w, wr, Workspace()), config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
 
     @pytest.mark.parametrize("n, cached", [(16383, True), (16384, False)])
@@ -396,7 +397,7 @@ class TestCrossFit:
         rng = np.random.default_rng(n)
         w = rng.choice([1 / 9, 9.0], size=(2, n))
         wr = w * (rng.random(w.shape) < 0.5)
-        got = cross_fit_rows(Rows(w, wr), config)
+        got = cross_fit_rows(Rows(w, wr, Workspace()), config)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
 
     @pytest.mark.parametrize("n", [12, 403, 20001])
@@ -412,7 +413,7 @@ class TestCrossFit:
                 monkeypatch.setattr(estimators, "_COMPLEMENT_ENTRIES", budget)
                 _fold_layout.cache_clear()
                 assert [complements is not None for _, complements in _fold_layout(n, 5, 2)] == [budget > 0] * 2
-                got.append([a.tobytes() for a in cross_fit_rows(Rows(w, wr), config)])
+                got.append([a.tobytes() for a in cross_fit_rows(Rows(w, wr, Workspace()), config)])
         finally:
             _fold_layout.cache_clear()  # no layout cached under a patched budget outlives the test
         assert got[0] == got[1]
@@ -424,10 +425,10 @@ class TestCrossFit:
         w = rng.choice([1 / 9, 9.0], size=(1, 200_000))
         wr = w * (rng.random(w.shape) < 0.5)
         config = CrossFitConfig()
-        cross_fit_rows(Rows(w, wr), config)  # the layout is cached before the measurement
+        cross_fit_rows(Rows(w, wr, Workspace()), config)  # the layout is cached before the measurement
         tracemalloc.start()
         try:
-            cross_fit_rows(Rows(w, wr), config)  # a new block: its fold reductions are taken again
+            cross_fit_rows(Rows(w, wr, Workspace()), config)  # a new block: its fold reductions are taken again
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,7 +452,7 @@ class TestCrossFit:
         w[1, folds[0]], wr[1, folds[0]] = tiny, correlated[::-1] * 1e150
         config = CrossFitConfig(folds_k=2, seed=0)
         with pytest.raises(ValidationError, match=message) as caught:
-            cross_fit_rows(Rows(w, wr), config)
+            cross_fit_rows(Rows(w, wr, Workspace()), config)
         with pytest.raises(ValidationError) as expected:
             cross_fit_reference(w, wr, config)
         assert str(caught.value) == str(expected.value)
@@ -574,8 +575,9 @@ class TestEngineDraws:
                 streams.append(rng)
                 yield rng
 
-        def sampled(compiled, n, uniforms):
-            blocks.append((uniforms.shape[1], *sample_weights(compiled, n, uniforms)))
+        def sampled(compiled, n, uniforms, ws):
+            # The workspace writes the next block over this one's arrays, so they are copied.
+            blocks.append((uniforms.shape[1], *(a.copy() for a in sample_weights(compiled, n, uniforms, ws))))
             return blocks[-1][1:]
 
         monkeypatch.setattr(experiments, "replicate_streams", recorded)
@@ -601,13 +603,75 @@ class TestEngineDraws:
             assert wr[r].tobytes() == (weights * rewards).tobytes()
 
 
+class TestWorkspace:
+    """A replicate range writes every block into one workspace; a public call gets a fresh one."""
+
+    @pytest.mark.parametrize("preset, n, estimators", [("flip2", 403, SCALAR), ("rankflip2x2", 400, RANKED)])
+    def test_the_steady_state_allocates_nothing(self, monkeypatch, preset, n, estimators):
+        # At n = 403 the five folds are 81 and 80 entries long, so cross-fitting takes two fold groups.
+        scenario = get_scenario(preset)
+        one_block = replicate_estimates(scenario, n, 11, SEED, estimators)
+        assert _block_rows(n, scenario.k) >= 11
+        blocks, allocated, workspaces = [], set(), []
+
+        class Recorded(Workspace):
+            def __init__(self):
+                super().__init__()
+                workspaces.append(self)
+
+            def __call__(self, name, shape, dtype=np.float64):
+                if name == "uniforms":  # every block starts by looking up its uniforms
+                    blocks.append(shape[0])
+                before = self.buffers.get(name)
+                view = super().__call__(name, shape, dtype)
+                if self.buffers[name] is not before:
+                    allocated.add(len(blocks) - 1)
+                return view
+
+        monkeypatch.setattr(experiments, "Workspace", Recorded)
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES", 3 * n * scenario.k)  # three replicates a block
+        blocked = replicate_estimates(scenario, n, 11, SEED, estimators)
+        assert blocks == [3, 3, 3, 2] and len(workspaces) == 1
+        assert allocated and allocated <= {blocks.index(rows) for rows in blocks}
+        assert "contexts" not in workspaces[0].buffers  # one context: its ids are never drawn
+        assert np.array_equal(blocked.values, one_block.values, equal_nan=True)
+        assert blocked.failures == one_block.failures
+
+    def test_public_results_share_no_memory(self):
+        flip2, ranked = get_scenario("flip2"), get_scenario("rankflip2x2")
+        columns = ("propensity_logging", "propensity_target", "rewards", "weights", "context_ids", "action_ids")
+        for sample in (
+            lambda seed: sample_logs(flip2.env, flip2.logging_policy, flip2.target_policy, 50, seed),
+            lambda seed: sample_ranked_logs(ranked, 50, seed),
+        ):
+            first = sample(1)
+            kept = [getattr(first, name).copy() for name in columns]
+            second = sample(2)
+            for name, before in zip(columns, kept):
+                assert not np.shares_memory(getattr(first, name), getattr(second, name))
+                assert np.array_equal(getattr(first, name), before)
+        dataset = sample(3)
+        config = CrossFitConfig(folds_k=5, seed=SEED)
+
+        def reduced():
+            rows = Rows.of(dataset).reduce(["centred", config])
+            return rows, [rows.wr, rows.mean_w, rows.mean_wr, *(a for key in rows.reductions for a in rows.reductions[key])]
+
+        first, arrays = reduced()
+        kept = [a.copy() for a in arrays]
+        second, others = reduced()
+        assert not any(np.shares_memory(a, b) for a in arrays + list(first.ws.buffers.values())
+                       for b in others + list(second.ws.buffers.values()))
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
+
+
 class TestWeightsOnlySampler:
     @given(small_scenarios(), st.integers(0, 2**40), st.integers(1, 40), st.integers(0, 2**34), st.integers(1, 3))
     def test_rows_equal_the_public_samplers(self, scenario, seed, n, first, count):
         compiled = compile_scenario(scenario)
         rows = range(first, first + count)
         uniforms = np.empty((count, (1 + 2 * compiled.k) * n))
-        w, wr = sample_weights(compiled, n, draw_uniforms(uniforms, replicate_streams(seed, n, rows)))
+        w, wr = sample_weights(compiled, n, draw_uniforms(uniforms, replicate_streams(seed, n, rows)), Workspace())
         for i, r in enumerate(rows):
             stream = np.random.SeedSequence((seed, n, r))
             if compiled.ranked:
@@ -675,7 +739,7 @@ class TestWeightsOnlySampler:
             compiled = compile_scenario(scenario)
             weight = target[last] / probs[last]
             uniforms = np.array([[1.0 - 2.0**-53, 1.0 - 2.0**-53, 0.0]])
-            contexts, cells, rewards = sample_cells(compiled, 1, _stages(uniforms, 1))
+            contexts, cells, rewards = sample_cells(compiled, 1, _stages(uniforms, 1), Workspace())
             assert (contexts.tolist(), cells.tolist(), rewards.tolist()) == ([[last]], [[[last * size + last]]], [[[True]]])
-            w, wr = sample_weights(compiled, 1, uniforms)
+            w, wr = sample_weights(compiled, 1, uniforms, Workspace())
             assert w.tolist() == [[weight]] and wr.tolist() == [[weight]]

@@ -30,7 +30,7 @@ from opekit.errors import (
     ValidationError,
     ZeroWeightSum,
 )
-from opekit.estimators import ESTIMATORS, Rows, _apply, estimate, parse_estimator_spec, remainder_rows
+from opekit.estimators import ESTIMATORS, Rows, Workspace, _apply, estimate, parse_estimator_spec, remainder_rows
 from opekit.ranking import positionwise
 
 from conftest import dataset_from_weights, fold_indices, ranked_from_weights
@@ -348,7 +348,7 @@ class TestExactKernels:
     def test_kernels_match_exact_arithmetic(self, seed, n, weights, folds_k):
         w, r = _exact_case(seed, n, weights)
         config = CrossFitConfig(folds_k=folds_k, seed=seed)
-        block = Rows(w, w * r)
+        block = Rows(w, w * r, Workspace())
         block_values = {
             "ips": ESTIMATORS["ips"].kernel(block, None)[0],
             "snips": ESTIMATORS["snips"].kernel(block, None)[0],

@@ -49,7 +49,7 @@ from opekit import (
 )
 from opekit.cli import main
 from opekit.errors import DegenerateWeights, OpeKitError
-from opekit.estimators import ESTIMATORS, CrossFitConfig, estimate
+from opekit.estimators import ESTIMATORS, CrossFitConfig, Workspace, estimate
 from opekit.ranking import positionwise
 from opekit.simulator import _cdf, _pick, _stages, compile_scenario, sample_cells
 
@@ -234,13 +234,13 @@ class TestPicker:
         # One CDF, as the contexts are drawn.
         for row in cdf:
             out = np.empty(u.shape, dtype=np.int64)
-            assert _pick(row, u, out) is out
+            assert _pick(row, u, out, Workspace()) is out
             assert out.tolist() == np.searchsorted(row[:-1], u, side="right").tolist()
         # A table of rows, each entry read in its own row, as the actions are drawn.
         rows = np.arange(u.size).reshape(u.shape) % cdf.shape[0]
         expected = [np.searchsorted(cdf[r, :-1], x, side="right") for r, x in zip(rows.ravel(), u.ravel())]
         out = np.empty(u.shape, dtype=np.int64)
-        assert _pick(cdf, u, out, rows) is out
+        assert _pick(cdf, u, out, Workspace(), rows) is out
         assert out.ravel().tolist() == expected
 
 
@@ -271,10 +271,10 @@ class TestOneContextPicker:
         # One context: each action is picked against that context's CDF row, with no gather by context.
         scenario, n, uniforms = case
         compiled = compile_scenario(scenario)
-        contexts, cells, _ = sample_cells(compiled, n, _stages(uniforms, n))
+        contexts, cells, _ = sample_cells(compiled, n, _stages(uniforms, n), Workspace())
         zeros = np.zeros((uniforms.shape[0], n), dtype=np.int64)
         action_cdf = compiled.positions[0].action_cdf
-        general = _pick(action_cdf, _stages(uniforms, n)[1], np.empty_like(zeros), zeros)
+        general = _pick(action_cdf, _stages(uniforms, n)[1], np.empty_like(zeros), Workspace(), zeros)
         general += zeros * action_cdf.shape[1]
         assert contexts.tolist() == zeros.tolist()
         assert cells[:, 0].tolist() == general.tolist()

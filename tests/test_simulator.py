@@ -27,6 +27,7 @@ from opekit.errors import (
     UnknownPreset,
     ValidationError,
 )
+from opekit.estimators import Workspace
 from opekit.simulator import _stages, compile_scenario, preset_description, sample_cells, sample_weights
 
 
@@ -340,8 +341,8 @@ class TestCompiledTables:
         uniforms = np.resize(np.array(floats), (2, (1 + 2 * k) * n))
         for stage in _stages(uniforms, n):
             stage[0, :2] = (0.0, 1.0 - 2.0**-53)
-        contexts, cells, rewards = sample_cells(compiled, n, _stages(uniforms, n))
-        w, wr = sample_weights(compiled, n, uniforms)
+        contexts, cells, rewards = sample_cells(compiled, n, _stages(uniforms, n), Workspace())
+        w, wr = sample_weights(compiled, n, uniforms, Workspace())
         w, wr = w.reshape(cells.shape), wr.reshape(cells.shape)
         if isinstance(scenario, RankingEnv):
             context_probs, positions = scenario.context_probs, scenario.positions
