@@ -12,7 +12,7 @@ the modules it runs.
 
 from importlib import import_module
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 #: The public names of each submodule.
 _EXPORTS = {

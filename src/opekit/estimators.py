@@ -16,7 +16,8 @@ Every estimator is defined once, as a row kernel: a function of a
 weighted rewards ``wr = w * r`` of some rows, that returns one value per
 row. A bundle always holds the row means; the centred moments and
 cross-fitting's fold moments and complement means are taken from the
-entries on first read (:meth:`Rows.reduction`), and no kernel reads an
+entries on first read (:meth:`Rows.reduction`), a complement's means by
+subtracting the fold's sums from the row's, and no kernel reads an
 entry. :data:`ESTIMATORS` maps each estimator name to its kernel, its kind
 and the reduction it reads. :meth:`Rows.of` alone makes a dataset a
 block, one row of positions by entries, a scalar dataset being the
@@ -139,6 +140,11 @@ def _check_kind(name: str, kind: str, label: str | None = None, study: bool = Fa
     return entry
 
 
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis: the sum of ``np.mean`` and :func:`row_mean`, without its overhead."""
+    return np.add.reduce(x, axis=-1)
+
+
 def row_mean(x: np.ndarray) -> np.ndarray:
     """Mean along the last axis: the sum and division of ``np.mean``, without its overhead."""
     return np.add.reduce(x, axis=-1) / x.shape[-1]
@@ -153,26 +159,20 @@ def row_total(x: np.ndarray) -> np.ndarray:
         return np.sum(x, axis=-1)
 
 
-def _moments(w: np.ndarray, wr: np.ndarray, ws: Workspace, means=None) -> tuple[np.ndarray, ...]:
-    """Unchecked two-pass centred moments along the last axis about ``means``, else the row means.
+def _moments(w: np.ndarray, wr: np.ndarray, ws: Workspace, means) -> tuple[np.ndarray, ...]:
+    """Unchecked two-pass centred moments along the last axis about the row means ``means``.
 
     The deviations go to the workspace's ``dev_w`` and ``dev_wr`` of their
-    shape, so ``w`` and ``wr`` taken there are centred in place; their
-    products stay temporaries, so that a long row's complement pass holds
-    two copies, not three. Overflow is silent, an inf or nan that
-    :func:`_invalid_moments` rejects.
+    shape, so ``w`` and ``wr`` taken there are centred in place. Their
+    products stay temporaries, one at a time: a workspace buffer for them
+    would stay resident through cross-fitting's fold layout, one copy more
+    at the peak of ``opekit evaluate``. Overflow is silent, an inf or nan
+    that :func:`_invalid_moments` rejects.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_w, mean_wr = (row_mean(w), row_mean(wr)) if means is None else means
-        dev_w = np.subtract(w, mean_w[..., None], out=ws("dev_w", w.shape))
-        dev_wr = np.subtract(wr, mean_wr[..., None], out=ws("dev_wr", w.shape))
-        return (
-            mean_w,
-            mean_wr,
-            row_mean(dev_w * dev_w),
-            row_mean(dev_wr * dev_wr),
-            row_mean(dev_w * dev_wr),
-        )
+        dev_w = np.subtract(w, means[0][..., None], out=ws("dev_w", w.shape))
+        dev_wr = np.subtract(wr, means[1][..., None], out=ws("dev_wr", w.shape))
+        return (*means, row_mean(dev_w * dev_w), row_mean(dev_wr * dev_wr), row_mean(dev_w * dev_wr))
 
 
 def _invalid_moments(moments) -> np.ndarray:
@@ -220,18 +220,20 @@ class Rows:
     """What every kernel reads: the per-row reductions of weights ``w`` and weighted rewards ``wr``.
 
     A block of entries, ``Rows(w, wr, ws)`` or a dataset's one row (:meth:`of`),
-    takes its row means at once and any other reduction on first read
+    takes its row sums and means at once and any other reduction on first read
     (:meth:`reduction`), into the workspace ``ws``. The engine gathers the
     reductions of a range's blocks into one bundle (:meth:`bundle`,
     :meth:`fill`), which holds no entries, and runs each kernel once on it;
     a kernel reads a bundle's reductions alone, so it gives the same bits on either.
-    ``mean_w`` and ``mean_wr`` are taken as :func:`_moments` takes them, past the float range silently.
+    ``sums`` are the sums behind ``mean_w`` and ``mean_wr``, which are ``sum / n``,
+    the bits of :func:`row_mean`, past the float range silently.
     """
 
     def __init__(self, w: np.ndarray, wr: np.ndarray, ws: Workspace):
         self.w, self.wr, self.n, self.ws = w, wr, w.shape[-1], ws
         with np.errstate(over="ignore", invalid="ignore"):
-            self.mean_w, self.mean_wr = row_mean(w), row_mean(wr)
+            self.sums = row_sum(w), row_sum(wr)
+            self.mean_w, self.mean_wr = (total / self.n for total in self.sums)
         self.reductions: dict = {}
 
     @staticmethod
@@ -276,7 +278,7 @@ class Rows:
     def _map(self, fn) -> Rows:
         """A bundle without entries whose every reduction is ``fn`` of this one's."""
         bundle = object.__new__(Rows)
-        bundle.w = bundle.wr = bundle.ws = None
+        bundle.w = bundle.wr = bundle.ws = bundle.sums = None
         bundle.n = self.n
         bundle.mean_w, bundle.mean_wr = fn(self.mean_w), fn(self.mean_wr)
         bundle.reductions = {key: tuple(map(fn, arrays)) for key, arrays in self.reductions.items()}
@@ -426,34 +428,26 @@ def beta_star_ips(dataset: Dataset) -> Estimate:
     return estimate("beta-star-ips", dataset)
 
 
-_COMPLEMENT_ENTRIES = 4 * 16384  # complement indices a fold layout caches at most: about four engine blocks
-
-
 @lru_cache(maxsize=16)
-def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+def _fold_layout(n: int, folds_k: int, seed: int) -> tuple[np.ndarray, ...]:
     """Index matrices of each group of equal-length folds, cached and read-only.
 
     Indices are shuffled by a generator seeded from ``seed`` and split in
     order into ``folds_k`` folds as ``np.array_split`` splits, so the same
     arguments always give the same partition, whose first ``n % folds_k``
     folds hold one entry more than the rest. Each group of equal-length
-    folds, the longer first, is a pair ``(folds, complements)``: row ``f``
-    of ``folds``, a view of the shuffled indices, lists a fold's indices
-    ascending, and row ``f`` of ``complements`` every other index, or is
-    ``None`` past ``_COMPLEMENT_ENTRIES``: a long row costs one index per entry.
+    folds, the longer first, is one matrix, a view of the shuffled indices
+    whose row ``f`` lists a fold's indices ascending: one index per entry.
     """
     size, longer = divmod(n, folds_k)
     if size < 2:
         raise FoldTooSmall(n, folds_k)
     order = np.random.default_rng(seed).permutation(n)
     split = longer * (size + 1)
-    groups = []
-    cached = folds_k * (n - size) <= _COMPLEMENT_ENTRIES
-    for folds in filter(len, (order[:split].reshape(longer, size + 1), order[split:].reshape(folds_k - longer, size))):
+    groups = (order[:split].reshape(longer, size + 1), order[split:].reshape(folds_k - longer, size))
+    for folds in groups:
         folds.sort(axis=-1)
-        complements = _freeze(np.stack([np.delete(np.arange(n), fold) for fold in folds])) if cached else None
-        groups.append((_freeze(folds), complements))
-    return tuple(groups)
+    return tuple(_freeze(folds) for folds in groups if len(folds))
 
 
 def _fold_reductions(rows: Rows, config: CrossFitConfig) -> tuple[np.ndarray, ...]:
@@ -464,32 +458,22 @@ def _fold_reductions(rows: Rows, config: CrossFitConfig) -> tuple[np.ndarray, ..
     layout is read first, so too few entries per fold raise
     :class:`FoldTooSmall` before any entry is read. Each group of
     equal-length folds is one ``take`` of ``w`` and of ``wr`` by the cached
-    fold matrix into the workspace's deviation arrays, centred in place
-    there, and its complement means one plain ``take`` by the cached
-    complement matrix, or, past its budget, by one fold's complement
-    indices at a time, taken from one reused mask into the free ``dev_w``,
-    so a long row needs room for two copies and one product of them.
-    Each complement sums in index order, as one contiguous row does.
+    fold matrix into the workspace's deviation arrays, whose sums are taken
+    once: over its length they are the fold means, the bits of
+    :func:`row_mean`, about which the group is centred in place, and
+    subtracted from the row sums they give each complement's mean,
+    ``(row sum - fold sum) / (n - fold length)``, with no complement read.
     """
-    layout = _fold_layout(rows.n, config.folds_k, config.seed)
     w, wr, n, ws = rows.w, rows.wr, rows.n, rows.ws
     parts = []
-    for folds, complements in layout:
-        shape = w.shape[:-1] + folds.shape  # mode="clip" takes straight into ``out``, as in simulator._gather
+    for folds in _fold_layout(n, config.folds_k, config.seed):
+        shape, length = w.shape[:-1] + folds.shape, folds.shape[1]
+        # mode="clip" takes straight into ``out``, as in simulator._gather.
         pair = [x.take(folds, axis=-1, out=ws(name, shape), mode="clip") for x, name in ((w, "dev_w"), (wr, "dev_wr"))]
-        moments = _moments(*pair, ws)
-        if complements is not None:
-            means = [row_mean(x.take(complements, axis=-1)) for x in (w, wr)]
-        else:
-            means = np.empty((2,) + w.shape[:-1] + (len(folds),))
-            outside = np.ones(n, dtype=bool)
-            taken = ws("dev_w", w.shape[:-1] + (n - folds.shape[1],))  # free once the fold moments are taken
-            for f, fold in enumerate(folds):
-                outside[fold] = False
-                complement = np.flatnonzero(outside)
-                outside[fold] = True
-                means[:, ..., f] = [row_mean(x.take(complement, axis=-1, out=taken, mode="clip")) for x in (w, wr)]
-                del complement  # before the next fold's is made
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = [row_sum(x) for x in pair]
+            means = [(total[..., None] - fold) / (n - length) for total, fold in zip(rows.sums, sums)]
+            moments = _moments(*pair, ws, [fold / length for fold in sums])
         parts.append(moments + (1.0 - means[0], means[1]))
     return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
 
@@ -513,7 +497,8 @@ def cross_fit_rows(rows: Rows, config: CrossFitConfig) -> tuple:
         for f in range(config.folds_k):
             _check_moments(tuple(m[..., f] for m in moments), size + (f < longer))
             _require_finite_baselines(baseline[..., f], ~failed_so_far[..., f])
-    values = baseline * offsets + complement_wr
+    with np.errstate(over="ignore", invalid="ignore"):  # a row sum past the float range, its folds' within it
+        values = baseline * offsets + complement_wr
     # Means over the folds, of numbers the reductions gave: np.mean adds and divides as row_mean does.
     return np.mean(values, axis=-1), np.mean(baseline, axis=-1), failed.any(axis=-1)
 
@@ -531,7 +516,10 @@ def cross_fitted_beta_ips(dataset: Dataset, config: CrossFitConfig = CrossFitCon
     A fold with constant weights cannot estimate a baseline. That is only
     fatal when the baseline matters: if its evaluation complement has a
     weight mean of exactly one, every baseline gives the same value and
-    zero is used; otherwise :class:`DegenerateWeights` is raised.
+    zero is used; otherwise :class:`DegenerateWeights` is raised. The
+    complement's mean is ``(row sum - fold sum) / (n - fold length)``, so
+    it reads as one exactly where those sums are exact (all-ones or dyadic
+    weights, say) and carries their rounding elsewhere.
     """
     return estimate("cf-beta-star-ips", dataset, config)
 

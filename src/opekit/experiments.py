@@ -29,8 +29,8 @@ reductions sum exactly as one-row ones do, so the block size never
 changes a bit.
 
 A range's :class:`~opekit.estimators.Workspace` holds every array of a
-block but the deviations' products and cross-fitting's complement takes:
-the first block allocates them and the rest write over them, where freed
+block but the deviations' products: the first block allocates them and
+the rest write over them, where freed
 ones would go back to the kernel and fault in again. It lives per range,
 not per process, so concurrent callers share no buffer and a finished
 range holds no memory. A block is drawn

@@ -72,7 +72,7 @@ def fold_indices(n: int, config) -> list[np.ndarray]:
 
     The reference partition the tests compare the engine's fold layout with.
     """
-    return [fold for folds, _ in _fold_layout(n, config.folds_k, config.seed) for fold in folds]
+    return [fold for folds in _fold_layout(n, config.folds_k, config.seed) for fold in folds]
 
 
 @pytest.fixture

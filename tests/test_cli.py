@@ -86,7 +86,7 @@ class TestTopLevel:
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
-        assert "0.1.0" in out
+        assert "0.2.0" in out
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -137,7 +137,7 @@ class TestSimulate:
         manifest = json.loads(sidecar.read_text())
         assert manifest["environment"] == "flip2"
         assert manifest["master_seed"] == 1
-        assert manifest["tool_version"] == "0.1.0"
+        assert manifest["tool_version"] == "0.2.0"
         assert len(manifest["fingerprint"]) == 64
 
     def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
@@ -371,17 +371,19 @@ class TestEvaluate:
         assert [str(warning.message) for warning in caught] == []
         assert (code, err) == (2, "error: var_w must be finite, got inf\n")
 
-    @pytest.mark.parametrize("estimator", ["ips", "snips", "beta-ips:0.5", "beta-star-ips"])
+    @pytest.mark.parametrize("estimator", ["ips", "snips", "beta-ips:0.5", "beta-star-ips", "cf-beta-star-ips"])
     def test_weights_summing_past_the_float_range_is_one_error_line(self, capsys, tmp_path, estimator):
         # Two weights of 1e308 are within the bound, their sum is not: a block's means
         # pass the float range silently, whichever kernel reads them, and the reported
-        # moments give the one error line.
+        # moments give the one error line. Cross-fitting reads eight, four a fold, and
+        # its complement means subtract an infinite fold sum from an infinite row sum.
         record = {"context": 0, "action": 0, "p_log": 1e-308, "p_tgt": 1.0, "reward": 1.0}
-        path = self.write_records(tmp_path, [record, record])
+        folds = ["--folds", "2"] if estimator == "cf-beta-star-ips" else []
+        path = self.write_records(tmp_path, [record] * (8 if folds else 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, _, err = run(capsys, "evaluate", "--in", str(path), "--weight-bound", "1e308",
-                               "--estimators", estimator)
+                               "--estimators", estimator, *folds)
         assert (code, err) == (2, "error: mean_w must be finite, got inf\n")
 
     @pytest.mark.parametrize(

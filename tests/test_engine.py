@@ -11,6 +11,7 @@ their references the same way.
 import concurrent.futures
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from opekit import (
     snipm,
     snips,
 )
-from opekit import estimators, experiments
+from opekit import experiments
 from opekit.errors import BoundViolation, EstimationError, ValidationError
 from opekit.estimators import (
     ESTIMATORS,
@@ -48,6 +49,7 @@ from opekit.estimators import (
     cross_fit_rows,
     plug_in_baselines,
     row_mean,
+    row_sum,
 )
 from opekit.experiments import FailureRecord, _block_rows, parse_estimator_spec
 from opekit.io import BLOCK_ENTRIES
@@ -316,9 +318,9 @@ class TestFailureRecords:
 class TestFoldLayout:
     def test_cached_arrays_are_read_only(self):
         layout = _fold_layout(40, 4, 9)
-        # One group of folds when k divides n, two otherwise, each with its complements.
-        matrices = [arr for n in (40, 42) for group in _fold_layout(n, 4, 9) for arr in group]
-        assert len(matrices) == 6
+        # One group of folds when k divides n, two otherwise.
+        matrices = [folds for n in (40, 42) for folds in _fold_layout(n, 4, 9)]
+        assert len(matrices) == 3
         for arr in matrices + fold_indices(40, CrossFitConfig(folds_k=4, seed=9)):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0
@@ -333,22 +335,20 @@ class TestFoldLayout:
             expected = [np.sort(chunk) for chunk in np.array_split(perm, k)]
             assert len(folds) == k
             assert all(np.array_equal(a, b) for a, b in zip(folds, expected))
-            complements = [row for _, matrix in _fold_layout(n, k, seed) for row in matrix]
-            assert all(np.array_equal(c, np.setdiff1d(np.arange(n), fold)) for c, fold in zip(complements, folds))
-            assert len(complements) == k
 
     def test_layout_holds_at_most_two_indices_per_entry(self):
-        # A row too long for complement matrices: the layout holds each index once.
+        # The layout holds each index once, however long the row.
         n = 200_000
-        layout = _fold_layout(n, 5, 0)
-        assert all(complements is None for _, complements in layout)
-        assert sum(folds.size for folds, _ in layout) == n
+        assert sum(folds.size for folds in _fold_layout(n, 5, 0)) == n
 
 
-def cross_fit_reference(w, wr, config):
+def cross_fit_reference(w, wr, config, by_subtraction=False):
     """Cross-fitting one fold at a time, the loop the stacked kernel replaces.
 
-    Each complement is every index outside the fold, in index order.
+    Each complement is every index outside the fold, in index order, and its
+    means are gathered from it: the definition. ``by_subtraction`` takes them
+    as the kernel does instead, the row sums less the fold sums over the
+    complement's length, and gives the kernel's bits.
     """
     n = w.shape[-1]
     folds = fold_indices(n, config)
@@ -356,16 +356,47 @@ def cross_fit_reference(w, wr, config):
     baselines = np.empty(w.shape[:-1] + (len(folds),))
     failed = np.zeros(w.shape[:-1], dtype=bool)
     for f, fold in enumerate(folds):
-        complement = np.setdiff1d(np.arange(n), fold)
+        if by_subtraction:
+            means = [(row_sum(x) - row_sum(x.take(fold, axis=-1))) / (n - len(fold)) for x in (w, wr)]
+        else:
+            means = [row_mean(x.take(np.setdiff1d(np.arange(n), fold), axis=-1)) for x in (w, wr)]
         _, _, var_w, _, cov = Rows(w.take(fold, axis=-1), wr.take(fold, axis=-1), Workspace()).moments
-        offset = 1.0 - row_mean(w.take(complement, axis=-1))
+        offset = 1.0 - means[0]
         baseline, degenerate = plug_in_baselines(var_w, cov)
         failed |= degenerate & (offset != 0.0)
         baseline = np.where(degenerate, 0.0, baseline)
         _require_finite_baselines(baseline, ~failed)
         baselines[..., f] = baseline
-        values[..., f] = baseline * offset + row_mean(wr.take(complement, axis=-1))
+        values[..., f] = baseline * offset + means[1]
     return row_mean(values), row_mean(baselines), failed
+
+
+def subtraction_bound(w, wr, config):
+    """How far each row's cross-fitted value by subtraction may lie from the gathered definition.
+
+    With ``u`` the unit roundoff, ``m`` a fold's length and ``S_x`` the sum of
+    ``|x|`` over the row, any float sum of ``j`` terms is within ``(j - 1) u``
+    of its exact value, relative to the sum of the terms' magnitudes (Higham
+    2002, eq. 4.4). The gathered complement mean sums ``n - m`` terms and
+    divides; the kernel sums the row (``n`` terms) and the fold (``m``),
+    subtracts and divides. So the two complement means of ``x`` differ by at
+    most ``E_x = (2n + 4) u S_x / (n - m)``, the four covering the roundings
+    of the subtraction and the divisions. The fold's baseline ``b`` is the
+    same number on both sides, so a fold's value ``b (1 - mean w) + mean wr``
+    differs by ``|b| E_w + E_wr``, plus the three roundings of each side's
+    value, each relative to its scale ``A = |b| (1 + S_w / (n - m)) + S_wr /
+    (n - m)``, and the mean over ``k`` folds adds ``k`` roundings a side. The
+    bound is relative to ``S_x / (n - m)``, not to the value: rewards may be
+    negative, and a value may cancel to near zero.
+    """
+    u, n = 2.0**-53, w.shape[-1]
+    *moments, _, _ = Rows(w, wr, Workspace()).reduction(config)
+    b = np.abs(plug_in_baselines(moments[2], moments[4])[0])
+    lengths = np.array([len(fold) for fold in fold_indices(n, config)])
+    scale_w, scale_wr = (row_sum(np.abs(x))[..., None] / (n - lengths) for x in (w, wr))
+    drift = b * (2 * n + 4) * u * scale_w + (2 * n + 4) * u * scale_wr
+    magnitude = b * (1.0 + scale_w) + scale_wr
+    return row_mean(drift) + (2 * config.folds_k + 10) * u * row_mean(magnitude)
 
 
 class TestCrossFit:
@@ -378,7 +409,7 @@ class TestCrossFit:
         wr = w * (np.array([[random.random() for _ in range(n)] for _ in range(rows)]) < 0.4)
         config = CrossFitConfig(folds_k=k, seed=seed)
         got = cross_fit_rows(Rows(w, wr, Workspace()), config)
-        expected = cross_fit_reference(w, wr, config)
+        expected = cross_fit_reference(w, wr, config, by_subtraction=True)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
     def test_a_long_row_with_unequal_folds_equals_the_fold_loop(self):
@@ -387,40 +418,42 @@ class TestCrossFit:
         wr = w * (rng.random(w.shape) < 0.5)
         config = CrossFitConfig(folds_k=5, seed=1)
         got = cross_fit_rows(Rows(w, wr, Workspace()), config)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config, True)]
 
-    @pytest.mark.parametrize("n, cached", [(16383, True), (16384, False)])
-    def test_rows_either_side_of_the_complement_budget_equal_the_fold_loop(self, n, cached):
-        # Complements from cached index matrices, and one at a time past their budget.
-        config = CrossFitConfig(folds_k=5, seed=2)
-        assert [complements is not None for _, complements in _fold_layout(n, 5, 2)] == [cached, cached]
+    @pytest.mark.parametrize(
+        "rows, n, k",
+        [(4, 10, 5), (4, 14, 7), (4, 403, 5), (2, 70_001, 5)],
+        ids=["two-a-fold", "two-a-fold-seven", "unequal-folds", "past-65536"],
+    )
+    def test_subtraction_stays_within_its_bound_of_the_gathered_means(self, rows, n, k):
+        # Weights log-uniform over six decades and rewards of both signs. n = 2k gives
+        # folds of two entries; 403 and 70001 give folds of two lengths, and 70001 is
+        # past the 65536 complement indices the gathered means were once cached for.
         rng = np.random.default_rng(n)
-        w = rng.choice([1 / 9, 9.0], size=(2, n))
-        wr = w * (rng.random(w.shape) < 0.5)
-        got = cross_fit_rows(Rows(w, wr, Workspace()), config)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in cross_fit_reference(w, wr, config)]
+        w = 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, n))
+        wr = w * rng.uniform(-1.0, 1.0, size=w.shape)
+        config = CrossFitConfig(folds_k=k, seed=3)
+        values, baselines, failed = cross_fit_rows(Rows(w, wr, Workspace()), config)
+        gathered = cross_fit_reference(w, wr, config)
+        bound = subtraction_bound(w, wr, config)
+        assert (np.abs(values - gathered[0]) <= bound).all()
+        # Far below the 1/(n - m) relative move of one entry put in the wrong complement.
+        assert (bound < 1e-7 * np.abs(gathered[0])).all()
+        assert baselines.tobytes() == gathered[1].tobytes()  # the baselines read the folds alone
+        assert not failed.any() and not gathered[2].any()
 
-    @pytest.mark.parametrize("n", [12, 403, 20001])
-    def test_both_complement_paths_give_the_same_bits(self, monkeypatch, n):
-        # Folds of two lengths (n is no multiple of 5); complements by cached matrix, then one fold at a time.
-        config = CrossFitConfig(folds_k=5, seed=2)
-        rng = np.random.default_rng(n)
-        w = rng.choice([1 / 9, 9.0], size=(2, n))
-        wr = w * (rng.random(w.shape) < 0.5)
-        got = []
-        try:
-            for budget in (10**9, 0):
-                monkeypatch.setattr(estimators, "_COMPLEMENT_ENTRIES", budget)
-                _fold_layout.cache_clear()
-                assert [complements is not None for _, complements in _fold_layout(n, 5, 2)] == [budget > 0] * 2
-                got.append([a.tobytes() for a in cross_fit_rows(Rows(w, wr, Workspace()), config)])
-        finally:
-            _fold_layout.cache_clear()  # no layout cached under a patched budget outlives the test
-        assert got[0] == got[1]
+    def test_a_row_sum_past_the_float_range_fails_its_row_silently(self):
+        # Each fold of four weights of 2.5e307 sums within the float range and the row
+        # does not: the complement means are infinite, the row fails, and no numpy warning.
+        w = np.full((1, 8), 2.5e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values, baselines, failed = cross_fit_rows(Rows(w, w, Workspace()), CrossFitConfig(folds_k=2))
+        assert failed.tolist() == [True] and baselines.tolist() == [0.0]
 
     def test_a_long_row_needs_room_for_three_copies(self):
-        # Two gathered copies of the row and one product of them; the layout holds no
-        # complement matrix at this n (test_layout_holds_at_most_two_indices_per_entry).
+        # Two gathered copies of the row and one product of them; no complement is gathered,
+        # and the layout holds one index per entry (test_layout_holds_at_most_two_indices_per_entry).
         rng = np.random.default_rng(5)
         w = rng.choice([1 / 9, 9.0], size=(1, 200_000))
         wr = w * (rng.random(w.shape) < 0.5)

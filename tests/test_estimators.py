@@ -203,6 +203,23 @@ class TestCrossFitted:
             assert e.baseline_used == 0.0
             assert e.estimator_name == "cf-beta-star-ips"
 
+    @pytest.mark.parametrize("dyadic", [False, True], ids=["ones", "dyadic"])
+    def test_a_complement_weight_mean_of_exactly_one_is_no_failure(self, dyadic):
+        # The rule is degenerate & (offset != 0.0), and the offset 1 - (S - F) / (n - m)
+        # is exactly 0.0 where the sums are exact: all-ones weights, whose every fold is
+        # degenerate, and a fold of ones beside folds of dyadic weights averaging one.
+        config = CrossFitConfig(folds_k=3, seed=4)
+        w, r = np.ones(24), np.array([1.0, 0.0, 0.5] * 8)
+        if dyadic:
+            for fold, pair in zip(fold_indices(24, config)[1:], ([0.25, 1.75], [0.5, 1.5])):
+                w[fold] = pair * 4
+        d = dataset_from_weights(w, r)
+        *moments, offsets, _ = Rows.of(d).reduction(config)
+        assert offsets.tolist() == [[0.0, 0.0, 0.0]]
+        assert (moments[2] == 0.0).tolist() == [[True, not dyadic, not dyadic]]
+        e = cross_fitted_beta_ips(d, config)  # no DegenerateWeights
+        assert (e.value, e.baseline_used) == ((0.5729166666666666, 0.5069444444444445) if dyadic else (0.5, 0.0))
+
     def test_constant_non_unit_weights_fail(self):
         d = dataset_from_weights([2.0] * 10, [1.0, 0.0] * 5)
         with pytest.raises(DegenerateWeights):
@@ -261,7 +278,21 @@ def _moment_bounds(moments, n, mean_abs_wr):
 
 
 def _exact_reference(w, r, beta, value, config):
-    """Each kernel's exact value on one row of float weights and rewards, with its float error bound."""
+    """Each kernel's exact value on one row of float weights and rewards, with its float error bound.
+
+    Cross-fitting takes a complement's mean of ``x`` (``w`` or ``wr``) by
+    subtraction, ``(S - F) / (n - m)``, from the float sum ``S`` of the row's
+    ``n`` entries and ``F`` of the fold's ``m``. They are within ``(n - 1) u
+    sum|x|`` and ``(m - 1) u sum_fold|x|`` of their exact values (Higham 2002,
+    eq. 4.4), and the subtraction and the division round once each, relative
+    to the mean, whose magnitude is at most ``sum|x| / (n - m)``. So the mean
+    is within ``(n + m + 8) u sum|x| / (n - m)`` of the complement's exact
+    mean, the eight covering these roundings, that of each product ``w * r``
+    and their products. The bound is relative to the whole row's
+    ``sum|x|``, not to the complement's, as the row sum carries the error of
+    every entry. Each fold's baseline, from the fold's own moments, and the
+    corrected value then follow as elsewhere.
+    """
     n = len(w)
     w, r = [Fraction(x) for x in w], [Fraction(x) for x in r]
     wr = [a * b for a, b in zip(w, r)]
@@ -295,7 +326,7 @@ def _exact_reference(w, r, beta, value, config):
     exact["r_n"] = r_n
     bound["r_n"] = (e_l * abs(float(1 - mean_w)) + abs(float(l_n)) * e_mw) / low + abs(float(l_n)) * e_mw / low**2
     bound["r_n"] += 3 * U * abs(float(r_n))
-    # Cross-fitting: each fold's plug-in baseline corrects the means of its complement.
+    # Cross-fitting: each fold's plug-in baseline corrects the means of its complement, taken by subtraction.
     values, e_values = [], []
     folds = fold_indices(n, config)
     for fold in folds:
@@ -308,9 +339,9 @@ def _exact_reference(w, r, beta, value, config):
         assert f_moments[2] > 0 and f_bounds[2] < float(f_moments[2])  # no fold is degenerate, in floats either
         b = f_moments[4] / f_moments[2]
         e_b = (f_bounds[4] + abs(float(b)) * f_bounds[2]) / (float(f_moments[2]) - f_bounds[2]) + U * abs(float(b))
-        c_moments = _exact_moments(cw, cwr)
-        c_bounds = _moment_bounds(c_moments, len(cw), float(sum(abs(x) for x in cwr) / len(cw)))
-        v, e_v = corrected(b, e_b, c_moments[0], c_moments[1], c_bounds[0], c_bounds[1])
+        c_means = [sum(x) / len(x) for x in (cw, cwr)]
+        c_bounds = [(n + len(fold) + 8) * U * float(sum(map(abs, x))) / len(cw) for x in (w, wr)]
+        v, e_v = corrected(b, e_b, *c_means, *c_bounds)
         values.append(v)
         e_values.append(e_v)
     exact["cf-beta-star-ips"] = sum(values) / len(folds)

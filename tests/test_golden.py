@@ -9,7 +9,11 @@ the CLI. The ``mc``/``dominance`` digests were recorded before the block
 replicate engine replaced the per-replicate loop, ``mc-identity2`` before
 the oracle targets came to hold their variance gap as one report, the
 others before the estimator registry and the single study grid loop
-replaced the per-kind code.
+replaced the per-kind code. Release 0.2.0 takes cross-fitting's complement
+means by subtraction, which moves cross-fitted values by a few ulps: the
+``mc`` study and the ``flip2`` evaluation were re-recorded then. The other
+two runs of ``cf-beta-star-ips`` (``identity2``, whose sums are exact, and
+``flip2-unequal-folds``) and every digest without it held.
 A study's JSON digest covers the report without its ``manifest`` block,
 which records a creation time; an evaluate digest covers the report
 without its ``source`` path.
@@ -116,8 +120,8 @@ EVALUATIONS = {
 GOLDEN = {
     "2.4.6": {
         "mc": {
-            "csv": "9d3337b8fe3c1993ac0fe67d38efd526a5018b9418c066c2ee55d52e06b683d6",
-            "json_data": "7be018361481720bb7163082480fa11d626425f013c1f205b7c1232ec8a3cf4f",
+            "csv": "7f00d533196e628e998d7dc65786c8c4789f21d129b8ad78afa976e13b4c3f6a",
+            "json_data": "2d8ac2862de63f6e8f75d0e58e604a512d900c9900fb197c31ccca0c498e61fc",
         },
         "dominance": {
             "csv": "0f74c9bbd107cb0cb46c2536627b5d6a085b3e61acefe36649a5f92a03db5819",
@@ -140,7 +144,7 @@ GOLDEN = {
             "json_data": "b70b64fdc9636f985b02782fa8f7120d207a635710f3e21a0a7a727d30eaab15",
         },
         "evaluate": {
-            "flip2": "3dec5df6167573e521aae94722e3bb6b6fe633175e8f937b1f8c9d31cb0f81b6",
+            "flip2": "e93892eaec4bc0f711db9d56506ee10a6003d3b2c1aa499c392bce02af813e6b",
             "rankflip2x2": "dad64d54ec6acbace6654103bba7157c0359bc8d32e2e593082c675220683579",
             "identity2": "47965445a2f3cab7901bce7bb9271b2c0dde454f29f371c455863286e6a33a53",
             "flip2-unequal-folds": "b2e5fac9aa9f7a019dcd11c9551126110c854d36b6f877a99fcc7d6e917cd47b",

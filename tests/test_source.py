@@ -325,7 +325,7 @@ def test_kernels_read_a_blocks_moments():
     # calls, reduces over entries or reads them (rows.w, rows.wr), so one kernel
     # gives the same bits on a dataset's block and on the engine's range bundle.
     functions = dict(_functions(ast.parse((SOURCE / "estimators.py").read_text(encoding="utf-8"))))
-    reducers = {"row_mean", "_moments"}
+    reducers = {"row_sum", "row_mean", "_moments"}
     reached, todo = set(), sorted({entry.kernel.__name__ for entry in ESTIMATORS.values()})
     while todo:
         name = todo.pop()
